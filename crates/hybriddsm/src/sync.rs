@@ -51,6 +51,15 @@ struct LockSlot {
     /// exclusive grants).
     free_excl_ns: u64,
     free_any_ns: u64,
+    /// Holders whose grant was posted to them at a handover rather than
+    /// carried by a reply. That grant is one item in the holder's
+    /// mailbox pipeline (the grant, or its loss tombstone) and the
+    /// holder must be the one to consume it: re-granting by reply to a
+    /// retry whose `Queued` reply was lost would leave the posted grant
+    /// behind, to be mistaken for a grant the next time the node
+    /// queues. Such a retry is answered `Queued` until it reports the
+    /// tombstone.
+    posted: Vec<usize>,
 }
 
 #[derive(Default)]
@@ -285,9 +294,12 @@ impl SyncCore {
         net.register_all(kind_base + LOCK_REQ, move |node| {
             let mgr = c.mgrs[node].clone();
             move |ctx: &interconnect::HandlerCtx<'_>, src, p| {
-                let (lock, excl) = downcast::<(u32, bool)>(p);
+                let (lock, excl, lost_grant) = downcast::<(u32, bool, bool)>(p);
                 let mut g = mgr.lock();
                 let slot = g.locks.entry(lock).or_default();
+                if !lost_grant && slot.posted.contains(&src) {
+                    return Outcome::reply(LockReply::Queued, 8);
+                }
                 if slot.holders.contains(&src) {
                     // Retried request from the current holder (the grant
                     // reply was lost): re-grant with the original floor.
@@ -340,6 +352,7 @@ impl SyncCore {
                 };
                 let was_excl = slot.excl;
                 slot.holders.swap_remove(pos);
+                slot.posted.retain(|&h| h != src);
                 if slot.holders.is_empty() {
                     slot.free_any_ns = slot.free_any_ns.max(ctx.now);
                     if was_excl {
@@ -399,6 +412,8 @@ impl SyncCore {
                             }
                         }
                     }
+                    // Whoever holds the lock now got it by the posts above.
+                    slot.posted = slot.holders.clone();
                 }
                 Outcome::done()
             }
@@ -729,7 +744,7 @@ impl SyncNode {
             let rep = self
                 .ctx
                 .port()
-                .request(mgr, self.core.base + LOCK_REQ, (lock, excl), 16);
+                .request(mgr, self.core.base + LOCK_REQ, (lock, excl, false), 16);
             if let LockReply::Queued = downcast::<LockReply>(rep) {
                 let _ = self
                     .ctx
@@ -743,6 +758,9 @@ impl SyncNode {
         // original queue entry); a grant destroyed in flight leaves a
         // loss tombstone, answered by re-requesting.
         let mut rounds = 0u32;
+        // Set once this acquire has consumed a grant's loss tombstone:
+        // only then may the manager re-grant a handover by reply.
+        let mut lost_grant = false;
         'req: loop {
             rounds += 1;
             assert!(
@@ -753,7 +771,7 @@ impl SyncNode {
             let rep = self
                 .ctx
                 .port()
-                .request_retrying(mgr, self.core.base + LOCK_REQ, (lock, excl), 16)
+                .request_retrying(mgr, self.core.base + LOCK_REQ, (lock, excl, lost_grant), 16)
                 .unwrap_or_else(|e| {
                     panic!(
                         "sync node {}: unrecoverable fault acquiring lock {lock}: {e}",
@@ -766,7 +784,10 @@ impl SyncNode {
                     let tag = mailbox::tag(self.core.base + LOCK_GRANT, lock);
                     match self.ctx.port().wait_mailbox_checked(tag) {
                         Ok(_) => return,
-                        Err(e) if e.is_transient() => continue 'req,
+                        Err(e) if e.is_transient() => {
+                            lost_grant = true;
+                            continue 'req;
+                        }
                         Err(e) => panic!(
                             "sync node {}: unrecoverable fault waiting for lock {lock}: {e}",
                             self.ctx.rank()

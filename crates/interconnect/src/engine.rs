@@ -30,8 +30,11 @@ pub enum EngineMode {
     /// mostly-sleeping threads.
     ThreadPerNode,
     /// Sharded event-driven scheduler: per-node bounded run queues
-    /// multiplexed over a small worker pool, batched virtual-time
-    /// delivery, wake elision while workers are hot.
+    /// multiplexed over a small work-stealing worker pool, batched
+    /// virtual-time delivery, and delivery that runs to completion on
+    /// the thread that caused it (handler sends stay on the sending
+    /// worker's ring; a blocking requester drives an idle destination
+    /// itself).
     Sharded {
         /// Worker-thread count; `0` sizes automatically from the host's
         /// available parallelism (clamped to `[1, 8]` and to the node
@@ -93,8 +96,12 @@ impl std::fmt::Display for EngineMode {
 }
 
 /// One node's ingress under the sharded engine: the bounded envelope
-/// queue plus the scheduled flag that keeps the node enqueued at most
-/// once on its shard's ready ring.
+/// queue plus the `scheduled` flag. The flag is the whole of per-node
+/// serialization: ready rings own nothing and any thread may drive any
+/// node, so handlers of one node never run concurrently *because* the
+/// node is claimed at most once — it sits on at most one ready ring,
+/// and whoever took it from there (or won the claim and drives it
+/// inline) is its only driver until [`NodeQueue::retire`].
 pub(crate) struct NodeQueue<T> {
     pub(crate) q: BoundedQueue<T>,
     scheduled: AtomicBool,
@@ -105,15 +112,15 @@ impl<T> NodeQueue<T> {
         Self { q: BoundedQueue::new(NODE_QUEUE_CAPACITY), scheduled: AtomicBool::new(false) }
     }
 
-    /// After an enqueue: true when the caller must schedule the node
-    /// (it was not already on a ready ring).
+    /// After an enqueue: true when the caller now owns the node (it
+    /// was idle) and must either put it on a ready ring or drive it.
     pub(crate) fn claim_schedule(&self) -> bool {
         !self.scheduled.swap(true, Ordering::AcqRel)
     }
 
-    /// Worker-side, after draining an empty batch: clear the scheduled
+    /// Driver-side, once the queue looks empty: clear the scheduled
     /// flag, then re-check for a push that raced the clear. Returns
-    /// true when the node re-claimed its slot and must stay scheduled.
+    /// true when the driver re-claimed the node and must reschedule it.
     pub(crate) fn retire(&self) -> bool {
         self.scheduled.store(false, Ordering::Release);
         !self.q.is_empty() && self.claim_schedule()

@@ -5,8 +5,9 @@
 //! [`EngineMode`]): the legacy thread-per-node communication daemons,
 //! and the default sharded event-driven scheduler — per-node bounded
 //! run queues over a small worker pool with batched virtual-time
-//! delivery. Virtual timings are identical either way; only wall-clock
-//! throughput differs.
+//! delivery, where a requester about to block drives an idle
+//! destination itself (`SendCtx`). Virtual timings are identical
+//! either way; only wall-clock throughput differs.
 //!
 //! With a [`FaultPlan`] installed the fabric fails on purpose: messages
 //! are dropped, duplicated, delayed or displaced, and whole nodes crash
@@ -136,6 +137,27 @@ impl FaultState {
     }
 }
 
+/// Who is handing an envelope to the delivery engine. It decides two
+/// things under the sharded engine: whether a full node queue blocks
+/// the sender, and whether the sender may drive the destination itself.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum SendCtx {
+    /// A protocol handler, mid-`drive_node`. Never blocks — the worker
+    /// draining the destination queue may be the caller itself, so the
+    /// enqueue overflows the bound instead — and never drives another
+    /// node: the thread's drain buffer is in use.
+    Handler,
+    /// An application thread that does not wait for an answer (`post`).
+    /// Absorbs backpressure, but the destination is always left to the
+    /// workers: a post may be issued under locks of the sender that the
+    /// destination's handlers take too.
+    AppPost,
+    /// An application thread about to block on the reply (`request*`).
+    /// Absorbs backpressure, and drives an idle destination on its own
+    /// thread (see [`NetShared::deliver`]).
+    AppBlocking,
+}
+
 /// Per-node ingress of the fabric: which delivery engine owns the
 /// envelopes between `send_user` and `process_envelope`.
 enum Ingress {
@@ -143,7 +165,8 @@ enum Ingress {
     /// communication-daemon thread.
     Threads(Vec<Sender<Envelope>>),
     /// Sharded scheduler: one bounded run queue per node, drained in
-    /// batches by the shard worker the node is pinned to.
+    /// batches by whichever thread holds the node's `scheduled` claim —
+    /// a pool worker, or a requester running the node inline.
     Sharded { queues: Vec<NodeQueue<Envelope>>, shards: Arc<sim::sched::Shards> },
 }
 
@@ -235,20 +258,19 @@ impl NetShared {
         }
     }
 
-    /// Hand `env` to `dst`'s delivery engine. `can_block` distinguishes
-    /// application threads (which absorb backpressure on a full node
-    /// queue) from handler context, which must never block: the worker
-    /// draining the destination queue may be the caller itself, so a
-    /// handler-context enqueue overflows the bound instead. Envelopes
-    /// rejected by a closed queue (teardown) are answered here.
-    fn deliver(&self, dst: NodeId, env: Envelope, can_block: bool) {
+    /// Hand `env` to `dst`'s delivery engine; `ctx` says who is sending
+    /// (see [`SendCtx`]). Envelopes rejected by a closed queue
+    /// (teardown) are answered here.
+    fn deliver(&self, dst: NodeId, env: Envelope, ctx: SendCtx) {
         match &self.ingress {
             Ingress::Threads(inboxes) => {
                 let _ = inboxes[dst].send(env);
             }
             Ingress::Sharded { queues, shards } => {
                 let nq = &queues[dst];
-                let res = if can_block {
+                let res = if ctx == SendCtx::Handler {
+                    nq.q.push(env)
+                } else {
                     match nq.q.push_wait(env) {
                         Ok(waited) => {
                             if waited {
@@ -258,15 +280,21 @@ impl NetShared {
                         }
                         Err(env) => Err(env),
                     }
-                } else {
-                    nq.q.push(env)
                 };
                 match res {
-                    Ok(()) => {
-                        if nq.claim_schedule() {
+                    Ok(()) if !nq.claim_schedule() => {}
+                    // Caller-runs: the sender is about to sleep on the
+                    // reply and `dst` was idle, so the claim just won
+                    // makes this thread the node's one driver — run the
+                    // batch here instead of waking a worker that would
+                    // only wake us back. One batch, never a loop: what
+                    // is left goes to the workers.
+                    Ok(()) if ctx == SendCtx::AppBlocking && !driving() => {
+                        if drive_node(self, dst) {
                             shards.schedule(dst);
                         }
                     }
+                    Ok(()) => shards.schedule(dst),
                     Err(env) => answer_stranded(env),
                 }
             }
@@ -416,7 +444,7 @@ impl NetShared {
         depart: u64,
         reply: Option<Sender<ReplyMsg>>,
         wake_tag: Option<u64>,
-        can_block: bool,
+        ctx: SendCtx,
     ) -> u64 {
         if self.stopped.load(Ordering::Acquire) {
             if let Some(tx) = reply {
@@ -438,7 +466,7 @@ impl NetShared {
                 sim::trace::instant(depart, src, "fault", "view_fence", kind as u64);
                 let deadline_ns = depart + self.timeout_ns();
                 let err = RequestError::StaleView { epoch: arrive_epoch, at_ns: arrive_ns };
-                self.fail_delivery(dst, reply, wake_tag, err, deadline_ns, can_block);
+                self.fail_delivery(dst, reply, wake_tag, err, deadline_ns, ctx);
                 return 0;
             }
         }
@@ -450,7 +478,7 @@ impl NetShared {
             self.deliver(
                 dst,
                 Envelope::User { src, kind, payload, arrive_ns, reply, req_id, deadline_ns: 0 },
-                can_block,
+                ctx,
             );
             return req_id;
         };
@@ -467,7 +495,7 @@ impl NetShared {
             } else {
                 RequestError::Timeout { deadline_ns }
             };
-            self.fail_delivery(dst, reply, wake_tag, err, deadline_ns, can_block);
+            self.fail_delivery(dst, reply, wake_tag, err, deadline_ns, ctx);
             return 0;
         }
         let d = fs.next_decision(src, dst, kind);
@@ -475,7 +503,7 @@ impl NetShared {
             self.stats.add("faults_dropped", 1);
             sim::trace::instant(depart, src, "fault", "drop", kind as u64);
             let err = RequestError::Timeout { deadline_ns };
-            self.fail_delivery(dst, reply, wake_tag, err, deadline_ns, can_block);
+            self.fail_delivery(dst, reply, wake_tag, err, deadline_ns, ctx);
             return 0;
         }
         let arrive_ns = arrive_ns + d.extra_delay_ns;
@@ -487,12 +515,12 @@ impl NetShared {
         self.deliver(
             dst,
             Envelope::User { src, kind, payload, arrive_ns, reply, req_id, deadline_ns },
-            can_block,
+            ctx,
         );
         if d.dup {
             self.stats.add("faults_dup", 1);
             sim::trace::instant(depart, src, "fault", "dup", kind as u64);
-            self.deliver(dst, Envelope::Dup { src, kind, req_id, arrive_ns }, can_block);
+            self.deliver(dst, Envelope::Dup { src, kind, req_id, arrive_ns }, ctx);
         }
         req_id
     }
@@ -505,14 +533,14 @@ impl NetShared {
         wake_tag: Option<u64>,
         err: RequestError,
         deadline_ns: u64,
-        can_block: bool,
+        ctx: SendCtx,
     ) {
         let ready_ns = match &err {
             RequestError::NodeDown { at_ns, .. } | RequestError::StaleView { at_ns, .. } => *at_ns,
             _ => deadline_ns,
         };
         if let Some(tx) = reply {
-            self.deliver(dst, Envelope::Fail { reply: tx, err, ready_ns }, can_block);
+            self.deliver(dst, Envelope::Fail { reply: tx, err, ready_ns }, ctx);
         } else if let Some(tag) = wake_tag {
             self.stats.add("tombstones", 1);
             self.mailboxes[dst].deposit_lost(tag, deadline_ns);
@@ -532,9 +560,8 @@ impl NetShared {
     ) {
         self.stats.at(STAT_POSTS).incr();
         self.stats.at(STAT_BYTES).add(wire_bytes);
-        // Handler context: never block on backpressure (the draining
-        // worker may be us).
-        let _ = self.send_user(src, dst, kind, payload, wire_bytes, depart, None, wake_tag, false);
+        let ctx = SendCtx::Handler;
+        let _ = self.send_user(src, dst, kind, payload, wire_bytes, depart, None, wake_tag, ctx);
     }
 }
 
@@ -989,24 +1016,41 @@ fn daemon_loop(node: NodeId, rx: Receiver<Envelope>, shared: Arc<NetShared>) {
     }
 }
 
+thread_local! {
+    /// One drain buffer per driving thread — pool workers, and
+    /// application threads running a request's destination inline —
+    /// reused across node visits: a fresh ENGINE_BATCH-capacity Vec per
+    /// visit is an allocator round trip on every single event at queue
+    /// depth 1. Mutably borrowed for the whole of [`drive_node`], which
+    /// is what [`driving`] reads.
+    static BATCH: std::cell::RefCell<Vec<Envelope>> =
+        std::cell::RefCell::new(Vec::with_capacity(ENGINE_BATCH));
+}
+
+/// True while this thread is inside [`drive_node`], i.e. in handler
+/// context. Such a thread must hand nodes to the rings, never drive
+/// them: the drain buffer is not re-entrant.
+fn driving() -> bool {
+    BATCH.with(|batch| batch.try_borrow_mut().is_err())
+}
+
 /// Sharded engine: drain and process one batch from `node`'s run queue.
-/// Returns true when the node must stay on its shard's ready ring
-/// (batch was full or a push raced the retire).
+/// The caller holds the node's `scheduled` claim, which is the whole of
+/// per-node serialization: whoever won `claim_schedule` — or was handed
+/// the node through a ready ring — is its only driver until `retire`.
+/// Returns true when the node is still claimed and must go (back) onto
+/// a ready ring (batch was full or a push raced the retire).
 fn drive_node(shared: &NetShared, node: NodeId) -> bool {
     let Ingress::Sharded { queues, .. } = &shared.ingress else {
         unreachable!("drive_node on a thread-per-node fabric")
     };
     let nq = &queues[node];
-    // One drain buffer per worker thread, reused across node visits: a
-    // fresh ENGINE_BATCH-capacity Vec per visit is an allocator round
-    // trip on every single event at queue depth 1.
-    thread_local! {
-        static BATCH: std::cell::RefCell<Vec<Envelope>> =
-            std::cell::RefCell::new(Vec::with_capacity(ENGINE_BATCH));
-    }
-    BATCH.with_borrow_mut(|batch| {
+    BATCH.with(|batch| {
+        let mut batch = batch
+            .try_borrow_mut()
+            .expect("drive_node re-entered: sends from handler context must go to the rings");
         batch.clear();
-        nq.q.drain_into(ENGINE_BATCH, batch);
+        nq.q.drain_into(ENGINE_BATCH, &mut batch);
         if batch.is_empty() {
             return nq.retire();
         }
@@ -1341,7 +1385,7 @@ impl NodePort {
             depart,
             Some(tx),
             None,
-            true,
+            SendCtx::AppBlocking,
         );
         let res = match rx.recv() {
             Ok(ReplyMsg::Ok { payload, wire_bytes, ready_ns }) => {
@@ -1474,7 +1518,7 @@ impl NodePort {
                 depart,
                 Some(tx),
                 None,
-                true,
+                SendCtx::AppBlocking,
             );
             pending.push((dst, kind, rx));
         }
@@ -1527,7 +1571,7 @@ impl NodePort {
                 depart,
                 Some(tx),
                 None,
-                true,
+                SendCtx::AppBlocking,
             );
             pending.push(rx);
         }
@@ -1601,7 +1645,7 @@ impl NodePort {
             depart,
             None,
             wake_tag,
-            true,
+            SendCtx::AppPost,
         );
         sim::trace::instant_corr(depart, self.node, "net", "post", kind as u64, req_id);
     }
@@ -1632,7 +1676,7 @@ mod tests {
     use super::*;
     use crate::message::downcast;
 
-    fn tiny_link() -> LinkCost {
+    pub(super) fn tiny_link() -> LinkCost {
         LinkCost {
             send_overhead_ns: 100,
             recv_overhead_ns: 100,
@@ -2188,5 +2232,150 @@ mod batch_tests {
     fn join_without_reserved_slot_panics() {
         let net = Network::builder(2, tiny()).build();
         let _ = net.join_node();
+    }
+}
+
+/// Where delivery runs under the sharded engine: on the requester's own
+/// thread when it would otherwise sleep for an idle node, on a pool
+/// worker in every other case.
+#[cfg(test)]
+mod caller_runs_tests {
+    use super::tests::tiny_link;
+    use super::*;
+    use crate::message::downcast;
+    use std::sync::mpsc;
+    use std::thread::ThreadId;
+
+    const WHO: u32 = 0x70;
+
+    fn sharded(nodes: usize, workers: usize) -> Network {
+        Network::builder(nodes, tiny_link()).engine(EngineMode::Sharded { workers }).build()
+    }
+
+    /// Register a handler on `node` that replies with the id of the
+    /// thread it ran on.
+    fn reply_thread_id(net: &Network, node: NodeId) {
+        net.router(node).register(WHO, |_c, _s, _p| Outcome::reply(std::thread::current().id(), 8));
+    }
+
+    #[test]
+    fn request_to_idle_node_runs_on_the_requesters_thread() {
+        let net = sharded(2, 2);
+        reply_thread_id(&net, 1);
+        let port = net.port(0, VirtualClock::new());
+        for _ in 0..3 {
+            let ran_on = downcast::<ThreadId>(port.request(1, WHO, (), 8));
+            assert_eq!(ran_on, std::thread::current().id());
+        }
+    }
+
+    #[test]
+    fn self_request_completes_inline() {
+        let net = sharded(1, 1);
+        reply_thread_id(&net, 0);
+        let port = net.port(0, VirtualClock::new());
+        let ran_on = downcast::<ThreadId>(port.request(0, WHO, (), 8));
+        assert_eq!(ran_on, std::thread::current().id());
+    }
+
+    #[test]
+    fn post_from_an_application_thread_is_left_to_a_worker() {
+        let net = sharded(2, 2);
+        let (tx, rx) = mpsc::channel::<ThreadId>();
+        let tx = Mutex::new(tx);
+        net.router(1).register(0x71, move |_c, _s, _p| {
+            tx.lock().send(std::thread::current().id()).unwrap();
+            Outcome::done()
+        });
+        let port = net.port(0, VirtualClock::new());
+        port.post(1, 0x71, (), 8);
+        assert_ne!(rx.recv().unwrap(), std::thread::current().id());
+    }
+
+    #[test]
+    fn request_to_a_scheduled_node_is_served_by_a_worker() {
+        // Node 1 is held scheduled by a worker stuck in GATE. A full
+        // batch of posts and then the request queue up behind it. The
+        // request lost the claim when it was pushed; whoever wins the
+        // node after GATE returns (the worker re-claiming, or the
+        // requester slipping in at the retire) drains the full batch of
+        // posts first, and a full batch always goes back to the rings —
+        // so the request's handler runs on a worker either way.
+        const GATE: u32 = 0x72;
+        const SINK: u32 = 0x73;
+        let net = sharded(2, 2);
+        reply_thread_id(&net, 1);
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (open_tx, open_rx) = mpsc::channel::<()>();
+        let gate = Mutex::new((entered_tx, open_rx));
+        net.router(1).register(GATE, move |_c, _s, _p| {
+            let g = gate.lock();
+            g.0.send(()).unwrap();
+            g.1.recv().unwrap();
+            Outcome::done()
+        });
+        net.router(1).register(SINK, |_c, _s, _p| Outcome::done());
+        let port = net.port(0, VirtualClock::new());
+        port.post(1, GATE, (), 0);
+        entered_rx.recv().unwrap();
+        for _ in 0..ENGINE_BATCH {
+            port.post(1, SINK, (), 0);
+        }
+        let ran_on = std::thread::scope(|s| {
+            let shared = &net.shared;
+            s.spawn(move || {
+                let Ingress::Sharded { queues, .. } = &shared.ingress else { unreachable!() };
+                while queues[1].q.len() <= ENGINE_BATCH {
+                    std::thread::yield_now();
+                }
+                open_tx.send(()).unwrap();
+            });
+            downcast::<ThreadId>(port.request(1, WHO, (), 8))
+        });
+        assert_ne!(ran_on, std::thread::current().id());
+    }
+
+    #[test]
+    fn inline_handler_panic_fails_the_request_not_the_requester() {
+        let net = sharded(2, 1);
+        let (tx, rx) = mpsc::channel::<ThreadId>();
+        let tx = Mutex::new(tx);
+        net.router(1).register(0x74, move |_c, _s, p| {
+            tx.lock().send(std::thread::current().id()).unwrap();
+            assert!(downcast::<u32>(p) != 13, "unlucky payload");
+            Outcome::reply((), 0)
+        });
+        let port = net.port(0, VirtualClock::new());
+        let err = port.try_request(1, 0x74, 13u32, 8).unwrap_err();
+        assert!(matches!(err, RequestError::HandlerFailed { kind: 0x74, .. }), "{err}");
+        assert_eq!(rx.recv().unwrap(), std::thread::current().id(), "the panic was ours to contain");
+        // Still here, and the node — retired by our drive — still serves.
+        assert!(port.try_request(1, 0x74, 21u32, 8).is_ok());
+        assert_eq!(net.stats().get("handler_failures"), 1);
+    }
+
+    #[test]
+    fn batch_to_idle_homes_is_engine_invariant() {
+        let run = |engine: EngineMode| {
+            let net = Network::builder(5, tiny_link()).engine(engine).build();
+            for home in 1..5 {
+                net.router(home).register(0x75, move |_c, src, p| {
+                    Outcome::reply_costing(downcast::<u64>(p) * 10 + (home + src) as u64, 64, 300)
+                });
+            }
+            let clock = VirtualClock::new();
+            let port = net.port(0, clock.clone());
+            let replies: Vec<u64> = port
+                .request_batch((1..5).map(|home| (home, 0x75, home as u64, 128)).collect())
+                .into_iter()
+                .map(downcast::<u64>)
+                .collect();
+            (replies, clock.now(), net.stats().snapshot())
+        };
+        let reference = run(EngineMode::ThreadPerNode);
+        assert_eq!(reference.0, vec![11, 22, 33, 44]);
+        for workers in [1, 2] {
+            assert_eq!(run(EngineMode::Sharded { workers }), reference, "sharded:{workers}");
+        }
     }
 }

@@ -59,6 +59,9 @@ pub struct LockState {
     /// Virtual time the lock last became free of any holder (causal
     /// floor for exclusive grants).
     pub free_any_ns: u64,
+    /// Holders whose grant was *posted* to them at a handover rather
+    /// than carried by a reply (see [`LockMgr::granted_by_post`]).
+    pub posted: Vec<usize>,
 }
 
 /// Manager-side state of one lock's token queue.
@@ -172,6 +175,9 @@ struct RTokenLock {
     queue: Vec<(usize, u64, u64)>,
     /// Highest tenure each node has completed (idempotent release).
     done: HashMap<usize, u64>,
+    /// The current tenure was granted by a handover post, not a reply
+    /// (see [`LockMgr::rtok_granted_by_post`]).
+    posted: bool,
 }
 
 /// Manager's answer to a resilient token acquire.
@@ -280,6 +286,7 @@ impl LockMgr {
         };
         let was_excl = st.excl;
         st.holders.swap_remove(pos);
+        st.posted.retain(|&h| h != who);
         if st.holders.is_empty() {
             st.free_any_ns = st.free_any_ns.max(now_ns);
             if was_excl {
@@ -332,7 +339,21 @@ impl LockMgr {
                 }
             }
         }
+        st.posted.extend(grants.iter().map(|(n, _)| *n));
         grants
+    }
+
+    /// True while `who` holds `lock` by a handover. Such a grant exists
+    /// as exactly one item in the holder's mailbox pipeline — the
+    /// posted grant, or its loss tombstone — and that item is the
+    /// holder's to consume. A resilient manager must therefore not
+    /// re-grant by reply to a retried request (one whose `Queued` reply
+    /// was lost) while this is true: the holder would proceed on the
+    /// reply, leave the posted grant behind, and take it for a grant
+    /// the next time it queues. It answers `Queued` instead, until the
+    /// requester reports having consumed the tombstone.
+    pub fn granted_by_post(&self, lock: u32, who: usize) -> bool {
+        self.locks.get(&lock).is_some_and(|st| st.posted.contains(&who))
     }
 
     /// A barrier made all writes globally visible: drop notice history —
@@ -570,6 +591,7 @@ impl LockMgr {
             return None;
         }
         tok.holder = None;
+        tok.posted = false;
         let d = tok.done.entry(who).or_insert(0);
         *d = (*d).max(seq);
         let mut notices = std::mem::take(&mut tok.granted);
@@ -591,7 +613,14 @@ impl LockMgr {
         let notices = std::mem::take(&mut tok.notices);
         tok.granted = notices.clone();
         tok.holder = Some((next, nseq));
+        tok.posted = true;
         Some((next, notices))
+    }
+
+    /// The token-queue twin of [`LockMgr::granted_by_post`]: tenure
+    /// `seq` of `who` is current and was granted by a handover post.
+    pub fn rtok_granted_by_post(&self, lock: u32, who: usize, seq: u64) -> bool {
+        self.rtokens.get(&lock).is_some_and(|tok| tok.posted && tok.holder == Some((who, seq)))
     }
 
     /// Introspection for tests: the state of `lock`.
@@ -934,6 +963,31 @@ mod token_tests {
         assert_eq!(mgr.rtok_acquire(5, 0, 1, 5), RTokStep::Replay(vec![]));
         // The notices survive for the next real tenure, unduplicated.
         assert_eq!(mgr.rtok_acquire(5, 1, 1, 9), RTokStep::Grant(vec![(0, iv(&[1]))]));
+    }
+
+    #[test]
+    fn only_handover_grants_count_as_posted() {
+        // Token queue: tenure 1 of node 0 is granted by reply, tenure 1
+        // of node 1 by the handover at node 0's release.
+        let mut mgr = LockMgr::new();
+        mgr.rtok_acquire(5, 0, 1, 0);
+        assert!(!mgr.rtok_granted_by_post(5, 0, 1));
+        mgr.rtok_acquire(5, 1, 1, 10);
+        assert!(!mgr.rtok_granted_by_post(5, 1, 1), "queued is not granted");
+        mgr.rtok_release(5, 0, 1, Interval::default()).unwrap();
+        assert!(mgr.rtok_granted_by_post(5, 1, 1));
+        assert!(!mgr.rtok_granted_by_post(5, 1, 2), "another tenure");
+        assert!(mgr.rtok_release(5, 1, 1, Interval::default()).is_none());
+        assert!(!mgr.rtok_granted_by_post(5, 1, 1), "the tenure ended");
+        // Central manager: a reader batch handed over together.
+        mgr.acquire_mode(6, 0, Mode::Excl, 0);
+        mgr.acquire_mode(6, 1, Mode::Shared, 10);
+        mgr.acquire_mode(6, 2, Mode::Shared, 20);
+        assert!(!mgr.granted_by_post(6, 0) && !mgr.granted_by_post(6, 1));
+        assert_eq!(mgr.release(6, 0, Interval::default(), 30).len(), 2);
+        assert!(mgr.granted_by_post(6, 1) && mgr.granted_by_post(6, 2));
+        mgr.release(6, 1, Interval::default(), 40);
+        assert!(!mgr.granted_by_post(6, 1) && mgr.granted_by_post(6, 2));
     }
 
     #[test]

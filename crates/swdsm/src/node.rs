@@ -619,7 +619,11 @@ impl SwDsm {
             let mgr = dsm.lockmgrs[node].clone();
             move |ctx: &interconnect::HandlerCtx<'_>, src, p| {
                 let req = downcast::<LockReq>(p);
-                match mgr.lock().acquire_mode(req.lock, src, req.mode, ctx.now) {
+                let mut mgr = mgr.lock();
+                if !req.lost_grant && mgr.granted_by_post(req.lock, src) {
+                    return Outcome::reply(LockReply::Queued, 8);
+                }
+                match mgr.acquire_mode(req.lock, src, req.mode, ctx.now) {
                     Acquire::Granted(notices, not_before) => {
                         // The grant carries its validity floor: the
                         // requester may not proceed before `not_before`
@@ -1140,8 +1144,12 @@ impl SwDsm {
             let dsm = dsm.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 let req = downcast::<RTokAcquire>(p);
-                let step =
-                    dsm.lockmgrs[node].lock().rtok_acquire(req.lock, req.who, req.seq, ctx.now);
+                let mut mgr = dsm.lockmgrs[node].lock();
+                if !req.lost_grant && mgr.rtok_granted_by_post(req.lock, req.who, req.seq) {
+                    return Outcome::reply(RTokReply::Queued, 8);
+                }
+                let step = mgr.rtok_acquire(req.lock, req.who, req.seq, ctx.now);
+                drop(mgr);
                 match step {
                     RTokStep::Grant(notices) => {
                         let corr = ((req.who as u64 + 1) << 32) | (req.lock as u64 + 1);
@@ -2087,7 +2095,7 @@ impl DsmNode {
         } else if self.resilient() {
             self.acquire_notices_resilient(lock, mode, mgr)?
         } else {
-            let reply = self.ctx.port().request(mgr, kinds::LOCK_REQ, LockReq { lock, mode }, 16);
+            let reply = self.ctx.port().request(mgr, kinds::LOCK_REQ, LockReq { lock, mode, lost_grant: false }, 16);
             match downcast::<LockReply>(reply) {
                 LockReply::Granted(notices) => notices,
                 LockReply::Queued => {
@@ -2121,6 +2129,10 @@ impl DsmNode {
     ) -> Result<Vec<(usize, Interval)>, DsmError> {
         let wrap = |err| DsmError { op: "lock_acquire", id: lock, err };
         let mut rounds = 0u32;
+        // Set once this acquire has consumed a grant's loss tombstone:
+        // only then may the manager re-grant a handover by reply (see
+        // `LockMgr::granted_by_post`).
+        let mut lost_grant = false;
         'req: loop {
             rounds += 1;
             assert!(
@@ -2134,7 +2146,7 @@ impl DsmNode {
             let reply = self
                 .ctx
                 .port()
-                .request_retrying(mgr, kinds::LOCK_REQ, LockReq { lock, mode }, 16)
+                .request_retrying(mgr, kinds::LOCK_REQ, LockReq { lock, mode, lost_grant }, 16)
                 .map_err(wrap)?;
             match downcast::<LockReply>(reply) {
                 LockReply::Granted(notices) => return Ok(notices),
@@ -2149,7 +2161,10 @@ impl DsmNode {
                             assert_eq!(grant.lock, lock);
                             return Ok(grant.notices);
                         }
-                        Err(e) if e.is_transient() => continue 'req,
+                        Err(e) if e.is_transient() => {
+                            lost_grant = true;
+                            continue 'req;
+                        }
                         Err(e) => return Err(wrap(e)),
                     }
                 }
@@ -2170,6 +2185,7 @@ impl DsmNode {
         let wrap = |err| DsmError { op: "lock_acquire", id: lock, err };
         let seq = self.dsm.lockmgrs[self.rank].lock().rtok_begin(lock);
         let mut rounds = 0u32;
+        let mut lost_grant = false;
         'req: loop {
             rounds += 1;
             assert!(
@@ -2187,7 +2203,7 @@ impl DsmNode {
                 .request_retrying(
                     mgr,
                     kinds::RTOK_ACQ,
-                    RTokAcquire { lock, who: self.rank, seq },
+                    RTokAcquire { lock, who: self.rank, seq, lost_grant },
                     24,
                 )
                 .map_err(wrap)?;
@@ -2204,7 +2220,10 @@ impl DsmNode {
                             assert_eq!(grant.lock, lock);
                             return Ok(grant.notices);
                         }
-                        Err(e) if e.is_transient() => continue 'req,
+                        Err(e) if e.is_transient() => {
+                            lost_grant = true;
+                            continue 'req;
+                        }
                         Err(e) => return Err(wrap(e)),
                     }
                 }

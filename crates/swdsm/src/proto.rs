@@ -82,6 +82,10 @@ pub struct LockReq {
     pub lock: u32,
     /// Shared (reader) or exclusive acquisition.
     pub mode: crate::lockmgr::Mode,
+    /// Resilient retries only: the requester consumed the loss
+    /// tombstone of a grant posted to it, so if it is the holder the
+    /// manager must re-grant by reply.
+    pub lost_grant: bool,
 }
 
 /// Reply to [`LockReq`].
@@ -481,6 +485,9 @@ pub struct RTokAcquire {
     /// reuse the number, so the manager can tell a lost-reply retry
     /// from a new acquisition.
     pub seq: u64,
+    /// The requester consumed the loss tombstone of this tenure's
+    /// posted grant: replay the grant by reply.
+    pub lost_grant: bool,
 }
 
 /// Reply to [`RTokAcquire`].

@@ -694,6 +694,15 @@ fn token_queue_passes_directly_between_contenders() {
         node.acquire(5);
         let t = node.ctx().clock().now();
         node.ctx().compute(1_000_000);
+        // `compute` costs no host time, so without this wait the first
+        // holder may well release before anyone else has asked. Hold
+        // the token until the manager has chained the other three
+        // behind it: from then on the chain is complete, and its
+        // successor notices were posted by manager handlers that run
+        // before any handler a release can trigger there.
+        while (0..4).map(|n| dsm.stats(n).get("lock_queued")).sum::<u64>() < 3 {
+            std::thread::yield_now();
+        }
         node.release(5);
         node.barrier(2);
         t

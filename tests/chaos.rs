@@ -290,11 +290,26 @@ fn crashed_node_rejoins_via_delta_sync_and_completes() {
 /// to reject outright.
 #[test]
 fn token_queue_locks_survive_chaos() {
+    contended_lock_survives_chaos(cluster::LockTopology::TokenQueue);
+}
+
+/// The same contention on the centralized lock manager. Both managers
+/// hand a released lock over by *posting* the grant; a waiter whose
+/// `Queued` reply was lost is meanwhile retrying its request, and a
+/// manager that re-granted that retry by reply would leave the posted
+/// grant in the mailbox to pass for a grant on the node's next turn —
+/// one increment lost, or the last holder never releasing.
+#[test]
+fn manager_locks_survive_chaos() {
+    contended_lock_survives_chaos(cluster::LockTopology::Manager);
+}
+
+fn contended_lock_survives_chaos(locks: cluster::LockTopology) {
     const NODES: usize = 4;
     const ROUNDS: u64 = 8;
     let run = |faults: Option<FaultPlan>| {
         let mut sync = cluster::SyncTopology::centralized();
-        sync.locks = cluster::LockTopology::TokenQueue;
+        sync.locks = locks;
         let mut b = FabricConfig::builder().nodes(NODES).link(LinkKind::Ethernet).sync(sync);
         if let Some(plan) = faults {
             b = b.chaos(plan).resilience(Resilience::default());
@@ -332,8 +347,8 @@ fn token_queue_locks_survive_chaos() {
     };
     let (r1, c1) = run(Some(plan()));
     let (r2, c2) = run(Some(plan()));
-    assert_eq!(c1, clean, "chaos broke token-queue mutual exclusion");
-    assert_eq!(c2, clean, "chaos broke token-queue mutual exclusion on the rerun");
+    assert_eq!(c1, clean, "chaos broke {locks:?} mutual exclusion");
+    assert_eq!(c2, clean, "chaos broke {locks:?} mutual exclusion on the rerun");
     // No cross-run timing assertions here: this workload *contends* on
     // the lock, and contended grant order follows real message-arrival
     // order (see OBSERVABILITY.md, "Contended locks") — so virtual

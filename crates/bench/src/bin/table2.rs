@@ -1,8 +1,10 @@
 //! Table 2: implementation complexity of the programming models,
 //! counted with the paper's comment-stripping methodology over this
-//! repository's actual adapter sources.
+//! repository's actual adapter sources — followed by the per-crate line
+//! ledger, the same count over every crate of the workspace (test
+//! modules apart), so the size of the codebase is on record per PR.
 
-use bench::loc::{count_model, ModelCount};
+use bench::loc::{count_model, crate_lines, ModelCount};
 use bench::report::{write_report, Json};
 
 fn model_row(m: &ModelCount) -> Json {
@@ -29,6 +31,9 @@ fn main() {
     let support = count_model("(support: wait queues)", include_str!("../../../models/src/waitq.rs"));
     let omp = count_model("(extension: OpenMP-style)", include_str!("../../../models/src/omp.rs"));
 
+    // The checkout this binary was built from; no rows if it has moved.
+    let ledger = crate_lines(std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")));
+
     let total_lines: usize = models.iter().map(|m| m.lines).sum();
     let total_calls: usize = models.iter().map(|m| m.api_calls).sum();
     write_report(
@@ -47,6 +52,21 @@ fn main() {
             ),
             ("support", model_row(&support)),
             ("extension", model_row(&omp)),
+            (
+                "crate_lines",
+                Json::Arr(
+                    ledger
+                        .iter()
+                        .map(|c| {
+                            Json::obj([
+                                ("crate", Json::str(&c.name)),
+                                ("code", Json::int(c.code)),
+                                ("tests", Json::int(c.tests)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
         ]),
     );
 
@@ -87,4 +107,20 @@ fn main() {
         "Paper reports 7.3–25.1 lines/call (average < 25); the thread models are"
     );
     println!("the thickest adapters there as here, due to command forwarding.");
+
+    println!();
+    println!("Line ledger (same counting; `#[cfg(test)]` modules apart)");
+    println!("{:-<70}", "");
+    println!("{:<28} {:>8} {:>11}", "Crate", "#Code", "#Test");
+    println!("{:-<70}", "");
+    for c in &ledger {
+        println!("{:<28} {:>8} {:>11}", c.name, c.code, c.tests);
+    }
+    println!("{:-<70}", "");
+    println!(
+        "{:<28} {:>8} {:>11}",
+        "total",
+        ledger.iter().map(|c| c.code).sum::<usize>(),
+        ledger.iter().map(|c| c.tests).sum::<usize>()
+    );
 }

@@ -58,9 +58,9 @@ pub struct FabricConfig {
     /// configured), so a departed node is unreachable until it
     /// recovers. `None` keeps membership static.
     pub membership: Option<MembershipPlan>,
-    /// Which delivery engine runs the fabric (default: the sharded
-    /// event-driven scheduler). Virtual-time results are identical
-    /// across engines; only wall-clock throughput differs.
+    /// Size of the fabric's delivery worker pool (default: auto-sized
+    /// from the host). Virtual-time results do not depend on it; only
+    /// wall-clock throughput does.
     pub engine: EngineMode,
     /// Synchronization topology for the protocol layers built on this
     /// fabric (barrier structure, lock handoff, write-notice wire
@@ -89,7 +89,7 @@ impl FabricConfig {
 
     /// Start a typed builder covering every fabric knob — node count,
     /// link, cost model, fault plan, resilience policy, delivery
-    /// engine, and synchronization topology.
+    /// worker pool, and synchronization topology.
     ///
     /// ```
     /// use cluster::{FabricConfig, LinkKind};
@@ -99,7 +99,7 @@ impl FabricConfig {
     ///     .nodes(64)
     ///     .link(LinkKind::Ethernet)
     ///     .chaos(FaultPlan { seed: 42, ..FaultPlan::default() })
-    ///     .engine(EngineMode::Sharded { workers: 0 })
+    ///     .engine(EngineMode { workers: 2 })
     ///     .build();
     /// assert_eq!(cfg.nodes, 64);
     /// assert!(cfg.faults.is_some());
@@ -191,7 +191,7 @@ impl FabricConfigBuilder {
         self
     }
 
-    /// Select the delivery engine (default: sharded, auto-sized).
+    /// Size the delivery worker pool (default: auto-sized).
     pub fn engine(mut self, engine: EngineMode) -> Self {
         self.cfg.engine = engine;
         self
@@ -379,7 +379,7 @@ mod tests {
             .unified_messaging(true)
             .chaos(plan)
             .resilience(Resilience { timeout_ns: 2_000_000, ..Resilience::default() })
-            .engine(EngineMode::ThreadPerNode)
+            .engine(EngineMode { workers: 3 })
             .build();
         assert_eq!(cfg.nodes, 8);
         assert_eq!(cfg.cpus_per_node, 1);
@@ -387,7 +387,8 @@ mod tests {
         assert_eq!(cfg.faults.as_ref().unwrap().seed, 7);
         assert_eq!(cfg.faults.as_ref().unwrap().default_link.drop_ppm, 1_000);
         assert_eq!(cfg.resilience.unwrap().timeout_ns, 2_000_000);
-        assert_eq!(cfg.engine, EngineMode::ThreadPerNode);
+        assert_eq!(cfg.engine, EngineMode { workers: 3 });
+        assert_eq!(cfg.engine.resolved_workers(cfg.nodes), 3);
     }
 
     #[test]

@@ -118,7 +118,8 @@ pub struct ClusterConfig {
     /// HAMSTER's unified messaging layer (§3.3). On by default; the
     /// native-baseline experiments turn it off.
     pub unified_messaging: bool,
-    /// The fabric's delivery engine (default: sharded event-driven).
+    /// Size of the fabric's delivery worker pool: `sharded` (auto, the
+    /// default) or `sharded:N`.
     pub engine: EngineMode,
     /// Synchronization topology: which barrier, lock, and write-notice
     /// protocols the platforms run (default: centralized managers).
@@ -280,15 +281,26 @@ mod tests {
     }
 
     #[test]
-    fn engine_key_selects_delivery_engine() {
+    fn engine_key_sizes_the_worker_pool() {
         let cfg = ClusterConfig::parse("nodes=2\nplatform=swdsm").unwrap();
         assert_eq!(cfg.engine, EngineMode::default());
-        let cfg = ClusterConfig::parse("nodes=2\nplatform=swdsm\nengine=threads").unwrap();
-        assert_eq!(cfg.engine, EngineMode::ThreadPerNode);
-        assert_eq!(cfg.fabric().engine, EngineMode::ThreadPerNode);
+        let cfg = ClusterConfig::parse("nodes=2\nplatform=swdsm\nengine=sharded").unwrap();
+        assert_eq!(cfg.engine, EngineMode::default());
         let cfg = ClusterConfig::parse("nodes=2\nplatform=swdsm\nengine=sharded:3").unwrap();
-        assert_eq!(cfg.engine, EngineMode::Sharded { workers: 3 });
+        assert_eq!(cfg.engine, EngineMode { workers: 3 });
+        assert_eq!(cfg.fabric().engine, EngineMode { workers: 3 });
         assert!(ClusterConfig::parse("nodes=2\nplatform=swdsm\nengine=warp").is_err());
+    }
+
+    #[test]
+    fn removed_engine_value_is_an_error_naming_the_key() {
+        let mut map = ConfigMap::parse("nodes=2\nplatform=swdsm").unwrap();
+        for dead in ["threads", "thread-per-node", "legacy"] {
+            map.set("engine", dead);
+            let err = ClusterConfig::from_config_map(&map).unwrap_err();
+            assert!(err.starts_with("config key \"engine\": "), "{err}");
+            assert!(err.contains("removed") && err.contains("sharded"), "{err}");
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Delivery-engine selection: thread-per-node daemons vs the sharded
-//! event-driven scheduler.
+//! Worker-pool sizing and the per-node run queue of the delivery
+//! scheduler.
 //!
-//! Both engines execute the *same* envelope-processing code
-//! (`network::process_envelope`) against the same virtual-time cost
-//! model, so a workload's virtual timings, checksums and traces are
-//! identical across engines; only the real-time execution shape — and
-//! therefore wall-clock throughput — differs. See DESIGN.md §engine.
+//! The fabric has one delivery engine: per-node bounded run queues
+//! multiplexed over a small work-stealing worker pool
+//! (`sim::sched::Shards`), batched virtual-time delivery, and delivery
+//! that runs to completion on the thread that caused it. Which host
+//! thread runs a handler is invisible in virtual time, so a workload's
+//! virtual timings, checksums and traces do not depend on the pool
+//! size; only wall-clock throughput does. See DESIGN.md §2.5.
 
 use crate::mailbox::BoundedQueue;
 use std::str::FromStr;
@@ -21,65 +23,45 @@ pub(crate) const ENGINE_BATCH: usize = 128;
 /// instead — see [`BoundedQueue`].
 pub(crate) const NODE_QUEUE_CAPACITY: usize = 1024;
 
-/// Which delivery engine a fabric runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Legacy shape: one communication-daemon OS thread per node, each
-    /// blocking on its own inbox channel. Every delivery to an idle
-    /// node pays a thread wake-up; at 64+ nodes the host drowns in
-    /// mostly-sleeping threads.
-    ThreadPerNode,
-    /// Sharded event-driven scheduler: per-node bounded run queues
-    /// multiplexed over a small work-stealing worker pool, batched
-    /// virtual-time delivery, and delivery that runs to completion on
-    /// the thread that caused it (handler sends stay on the sending
-    /// worker's ring; a blocking requester drives an idle destination
-    /// itself).
-    Sharded {
-        /// Worker-thread count; `0` sizes automatically from the host's
-        /// available parallelism (clamped to `[1, 8]` and to the node
-        /// count).
-        workers: usize,
-    },
-}
-
-impl Default for EngineMode {
-    fn default() -> Self {
-        EngineMode::Sharded { workers: 0 }
-    }
+/// Size of the fabric's delivery worker pool. Written `sharded` (auto)
+/// or `sharded:N` in configuration files.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EngineMode {
+    /// Worker-thread count; `0` (the default) sizes the pool from the
+    /// host's available parallelism, clamped to `[1, 8]`. Either way
+    /// the pool never exceeds the node count.
+    pub workers: usize,
 }
 
 impl EngineMode {
-    /// Worker threads to spawn for `nodes` nodes; `0` means
-    /// thread-per-node daemons.
+    /// Worker threads to spawn for `nodes` nodes; at least one.
     pub fn resolved_workers(&self, nodes: usize) -> usize {
-        match *self {
-            EngineMode::ThreadPerNode => 0,
-            EngineMode::Sharded { workers: 0 } => std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .clamp(1, 8)
-                .min(nodes),
-            EngineMode::Sharded { workers } => workers.min(nodes).max(1),
-        }
+        let wanted = match self.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()).min(8),
+            n => n,
+        };
+        wanted.min(nodes).max(1)
     }
 }
 
 impl FromStr for EngineMode {
     type Err = String;
 
-    /// `threads` / `thread-per-node` for the legacy engine, `sharded`
-    /// (auto-sized) or `sharded:N` (N workers) for the event-driven one.
+    /// `sharded` (auto-sized) or `sharded:N` (N workers).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim().to_ascii_lowercase();
         match s.as_str() {
-            "threads" | "thread-per-node" | "legacy" => Ok(EngineMode::ThreadPerNode),
-            "sharded" => Ok(EngineMode::Sharded { workers: 0 }),
+            "sharded" => Ok(EngineMode { workers: 0 }),
+            "threads" | "thread-per-node" | "legacy" => Err(format!(
+                "engine mode {s:?}: the thread-per-node engine was removed; \
+                 use `sharded` or `sharded:N`"
+            )),
             other => match other.strip_prefix("sharded:") {
                 Some(n) => n
                     .parse::<usize>()
-                    .map(|workers| EngineMode::Sharded { workers })
+                    .map(|workers| EngineMode { workers })
                     .map_err(|e| format!("engine worker count {n:?}: {e}")),
-                None => Err(format!("unknown engine mode {s:?} (threads | sharded[:N])")),
+                None => Err(format!("unknown engine mode {s:?} (sharded[:N])")),
             },
         }
     }
@@ -87,16 +69,15 @@ impl FromStr for EngineMode {
 
 impl std::fmt::Display for EngineMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineMode::ThreadPerNode => write!(f, "threads"),
-            EngineMode::Sharded { workers: 0 } => write!(f, "sharded"),
-            EngineMode::Sharded { workers } => write!(f, "sharded:{workers}"),
+        match self.workers {
+            0 => write!(f, "sharded"),
+            workers => write!(f, "sharded:{workers}"),
         }
     }
 }
 
-/// One node's ingress under the sharded engine: the bounded envelope
-/// queue plus the `scheduled` flag. The flag is the whole of per-node
+/// One node's ingress: the bounded envelope queue plus the `scheduled`
+/// flag. The flag is the whole of per-node
 /// serialization: ready rings own nothing and any thread may drive any
 /// node, so handlers of one node never run concurrently *because* the
 /// node is claimed at most once — it sits on at most one ready ring,
@@ -133,35 +114,35 @@ mod tests {
 
     #[test]
     fn mode_parsing() {
-        assert_eq!("threads".parse::<EngineMode>().unwrap(), EngineMode::ThreadPerNode);
-        assert_eq!("legacy".parse::<EngineMode>().unwrap(), EngineMode::ThreadPerNode);
-        assert_eq!("sharded".parse::<EngineMode>().unwrap(), EngineMode::Sharded { workers: 0 });
-        assert_eq!(
-            "Sharded:4".parse::<EngineMode>().unwrap(),
-            EngineMode::Sharded { workers: 4 }
-        );
+        assert_eq!("sharded".parse::<EngineMode>().unwrap(), EngineMode::default());
+        assert_eq!("Sharded:4".parse::<EngineMode>().unwrap(), EngineMode { workers: 4 });
         assert!("ring".parse::<EngineMode>().is_err());
         assert!("sharded:lots".parse::<EngineMode>().is_err());
     }
 
     #[test]
+    fn removed_engine_names_are_rejected_by_name() {
+        for dead in ["threads", "thread-per-node", "legacy", " Threads "] {
+            let err = dead.parse::<EngineMode>().unwrap_err();
+            assert!(err.contains("removed") && err.contains("sharded:N"), "{dead:?}: {err}");
+        }
+    }
+
+    #[test]
     fn mode_display_roundtrips() {
-        for mode in [
-            EngineMode::ThreadPerNode,
-            EngineMode::Sharded { workers: 0 },
-            EngineMode::Sharded { workers: 3 },
-        ] {
+        for mode in [EngineMode { workers: 0 }, EngineMode { workers: 3 }] {
             assert_eq!(mode.to_string().parse::<EngineMode>().unwrap(), mode);
         }
     }
 
     #[test]
     fn worker_resolution() {
-        assert_eq!(EngineMode::ThreadPerNode.resolved_workers(64), 0);
-        let auto = EngineMode::Sharded { workers: 0 }.resolved_workers(64);
-        assert!((1..=8).contains(&auto));
-        assert_eq!(EngineMode::Sharded { workers: 0 }.resolved_workers(1), 1);
-        assert_eq!(EngineMode::Sharded { workers: 16 }.resolved_workers(4), 4);
+        for nodes in [1, 2, 64, 1024] {
+            let auto = EngineMode::default().resolved_workers(nodes);
+            assert!((1..=8.min(nodes)).contains(&auto), "{nodes} nodes: {auto}");
+        }
+        assert_eq!(EngineMode { workers: 16 }.resolved_workers(4), 4);
+        assert_eq!(EngineMode { workers: 2 }.resolved_workers(64), 2);
     }
 
     #[test]

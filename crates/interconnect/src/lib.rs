@@ -5,15 +5,17 @@
 //! Ethernet for the Beowulf/software-DSM configuration, Dolphin SCI for
 //! the hybrid configuration, and the memory bus for SMP-as-cluster). All
 //! protocol traffic between simulated nodes really happens — messages are
-//! delivered across threads and handled by per-node communication daemons
-//! — while *time* is charged according to a [`sim::LinkCost`] model.
+//! delivered across threads and handled in each node's name by a small
+//! worker pool — while *time* is charged according to a
+//! [`sim::LinkCost`] model.
 //!
 //! Key pieces:
 //!
-//! * [`Network`] — constructs the fabric: one inbox + service thread per
-//!   node, a handler [`router::Router`] per node, and a [`sim::Server`]
-//!   per node modelling protocol-handler occupancy (so a hot page home
-//!   exhibits queueing, as on the real cluster).
+//! * [`Network`] — constructs the fabric: one bounded run queue and a
+//!   handler [`router::Router`] per node, a worker pool that drives
+//!   them (sized by [`EngineMode`]), and a [`sim::Bus`] per node
+//!   modelling protocol-handler occupancy (so a hot page home exhibits
+//!   queueing, as on the real cluster).
 //! * [`NodePort`] — the per-node endpoint used by application threads:
 //!   synchronous [`NodePort::request`] (round-trip timed), asynchronous
 //!   [`NodePort::post`], and broadcast.

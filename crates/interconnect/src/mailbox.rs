@@ -117,7 +117,7 @@ pub fn tag(kind: u32, id: u32) -> u64 {
 }
 
 /// A bounded multi-producer work queue with explicit backpressure: the
-/// per-node envelope queue of the sharded engine.
+/// per-node envelope queue of the delivery scheduler.
 ///
 /// Two enqueue flavours reflect who is calling:
 ///

@@ -1,13 +1,11 @@
 //! The fabric: per-node ingress queues, the delivery engine, and timed
 //! request/post primitives.
 //!
-//! Two delivery engines execute the same envelope-processing code (see
-//! [`EngineMode`]): the legacy thread-per-node communication daemons,
-//! and the default sharded event-driven scheduler — per-node bounded
-//! run queues over a small worker pool with batched virtual-time
-//! delivery, where a requester about to block drives an idle
-//! destination itself (`SendCtx`). Virtual timings are identical
-//! either way; only wall-clock throughput differs.
+//! Delivery is a sharded event-driven scheduler: per-node bounded run
+//! queues over a small worker pool (sized by [`EngineMode`]) with
+//! batched virtual-time delivery, where a requester about to block
+//! drives an idle destination itself (`SendCtx`). Virtual timings do
+//! not depend on the pool size; only wall-clock throughput does.
 //!
 //! With a [`FaultPlan`] installed the fabric fails on purpose: messages
 //! are dropped, duplicated, delayed or displaced, and whole nodes crash
@@ -24,7 +22,7 @@ use crate::membership::MembershipPlan;
 use crate::message::{HandlerCtx, NodeId, Outcome, Payload};
 
 use crate::router::Router;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use sim::{Bus, Histogram, LinkCost, StatSet, VirtualClock};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -45,7 +43,6 @@ enum ReplyMsg {
 }
 
 enum Envelope {
-    Stop,
     User {
         src: NodeId,
         kind: u32,
@@ -138,8 +135,8 @@ impl FaultState {
 }
 
 /// Who is handing an envelope to the delivery engine. It decides two
-/// things under the sharded engine: whether a full node queue blocks
-/// the sender, and whether the sender may drive the destination itself.
+/// things: whether a full node queue blocks the sender, and whether the
+/// sender may drive the destination itself.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum SendCtx {
     /// A protocol handler, mid-`drive_node`. Never blocks — the worker
@@ -158,21 +155,15 @@ enum SendCtx {
     AppBlocking,
 }
 
-/// Per-node ingress of the fabric: which delivery engine owns the
-/// envelopes between `send_user` and `process_envelope`.
-enum Ingress {
-    /// Legacy: one unbounded channel per node, drained by a dedicated
-    /// communication-daemon thread.
-    Threads(Vec<Sender<Envelope>>),
-    /// Sharded scheduler: one bounded run queue per node, drained in
-    /// batches by whichever thread holds the node's `scheduled` claim —
-    /// a pool worker, or a requester running the node inline.
-    Sharded { queues: Vec<NodeQueue<Envelope>>, shards: Arc<sim::sched::Shards> },
-}
-
 /// Shared state of the fabric (one per experiment run).
 pub struct NetShared {
-    ingress: Ingress,
+    /// One bounded run queue per node slot, holding the envelopes
+    /// between `send_user` and `process_envelope`. Drained in batches
+    /// by whichever thread holds the node's `scheduled` claim — a pool
+    /// worker, or a requester running the node inline.
+    queues: Vec<NodeQueue<Envelope>>,
+    /// Ready rings of the worker pool that drives claimed nodes.
+    shards: Arc<sim::sched::Shards>,
     /// Protocol-handler occupancy per node (the communication daemon),
     /// modelled as windowed service demand: one virtual "byte" per
     /// nanosecond of handler time. Like the NIC and memory buses, the
@@ -207,14 +198,15 @@ pub struct NetShared {
     /// layer's crash windows (merged in by the cluster layer).
     membership: Option<MembershipPlan>,
     /// Number of activated node slots: the initial set plus every
-    /// [`Network::join_node`] so far. Slots in `active..capacity` are
-    /// reserved but latent (no delivery service yet).
+    /// [`Network::join_node`] so far. The slots above it are reserved:
+    /// served by the workers like any other, but no port can be opened
+    /// on them yet.
     active: AtomicUsize,
     /// Teardown flag: once set, requests fail with `FabricStopped` and
-    /// posts are dropped instead of racing the daemons' exit.
+    /// posts are dropped instead of racing the workers' exit.
     stopped: AtomicBool,
     /// Times an application thread blocked on a full node queue
-    /// (sharded engine backpressure). Real-time dependent, so kept out
+    /// (backpressure). Real-time dependent, so kept out
     /// of the deterministic [`NET_STAT_NAMES`] counters.
     bp_waits: AtomicU64,
     next_req_id: AtomicU64,
@@ -244,60 +236,44 @@ struct DeferredReply {
 }
 
 impl NetShared {
-    /// Number of activated nodes in the fabric (latent reserved slots
-    /// are excluded until [`Network::join_node`] brings them up).
+    /// Number of activated nodes in the fabric (reserved slots are
+    /// excluded until [`Network::join_node`] brings them up).
     pub fn nodes(&self) -> usize {
         self.active.load(Ordering::Acquire)
-    }
-
-    /// Total node slots, activated or latent.
-    fn capacity(&self) -> usize {
-        match &self.ingress {
-            Ingress::Threads(inboxes) => inboxes.len(),
-            Ingress::Sharded { queues, .. } => queues.len(),
-        }
     }
 
     /// Hand `env` to `dst`'s delivery engine; `ctx` says who is sending
     /// (see [`SendCtx`]). Envelopes rejected by a closed queue
     /// (teardown) are answered here.
     fn deliver(&self, dst: NodeId, env: Envelope, ctx: SendCtx) {
-        match &self.ingress {
-            Ingress::Threads(inboxes) => {
-                let _ = inboxes[dst].send(env);
+        let nq = &self.queues[dst];
+        let res = if ctx == SendCtx::Handler {
+            nq.q.push(env)
+        } else {
+            match nq.q.push_wait(env) {
+                Ok(waited) => {
+                    if waited {
+                        self.bp_waits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(())
+                }
+                Err(env) => Err(env),
             }
-            Ingress::Sharded { queues, shards } => {
-                let nq = &queues[dst];
-                let res = if ctx == SendCtx::Handler {
-                    nq.q.push(env)
-                } else {
-                    match nq.q.push_wait(env) {
-                        Ok(waited) => {
-                            if waited {
-                                self.bp_waits.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(())
-                        }
-                        Err(env) => Err(env),
-                    }
-                };
-                match res {
-                    Ok(()) if !nq.claim_schedule() => {}
-                    // Caller-runs: the sender is about to sleep on the
-                    // reply and `dst` was idle, so the claim just won
-                    // makes this thread the node's one driver — run the
-                    // batch here instead of waking a worker that would
-                    // only wake us back. One batch, never a loop: what
-                    // is left goes to the workers.
-                    Ok(()) if ctx == SendCtx::AppBlocking && !driving() => {
-                        if drive_node(self, dst) {
-                            shards.schedule(dst);
-                        }
-                    }
-                    Ok(()) => shards.schedule(dst),
-                    Err(env) => answer_stranded(env),
+        };
+        match res {
+            Ok(()) if !nq.claim_schedule() => {}
+            // Caller-runs: the sender is about to sleep on the reply
+            // and `dst` was idle, so the claim just won makes this
+            // thread the node's one driver — run the batch here instead
+            // of waking a worker that would only wake us back. One
+            // batch, never a loop: what is left goes to the workers.
+            Ok(()) if ctx == SendCtx::AppBlocking && !driving() => {
+                if drive_node(self, dst) {
+                    self.shards.schedule(dst);
                 }
             }
+            Ok(()) => self.shards.schedule(dst),
+            Err(env) => answer_stranded(env),
         }
     }
 
@@ -636,10 +612,10 @@ impl NetworkBuilder {
         }
     }
 
-    /// Pre-allocate `extra` latent node slots beyond the initial set.
-    /// Reserved slots have routers, mailboxes and cost-model state from
-    /// the start but no delivery service until [`Network::join_node`]
-    /// activates them, so elastic growth never reallocates shared state.
+    /// Pre-allocate `extra` reserved node slots beyond the initial set.
+    /// Reserved slots have routers, mailboxes, run queues and cost-model
+    /// state from the start, so [`Network::join_node`] only has to count
+    /// them in and elastic growth never reallocates shared state.
     pub fn reserve_nodes(mut self, extra: usize) -> Self {
         self.reserve = extra;
         self
@@ -654,9 +630,9 @@ impl NetworkBuilder {
         self
     }
 
-    /// Select the delivery engine (default: [`EngineMode::Sharded`]
-    /// auto-sized). Virtual-time results are identical across engines;
-    /// only wall-clock throughput differs.
+    /// Size the delivery worker pool (default: auto-sized from the
+    /// host). Virtual-time results do not depend on it; only wall-clock
+    /// throughput does.
     pub fn engine(mut self, mode: EngineMode) -> Self {
         self.engine = mode;
         self
@@ -685,9 +661,7 @@ impl NetworkBuilder {
         self
     }
 
-    /// Start the fabric: spawns the delivery engine's threads — the
-    /// shard worker pool by default, or one communication-daemon thread
-    /// per node under [`EngineMode::ThreadPerNode`].
+    /// Start the fabric: spawns the delivery worker pool.
     pub fn build(self) -> Network {
         debug_assert_eq!(NET_STAT_NAMES[STAT_REQUESTS], "requests");
         debug_assert_eq!(NET_STAT_NAMES[STAT_POSTS], "posts");
@@ -698,25 +672,10 @@ impl NetworkBuilder {
         let send_eff_ns = self.cost.send_overhead_ns.saturating_sub(self.unified_saving_ns).max(floor_send);
         let recv_eff_ns = self.cost.recv_overhead_ns.saturating_sub(self.unified_saving_ns).max(floor_recv);
 
-        // Reserved slots share the fabric's state vectors from the
-        // start; only their delivery service is latent until joined.
+        // Reserved slots share the fabric's state vectors — run queues
+        // included — from the start.
         let slots = self.nodes + self.reserve;
-        let workers = self.engine.resolved_workers(slots);
-        let mut receivers: Vec<Receiver<Envelope>> = Vec::new();
-        let ingress = if workers == 0 {
-            let mut inboxes = Vec::with_capacity(slots);
-            for _ in 0..slots {
-                let (tx, rx) = unbounded();
-                inboxes.push(tx);
-                receivers.push(rx);
-            }
-            Ingress::Threads(inboxes)
-        } else {
-            Ingress::Sharded {
-                queues: (0..slots).map(|_| NodeQueue::new()).collect(),
-                shards: sim::sched::Shards::new(workers),
-            }
-        };
+        let shards = sim::sched::Shards::new(self.engine.resolved_workers(slots));
         let resilience = self.resilience.or(self.faults.as_ref().map(|_| Resilience::default()));
         let faults = self.faults.map(|plan| FaultState {
             plan,
@@ -724,7 +683,8 @@ impl NetworkBuilder {
             dedup: (0..slots).map(|_| Mutex::new(DedupWindow::default())).collect(),
         });
         let shared = Arc::new(NetShared {
-            ingress,
+            queues: (0..slots).map(|_| NodeQueue::new()).collect(),
+            shards,
             servers: (0..slots)
                 .map(|_| Bus::with_bandwidth(1_000_000_000))
                 .collect(),
@@ -749,29 +709,11 @@ impl NetworkBuilder {
             deferred_cv: Condvar::new(),
         });
 
-        // The drain set covers every slot — including latent ones —
-        // so teardown answers stranded envelopes of late joiners too.
-        let drains = receivers.clone();
-        let mut latent: VecDeque<(NodeId, Receiver<Envelope>)> = VecDeque::new();
-        let daemons = if workers == 0 {
-            let mut handles = Vec::with_capacity(self.nodes);
-            for (node, rx) in receivers.into_iter().enumerate() {
-                if node >= self.nodes {
-                    latent.push_back((node, rx));
-                    continue;
-                }
-                handles.push(spawn_daemon(node, rx, shared.clone()));
-            }
-            handles
-        } else {
-            let Ingress::Sharded { shards, .. } = &shared.ingress else { unreachable!() };
-            let worker_shared = shared.clone();
-            sim::sched::spawn_workers(shards, "net-worker", move |node| {
-                drive_node(&worker_shared, node)
-            })
-        };
-
-        Network { shared, daemons: Mutex::new(daemons), latent: Mutex::new(latent), drains }
+        let worker_shared = shared.clone();
+        let workers = sim::sched::spawn_workers(&shared.shards, "net-worker", move |node| {
+            drive_node(&worker_shared, node)
+        });
+        Network { shared, workers }
     }
 }
 
@@ -823,13 +765,10 @@ fn send_reply(
 }
 
 /// Execute one delivered envelope on `node`: charge virtual service
-/// time, dispatch through the node's router, and route the reply. Both
-/// delivery engines funnel through here, which is what keeps their
-/// virtual-time behaviour identical.
+/// time, dispatch through the node's router, and route the reply.
 fn process_envelope(shared: &NetShared, node: NodeId, env: Envelope) {
     shared.stats.at(STAT_DELIVERED).incr();
     match env {
-        Envelope::Stop => {}
         Envelope::Dup { src: _, kind, req_id, arrive_ns } => {
             // The transport pays receive overhead for the copy,
             // then recognizes the request id and discards it: this
@@ -963,56 +902,17 @@ fn process_envelope(shared: &NetShared, node: NodeId, env: Envelope) {
     }
 }
 
-/// Batched virtual-time delivery order, shared by both engines: virtual
-/// arrival first, ties broken by (src, kind) rather than enqueue order —
-/// two same-instant arrivals from different senders race in real time,
-/// and the service-bus accounting they trigger is order-sensitive under
-/// window saturation, so an enqueue-order tiebreak would leak real time
-/// into virtual time. `Stop` sorts last: everything drained ahead of the
-/// shutdown marker still gets processed.
+/// Batched virtual-time delivery order: virtual arrival first, ties
+/// broken by (src, kind) rather than enqueue order — two same-instant
+/// arrivals from different senders race in real time, and the
+/// service-bus accounting they trigger is order-sensitive under window
+/// saturation (64-node barrier and page storms), so an enqueue-order
+/// tiebreak would leak real time into virtual time.
 fn delivery_order(env: &Envelope) -> (u64, usize, u32) {
     match env {
         Envelope::User { arrive_ns, src, kind, .. }
         | Envelope::Dup { arrive_ns, src, kind, .. } => (*arrive_ns, *src, *kind),
         Envelope::Fail { ready_ns, .. } => (*ready_ns, usize::MAX, u32::MAX),
-        Envelope::Stop => (u64::MAX, usize::MAX, u32::MAX),
-    }
-}
-
-/// Legacy engine: one communication daemon blocking on its node's inbox.
-/// Like the sharded engine's [`drive_node`], the daemon drains whatever
-/// has queued up and processes it in [`delivery_order`] — without the
-/// sort, a burst of same-window arrivals (64-node barrier and page
-/// storms) would hit the order-sensitive handler-bus windows in real
-/// enqueue order and virtual times would stop reproducing.
-fn daemon_loop(node: NodeId, rx: Receiver<Envelope>, shared: Arc<NetShared>) {
-    let mut batch: Vec<Envelope> = Vec::with_capacity(ENGINE_BATCH);
-    loop {
-        let Ok(first) = rx.recv() else { return };
-        batch.push(first);
-        while batch.len() < ENGINE_BATCH {
-            match rx.try_recv() {
-                Some(env) => batch.push(env),
-                None => break,
-            }
-        }
-        // Stable: a delivery and its fault-injected duplicate (same
-        // src, kind, instant) keep enqueue order, so the dedup window
-        // sees the original first.
-        if batch.len() > 1 {
-            batch.sort_by_key(delivery_order);
-        }
-        let mut stop = false;
-        for env in batch.drain(..) {
-            if matches!(env, Envelope::Stop) {
-                stop = true;
-                break;
-            }
-            process_envelope(&shared, node, env);
-        }
-        if stop {
-            return;
-        }
     }
 }
 
@@ -1034,17 +934,14 @@ fn driving() -> bool {
     BATCH.with(|batch| batch.try_borrow_mut().is_err())
 }
 
-/// Sharded engine: drain and process one batch from `node`'s run queue.
+/// Drain and process one batch from `node`'s run queue.
 /// The caller holds the node's `scheduled` claim, which is the whole of
 /// per-node serialization: whoever won `claim_schedule` — or was handed
 /// the node through a ready ring — is its only driver until `retire`.
 /// Returns true when the node is still claimed and must go (back) onto
 /// a ready ring (batch was full or a push raced the retire).
 fn drive_node(shared: &NetShared, node: NodeId) -> bool {
-    let Ingress::Sharded { queues, .. } = &shared.ingress else {
-        unreachable!("drive_node on a thread-per-node fabric")
-    };
-    let nq = &queues[node];
+    let nq = &shared.queues[node];
     BATCH.with(|batch| {
         let mut batch = batch
             .try_borrow_mut()
@@ -1073,30 +970,10 @@ fn drive_node(shared: &NetShared, node: NodeId) -> bool {
     })
 }
 
-/// A running fabric. Dropping it stops the communication daemons.
+/// A running fabric. Dropping it stops the delivery workers.
 pub struct Network {
     shared: Arc<NetShared>,
-    /// Daemon threads: the initial set plus any spawned by
-    /// [`Network::join_node`] (hence the lock — joins take `&self`).
-    daemons: Mutex<Vec<JoinHandle<()>>>,
-    /// Reserved thread-per-node inbox receivers awaiting activation, in
-    /// slot order. Empty under the sharded engine (the shard workers
-    /// serve reserved queues from the start).
-    latent: Mutex<VecDeque<(NodeId, Receiver<Envelope>)>>,
-    /// Inbox receivers of *every* slot — initial, joined, and still
-    /// latent — kept so teardown can atomically close each channel and
-    /// answer stranded in-flight requests, no matter when the node
-    /// joined.
-    drains: Vec<Receiver<Envelope>>,
-}
-
-/// Spawn the communication daemon serving `node` (thread-per-node
-/// engine).
-fn spawn_daemon(node: NodeId, rx: Receiver<Envelope>, shared: Arc<NetShared>) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("commd-{node}"))
-        .spawn(move || daemon_loop(node, rx, shared))
-        .expect("spawn communication daemon")
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Network {
@@ -1111,28 +988,20 @@ impl Network {
     }
 
     /// Activate the next reserved node slot (see
-    /// [`NetworkBuilder::reserve_nodes`]) and return its id. Under the
-    /// thread-per-node engine this spawns the slot's communication
-    /// daemon; under the sharded engine the shard workers already serve
-    /// it. Panics when no reserved slots remain or the fabric is
-    /// stopping.
+    /// [`NetworkBuilder::reserve_nodes`]) and return its id. The workers
+    /// already serve the slot's run queue, so this only counts it in.
+    /// Panics when no reserved slots remain or the fabric is stopping.
     pub fn join_node(&self) -> NodeId {
         assert!(
             !self.shared.stopped.load(Ordering::Acquire),
             "join_node on a stopping fabric"
         );
-        // Hold the latent lock across the activation so concurrent
-        // joins hand out distinct slots in order.
-        let mut latent = self.latent.lock();
-        let node = self.shared.active.load(Ordering::Acquire);
-        assert!(node < self.shared.capacity(), "no reserved node slots left");
-        if let Ingress::Threads(_) = &self.shared.ingress {
-            let (slot, rx) = latent.pop_front().expect("latent receiver for reserved slot");
-            debug_assert_eq!(slot, node);
-            self.daemons.lock().push(spawn_daemon(node, rx, self.shared.clone()));
-        }
-        self.shared.active.store(node + 1, Ordering::Release);
-        node
+        let capacity = self.shared.queues.len();
+        // One atomic step, so concurrent joins hand out distinct slots.
+        self.shared
+            .active
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| (n < capacity).then_some(n + 1))
+            .expect("no reserved node slots left")
     }
 
     /// The handler router of `node` (register protocol handlers here).
@@ -1191,9 +1060,8 @@ impl Network {
     }
 
     /// How many times an application thread blocked on a full node
-    /// queue (sharded-engine backpressure). Always 0 under
-    /// [`EngineMode::ThreadPerNode`]. Real-time dependent — excluded
-    /// from the deterministic [`NET_STAT_NAMES`] counters on purpose.
+    /// queue (backpressure). Real-time dependent — excluded from the
+    /// deterministic [`NET_STAT_NAMES`] counters on purpose.
     pub fn backpressure_waits(&self) -> u64 {
         self.shared.bp_waits.load(Ordering::Relaxed)
     }
@@ -1206,34 +1074,18 @@ impl Drop for Network {
         // Wake any app thread blocked waiting for a park that will
         // never be registered now.
         self.shared.deferred_cv.notify_all();
-        match &self.shared.ingress {
-            Ingress::Threads(inboxes) => {
-                for tx in inboxes {
-                    let _ = tx.send(Envelope::Stop);
-                }
-            }
-            Ingress::Sharded { shards, .. } => {
-                // Workers drain their ready rings fully before exiting,
-                // so every scheduled batch still gets processed.
-                shards.stop();
-            }
-        }
-        for d in self.daemons.lock().drain(..) {
-            let _ = d.join();
+        // Workers drain their ready rings fully before exiting, so every
+        // scheduled batch still gets processed.
+        self.shared.shards.stop();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
         }
         // Everything enqueued after the stop (sends that raced the
         // flag) is drained atomically; in-flight requests among it get
         // a typed FabricStopped error instead of a wedged waiter.
-        for rx in self.drains.drain(..) {
-            for env in rx.close_and_drain() {
+        for nq in &self.shared.queues {
+            for env in nq.q.close() {
                 answer_stranded(env);
-            }
-        }
-        if let Ingress::Sharded { queues, .. } = &self.shared.ingress {
-            for nq in queues {
-                for env in nq.q.close() {
-                    answer_stranded(env);
-                }
             }
         }
         // Reply obligations still parked by handlers (a rendezvous that
@@ -1399,7 +1251,7 @@ impl NodePort {
                 self.count_error(&err);
                 Err(err)
             }
-            // Reply channel dropped without an answer: daemons are gone.
+            // Reply channel dropped without an answer: the fabric is gone.
             Err(_) => Err(RequestError::FabricStopped),
         };
         if res.is_ok() {
@@ -1829,7 +1681,7 @@ mod tests {
         }
         let p = net.port(1, VirtualClock::new());
         p.broadcast(4, (), 8);
-        // Drop the network to join daemons, guaranteeing delivery.
+        // Drop the network to join the workers, guaranteeing delivery.
         drop(net);
         let got: Vec<u64> = counters.iter().map(|c| c.get()).collect();
         assert_eq!(got, vec![1, 0, 1, 1]);
@@ -2202,11 +2054,11 @@ mod batch_tests {
 
     #[test]
     fn late_joiner_serves_requests_and_drains_at_teardown() {
-        for engine in [EngineMode::ThreadPerNode, EngineMode::Sharded { workers: 2 }] {
+        for workers in [1, 2] {
             let net = Network::builder(2, tiny())
                 .reserve_nodes(1)
                 .resilience(Some(Resilience::default()))
-                .engine(engine)
+                .engine(EngineMode { workers })
                 .build();
             assert_eq!(net.nodes(), 2);
             let node = net.join_node();
@@ -2235,9 +2087,9 @@ mod batch_tests {
     }
 }
 
-/// Where delivery runs under the sharded engine: on the requester's own
-/// thread when it would otherwise sleep for an idle node, on a pool
-/// worker in every other case.
+/// Where delivery runs: on the requester's own thread when it would
+/// otherwise sleep for an idle node, on a pool worker in every other
+/// case.
 #[cfg(test)]
 mod caller_runs_tests {
     use super::tests::tiny_link;
@@ -2249,7 +2101,7 @@ mod caller_runs_tests {
     const WHO: u32 = 0x70;
 
     fn sharded(nodes: usize, workers: usize) -> Network {
-        Network::builder(nodes, tiny_link()).engine(EngineMode::Sharded { workers }).build()
+        Network::builder(nodes, tiny_link()).engine(EngineMode { workers }).build()
     }
 
     /// Register a handler on `node` that replies with the id of the
@@ -2322,9 +2174,8 @@ mod caller_runs_tests {
             port.post(1, SINK, (), 0);
         }
         let ran_on = std::thread::scope(|s| {
-            let shared = &net.shared;
+            let queues = &net.shared.queues;
             s.spawn(move || {
-                let Ingress::Sharded { queues, .. } = &shared.ingress else { unreachable!() };
                 while queues[1].q.len() <= ENGINE_BATCH {
                     std::thread::yield_now();
                 }
@@ -2355,9 +2206,9 @@ mod caller_runs_tests {
     }
 
     #[test]
-    fn batch_to_idle_homes_is_engine_invariant() {
-        let run = |engine: EngineMode| {
-            let net = Network::builder(5, tiny_link()).engine(engine).build();
+    fn batch_to_idle_homes_is_worker_count_invariant() {
+        let run = |workers: usize| {
+            let net = sharded(5, workers);
             for home in 1..5 {
                 net.router(home).register(0x75, move |_c, src, p| {
                     Outcome::reply_costing(downcast::<u64>(p) * 10 + (home + src) as u64, 64, 300)
@@ -2372,10 +2223,10 @@ mod caller_runs_tests {
                 .collect();
             (replies, clock.now(), net.stats().snapshot())
         };
-        let reference = run(EngineMode::ThreadPerNode);
+        let reference = run(1);
         assert_eq!(reference.0, vec![11, 22, 33, 44]);
-        for workers in [1, 2] {
-            assert_eq!(run(EngineMode::Sharded { workers }), reference, "sharded:{workers}");
+        for workers in [1, 2, 0] {
+            assert_eq!(run(workers), reference, "sharded:{workers}");
         }
     }
 }

@@ -1,12 +1,11 @@
 //! Work-stealing run-queue scheduler: a small worker pool driving many
 //! logical actors (simulated nodes).
 //!
-//! The legacy fabric ran one OS thread per simulated node's
-//! communication daemon. At 64+ nodes on a small host that means dozens
-//! of mostly-sleeping threads, and every message delivery pays a condvar
-//! wake plus a context switch. This module replaces that shape: actors
-//! (nodes) are multiplexed over a few worker threads, each owning one
-//! ready *ring*. An actor is *scheduled* onto a ring when it has work; a
+//! One OS thread per simulated node's communication daemon would mean,
+//! at 64+ nodes on a small host, dozens of mostly-sleeping threads and a
+//! condvar wake plus a context switch on every message delivery.
+//! Instead, actors (nodes) are multiplexed over a few worker threads,
+//! each owning one ready *ring*. An actor is *scheduled* onto a ring when it has work; a
 //! worker drives it via a callback and re-queues it while the callback
 //! reports more work pending.
 //!

@@ -6,7 +6,8 @@
 //!   the exact fault-free checksum, and the same seed reproduces the
 //!   identical fault schedule, counters, and virtual times.
 //! * Property: under *any* seeded leave/recover churn schedule — at 4
-//!   and at 64 nodes, under both delivery engines — every node computes
+//!   and at 64 nodes, on the auto-sized worker pool and on one worker —
+//!   every node computes
 //!   the exact stable-membership result and the same seed reproduces
 //!   the identical counters and virtual times.
 //! * Integration: a node crashes while it manages a barrier mid-run;
@@ -149,7 +150,9 @@ proptest! {
     ) {
         for &nodes in &[4usize, 64] {
             let expect = nodes as u64 * (nodes as u64 + 1) / 2;
-            for engine in [EngineMode::default(), EngineMode::ThreadPerNode] {
+            // One worker: the real-time schedule furthest from the
+            // auto-sized, stealing pool.
+            for engine in [EngineMode::default(), EngineMode { workers: 1 }] {
                 let plan = || MembershipPlan::churn(seed, nodes, 3_000_000, 12_000_000, cycles);
                 let (r1, s1) = slot_run(nodes, engine, Some(plan()));
                 let (r2, s2) = slot_run(nodes, engine, Some(plan()));

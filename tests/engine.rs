@@ -1,19 +1,23 @@
-//! Workspace-level engine equivalence: the sharded event-driven engine
-//! must be *indistinguishable in virtual time* from the legacy
-//! thread-per-node engine (see `DESIGN.md`, "Delivery engines").
+//! Workspace-level fabric determinism: which host thread runs a
+//! protocol handler — and how many such threads there are — must be
+//! *invisible in virtual time* (see `DESIGN.md` §2.5).
 //!
-//! A proptest drives random SOR / LU / lock-ring schedules through both
-//! engines at 4 and 64 nodes and asserts, per schedule:
+//! A proptest drives random SOR / LU / lock-ring schedules through the
+//! fabric at 4 and 64 nodes three times — one delivery worker, the
+//! auto-sized pool, and the auto-sized pool again — and asserts, per
+//! schedule, across worker counts and run to run:
 //!
 //! * bit-identical workload checksums,
 //! * identical virtual history (`sim_time_ns` + every net counter),
 //! * identical analyzer output for the traced run — same per-node
 //!   makespans and same per-node lane totals, lane by lane.
 //!
-//! The engines differ only in *real-time* mechanics (who executes a
-//! handler, when, on which OS thread); everything observable in virtual
-//! time — including the causal trace the analyzer consumes — must not
-//! move by a single nanosecond.
+//! One worker serialises every handler in the process onto a single
+//! thread; the auto-sized pool steals, and requesters drive idle
+//! destinations themselves. Those are the most different *real-time*
+//! schedules the fabric has; everything observable in virtual time —
+//! including the causal trace the analyzer consumes — must not move by
+//! a single nanosecond between them.
 
 use analyzer::LANES;
 use apps::world::{NativeWorld, World};
@@ -47,7 +51,7 @@ fn schedules() -> impl Strategy<Value = Schedule> {
 ///
 /// * a barrier separates rounds, so no two nodes ever contend for the
 ///   same lock at once — contended grants go in real message-arrival
-///   order and are legitimately engine-dependent;
+///   order and are legitimately schedule-dependent;
 /// * the critical sections do not write shared memory, so releases
 ///   publish empty intervals and grants carry no write notices — the
 ///   notice payload reflects racy page-table state and wobbles the
@@ -88,13 +92,14 @@ struct Observed {
     node_lanes: Vec<(usize, u64, [u64; LANES])>,
 }
 
-/// Run `schedule` on the software DSM under `engine` with tracing on,
-/// and capture the full virtual-time observation.
-fn observe(engine: EngineMode, nodes: usize, schedule: Schedule) -> Observed {
+/// Run `schedule` on the software DSM over `workers` delivery workers
+/// (0 = auto-sized) with tracing on, and capture the full virtual-time
+/// observation.
+fn observe(workers: usize, nodes: usize, schedule: Schedule) -> Observed {
     let session = TraceSession::begin();
     // Put the cost model in the *deterministic regime*: below
     // bus-window saturation, every transfer is a pure function of
-    // `(time, bytes)` and the engines must agree to the nanosecond;
+    // `(time, bytes)` and every run must agree to the nanosecond;
     // above it, slowdown depends on real-time registration order
     // (OBSERVABILITY.md, "Bus saturation"). The 64-node legs make this
     // a tight fit — LU broadcasts a 4 KiB pivot page to 63 peers every
@@ -110,8 +115,7 @@ fn observe(engine: EngineMode, nodes: usize, schedule: Schedule) -> Observed {
     //   bus-independent, so it is pure schedule spacing).
     let mut cost = sim::cost::CostModel::default();
     cost.ethernet.bytes_per_sec = 1_000_000_000;
-        cost.ethernet.latency_ns = 400_000;
-        cost.ethernet.latency_ns = 400_000;
+    cost.ethernet.latency_ns = 400_000;
     cost.ethernet.recv_overhead_ns = 500;
     cost.ethernet.send_overhead_ns = 500;
     cost.ethernet.handler_ns = 200;
@@ -119,7 +123,7 @@ fn observe(engine: EngineMode, nodes: usize, schedule: Schedule) -> Observed {
         .nodes(nodes)
         .link(LinkKind::Ethernet)
         .cost(cost)
-        .engine(engine)
+        .engine(EngineMode { workers })
         .build();
     let cluster = Cluster::new(fabric);
     let dsm = swdsm::SwDsm::install(&cluster, swdsm::DsmConfig::default());
@@ -134,7 +138,7 @@ fn observe(engine: EngineMode, nodes: usize, schedule: Schedule) -> Observed {
     let trace = session.finish();
     assert!(
         checksums.iter().all(|&c| c == checksums[0]),
-        "ranks disagree on checksum under {engine:?}: {checksums:?}"
+        "ranks disagree on checksum with {workers} workers: {checksums:?}"
     );
     let analysis = analyzer::analyze(&trace);
     Observed {
@@ -149,50 +153,56 @@ fn observe(engine: EngineMode, nodes: usize, schedule: Schedule) -> Observed {
     }
 }
 
-/// Assert two engines produced literally the same virtual history.
-fn assert_equivalent(schedule: Schedule, nodes: usize) {
-    let legacy = observe(EngineMode::ThreadPerNode, nodes, schedule);
-    let sharded = observe(EngineMode::Sharded { workers: 0 }, nodes, schedule);
-    prop_assert_eq!(
-        legacy.checksum,
-        sharded.checksum,
-        "checksum diverged at {} nodes for {:?}",
-        nodes,
-        schedule
-    );
-    prop_assert_eq!(
-        legacy.sim_time_ns,
-        sharded.sim_time_ns,
-        "virtual makespan diverged at {} nodes for {:?}",
-        nodes,
-        schedule
-    );
-    prop_assert_eq!(
-        &legacy.net_stats,
-        &sharded.net_stats,
-        "net counters diverged at {} nodes for {:?}",
-        nodes,
-        schedule
-    );
-    prop_assert_eq!(
-        &legacy.node_lanes,
-        &sharded.node_lanes,
-        "analyzer lane totals diverged at {} nodes for {:?}",
-        nodes,
-        schedule
-    );
+/// Assert that one worker, the auto-sized pool, and a repeat of the
+/// auto-sized pool produced literally the same virtual history.
+fn assert_invariant(schedule: Schedule, nodes: usize) {
+    let reference = observe(1, nodes, schedule);
+    for (leg, workers) in [("auto-sized pool", 0), ("repeat run", 0)] {
+        let got = observe(workers, nodes, schedule);
+        prop_assert_eq!(
+            reference.checksum,
+            got.checksum,
+            "checksum diverged: {} vs one worker at {} nodes for {:?}",
+            leg,
+            nodes,
+            schedule
+        );
+        prop_assert_eq!(
+            reference.sim_time_ns,
+            got.sim_time_ns,
+            "virtual makespan diverged: {} vs one worker at {} nodes for {:?}",
+            leg,
+            nodes,
+            schedule
+        );
+        prop_assert_eq!(
+            &reference.net_stats,
+            &got.net_stats,
+            "net counters diverged: {} vs one worker at {} nodes for {:?}",
+            leg,
+            nodes,
+            schedule
+        );
+        prop_assert_eq!(
+            &reference.node_lanes,
+            &got.node_lanes,
+            "analyzer lane totals diverged: {} vs one worker at {} nodes for {:?}",
+            leg,
+            nodes,
+            schedule
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The tentpole invariant (ISSUE 6, satellite 4): random schedules
-    /// through both engines at 4 and 64 nodes are bit-identical in
-    /// every virtual-time observable.
+    /// Random schedules at 4 and 64 nodes are bit-identical in every
+    /// virtual-time observable across worker counts and run to run.
     #[test]
-    fn engines_agree_on_random_schedules(schedule in schedules()) {
-        assert_equivalent(schedule, 4);
-        assert_equivalent(schedule, 64);
+    fn random_schedules_are_worker_count_and_run_invariant(schedule in schedules()) {
+        assert_invariant(schedule, 4);
+        assert_invariant(schedule, 64);
     }
 }
 
@@ -200,14 +210,12 @@ proptest! {
 /// draw never silently skips a kernel family, and failures name the
 /// exact offender without shrinking.
 #[test]
-fn engines_agree_on_each_kernel_family() {
+fn each_kernel_family_is_worker_count_and_run_invariant() {
     for schedule in [
         Schedule::Sor { n: 48, iters: 2 },
         Schedule::Lu { n: 32 },
         Schedule::LockRing { rounds: 3, skew: 977 },
     ] {
-        assert_equivalent(schedule, 4);
+        assert_invariant(schedule, 4);
     }
 }
-
-

@@ -4,9 +4,9 @@
 //!
 //! * Property: for *any* workload seed and shape, the same seed yields
 //!   byte-identical checksums, per-(tenant, op) quantiles, and metrics
-//!   timeseries — at 4 and at 64 nodes, under both delivery engines,
-//!   with the cost model in the deterministic (below bus-window
-//!   saturation) regime.
+//!   timeseries — at 4 and at 64 nodes, on one delivery worker and on
+//!   the auto-sized pool, with the cost model in the deterministic
+//!   (below bus-window saturation) regime.
 //! * Integration: under the chaos bench's fault plan, every platform
 //!   still produces the fault-free checksum, and for every tenant the
 //!   faulted p99 is no better than the fault-free p99 — faults surface
@@ -101,31 +101,25 @@ proptest! {
 
     /// The tentpole determinism property (ISSUE 10): same seed ⇒
     /// byte-identical checksums, quantiles, and timeseries, at 4 and
-    /// 64 nodes, under both delivery engines.
+    /// 64 nodes, whatever the delivery worker count.
     #[test]
-    fn telemetry_is_deterministic_across_engines_and_scale(
+    fn telemetry_is_deterministic_across_worker_counts_and_scale(
         seed in 0u64..=u32::MAX as u64,
         rounds in 2usize..=3,
         batch in 30usize..=60,
     ) {
         let kv = kv_config(seed, rounds, batch);
         for (nodes, cost) in [(4usize, pinned_cost()), (64, wide_cost())] {
-            let legacy =
-                observe(nodes, PlatformKind::SwDsm, EngineMode::ThreadPerNode, cost, &kv, None);
-            let sharded = observe(
-                nodes,
-                PlatformKind::SwDsm,
-                EngineMode::Sharded { workers: 0 },
-                cost,
-                &kv,
-                None,
-            );
-            let again =
-                observe(nodes, PlatformKind::SwDsm, EngineMode::ThreadPerNode, cost, &kv, None);
-            prop_assert_eq!(&legacy, &sharded, "engines diverged at {} nodes", nodes);
-            prop_assert_eq!(&legacy, &again, "same seed did not reproduce at {} nodes", nodes);
-            prop_assert!(legacy.quantiles.iter().any(|q| q.count > 0));
-            prop_assert!(!legacy.rows.is_empty());
+            // One worker is the real-time schedule furthest from the
+            // auto-sized, stealing pool.
+            let single = EngineMode { workers: 1 };
+            let one = observe(nodes, PlatformKind::SwDsm, single, cost, &kv, None);
+            let auto = observe(nodes, PlatformKind::SwDsm, EngineMode::default(), cost, &kv, None);
+            let again = observe(nodes, PlatformKind::SwDsm, single, cost, &kv, None);
+            prop_assert_eq!(&one, &auto, "worker counts diverged at {} nodes", nodes);
+            prop_assert_eq!(&one, &again, "same seed did not reproduce at {} nodes", nodes);
+            prop_assert!(one.quantiles.iter().any(|q| q.count > 0));
+            prop_assert!(!one.rows.is_empty());
         }
     }
 }

@@ -6,13 +6,13 @@
 //! placements, layout padding, and sync-topology switches — applies
 //! them the same way the `tune` bench does (placement and topology as
 //! `ClusterConfig`, padding as the kernel's `AlignHint`), and asserts
-//! at 4 and 64 nodes under both delivery engines:
+//! at 4 and 64 nodes, on one delivery worker and on the auto-sized pool:
 //!
 //! * the tuned run's workload checksum is bit-identical to the
 //!   untuned baseline's,
 //! * the tuned configuration is itself deterministic: two runs agree
 //!   on virtual makespan and every net counter,
-//! * both engines agree on the checksum under the same plan.
+//! * both worker counts agree on the checksum under the same plan.
 
 use apps::world::{run_hamster, HamsterWorld, World};
 use cluster::{BarrierTopology, EngineMode, LockTopology, SyncTopology};
@@ -125,7 +125,7 @@ fn observe(
     sync: SyncTopology,
 ) -> Observed {
     let mut cfg = ClusterConfig::new(nodes, PlatformKind::SwDsm);
-    // The deterministic cost regime from the engine equivalence test:
+    // The deterministic cost regime from the fabric determinism test:
     // below bus-window saturation with enough latency that 64-node
     // fan-ins never stack into one window (see tests/engine.rs).
     cfg.cost.ethernet.bytes_per_sec = 1_000_000_000;
@@ -150,7 +150,9 @@ fn observe(
 
 fn assert_plan_preserves(plan: &TuningPlan, nodes: usize) {
     let (hint, placement, sync) = carriers(plan);
-    for engine in [EngineMode::ThreadPerNode, EngineMode::Sharded { workers: 0 }] {
+    // One worker: the real-time schedule furthest from the auto-sized,
+    // stealing pool.
+    for engine in [EngineMode { workers: 1 }, EngineMode::default()] {
         let baseline =
             observe(nodes, engine, AlignHint::None, &Placement::default(), SyncTopology::centralized());
         let tuned = observe(nodes, engine, hint, &placement, sync);

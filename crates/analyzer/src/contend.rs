@@ -58,7 +58,8 @@ fn locks(events: &[TraceEvent]) -> Vec<LockStats> {
                 entry(&mut acc, e.module, e.arg).rels.entry(e.node).or_default().push(e.t_ns);
             }
             "lock_grant" => {
-                // corr packs (grantee + 1) << 32 | (lock + 1).
+                // corr is `cluster::syncproto::grant_corr(grantee, lock)`:
+                // (grantee + 1) << 32 | (lock + 1), on every platform.
                 let a = entry(&mut acc, e.module, e.arg);
                 if e.corr != 0 {
                     a.grants.push((e.t_ns, e.corr >> 32));

@@ -7,7 +7,7 @@
 //! 4. Home placement: block vs cyclic pages for the SOR grid.
 //! 5. Adaptive home migration for misplaced pages (JiaJia's
 //!    optimization, off by default in the calibrated runs).
-//! 6. Barrier algorithm: centralized manager vs dissemination.
+//! 6. Barrier algorithm: centralized manager vs tree.
 
 use apps::world::{run_hamster, run_native};
 use apps::BenchResult;
@@ -122,14 +122,12 @@ fn main() {
         rs.into_iter().max().unwrap() as f64 / 1e9
     };
     let t_central = barrier_kernel(cluster::SyncTopology::centralized());
-    let t_diss = barrier_kernel("dissemination".parse().unwrap());
     let t_tree = barrier_kernel(cluster::SyncTopology {
         barrier: cluster::BarrierTopology::Tree { fanout: 4 },
         ..cluster::SyncTopology::centralized()
     });
     println!(
-        "  40 barriers  central {t_central:>9.4}s   dissemination {t_diss:>9.4}s ({:+.1}%)   tree:4 {t_tree:>9.4}s ({:+.1}%)",
-        (t_diss - t_central) / t_central * 100.0,
+        "  40 barriers  central {t_central:>9.4}s   tree:4 {t_tree:>9.4}s ({:+.1}%)",
         (t_tree - t_central) / t_central * 100.0
     );
 }

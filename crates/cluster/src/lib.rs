@@ -19,11 +19,14 @@
 //! * [`Cluster`] / [`Cluster::run`] — builds the fabric, spawns one
 //!   application thread per node with a [`NodeCtx`], joins them, and
 //!   reports virtual execution times.
+//! * [`syncproto`] — the lock and barrier protocols every platform's
+//!   synchronisation runs, as fabric-free state machines.
 
 pub mod config;
 pub mod node;
 pub mod registry;
 pub mod runner;
+pub mod syncproto;
 
 pub use config::{ConfigMap, FabricConfig, FabricConfigBuilder, LinkKind};
 pub use interconnect::{

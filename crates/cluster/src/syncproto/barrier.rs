@@ -1,11 +1,11 @@
-//! Barrier management with interval exchange: the centralized manager
-//! and the scalable tree barrier.
+//! Barrier management with publication exchange: the centralized
+//! manager and the scalable tree barrier.
 //!
 //! [`BarrierMgr`] is the centralized scheme: barrier `id` is managed by
 //! node `id % nodes`, every arrival flows to it, and the release
-//! broadcast carries everyone's intervals — `O(n)` messages but
-//! `O(n²)` notice records per barrier, which is what caps the cluster
-//! around 64 nodes.
+//! broadcast carries everyone's publications — `O(n)` messages but
+//! `O(n²)` notice records per barrier where notices ride it, which is
+//! what caps the software DSM around 64 nodes.
 //!
 //! [`TreeBarrier`] is the scalable scheme (`BarrierTopology::Tree`):
 //! node `id % nodes` is the *root* of a fanout-`k` tree over all nodes.
@@ -16,39 +16,41 @@
 //! the subtree that produced it. `2(n−1)` cross-node messages and
 //! `O(n·depth)` notice records per barrier.
 //!
-//! Both machines are pure state — all messaging is driven by
-//! [`crate::node`]'s handlers — so they unit-test without a fabric.
+//! Both machines are pure state — all messaging is driven by the
+//! platform's handlers — so they unit-test without a fabric. With the
+//! `()` [`Piggyback`] they are the ordering-only barriers of the
+//! hardware-coherent platforms: the same arrivals, aggregates and waves,
+//! carrying nothing.
 
-use crate::proto::NoticeSet;
-use memwire::Interval;
+use super::{Notices, Piggyback};
 use std::collections::HashMap;
 
 /// A cached release: `(epoch, release_ns, intervals sorted by rank)`.
-type ReleasedEpoch = (u64, u64, Vec<(usize, Interval)>);
+type ReleasedEpoch<P> = (u64, u64, Vec<(usize, P)>);
 
 /// Pending state of one barrier at its manager.
-#[derive(Debug, Default)]
-struct BarrierState {
+#[derive(Clone, Debug, Default)]
+struct BarrierState<P> {
     epoch: u64,
-    arrived: Vec<(usize, Interval)>,
+    arrived: Vec<(usize, P)>,
     /// Latest virtual arrival time seen this epoch.
     latest_ns: u64,
 }
 
-/// All barriers managed by one node.
-#[derive(Debug, Default)]
-pub struct BarrierMgr {
-    barriers: HashMap<u32, BarrierState>,
+/// All barriers managed by one node; `P` is what an arrival publishes.
+#[derive(Clone, Debug, Default)]
+pub struct BarrierMgr<P> {
+    barriers: HashMap<u32, BarrierState<P>>,
     /// Last released epoch per barrier, with its release time and
     /// intervals, kept so a retried arrival (the arriver never saw the
     /// release) can be answered with a targeted replay instead of
     /// corrupting the next epoch's state.
-    released: HashMap<u32, ReleasedEpoch>,
+    released: HashMap<u32, ReleasedEpoch<P>>,
 }
 
 /// What the manager does after an arrival.
 #[derive(Debug, PartialEq)]
-pub enum BarrierStep {
+pub enum BarrierStep<P> {
     /// Still waiting for more arrivals.
     Waiting,
     /// Everyone arrived: release at `release_ns` with these intervals.
@@ -58,7 +60,7 @@ pub enum BarrierStep {
         /// Virtual time of the release (latest arrival).
         release_ns: u64,
         /// Every participant's interval, sorted by rank.
-        intervals: Vec<(usize, Interval)>,
+        intervals: Vec<(usize, P)>,
     },
     /// The arrival is a retry for an epoch that already released (the
     /// release broadcast to that node was lost): answer the arriver
@@ -69,11 +71,11 @@ pub enum BarrierStep {
         /// Virtual time of the original release.
         release_ns: u64,
         /// The released intervals, sorted by rank.
-        intervals: Vec<(usize, Interval)>,
+        intervals: Vec<(usize, P)>,
     },
 }
 
-impl BarrierMgr {
+impl<P: Clone + Default> BarrierMgr<P> {
     /// An empty manager.
     pub fn new() -> Self {
         Self::default()
@@ -87,10 +89,10 @@ impl BarrierMgr {
         id: u32,
         epoch: u64,
         who: usize,
-        interval: Interval,
+        interval: P,
         arrive_ns: u64,
         expected: usize,
-    ) -> BarrierStep {
+    ) -> BarrierStep<P> {
         if let Some((rel_epoch, release_ns, intervals)) = self.released.get(&id) {
             if epoch == *rel_epoch {
                 // Retried arrival for an epoch this manager already
@@ -192,7 +194,7 @@ impl TreeTopo {
 /// What a tree-barrier transition asks the caller (a protocol handler)
 /// to do next.
 #[derive(Debug, PartialEq)]
-pub enum TreeStep {
+pub enum TreeStep<W: Piggyback> {
     /// Nothing to send yet.
     Waiting,
     /// The local subtree is complete: post its aggregate to `parent`.
@@ -205,7 +207,7 @@ pub enum TreeStep {
         /// Latest virtual arrival time within the subtree.
         latest_ns: u64,
         /// Every subtree member's interval, sorted by rank.
-        agg: Vec<(usize, Interval)>,
+        agg: Notices<W>,
     },
     /// The release reached this node (root completion, or a wave from
     /// the parent): apply `own` locally and post each child its wave.
@@ -214,9 +216,9 @@ pub enum TreeStep {
         release_ns: u64,
         /// The notices this node must apply (everything outside its
         /// own interval).
-        own: NoticeSet,
+        own: W,
         /// Per-child complement waves, in child order.
-        child_waves: Vec<(usize, NoticeSet)>,
+        child_waves: Vec<(usize, W)>,
     },
     /// A retried self-arrival for an epoch already released here:
     /// re-deliver the local notices (the local wake-up was lost).
@@ -224,7 +226,7 @@ pub enum TreeStep {
         /// Virtual release time of the original release.
         release_ns: u64,
         /// The notices for this node, as originally computed.
-        own: NoticeSet,
+        own: W,
     },
     /// A retried child aggregate for an epoch already released here:
     /// re-post that child's wave (the original wave down was lost).
@@ -234,31 +236,46 @@ pub enum TreeStep {
         /// Virtual release time of the original release.
         release_ns: u64,
         /// The child's wave, as originally computed.
-        wave: NoticeSet,
+        wave: W,
     },
+}
+
+impl<W: Piggyback> TreeStep<W> {
+    /// The virtual instant a *completing* step ([`TreeStep::Up`] or
+    /// [`TreeStep::Deliver`]) is stamped with: the join of the arrival
+    /// stamps it aggregates. Which input completes a subtree is a
+    /// real-time race; a driver that hands the step on must stamp it
+    /// with this, never with the time it happened to run at.
+    pub fn join_ns(&self) -> u64 {
+        match self {
+            TreeStep::Up { latest_ns, .. } => *latest_ns,
+            TreeStep::Deliver { release_ns, .. } => *release_ns,
+            other => unreachable!("{other:?} completes nothing"),
+        }
+    }
 }
 
 /// Everything a node computed when a release reached it, cached for
 /// replay until the *next* epoch has also released here.
 #[derive(Debug, Clone)]
-struct WaveOut {
+struct WaveOut<W> {
     release_ns: u64,
-    own: NoticeSet,
-    child_waves: Vec<(usize, NoticeSet)>,
+    own: W,
+    child_waves: Vec<(usize, W)>,
 }
 
 /// One barrier's pending epoch at one tree node.
-#[derive(Debug)]
-struct TreeSlot {
+#[derive(Clone, Debug)]
+struct TreeSlot<W: Piggyback> {
     epoch: u64,
-    own: Option<Interval>,
+    own: Option<W::Pub>,
     latest_ns: u64,
-    children: Vec<(usize, Vec<(usize, Interval)>)>,
+    children: Vec<(usize, Notices<W>)>,
     up_sent: bool,
-    out: Option<WaveOut>,
+    out: Option<WaveOut<W>>,
 }
 
-impl TreeSlot {
+impl<W: Piggyback> TreeSlot<W> {
     fn new(epoch: u64) -> Self {
         Self { epoch, own: None, latest_ns: 0, children: Vec::new(), up_sent: false, out: None }
     }
@@ -266,13 +283,13 @@ impl TreeSlot {
 
 /// Per-node state of every tree barrier this node participates in.
 ///
-/// Handler-driven: [`crate::node`] feeds arrivals and waves in and acts
-/// on the returned [`TreeStep`]s. Duplicate inputs (resilient-mode
+/// Handler-driven: the platform feeds arrivals and waves in and acts on
+/// the returned [`TreeStep`]s. Duplicate inputs (resilient-mode
 /// retries, duplicated messages) are answered with targeted re-sends,
 /// so a lost edge anywhere heals as retries propagate up to the nearest
 /// released ancestor and its waves flow back down the failed path.
-#[derive(Debug)]
-pub struct TreeBarrier {
+#[derive(Clone, Debug)]
+pub struct TreeBarrier<W: Piggyback> {
     me: usize,
     nodes: usize,
     fanout: usize,
@@ -280,10 +297,10 @@ pub struct TreeBarrier {
     /// (`NoticeWire::Digest`); upward aggregates stay explicit either
     /// way (parents need exact complements).
     digest_runs: Option<usize>,
-    slots: HashMap<u32, TreeSlot>,
+    slots: HashMap<u32, TreeSlot<W>>,
     /// One-epoch-back replay cache per barrier id; anything older than
     /// that re-arriving is a protocol bug.
-    prev: HashMap<u32, (u64, WaveOut)>,
+    prev: HashMap<u32, (u64, WaveOut<W>)>,
 }
 
 /// Where an input for `(id, epoch)` lands.
@@ -294,7 +311,7 @@ enum Loc {
     Replay,
 }
 
-impl TreeBarrier {
+impl<W: Piggyback> TreeBarrier<W> {
     /// State for node `me` of a `nodes`-node cluster with the given
     /// tree fanout; `digest_runs` enables digest waves.
     pub fn new(me: usize, nodes: usize, fanout: usize, digest_runs: Option<usize>) -> Self {
@@ -338,7 +355,13 @@ impl TreeBarrier {
     }
 
     /// This node's own application arrived at barrier `id`.
-    pub fn self_arrive(&mut self, id: u32, epoch: u64, interval: Interval, arrive_ns: u64) -> TreeStep {
+    pub fn self_arrive(
+        &mut self,
+        id: u32,
+        epoch: u64,
+        interval: W::Pub,
+        arrive_ns: u64,
+    ) -> TreeStep<W> {
         if let Loc::Replay = self.locate(id, epoch, "self-arrival") {
             let (_, out) = &self.prev[&id];
             return TreeStep::Redeliver { release_ns: out.release_ns, own: out.own.clone() };
@@ -367,8 +390,8 @@ impl TreeBarrier {
         epoch: u64,
         child: usize,
         latest_ns: u64,
-        agg: Vec<(usize, Interval)>,
-    ) -> TreeStep {
+        agg: Notices<W>,
+    ) -> TreeStep<W> {
         if let Loc::Replay = self.locate(id, epoch, "child aggregate") {
             let (_, out) = &self.prev[&id];
             return Self::resend_wave(out, child);
@@ -391,7 +414,7 @@ impl TreeBarrier {
     }
 
     /// The parent's release wave for barrier `id` arrived.
-    pub fn wave(&mut self, id: u32, epoch: u64, release_ns: u64, wave: NoticeSet) -> TreeStep {
+    pub fn wave(&mut self, id: u32, epoch: u64, release_ns: u64, wave: W) -> TreeStep<W> {
         if let Loc::Replay = self.locate(id, epoch, "wave") {
             // A duplicated wave for an epoch that fully released here.
             return TreeStep::Waiting;
@@ -412,7 +435,7 @@ impl TreeBarrier {
 
     /// Completion check: once the own arrival and every child aggregate
     /// are in, send up (non-root) or release (root).
-    fn try_complete(&mut self, id: u32) -> TreeStep {
+    fn try_complete(&mut self, id: u32) -> TreeStep<W> {
         let topo = self.topo(id);
         let expected = topo.children(self.me).len();
         let slot = self.slots.get_mut(&id).unwrap();
@@ -427,17 +450,17 @@ impl TreeBarrier {
         // Root completion: release at the latest arrival, processing an
         // empty incoming wave.
         let release_ns = slot.latest_ns;
-        let empty = NoticeSet::encode(Vec::new(), self.digest_runs);
+        let empty = W::encode(Vec::new(), self.digest_runs);
         let out = self.build_out(id, release_ns, empty);
         self.slots.get_mut(&id).unwrap().out = Some(out.clone());
         TreeStep::Deliver { release_ns: out.release_ns, own: out.own, child_waves: out.child_waves }
     }
 
     /// The upward aggregate for the completed local subtree.
-    fn make_up(&self, id: u32) -> TreeStep {
+    fn make_up(&self, id: u32) -> TreeStep<W> {
         let topo = self.topo(id);
         let slot = &self.slots[&id];
-        let mut agg: Vec<(usize, Interval)> = vec![(self.me, slot.own.clone().unwrap())];
+        let mut agg: Notices<W> = vec![(self.me, slot.own.clone().unwrap())];
         for (_, ca) in &slot.children {
             agg.extend(ca.iter().cloned());
         }
@@ -450,34 +473,34 @@ impl TreeBarrier {
     /// wave is the incoming wave plus the own interval plus every
     /// *other* child's aggregate (exactly the complement of that
     /// child's subtree).
-    fn build_out(&self, id: u32, release_ns: u64, incoming: NoticeSet) -> WaveOut {
+    fn build_out(&self, id: u32, release_ns: u64, incoming: W) -> WaveOut<W> {
         let slot = &self.slots[&id];
         let own_iv = slot.own.clone().unwrap();
         let mut own = incoming.clone();
-        let mut from_children: Vec<(usize, Interval)> =
+        let mut from_children: Notices<W> =
             slot.children.iter().flat_map(|(_, a)| a.iter().cloned()).collect();
         from_children.sort_by_key(|(n, _)| *n);
-        from_children.retain(|(_, iv)| !iv.is_empty());
-        own.extend(NoticeSet::encode(from_children, self.digest_runs));
+        from_children.retain(|(_, iv)| !W::is_empty(iv));
+        own.extend(W::encode(from_children, self.digest_runs));
         let mut child_waves = Vec::new();
         for (c, _) in &slot.children {
             let mut wave = incoming.clone();
-            let mut extra: Vec<(usize, Interval)> = vec![(self.me, own_iv.clone())];
+            let mut extra: Notices<W> = vec![(self.me, own_iv.clone())];
             for (oc, oa) in &slot.children {
                 if oc != c {
                     extra.extend(oa.iter().cloned());
                 }
             }
             extra.sort_by_key(|(n, _)| *n);
-            extra.retain(|(_, iv)| !iv.is_empty());
-            wave.extend(NoticeSet::encode(extra, self.digest_runs));
+            extra.retain(|(_, iv)| !W::is_empty(iv));
+            wave.extend(W::encode(extra, self.digest_runs));
             child_waves.push((*c, wave));
         }
         WaveOut { release_ns, own, child_waves }
     }
 
     /// Re-send a released child wave (from the slot or replay cache).
-    fn resend_wave(out: &WaveOut, child: usize) -> TreeStep {
+    fn resend_wave(out: &WaveOut<W>, child: usize) -> TreeStep<W> {
         let wave = out
             .child_waves
             .iter()
@@ -491,14 +514,8 @@ impl TreeBarrier {
 
 #[cfg(test)]
 mod tests {
+    use super::super::testpayload::{iv, Wave};
     use super::*;
-    use memwire::PageId;
-
-    fn iv(pages: &[u32]) -> Interval {
-        Interval::from_pages(
-            &pages.iter().map(|&i| PageId { region: 0, index: i }).collect::<Vec<_>>(),
-        )
-    }
 
     #[test]
     fn waits_until_all_arrive() {
@@ -582,8 +599,8 @@ mod tests {
         m.arrive(0, 2, 1, iv(&[]), 11, 3);
     }
 
-    fn ex(entries: &[(usize, &[u32])]) -> NoticeSet {
-        NoticeSet::Explicit(entries.iter().map(|(n, ps)| (*n, iv(ps))).collect())
+    fn ex(entries: &[(usize, &[u32])]) -> Wave {
+        Wave(entries.iter().map(|(n, ps)| (*n, iv(ps))).collect())
     }
 
     #[test]
@@ -608,7 +625,7 @@ mod tests {
 
     #[test]
     fn tree_leaf_sends_up() {
-        let mut b = TreeBarrier::new(3, 7, 2, None);
+        let mut b = TreeBarrier::<Wave>::new(3, 7, 2, None);
         match b.self_arrive(0, 1, iv(&[3]), 50) {
             TreeStep::Up { parent, latest_ns, agg } => {
                 assert_eq!(parent, 1);
@@ -621,7 +638,7 @@ mod tests {
 
     #[test]
     fn tree_internal_aggregates_and_splits_waves() {
-        let mut b = TreeBarrier::new(1, 7, 2, None);
+        let mut b = TreeBarrier::<Wave>::new(1, 7, 2, None);
         assert_eq!(b.self_arrive(0, 1, iv(&[1]), 10), TreeStep::Waiting);
         assert_eq!(b.child_arrive(0, 1, 4, 40, vec![(4, iv(&[4]))]), TreeStep::Waiting);
         match b.child_arrive(0, 1, 3, 30, vec![(3, iv(&[3]))]) {
@@ -653,7 +670,7 @@ mod tests {
 
     #[test]
     fn tree_root_releases_with_complements() {
-        let mut b = TreeBarrier::new(0, 3, 2, None);
+        let mut b = TreeBarrier::<Wave>::new(0, 3, 2, None);
         assert_eq!(b.self_arrive(0, 1, iv(&[0]), 5), TreeStep::Waiting);
         assert_eq!(b.child_arrive(0, 1, 2, 20, vec![(2, iv(&[2]))]), TreeStep::Waiting);
         match b.child_arrive(0, 1, 1, 10, vec![(1, iv(&[1]))]) {
@@ -672,8 +689,8 @@ mod tests {
     #[test]
     fn tree_retries_heal_lost_edges() {
         // 2-node tree: node 0 is the root, node 1 the only leaf.
-        let mut root = TreeBarrier::new(0, 2, 2, None);
-        let mut leaf = TreeBarrier::new(1, 2, 2, None);
+        let mut root = TreeBarrier::<Wave>::new(0, 2, 2, None);
+        let mut leaf = TreeBarrier::<Wave>::new(1, 2, 2, None);
         assert!(matches!(leaf.self_arrive(0, 1, iv(&[1]), 10), TreeStep::Up { .. }));
         // Duplicate self-arrival while the wave is outstanding re-sends
         // the aggregate (heals a lost upward edge).
@@ -706,41 +723,9 @@ mod tests {
     }
 
     #[test]
-    fn tree_digest_waves() {
-        let mut b = TreeBarrier::new(0, 2, 2, Some(64));
-        assert_eq!(b.self_arrive(0, 1, iv(&[0, 1, 2]), 5), TreeStep::Waiting);
-        match b.child_arrive(0, 1, 1, 9, vec![(1, iv(&[7]))]) {
-            TreeStep::Deliver { own, child_waves, .. } => {
-                match own {
-                    NoticeSet::Digest(d) => {
-                        assert_eq!(d.len(), 1, "one merged union digest");
-                        assert_eq!(
-                            d[0].pages().unwrap(),
-                            iv(&[7]).pages().collect::<Vec<_>>()
-                        );
-                    }
-                    other => panic!("expected digest notices, got {other:?}"),
-                }
-                match &child_waves[0].1 {
-                    NoticeSet::Digest(d) => {
-                        assert_eq!(d.len(), 1, "one merged union digest");
-                        assert_eq!(d[0].records(), 1, "one run of three pages");
-                        assert_eq!(
-                            d[0].pages().unwrap(),
-                            iv(&[0, 1, 2]).pages().collect::<Vec<_>>()
-                        );
-                    }
-                    other => panic!("expected digest wave, got {other:?}"),
-                }
-            }
-            other => panic!("expected delivery, got {other:?}"),
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "stale epoch")]
     fn tree_stale_epoch_panics() {
-        let mut b = TreeBarrier::new(0, 2, 2, None);
+        let mut b = TreeBarrier::<Wave>::new(0, 2, 2, None);
         b.self_arrive(0, 1, iv(&[]), 1);
         b.child_arrive(0, 1, 1, 2, vec![(1, iv(&[]))]);
         b.self_arrive(0, 2, iv(&[]), 3);

@@ -3,7 +3,7 @@
 //!
 //! Locks are distributed across manager nodes (`lock % nodes`). In the
 //! centralized scheme ([`LockMgr::acquire_mode`]/[`LockMgr::release`])
-//! the manager serializes ownership and, under scope consistency,
+//! the manager serializes ownership and, where notices ride the locks,
 //! stores the write notices published by each release so it can hand
 //! them to the next acquirer (the "lock grant carries notices" edge of
 //! Scope Consistency). Every handover costs a round through the
@@ -25,8 +25,13 @@
 //!
 //! Notice history (manager store, parked tokens, held tokens) is
 //! cleared when a barrier makes everything globally visible.
+//!
+//! Everything here is generic over the [`Piggyback`] a platform rides on
+//! its synchronisation messages: with `()` the notice lists stay empty
+//! and the machines are the ordering-only lock protocol of the
+//! hardware-coherent platforms.
 
-use memwire::Interval;
+use super::{publish, Notices, Piggyback};
 use std::collections::{HashMap, VecDeque};
 
 /// Lock acquisition mode.
@@ -39,8 +44,8 @@ pub enum Mode {
 }
 
 /// State of one lock at its manager.
-#[derive(Debug, Default)]
-pub struct LockState {
+#[derive(Clone, Debug, Default)]
+pub struct LockState<P> {
     /// Current holders (one if exclusive, any number if shared).
     pub holders: Vec<usize>,
     /// Whether the current holders hold exclusively.
@@ -51,7 +56,7 @@ pub struct LockState {
     /// manager's daemon happened to process requests.
     pub queue: VecDeque<(usize, Mode, u64)>,
     /// Notices accumulated from releases under this lock, per writer.
-    pub notices: Vec<(usize, Interval)>,
+    pub notices: Vec<(usize, P)>,
     /// Virtual time the last *exclusive* hold ended (causal floor for
     /// shared grants: readers may overlap each other but never a
     /// writer).
@@ -60,20 +65,20 @@ pub struct LockState {
     /// floor for exclusive grants).
     pub free_any_ns: u64,
     /// Holders whose grant was *posted* to them at a handover rather
-    /// than carried by a reply (see [`LockMgr::granted_by_post`]).
+    /// than carried by a reply (see [`LockMgr::acquire_mode`]).
     pub posted: Vec<usize>,
 }
 
 /// Manager-side state of one lock's token queue.
-#[derive(Debug, Default)]
-struct TokenLock {
+#[derive(Clone, Debug, Default)]
+struct TokenLock<P> {
     /// The last acquirer the manager linked into the queue, with the
     /// tenure sequence number it acquired under.
     tail: Option<(usize, u64)>,
     /// The token's notices while it rests at the manager (returned by a
     /// holder with no successor, or crossing a successor notification
     /// and reserved for the coming claim).
-    parked: Option<Vec<(usize, Interval)>>,
+    parked: Option<Vec<(usize, P)>>,
     /// A claimed successor whose token return is still in flight to the
     /// manager; the return is forwarded to it on arrival.
     pending: Option<usize>,
@@ -97,26 +102,26 @@ enum TokenHold {
 }
 
 /// Holder-side state of one lock's token queue at this node.
-#[derive(Debug, Default)]
-struct TokenSlot {
+#[derive(Clone, Debug, Default)]
+struct TokenSlot<P> {
     /// This node's tenure counter for the lock (bumped per acquire).
     seq: u64,
     state: TokenHold,
     /// The successor named for the current tenure, if any.
     succ: Option<usize>,
     /// The token's accumulated notices while held here.
-    token: Vec<(usize, Interval)>,
+    token: Vec<(usize, P)>,
 }
 
 /// What the manager sends after a token-queue event.
 #[derive(Debug, PartialEq, Eq)]
-pub enum TokMgrStep {
+pub enum TokMgrStep<P> {
     /// Pass the token (with its notices) to `to`.
     Pass {
         /// The next holder.
         to: usize,
         /// The token's accumulated notices.
-        notices: Vec<(usize, Interval)>,
+        notices: Vec<(usize, P)>,
     },
     /// Tell `prev` — for its tenure `for_seq` — that `succ` follows it.
     SetSucc {
@@ -131,20 +136,20 @@ pub enum TokMgrStep {
 
 /// What a holder sends after a token-queue event.
 #[derive(Debug, PartialEq, Eq)]
-pub enum TokHolderStep {
+pub enum TokHolderStep<P> {
     /// Pass the token directly to the known successor.
     Forward {
         /// The successor.
         to: usize,
         /// The token's accumulated notices.
-        notices: Vec<(usize, Interval)>,
+        notices: Vec<(usize, P)>,
     },
     /// No successor known: return the token to the manager.
     Return {
         /// The ending tenure's sequence number.
         seq: u64,
         /// The token's accumulated notices.
-        notices: Vec<(usize, Interval)>,
+        notices: Vec<(usize, P)>,
     },
     /// A successor notification arrived for a tenure that already
     /// ended: tell the manager to route the (parked or in-flight
@@ -160,79 +165,106 @@ pub enum TokHolderStep {
 /// manager round: the holder is always known here, so a lost grant or
 /// release resolves by replaying the manager's record of the tenure
 /// instead of corrupting a distributed slot machine.
-#[derive(Debug, Default)]
-struct RTokenLock {
+#[derive(Clone, Debug, Default)]
+struct RTokenLock<P> {
     /// The current holder and its tenure sequence number.
     holder: Option<(usize, u64)>,
     /// The notices handed to the current holder at grant time, kept so
     /// a retried acquire of the same tenure replays the identical
     /// grant.
-    granted: Vec<(usize, Interval)>,
+    granted: Vec<(usize, P)>,
     /// The token's accumulated notices while no one holds it.
-    notices: Vec<(usize, Interval)>,
+    notices: Vec<(usize, P)>,
     /// Waiters `(who, seq, arrive_ns)`; grants follow virtual arrival
     /// order (ties by rank), like the centralized queue.
     queue: Vec<(usize, u64, u64)>,
     /// Highest tenure each node has completed (idempotent release).
     done: HashMap<usize, u64>,
     /// The current tenure was granted by a handover post, not a reply
-    /// (see [`LockMgr::rtok_granted_by_post`]).
+    /// (see [`LockMgr::rtok_acquire`]).
     posted: bool,
 }
 
 /// Manager's answer to a resilient token acquire.
 #[derive(Debug, PartialEq, Eq)]
-pub enum RTokStep {
+pub enum RTokStep<P> {
     /// The token was free: granted, carrying these notices.
-    Grant(Vec<(usize, Interval)>),
+    Grant(Vec<(usize, P)>),
     /// Held; a grant will be posted on release.
     Queued,
     /// This exact tenure was already granted (the earlier reply or
     /// grant post was lost): the identical grant, re-issued.
-    Replay(Vec<(usize, Interval)>),
+    Replay(Vec<(usize, P)>),
 }
 
 /// All locks managed by one node: centralized state, plus the
 /// token-queue manager state (for locks managed here) and holder state
 /// (for locks this node acquires). `rtokens`/`rseqs` are the resilient
 /// token queue's manager machine and holder-side tenure counters.
-#[derive(Debug, Default)]
-pub struct LockMgr {
-    locks: HashMap<u32, LockState>,
-    tokens: HashMap<u32, TokenLock>,
-    slots: HashMap<u32, TokenSlot>,
-    rtokens: HashMap<u32, RTokenLock>,
+#[derive(Clone, Debug)]
+pub struct LockMgr<W: Piggyback> {
+    locks: HashMap<u32, LockState<W::Pub>>,
+    tokens: HashMap<u32, TokenLock<W::Pub>>,
+    slots: HashMap<u32, TokenSlot<W::Pub>>,
+    rtokens: HashMap<u32, RTokenLock<W::Pub>>,
     rseqs: HashMap<u32, u64>,
 }
 
 /// Outcome of an acquire attempt at the manager.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Acquire {
+pub enum Acquire<P> {
     /// Granted immediately; attached notices must be applied by the
     /// acquirer before entering the critical section, and the grant is
     /// not effective before the given virtual instant.
-    Granted(Vec<(usize, Interval)>, u64),
+    Granted(Vec<(usize, P)>, u64),
     /// Enqueued; a grant will be posted on release.
     Queued,
 }
 
-impl LockMgr {
+impl<W: Piggyback> Default for LockMgr<W> {
+    fn default() -> Self {
+        Self {
+            locks: HashMap::new(),
+            tokens: HashMap::new(),
+            slots: HashMap::new(),
+            rtokens: HashMap::new(),
+            rseqs: HashMap::new(),
+        }
+    }
+}
+
+impl<W: Piggyback> LockMgr<W> {
     /// An empty manager.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Node `who` asks for `lock` exclusively.
-    pub fn acquire(&mut self, lock: u32, who: usize) -> Acquire {
-        self.acquire_mode(lock, who, Mode::Excl, 0)
     }
 
     /// Node `who` asks for `lock` in `mode`, arriving at virtual time
     /// `arrive_ns`. Shared requests join the current holders only while
     /// no writer is queued (writer-preference keeps writers from
     /// starving under a reader stream).
-    pub fn acquire_mode(&mut self, lock: u32, who: usize, mode: Mode, arrive_ns: u64) -> Acquire {
+    ///
+    /// `lost_grant` is the requester's report that it consumed the loss
+    /// tombstone of a grant posted to it. While `who` holds the lock by
+    /// a handover, that grant exists as exactly one item in the holder's
+    /// mailbox pipeline — the posted grant, or its tombstone — and that
+    /// item is the holder's to consume. A retried request (one whose
+    /// `Queued` reply was lost) must therefore not be re-granted by
+    /// reply: the holder would proceed on the reply, leave the posted
+    /// grant behind, and take it for a grant the next time it queues.
+    /// Such a retry is answered `Queued` until it reports the tombstone.
+    pub fn acquire_mode(
+        &mut self,
+        lock: u32,
+        who: usize,
+        mode: Mode,
+        arrive_ns: u64,
+        lost_grant: bool,
+    ) -> Acquire<W::Pub> {
         let st = self.locks.entry(lock).or_default();
+        if !lost_grant && st.posted.contains(&who) {
+            return Acquire::Queued;
+        }
         if st.holders.contains(&who) {
             // Retried request from the current holder (the grant reply
             // was lost): re-issue the grant with the same causal floor.
@@ -271,9 +303,9 @@ impl LockMgr {
         &mut self,
         lock: u32,
         who: usize,
-        interval: Interval,
+        interval: W::Pub,
         now_ns: u64,
-    ) -> Vec<(usize, Vec<(usize, Interval)>)> {
+    ) -> Vec<(usize, Notices<W>)> {
         // A release whose first copy was already processed (the ack was
         // lost, the releaser retried) finds nothing to do: the lock may
         // even have been handed to the next waiter meanwhile. Idempotent
@@ -293,12 +325,7 @@ impl LockMgr {
                 st.free_excl_ns = st.free_excl_ns.max(now_ns);
             }
         }
-        if !interval.is_empty() {
-            match st.notices.iter_mut().find(|(n, _)| *n == who) {
-                Some((_, iv)) => iv.merge(&interval),
-                None => st.notices.push((who, interval)),
-            }
-        }
+        publish::<W>(&mut st.notices, who, interval);
         if !st.holders.is_empty() {
             return Vec::new(); // other readers still inside
         }
@@ -343,19 +370,6 @@ impl LockMgr {
         grants
     }
 
-    /// True while `who` holds `lock` by a handover. Such a grant exists
-    /// as exactly one item in the holder's mailbox pipeline — the
-    /// posted grant, or its loss tombstone — and that item is the
-    /// holder's to consume. A resilient manager must therefore not
-    /// re-grant by reply to a retried request (one whose `Queued` reply
-    /// was lost) while this is true: the holder would proceed on the
-    /// reply, leave the posted grant behind, and take it for a grant
-    /// the next time it queues. It answers `Queued` instead, until the
-    /// requester reports having consumed the tombstone.
-    pub fn granted_by_post(&self, lock: u32, who: usize) -> bool {
-        self.locks.get(&lock).is_some_and(|st| st.posted.contains(&who))
-    }
-
     /// A barrier made all writes globally visible: drop notice history —
     /// the centralized store, parked tokens, and tokens held here. (A
     /// token returned to a manager concurrently with the barrier may
@@ -388,7 +402,7 @@ impl LockMgr {
     // every node. See the module docs for the protocol.
 
     /// Manager: node `who` (tenure `seq`) asks for `lock`'s token.
-    pub fn tok_acquire(&mut self, lock: u32, who: usize, seq: u64) -> TokMgrStep {
+    pub fn tok_acquire(&mut self, lock: u32, who: usize, seq: u64) -> TokMgrStep<W::Pub> {
         let tok = self.tokens.entry(lock).or_default();
         if !tok.created {
             tok.created = true;
@@ -413,8 +427,8 @@ impl LockMgr {
         lock: u32,
         from: usize,
         seq: u64,
-        notices: Vec<(usize, Interval)>,
-    ) -> Option<TokMgrStep> {
+        notices: Notices<W>,
+    ) -> Option<TokMgrStep<W::Pub>> {
         let tok = self.tokens.get_mut(&lock).expect("return for unknown token");
         if let Some(succ) = tok.pending.take() {
             return Some(TokMgrStep::Pass { to: succ, notices });
@@ -432,7 +446,7 @@ impl LockMgr {
 
     /// Manager: a holder whose tenure already ended routes the token to
     /// the successor it was just told about.
-    pub fn tok_claim(&mut self, lock: u32, succ: usize) -> Option<TokMgrStep> {
+    pub fn tok_claim(&mut self, lock: u32, succ: usize) -> Option<TokMgrStep<W::Pub>> {
         let tok = self.tokens.get_mut(&lock).expect("claim for unknown token");
         if let Some(notices) = tok.parked.take() {
             return Some(TokMgrStep::Pass { to: succ, notices });
@@ -460,11 +474,7 @@ impl LockMgr {
 
     /// Holder: the token arrived. Returns the notices to hand to the
     /// waiting application (the token keeps carrying them onward).
-    pub fn tok_pass_received(
-        &mut self,
-        lock: u32,
-        notices: Vec<(usize, Interval)>,
-    ) -> Vec<(usize, Interval)> {
+    pub fn tok_pass_received(&mut self, lock: u32, notices: Notices<W>) -> Notices<W> {
         let slot = self.slots.get_mut(&lock).expect("token pass without acquire");
         assert_eq!(slot.state, TokenHold::Expecting, "unexpected token pass");
         slot.state = TokenHold::Holding;
@@ -475,15 +485,15 @@ impl LockMgr {
     /// Holder: node `who` releases `lock`, merging `interval` into the
     /// token, and forwards it to the known successor or returns it to
     /// the manager.
-    pub fn tok_release(&mut self, lock: u32, who: usize, interval: Interval) -> TokHolderStep {
+    pub fn tok_release(
+        &mut self,
+        lock: u32,
+        who: usize,
+        interval: W::Pub,
+    ) -> TokHolderStep<W::Pub> {
         let slot = self.slots.get_mut(&lock).expect("token release without hold");
         assert_eq!(slot.state, TokenHold::Holding, "token release while not holding");
-        if !interval.is_empty() {
-            match slot.token.iter_mut().find(|(n, _)| *n == who) {
-                Some((_, iv)) => iv.merge(&interval),
-                None => slot.token.push((who, interval)),
-            }
-        }
+        publish::<W>(&mut slot.token, who, interval);
         let notices = std::mem::take(&mut slot.token);
         if let Some(to) = slot.succ.take() {
             slot.state = TokenHold::Idle;
@@ -498,7 +508,12 @@ impl LockMgr {
     /// tenure `for_seq`. Stores it for the live tenure, or — when that
     /// tenure already ended — answers with the claim that routes the
     /// returned token onward.
-    pub fn tok_set_succ(&mut self, lock: u32, succ: usize, for_seq: u64) -> Option<TokHolderStep> {
+    pub fn tok_set_succ(
+        &mut self,
+        lock: u32,
+        succ: usize,
+        for_seq: u64,
+    ) -> Option<TokHolderStep<W::Pub>> {
         let slot = self.slots.get_mut(&lock).expect("successor for unknown slot");
         if for_seq < slot.seq {
             // A notification for an earlier tenure, arriving after this
@@ -545,9 +560,22 @@ impl LockMgr {
     }
 
     /// Manager: node `who` (tenure `seq`, arriving at virtual time
-    /// `arrive_ns`) asks for `lock`'s token.
-    pub fn rtok_acquire(&mut self, lock: u32, who: usize, seq: u64, arrive_ns: u64) -> RTokStep {
+    /// `arrive_ns`) asks for `lock`'s token. A tenure granted by a
+    /// handover post answers its retries `Queued` until `lost_grant`
+    /// reports the consumed tombstone, exactly as in
+    /// [`LockMgr::acquire_mode`].
+    pub fn rtok_acquire(
+        &mut self,
+        lock: u32,
+        who: usize,
+        seq: u64,
+        arrive_ns: u64,
+        lost_grant: bool,
+    ) -> RTokStep<W::Pub> {
         let tok = self.rtokens.entry(lock).or_default();
+        if !lost_grant && tok.posted && tok.holder == Some((who, seq)) {
+            return RTokStep::Queued;
+        }
         if tok.holder == Some((who, seq)) {
             // The earlier grant (reply or posted pass) was lost and the
             // requester retried: replay it verbatim.
@@ -582,8 +610,8 @@ impl LockMgr {
         lock: u32,
         who: usize,
         seq: u64,
-        interval: Interval,
-    ) -> Option<(usize, Vec<(usize, Interval)>)> {
+        interval: W::Pub,
+    ) -> Option<(usize, Notices<W>)> {
         let tok = self.rtokens.get_mut(&lock)?;
         if tok.holder != Some((who, seq)) {
             // Retried release whose first copy was already applied (the
@@ -594,14 +622,8 @@ impl LockMgr {
         tok.posted = false;
         let d = tok.done.entry(who).or_insert(0);
         *d = (*d).max(seq);
-        let mut notices = std::mem::take(&mut tok.granted);
-        if !interval.is_empty() {
-            match notices.iter_mut().find(|(n, _)| *n == who) {
-                Some((_, iv)) => iv.merge(&interval),
-                None => notices.push((who, interval)),
-            }
-        }
-        tok.notices = notices;
+        tok.notices = std::mem::take(&mut tok.granted);
+        publish::<W>(&mut tok.notices, who, interval);
         // Grant the earliest virtual arrival (ties by rank).
         let next_i = tok
             .queue
@@ -617,61 +639,56 @@ impl LockMgr {
         Some((next, notices))
     }
 
-    /// The token-queue twin of [`LockMgr::granted_by_post`]: tenure
-    /// `seq` of `who` is current and was granted by a handover post.
-    pub fn rtok_granted_by_post(&self, lock: u32, who: usize, seq: u64) -> bool {
-        self.rtokens.get(&lock).is_some_and(|tok| tok.posted && tok.holder == Some((who, seq)))
-    }
-
     /// Introspection for tests: the state of `lock`.
     ///
     /// Note: grants at release time follow *virtual* arrival order, not
     /// queue insertion order (see [`LockState::queue`]).
-    pub fn state(&self, lock: u32) -> Option<&LockState> {
+    pub fn state(&self, lock: u32) -> Option<&LockState<W::Pub>> {
         self.locks.get(&lock)
     }
 }
 
 #[cfg(test)]
 mod rw_tests {
+    use super::super::testpayload::{iv, Pages, Wave};
     use super::*;
 
     #[test]
     fn readers_share_writers_exclude() {
-        let mut m = LockMgr::new();
-        assert!(matches!(m.acquire_mode(1, 0, Mode::Shared, 10), Acquire::Granted(..)));
-        assert!(matches!(m.acquire_mode(1, 1, Mode::Shared, 20), Acquire::Granted(..)));
-        assert_eq!(m.acquire_mode(1, 2, Mode::Excl, 30), Acquire::Queued);
+        let mut m = LockMgr::<Wave>::new();
+        assert!(matches!(m.acquire_mode(1, 0, Mode::Shared, 10, false), Acquire::Granted(..)));
+        assert!(matches!(m.acquire_mode(1, 1, Mode::Shared, 20, false), Acquire::Granted(..)));
+        assert_eq!(m.acquire_mode(1, 2, Mode::Excl, 30, false), Acquire::Queued);
         // A reader arriving after a queued writer must wait (writer
         // preference).
-        assert_eq!(m.acquire_mode(1, 3, Mode::Shared, 40), Acquire::Queued);
-        assert!(m.release(1, 0, Interval::default(), 50).is_empty());
-        let grants = m.release(1, 1, Interval::default(), 60);
+        assert_eq!(m.acquire_mode(1, 3, Mode::Shared, 40, false), Acquire::Queued);
+        assert!(m.release(1, 0, Pages::default(), 50).is_empty());
+        let grants = m.release(1, 1, Pages::default(), 60);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].0, 2); // the writer goes first
-        let grants = m.release(1, 2, Interval::default(), 70);
+        let grants = m.release(1, 2, Pages::default(), 70);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].0, 3);
     }
 
     #[test]
     fn reader_batch_released_together() {
-        let mut m = LockMgr::new();
-        m.acquire_mode(1, 0, Mode::Excl, 5);
-        assert_eq!(m.acquire_mode(1, 1, Mode::Shared, 10), Acquire::Queued);
-        assert_eq!(m.acquire_mode(1, 2, Mode::Shared, 15), Acquire::Queued);
-        let grants = m.release(1, 0, Interval::default(), 20);
+        let mut m = LockMgr::<Wave>::new();
+        m.acquire_mode(1, 0, Mode::Excl, 5, false);
+        assert_eq!(m.acquire_mode(1, 1, Mode::Shared, 10, false), Acquire::Queued);
+        assert_eq!(m.acquire_mode(1, 2, Mode::Shared, 15, false), Acquire::Queued);
+        let grants = m.release(1, 0, Pages::default(), 20);
         let granted: Vec<usize> = grants.iter().map(|(n, _)| *n).collect();
         assert_eq!(granted, vec![1, 2]);
     }
 
     #[test]
     fn writer_notices_reach_readers() {
-        let mut m = LockMgr::new();
-        m.acquire_mode(1, 0, Mode::Excl, 1);
-        let iv = Interval::from_pages(&[memwire::PageId { region: 0, index: 4 }]);
+        let mut m = LockMgr::<Wave>::new();
+        m.acquire_mode(1, 0, Mode::Excl, 1, false);
+        let iv = iv(&[4]);
         assert!(m.release(1, 0, iv.clone(), 2).is_empty());
-        match m.acquire_mode(1, 1, Mode::Shared, 3) {
+        match m.acquire_mode(1, 1, Mode::Shared, 3, false) {
             Acquire::Granted(n, floor) => {
                 assert_eq!(n, vec![(0, iv)]);
                 // The previous hold was exclusive, so even a shared
@@ -685,48 +702,47 @@ mod rw_tests {
 
 #[cfg(test)]
 mod tests {
+    use super::super::testpayload::{iv, Pages, Wave};
     use super::*;
-    use memwire::PageId;
 
-    fn iv(pages: &[u32]) -> Interval {
-        Interval::from_pages(
-            &pages.iter().map(|&i| PageId { region: 0, index: i }).collect::<Vec<_>>(),
-        )
+    /// Node `who` asks for `lock` exclusively.
+    fn acquire(m: &mut LockMgr<Wave>, lock: u32, who: usize) -> Acquire<Pages> {
+        m.acquire_mode(lock, who, Mode::Excl, 0, false)
     }
 
     #[test]
     fn free_lock_granted_immediately() {
-        let mut m = LockMgr::new();
-        assert_eq!(m.acquire(1, 0), Acquire::Granted(vec![], 0));
+        let mut m = LockMgr::<Wave>::new();
+        assert_eq!(acquire(&mut m, 1, 0), Acquire::Granted(vec![], 0));
     }
 
     #[test]
     fn held_lock_queues() {
-        let mut m = LockMgr::new();
-        m.acquire(1, 0);
-        assert_eq!(m.acquire(1, 1), Acquire::Queued);
-        assert_eq!(m.acquire(1, 2), Acquire::Queued);
+        let mut m = LockMgr::<Wave>::new();
+        acquire(&mut m, 1, 0);
+        assert_eq!(acquire(&mut m, 1, 1), Acquire::Queued);
+        assert_eq!(acquire(&mut m, 1, 2), Acquire::Queued);
         // Release hands over in FIFO order with notices attached.
         let grants = m.release(1, 0, iv(&[4]), 100);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].0, 1);
         assert_eq!(grants[0].1, vec![(0, iv(&[4]))]);
-        let grants = m.release(1, 1, Interval::default(), 200);
+        let grants = m.release(1, 1, Pages::default(), 200);
         assert_eq!(grants[0].0, 2);
-        assert!(m.release(1, 2, Interval::default(), 300).is_empty());
+        assert!(m.release(1, 2, Pages::default(), 300).is_empty());
         assert!(m.state(1).unwrap().holders.is_empty());
         // A later immediate exclusive grant carries the causal floor.
-        assert_eq!(m.acquire(1, 3), Acquire::Granted(vec![(0, iv(&[4]))], 300));
+        assert_eq!(acquire(&mut m, 1, 3), Acquire::Granted(vec![(0, iv(&[4]))], 300));
     }
 
     #[test]
     fn notices_accumulate_across_critical_sections() {
-        let mut m = LockMgr::new();
-        m.acquire(7, 0);
+        let mut m = LockMgr::<Wave>::new();
+        acquire(&mut m, 7, 0);
         m.release(7, 0, iv(&[1]), 1);
-        m.acquire(7, 1);
+        acquire(&mut m, 7, 1);
         m.release(7, 1, iv(&[2]), 2);
-        match m.acquire(7, 2) {
+        match acquire(&mut m, 7, 2) {
             Acquire::Granted(n, _) => {
                 assert_eq!(n.len(), 2);
                 assert_eq!(n[0], (0, iv(&[1])));
@@ -738,12 +754,12 @@ mod tests {
 
     #[test]
     fn same_writer_notices_merge() {
-        let mut m = LockMgr::new();
-        m.acquire(7, 0);
+        let mut m = LockMgr::<Wave>::new();
+        acquire(&mut m, 7, 0);
         m.release(7, 0, iv(&[1]), 1);
-        m.acquire(7, 0);
+        acquire(&mut m, 7, 0);
         m.release(7, 0, iv(&[3]), 2);
-        match m.acquire(7, 1) {
+        match acquire(&mut m, 7, 1) {
             Acquire::Granted(n, _) => assert_eq!(n, vec![(0, iv(&[1, 3]))]),
             Acquire::Queued => panic!(),
         }
@@ -751,56 +767,50 @@ mod tests {
 
     #[test]
     fn barrier_clears_notices() {
-        let mut m = LockMgr::new();
-        m.acquire(7, 0);
+        let mut m = LockMgr::<Wave>::new();
+        acquire(&mut m, 7, 0);
         m.release(7, 0, iv(&[1]), 9);
         m.clear_notices();
-        assert_eq!(m.acquire(7, 1), Acquire::Granted(vec![], 9));
+        assert_eq!(acquire(&mut m, 7, 1), Acquire::Granted(vec![], 9));
     }
 
     #[test]
     fn foreign_release_is_a_noop() {
-        let mut m = LockMgr::new();
-        m.acquire(1, 0);
+        let mut m = LockMgr::<Wave>::new();
+        acquire(&mut m, 1, 0);
         // A retried release whose first copy was already applied (or a
         // release racing a handover) must not disturb the current holder.
-        assert!(m.release(1, 3, Interval::default(), 0).is_empty());
+        assert!(m.release(1, 3, Pages::default(), 0).is_empty());
         assert_eq!(m.state(1).unwrap().holders, vec![0]);
-        assert!(m.release(9, 0, Interval::default(), 0).is_empty());
+        assert!(m.release(9, 0, Pages::default(), 0).is_empty());
     }
 
     #[test]
     fn duplicate_acquire_regrants_without_double_hold() {
-        let mut m = LockMgr::new();
-        m.acquire(7, 0);
+        let mut m = LockMgr::<Wave>::new();
+        acquire(&mut m, 7, 0);
         m.release(7, 0, iv(&[2]), 50);
-        assert_eq!(m.acquire(1, 0), Acquire::Granted(vec![], 0));
+        assert_eq!(acquire(&mut m, 1, 0), Acquire::Granted(vec![], 0));
         // The grant reply was lost; the retried request re-grants with
         // the same notices and floor, without a second holder entry.
-        assert_eq!(m.acquire(1, 0), Acquire::Granted(vec![], 0));
+        assert_eq!(acquire(&mut m, 1, 0), Acquire::Granted(vec![], 0));
         assert_eq!(m.state(1).unwrap().holders, vec![0]);
         // A queued requester retrying stays queued exactly once.
-        assert_eq!(m.acquire(1, 1), Acquire::Queued);
-        assert_eq!(m.acquire(1, 1), Acquire::Queued);
+        assert_eq!(acquire(&mut m, 1, 1), Acquire::Queued);
+        assert_eq!(acquire(&mut m, 1, 1), Acquire::Queued);
         assert_eq!(m.state(1).unwrap().queue.len(), 1);
     }
 }
 
 #[cfg(test)]
 mod token_tests {
+    use super::super::testpayload::{iv, Pages, Wave};
     use super::*;
-    use memwire::PageId;
-
-    fn iv(pages: &[u32]) -> Interval {
-        Interval::from_pages(
-            &pages.iter().map(|&i| PageId { region: 0, index: i }).collect::<Vec<_>>(),
-        )
-    }
 
     #[test]
     fn first_acquire_creates_and_passes() {
-        let mut mgr = LockMgr::new();
-        let mut a = LockMgr::new();
+        let mut mgr = LockMgr::<Wave>::new();
+        let mut a = LockMgr::<Wave>::new();
         let seq = a.tok_begin_acquire(5);
         assert_eq!(seq, 1);
         assert_eq!(mgr.tok_acquire(5, 0, seq), TokMgrStep::Pass { to: 0, notices: vec![] });
@@ -809,9 +819,9 @@ mod token_tests {
 
     #[test]
     fn chain_forwards_directly_with_merged_notices() {
-        let mut mgr = LockMgr::new();
-        let mut a = LockMgr::new();
-        let mut b = LockMgr::new();
+        let mut mgr = LockMgr::<Wave>::new();
+        let mut a = LockMgr::<Wave>::new();
+        let mut b = LockMgr::<Wave>::new();
         let sa = a.tok_begin_acquire(5);
         mgr.tok_acquire(5, 0, sa);
         a.tok_pass_received(5, vec![]);
@@ -854,8 +864,8 @@ mod token_tests {
 
     #[test]
     fn crossed_return_resolves_via_claim() {
-        let mut mgr = LockMgr::new();
-        let mut a = LockMgr::new();
+        let mut mgr = LockMgr::<Wave>::new();
+        let mut a = LockMgr::<Wave>::new();
         let sa = a.tok_begin_acquire(5);
         mgr.tok_acquire(5, 0, sa);
         a.tok_pass_received(5, vec![]);
@@ -877,8 +887,8 @@ mod token_tests {
 
     #[test]
     fn claim_before_return_pends_until_arrival() {
-        let mut mgr = LockMgr::new();
-        let mut a = LockMgr::new();
+        let mut mgr = LockMgr::<Wave>::new();
+        let mut a = LockMgr::<Wave>::new();
         let sa = a.tok_begin_acquire(5);
         mgr.tok_acquire(5, 0, sa);
         a.tok_pass_received(5, vec![]);
@@ -897,8 +907,8 @@ mod token_tests {
 
     #[test]
     fn stale_notification_after_reacquire_claims_without_corruption() {
-        let mut mgr = LockMgr::new();
-        let mut a = LockMgr::new();
+        let mut mgr = LockMgr::<Wave>::new();
+        let mut a = LockMgr::<Wave>::new();
         let sa = a.tok_begin_acquire(5);
         mgr.tok_acquire(5, 0, sa);
         a.tok_pass_received(5, vec![]);
@@ -918,91 +928,103 @@ mod token_tests {
 
     #[test]
     fn rtok_grant_queue_and_handover_follow_virtual_arrival() {
-        let mut mgr = LockMgr::new();
-        let mut a = LockMgr::new();
+        let mut mgr = LockMgr::<Wave>::new();
+        let mut a = LockMgr::<Wave>::new();
         let sa = a.rtok_begin(5);
         assert_eq!(sa, 1);
-        assert_eq!(mgr.rtok_acquire(5, 0, sa, 10), RTokStep::Grant(vec![]));
+        assert_eq!(mgr.rtok_acquire(5, 0, sa, 10, false), RTokStep::Grant(vec![]));
         // Two waiters queue; the later-ranked but earlier-arriving node
         // is granted first.
-        assert_eq!(mgr.rtok_acquire(5, 2, 1, 30), RTokStep::Queued);
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 20), RTokStep::Queued);
+        assert_eq!(mgr.rtok_acquire(5, 2, 1, 30, false), RTokStep::Queued);
+        assert_eq!(mgr.rtok_acquire(5, 1, 1, 20, false), RTokStep::Queued);
         let (next, notices) = mgr.rtok_release(5, 0, sa, iv(&[3])).expect("handover");
         assert_eq!(next, 1);
         assert_eq!(notices, vec![(0, iv(&[3]))]);
         let (next, notices) = mgr.rtok_release(5, 1, 1, iv(&[7])).expect("handover");
         assert_eq!(next, 2);
         assert_eq!(notices, vec![(0, iv(&[3])), (1, iv(&[7]))]);
-        assert_eq!(mgr.rtok_release(5, 2, 1, Interval::default()), None);
+        assert_eq!(mgr.rtok_release(5, 2, 1, Pages::default()), None);
     }
 
     #[test]
     fn rtok_duplicate_acquire_replays_identical_grant() {
-        let mut mgr = LockMgr::new();
-        mgr.rtok_acquire(5, 0, 1, 0);
+        let mut mgr = LockMgr::<Wave>::new();
+        mgr.rtok_acquire(5, 0, 1, 0, false);
         mgr.rtok_release(5, 0, 1, iv(&[2]));
         // Second tenure granted; the grant reply is lost and retried.
-        assert_eq!(mgr.rtok_acquire(5, 0, 2, 10), RTokStep::Grant(vec![(0, iv(&[2]))]));
-        assert_eq!(mgr.rtok_acquire(5, 0, 2, 15), RTokStep::Replay(vec![(0, iv(&[2]))]));
+        assert_eq!(mgr.rtok_acquire(5, 0, 2, 10, false), RTokStep::Grant(vec![(0, iv(&[2]))]));
+        assert_eq!(mgr.rtok_acquire(5, 0, 2, 15, false), RTokStep::Replay(vec![(0, iv(&[2]))]));
         // A queued tenure retrying stays queued exactly once.
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 20), RTokStep::Queued);
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 25), RTokStep::Queued);
-        let (next, _) = mgr.rtok_release(5, 0, 2, Interval::default()).unwrap();
+        assert_eq!(mgr.rtok_acquire(5, 1, 1, 20, false), RTokStep::Queued);
+        assert_eq!(mgr.rtok_acquire(5, 1, 1, 25, false), RTokStep::Queued);
+        let (next, _) = mgr.rtok_release(5, 0, 2, Pages::default()).unwrap();
         assert_eq!(next, 1);
     }
 
     #[test]
     fn rtok_duplicate_release_is_a_noop() {
-        let mut mgr = LockMgr::new();
-        mgr.rtok_acquire(5, 0, 1, 0);
+        let mut mgr = LockMgr::<Wave>::new();
+        mgr.rtok_acquire(5, 0, 1, 0, false);
         assert!(mgr.rtok_release(5, 0, 1, iv(&[1])).is_none());
         // The retried copy of the release finds the tenure closed.
         assert!(mgr.rtok_release(5, 0, 1, iv(&[1])).is_none());
         // A stray acquire for the completed tenure replays empty rather
         // than re-granting.
-        assert_eq!(mgr.rtok_acquire(5, 0, 1, 5), RTokStep::Replay(vec![]));
+        assert_eq!(mgr.rtok_acquire(5, 0, 1, 5, false), RTokStep::Replay(vec![]));
         // The notices survive for the next real tenure, unduplicated.
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 9), RTokStep::Grant(vec![(0, iv(&[1]))]));
+        assert_eq!(mgr.rtok_acquire(5, 1, 1, 9, false), RTokStep::Grant(vec![(0, iv(&[1]))]));
     }
 
     #[test]
-    fn only_handover_grants_count_as_posted() {
+    fn only_handover_grants_answer_retries_queued() {
         // Token queue: tenure 1 of node 0 is granted by reply, tenure 1
         // of node 1 by the handover at node 0's release.
-        let mut mgr = LockMgr::new();
-        mgr.rtok_acquire(5, 0, 1, 0);
-        assert!(!mgr.rtok_granted_by_post(5, 0, 1));
-        mgr.rtok_acquire(5, 1, 1, 10);
-        assert!(!mgr.rtok_granted_by_post(5, 1, 1), "queued is not granted");
-        mgr.rtok_release(5, 0, 1, Interval::default()).unwrap();
-        assert!(mgr.rtok_granted_by_post(5, 1, 1));
-        assert!(!mgr.rtok_granted_by_post(5, 1, 2), "another tenure");
-        assert!(mgr.rtok_release(5, 1, 1, Interval::default()).is_none());
-        assert!(!mgr.rtok_granted_by_post(5, 1, 1), "the tenure ended");
+        let mut mgr = LockMgr::<Wave>::new();
+        mgr.rtok_acquire(5, 0, 1, 0, false);
+        assert_eq!(mgr.rtok_acquire(5, 0, 1, 1, false), RTokStep::Replay(vec![]));
+        mgr.rtok_acquire(5, 1, 1, 10, false);
+        assert_eq!(mgr.rtok_acquire(5, 1, 1, 11, false), RTokStep::Queued, "still queued");
+        mgr.rtok_release(5, 0, 1, Pages::default()).unwrap();
+        // The posted grant is node 1's to consume: its retry stays
+        // queued until it reports the tombstone.
+        assert_eq!(mgr.rtok_acquire(5, 1, 1, 20, false), RTokStep::Queued);
+        assert_eq!(mgr.rtok_acquire(5, 1, 1, 21, true), RTokStep::Replay(vec![]));
+        assert!(mgr.rtok_release(5, 1, 1, Pages::default()).is_none());
+        // The tenure ended, and another tenure is a fresh request.
+        assert_eq!(mgr.rtok_acquire(5, 1, 2, 30, false), RTokStep::Grant(vec![]));
         // Central manager: a reader batch handed over together.
-        mgr.acquire_mode(6, 0, Mode::Excl, 0);
-        mgr.acquire_mode(6, 1, Mode::Shared, 10);
-        mgr.acquire_mode(6, 2, Mode::Shared, 20);
-        assert!(!mgr.granted_by_post(6, 0) && !mgr.granted_by_post(6, 1));
-        assert_eq!(mgr.release(6, 0, Interval::default(), 30).len(), 2);
-        assert!(mgr.granted_by_post(6, 1) && mgr.granted_by_post(6, 2));
-        mgr.release(6, 1, Interval::default(), 40);
-        assert!(!mgr.granted_by_post(6, 1) && mgr.granted_by_post(6, 2));
+        mgr.acquire_mode(6, 0, Mode::Excl, 0, false);
+        mgr.acquire_mode(6, 1, Mode::Shared, 10, false);
+        mgr.acquire_mode(6, 2, Mode::Shared, 20, false);
+        assert!(matches!(mgr.acquire_mode(6, 0, Mode::Excl, 25, false), Acquire::Granted(..)));
+        assert_eq!(mgr.release(6, 0, Pages::default(), 30).len(), 2);
+        for reader in [1, 2] {
+            assert_eq!(mgr.acquire_mode(6, reader, Mode::Shared, 35, false), Acquire::Queued);
+            assert!(matches!(
+                mgr.acquire_mode(6, reader, Mode::Shared, 36, true),
+                Acquire::Granted(..)
+            ));
+        }
+        mgr.release(6, 1, Pages::default(), 40);
+        // Node 1's hold ended (a new request joins reader 2 afresh);
+        // node 2 still holds by post.
+        assert!(matches!(mgr.acquire_mode(6, 1, Mode::Shared, 45, false), Acquire::Granted(..)));
+        assert_eq!(mgr.acquire_mode(6, 2, Mode::Shared, 50, false), Acquire::Queued);
     }
 
     #[test]
     fn rtok_barrier_clears_notices() {
-        let mut mgr = LockMgr::new();
-        mgr.rtok_acquire(5, 0, 1, 0);
+        let mut mgr = LockMgr::<Wave>::new();
+        mgr.rtok_acquire(5, 0, 1, 0, false);
         mgr.rtok_release(5, 0, 1, iv(&[4]));
         mgr.clear_notices();
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 9), RTokStep::Grant(vec![]));
+        assert_eq!(mgr.rtok_acquire(5, 1, 1, 9, false), RTokStep::Grant(vec![]));
     }
 
     #[test]
     fn barrier_clears_token_notices() {
-        let mut mgr = LockMgr::new();
-        let mut a = LockMgr::new();
+        let mut mgr = LockMgr::<Wave>::new();
+        let mut a = LockMgr::<Wave>::new();
         let sa = a.tok_begin_acquire(5);
         mgr.tok_acquire(5, 0, sa);
         a.tok_pass_received(5, vec![]);

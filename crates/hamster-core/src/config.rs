@@ -159,9 +159,9 @@ impl ClusterConfig {
     /// Build from a parsed configuration file. Recognized keys:
     /// `nodes` (usize, required), `platform` (smp|hybrid|swdsm,
     /// required), `unified_messaging` (bool), `engine`
-    /// (`threads` | `sharded` | `sharded:N`), `sync`
-    /// (`centralized` | `scalable` | `tree` | `tree:K` |
-    /// `dissemination`), `place_home` (`region:page:node` list),
+    /// (`sharded` | `sharded:N`), `sync`
+    /// (`centralized` | `scalable` | `tree` | `tree:K`),
+    /// `place_home` (`region:page:node` list),
     /// `place_lock` (`lock:node` list), `membership`
     /// (`seed:cycles:from_ns:until_ns` churn spec), and
     /// `delta_max_records` (adaptive state-transfer cutoff for the
@@ -361,5 +361,15 @@ mod tests {
         let cfg = ClusterConfig::parse("nodes=2\nplatform=hybrid\nsync=tree:4").unwrap();
         assert_eq!(cfg.sync.barrier, cluster::BarrierTopology::Tree { fanout: 4 });
         assert!(ClusterConfig::parse("nodes=2\nplatform=swdsm\nsync=mesh").is_err());
+    }
+
+    #[test]
+    fn removed_sync_value_is_an_error_naming_the_key() {
+        let mut map = ConfigMap::parse("nodes=2\nplatform=swdsm").unwrap();
+        map.set("sync", "dissemination");
+        let err = ClusterConfig::from_config_map(&map).unwrap_err();
+        assert!(err.starts_with("config key \"sync\": "), "{err}");
+        assert!(err.contains("the dissemination barrier was removed"), "{err}");
+        assert!(err.contains("centralized | scalable | tree | tree:<fanout>"), "{err}");
     }
 }

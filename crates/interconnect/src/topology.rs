@@ -22,10 +22,9 @@
 //!   the worst all-writers case, with digests compressing the common
 //!   sparse case further.
 //!
-//! The individual axes can also be mixed freely, with two documented
-//! exceptions enforced by the consumers: the legacy dissemination
-//! barrier does not support fault resilience, and digests do not ride
-//! the dissemination barrier's pairwise exchange rounds.
+//! The individual axes can also be mixed freely: every barrier and
+//! lock structure has a retry protocol and carries either notice
+//! encoding.
 
 use std::str::FromStr;
 
@@ -36,11 +35,6 @@ pub enum BarrierTopology {
     /// which broadcasts the release with every node's write notices.
     /// O(n) messages, O(n²) carried notice records per barrier.
     Central,
-    /// Pairwise dissemination rounds (⌈log₂ n⌉ rounds, every node sends
-    /// one message per round). Legacy scalable scheme from the ablation
-    /// study; does not support fault resilience and carries the full
-    /// notice directory in every exchange.
-    Dissemination,
     /// k-ary aggregation tree rooted at `id % nodes`. Arrivals aggregate
     /// up the tree; release waves flow down carrying only the interval
     /// deltas the receiving subtree has not seen (the complement of its
@@ -140,11 +134,15 @@ pub struct ParseSyncTopologyError(String);
 
 impl std::fmt::Display for ParseSyncTopologyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown sync topology {:?} (expected centralized | scalable | tree | tree:<fanout> | dissemination)",
-            self.0
-        )
+        const EXPECTED: &str = "centralized | scalable | tree | tree:<fanout>";
+        if self.0 == "dissemination" {
+            return write!(
+                f,
+                "sync topology \"dissemination\": the dissemination barrier was removed; \
+                 use {EXPECTED}"
+            );
+        }
+        write!(f, "unknown sync topology {:?} (expected {EXPECTED})", self.0)
     }
 }
 
@@ -159,21 +157,15 @@ impl FromStr for SyncTopology {
     /// * `scalable` — [`SyncTopology::scalable`]
     /// * `tree` / `tree:<fanout>` — scalable preset with the given tree
     ///   fan-out (default 8)
-    /// * `dissemination` — dissemination barrier with otherwise
-    ///   centralized locks and explicit notices (the legacy ablation
-    ///   configuration)
+    ///
+    /// `dissemination` named a third barrier that no longer exists; it
+    /// is an error that says so.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim();
         match s {
             "centralized" => return Ok(Self::centralized()),
             "scalable" => return Ok(Self::scalable()),
             "tree" => return Ok(Self::scalable()),
-            "dissemination" => {
-                return Ok(Self {
-                    barrier: BarrierTopology::Dissemination,
-                    ..Self::centralized()
-                });
-            }
             _ => {}
         }
         if let Some(rest) = s.strip_prefix("tree:") {
@@ -218,9 +210,14 @@ mod tests {
         assert_eq!("tree".parse::<SyncTopology>().unwrap(), SyncTopology::scalable());
         let t: SyncTopology = "tree:4".parse().unwrap();
         assert_eq!(t.barrier, BarrierTopology::Tree { fanout: 4 });
-        let d: SyncTopology = "dissemination".parse().unwrap();
-        assert_eq!(d.barrier, BarrierTopology::Dissemination);
-        assert_eq!(d.locks, LockTopology::Manager);
+    }
+
+    #[test]
+    fn removed_dissemination_value_is_a_named_error() {
+        let err = "dissemination".parse::<SyncTopology>().unwrap_err().to_string();
+        assert!(err.contains("the dissemination barrier was removed"), "{err}");
+        assert!(err.contains("centralized | scalable | tree | tree:<fanout>"), "{err}");
+        assert!(!"mesh".parse::<SyncTopology>().unwrap_err().to_string().contains("removed"));
     }
 
     #[test]

@@ -20,11 +20,6 @@ pub const BARRIER_ARRIVE: u32 = 0x105;
 pub const BARRIER_RELEASE: u32 = 0x106;
 /// Whole-page write-back (ablation mode; request → ack).
 pub const PUT_PAGE: u32 = 0x107;
-/// Dissemination-barrier round `r` messages use kind `DISS_BASE + r`
-/// (one-way; rounds are bounded by log2 of the node count).
-pub const DISS_BASE: u32 = 0x140;
-/// Exclusive upper bound of the dissemination kind range (32 rounds).
-pub const DISS_END: u32 = 0x160;
 /// Tree barrier: a node's own arrival, sent to its *own* handler so all
 /// tree state transitions are handler-serialized (request on resilient
 /// fabrics, one-way post otherwise).

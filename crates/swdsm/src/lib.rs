@@ -48,10 +48,8 @@
 //! assert_eq!(results, vec![7, 7]);
 //! ```
 
-pub mod barriermgr;
 pub mod home;
 pub mod kinds;
-pub mod lockmgr;
 pub mod node;
 pub mod proto;
 

@@ -1,12 +1,14 @@
 //! The per-node DSM engine: access functions, interval flushing,
 //! synchronization, and the cluster-shared protocol state.
 
-use crate::barriermgr::{BarrierMgr, BarrierStep, TreeBarrier, TreeStep};
-
 use crate::home::HomeStore;
 use crate::kinds;
-use crate::lockmgr::{Acquire, LockMgr, RTokStep, TokHolderStep, TokMgrStep};
 use crate::proto::*;
+use cluster::syncproto::barrier::{BarrierMgr, BarrierStep, TreeBarrier, TreeStep};
+use cluster::syncproto::lock::{Acquire, LockMgr, Mode, RTokStep, TokHolderStep, TokMgrStep};
+use cluster::syncproto::{
+    acquire_resilient, grant_corr, Answer, Parked, Piggyback, MAX_SYNC_ROUNDS,
+};
 use cluster::{BarrierTopology, Cluster, LockTopology, NodeCtx, NoticeWire, SyncTopology};
 use interconnect::{downcast, try_downcast, Outcome, Page, RequestError};
 use memwire::{
@@ -19,13 +21,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Per-writer write notices, as lock grants carry them.
+type Notices = cluster::syncproto::Notices<NoticeSet>;
+
 /// Barrier ids with the top bit set are reserved for internal use
 /// (collective allocation).
 const ALLOC_BARRIER: u32 = 0x8000_0000;
-
-/// Upper bound on protocol-level retry rounds (re-arrivals, grant
-/// re-requests) before the node gives up on a synchronization op.
-const MAX_SYNC_ROUNDS: u32 = 64;
 
 /// A synchronization operation failed unrecoverably on a faulty fabric:
 /// either a fatal [`RequestError`] or transient faults outlasting every
@@ -163,9 +164,9 @@ pub struct SwDsm {
     machine: MachineCost,
     dir: RegionDir,
     homes: Vec<Mutex<HomeStore>>,
-    lockmgrs: Vec<Arc<Mutex<LockMgr>>>,
-    barriermgrs: Vec<Mutex<BarrierMgr>>,
-    treebarriers: Vec<Mutex<TreeBarrier>>,
+    lockmgrs: Vec<Arc<Mutex<LockMgr<NoticeSet>>>>,
+    barriermgrs: Vec<Mutex<BarrierMgr<Interval>>>,
+    treebarriers: Vec<Mutex<TreeBarrier<NoticeSet>>>,
     stats: Vec<StatSet>,
     /// Pages whose home moved away from their distribution-derived node
     /// (the migration directory; real JiaJia piggybacks it on barriers).
@@ -241,29 +242,17 @@ impl SwDsm {
     pub fn install(cluster: &Cluster, cfg: DsmConfig) -> Arc<SwDsm> {
         let nodes = cluster.config().nodes;
         let sync = cluster.config().sync;
-        let resilient = cluster.config().resilience.is_some();
-        assert!(
-            !resilient || sync.barrier != BarrierTopology::Dissemination,
-            "dissemination barriers have no retry protocol: \
-             use a Central or Tree barrier on a fabric with a resilience policy"
-        );
         // Token-queue locks on a resilient fabric switch to the
         // manager-mediated `rtok_*` machine (every handover a retryable
         // manager round with tenure-sequence replay); the MCS
         // direct-forward machine keeps serving fault-free fabrics.
-        let digest = !matches!(sync.notices, NoticeWire::Explicit);
-        assert!(
-            !digest || sync.barrier != BarrierTopology::Dissemination,
-            "write-notice digests do not ride dissemination rounds: \
-             use a Central or Tree barrier with NoticeWire::Digest"
-        );
         // Home migration composes with digests: migrations carry the
         // page's modification counter to the new home (export/adopt
         // merges by maximum), so digest validation never sees a counter
         // move backwards across a re-homing.
         let fanout = match sync.barrier {
             BarrierTopology::Tree { fanout } => fanout,
-            _ => 2,
+            BarrierTopology::Central => 2,
         };
         let digest_runs = match sync.notices {
             NoticeWire::Explicit => None,
@@ -377,8 +366,7 @@ impl SwDsm {
         to: usize,
         notices: Vec<(usize, Interval)>,
     ) {
-        let corr = ((to as u64 + 1) << 32) | (lock as u64 + 1);
-        sim::trace::instant_corr(ctx.now, from, "swdsm", "lock_grant", lock as u64, corr);
+        sim::trace::instant_corr(ctx.now, from, "swdsm", "lock_grant", lock as u64, grant_corr(to, lock));
         let records = notices.iter().map(|(_, iv)| iv.notices.len() as u64).sum();
         let msg = TokPass { lock, notices };
         let bytes = msg.wire_bytes();
@@ -619,34 +607,25 @@ impl SwDsm {
             let mgr = dsm.lockmgrs[node].clone();
             move |ctx: &interconnect::HandlerCtx<'_>, src, p| {
                 let req = downcast::<LockReq>(p);
-                let mut mgr = mgr.lock();
-                if !req.lost_grant && mgr.granted_by_post(req.lock, src) {
-                    return Outcome::reply(LockReply::Queued, 8);
-                }
-                match mgr.acquire_mode(req.lock, src, req.mode, ctx.now) {
+                let step =
+                    mgr.lock().acquire_mode(req.lock, src, req.mode, ctx.now, req.lost_grant);
+                match step {
                     Acquire::Granted(notices, not_before) => {
                         // The grant carries its validity floor: the
                         // requester may not proceed before `not_before`
-                        // (the current holder's release time). corr packs
-                        // (grantee, lock) so the analyzer can chain
-                        // grants into per-lock handoff sequences.
-                        let corr = ((src as u64 + 1) << 32) | (req.lock as u64 + 1);
+                        // (the current holder's release time).
                         sim::trace::instant_corr(
                             ctx.now.max(not_before),
                             node,
                             "swdsm",
                             "lock_grant",
                             req.lock as u64,
-                            corr,
+                            grant_corr(src, req.lock),
                         );
                         let bytes = notices_wire_bytes(&notices);
-                        Outcome::reply_not_before(
-                            LockReply::Granted(notices),
-                            bytes,
-                            not_before,
-                        )
+                        Outcome::reply_not_before(Answer::Granted(notices), bytes, not_before)
                     }
-                    Acquire::Queued => Outcome::reply(LockReply::Queued, 8),
+                    Acquire::Queued => Outcome::reply(Answer::<Notices>::Queued, 8),
                 }
             }
         });
@@ -660,8 +639,14 @@ impl SwDsm {
                 for (next, notices) in
                     mgr.lock().release(rel.lock, rel.releaser, rel.interval.clone(), ctx.now)
                 {
-                    let corr = ((next as u64 + 1) << 32) | (rel.lock as u64 + 1);
-                    sim::trace::instant_corr(ctx.now, node, "swdsm", "lock_grant", rel.lock as u64, corr);
+                    sim::trace::instant_corr(
+                        ctx.now,
+                        node,
+                        "swdsm",
+                        "lock_grant",
+                        rel.lock as u64,
+                        grant_corr(next, rel.lock),
+                    );
                     let bytes = notices_wire_bytes(&notices);
                     // Tagged so a lost grant leaves a loss tombstone
                     // under the waiter's mailbox tag instead of hanging
@@ -776,20 +761,6 @@ impl SwDsm {
             }
         });
 
-        // Dissemination-barrier rounds: deposit into the receiver's
-        // mailbox under (round, id).
-        for round in 0..(kinds::DISS_END - kinds::DISS_BASE) {
-            let kind = kinds::DISS_BASE + round;
-            net.register_all(kind, |node| {
-                let mb = net.mailbox(node);
-                move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
-                    let msg = downcast::<DissMsg>(p);
-                    mb.deposit(interconnect::mailbox::tag(kind, msg.id), Box::new(msg), ctx.now);
-                    Outcome::done()
-                }
-            });
-        }
-
         // Barrier release at each participant.
         let dsm = self.clone();
         net.register_all(kinds::BARRIER_RELEASE, |node| {
@@ -894,11 +865,7 @@ impl SwDsm {
                             // aggregate the engine processes last is a
                             // real-time race, and its service end must
                             // not leak into virtual time.
-                            let when = match &step {
-                                TreeStep::Up { latest_ns, .. } => *latest_ns,
-                                TreeStep::Deliver { release_ns, .. } => *release_ns,
-                                _ => unreachable!(),
-                            };
+                            let when = step.join_ns();
                             let skey = interconnect::mailbox::tag(kinds::TREE_AGG, id);
                             mailbox.deposit(skey, Box::new(step), when);
                             Outcome::defer(wkey)
@@ -1144,31 +1111,31 @@ impl SwDsm {
             let dsm = dsm.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 let req = downcast::<RTokAcquire>(p);
-                let mut mgr = dsm.lockmgrs[node].lock();
-                if !req.lost_grant && mgr.rtok_granted_by_post(req.lock, req.who, req.seq) {
-                    return Outcome::reply(RTokReply::Queued, 8);
-                }
-                let step = mgr.rtok_acquire(req.lock, req.who, req.seq, ctx.now);
-                drop(mgr);
+                let step = dsm.lockmgrs[node].lock().rtok_acquire(
+                    req.lock,
+                    req.who,
+                    req.seq,
+                    ctx.now,
+                    req.lost_grant,
+                );
                 match step {
                     RTokStep::Grant(notices) => {
-                        let corr = ((req.who as u64 + 1) << 32) | (req.lock as u64 + 1);
                         sim::trace::instant_corr(
                             ctx.now,
                             node,
                             "swdsm",
                             "lock_grant",
                             req.lock as u64,
-                            corr,
+                            grant_corr(req.who, req.lock),
                         );
                         let bytes = notices_wire_bytes(&notices);
-                        Outcome::reply(RTokReply::Grant(notices), bytes)
+                        Outcome::reply(Answer::Granted(notices), bytes)
                     }
-                    RTokStep::Queued => Outcome::reply(RTokReply::Queued, 8),
+                    RTokStep::Queued => Outcome::reply(Answer::<Notices>::Queued, 8),
                     RTokStep::Replay(notices) => {
                         dsm.stats[node].add("token_replays", 1);
                         let bytes = notices_wire_bytes(&notices);
-                        Outcome::reply(RTokReply::Replay(notices), bytes)
+                        Outcome::reply(Answer::Granted(notices), bytes)
                     }
                 }
             }
@@ -1190,14 +1157,13 @@ impl SwDsm {
                     rel.seq,
                     rel.interval.clone(),
                 ) {
-                    let corr = ((next as u64 + 1) << 32) | (rel.lock as u64 + 1);
                     sim::trace::instant_corr(
                         ctx.now,
                         node,
                         "swdsm",
                         "lock_grant",
                         rel.lock as u64,
-                        corr,
+                        grant_corr(next, rel.lock),
                     );
                     let bytes = notices_wire_bytes(&notices);
                     ctx.post_tagged(
@@ -2051,13 +2017,13 @@ impl DsmNode {
     /// [`DsmNode::acquire`] with unrecoverable fabric faults surfaced as
     /// a [`DsmError`] instead of a panic.
     pub fn try_acquire(&self, lock: u32) -> Result<(), DsmError> {
-        self.try_acquire_mode(lock, crate::lockmgr::Mode::Excl)
+        self.try_acquire_mode(lock, Mode::Excl)
     }
 
     /// [`DsmNode::acquire_shared`] with unrecoverable fabric faults
     /// surfaced as a [`DsmError`] instead of a panic.
     pub fn try_acquire_shared(&self, lock: u32) -> Result<(), DsmError> {
-        self.try_acquire_mode(lock, crate::lockmgr::Mode::Shared)
+        self.try_acquire_mode(lock, Mode::Shared)
     }
 
     /// Structured shutdown on an unrecoverable fault: every `DsmError`
@@ -2067,15 +2033,22 @@ impl DsmNode {
         panic!("swdsm node {}: unrecoverable fault: {e}", self.rank)
     }
 
-    fn try_acquire_mode(&self, lock: u32, mode: crate::lockmgr::Mode) -> Result<(), DsmError> {
+    fn try_acquire_mode(&self, lock: u32, mode: Mode) -> Result<(), DsmError> {
         let t0 = self.ctx.clock().now();
         self.stat("lock_acquires", 1);
         let mgr = self.dsm.lock_mgr_of(lock);
         let notices = if self.dsm.sync.locks == LockTopology::TokenQueue {
             if self.resilient() {
                 // Faulty fabric: the manager-mediated tenure machine
-                // (`rtok_*`) — every step a retryable manager round.
-                self.rtok_acquire_resilient(lock, mgr)?
+                // (`rtok_*`) — every step a retryable manager round. One
+                // tenure sequence number covers the whole attempt, so a
+                // duplicate request of the granted tenure comes back as
+                // a replay carrying the identical notices.
+                let seq = self.dsm.lockmgrs[self.rank].lock().rtok_begin(lock);
+                self.acquire_notices_resilient(lock, |lost_grant| {
+                    let req = RTokAcquire { lock, who: self.rank, seq, lost_grant };
+                    self.ctx.port().request_retrying(mgr, kinds::RTOK_ACQ, req, 24)
+                })?
             } else {
                 // MCS-style token queue (shared mode serializes as
                 // exclusive): kick the local handler, which enqueues at
@@ -2093,12 +2066,15 @@ impl DsmNode {
                 grant.notices
             }
         } else if self.resilient() {
-            self.acquire_notices_resilient(lock, mode, mgr)?
+            self.acquire_notices_resilient(lock, |lost_grant| {
+                let req = LockReq { lock, mode, lost_grant };
+                self.ctx.port().request_retrying(mgr, kinds::LOCK_REQ, req, 16)
+            })?
         } else {
             let reply = self.ctx.port().request(mgr, kinds::LOCK_REQ, LockReq { lock, mode, lost_grant: false }, 16);
-            match downcast::<LockReply>(reply) {
-                LockReply::Granted(notices) => notices,
-                LockReply::Queued => {
+            match downcast::<Answer<Notices>>(reply) {
+                Answer::Granted(notices) => notices,
+                Answer::Queued => {
                     self.stat("lock_queued", 1);
                     let tag = interconnect::mailbox::tag(kinds::LOCK_GRANT, lock);
                     let grant = downcast::<LockGrant>(self.ctx.port().wait_mailbox(tag));
@@ -2117,118 +2093,40 @@ impl DsmNode {
         Ok(())
     }
 
-    /// The resilient acquire protocol: request with retries; if queued,
-    /// wait for the deferred grant. A loss tombstone under the grant tag
-    /// means the grant was destroyed in flight — re-request, which the
-    /// (idempotent) manager answers with a fresh copy of the same grant.
+    /// The resilient acquire, for both managers: `request` is one
+    /// retried manager round (`LOCK_REQ` or `RTOK_ACQ`, told whether a
+    /// tombstone was consumed) answered with an [`Answer`]; a queued
+    /// requester parks on the grant tag, where a grant destroyed in
+    /// flight leaves a loss tombstone — see [`acquire_resilient`].
     fn acquire_notices_resilient(
         &self,
         lock: u32,
-        mode: crate::lockmgr::Mode,
-        mgr: usize,
-    ) -> Result<Vec<(usize, Interval)>, DsmError> {
-        let wrap = |err| DsmError { op: "lock_acquire", id: lock, err };
-        let mut rounds = 0u32;
-        // Set once this acquire has consumed a grant's loss tombstone:
-        // only then may the manager re-grant a handover by reply (see
-        // `LockMgr::granted_by_post`).
-        let mut lost_grant = false;
-        'req: loop {
-            rounds += 1;
-            assert!(
-                rounds <= MAX_SYNC_ROUNDS,
-                "swdsm node {}: lock {lock} acquire still failing after {MAX_SYNC_ROUNDS} rounds",
-                self.rank
-            );
-            if rounds > 1 {
-                self.stat("retries", 1);
-            }
-            let reply = self
-                .ctx
-                .port()
-                .request_retrying(mgr, kinds::LOCK_REQ, LockReq { lock, mode, lost_grant }, 16)
-                .map_err(wrap)?;
-            match downcast::<LockReply>(reply) {
-                LockReply::Granted(notices) => return Ok(notices),
-                LockReply::Queued => {
-                    if rounds == 1 {
-                        self.stat("lock_queued", 1);
-                    }
-                    let tag = interconnect::mailbox::tag(kinds::LOCK_GRANT, lock);
-                    match self.ctx.port().wait_mailbox_checked(tag) {
-                        Ok(p) => {
-                            let grant = downcast::<LockGrant>(p);
-                            assert_eq!(grant.lock, lock);
-                            return Ok(grant.notices);
-                        }
-                        Err(e) if e.is_transient() => {
-                            lost_grant = true;
-                            continue 'req;
-                        }
-                        Err(e) => return Err(wrap(e)),
-                    }
+        mut request: impl FnMut(bool) -> Result<interconnect::Payload, RequestError>,
+    ) -> Result<Notices, DsmError> {
+        let tag = interconnect::mailbox::tag(kinds::LOCK_GRANT, lock);
+        acquire_resilient(
+            format_args!("swdsm node {}: lock {lock}", self.rank),
+            |round, lost_grant| {
+                if round > 1 {
+                    self.stat("retries", 1);
                 }
-            }
-        }
-    }
-
-    /// The resilient token-queue acquire: one new tenure sequence
-    /// number for the whole attempt, then the same request/park/retry
-    /// loop as [`DsmNode::acquire_notices_resilient`] against the
-    /// `rtok_*` manager machine. A duplicate request of the granted
-    /// tenure comes back as a replay carrying the identical notices.
-    fn rtok_acquire_resilient(
-        &self,
-        lock: u32,
-        mgr: usize,
-    ) -> Result<Vec<(usize, Interval)>, DsmError> {
-        let wrap = |err| DsmError { op: "lock_acquire", id: lock, err };
-        let seq = self.dsm.lockmgrs[self.rank].lock().rtok_begin(lock);
-        let mut rounds = 0u32;
-        let mut lost_grant = false;
-        'req: loop {
-            rounds += 1;
-            assert!(
-                rounds <= MAX_SYNC_ROUNDS,
-                "swdsm node {}: token lock {lock} acquire still failing after \
-                 {MAX_SYNC_ROUNDS} rounds",
-                self.rank
-            );
-            if rounds > 1 {
-                self.stat("retries", 1);
-            }
-            let reply = self
-                .ctx
-                .port()
-                .request_retrying(
-                    mgr,
-                    kinds::RTOK_ACQ,
-                    RTokAcquire { lock, who: self.rank, seq, lost_grant },
-                    24,
-                )
-                .map_err(wrap)?;
-            match downcast::<RTokReply>(reply) {
-                RTokReply::Grant(notices) | RTokReply::Replay(notices) => return Ok(notices),
-                RTokReply::Queued => {
-                    if rounds == 1 {
-                        self.stat("lock_queued", 1);
-                    }
-                    let tag = interconnect::mailbox::tag(kinds::LOCK_GRANT, lock);
-                    match self.ctx.port().wait_mailbox_checked(tag) {
-                        Ok(p) => {
-                            let grant = downcast::<LockGrant>(p);
-                            assert_eq!(grant.lock, lock);
-                            return Ok(grant.notices);
-                        }
-                        Err(e) if e.is_transient() => {
-                            lost_grant = true;
-                            continue 'req;
-                        }
-                        Err(e) => return Err(wrap(e)),
-                    }
+                let answer = downcast::<Answer<Notices>>(request(lost_grant)?);
+                if round == 1 && matches!(answer, Answer::Queued) {
+                    self.stat("lock_queued", 1);
                 }
-            }
-        }
+                Ok(answer)
+            },
+            || match self.ctx.port().wait_mailbox_checked(tag) {
+                Ok(p) => {
+                    let grant = downcast::<LockGrant>(p);
+                    assert_eq!(grant.lock, lock);
+                    Ok(Parked::Grant(grant.notices))
+                }
+                Err(e) if e.is_transient() => Ok(Parked::Lost),
+                Err(e) => Err(e),
+            },
+        )
+        .map_err(|err| DsmError { op: "lock_acquire", id: lock, err })
     }
 
     /// Release global lock `lock`, publishing this interval's writes.
@@ -2264,8 +2162,7 @@ impl DsmNode {
                 let bytes = 16 + msg.interval.wire_bytes();
                 self.ctx.port().post(self.rank, kinds::TOK_REL, msg, bytes);
             }
-            let corr = ((self.rank as u64 + 1) << 32) | (lock as u64 + 1);
-            sim::trace::instant_corr(self.ctx.clock().now(), self.rank, "swdsm", "lock_release", lock as u64, corr);
+            self.trace_lock_release(lock);
             return Ok(());
         }
         let mgr = self.dsm.lock_mgr_of(lock);
@@ -2279,11 +2176,16 @@ impl DsmNode {
         } else {
             self.ctx.port().post(mgr, kinds::LOCK_REL, rel, bytes);
         }
-        // corr packs (releaser, lock) — the same encoding the manager's
-        // grant instants use, so release → next grant chains join up.
-        let corr = ((self.rank as u64 + 1) << 32) | (lock as u64 + 1);
-        sim::trace::instant_corr(self.ctx.clock().now(), self.rank, "swdsm", "lock_release", lock as u64, corr);
+        self.trace_lock_release(lock);
         Ok(())
+    }
+
+    /// The release instant carries [`grant_corr`] of `(releaser, lock)`
+    /// — the encoding the managers' grant instants use, so release →
+    /// next grant chains join up.
+    fn trace_lock_release(&self, lock: u32) {
+        let corr = grant_corr(self.rank, lock);
+        sim::trace::instant_corr(self.ctx.clock().now(), self.rank, "swdsm", "lock_release", lock as u64, corr);
     }
 
     /// Global barrier `id`: flushes the interval, exchanges write
@@ -2307,9 +2209,6 @@ impl DsmNode {
         let notices = match self.dsm.sync.barrier {
             BarrierTopology::Central => self.central_barrier(id, epoch, interval)?,
             BarrierTopology::Tree { .. } => self.tree_barrier(id, epoch, interval)?,
-            BarrierTopology::Dissemination => {
-                NoticeSet::Explicit(self.barrier_dissemination(id, epoch, interval))
-            }
         };
         self.apply_release(notices);
         self.epochs.lock().insert(id, epoch);
@@ -2398,16 +2297,12 @@ impl DsmNode {
                 // the completion step when the last one lands.
             }
             step @ (TreeStep::Up { .. } | TreeStep::Deliver { .. }) => {
-                let when = match &step {
-                    TreeStep::Up { latest_ns, .. } => *latest_ns,
-                    TreeStep::Deliver { release_ns, .. } => *release_ns,
-                    _ => unreachable!(),
-                };
+                let when = step.join_ns();
                 self.ctx.port().mailbox().deposit(skey, Box::new(step), when);
             }
             other => unreachable!("own tree arrival produced {other:?}"),
         }
-        let step = downcast::<TreeStep>(self.ctx.port().wait_mailbox(skey));
+        let step = downcast::<TreeStep<NoticeSet>>(self.ctx.port().wait_mailbox(skey));
         let deliver = match step {
             TreeStep::Up { parent, latest_ns, agg } => {
                 let records = agg.iter().map(|(_, iv)| iv.notices.len() as u64).sum();
@@ -2452,49 +2347,6 @@ impl DsmNode {
             self.ctx.port().complete_deferred(wkey, child, rep, bytes, release_ns);
         }
         Ok(own)
-    }
-
-    /// Dissemination barrier: after round r every node knows the
-    /// intervals of 2^(r+1) nodes; after ceil(log2(n)) rounds, of all.
-    fn barrier_dissemination(
-        &self,
-        id: u32,
-        epoch: u64,
-        interval: Interval,
-    ) -> Vec<(usize, Interval)> {
-        let n = self.dsm.nodes;
-        let mut knowledge: Vec<(usize, Interval)> = vec![(self.rank, interval)];
-        let mut dist = 1usize;
-        let mut round = 0u32;
-        while dist < n {
-            let kind = kinds::DISS_BASE + round;
-            assert!(kind < kinds::DISS_END, "too many dissemination rounds");
-            let to = (self.rank + dist) % n;
-            let msg =
-                DissMsg { id, epoch, round, knowledge: knowledge.clone() };
-            let bytes = msg.wire_bytes();
-            let records = msg.knowledge.iter().map(|(_, iv)| iv.notices.len() as u64).sum();
-            self.dsm.count_sync(self.rank, to, records);
-            // Dissemination rounds are not retried (no manager to make
-            // them idempotent); the tagged post at least converts a lost
-            // round into a structured panic instead of a hang.
-            self.ctx.port().post_tagged(to, kind, msg, bytes, interconnect::mailbox::tag(kind, id));
-            let got = downcast::<DissMsg>(
-                self.ctx.port().wait_mailbox(interconnect::mailbox::tag(kind, id)),
-            );
-            assert_eq!(got.epoch, epoch, "dissemination barrier {id}: epoch skew");
-            for (node, iv) in got.knowledge {
-                match knowledge.iter_mut().find(|(k, _)| *k == node) {
-                    Some((_, mine)) => mine.merge(&iv),
-                    None => knowledge.push((node, iv)),
-                }
-            }
-            dist *= 2;
-            round += 1;
-        }
-        // Local lock managers may drop their notice history now.
-        self.dsm.lockmgrs[self.rank].lock().clear_notices();
-        knowledge
     }
 
     /// Orderly exit: one final barrier so all writes are home.

@@ -1,5 +1,7 @@
 //! Wire messages of the software-DSM protocol.
 
+use cluster::syncproto::lock::Mode;
+use cluster::syncproto::Piggyback;
 use interconnect::Page;
 use memwire::{Diff, Interval, PageId};
 
@@ -75,25 +77,19 @@ impl PutPages {
     }
 }
 
-/// Acquire `lock`.
+/// Acquire `lock`. The reply is a `cluster::syncproto::Answer` over the
+/// notices accumulated under the lock: granted now, or queued with a
+/// [`LockGrant`] to be posted later.
 #[derive(Debug, Clone, Copy)]
 pub struct LockReq {
     /// The lock to acquire.
     pub lock: u32,
     /// Shared (reader) or exclusive acquisition.
-    pub mode: crate::lockmgr::Mode,
+    pub mode: Mode,
     /// Resilient retries only: the requester consumed the loss
     /// tombstone of a grant posted to it, so if it is the holder the
     /// manager must re-grant by reply.
     pub lost_grant: bool,
-}
-
-/// Reply to [`LockReq`].
-pub enum LockReply {
-    /// The lock was free; notices accumulated under it ride along.
-    Granted(Vec<(usize, Interval)>),
-    /// The lock is held; a [`LockGrant`] will be posted later.
-    Queued,
 }
 
 /// Deferred grant posted to a queued requester.
@@ -170,11 +166,23 @@ pub enum NoticeSet {
     Digest(Vec<NoticeDigest>),
 }
 
-impl NoticeSet {
+/// The software DSM's synchronisation payload: a release publishes an
+/// [`Interval`], a barrier wave carries a [`NoticeSet`].
+impl Piggyback for NoticeSet {
+    type Pub = Interval;
+
+    fn is_empty(interval: &Interval) -> bool {
+        interval.is_empty()
+    }
+
+    fn merge(into: &mut Interval, later: &Interval) {
+        into.merge(later);
+    }
+
     /// Encode explicit per-writer intervals for the wire: pass-through,
     /// or a single union digest with the given run cutoff (empty
     /// intervals produce an empty digest set).
-    pub fn encode(intervals: Vec<(usize, Interval)>, digest_runs: Option<usize>) -> Self {
+    fn encode(intervals: Vec<(usize, Interval)>, digest_runs: Option<usize>) -> Self {
         match digest_runs {
             None => NoticeSet::Explicit(intervals),
             Some(max_runs) => {
@@ -191,6 +199,17 @@ impl NoticeSet {
         }
     }
 
+    /// Append `other`'s entries (same variant; mixing is a protocol bug).
+    fn extend(&mut self, other: NoticeSet) {
+        match (self, other) {
+            (NoticeSet::Explicit(a), NoticeSet::Explicit(b)) => a.extend(b),
+            (NoticeSet::Digest(a), NoticeSet::Digest(b)) => a.extend(b),
+            _ => panic!("mixed explicit/digest notice sets"),
+        }
+    }
+}
+
+impl NoticeSet {
     /// Wire size of the notice set.
     pub fn wire_bytes(&self) -> u64 {
         match self {
@@ -206,15 +225,6 @@ impl NoticeSet {
         match self {
             NoticeSet::Explicit(v) => v.iter().map(|(_, iv)| iv.notices.len() as u64).sum(),
             NoticeSet::Digest(v) => v.iter().map(|d| d.records()).sum(),
-        }
-    }
-
-    /// Append `other`'s entries (same variant; mixing is a protocol bug).
-    pub fn extend(&mut self, other: NoticeSet) {
-        match (self, other) {
-            (NoticeSet::Explicit(a), NoticeSet::Explicit(b)) => a.extend(b),
-            (NoticeSet::Digest(a), NoticeSet::Digest(b)) => a.extend(b),
-            _ => panic!("mixed explicit/digest notice sets"),
         }
     }
 }
@@ -474,7 +484,9 @@ pub struct TokClaim {
 
 /// Resilient token queue: node `who` (tenure `seq`) asks the manager
 /// for the lock. A request, not a one-way post — the reply (or its
-/// loss) drives the retry loop.
+/// loss) drives the retry loop. The reply is the same `Answer` a
+/// [`LockReq`] gets; a replayed grant (the earlier grant or pass was
+/// lost) is re-issued as `Granted` with the same notices.
 #[derive(Debug, Clone, Copy)]
 pub struct RTokAcquire {
     /// The lock to acquire.
@@ -488,17 +500,6 @@ pub struct RTokAcquire {
     /// The requester consumed the loss tombstone of this tenure's
     /// posted grant: replay the grant by reply.
     pub lost_grant: bool,
-}
-
-/// Reply to [`RTokAcquire`].
-pub enum RTokReply {
-    /// The token is free: granted, with the notices it carries.
-    Grant(Vec<(usize, Interval)>),
-    /// The token is held; a `TOK_PASS` will be posted on release.
-    Queued,
-    /// The manager already granted this exact tenure (the earlier grant
-    /// or pass was lost): re-issued with the same notices.
-    Replay(Vec<(usize, Interval)>),
 }
 
 /// Resilient token queue: node `who` ends tenure `seq`, publishing its
@@ -531,27 +532,6 @@ pub struct ValidateRep {
     pub versions: Vec<u64>,
 }
 
-/// One round of the dissemination barrier: the sender's accumulated
-/// knowledge of everyone's intervals so far.
-#[derive(Clone)]
-pub struct DissMsg {
-    /// Barrier identifier.
-    pub id: u32,
-    /// The sender's epoch for this barrier.
-    pub epoch: u64,
-    /// Dissemination round number.
-    pub round: u32,
-    /// Intervals of every node the sender has heard from so far.
-    pub knowledge: Vec<(usize, Interval)>,
-}
-
-impl DissMsg {
-    /// Wire size of this round's exchange.
-    pub fn wire_bytes(&self) -> u64 {
-        notices_wire_bytes(&self.knowledge) + 24
-    }
-}
-
 /// Wire size of a notice list.
 pub fn notices_wire_bytes(notices: &[(usize, Interval)]) -> u64 {
     notices.iter().map(|(_, iv)| 8 + iv.wire_bytes()).sum::<u64>() + 8
@@ -560,6 +540,7 @@ pub fn notices_wire_bytes(notices: &[(usize, Interval)]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cluster::syncproto::barrier::{TreeBarrier, TreeStep};
     use memwire::PAGE_SIZE;
 
     #[test]
@@ -642,5 +623,41 @@ mod tests {
         // Empty intervals are dropped from digest sets; 2 runs remain.
         assert_eq!(digest.records(), 2);
         assert!(digest.wire_bytes() < explicit.wire_bytes() + 16);
+    }
+
+    fn ivp(pages: &[u32]) -> Interval {
+        Interval::from_pages(&pages.iter().map(|&i| pid(i)).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn tree_digest_waves() {
+        let mut b = TreeBarrier::<NoticeSet>::new(0, 2, 2, Some(64));
+        assert_eq!(b.self_arrive(0, 1, ivp(&[0, 1, 2]), 5), TreeStep::Waiting);
+        match b.child_arrive(0, 1, 1, 9, vec![(1, ivp(&[7]))]) {
+            TreeStep::Deliver { own, child_waves, .. } => {
+                match own {
+                    NoticeSet::Digest(d) => {
+                        assert_eq!(d.len(), 1, "one merged union digest");
+                        assert_eq!(
+                            d[0].pages().unwrap(),
+                            ivp(&[7]).pages().collect::<Vec<_>>()
+                        );
+                    }
+                    other => panic!("expected digest notices, got {other:?}"),
+                }
+                match &child_waves[0].1 {
+                    NoticeSet::Digest(d) => {
+                        assert_eq!(d.len(), 1, "one merged union digest");
+                        assert_eq!(d[0].records(), 1, "one run of three pages");
+                        assert_eq!(
+                            d[0].pages().unwrap(),
+                            ivp(&[0, 1, 2]).pages().collect::<Vec<_>>()
+                        );
+                    }
+                    other => panic!("expected digest wave, got {other:?}"),
+                }
+            }
+            other => panic!("expected delivery, got {other:?}"),
+        }
     }
 }

@@ -448,49 +448,6 @@ fn migration_keeps_results_correct_under_alternating_writers() {
 }
 
 #[test]
-fn dissemination_barrier_is_correct() {
-    let sync: cluster::SyncTopology = "dissemination".parse().unwrap();
-    for nodes in [2usize, 3, 4, 5] {
-        let (c, dsm) = cluster_sync(nodes, sync);
-        let (_, results) = c.run(|ctx| {
-            let node = dsm.node(ctx);
-            let a = node.alloc(nodes * 4096, Distribution::Cyclic);
-            node.barrier(1);
-            for round in 0..4u64 {
-                node.write_u64(a.add(node.rank() as u32 * 4096), round + 1);
-                node.barrier(2);
-                // Everyone must see everyone's latest write.
-                let sum: u64 =
-                    (0..nodes).map(|n| node.read_u64(a.add(n as u32 * 4096))).sum();
-                assert_eq!(sum, (round + 1) * nodes as u64, "round {round}");
-                node.barrier(3);
-            }
-            node.read_u64(a)
-        });
-        assert_eq!(results, vec![4; nodes], "{nodes} nodes");
-    }
-}
-
-#[test]
-fn dissemination_barrier_carries_lock_notices_too() {
-    let (c, dsm) = cluster_sync(3, "dissemination".parse().unwrap());
-    let (_, results) = c.run(|ctx| {
-        let node = dsm.node(ctx);
-        let a = node.alloc(4096, Distribution::OnNode(0));
-        node.barrier(1);
-        for _ in 0..4 {
-            node.acquire(5);
-            let v = node.read_u64(a);
-            node.write_u64(a, v + 1);
-            node.release(5);
-        }
-        node.barrier(2);
-        node.read_u64(a)
-    });
-    assert_eq!(results, vec![12; 3]);
-}
-
-#[test]
 fn staggered_lock_requests_serialize_completely() {
     // With requests staggered in virtual time and a long hold, every
     // critical section must be disjoint. (Grant *order* is not a

@@ -197,3 +197,47 @@ fn reset_between_phases_isolates_measurements() {
     });
     assert_eq!(counts[0], (10, 3));
 }
+
+/// The counter names OBSERVABILITY.md §4 documents under `heading`:
+/// the first cell of every table row, and every backticked lower-case
+/// identifier of the prose outside parentheses (parentheses hold the
+/// explanations, which name functions, types and files).
+fn documented_counters(heading: &str) -> std::collections::BTreeSet<String> {
+    let doc = include_str!("../OBSERVABILITY.md");
+    let (_, rest) = doc.split_once(heading).unwrap_or_else(|| panic!("{heading:?} is gone"));
+    let section = rest.split("\n##").next().unwrap();
+    let mut text = String::new();
+    for line in section.lines() {
+        match line.strip_prefix('|') {
+            Some(row) => text.push_str(row.split('|').next().unwrap()),
+            None => text.push_str(line),
+        }
+        text.push('\n');
+    }
+    let mut depth = 0usize;
+    text.retain(|c| {
+        depth += usize::from(c == '(');
+        let keep = depth == 0;
+        depth -= usize::from(c == ')' && depth > 0);
+        keep
+    });
+    let is_counter = |s: &&str| {
+        s.starts_with(|c: char| c.is_ascii_lowercase())
+            && s.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+    };
+    text.split('`').skip(1).step_by(2).filter(is_counter).map(str::to_string).collect()
+}
+
+#[test]
+fn counter_reference_matches_the_registered_stat_names() {
+    for (heading, names) in [
+        ("### Software DSM", hamster::swdsm::node::STAT_NAMES),
+        ("### Hybrid DSM", hamster::hybriddsm::node::STAT_NAMES),
+        ("### Interconnect", hamster::interconnect::network::NET_STAT_NAMES),
+    ] {
+        let code: std::collections::BTreeSet<String> =
+            names.iter().map(|s| s.to_string()).collect();
+        let doc = documented_counters(heading);
+        assert_eq!(doc, code, "OBSERVABILITY.md §4 {heading:?} vs the StatSet the code registers");
+    }
+}

@@ -2,7 +2,7 @@
 //! statistics, per-page fault counts, and the false-sharing detector.
 
 use crate::{FalseSharing, LockStats, PageStats, CACHE_LINE_BYTES, FALSE_SHARING_WINDOW_NS};
-use sim::{Histogram, TraceEvent};
+use sim::{Sketch, TraceEvent};
 use std::collections::BTreeMap;
 
 /// Compute `(locks, pages, false_sharing, invalidations)` from
@@ -18,7 +18,7 @@ fn locks(events: &[TraceEvent]) -> Vec<LockStats> {
     struct Acc {
         acquires: u64,
         wait_ns: u64,
-        hist: Histogram,
+        hist: Sketch,
         /// Per node: acquire counts (for the dominant-acquirer field).
         per_node: BTreeMap<usize, u64>,
         /// Per node: acquire-span end times (time-ascending).
@@ -37,7 +37,7 @@ fn locks(events: &[TraceEvent]) -> Vec<LockStats> {
         acc.entry((m, l)).or_insert_with(|| Acc {
             acquires: 0,
             wait_ns: 0,
-            hist: Histogram::new(),
+            hist: Sketch::new(),
             per_node: BTreeMap::new(),
             ends: BTreeMap::new(),
             rels: BTreeMap::new(),

@@ -19,7 +19,7 @@
 //!   pages written by several nodes at cache-line-disjoint offsets
 //!   within a time window (see [`contend`]).
 //! * **Latency distributions** — request round-trip and lock-acquire
-//!   histograms ([`sim::Histogram`]) reduced to [`sim::Quantiles`].
+//!   histograms ([`sim::Sketch`]) reduced to [`sim::Quantiles`].
 //!
 //! The report renders as text ([`Report::render_text`]) or JSON
 //! ([`Report::to_json`]); [`validate`] checks a rendered JSON document
@@ -287,7 +287,7 @@ pub fn analyze(events: &[TraceEvent]) -> Report {
 }
 
 fn quantiles_of(events: &[TraceEvent], pick: impl Fn(&TraceEvent) -> bool) -> Quantiles {
-    let h = sim::Histogram::new();
+    let h = sim::Sketch::new();
     for e in events.iter().filter(|e| e.dur_ns > 0 && pick(e)) {
         h.record(e.dur_ns);
     }

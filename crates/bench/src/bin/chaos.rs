@@ -8,9 +8,9 @@
 //!   counts, and virtual times (asserted by running the chaos
 //!   configuration twice),
 //! * both under the centralized sync protocols and under the full
-//!   scalable preset — tree barrier, digest waves, and the token queue
-//!   (whose manager-mediated resilient grant machine replays lost or
-//!   duplicated handoffs),
+//!   scalable preset — tree barrier, digest waves, and `TokenQueue`
+//!   locks (served by the central manager on the faulty legs; SOR and
+//!   LU take no locks, so the preset's locks are configured, not run),
 //! * and additionally under elastic-membership churn: a node leaves and
 //!   recovers twice mid-run on top of the link faults, and the
 //!   checksums still match the fault-free run bit for bit.
@@ -89,9 +89,10 @@ fn fabric(
 }
 
 /// The scalable topology chaos also runs under: fanout-4 tree barrier,
-/// digest waves, and token-queue locks — the resilient token machine
-/// (sequence-numbered tenures, manager-mediated replay) makes
-/// token-queue handoff idempotent under drops, duplicates, and crashes.
+/// digest waves, and `TokenQueue` locks. A resilient fabric serves those
+/// from the central manager, whose answers to retries are idempotent;
+/// the workloads here take no locks, so what this preset exercises
+/// under faults is the tree barrier and the digest waves.
 fn tree_sync() -> cluster::SyncTopology {
     cluster::SyncTopology {
         barrier: cluster::BarrierTopology::Tree { fanout: 4 },

@@ -30,13 +30,10 @@
 //!   batch, and every flood message is provably processed before the
 //!   counters are read.
 //!
-//! Two reports are written:
-//!
-//! * `BENCH_engine.json` — virtual-time results only; byte-identical
-//!   across runs (CI diffs two runs).
-//! * `BENCH_engine_wall.json` — wall-clock throughput (events/sec per
-//!   leg); machine-dependent by nature and not gated here — the
-//!   host-time evidence is the ledger's `fabric-relay` workload.
+//! The report, `BENCH_engine.json`, holds virtual-time results only and
+//! is byte-identical across runs (CI diffs two runs). Events/sec per
+//! leg go to stdout: machine-dependent by nature and not an artifact —
+//! the host-time evidence is the ledger's `fabric-relay` workload.
 
 use bench::report::{write_report, Json};
 use bench::Args;
@@ -80,8 +77,6 @@ struct RunOut {
     checksum: u64,
     /// Fabric counters (includes `delivered`, the engine event count).
     stats: BTreeMap<&'static str, u64>,
-    /// Blocking waits on full ingress queues.
-    bp_waits: u64,
     /// Wall-clock for build + all phases + teardown.
     wall_ns: u64,
 }
@@ -222,10 +217,9 @@ fn run(mode: EngineMode, nodes: usize, notif_hops: u32, bulk_hops: u32, flood: u
     }
 
     let stats = net.stats().snapshot();
-    let bp_waits = net.backpressure_waits();
     drop(ports);
     drop(net);
-    RunOut { sim_time_ns, checksum, stats, bp_waits, wall_ns: started.elapsed().as_nanos() as u64 }
+    RunOut { sim_time_ns, checksum, stats, wall_ns: started.elapsed().as_nanos() as u64 }
 }
 
 fn events_per_sec(r: &RunOut) -> u64 {
@@ -291,22 +285,6 @@ fn main() {
             ("workers_agree", Json::Bool(true)),
             ("deterministic", Json::Bool(true)),
             ("net", Json::obj(counters)),
-        ]),
-    );
-    // Wall-clock report: machine-dependent, kept out of the
-    // determinism-gated file.
-    write_report(
-        "engine_wall",
-        &Json::obj([
-            ("figure", Json::str("engine_wall")),
-            ("nodes", Json::int(nodes)),
-            ("workers", Json::int(EngineMode::default().resolved_workers(nodes))),
-            ("events", Json::int(delivered)),
-            ("workers_1_events_per_sec", Json::int(eps[0])),
-            ("workers_2_events_per_sec", Json::int(eps[1])),
-            ("wall_ms", Json::num(auto.wall_ns.min(runs[3].wall_ns) as f64 / 1e6)),
-            ("events_per_sec", Json::int(eps[2].max(eps[3]))),
-            ("backpressure_waits", Json::int(auto.bp_waits)),
         ]),
     );
 }

@@ -4,24 +4,15 @@ use apps::world::{run_hamster, run_native, run_native_cost, World};
 use apps::BenchResult;
 use hamster_core::{ClusterConfig, PlatformKind};
 
-/// Ethernet rate every determinism-gated bench pins (bytes/s) — the
-/// single authoritative copy; `analyze`, `chaos`, `tune`, `membership`,
-/// `scale`, `serve`, fig2, and fig3 all take it from here. The windowed
-/// bus model is only exactly reproducible while link windows stay
-/// unsaturated; the paper-testbed fast Ethernet saturates under the
-/// centralized LU release burst at ≥4 nodes (see OBSERVABILITY.md), so
-/// the runs whose virtual times feed the perf-trend gate pin 250 MB/s.
-/// The pin is a workaround, not a fix: ROADMAP item 3
-/// (order-independent window accounting above saturation) is the work
-/// that would let these benches drop it and run the paper-testbed rate.
-pub const PINNED_ETHERNET_BPS: u64 = 250_000_000;
+/// Ethernet rate every determinism-gated bench pins (bytes/s):
+/// `analyze`, `chaos`, `tune`, `membership`, `scale`, `serve`, fig2 and
+/// fig3 all run [`pinned_cost`]. Why, and why 250 MB/s, is told once,
+/// at [`sim::CostModel::pinned_ethernet`].
+pub use sim::cost::PINNED_ETHERNET_BPS;
 
-/// The paper-testbed cost model with the Ethernet link pinned at
-/// [`PINNED_ETHERNET_BPS`].
+/// [`sim::CostModel::pinned_ethernet`], under the name the bins use.
 pub fn pinned_cost() -> sim::CostModel {
-    let mut cost = sim::CostModel::default();
-    cost.ethernet.bytes_per_sec = PINNED_ETHERNET_BPS;
-    cost
+    sim::CostModel::pinned_ethernet()
 }
 
 /// Working-set sizes for one harness run.

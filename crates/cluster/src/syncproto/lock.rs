@@ -22,6 +22,10 @@
 //! notification with the tenure it targets, so notifications that cross
 //! releases (or arrive after the holder re-acquired) resolve via
 //! [`TokHolderStep`]`::Claim` instead of corrupting a newer tenure.
+//! The token is in exactly one message at a time and nothing can
+//! re-issue it, so the queue is for fabrics that lose nothing: on a
+//! resilient fabric the drivers serve every lock from the centralized
+//! manager, whose answers to a retried request are idempotent.
 //!
 //! Notice history (manager store, parked tokens, held tokens) is
 //! cleared when a barrier makes everything globally visible.
@@ -160,54 +164,14 @@ pub enum TokHolderStep<P> {
     },
 }
 
-/// Manager-side state of one lock under the *resilient* token queue
-/// (`rtok_*`). Unlike the MCS machine, every token movement is a
-/// manager round: the holder is always known here, so a lost grant or
-/// release resolves by replaying the manager's record of the tenure
-/// instead of corrupting a distributed slot machine.
-#[derive(Clone, Debug, Default)]
-struct RTokenLock<P> {
-    /// The current holder and its tenure sequence number.
-    holder: Option<(usize, u64)>,
-    /// The notices handed to the current holder at grant time, kept so
-    /// a retried acquire of the same tenure replays the identical
-    /// grant.
-    granted: Vec<(usize, P)>,
-    /// The token's accumulated notices while no one holds it.
-    notices: Vec<(usize, P)>,
-    /// Waiters `(who, seq, arrive_ns)`; grants follow virtual arrival
-    /// order (ties by rank), like the centralized queue.
-    queue: Vec<(usize, u64, u64)>,
-    /// Highest tenure each node has completed (idempotent release).
-    done: HashMap<usize, u64>,
-    /// The current tenure was granted by a handover post, not a reply
-    /// (see [`LockMgr::rtok_acquire`]).
-    posted: bool,
-}
-
-/// Manager's answer to a resilient token acquire.
-#[derive(Debug, PartialEq, Eq)]
-pub enum RTokStep<P> {
-    /// The token was free: granted, carrying these notices.
-    Grant(Vec<(usize, P)>),
-    /// Held; a grant will be posted on release.
-    Queued,
-    /// This exact tenure was already granted (the earlier reply or
-    /// grant post was lost): the identical grant, re-issued.
-    Replay(Vec<(usize, P)>),
-}
-
 /// All locks managed by one node: centralized state, plus the
 /// token-queue manager state (for locks managed here) and holder state
-/// (for locks this node acquires). `rtokens`/`rseqs` are the resilient
-/// token queue's manager machine and holder-side tenure counters.
+/// (for locks this node acquires).
 #[derive(Clone, Debug)]
 pub struct LockMgr<W: Piggyback> {
     locks: HashMap<u32, LockState<W::Pub>>,
     tokens: HashMap<u32, TokenLock<W::Pub>>,
     slots: HashMap<u32, TokenSlot<W::Pub>>,
-    rtokens: HashMap<u32, RTokenLock<W::Pub>>,
-    rseqs: HashMap<u32, u64>,
 }
 
 /// Outcome of an acquire attempt at the manager.
@@ -227,8 +191,6 @@ impl<W: Piggyback> Default for LockMgr<W> {
             locks: HashMap::new(),
             tokens: HashMap::new(),
             slots: HashMap::new(),
-            rtokens: HashMap::new(),
-            rseqs: HashMap::new(),
         }
     }
 }
@@ -388,10 +350,6 @@ impl<W: Piggyback> LockMgr<W> {
         for slot in self.slots.values_mut() {
             slot.token.clear();
         }
-        for tok in self.rtokens.values_mut() {
-            tok.notices.clear();
-            tok.granted.clear();
-        }
     }
 
     // ---- token queue (`LockTopology::TokenQueue`) ----
@@ -535,108 +493,6 @@ impl<W: Piggyback> LockMgr<W> {
             }
             TokenHold::Idle => panic!("successor notification for a forwarded tenure"),
         }
-    }
-
-    // ---- resilient token queue (`rtok_*`) ----
-    //
-    // Used instead of the MCS `tok_*` machine on faulty fabrics. The
-    // manager mediates every handover, so retried requests resolve
-    // against its authoritative tenure record: a duplicate acquire of
-    // the granted tenure replays the grant, a duplicate release is a
-    // no-op. Holder side needs only a per-lock tenure counter.
-
-    /// Holder: start a new tenure for `lock`. Returns its sequence
-    /// number; retries of the acquire reuse it.
-    pub fn rtok_begin(&mut self, lock: u32) -> u64 {
-        let seq = self.rseqs.entry(lock).or_insert(0);
-        *seq += 1;
-        *seq
-    }
-
-    /// Holder: the sequence number of the current (or last) tenure for
-    /// `lock` — what the release must carry.
-    pub fn rtok_seq(&self, lock: u32) -> u64 {
-        self.rseqs.get(&lock).copied().unwrap_or(0)
-    }
-
-    /// Manager: node `who` (tenure `seq`, arriving at virtual time
-    /// `arrive_ns`) asks for `lock`'s token. A tenure granted by a
-    /// handover post answers its retries `Queued` until `lost_grant`
-    /// reports the consumed tombstone, exactly as in
-    /// [`LockMgr::acquire_mode`].
-    pub fn rtok_acquire(
-        &mut self,
-        lock: u32,
-        who: usize,
-        seq: u64,
-        arrive_ns: u64,
-        lost_grant: bool,
-    ) -> RTokStep<W::Pub> {
-        let tok = self.rtokens.entry(lock).or_default();
-        if !lost_grant && tok.posted && tok.holder == Some((who, seq)) {
-            return RTokStep::Queued;
-        }
-        if tok.holder == Some((who, seq)) {
-            // The earlier grant (reply or posted pass) was lost and the
-            // requester retried: replay it verbatim.
-            return RTokStep::Replay(tok.granted.clone());
-        }
-        if tok.done.get(&who).is_some_and(|&d| d >= seq) {
-            // A duplicate of an acquire whose whole tenure already
-            // completed (transport-level duplication past the dedup
-            // window): nothing to grant, nobody is waiting.
-            return RTokStep::Replay(Vec::new());
-        }
-        if tok.queue.iter().any(|&(n, s, _)| n == who && s == seq) {
-            // Retried request from a queued tenure: keep the original
-            // queue entry (and its arrival time).
-            return RTokStep::Queued;
-        }
-        if tok.holder.is_none() {
-            let notices = std::mem::take(&mut tok.notices);
-            tok.granted = notices.clone();
-            tok.holder = Some((who, seq));
-            return RTokStep::Grant(notices);
-        }
-        tok.queue.push((who, seq, arrive_ns));
-        RTokStep::Queued
-    }
-
-    /// Manager: node `who` ends tenure `seq`, publishing `interval`.
-    /// Returns the next tenure to grant, with the notices it must
-    /// apply, or `None` (nobody queued, or duplicate release).
-    pub fn rtok_release(
-        &mut self,
-        lock: u32,
-        who: usize,
-        seq: u64,
-        interval: W::Pub,
-    ) -> Option<(usize, Notices<W>)> {
-        let tok = self.rtokens.get_mut(&lock)?;
-        if tok.holder != Some((who, seq)) {
-            // Retried release whose first copy was already applied (the
-            // ack was lost) — the token may even be elsewhere by now.
-            return None;
-        }
-        tok.holder = None;
-        tok.posted = false;
-        let d = tok.done.entry(who).or_insert(0);
-        *d = (*d).max(seq);
-        tok.notices = std::mem::take(&mut tok.granted);
-        publish::<W>(&mut tok.notices, who, interval);
-        // Grant the earliest virtual arrival (ties by rank).
-        let next_i = tok
-            .queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &(n, _, t))| (t, n))
-            .map(|(i, _)| i)?;
-        let (next, nseq, _) = tok.queue.remove(next_i);
-        let notices = std::mem::take(&mut tok.notices);
-        tok.granted = notices.clone();
-        tok.holder = Some((next, nseq));
-        tok.posted = true;
-        Some((next, notices))
     }
 
     /// Introspection for tests: the state of `lock`.
@@ -800,11 +656,37 @@ mod tests {
         assert_eq!(acquire(&mut m, 1, 1), Acquire::Queued);
         assert_eq!(m.state(1).unwrap().queue.len(), 1);
     }
+
+    #[test]
+    fn only_handover_grants_answer_retries_queued() {
+        // Node 0 is granted by reply: its retry is re-granted by reply.
+        // Readers 1 and 2 are handed over together, by post.
+        let mut mgr = LockMgr::<Wave>::new();
+        mgr.acquire_mode(6, 0, Mode::Excl, 0, false);
+        mgr.acquire_mode(6, 1, Mode::Shared, 10, false);
+        mgr.acquire_mode(6, 2, Mode::Shared, 20, false);
+        assert!(matches!(mgr.acquire_mode(6, 0, Mode::Excl, 25, false), Acquire::Granted(..)));
+        assert_eq!(mgr.release(6, 0, Pages::default(), 30).len(), 2);
+        // A posted grant is the holder's to consume: its retry stays
+        // queued until it reports the tombstone.
+        for reader in [1, 2] {
+            assert_eq!(mgr.acquire_mode(6, reader, Mode::Shared, 35, false), Acquire::Queued);
+            assert!(matches!(
+                mgr.acquire_mode(6, reader, Mode::Shared, 36, true),
+                Acquire::Granted(..)
+            ));
+        }
+        mgr.release(6, 1, Pages::default(), 40);
+        // Node 1's hold ended (a new request joins reader 2 afresh);
+        // node 2 still holds by post.
+        assert!(matches!(mgr.acquire_mode(6, 1, Mode::Shared, 45, false), Acquire::Granted(..)));
+        assert_eq!(mgr.acquire_mode(6, 2, Mode::Shared, 50, false), Acquire::Queued);
+    }
 }
 
 #[cfg(test)]
 mod token_tests {
-    use super::super::testpayload::{iv, Pages, Wave};
+    use super::super::testpayload::{iv, Wave};
     use super::*;
 
     #[test]
@@ -924,101 +806,6 @@ mod token_tests {
         // The new tenure proceeds untouched.
         a.tok_pass_received(5, vec![]);
         assert!(matches!(a.tok_release(5, 0, iv(&[])), TokHolderStep::Return { .. }));
-    }
-
-    #[test]
-    fn rtok_grant_queue_and_handover_follow_virtual_arrival() {
-        let mut mgr = LockMgr::<Wave>::new();
-        let mut a = LockMgr::<Wave>::new();
-        let sa = a.rtok_begin(5);
-        assert_eq!(sa, 1);
-        assert_eq!(mgr.rtok_acquire(5, 0, sa, 10, false), RTokStep::Grant(vec![]));
-        // Two waiters queue; the later-ranked but earlier-arriving node
-        // is granted first.
-        assert_eq!(mgr.rtok_acquire(5, 2, 1, 30, false), RTokStep::Queued);
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 20, false), RTokStep::Queued);
-        let (next, notices) = mgr.rtok_release(5, 0, sa, iv(&[3])).expect("handover");
-        assert_eq!(next, 1);
-        assert_eq!(notices, vec![(0, iv(&[3]))]);
-        let (next, notices) = mgr.rtok_release(5, 1, 1, iv(&[7])).expect("handover");
-        assert_eq!(next, 2);
-        assert_eq!(notices, vec![(0, iv(&[3])), (1, iv(&[7]))]);
-        assert_eq!(mgr.rtok_release(5, 2, 1, Pages::default()), None);
-    }
-
-    #[test]
-    fn rtok_duplicate_acquire_replays_identical_grant() {
-        let mut mgr = LockMgr::<Wave>::new();
-        mgr.rtok_acquire(5, 0, 1, 0, false);
-        mgr.rtok_release(5, 0, 1, iv(&[2]));
-        // Second tenure granted; the grant reply is lost and retried.
-        assert_eq!(mgr.rtok_acquire(5, 0, 2, 10, false), RTokStep::Grant(vec![(0, iv(&[2]))]));
-        assert_eq!(mgr.rtok_acquire(5, 0, 2, 15, false), RTokStep::Replay(vec![(0, iv(&[2]))]));
-        // A queued tenure retrying stays queued exactly once.
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 20, false), RTokStep::Queued);
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 25, false), RTokStep::Queued);
-        let (next, _) = mgr.rtok_release(5, 0, 2, Pages::default()).unwrap();
-        assert_eq!(next, 1);
-    }
-
-    #[test]
-    fn rtok_duplicate_release_is_a_noop() {
-        let mut mgr = LockMgr::<Wave>::new();
-        mgr.rtok_acquire(5, 0, 1, 0, false);
-        assert!(mgr.rtok_release(5, 0, 1, iv(&[1])).is_none());
-        // The retried copy of the release finds the tenure closed.
-        assert!(mgr.rtok_release(5, 0, 1, iv(&[1])).is_none());
-        // A stray acquire for the completed tenure replays empty rather
-        // than re-granting.
-        assert_eq!(mgr.rtok_acquire(5, 0, 1, 5, false), RTokStep::Replay(vec![]));
-        // The notices survive for the next real tenure, unduplicated.
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 9, false), RTokStep::Grant(vec![(0, iv(&[1]))]));
-    }
-
-    #[test]
-    fn only_handover_grants_answer_retries_queued() {
-        // Token queue: tenure 1 of node 0 is granted by reply, tenure 1
-        // of node 1 by the handover at node 0's release.
-        let mut mgr = LockMgr::<Wave>::new();
-        mgr.rtok_acquire(5, 0, 1, 0, false);
-        assert_eq!(mgr.rtok_acquire(5, 0, 1, 1, false), RTokStep::Replay(vec![]));
-        mgr.rtok_acquire(5, 1, 1, 10, false);
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 11, false), RTokStep::Queued, "still queued");
-        mgr.rtok_release(5, 0, 1, Pages::default()).unwrap();
-        // The posted grant is node 1's to consume: its retry stays
-        // queued until it reports the tombstone.
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 20, false), RTokStep::Queued);
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 21, true), RTokStep::Replay(vec![]));
-        assert!(mgr.rtok_release(5, 1, 1, Pages::default()).is_none());
-        // The tenure ended, and another tenure is a fresh request.
-        assert_eq!(mgr.rtok_acquire(5, 1, 2, 30, false), RTokStep::Grant(vec![]));
-        // Central manager: a reader batch handed over together.
-        mgr.acquire_mode(6, 0, Mode::Excl, 0, false);
-        mgr.acquire_mode(6, 1, Mode::Shared, 10, false);
-        mgr.acquire_mode(6, 2, Mode::Shared, 20, false);
-        assert!(matches!(mgr.acquire_mode(6, 0, Mode::Excl, 25, false), Acquire::Granted(..)));
-        assert_eq!(mgr.release(6, 0, Pages::default(), 30).len(), 2);
-        for reader in [1, 2] {
-            assert_eq!(mgr.acquire_mode(6, reader, Mode::Shared, 35, false), Acquire::Queued);
-            assert!(matches!(
-                mgr.acquire_mode(6, reader, Mode::Shared, 36, true),
-                Acquire::Granted(..)
-            ));
-        }
-        mgr.release(6, 1, Pages::default(), 40);
-        // Node 1's hold ended (a new request joins reader 2 afresh);
-        // node 2 still holds by post.
-        assert!(matches!(mgr.acquire_mode(6, 1, Mode::Shared, 45, false), Acquire::Granted(..)));
-        assert_eq!(mgr.acquire_mode(6, 2, Mode::Shared, 50, false), Acquire::Queued);
-    }
-
-    #[test]
-    fn rtok_barrier_clears_notices() {
-        let mut mgr = LockMgr::<Wave>::new();
-        mgr.rtok_acquire(5, 0, 1, 0, false);
-        mgr.rtok_release(5, 0, 1, iv(&[4]));
-        mgr.clear_notices();
-        assert_eq!(mgr.rtok_acquire(5, 1, 1, 9, false), RTokStep::Grant(vec![]));
     }
 
     #[test]

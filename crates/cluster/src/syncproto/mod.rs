@@ -1,9 +1,9 @@
 //! The synchronisation protocols, as pure state machines.
 //!
 //! HAMSTER's claim is one synchronisation module under every platform.
-//! This module is that one copy: the reader/writer lock manager and its
-//! two token queues ([`lock`]), the central barrier manager, the tree
-//! shape and the tree barrier ([`barrier`]). The software DSM, the
+//! This module is that one copy: the reader/writer lock manager and the
+//! token queue ([`lock`]), the central barrier manager, the tree shape
+//! and the tree barrier ([`barrier`]). The software DSM, the
 //! hybrid DSM and the SMP platform all drive these machines; what
 //! differs between them is only what rides the messages — write notices
 //! on the software DSM, nothing on hardware-coherent memory — and that
@@ -104,14 +104,16 @@ pub enum Parked<G> {
     Lost,
 }
 
-/// The resilient acquire loop, requester side: request (the fabric
-/// retries lost requests and replies against the idempotent manager);
-/// if queued, park for the posted grant; if that grant was destroyed in
-/// flight, re-request — now reporting the consumed tombstone, which is
-/// what allows the manager to re-grant a handover by reply (see
-/// [`lock::LockMgr::acquire_mode`]). `request` gets the round number
-/// (from 1) and that flag; fatal fabric errors pass through as `Err`.
-/// `what` names the node and lock should the rounds run out.
+/// The manager-mediated acquire loop, requester side, on every fabric:
+/// request (the fabric retries lost requests and replies against the
+/// idempotent manager); if queued, park for the posted grant; if that
+/// grant was destroyed in flight, re-request — now reporting the
+/// consumed tombstone, which is what allows the manager to re-grant a
+/// handover by reply (see [`lock::LockMgr::acquire_mode`]). On a fabric
+/// that loses nothing, round 1 is the whole of it. `request` gets the
+/// round number (from 1) and that flag; fatal fabric errors pass
+/// through as `Err`. `what` names the node and lock should the rounds
+/// run out.
 pub fn acquire_resilient<G, E>(
     what: impl std::fmt::Display,
     mut request: impl FnMut(u32, bool) -> Result<Answer<G>, E>,

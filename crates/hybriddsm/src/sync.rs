@@ -20,7 +20,7 @@ use cluster::syncproto::{acquire_resilient, grant_corr, Answer, Parked};
 use cluster::{BarrierTopology, Cluster, NodeCtx};
 use interconnect::{downcast, mailbox, Outcome};
 use parking_lot::Mutex;
-use sim::Histogram;
+use sim::Sketch;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -82,7 +82,7 @@ pub struct SyncCore {
     trees: Vec<Mutex<TreeBarrier<()>>>,
     /// Lock-acquire latency (virtual ns from request to grant-in-hand),
     /// pooled across nodes; feeds the monitoring quantiles.
-    lock_hist: Histogram,
+    lock_hist: Sketch,
 }
 
 impl SyncCore {
@@ -104,7 +104,7 @@ impl SyncCore {
             trees: (0..nodes)
                 .map(|me| Mutex::new(TreeBarrier::new(me, nodes, fanout, None)))
                 .collect(),
-            lock_hist: Histogram::new(),
+            lock_hist: Sketch::new(),
         });
         let net = cluster.network();
 
@@ -371,7 +371,7 @@ impl SyncCore {
 
     /// Lock-acquire latency histogram (shared storage: the returned
     /// clone observes later acquisitions too).
-    pub fn lock_histogram(&self) -> Histogram {
+    pub fn lock_histogram(&self) -> Sketch {
         self.lock_hist.clone()
     }
 }
@@ -395,7 +395,9 @@ impl SyncNode {
     }
 
     /// Whether the fabric was built with a timeout/retry policy (fault
-    /// injection active).
+    /// injection active): a lock release and a barrier arrival or wave,
+    /// one-way posts on a plain fabric, then travel as acknowledged
+    /// requests. Requests themselves take one path either way.
     fn resilient(&self) -> bool {
         self.ctx.port().resilience().is_some()
     }
@@ -421,17 +423,13 @@ impl SyncNode {
         let mgr = lock as usize % self.core.nodes;
         let kind = self.core.base + LOCK_REQ;
         let tag = mailbox::tag(self.core.base + LOCK_GRANT, lock);
-        if !self.resilient() {
-            let rep = self.ctx.port().request(mgr, kind, (lock, mode, false), 16);
-            if let Answer::Queued = downcast::<Answer<()>>(rep) {
-                let _ = self.ctx.port().wait_mailbox(tag);
-            }
-            return;
-        }
-        // Resilient protocol: retried requests hit an idempotent manager
-        // (a lost grant reply re-grants; a lost Queued reply keeps the
-        // original queue entry); a grant destroyed in flight leaves a
-        // loss tombstone, answered by re-requesting.
+        // One path on every fabric: where the fabric retries, the
+        // retried requests hit an idempotent manager (a lost grant reply
+        // re-grants; a lost Queued reply keeps the original queue
+        // entry), and a grant destroyed in flight leaves a loss
+        // tombstone, answered by re-requesting. Where it loses nothing,
+        // round 1 — granted, or queued and then granted by post — is
+        // all there is.
         acquire_resilient(
             format_args!("sync node {me}: lock {lock}"),
             |_round, lost_grant| {

@@ -24,7 +24,7 @@ use crate::message::{HandlerCtx, NodeId, Outcome, Payload};
 use crate::router::Router;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
-use sim::{Bus, Histogram, LinkCost, StatSet, VirtualClock};
+use sim::{Bus, LinkCost, Sketch, StatSet, VirtualClock};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -183,9 +183,9 @@ pub struct NetShared {
     send_eff_ns: u64,
     recv_eff_ns: u64,
     stats: StatSet,
-    /// Latency histogram over completed synchronous request round trips
+    /// Latency sketch over completed synchronous request round trips
     /// (send overhead → reply received), in virtual ns.
-    rtt_hist: Histogram,
+    rtt_hist: Sketch,
     faults: Option<FaultState>,
     resilience: Option<Resilience>,
     /// Membership schedule, when the cluster is elastic. Every send is
@@ -314,34 +314,7 @@ impl NetShared {
             .unwrap_or_else(|| {
                 panic!("node {node}: no deferred reply parked under key {key:#x} for node {who}")
             });
-        let ready_ns = parked.ready_ns.max(not_before_ns);
-        if ready_ns > parked.ready_ns && sim::trace::enabled() {
-            // Mirror the direct-reply `net/not_before` stall span: the
-            // discharge floor held this reply past its service end.
-            // Emitting it here too keeps the trace stream independent
-            // of *which* same-instant arrival happened to be served
-            // last (and so replied directly instead of deferring).
-            sim::trace::span_corr(
-                parked.ready_ns,
-                ready_ns - parked.ready_ns,
-                node,
-                "net",
-                "not_before",
-                ready_ns,
-                parked.req_id,
-            );
-        }
-        send_reply(
-            self,
-            node,
-            who,
-            parked.kind,
-            parked.tx,
-            payload,
-            wire_bytes,
-            ready_ns,
-            parked.deadline_ns,
-        );
+        self.discharge(node, who, parked, payload, wire_bytes, not_before_ns);
     }
 
     /// Like [`NetShared::complete_deferred`], but blocks until the park
@@ -371,10 +344,26 @@ impl NetShared {
                 self.deferred_cv.wait(&mut map);
             }
         };
+        self.discharge(node, who, parked, payload, wire_bytes, not_before_ns);
+    }
+
+    /// Send the reply a handler parked, whichever context discharges it.
+    fn discharge(
+        &self,
+        node: NodeId,
+        who: NodeId,
+        parked: DeferredReply,
+        payload: Payload,
+        wire_bytes: u64,
+        not_before_ns: u64,
+    ) {
         let ready_ns = parked.ready_ns.max(not_before_ns);
         if ready_ns > parked.ready_ns && sim::trace::enabled() {
-            // See `complete_deferred`: deferred discharges emit the same
-            // stall span a direct reply would.
+            // Mirror the direct-reply `net/not_before` stall span: the
+            // discharge floor held this reply past its service end.
+            // Emitting it here too keeps the trace stream independent
+            // of *which* same-instant arrival happened to be served
+            // last (and so replied directly instead of deferring).
             sim::trace::span_corr(
                 parked.ready_ns,
                 ready_ns - parked.ready_ns,
@@ -697,7 +686,7 @@ impl NetworkBuilder {
             send_eff_ns,
             recv_eff_ns,
             stats: StatSet::new(NET_STAT_NAMES),
-            rtt_hist: Histogram::new(),
+            rtt_hist: Sketch::new(),
             faults,
             resilience,
             membership: self.membership,
@@ -1027,9 +1016,9 @@ impl Network {
     }
 
     /// The fabric's request round-trip latency histogram. The returned
-    /// handle shares storage with the live fabric ([`Histogram`] clones
+    /// handle shares storage with the live fabric ([`Sketch`] clones
     /// are views), so a monitor can keep it and query quantiles later.
-    pub fn rtt_histogram(&self) -> Histogram {
+    pub fn rtt_histogram(&self) -> Sketch {
         self.shared.rtt_hist.clone()
     }
 
@@ -1275,7 +1264,9 @@ impl NodePort {
     /// transient failures (timeouts, dead peers) back off exponentially
     /// — with deterministic jitter — and retry with a fresh delivery
     /// id, up to the policy's attempt budget. Fatal errors and
-    /// exhausted budgets surface as `Err`.
+    /// exhausted budgets surface as `Err`. A fabric built without a
+    /// policy makes exactly one attempt, which moves `value`: callers
+    /// need not know which kind of fabric they are on.
     pub fn request_retrying<T: std::any::Any + Send + Clone>(
         &self,
         dst: NodeId,
@@ -1283,22 +1274,25 @@ impl NodePort {
         value: T,
         wire_bytes: u64,
     ) -> Result<Payload, RequestError> {
+        let Some(res) = self.shared.resilience else {
+            return self.try_request(dst, kind, value, wire_bytes);
+        };
         match self.try_request(dst, kind, value.clone(), wire_bytes) {
             Ok(p) => Ok(p),
-            Err(e) => self.retry_loop(dst, kind, &value, wire_bytes, e),
+            Err(e) => self.retry_loop(res, dst, kind, &value, wire_bytes, e),
         }
     }
 
     /// Drive the backoff/retry schedule after a first failure.
     fn retry_loop<T: std::any::Any + Send + Clone>(
         &self,
+        res: Resilience,
         dst: NodeId,
         kind: u32,
         value: &T,
         wire_bytes: u64,
         mut last: RequestError,
     ) -> Result<Payload, RequestError> {
-        let Some(res) = self.shared.resilience else { return Err(last) };
         let seed = self.shared.faults.as_ref().map_or(0, |f| f.plan.seed);
         let mut failures = 1u32;
         loop {
@@ -1347,20 +1341,29 @@ impl NodePort {
     /// behaviour of a DSM that pushes diffs to several homes in parallel
     /// and waits for all acknowledgements.
     ///
-    /// Infallible form: panics on fabric failure (see
-    /// [`NodePort::request_batch_retrying`]).
-    pub fn request_batch<T: std::any::Any + Send>(
+    /// Entries that fail transiently are retried individually (with
+    /// backoff, see [`NodePort::request_retrying`]) after the batch
+    /// settles, so one lost diff doesn't abort a whole flush. Returns
+    /// replies in request order, or the first unrecoverable error. Only
+    /// a fabric with a retry policy keeps a copy of each payload to
+    /// retry with; without one every payload is moved, never cloned.
+    pub fn request_batch<T: std::any::Any + Send + Clone>(
         &self,
         msgs: Vec<(NodeId, u32, T, u64)>,
-    ) -> Vec<Payload> {
+    ) -> Result<Vec<Payload>, RequestError> {
         let t0 = self.clock.now();
         let n_msgs = msgs.len() as u64;
+        let resilience = self.shared.resilience;
+        let mut kept: Vec<T> = Vec::with_capacity(resilience.map_or(0, |_| msgs.len()));
         let mut pending = Vec::with_capacity(msgs.len());
         for (dst, kind, value, wire_bytes) in msgs {
             self.shared.stats.at(STAT_REQUESTS).incr();
             self.shared.stats.at(STAT_BYTES).add(wire_bytes);
             let depart = self.clock.advance(self.shared.send_eff_ns);
             let (tx, rx) = unbounded();
+            if resilience.is_some() {
+                kept.push(value.clone());
+            }
             self.shared.send_user(
                 self.node,
                 dst,
@@ -1372,68 +1375,15 @@ impl NodePort {
                 None,
                 SendCtx::AppBlocking,
             );
-            pending.push((dst, kind, rx));
+            pending.push((dst, kind, wire_bytes, rx));
         }
-        let mut out = Vec::with_capacity(pending.len());
-        let mut latest = self.clock.now();
-        for (dst, kind, rx) in pending {
-            match rx.recv() {
-                Ok(ReplyMsg::Ok { payload, wire_bytes, ready_ns }) => {
-                    let back = self.shared.wire_arrival(dst, self.node, ready_ns, wire_bytes);
-                    latest = latest.max(back + self.shared.recv_eff_ns);
-                    out.push(payload);
-                }
-                Ok(ReplyMsg::Err { err, .. }) => {
-                    panic!("batched request kind {kind:#x} to node {dst} failed: {err}")
-                }
-                Err(_) => {
-                    panic!("batched request kind {kind:#x} to node {dst} failed: fabric stopped")
-                }
-            }
-        }
-        self.clock.advance_to(latest);
-        if sim::trace::enabled() && n_msgs > 0 {
-            sim::trace::span(t0, self.clock.now() - t0, self.node, "net", "request_batch", n_msgs);
-        }
-        out
-    }
-
-    /// Resilient batch: entries that fail transiently are retried
-    /// individually (with backoff) after the batch settles, so one lost
-    /// diff doesn't abort a whole flush. Returns replies in request
-    /// order, or the first unrecoverable error.
-    pub fn request_batch_retrying<T: std::any::Any + Send + Clone>(
-        &self,
-        msgs: Vec<(NodeId, u32, T, u64)>,
-    ) -> Result<Vec<Payload>, RequestError> {
-        let t0 = self.clock.now();
-        let n_msgs = msgs.len() as u64;
-        let mut pending = Vec::with_capacity(msgs.len());
-        for (dst, kind, value, wire_bytes) in &msgs {
-            self.shared.stats.at(STAT_REQUESTS).incr();
-            self.shared.stats.at(STAT_BYTES).add(*wire_bytes);
-            let depart = self.clock.advance(self.shared.send_eff_ns);
-            let (tx, rx) = unbounded();
-            self.shared.send_user(
-                self.node,
-                *dst,
-                *kind,
-                Box::new(value.clone()),
-                *wire_bytes,
-                depart,
-                Some(tx),
-                None,
-                SendCtx::AppBlocking,
-            );
-            pending.push(rx);
-        }
-        let mut out: Vec<Option<Payload>> = msgs.iter().map(|_| None).collect();
+        let mut out: Vec<Option<Payload>> = pending.iter().map(|_| None).collect();
         let mut failed: Vec<(usize, RequestError)> = Vec::new();
         let mut latest = self.clock.now();
-        for (i, rx) in pending.into_iter().enumerate() {
+        for (i, (dst, _, _, rx)) in pending.iter().enumerate() {
             match rx.recv() {
                 Ok(ReplyMsg::Ok { payload, wire_bytes, ready_ns }) => {
-                    let back = self.shared.wire_arrival(msgs[i].0, self.node, ready_ns, wire_bytes);
+                    let back = self.shared.wire_arrival(*dst, self.node, ready_ns, wire_bytes);
                     latest = latest.max(back + self.shared.recv_eff_ns);
                     out[i] = Some(payload);
                 }
@@ -1447,8 +1397,9 @@ impl NodePort {
         }
         self.clock.advance_to(latest);
         for (i, err) in failed {
-            let (dst, kind, ref value, wire_bytes) = msgs[i];
-            out[i] = Some(self.retry_loop(dst, kind, value, wire_bytes, err)?);
+            let Some(res) = resilience else { return Err(err) };
+            let (dst, kind, wire_bytes, _) = pending[i];
+            out[i] = Some(self.retry_loop(res, dst, kind, &kept[i], wire_bytes, err)?);
         }
         if sim::trace::enabled() && n_msgs > 0 {
             sim::trace::span(t0, self.clock.now() - t0, self.node, "net", "request_batch", n_msgs);
@@ -1975,7 +1926,7 @@ mod batch_tests {
             let c = VirtualClock::new();
             let p = net.port(0, c.clone());
             let replies =
-                p.request_batch((1..4).map(|dst| (dst, 0x21, dst as u64, 8)).collect());
+                p.request_batch((1..4).map(|dst| (dst, 0x21, dst as u64, 8)).collect()).unwrap();
             assert_eq!(replies.len(), 3);
             c.now()
         };
@@ -1983,6 +1934,28 @@ mod batch_tests {
             batched * 2 < serial,
             "batch should pipeline: serial={serial} batched={batched}"
         );
+    }
+
+    /// A payload that counts how often the fabric clones it.
+    struct Counted(u64, Arc<AtomicUsize>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0, self.1.clone())
+        }
+    }
+
+    /// Three homes that answer a [`Counted`] with its value plus one.
+    fn counted_homes(net: &Network) {
+        for n in 1..4 {
+            net.router(n)
+                .register(0x22, |_c, _s, p| Outcome::reply(downcast::<Counted>(p).0 + 1, 8));
+        }
+    }
+
+    fn counted_batch(clones: &Arc<AtomicUsize>) -> Vec<(NodeId, u32, Counted, u64)> {
+        (1..4).map(|d| (d, 0x22, Counted(d as u64, clones.clone()), 8)).collect()
     }
 
     #[test]
@@ -1993,16 +1966,37 @@ mod batch_tests {
             ..Default::default()
         };
         let net = Network::builder(4, tiny()).faults(Some(plan)).build();
-        for n in 1..4 {
-            net.router(n)
-                .register(0x22, |_c, _s, p| Outcome::reply(downcast::<u64>(p) + 1, 8));
-        }
+        counted_homes(&net);
+        let clones = Arc::new(AtomicUsize::new(0));
         let p = net.port(0, VirtualClock::new());
-        let replies = p
-            .request_batch_retrying((1..4).map(|d| (d, 0x22, d as u64, 8)).collect::<Vec<_>>())
-            .unwrap();
+        let replies = p.request_batch(counted_batch(&clones)).unwrap();
         let vals: Vec<u64> = replies.into_iter().map(downcast::<u64>).collect();
         assert_eq!(vals, vec![2, 3, 4], "replies stay in request order");
+        let retries = net.stats().get("retries");
+        assert!(retries > 0, "the plan dropped nothing: pick another seed");
+        // One kept copy per entry, one more per resend.
+        assert_eq!(clones.load(Ordering::Relaxed) as u64, 3 + retries);
+    }
+
+    #[test]
+    fn fabric_without_a_retry_policy_moves_its_payloads() {
+        let net = Network::builder(4, tiny()).build();
+        counted_homes(&net);
+        let clones = Arc::new(AtomicUsize::new(0));
+        let p = net.port(0, VirtualClock::new());
+        let one = p.request_retrying(1, 0x22, Counted(7, clones.clone()), 8).unwrap();
+        assert_eq!(downcast::<u64>(one), 8);
+        let replies = p.request_batch(counted_batch(&clones)).unwrap();
+        let vals: Vec<u64> = replies.into_iter().map(downcast::<u64>).collect();
+        assert_eq!(vals, vec![2, 3, 4]);
+        assert_eq!(clones.load(Ordering::Relaxed), 0, "one attempt, payload moved");
+        // One attempt also means a failure is final: no retry, no panic.
+        let err = p.request_retrying(1, 0x23, Counted(7, clones.clone()), 8).unwrap_err();
+        assert!(matches!(err, RequestError::HandlerFailed { kind: 0x23, .. }), "{err}");
+        let err = p.request_batch(vec![(1, 0x23, Counted(7, clones.clone()), 8)]).unwrap_err();
+        assert!(matches!(err, RequestError::HandlerFailed { kind: 0x23, .. }), "{err}");
+        assert_eq!(net.stats().get("retries"), 0);
+        assert_eq!(clones.load(Ordering::Relaxed), 0);
     }
 
     fn tiny() -> LinkCost {
@@ -2218,6 +2212,7 @@ mod caller_runs_tests {
             let port = net.port(0, clock.clone());
             let replies: Vec<u64> = port
                 .request_batch((1..5).map(|home| (home, 0x75, home as u64, 128)).collect())
+                .unwrap()
                 .into_iter()
                 .map(downcast::<u64>)
                 .collect();

@@ -22,9 +22,11 @@
 //!   the worst all-writers case, with digests compressing the common
 //!   sparse case further.
 //!
-//! The individual axes can also be mixed freely: every barrier and
-//! lock structure has a retry protocol and carries either notice
-//! encoding.
+//! The individual axes can also be mixed freely, on plain and on
+//! resilient fabrics: both barrier structures have a retry protocol, a
+//! resilient fabric serves every lock from the manager (whose protocol
+//! is the one with idempotent retries), and every structure carries
+//! either notice encoding.
 
 use std::str::FromStr;
 
@@ -58,9 +60,11 @@ pub enum LockTopology {
     /// MCS-style distributed queue: the manager only tracks the queue
     /// tail; the lock *token* (with its accumulated write notices)
     /// passes directly from releaser to successor. Uncontended and
-    /// chained handoffs bypass the manager entirely. Does not support
-    /// fault resilience; shared-mode acquisitions serialize as
-    /// exclusive.
+    /// chained handoffs bypass the manager entirely; shared-mode
+    /// acquisitions serialize as exclusive. The token cannot be
+    /// re-issued once lost, so the queue runs on plain fabrics only: on
+    /// a resilient fabric the manager serves the lock, exactly as under
+    /// [`LockTopology::Manager`] (shared mode included).
     TokenQueue,
 }
 

@@ -32,5 +32,5 @@ pub mod trace;
 pub use clock::VirtualClock;
 pub use cost::{CostModel, LinkCost, MachineCost, SciAccessCost};
 pub use server::{Bus, Server};
-pub use stats::{Counter, Histogram, MetricId, MetricKind, MetricsRow, MetricsSeries, Quantiles, Sketch, StatSet};
+pub use stats::{Counter, MetricId, MetricKind, MetricsRow, MetricsSeries, Quantiles, Sketch, StatSet};
 pub use trace::{TraceEvent, TraceSession};

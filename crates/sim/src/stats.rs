@@ -124,42 +124,7 @@ impl StatSet {
     }
 }
 
-/// Number of log2 buckets in a [`Histogram`]: bucket `i` holds samples
-/// whose value has `i` significant bits (bucket 0 is the value 0), so
-/// the full `u64` range is covered.
-const HIST_BUCKETS: usize = 65;
-
-/// A lock-free latency histogram with logarithmic (power-of-two)
-/// buckets, built for virtual-nanosecond samples on protocol hot paths.
-///
-/// Like [`StatSet`], clones share the underlying storage, so a module
-/// can hand a cheap handle to its monitor while continuing to record.
-/// Quantiles are approximate: a reported quantile is the *upper bound*
-/// of the bucket containing it (within 2× of the true value), which is
-/// plenty for "is p99 lock wait milliseconds or microseconds" questions.
-/// The exact maximum recorded sample is tracked separately.
-///
-/// ```
-/// use sim::stats::Histogram;
-/// let h = Histogram::new();
-/// for v in [100, 200, 300, 4000] {
-///     h.record(v);
-/// }
-/// assert_eq!(h.count(), 4);
-/// let q = h.quantiles();
-/// assert_eq!(q.max, 4000);
-/// assert!(q.p50 >= 200 && q.p50 < 512);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Arc<Vec<Counter>>,
-    /// Exact running maximum (atomic max via compare-and-swap).
-    max: Arc<AtomicU64>,
-    /// Sum of all samples, for mean computation.
-    sum: Arc<AtomicU64>,
-}
-
-/// Summary quantiles reported by [`Histogram::quantiles`].
+/// Summary quantiles reported by [`Sketch::quantiles`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Quantiles {
     /// Number of recorded samples.
@@ -178,94 +143,6 @@ pub struct Quantiles {
     pub mean: u64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: Arc::new((0..HIST_BUCKETS).map(|_| Counter::new()).collect()),
-            max: Arc::new(AtomicU64::new(0)),
-            sum: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Bucket index for a sample: its number of significant bits.
-    #[inline]
-    fn bucket(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
-    }
-
-    /// Upper bound of bucket `i` (the largest value it can hold).
-    fn bucket_bound(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else if i >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << i) - 1
-        }
-    }
-
-    /// Record one sample.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[Self::bucket(v)].add(1);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Total number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|c| c.get()).sum()
-    }
-
-    /// Compute summary quantiles over everything recorded so far.
-    pub fn quantiles(&self) -> Quantiles {
-        let counts: Vec<u64> = self.buckets.iter().map(|c| c.get()).collect();
-        let count: u64 = counts.iter().sum();
-        if count == 0 {
-            return Quantiles::default();
-        }
-        // Rank of quantile q (1-based): ceil(q * count), i.e. the
-        // smallest rank whose cumulative share reaches q.
-        let rank = |num: u64, den: u64| count.saturating_mul(num).div_ceil(den).max(1);
-        let at = |target_rank: u64| {
-            let mut seen = 0u64;
-            for (i, c) in counts.iter().enumerate() {
-                seen += c;
-                if seen >= target_rank {
-                    return Self::bucket_bound(i);
-                }
-            }
-            Self::bucket_bound(HIST_BUCKETS - 1)
-        };
-        let max = self.max.load(Ordering::Relaxed);
-        Quantiles {
-            count,
-            p50: at(rank(50, 100)).min(max),
-            p90: at(rank(90, 100)).min(max),
-            p99: at(rank(99, 100)).min(max),
-            p999: at(rank(999, 1000)).min(max),
-            max,
-            mean: self.sum.load(Ordering::Relaxed) / count,
-        }
-    }
-
-    /// Reset all buckets and the maximum to zero.
-    pub fn reset(&self) {
-        for c in self.buckets.iter() {
-            c.reset();
-        }
-        self.max.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Precision bits of a [`Sketch`]: each power-of-two octave is split
 /// into `2^SKETCH_PRECISION` sub-buckets, bounding the relative error
 /// of a reported quantile by `2^-SKETCH_PRECISION` (~3%).
@@ -280,20 +157,20 @@ const SKETCH_SUB: u64 = 1 << SKETCH_PRECISION;
 const SKETCH_BUCKETS: usize = 60 * SKETCH_SUB as usize;
 
 /// A deterministic streaming quantile sketch: a log-linear (HDR-style)
-/// fixed-bucket histogram for request-latency SLO telemetry.
+/// fixed-bucket histogram, lock-free, for virtual-nanosecond latencies
+/// on protocol hot paths and for request-latency SLO telemetry.
 ///
-/// Where [`Histogram`] answers order-of-magnitude questions with
-/// power-of-two buckets (quantiles within 2×), `Sketch` splits every
-/// octave into 32 sub-buckets, so a reported p50/p90/p99/p999 is the
-/// exact upper bound of a bucket within ~3% of the true sample. All
+/// Every power-of-two octave is split into 32 sub-buckets, so a
+/// reported p50/p90/p99/p999 is the exact upper bound of a bucket within
+/// ~3% of the true sample; the exact maximum is tracked separately. All
 /// state is integer bucket counts; recording is commutative
 /// (bucket-wise addition), so the same multiset of samples yields
 /// byte-identical quantiles regardless of arrival order or thread
 /// interleaving — the property the serve bench's byte-reproducible
 /// artifacts rely on.
 ///
-/// Clones share the underlying storage, like [`StatSet`] and
-/// [`Histogram`].
+/// Clones share the underlying storage, like [`StatSet`], so a module
+/// can hand a cheap handle to its monitor while continuing to record.
 ///
 /// ```
 /// use sim::stats::Sketch;
@@ -616,74 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_empty_quantiles_are_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.quantiles(), Quantiles::default());
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn histogram_single_sample() {
-        let h = Histogram::new();
-        h.record(1000);
-        let q = h.quantiles();
-        assert_eq!(q.count, 1);
-        assert_eq!(q.max, 1000);
-        assert_eq!(q.mean, 1000);
-        // Every quantile falls in the sample's bucket (512..=1023),
-        // clamped to the exact max.
-        assert_eq!(q.p50, 1000);
-        assert_eq!(q.p99, 1000);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_ordered_and_bound_true_values() {
-        let h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let q = h.quantiles();
-        assert_eq!(q.count, 1000);
-        assert_eq!(q.max, 1000);
-        assert!(q.p50 <= q.p90 && q.p90 <= q.p99 && q.p99 <= q.max);
-        // Upper bucket bounds: within 2x above the true quantile.
-        assert!(q.p50 >= 500 && q.p50 < 1024, "p50 = {}", q.p50);
-        assert!(q.p99 >= 990, "p99 = {}", q.p99);
-    }
-
-    #[test]
-    fn histogram_zero_and_reset() {
-        let h = Histogram::new();
-        h.record(0);
-        h.record(0);
-        let q = h.quantiles();
-        assert_eq!((q.count, q.p50, q.max), (2, 0, 0));
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantiles().max, 0);
-    }
-
-    #[test]
-    fn histogram_clone_shares_storage() {
-        let h = Histogram::new();
-        let g = h.clone();
-        h.record(7);
-        assert_eq!(g.count(), 1);
-        assert_eq!(g.quantiles().max, 7);
-    }
-
-    #[test]
-    fn histogram_p999_is_ordered_and_reaches_the_tail() {
-        let h = Histogram::new();
-        for v in 1..=10_000u64 {
-            h.record(v);
-        }
-        let q = h.quantiles();
-        assert!(q.p99 <= q.p999 && q.p999 <= q.max);
-        assert!(q.p999 >= 9_990, "p999 = {}", q.p999);
-    }
-
-    #[test]
     fn sketch_buckets_are_monotonic_and_bounds_contain_samples() {
         // Every representative value lands in a bucket whose bound is
         // >= the value, and bucket indices never decrease with v.
@@ -704,6 +513,26 @@ mod tests {
         }
         assert_eq!(Sketch::bucket(u64::MAX), SKETCH_BUCKETS - 1);
         assert_eq!(Sketch::bucket_bound(SKETCH_BUCKETS - 1), u64::MAX);
+    }
+
+    #[test]
+    fn sketch_quantiles_are_ordered_and_within_a_sub_bucket_of_the_truth() {
+        let s = Sketch::new();
+        assert_eq!(s.quantiles(), Quantiles::default());
+        s.record(1000);
+        // One sample: every quantile is that sample (its bucket's bound
+        // clamps to the exact maximum).
+        let q = s.quantiles();
+        assert_eq!((q.count, q.p50, q.p999, q.max, q.mean), (1, 1000, 1000, 1000, 1000));
+        s.reset();
+        for v in 1..=10_000u64 {
+            s.record(v);
+        }
+        let q = s.quantiles();
+        assert!(q.p50 <= q.p90 && q.p90 <= q.p99 && q.p99 <= q.p999 && q.p999 <= q.max);
+        for (got, truth) in [(q.p50, 5_000), (q.p90, 9_000), (q.p99, 9_900), (q.p999, 9_990)] {
+            assert!(got >= truth && got * 32 <= truth * 33, "{got} vs true {truth}");
+        }
     }
 
     #[test]

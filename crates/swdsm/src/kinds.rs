@@ -55,13 +55,3 @@ pub const TOK_CLAIM: u32 = 0x16A;
 /// Digest fallback round: check cached page versions against the home
 /// (request → version vector).
 pub const VALIDATE: u32 = 0x16B;
-/// Resilient lock-token queue: acquire at the lock's manager (request →
-/// grant, queued, or tenure replay). Used instead of the `TOK_*`
-/// direct-forward machine when the fabric is faulty: every token
-/// movement is a retryable request through the manager, and duplicate
-/// tenure sequence numbers resolve as replays instead of panics.
-pub const RTOK_ACQ: u32 = 0x16C;
-/// Resilient lock-token queue: release at the manager (request → ack;
-/// idempotent, so a retried release whose first copy was applied is a
-/// no-op).
-pub const RTOK_REL: u32 = 0x16D;

@@ -5,7 +5,7 @@ use crate::home::HomeStore;
 use crate::kinds;
 use crate::proto::*;
 use cluster::syncproto::barrier::{BarrierMgr, BarrierStep, TreeBarrier, TreeStep};
-use cluster::syncproto::lock::{Acquire, LockMgr, Mode, RTokStep, TokHolderStep, TokMgrStep};
+use cluster::syncproto::lock::{Acquire, LockMgr, Mode, TokHolderStep, TokMgrStep};
 use cluster::syncproto::{
     acquire_resilient, grant_corr, Answer, Parked, Piggyback, MAX_SYNC_ROUNDS,
 };
@@ -16,7 +16,7 @@ use memwire::{
     RegionMeta, PAGE_SIZE,
 };
 use parking_lot::Mutex;
-use sim::{Histogram, MachineCost, StatSet};
+use sim::{MachineCost, Sketch, StatSet};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -160,6 +160,10 @@ pub struct SwDsm {
     /// Synchronization topology, taken from the fabric config at
     /// install time (see `FabricConfig::builder().sync(..)`).
     sync: SyncTopology,
+    /// Locks ride the MCS token queue: `LockTopology::TokenQueue` on a
+    /// fabric that loses nothing. Everywhere else the central manager
+    /// serves them (see [`SwDsm::install`]).
+    token_locks: bool,
     nodes: usize,
     machine: MachineCost,
     dir: RegionDir,
@@ -195,7 +199,7 @@ pub struct SwDsm {
     release_seen: Vec<Mutex<HashMap<u32, u64>>>,
     /// Lock-acquire latency (virtual ns from request to grant-in-hand),
     /// pooled across nodes; feeds the monitoring quantiles.
-    lock_hist: Histogram,
+    lock_hist: Sketch,
 }
 
 #[derive(Default)]
@@ -233,7 +237,6 @@ pub const STAT_NAMES: &[&str] = &[
     "pages_migrated",
     "snapshot_bytes",
     "delta_records",
-    "token_replays",
 ];
 
 impl SwDsm {
@@ -242,10 +245,14 @@ impl SwDsm {
     pub fn install(cluster: &Cluster, cfg: DsmConfig) -> Arc<SwDsm> {
         let nodes = cluster.config().nodes;
         let sync = cluster.config().sync;
-        // Token-queue locks on a resilient fabric switch to the
-        // manager-mediated `rtok_*` machine (every handover a retryable
-        // manager round with tenure-sequence replay); the MCS
-        // direct-forward machine keeps serving fault-free fabrics.
+        // One lock protocol per fabric kind, decided here once: the MCS
+        // queue cannot re-issue a lost token (see `syncproto::lock`), so
+        // it serves `TokenQueue` only where nothing is lost; on a
+        // resilient fabric the central manager serves every lock —
+        // requested mode, causal floors, idempotent answers to retries
+        // and all — as it does for the hybrid DSM.
+        let resilient = cluster.node_ctx(0).port().resilience().is_some();
+        let token_locks = sync.locks == LockTopology::TokenQueue && !resilient;
         // Home migration composes with digests: migrations carry the
         // page's modification counter to the new home (export/adopt
         // merges by maximum), so digest validation never sees a counter
@@ -261,6 +268,7 @@ impl SwDsm {
         let dsm = Arc::new(SwDsm {
             cfg,
             sync,
+            token_locks,
             nodes,
             machine: cluster.config().cost.machine,
             dir: RegionDir::new(),
@@ -278,7 +286,7 @@ impl SwDsm {
             migration: (0..nodes).map(|_| Mutex::new(MigrationTrack::default())).collect(),
             migration_epoch: AtomicU64::new(0),
             release_seen: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
-            lock_hist: Histogram::new(),
+            lock_hist: Sketch::new(),
         });
         dsm.register_handlers(cluster);
         dsm
@@ -382,7 +390,7 @@ impl SwDsm {
 
     /// Lock-acquire latency histogram (shared storage: the returned
     /// clone observes later acquisitions too).
-    pub fn lock_histogram(&self) -> Histogram {
+    pub fn lock_histogram(&self) -> Sketch {
         self.lock_hist.clone()
     }
 
@@ -1102,81 +1110,6 @@ impl SwDsm {
             }
         });
 
-        // Resilient token queue: manager-mediated acquire. Every reply
-        // derives from the manager's tenure record, so a retried
-        // request replays the identical answer (counted under
-        // `token_replays`) instead of corrupting holder state.
-        let dsm = self.clone();
-        net.register_all(kinds::RTOK_ACQ, move |node| {
-            let dsm = dsm.clone();
-            move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
-                let req = downcast::<RTokAcquire>(p);
-                let step = dsm.lockmgrs[node].lock().rtok_acquire(
-                    req.lock,
-                    req.who,
-                    req.seq,
-                    ctx.now,
-                    req.lost_grant,
-                );
-                match step {
-                    RTokStep::Grant(notices) => {
-                        sim::trace::instant_corr(
-                            ctx.now,
-                            node,
-                            "swdsm",
-                            "lock_grant",
-                            req.lock as u64,
-                            grant_corr(req.who, req.lock),
-                        );
-                        let bytes = notices_wire_bytes(&notices);
-                        Outcome::reply(Answer::Granted(notices), bytes)
-                    }
-                    RTokStep::Queued => Outcome::reply(Answer::<Notices>::Queued, 8),
-                    RTokStep::Replay(notices) => {
-                        dsm.stats[node].add("token_replays", 1);
-                        let bytes = notices_wire_bytes(&notices);
-                        Outcome::reply(Answer::Granted(notices), bytes)
-                    }
-                }
-            }
-        });
-
-        // Resilient token queue: manager-mediated release (idempotent —
-        // a retried copy finds the tenure closed and acks again). A
-        // handover posts the grant as a tagged deposit, so a grant lost
-        // in flight tombstones the waiter's mailbox and its re-request
-        // resolves as a replay.
-        let dsm = self.clone();
-        net.register_all(kinds::RTOK_REL, move |node| {
-            let dsm = dsm.clone();
-            move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
-                let rel = downcast::<RTokRelease>(p);
-                if let Some((next, notices)) = dsm.lockmgrs[node].lock().rtok_release(
-                    rel.lock,
-                    rel.who,
-                    rel.seq,
-                    rel.interval.clone(),
-                ) {
-                    sim::trace::instant_corr(
-                        ctx.now,
-                        node,
-                        "swdsm",
-                        "lock_grant",
-                        rel.lock as u64,
-                        grant_corr(next, rel.lock),
-                    );
-                    let bytes = notices_wire_bytes(&notices);
-                    ctx.post_tagged(
-                        next,
-                        kinds::LOCK_GRANT,
-                        LockGrant { lock: rel.lock, notices },
-                        bytes,
-                        interconnect::mailbox::tag(kinds::LOCK_GRANT, rel.lock),
-                    );
-                }
-                Outcome::reply((), 8)
-            }
-        });
     }
 
     /// Post one subtree aggregate up the barrier tree.
@@ -1587,8 +1520,10 @@ impl DsmNode {
     }
 
     /// Whether the fabric was built with a timeout/retry policy (fault
-    /// injection active): protocol requests then retry transient faults
-    /// instead of panicking on the first loss.
+    /// injection active): what is a one-way post on a plain fabric —
+    /// a lock release, a barrier arrival or wave — then travels as an
+    /// acknowledged request, because only requests can be retried.
+    /// Requests themselves take one path either way.
     fn resilient(&self) -> bool {
         self.ctx.port().resilience().is_some()
     }
@@ -1602,19 +1537,16 @@ impl DsmNode {
         let mut home = self.dsm.home_of(page);
         let mut hops = 0u32;
         let data = loop {
-            let reply = if self.resilient() {
-                self.ctx
-                    .port()
-                    .request_retrying(home, kinds::GET_PAGE, GetPage { page }, 24)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "swdsm node {}: unrecoverable fault fetching page {page:?}: {e}",
-                            self.rank
-                        )
-                    })
-            } else {
-                self.ctx.port().request(home, kinds::GET_PAGE, GetPage { page }, 24)
-            };
+            let reply = self
+                .ctx
+                .port()
+                .request_retrying(home, kinds::GET_PAGE, GetPage { page }, 24)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "swdsm node {}: unrecoverable fault fetching page {page:?}: {e}",
+                        self.rank
+                    )
+                });
             match downcast::<PageReply>(reply) {
                 PageReply::Data(data) => break data,
                 PageReply::Moved { to, .. } => {
@@ -1640,19 +1572,16 @@ impl DsmNode {
         self.trace_span(t0, "page_fault", page.pack());
     }
 
-    /// Ship a batch of home-bound messages, retrying transient faults
-    /// when the fabric is resilient. Fatal faults end the node with a
-    /// structured report — a half-flushed interval is unrecoverable.
+    /// Ship a batch of home-bound messages (the fabric retries
+    /// transient faults where it has a policy to). Fatal faults end the
+    /// node with a structured report — a half-flushed interval is
+    /// unrecoverable.
     fn send_batch<T: std::any::Any + Send + Clone>(&self, msgs: Vec<(usize, u32, T, u64)>) {
         if msgs.is_empty() {
             return;
         }
-        if self.resilient() {
-            if let Err(e) = self.ctx.port().request_batch_retrying(msgs) {
-                panic!("swdsm node {}: unrecoverable fault flushing interval: {e}", self.rank);
-            }
-        } else {
-            let _acks = self.ctx.port().request_batch(msgs);
+        if let Err(e) = self.ctx.port().request_batch(msgs) {
+            panic!("swdsm node {}: unrecoverable fault flushing interval: {e}", self.rank);
         }
     }
 
@@ -1910,19 +1839,16 @@ impl DsmNode {
                 let req = ValidateReq { pages: pages.clone() };
                 let bytes = 8 + 8 * pages.len() as u64;
                 self.dsm.count_sync(self.rank, home, pages.len() as u64);
-                let reply = if self.resilient() {
-                    self.ctx
-                        .port()
-                        .request_retrying(home, kinds::VALIDATE, req, bytes)
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "swdsm node {}: unrecoverable fault validating digests: {e}",
-                                self.rank
-                            )
-                        })
-                } else {
-                    self.ctx.port().request(home, kinds::VALIDATE, req, bytes)
-                };
+                let reply = self
+                    .ctx
+                    .port()
+                    .request_retrying(home, kinds::VALIDATE, req, bytes)
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "swdsm node {}: unrecoverable fault validating digests: {e}",
+                            self.rank
+                        )
+                    });
                 let rep = downcast::<ValidateRep>(reply);
                 for (page, version) in pages.into_iter().zip(rep.versions) {
                     if version > cached[&page] {
@@ -2036,52 +1962,17 @@ impl DsmNode {
     fn try_acquire_mode(&self, lock: u32, mode: Mode) -> Result<(), DsmError> {
         let t0 = self.ctx.clock().now();
         self.stat("lock_acquires", 1);
-        let mgr = self.dsm.lock_mgr_of(lock);
-        let notices = if self.dsm.sync.locks == LockTopology::TokenQueue {
-            if self.resilient() {
-                // Faulty fabric: the manager-mediated tenure machine
-                // (`rtok_*`) — every step a retryable manager round. One
-                // tenure sequence number covers the whole attempt, so a
-                // duplicate request of the granted tenure comes back as
-                // a replay carrying the identical notices.
-                let seq = self.dsm.lockmgrs[self.rank].lock().rtok_begin(lock);
-                self.acquire_notices_resilient(lock, |lost_grant| {
-                    let req = RTokAcquire { lock, who: self.rank, seq, lost_grant };
-                    self.ctx.port().request_retrying(mgr, kinds::RTOK_ACQ, req, 24)
-                })?
-            } else {
-                // MCS-style token queue (shared mode serializes as
-                // exclusive): kick the local handler, which enqueues at
-                // the manager; the token arrives as a LOCK_GRANT
-                // deposit.
-                let tag = interconnect::mailbox::tag(kinds::LOCK_GRANT, lock);
-                self.ctx.port().post(
-                    self.rank,
-                    kinds::TOK_ACQ_LOCAL,
-                    TokAcquireLocal { lock },
-                    8,
-                );
-                let grant = downcast::<LockGrant>(self.ctx.port().wait_mailbox(tag));
-                assert_eq!(grant.lock, lock);
-                grant.notices
-            }
-        } else if self.resilient() {
-            self.acquire_notices_resilient(lock, |lost_grant| {
-                let req = LockReq { lock, mode, lost_grant };
-                self.ctx.port().request_retrying(mgr, kinds::LOCK_REQ, req, 16)
-            })?
+        let notices = if self.dsm.token_locks {
+            // MCS-style token queue (shared mode serializes as
+            // exclusive): kick the local handler, which enqueues at
+            // the manager; the token arrives as a LOCK_GRANT deposit.
+            let tag = interconnect::mailbox::tag(kinds::LOCK_GRANT, lock);
+            self.ctx.port().post(self.rank, kinds::TOK_ACQ_LOCAL, TokAcquireLocal { lock }, 8);
+            let grant = downcast::<LockGrant>(self.ctx.port().wait_mailbox(tag));
+            assert_eq!(grant.lock, lock);
+            grant.notices
         } else {
-            let reply = self.ctx.port().request(mgr, kinds::LOCK_REQ, LockReq { lock, mode, lost_grant: false }, 16);
-            match downcast::<Answer<Notices>>(reply) {
-                Answer::Granted(notices) => notices,
-                Answer::Queued => {
-                    self.stat("lock_queued", 1);
-                    let tag = interconnect::mailbox::tag(kinds::LOCK_GRANT, lock);
-                    let grant = downcast::<LockGrant>(self.ctx.port().wait_mailbox(tag));
-                    assert_eq!(grant.lock, lock);
-                    grant.notices
-                }
-            }
+            self.acquire_from_manager(lock, mode)?
         };
         if self.dsm.cfg.notices_on_locks {
             self.apply_notices(&notices);
@@ -2093,16 +1984,14 @@ impl DsmNode {
         Ok(())
     }
 
-    /// The resilient acquire, for both managers: `request` is one
-    /// retried manager round (`LOCK_REQ` or `RTOK_ACQ`, told whether a
-    /// tombstone was consumed) answered with an [`Answer`]; a queued
-    /// requester parks on the grant tag, where a grant destroyed in
-    /// flight leaves a loss tombstone — see [`acquire_resilient`].
-    fn acquire_notices_resilient(
-        &self,
-        lock: u32,
-        mut request: impl FnMut(bool) -> Result<interconnect::Payload, RequestError>,
-    ) -> Result<Notices, DsmError> {
+    /// Acquire from the central manager: one `LOCK_REQ` round (retried
+    /// by the fabric where it has a policy to) answered `Granted`, or
+    /// `Queued` — then park on the grant tag, where a grant destroyed in
+    /// flight leaves a loss tombstone and the next round says so. See
+    /// [`acquire_resilient`]; a fabric that loses nothing never gets
+    /// past round 1.
+    fn acquire_from_manager(&self, lock: u32, mode: Mode) -> Result<Notices, DsmError> {
+        let mgr = self.dsm.lock_mgr_of(lock);
         let tag = interconnect::mailbox::tag(kinds::LOCK_GRANT, lock);
         acquire_resilient(
             format_args!("swdsm node {}: lock {lock}", self.rank),
@@ -2110,7 +1999,9 @@ impl DsmNode {
                 if round > 1 {
                     self.stat("retries", 1);
                 }
-                let answer = downcast::<Answer<Notices>>(request(lost_grant)?);
+                let req = LockReq { lock, mode, lost_grant };
+                let reply = self.ctx.port().request_retrying(mgr, kinds::LOCK_REQ, req, 16)?;
+                let answer = downcast::<Answer<Notices>>(reply);
                 if round == 1 && matches!(answer, Answer::Queued) {
                     self.stat("lock_queued", 1);
                 }
@@ -2141,51 +2032,32 @@ impl DsmNode {
     pub fn try_release(&self, lock: u32) -> Result<(), DsmError> {
         let interval = self.flush_interval();
         self.epoch_mods.lock().merge(&interval);
-        if self.dsm.sync.locks == LockTopology::TokenQueue {
+        if self.dsm.token_locks {
+            // Merge this interval into the token and forward or return
+            // it — all handler-side, so the release is asynchronous
+            // like the central manager's one-way post.
+            let msg = TokRelease { lock, interval };
+            let bytes = 16 + msg.interval.wire_bytes();
+            self.ctx.port().post(self.rank, kinds::TOK_REL, msg, bytes);
+        } else {
+            let mgr = self.dsm.lock_mgr_of(lock);
+            let rel = LockRel { lock, releaser: self.rank, interval };
+            let bytes = 16 + rel.interval.wire_bytes();
             if self.resilient() {
-                // Faulty fabric: an acknowledged (and retried) manager
-                // round; the manager's tenure record makes a duplicate
-                // release a no-op, so a lost ack cannot double-apply.
-                let seq = self.dsm.lockmgrs[self.rank].lock().rtok_seq(lock);
-                let mgr = self.dsm.lock_mgr_of(lock);
-                let msg = RTokRelease { lock, who: self.rank, seq, interval };
-                let bytes = 32 + msg.interval.wire_bytes();
                 self.ctx
                     .port()
-                    .request_retrying(mgr, kinds::RTOK_REL, msg, bytes)
+                    .request_retrying(mgr, kinds::LOCK_REL, rel, bytes)
                     .map_err(|err| DsmError { op: "lock_release", id: lock, err })?;
             } else {
-                // Merge this interval into the token and forward or
-                // return it — all handler-side, so the release is
-                // asynchronous like the central manager's one-way post.
-                let msg = TokRelease { lock, interval };
-                let bytes = 16 + msg.interval.wire_bytes();
-                self.ctx.port().post(self.rank, kinds::TOK_REL, msg, bytes);
+                self.ctx.port().post(mgr, kinds::LOCK_REL, rel, bytes);
             }
-            self.trace_lock_release(lock);
-            return Ok(());
         }
-        let mgr = self.dsm.lock_mgr_of(lock);
-        let rel = LockRel { lock, releaser: self.rank, interval };
-        let bytes = 16 + rel.interval.wire_bytes();
-        if self.resilient() {
-            self.ctx
-                .port()
-                .request_retrying(mgr, kinds::LOCK_REL, rel, bytes)
-                .map_err(|err| DsmError { op: "lock_release", id: lock, err })?;
-        } else {
-            self.ctx.port().post(mgr, kinds::LOCK_REL, rel, bytes);
-        }
-        self.trace_lock_release(lock);
-        Ok(())
-    }
-
-    /// The release instant carries [`grant_corr`] of `(releaser, lock)`
-    /// — the encoding the managers' grant instants use, so release →
-    /// next grant chains join up.
-    fn trace_lock_release(&self, lock: u32) {
+        // The release instant carries [`grant_corr`] of `(releaser,
+        // lock)` — the encoding the managers' grant instants use, so
+        // release → next grant chains join up.
         let corr = grant_corr(self.rank, lock);
         sim::trace::instant_corr(self.ctx.clock().now(), self.rank, "swdsm", "lock_release", lock as u64, corr);
+        Ok(())
     }
 
     /// Global barrier `id`: flushes the interval, exchanges write

@@ -482,40 +482,6 @@ pub struct TokClaim {
     pub succ: usize,
 }
 
-/// Resilient token queue: node `who` (tenure `seq`) asks the manager
-/// for the lock. A request, not a one-way post — the reply (or its
-/// loss) drives the retry loop. The reply is the same `Answer` a
-/// [`LockReq`] gets; a replayed grant (the earlier grant or pass was
-/// lost) is re-issued as `Granted` with the same notices.
-#[derive(Debug, Clone, Copy)]
-pub struct RTokAcquire {
-    /// The lock to acquire.
-    pub lock: u32,
-    /// The acquiring node.
-    pub who: usize,
-    /// The acquirer's tenure sequence number. Retries of one tenure
-    /// reuse the number, so the manager can tell a lost-reply retry
-    /// from a new acquisition.
-    pub seq: u64,
-    /// The requester consumed the loss tombstone of this tenure's
-    /// posted grant: replay the grant by reply.
-    pub lost_grant: bool,
-}
-
-/// Resilient token queue: node `who` ends tenure `seq`, publishing its
-/// interval. Idempotent at the manager.
-#[derive(Clone)]
-pub struct RTokRelease {
-    /// The lock being released.
-    pub lock: u32,
-    /// The releasing node.
-    pub who: usize,
-    /// The ending tenure's sequence number.
-    pub seq: u64,
-    /// The releaser's interval (its writes in the critical section).
-    pub interval: Interval,
-}
-
 /// Digest fallback: ask a home for the current versions of `pages`
 /// (all homed at the destination).
 #[derive(Debug, Clone)]

@@ -673,6 +673,88 @@ fn token_queue_passes_directly_between_contenders() {
     assert!(forwards >= 1, "contended release must forward the token, got {forwards}");
 }
 
+/// Spin until `done` holds; false if it still does not after a few
+/// seconds, so a regression fails its assertion instead of hanging.
+fn eventually(done: impl Fn() -> bool) -> bool {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !done() {
+        if std::time::Instant::now() > deadline {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+    true
+}
+
+#[test]
+fn queued_acquire_on_a_plain_fabric_is_one_round_of_the_one_path() {
+    // Node 0 takes the lock before the barrier and keeps it until the
+    // manager has queued node 1, so node 1 is answered `Queued` and then
+    // granted by post: round 1 of the acquire loop, and no second round.
+    let (c, dsm) = cluster(2);
+    let (report, queued) = c.run(|ctx| {
+        let node = dsm.node(ctx);
+        if node.rank() == 0 {
+            node.acquire(5);
+        }
+        node.barrier(1);
+        let queued = if node.rank() == 0 {
+            let queued = eventually(|| dsm.stats(1).get("lock_queued") == 1);
+            node.release(5);
+            queued
+        } else {
+            node.acquire(5);
+            node.release(5);
+            true
+        };
+        node.barrier(2);
+        queued
+    });
+    assert_eq!(queued, vec![true, true], "node 1 never queued behind node 0");
+    assert_eq!(dsm.stats(0).get("lock_queued"), 0);
+    assert_eq!(dsm.stats(1).get("lock_queued"), 1);
+    for n in 0..2 {
+        assert_eq!(dsm.stats(n).get("retries"), 0, "node {n} went round again");
+    }
+    assert_eq!(report.net_stats["retries"], 0);
+    assert_eq!(report.net_stats["timeouts"], 0);
+}
+
+#[test]
+fn resilient_fabric_serves_token_queue_locks_from_the_manager() {
+    // A retry policy and `TokenQueue`: the central manager serves the
+    // lock, in the mode the caller asked for — two readers are inside
+    // together, and no token is ever created.
+    let sync = cluster::SyncTopology {
+        locks: cluster::LockTopology::TokenQueue,
+        ..cluster::SyncTopology::centralized()
+    };
+    let c = Cluster::new(
+        FabricConfig::builder()
+            .nodes(2)
+            .link(LinkKind::Ethernet)
+            .sync(sync)
+            .resilience(interconnect::Resilience::default())
+            .build(),
+    );
+    let dsm = SwDsm::install(&c, DsmConfig::default());
+    let inside = std::sync::atomic::AtomicUsize::new(0);
+    let (_, overlapped) = c.run(|ctx| {
+        use std::sync::atomic::Ordering::SeqCst;
+        let node = dsm.node(ctx);
+        node.barrier(1);
+        node.acquire_shared(5);
+        inside.fetch_add(1, SeqCst);
+        let overlapped = eventually(|| inside.load(SeqCst) == 2);
+        node.release(5);
+        node.barrier(2);
+        overlapped
+    });
+    assert_eq!(overlapped, vec![true, true], "shared holders serialised");
+    let forwards: u64 = (0..2).map(|n| dsm.stats(n).get("token_forwards")).sum();
+    assert_eq!(forwards, 0, "the manager, not a token, serves a resilient fabric's locks");
+}
+
 #[test]
 fn digest_notices_invalidate_stale_copies() {
     let sync = cluster::SyncTopology {

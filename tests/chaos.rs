@@ -17,11 +17,12 @@
 //! * Integration: a node crashes mid-run, rejoins through
 //!   `DsmNode::rejoin`, and catches up over the incremental delta path
 //!   (small divergence must not trigger a snapshot sync).
-//! * Integration: token-queue lock handoff survives drop/dup/delay
-//!   chaos — the sequence-numbered tenure replay keeps mutual exclusion
-//!   and exactly-once semantics. (Content only: contended lock grant
-//!   order is real-arrival order, so virtual times are not compared
-//!   across runs — see OBSERVABILITY.md, "Contended locks".)
+//! * Integration: a contended lock survives drop/dup/delay chaos under
+//!   either `LockTopology` — on a resilient fabric the central manager
+//!   serves both, and its idempotent answers keep mutual exclusion and
+//!   exactly-once semantics. (Content only: contended lock grant order
+//!   is real-arrival order, so virtual times are not compared across
+//!   runs — see OBSERVABILITY.md, "Contended locks".)
 
 use cluster::{
     Cluster, EngineMode, FabricConfig, LinkKind, MembershipPlan, RunReport, ViewChange,
@@ -99,13 +100,11 @@ fn slot_run(
     // handler-window saturation: a saturated window's slowdown depends
     // on real registration order (see OBSERVABILITY.md). At 64 nodes
     // that takes all three below-saturation conventions at once —
-    // Ethernet pinned at 250 MB/s like the chaos bench, the fanout-4
-    // tree barrier (63 same-instant arrivals saturate a centralized
+    // Ethernet pinned like the chaos bench, the fanout-4 tree
+    // barrier (63 same-instant arrivals saturate a centralized
     // manager's handler window), and rank-rotated reads in the workload
     // (63 simultaneous fetches of one home's page saturate its egress
     // window).
-    let mut cost = sim::CostModel::default();
-    cost.ethernet.bytes_per_sec = 250_000_000;
     let sync = cluster::SyncTopology {
         barrier: cluster::BarrierTopology::Tree { fanout: 4 },
         ..cluster::SyncTopology::centralized()
@@ -113,7 +112,7 @@ fn slot_run(
     let mut b = FabricConfig::builder()
         .nodes(nodes)
         .link(LinkKind::Ethernet)
-        .cost(cost)
+        .cost(sim::CostModel::pinned_ethernet())
         .sync(sync)
         .engine(engine);
     if let Some(plan) = membership {
@@ -286,11 +285,10 @@ fn crashed_node_rejoins_via_delta_sync_and_completes() {
     assert!(nodedown > 0, "peer flushes never hit the absence window: {:?}", report.net_stats);
 }
 
-/// Token-queue lock handoff under the chaos bench's fault mix: the
-/// manager-mediated resilient grant machine (sequence-numbered tenures,
-/// replayed grants) must keep a lock-protected counter exact through
-/// drops, duplicates, and delays — the combination PR-era installs used
-/// to reject outright.
+/// `TokenQueue` under the chaos bench's fault mix: the MCS token cannot
+/// be re-issued, so on the faulty legs the central manager serves the
+/// lock (no token is ever forwarded) and must keep a lock-protected
+/// counter exact through drops, duplicates, and delays.
 #[test]
 fn token_queue_locks_survive_chaos() {
     contended_lock_survives_chaos(cluster::LockTopology::TokenQueue);
@@ -319,7 +317,7 @@ fn contended_lock_survives_chaos(locks: cluster::LockTopology) {
         }
         let cluster = Cluster::new(b.build());
         let dsm = swdsm::SwDsm::install(&cluster, swdsm::DsmConfig::default());
-        cluster.run(|ctx| {
+        let (report, counts) = cluster.run(|ctx| {
             let node = dsm.node(ctx);
             let a = node.alloc(4096, Distribution::Block);
             node.barrier(1);
@@ -331,10 +329,12 @@ fn contended_lock_survives_chaos(locks: cluster::LockTopology) {
             }
             node.barrier(2);
             node.read_u64(a)
-        })
+        });
+        let forwards: u64 = (0..NODES).map(|n| dsm.stats(n).get("token_forwards")).sum();
+        (report, counts, forwards)
     };
 
-    let (_, clean) = run(None);
+    let (_, clean, _) = run(None);
     assert_eq!(clean, vec![ROUNDS * NODES as u64; NODES]);
     let plan = || {
         let mut p = FaultPlan::seeded(11);
@@ -348,10 +348,11 @@ fn contended_lock_survives_chaos(locks: cluster::LockTopology) {
         };
         p
     };
-    let (r1, c1) = run(Some(plan()));
-    let (r2, c2) = run(Some(plan()));
+    let (r1, c1, f1) = run(Some(plan()));
+    let (r2, c2, f2) = run(Some(plan()));
     assert_eq!(c1, clean, "chaos broke {locks:?} mutual exclusion");
     assert_eq!(c2, clean, "chaos broke {locks:?} mutual exclusion on the rerun");
+    assert_eq!((f1, f2), (0, 0), "a resilient fabric's locks are the manager's to serve");
     // No cross-run timing assertions here: this workload *contends* on
     // the lock, and contended grant order follows real message-arrival
     // order (see OBSERVABILITY.md, "Contended locks") — so virtual

@@ -97,32 +97,11 @@ struct Observed {
 /// observation.
 fn observe(workers: usize, nodes: usize, schedule: Schedule) -> Observed {
     let session = TraceSession::begin();
-    // Put the cost model in the *deterministic regime*: below
-    // bus-window saturation, every transfer is a pure function of
-    // `(time, bytes)` and every run must agree to the nanosecond;
-    // above it, slowdown depends on real-time registration order
-    // (OBSERVABILITY.md, "Bus saturation"). The 64-node legs make this
-    // a tight fit — LU broadcasts a 4 KiB pivot page to 63 peers every
-    // step — so three knobs move together:
-    //
-    // * 1 GB/s links (the `analyze` bench's 250 MB/s still saturates
-    //   under a 63-wide page fan-in: 63 × 4 KiB > 250 KB per window);
-    // * small per-message service overheads, so 64 barrier arrivals per
-    //   step don't saturate the manager's fixed 1 GB/s service bus;
-    // * 400 µs latency, stretching virtual time so consecutive fan-in
-    //   steps land in different 1 ms bus windows instead of stacking
-    //   their reply bytes into one (latency is additive and
-    //   bus-independent, so it is pure schedule spacing).
-    let mut cost = sim::cost::CostModel::default();
-    cost.ethernet.bytes_per_sec = 1_000_000_000;
-    cost.ethernet.latency_ns = 400_000;
-    cost.ethernet.recv_overhead_ns = 500;
-    cost.ethernet.send_overhead_ns = 500;
-    cost.ethernet.handler_ns = 200;
+    // The deterministic regime, wide enough for the 64-node legs.
     let fabric = FabricConfig::builder()
         .nodes(nodes)
         .link(LinkKind::Ethernet)
-        .cost(cost)
+        .cost(sim::CostModel::wide_below_saturation())
         .engine(EngineMode { workers })
         .build();
     let cluster = Cluster::new(fabric);

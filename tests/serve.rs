@@ -25,30 +25,6 @@ use sim::CostModel;
 /// Metrics window: 1 ms of virtual time, matching the `serve` bench.
 const WINDOW_NS: u64 = 1_000_000;
 
-/// 4-node cost model: the paper testbed with Ethernet pinned below
-/// bus-window saturation (the same rate as
-/// `bench::suite::PINNED_ETHERNET_BPS`; this crate does not depend on
-/// the bench crate, so the pin is restated here).
-fn pinned_cost() -> CostModel {
-    let mut cost = CostModel::default();
-    cost.ethernet.bytes_per_sec = 250_000_000;
-    cost
-}
-
-/// 64-node cost model: the deterministic-regime knobs from
-/// `tests/engine.rs` — 1 GB/s links, small per-message overheads, and
-/// 400 µs latency so wide fan-ins land in different bus windows instead
-/// of saturating one (see the rationale there).
-fn wide_cost() -> CostModel {
-    let mut cost = CostModel::default();
-    cost.ethernet.bytes_per_sec = 1_000_000_000;
-    cost.ethernet.latency_ns = 400_000;
-    cost.ethernet.recv_overhead_ns = 500;
-    cost.ethernet.send_overhead_ns = 500;
-    cost.ethernet.handler_ns = 200;
-    cost
-}
-
 /// Everything the SLO artifact is built from, for one run.
 #[derive(Debug, PartialEq)]
 struct Observed {
@@ -109,7 +85,13 @@ proptest! {
         batch in 30usize..=60,
     ) {
         let kv = kv_config(seed, rounds, batch);
-        for (nodes, cost) in [(4usize, pinned_cost()), (64, wide_cost())] {
+        // Both legs in the deterministic regime: the pin holds 4 nodes
+        // below saturation, 64 need the wide model.
+        let legs = [
+            (4usize, CostModel::pinned_ethernet()),
+            (64, CostModel::wide_below_saturation()),
+        ];
+        for (nodes, cost) in legs {
             // One worker is the real-time schedule furthest from the
             // auto-sized, stealing pool.
             let single = EngineMode { workers: 1 };
@@ -151,7 +133,7 @@ fn chaos_degrades_p99_but_not_answers() {
             nodes,
             platform,
             EngineMode::default(),
-            pinned_cost(),
+            CostModel::pinned_ethernet(),
             &kv,
             None,
         );
@@ -159,7 +141,7 @@ fn chaos_degrades_p99_but_not_answers() {
             nodes,
             platform,
             EngineMode::default(),
-            pinned_cost(),
+            CostModel::pinned_ethernet(),
             &kv,
             Some(chaos_plan(nodes)),
         );

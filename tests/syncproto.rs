@@ -15,7 +15,7 @@
 use hamster::cluster::syncproto::barrier::{
     BarrierMgr, BarrierStep, TreeBarrier, TreeStep, TreeTopo,
 };
-use hamster::cluster::syncproto::lock::{Acquire, LockMgr, Mode, RTokStep};
+use hamster::cluster::syncproto::lock::{Acquire, LockMgr, Mode};
 use hamster::cluster::syncproto::Piggyback;
 use hamster::memwire::{Interval, PageId};
 use hamster::swdsm::proto::NoticeSet;
@@ -625,56 +625,6 @@ impl LockWorld {
         w.check_exclusion();
         w
     }
-
-    /// Resilient token queue (`rtok_*`, tenure 1 of everyone, all
-    /// exclusive): deliver `input`.
-    fn rtok(&self, input: LockInput) -> LockWorld {
-        let mut w = self.clone();
-        match input {
-            LockInput::Request(i) | LockInput::Retry(i, _) => {
-                let lost = matches!(input, LockInput::Retry(_, true));
-                w.retry_left &= matches!(input, LockInput::Request(_));
-                let got = w.notice.rtok_acquire(LOCK, i, 1, w.stamps[i], lost);
-                let ugot = w.unit.rtok_acquire(LOCK, i, 1, w.stamps[i], lost);
-                assert_eq!(rtok_shape(&got), rtok_shape(&ugot), "payload steered on {input:?}");
-                match (w.phase[i], got) {
-                    (Phase::Idle, RTokStep::Grant(notices)) => {
-                        w.check_notices(&notices);
-                        w.phase[i] = Phase::Holding { by_post: false };
-                    }
-                    (Phase::Idle, RTokStep::Queued) => w.phase[i] = Phase::Waiting,
-                    (Phase::Waiting, RTokStep::Queued) => {}
-                    (Phase::Holding { by_post: false }, RTokStep::Replay(_)) => {}
-                    (Phase::Holding { by_post: true }, RTokStep::Queued) => assert!(!lost),
-                    (Phase::Holding { by_post: true }, RTokStep::Replay(_)) => assert!(lost),
-                    (phase, got) => panic!("{input:?} in {phase:?} answered {got:?}"),
-                }
-            }
-            LockInput::Release(i) => {
-                w.phase[i] = Phase::Done;
-                let expected = w.expected_handover();
-                w.published.push(i);
-                let grant = w.notice.rtok_release(LOCK, i, 1, section(i));
-                let ugrant = w.unit.rtok_release(LOCK, i, 1, ());
-                assert_eq!(grant.as_ref().map(|g| g.0), ugrant.map(|g| g.0));
-                assert_eq!(grant.as_ref().map(|g| g.0), expected.first().copied(), "hand-over order");
-                if let Some((next, notices)) = grant {
-                    w.check_notices(&notices);
-                    w.phase[next] = Phase::Holding { by_post: true };
-                }
-            }
-        }
-        assert!(w.holders().len() <= 1, "two tenures at once: {:?}", w.holders());
-        w
-    }
-}
-
-fn rtok_shape<P>(step: &RTokStep<P>) -> &'static str {
-    match step {
-        RTokStep::Grant(_) => "grant",
-        RTokStep::Queued => "queued",
-        RTokStep::Replay(_) => "replay",
-    }
 }
 
 fn explore_locks(start: LockWorld, step: impl Fn(&LockWorld, LockInput) -> LockWorld) {
@@ -697,12 +647,6 @@ fn central_lock_every_order_of_three_requesters_with_one_retry() {
     }
 }
 
-#[test]
-fn token_queue_lock_every_order_of_three_requesters_with_one_retry() {
-    // Ranks 1 and 2 arrive at the same virtual instant: rank breaks it.
-    explore_locks(LockWorld::new([Mode::Excl; 3], [20, 10, 10]), LockWorld::rtok);
-}
-
 /// The PR 14 race, as a litmus. Node 1 queues, but its `Queued` reply
 /// is lost; node 0 releases and the manager hands over to node 1 by
 /// *posting* the grant. Node 1, still retrying its request, must be
@@ -723,19 +667,6 @@ fn lost_grant_litmus() {
         assert!(m.release(LOCK, 1, W::Pub::default(), 60).is_empty());
         assert!(m.state(LOCK).unwrap().holders.is_empty());
     }
-    fn token_queue<W: Piggyback>() {
-        let mut m = LockMgr::<W>::new();
-        assert!(matches!(m.rtok_acquire(LOCK, 0, 1, 10, false), RTokStep::Grant(_)));
-        assert_eq!(m.rtok_acquire(LOCK, 1, 1, 20, false), RTokStep::Queued);
-        assert_eq!(m.rtok_release(LOCK, 0, 1, W::Pub::default()).map(|g| g.0), Some(1));
-        assert_eq!(m.rtok_acquire(LOCK, 1, 1, 40, false), RTokStep::Queued);
-        assert!(matches!(m.rtok_acquire(LOCK, 1, 1, 50, true), RTokStep::Replay(_)));
-        assert_eq!(m.rtok_release(LOCK, 1, 1, W::Pub::default()), None);
-        // The tenure is closed: a straggling retry grants nothing.
-        assert_eq!(m.rtok_acquire(LOCK, 1, 1, 70, true), RTokStep::Replay(Vec::new()));
-    }
     central::<NoticeSet>();
     central::<()>();
-    token_queue::<NoticeSet>();
-    token_queue::<()>();
 }

@@ -125,14 +125,8 @@ fn observe(
     sync: SyncTopology,
 ) -> Observed {
     let mut cfg = ClusterConfig::new(nodes, PlatformKind::SwDsm);
-    // The deterministic cost regime from the fabric determinism test:
-    // below bus-window saturation with enough latency that 64-node
-    // fan-ins never stack into one window (see tests/engine.rs).
-    cfg.cost.ethernet.bytes_per_sec = 1_000_000_000;
-    cfg.cost.ethernet.latency_ns = 400_000;
-    cfg.cost.ethernet.recv_overhead_ns = 500;
-    cfg.cost.ethernet.send_overhead_ns = 500;
-    cfg.cost.ethernet.handler_ns = 200;
+    // The deterministic regime, wide enough for the 64-node legs.
+    cfg.cost = sim::CostModel::wide_below_saturation();
     cfg.engine = engine;
     cfg.sync = sync;
     cfg.placement = placement.clone();

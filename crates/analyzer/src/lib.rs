@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! Causal trace analysis: critical path, contention, and sharing
 //! attribution over [`sim::trace`] event streams.
 //!

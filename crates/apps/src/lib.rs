@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The paper's benchmark suite (Table 1) and its workload abstraction.
 //!
 //! | benchmark | working set (paper)    | module      |

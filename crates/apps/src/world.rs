@@ -44,20 +44,12 @@ pub trait World: Sync {
 
     /// Bulk read of f64s (little-endian, via `read_bytes`).
     fn read_f64s(&self, a: GlobalAddr, out: &mut [f64]) {
-        let mut buf = vec![0u8; out.len() * 8];
-        self.read_bytes(a, &mut buf);
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = f64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().unwrap());
-        }
+        memwire::read_f64s(out, |buf| self.read_bytes(a, buf));
     }
 
     /// Bulk write of f64s.
     fn write_f64s(&self, a: GlobalAddr, src: &[f64]) {
-        let mut buf = Vec::with_capacity(src.len() * 8);
-        for v in src {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        self.write_bytes(a, &buf);
+        memwire::write_f64s(src, |buf| self.write_bytes(a, buf));
     }
 
     /// The `[lo, hi)` block of `n` items this rank owns.

@@ -232,3 +232,83 @@ fn is_runs_at_larger_scale() {
     let merged = BenchResult::merge(&rs);
     assert!(merged.total_ns > 0);
 }
+
+#[test]
+fn sor_virtual_history_is_pinned_across_host_side_rewrites() {
+    // Host-only optimisations of the bulk path (how bytes are copied,
+    // diffed and marshalled) must not move the modelled cluster by a
+    // nanosecond or a counter. SOR unoptimized 256²×4 on 4 nodes, Ethernet
+    // pinned below saturation; the values are the ones the byte-at-a-time
+    // store, the per-run `Vec` diff and the per-line read cache produced.
+    const CHECKSUM: u64 = 0xafe8_d62f_4ecd_4e4b;
+    type Golden = (PlatformKind, Option<u64>, &'static [(&'static str, u64)]);
+    let golden: [Golden; 3] = [
+        (
+            // The SMP bus is shared by all four ranks and saturated here,
+            // so its virtual time drifts run to run (ROADMAP item 1); the
+            // parent's runs spanned 7.366–7.430 ms.
+            PlatformKind::Smp,
+            None,
+            &[("barriers", 36), ("bulk_bytes", 5_300_224), ("reads", 1060), ("writes", 1528)],
+        ),
+        (
+            PlatformKind::HybridDsm,
+            Some(20_375_520),
+            &[
+                ("barriers", 36),
+                ("bulk_bytes", 3_983_360),
+                ("flushes", 0),
+                ("local_reads", 267),
+                ("local_writes", 376),
+                ("remote_reads", 793),
+                ("remote_writes", 1152),
+            ],
+        ),
+        (
+            PlatformKind::SwDsm,
+            Some(27_661_922),
+            &[
+                ("barriers", 36),
+                ("diff_bytes", 2_132_811),
+                ("diffs", 576),
+                ("evictions", 0),
+                ("getpages", 216),
+                ("invalidations", 12),
+                ("reads", 1060),
+                ("sync_msgs", 54),
+                ("sync_records", 2880),
+                ("traps", 600),
+                ("twins", 576),
+                ("writes", 1528),
+            ],
+        ),
+    ];
+    for (platform, sim_time_ns, counters) in golden {
+        let mut cfg = ClusterConfig::new(4, platform);
+        cfg.cost = sim::CostModel::pinned_ethernet();
+        let rt = hamster_core::Runtime::new(cfg);
+        let (report, sums) = rt.run(|ham| {
+            apps::sor::sor(&apps::world::HamsterWorld::new(ham.clone()), 256, 4, false).checksum
+        });
+        assert_eq!(sums, [CHECKSUM; 4], "{platform:?}");
+        match sim_time_ns {
+            Some(ns) => assert_eq!(report.sim_time_ns, ns, "{platform:?}"),
+            None => assert!(
+                (7_200_000..=7_600_000).contains(&report.sim_time_ns),
+                "{platform:?}: {} ns",
+                report.sim_time_ns
+            ),
+        }
+        for &(name, want) in counters {
+            let got: u64 = (0..4).map(|node| rt.platform_stats(node)[name]).sum();
+            assert_eq!(got, want, "{platform:?} {name}");
+        }
+        if platform == PlatformKind::SwDsm {
+            let net = &report.net_stats;
+            assert_eq!(
+                (net["bytes"], net["delivered"], net["requests"], net["posts"]),
+                (2_173_035, 348, 276, 72)
+            );
+        }
+    }
+}

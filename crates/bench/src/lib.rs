@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment harness for the paper's tables and figures.
 //!
 //! Each binary regenerates one artifact:

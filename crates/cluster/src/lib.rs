@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Cluster bring-up: configuration, node registry, and the SPMD run
 //! harness.
 //!

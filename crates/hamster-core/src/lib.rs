@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! # HAMSTER — the Hybrid-dsm based Adaptive and Modular Shared memory
 //! archiTEctuRe
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! An SCI-VM-style hybrid DSM.
 //!
 //! The paper's hybrid configuration (§3.2) runs on *shared memory

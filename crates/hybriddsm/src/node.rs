@@ -6,6 +6,7 @@ use cluster::{Cluster, NodeCtx};
 use memwire::{Distribution, GlobalAddr, RegionDir, RegionMeta, RegionStore, PAGE_SIZE};
 use parking_lot::Mutex;
 use sim::{MachineCost, SciAccessCost, StatSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -108,7 +109,7 @@ impl HybridDsm {
             ctx,
             pending_writes: AtomicU64::new(0),
             next_region: Mutex::new(HYBRID_REGION_BASE + 1),
-            cache: Mutex::new(std::collections::HashSet::new()),
+            cache: Mutex::new(LineCache::default()),
         }
     }
 }
@@ -128,7 +129,47 @@ pub struct HybridNode {
     next_region: Mutex<u32>,
     /// Remote lines present in the (modelled) processor cache this
     /// synchronization interval.
-    cache: Mutex<std::collections::HashSet<u64>>,
+    cache: Mutex<LineCache>,
+}
+
+/// Lines of the modelled cache per mask word: one 4 KiB block.
+const BLOCK_LINES: u64 = u64::BITS as u64;
+
+/// The set of 64-byte lines present in the modelled processor cache:
+/// one presence mask per 4 KiB block and a running count, so a bulk
+/// read costs a map operation per block it spans, not per line.
+#[derive(Default)]
+struct LineCache {
+    blocks: HashMap<u64, u64>,
+    len: usize,
+}
+
+impl LineCache {
+    /// Bring lines `[first, first + lines)` in and return how many were
+    /// missing. A cache that could not hold them all on top of what it
+    /// has starts over first (epoch eviction: crude LRU).
+    fn touch(&mut self, first: u64, lines: u64, capacity: usize) -> u64 {
+        if self.len + lines as usize > capacity {
+            self.clear();
+        }
+        let (mut line, end, mut missed) = (first, first + lines, 0);
+        while line < end {
+            let bit = line % BLOCK_LINES;
+            let n = (BLOCK_LINES - bit).min(end - line);
+            let wanted = (u64::MAX >> (BLOCK_LINES - n)) << bit;
+            let present = self.blocks.entry(line / BLOCK_LINES).or_insert(0);
+            missed += (wanted & !*present).count_ones() as u64;
+            *present |= wanted;
+            line += n;
+        }
+        self.len += missed as usize;
+        missed
+    }
+
+    fn clear(&mut self) {
+        self.blocks.clear();
+        self.len = 0;
+    }
 }
 
 impl HybridNode {
@@ -229,13 +270,7 @@ impl HybridNode {
         }
         // Count cache misses among the 64-byte lines spanned.
         let missed_lines = if self.dsm.cfg.cache_remote_reads {
-            let mut cache = self.cache.lock();
-            if cache.len() + lines as usize > self.dsm.cfg.cache_lines {
-                // Epoch eviction: a full cache starts over (crude LRU).
-                cache.clear();
-            }
-            let first = addr.0 / 64;
-            (0..lines).filter(|i| cache.insert(first + i)).count() as u64
+            self.cache.lock().touch(addr.0 / 64, lines, self.dsm.cfg.cache_lines)
         } else {
             lines
         };
@@ -385,4 +420,58 @@ impl HybridNode {
 
 fn transfer_ns(bytes: usize, per_sec: u64) -> u64 {
     (bytes as u128 * 1_000_000_000u128 / per_sec as u128) as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::HashSet;
+
+    /// The line-at-a-time set the masks replaced, kept as the oracle.
+    fn touch_model(cache: &mut HashSet<u64>, first: u64, lines: u64, capacity: usize) -> u64 {
+        if cache.len() + lines as usize > capacity {
+            cache.clear();
+        }
+        (0..lines).filter(|i| cache.insert(first + i)).count() as u64
+    }
+
+    #[test]
+    fn line_masks_match_the_line_set_model() {
+        let mut rng = StdRng::seed_from_u64(18);
+        for capacity in [8192usize, 300, 64, 1] {
+            let (mut cache, mut model) = (LineCache::default(), HashSet::new());
+            let mut evictions = 0;
+            for _ in 0..4_000 {
+                // Word reads, rows that cross block boundaries, and the
+                // odd read larger than the whole cache; a small window of
+                // addresses so re-reads hit.
+                let first = rng.gen_range(0..1_000u64);
+                let lines = match rng.gen_range(0..4u32) {
+                    0 => 1,
+                    1 => rng.gen_range(1..8u64),
+                    2 => rng.gen_range(60..200u64),
+                    _ => rng.gen_range(1..400u64),
+                };
+                let before = model.len();
+                let want = touch_model(&mut model, first, lines, capacity);
+                evictions += usize::from(model.len() < before + want as usize);
+                assert_eq!(cache.touch(first, lines, capacity), want, "{first}+{lines}");
+                assert_eq!(cache.len, model.len());
+            }
+            assert!(evictions > 0 || capacity == 8192, "capacity {capacity} never evicted");
+        }
+    }
+
+    #[test]
+    fn masks_cover_exactly_the_lines_touched() {
+        let mut cache = LineCache::default();
+        assert_eq!(cache.touch(63, 2, 100), 2, "last line of one block, first of the next");
+        assert_eq!(cache.blocks, HashMap::from([(0, 1 << 63), (1, 1)]));
+        assert_eq!(cache.touch(0, 128, 200), 126, "two whole blocks, two lines already present");
+        assert_eq!(cache.blocks, HashMap::from([(0, u64::MAX), (1, u64::MAX)]));
+        assert_eq!(cache.len, 128);
+        assert_eq!(cache.touch(127, 2, 129), 2, "130 lines do not fit 129: start over");
+        assert_eq!(cache.len, 2);
+    }
 }

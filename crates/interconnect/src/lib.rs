@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! Simulated cluster interconnect with virtual-time cost accounting.
 //!
 //! This crate stands in for the paper's physical networks (switched Fast

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Shared-memory bookkeeping common to all DSM backends.
 //!
 //! HAMSTER's memory-management module and both DSM substrates (the
@@ -16,11 +17,14 @@
 //! * [`store`] — a process-shared, atomically accessed region store used
 //!   by the platforms where memory is physically shared (SMP hardware
 //!   coherence; SCI remote memory).
+//! * [`marshal`] — `f64` rows to and from the little-endian bytes every
+//!   platform's bulk access moves.
 
 pub mod addr;
 pub mod arena;
 pub mod dir;
 pub mod diff;
+pub mod marshal;
 pub mod notice;
 pub mod page;
 pub mod store;
@@ -29,6 +33,7 @@ pub use addr::{page_span, pages_for, GlobalAddr, PageId, RegionId, PAGE_SIZE};
 pub use arena::{AlignHint, Arena, Distribution};
 pub use dir::{RegionDir, RegionMeta};
 pub use diff::Diff;
+pub use marshal::{read_f64s, write_f64s};
 pub use notice::{Interval, WriteNotice};
 pub use page::{CachedPage, PageState, PageTable};
 pub use store::RegionStore;

@@ -113,13 +113,14 @@ impl PageTable {
     }
 
     /// Downgrade a page to read-only, returning `(twin, current)` for
-    /// diffing. Panics if the page is not writable (protocol bug).
-    pub fn downgrade(&mut self, id: PageId) -> (Vec<u8>, Vec<u8>) {
+    /// diffing — `current` is the cached copy itself, not a clone.
+    /// Panics if the page is not writable (protocol bug).
+    pub fn downgrade(&mut self, id: PageId) -> (Vec<u8>, &[u8]) {
         let p = self.pages.get_mut(&id).expect("downgrade of uncached page");
         assert_eq!(p.state, PageState::Writable, "downgrade of read-only page");
         let twin = p.twin.take().expect("writable page without twin");
         p.state = PageState::ReadOnly;
-        (twin, p.data.clone())
+        (twin, &p.data)
     }
 
     /// Number of cached pages.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Programming-model adapters on top of the HAMSTER interface.
 //!
 //! The paper's central retargetability claim (§4.4, Table 2): a shared

@@ -92,21 +92,13 @@ impl Spmd {
     /// Read a contiguous range of elements into `out`.
     pub fn get_range(&self, a: &SharedArray, start: usize, out: &mut [f64]) {
         assert!(start + out.len() <= a.len());
-        let mut buf = vec![0u8; out.len() * 8];
-        self.ham.mem().read_bytes(a.at(start), &mut buf);
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = f64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().unwrap());
-        }
+        memwire::read_f64s(out, |buf| self.ham.mem().read_bytes(a.at(start), buf));
     }
 
     /// Write a contiguous range of elements from `src`.
     pub fn put_range(&self, a: &SharedArray, start: usize, src: &[f64]) {
         assert!(start + src.len() <= a.len());
-        let mut buf = Vec::with_capacity(src.len() * 8);
-        for v in src {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        self.ham.mem().write_bytes(a.at(start), &buf);
+        memwire::write_f64s(src, |buf| self.ham.mem().write_bytes(a.at(start), buf));
     }
 
     /// Acquire a global lock.

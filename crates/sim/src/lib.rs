@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! Virtual-time substrate for the HAMSTER reproduction.
 //!
 //! The paper evaluates HAMSTER on a four-node dual-Xeon cluster with both

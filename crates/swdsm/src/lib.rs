@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! A home-based, scope-consistent software DSM in the style of JiaJia.
 //!
 //! The paper integrates JiaJia (Hu, Shi & Tang, HPCN'99) as its

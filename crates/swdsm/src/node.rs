@@ -1037,6 +1037,7 @@ impl SwDsm {
         let dsm = self.clone();
         net.register_all(kinds::TOK_REL, move |node| {
             let dsm = dsm.clone();
+            let mailbox = net.mailbox(node);
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 let msg = downcast::<TokRelease>(p);
                 match dsm.lockmgrs[node].lock().tok_release(msg.lock, node, msg.interval.clone()) {
@@ -1054,6 +1055,10 @@ impl SwDsm {
                     }
                     other => unreachable!("release produced {other:?}"),
                 }
+                // The token is on its way: let the releaser go on (see
+                // `try_release`).
+                let tag = interconnect::mailbox::tag(kinds::TOK_REL, msg.lock);
+                mailbox.deposit(tag, Box::new(()), ctx.now);
                 Outcome::done()
             }
         });
@@ -1664,7 +1669,7 @@ impl DsmNode {
                 for page in &dirty {
                     let (twin, cur) = table.downgrade(*page);
                     self.ctx.compute(self.dsm.cfg.diff_scan_ns);
-                    let diff = Diff::between(&twin, &cur);
+                    let diff = Diff::between(&twin, cur);
                     if !diff.is_empty() {
                         by_home.entry(self.dsm.home_of(*page)).or_default().push((*page, diff));
                     }
@@ -1896,7 +1901,7 @@ impl DsmNode {
                 if dirty {
                     let (twin, cur) = table.downgrade(page);
                     self.ctx.compute(self.dsm.cfg.diff_scan_ns);
-                    let diff = Diff::between(&twin, &cur);
+                    let diff = Diff::between(&twin, cur);
                     if !diff.is_empty() {
                         by_home.entry(self.dsm.home_of(page)).or_default().push((page, diff));
                     }
@@ -2039,6 +2044,15 @@ impl DsmNode {
             let msg = TokRelease { lock, interval };
             let bytes = 16 + msg.interval.wire_bytes();
             self.ctx.port().post(self.rank, kinds::TOK_REL, msg, bytes);
+            // Wait — in host time only: the clock is not advanced, the
+            // release stays a one-way post in the model — until the
+            // handler has sent the token off. Otherwise whatever this
+            // node does next (a barrier, say) can bring the next
+            // acquirer to the manager before a returned token is even
+            // queued there, and the manager then routes the token the
+            // long way round (successor notification, claim) in some
+            // runs and not in others.
+            self.ctx.port().mailbox().wait(interconnect::mailbox::tag(kinds::TOK_REL, lock));
         } else {
             let mgr = self.dsm.lock_mgr_of(lock);
             let rel = LockRel { lock, releaser: self.rank, interval };

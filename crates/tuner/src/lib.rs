@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The auto-tuner: closing the observe → decide → re-configure loop.
 //!
 //! The paper's portability argument (§5.4) is that moving a shared

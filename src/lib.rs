@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # hamster — A Framework for Portable Shared Memory Programming
 //!
 //! Umbrella crate for the Rust reproduction of the HAMSTER framework

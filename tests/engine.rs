@@ -114,6 +114,12 @@ fn observe(workers: usize, nodes: usize, schedule: Schedule) -> Observed {
             Schedule::LockRing { rounds, skew } => lock_ring(&w, rounds, skew),
         }
     });
+    // Tear the fabric down inside the session. Its workers may still be
+    // delivering the run's last one-way posts; a handler span emitted
+    // after `finish` would land in whichever test's session begins next
+    // (the tests of this binary run in parallel) and stretch a node's
+    // makespan there to this run's.
+    drop((dsm, cluster));
     let trace = session.finish();
     assert!(
         checksums.iter().all(|&c| c == checksums[0]),

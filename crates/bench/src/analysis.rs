@@ -6,11 +6,11 @@
 //! lane breakdown and top critical-path contributors, and writes every
 //! report into one `BENCH_analysis.json` artifact.
 //!
-//! The binary is its own acceptance check: every embedded report is
+//! The artifact is its own acceptance check: every embedded report is
 //! validated against the `hamster-analysis-v1` schema (which includes
 //! the lanes-sum-to-makespan tiling invariant), and the unoptimized SOR
 //! run must exhibit false sharing (its cyclic row distribution
-//! interleaves writers within pages). Any violation exits nonzero, so
+//! interleaves writers within pages). Any violation fails the build, so
 //! CI needs no external schema tooling.
 //!
 //! Workloads with *contended* locks (e.g. PI's accumulation lock, where
@@ -22,10 +22,11 @@
 //! expectations live in `tests/analysis.rs`, which only asserts
 //! timing-independent fields.
 
-use apps::world::{run_hamster, HamsterWorld, World};
-use bench::Args;
+use crate::report::{Json, Report};
+use crate::suite::lock_ring;
+use crate::{Args, Built};
+use apps::world::{run_hamster, HamsterWorld};
 use hamster_core::{ClusterConfig, PlatformKind};
-use memwire::Distribution;
 
 /// Deliberately page-misaligned problem size: 120 rows of 120 f64s is
 /// 960 bytes/row, so block boundaries fall mid-page and two ranks write
@@ -37,43 +38,10 @@ const SOR_ITERS: usize = 10;
 const LU_N: usize = 128;
 const RING_ROUNDS: usize = 4;
 
-/// A lock-contention microworkload with a *deterministic* schedule:
-/// each rank increments a shared counter under lock 1, in rank order,
-/// with a barrier after every turn. The barrier round-trip guarantees
-/// the previous holder's release is processed before the next request
-/// is even sent, so grants, handoffs and wait times are identical on
-/// every run — unlike a free-for-all lock, whose grant order follows
-/// real message arrival.
-fn lock_ring<W: World>(w: &W) -> apps::BenchResult {
-    let cell = w.alloc_dist(64, Distribution::OnNode(0));
-    w.barrier(1);
-    let t0 = w.now_ns();
-    let mut bar = 10u32;
-    for _round in 0..RING_ROUNDS {
-        for turn in 0..w.nprocs() {
-            if w.rank() == turn {
-                w.lock(1);
-                let cur = w.read_f64(cell);
-                w.write_f64(cell, cur + 1.0);
-                w.unlock(1);
-            }
-            w.barrier(bar);
-            bar += 1;
-        }
-    }
-    let total_ns = w.now_ns() - t0;
-    let value = w.read_f64(cell);
-    w.barrier(bar);
-    apps::BenchResult {
-        total_ns,
-        phases: Default::default(),
-        checksum: apps::report::checksum_f64(0, value),
-    }
-}
-
 struct Run {
     name: &'static str,
-    platform: &'static str,
+    /// `swdsm` / `hybriddsm`.
+    platform: String,
     report: analyzer::Report,
 }
 
@@ -94,32 +62,18 @@ fn traced(
     // per 1 ms window), so this artifact would not be byte-reproducible
     // there; at the shared pinned rate every burst fits and the
     // schedule — hence the emitted JSON — is identical on every run.
-    // See OBSERVABILITY.md and `bench::suite::PINNED_ETHERNET_BPS`.
-    cfg.cost = bench::suite::pinned_cost();
+    // See OBSERVABILITY.md and `crate::suite::PINNED_ETHERNET_BPS`.
+    cfg.cost = sim::CostModel::pinned_ethernet();
     let _ = run_hamster(&cfg, kernel);
     let events = session.finish();
-    let platform_name = match platform {
-        PlatformKind::SwDsm => "swdsm",
-        PlatformKind::HybridDsm => "hybriddsm",
-        _ => "other",
-    };
-    Run { name, platform: platform_name, report: analyzer::analyze(&events) }
+    let platform = format!("{platform:?}").to_lowercase();
+    Run { name, platform, report: analyzer::analyze(&events) }
 }
 
-/// Indent every line of an already-rendered JSON document so it embeds
-/// cleanly in the combined artifact.
-fn indent(json: &str, by: &str) -> String {
-    json.trim_end()
-        .lines()
-        .map(|l| format!("{by}{l}"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-fn main() {
-    let args = Args::parse(2);
+/// Traced SOR, LU and lock ring on the software and hybrid DSMs.
+pub fn analysis(args: &Args) -> Built {
     let nodes = args.nodes;
-
+    let ring = |w: &HamsterWorld| lock_ring(w, RING_ROUNDS, usize::MAX);
     let runs = [
         traced("sor_unopt", nodes, PlatformKind::SwDsm, |w| {
             apps::sor::sor(w, SOR_UNOPT_N, SOR_ITERS, false)
@@ -128,18 +82,19 @@ fn main() {
             apps::sor::sor(w, SOR_N, SOR_ITERS, true)
         }),
         traced("lu", nodes, PlatformKind::SwDsm, |w| apps::lu::lu(w, LU_N)),
-        traced("lock_ring", nodes, PlatformKind::SwDsm, lock_ring),
+        traced("lock_ring", nodes, PlatformKind::SwDsm, ring),
         traced("sor_opt", nodes, PlatformKind::HybridDsm, |w| {
             apps::sor::sor(w, SOR_N, SOR_ITERS, true)
         }),
         traced("lu", nodes, PlatformKind::HybridDsm, |w| apps::lu::lu(w, LU_N)),
-        traced("lock_ring", nodes, PlatformKind::HybridDsm, lock_ring),
+        traced("lock_ring", nodes, PlatformKind::HybridDsm, ring),
     ];
 
     let mut failures = Vec::new();
+    let mut notes = Vec::new();
     for run in &runs {
-        println!("=== {}/{} ({} nodes) ===", run.platform, run.name, nodes);
-        print!("{}", run.report.render_text());
+        notes.push(format!("=== {}/{} ({} nodes) ===", run.platform, run.name, nodes));
+        notes.push(run.report.render_text().trim_end().to_string());
         if let Err(e) = analyzer::validate(&run.report.to_json()) {
             failures.push(format!("{}/{}: schema: {e}", run.platform, run.name));
         }
@@ -161,32 +116,25 @@ fn main() {
             ));
         }
     }
-
-    // Combined artifact: one embedded hamster-analysis-v1 document per
-    // run. All-integer reports + canonical trace order make the file
-    // byte-identical across runs of the same build.
-    let mut doc = String::from("{\n  \"schema\": \"hamster-analysis-suite-v1\",\n");
-    doc.push_str(&format!("  \"nodes\": {nodes},\n  \"runs\": [\n"));
-    for (i, run) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        doc.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"platform\": \"{}\",\n      \
-             \"report\":\n{}\n    }}{comma}\n",
-            run.name,
-            run.platform,
-            indent(&run.report.to_json(), "      ")
-        ));
-    }
-    doc.push_str("  ]\n}\n");
-    std::fs::write("BENCH_analysis.json", &doc)
-        .unwrap_or_else(|e| panic!("writing BENCH_analysis.json: {e}"));
-    eprintln!("wrote BENCH_analysis.json");
-
     if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
+        return Err(failures);
     }
-    println!("all {} reports valid", runs.len());
+
+    // One embedded hamster-analysis-v1 document per run. All-integer
+    // reports + canonical trace order make the file byte-identical
+    // across runs of the same build.
+    let run_doc = |run: &Run| {
+        Json::obj([
+            ("name", Json::str(run.name)),
+            ("platform", Json::str(&run.platform)),
+            ("report", Json::Raw(run.report.to_json())),
+        ])
+    };
+    let doc = Json::obj([
+        ("schema", Json::str("hamster-analysis-suite-v1")),
+        ("nodes", Json::int(nodes)),
+        ("runs", Json::Arr(runs.iter().map(run_doc).collect())),
+    ]);
+    notes.push(format!("all {} reports valid", runs.len()));
+    Ok(Report::new(doc, Vec::new()).note(notes.join("\n")))
 }

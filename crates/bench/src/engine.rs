@@ -30,13 +30,14 @@
 //!   batch, and every flood message is provably processed before the
 //!   counters are read.
 //!
-//! The report, `BENCH_engine.json`, holds virtual-time results only and
-//! is byte-identical across runs (CI diffs two runs). Events/sec per
-//! leg go to stdout: machine-dependent by nature and not an artifact —
-//! the host-time evidence is the ledger's `fabric-relay` workload.
+//! The document holds virtual-time results only and is byte-identical
+//! across runs (CI diffs two runs). Events/sec per leg go to the
+//! printed table alone: machine-dependent by nature and not part of the
+//! artifact — the host-time evidence is the ledger's `fabric-relay`
+//! workload.
 
-use bench::report::{write_report, Json};
-use bench::Args;
+use crate::report::{Json, Report, Table};
+use crate::{Args, Built};
 use interconnect::mailbox::tag;
 use interconnect::{
     downcast, EngineMode, HandlerCtx, Network, NodeId, Outcome, Page, Payload,
@@ -227,15 +228,15 @@ fn events_per_sec(r: &RunOut) -> u64 {
     (delivered as f64 / (r.wall_ns as f64 / 1e9)) as u64
 }
 
-fn main() {
-    let args = Args::parse(64);
-    assert!(args.nodes >= 2, "engine bench needs at least 2 nodes");
+/// The four legs, their equality, and the virtual-time document.
+pub fn engine(args: &Args) -> Built {
+    assert!(args.nodes >= 2, "engine needs at least 2 nodes");
     let nodes = args.nodes;
     let (notif_hops, bulk_hops, flood): (u32, u32, u32) =
         if args.quick { (500, 1_000, 64) } else { (2_500, 30_000, 256) };
 
     eprintln!(
-        "engine bench: {nodes} nodes, {} tokens, {notif_hops} notif + {bulk_hops} bulk hops, \
+        "engine: {nodes} nodes, {} tokens, {notif_hops} notif + {bulk_hops} bulk hops, \
          {flood} flood posts/node",
         token_count(nodes)
     );
@@ -250,41 +251,38 @@ fn main() {
         })
         .collect();
     let auto = &runs[2];
+    let delivered = auto.stats["delivered"];
+    let mut rates = Vec::new();
     for (&(name, _), r) in legs.iter().zip(&runs) {
         assert_eq!(auto.checksum, r.checksum, "checksum drift vs {name} run");
         assert_eq!(auto.sim_time_ns, r.sim_time_ns, "virtual time drift vs {name} run");
         assert_eq!(auto.stats, r.stats, "fabric counter drift vs {name} run");
+        rates.push(Json::obj([("leg", Json::str(name)), ("host_events_per_sec", Json::int(events_per_sec(r)))]));
     }
-
-    let delivered = auto.stats["delivered"];
-    let eps: Vec<u64> = runs.iter().map(events_per_sec).collect();
-    println!(
-        "{delivered} events  1 worker {}/s  2 workers {}/s  auto {}/s",
-        eps[0],
-        eps[1],
-        eps[2].max(eps[3])
+    let table = Table::new(
+        format!("Fabric determinism soak: {delivered} events per leg, all legs agree"),
+        &[],
+        &rates,
     );
 
     // Virtual-time report: byte-identical across runs by construction.
     let counters = auto.stats.iter().map(|(k, v)| (*k, Json::int(*v))).collect::<Vec<_>>();
-    write_report(
-        "engine",
-        &Json::obj([
-            ("figure", Json::str("engine")),
-            ("title", Json::str("Fabric determinism soak: worker-count and run-to-run invariance")),
-            ("nodes", Json::int(nodes)),
-            ("tokens", Json::int(token_count(nodes))),
-            ("notif_hops_per_token", Json::int(notif_hops)),
-            ("bulk_hops_per_token", Json::int(bulk_hops)),
-            ("pages_per_token", Json::int(PAGES_PER_TOKEN)),
-            ("flood_per_node", Json::int(flood)),
-            ("quick", Json::Bool(args.quick)),
-            ("delivered", Json::int(delivered)),
-            ("sim_time_ns", Json::int(auto.sim_time_ns)),
-            ("checksum", Json::str(format!("{:016x}", auto.checksum))),
-            ("workers_agree", Json::Bool(true)),
-            ("deterministic", Json::Bool(true)),
-            ("net", Json::obj(counters)),
-        ]),
-    );
+    let doc = Json::obj([
+        ("figure", Json::str("engine")),
+        ("title", Json::str("Fabric determinism soak: worker-count and run-to-run invariance")),
+        ("nodes", Json::int(nodes)),
+        ("tokens", Json::int(token_count(nodes))),
+        ("notif_hops_per_token", Json::int(notif_hops)),
+        ("bulk_hops_per_token", Json::int(bulk_hops)),
+        ("pages_per_token", Json::int(PAGES_PER_TOKEN)),
+        ("flood_per_node", Json::int(flood)),
+        ("quick", Json::Bool(args.quick)),
+        ("delivered", Json::int(delivered)),
+        ("sim_time_ns", Json::int(auto.sim_time_ns)),
+        ("checksum", Json::str(format!("{:016x}", auto.checksum))),
+        ("workers_agree", Json::Bool(true)),
+        ("deterministic", Json::Bool(true)),
+        ("net", Json::obj(counters)),
+    ]);
+    Ok(Report::new(doc, vec![table]))
 }

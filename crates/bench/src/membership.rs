@@ -1,4 +1,4 @@
-//! Membership benchmark: elastic join/leave/recover under load, with
+//! Membership artifact: elastic join/leave/recover under load, with
 //! adaptive state transfer.
 //!
 //! Two sweeps, both virtual-time deterministic:
@@ -15,21 +15,19 @@
 //!   churn at 1, 2, and 4 cycles; every row's checksum must match the
 //!   churn-free run bit for bit.
 //!
-//! The whole report is built twice in-process and the two renderings
-//! must be byte-identical before `BENCH_membership.json` is written:
-//! membership schedules are as reproducible as fault schedules.
+//! The driver builds the whole report twice in-process and the two
+//! renderings must be byte-identical: membership schedules are as
+//! reproducible as fault schedules.
 
+use crate::report::{Json, Report, Table};
+use crate::suite::{pinned_swdsm, SEED};
+use crate::{Args, Built};
 use apps::world::NativeWorld;
 use apps::BenchResult;
-use bench::report::{write_report, Json};
-use bench::Args;
-use cluster::{Cluster, FabricConfig, LinkKind, MembershipPlan, SyncTopology, ViewChange};
+use cluster::{MembershipPlan, SyncTopology, ViewChange};
 use interconnect::MembershipEvent;
 use memwire::{Distribution, PAGE_SIZE};
-use swdsm::{DsmConfig, SwDsm};
-
-/// Fixed seed: every run of this binary sees the identical schedules.
-const SEED: u64 = 42;
+use swdsm::DsmConfig;
 
 /// Adaptive state-transfer cutoff: replay deltas up to this many
 /// write-notice records, snapshot-sync beyond it.
@@ -39,22 +37,6 @@ const DELTA_CUTOFF: u64 = 64;
 /// recovers 8 ms later; peers write its missed state inside the window.
 const LEAVE_NS: u64 = 80_000_000;
 const RECOVER_NS: u64 = 88_000_000;
-
-fn fabric(nodes: usize, membership: Option<MembershipPlan>) -> FabricConfig {
-    // Ethernet pinned below bus-window saturation, like the chaos
-    // bench: the byte-identity this binary asserts needs exactly
-    // reproducible virtual times (`bench::suite::PINNED_ETHERNET_BPS`).
-    let cost = bench::suite::pinned_cost();
-    let mut b = FabricConfig::builder()
-        .nodes(nodes)
-        .link(LinkKind::Ethernet)
-        .cost(cost)
-        .sync(SyncTopology::centralized());
-    if let Some(plan) = membership {
-        b = b.membership(plan);
-    }
-    b.build()
-}
 
 /// One leave/recover cycle for the state-transfer sweep: the victim is
 /// absent during `[LEAVE_NS, RECOVER_NS)` while the peers diverge.
@@ -72,29 +54,15 @@ fn leave_recover(victim: usize) -> MembershipPlan {
     )
 }
 
-struct Transfer {
-    rejoin_ns: u64,
-    transfer_ns: u64,
-    snapshot: bool,
-    snapshot_bytes: u64,
-    delta_records: u64,
-    nodedown: u64,
-    view_fenced: u64,
-}
-
-/// Run the state-transfer scenario at one divergence size: warm every
-/// cache, take the victim away, let the peers write `div_pages` pages,
-/// rejoin, and verify the victim caught up.
-fn transfer_run(nodes: usize, div_pages: usize) -> Transfer {
+/// One row of the state-transfer sweep: warm every cache, take the
+/// victim away, let the peers write `div_pages` pages, rejoin, and
+/// verify the victim caught up by the path the adaptive policy owes.
+fn transfer_row(nodes: usize, div_pages: usize) -> Json {
+    eprintln!("state transfer: {div_pages} diverged pages...");
     let victim = nodes - 1;
-    let cluster = Cluster::new(fabric(nodes, Some(leave_recover(victim))));
-    let dsm = SwDsm::install(
-        &cluster,
-        DsmConfig { delta_max_records: DELTA_CUTOFF, ..DsmConfig::default() },
-    );
-    let d = dsm.clone();
-    let (report, results) = cluster.run(move |ctx| {
-        let node = d.node(ctx);
+    let dsm_cfg = DsmConfig { delta_max_records: DELTA_CUTOFF, ..DsmConfig::default() };
+    let plan = Some(leave_recover(victim));
+    let (report, results, dsm) = pinned_swdsm(nodes, SyncTopology::centralized(), None, plan, dsm_cfg, |node| {
         let a = node.alloc(div_pages * PAGE_SIZE, Distribution::Block);
         node.barrier(1);
         // Warm-up: every node caches every page, so the victim has a
@@ -142,46 +110,20 @@ fn transfer_run(nodes: usize, div_pages: usize) -> Transfer {
     assert_eq!(vstats.get("view_changes"), 1, "victim counted its rejoin");
     let net = |k: &str| report.net_stats.get(k).copied().unwrap_or(0);
     assert!(net("nodedown") > 0, "peer flushes never hit the absence window");
-    Transfer {
-        rejoin_ns,
-        transfer_ns,
-        snapshot,
-        snapshot_bytes: vstats.get("snapshot_bytes"),
-        delta_records: vstats.get("delta_records"),
-        nodedown: net("nodedown"),
-        view_fenced: net("view_fenced"),
-    }
-}
-
-fn transfer_row(nodes: usize, div_pages: usize) -> Json {
-    eprintln!("state transfer: {div_pages} diverged pages...");
-    let t = transfer_run(nodes, div_pages);
     // The adaptive policy must pick delta below the cutoff and
     // snapshot above it (each page diverges by one record here).
-    let expect_snapshot = div_pages as u64 > DELTA_CUTOFF;
-    assert_eq!(t.snapshot, expect_snapshot, "adaptive policy mispicked at {div_pages} pages");
-    if t.snapshot {
-        assert!(t.snapshot_bytes > 0, "snapshot path moved no bytes");
-    } else {
-        assert!(t.delta_records > 0, "delta path replayed no records");
-    }
-    println!(
-        "{div_pages:>5} pages  rejoin {:>9.3} ms  transfer {:>9.3} ms  path {:<8}  snapshot {:>9} B  delta {:>4} records",
-        t.rejoin_ns as f64 / 1e6,
-        t.transfer_ns as f64 / 1e6,
-        if t.snapshot { "snapshot" } else { "delta" },
-        t.snapshot_bytes,
-        t.delta_records,
-    );
+    assert_eq!(snapshot, div_pages as u64 > DELTA_CUTOFF, "adaptive policy mispicked at {div_pages} pages");
+    let moved = vstats.get(if snapshot { "snapshot_bytes" } else { "delta_records" });
+    assert!(moved > 0, "the transfer path moved nothing at {div_pages} pages");
     Json::obj([
         ("diverged_pages", Json::int(div_pages)),
-        ("rejoin_ns", Json::int(t.rejoin_ns)),
-        ("transfer_ns", Json::int(t.transfer_ns)),
-        ("path", Json::str(if t.snapshot { "snapshot" } else { "delta" })),
-        ("snapshot_bytes", Json::int(t.snapshot_bytes)),
-        ("delta_records", Json::int(t.delta_records)),
-        ("nodedown", Json::int(t.nodedown)),
-        ("view_fenced", Json::int(t.view_fenced)),
+        ("rejoin_ns", Json::int(rejoin_ns)),
+        ("transfer_ns", Json::int(transfer_ns)),
+        ("path", Json::str(if snapshot { "snapshot" } else { "delta" })),
+        ("snapshot_bytes", Json::int(vstats.get("snapshot_bytes"))),
+        ("delta_records", Json::int(vstats.get("delta_records"))),
+        ("nodedown", Json::int(net("nodedown"))),
+        ("view_fenced", Json::int(net("view_fenced"))),
         ("caught_up", Json::Bool(true)),
     ])
 }
@@ -190,26 +132,19 @@ fn transfer_row(nodes: usize, div_pages: usize) -> Json {
 fn churn_run(nodes: usize, cycles: usize, sor_n: usize, sor_iters: usize) -> (BenchResult, u64, u64, u64) {
     let membership =
         (cycles > 0).then(|| MembershipPlan::churn(SEED, nodes, 6_000_000, 30_000_000, cycles));
-    let cluster = Cluster::new(fabric(nodes, membership));
-    let dsm = SwDsm::install(&cluster, DsmConfig::default());
-    let d = dsm.clone();
-    let (report, rs) = cluster
-        .run(move |ctx| apps::sor::sor(&NativeWorld::new(d.node(ctx)), sor_n, sor_iters, true));
+    let sor = |node| apps::sor::sor(&NativeWorld::new(node), sor_n, sor_iters, true);
+    let (report, rs, _) =
+        pinned_swdsm(nodes, SyncTopology::centralized(), None, membership, DsmConfig::default(), sor);
     let net = |k: &str| report.net_stats.get(k).copied().unwrap_or(0);
     (BenchResult::merge(&rs), report.sim_time_ns, net("nodedown"), net("view_fenced"))
 }
 
-fn churn_row(nodes: usize, cycles: usize, sor_n: usize, sor_iters: usize, base: &BenchResult, base_ns: u64) -> Json {
+fn churn_row(nodes: usize, cycles: usize, sor: (usize, usize), base: &BenchResult, base_ns: u64) -> Json {
     eprintln!("churn: {cycles} cycle(s)...");
-    let (result, ns, nodedown, view_fenced) = churn_run(nodes, cycles, sor_n, sor_iters);
+    let (result, ns, nodedown, view_fenced) = churn_run(nodes, cycles, sor.0, sor.1);
     assert_eq!(
         result.checksum, base.checksum,
         "churn at {cycles} cycles changed the SOR checksum"
-    );
-    println!(
-        "{cycles:>2} cycles  makespan {:>9.3} ms  (+{:.2}%)  nodedown {nodedown}  view_fenced {view_fenced}",
-        ns as f64 / 1e6,
-        (ns as f64 - base_ns as f64) / base_ns as f64 * 100.0,
     );
     Json::obj([
         ("cycles", Json::int(cycles)),
@@ -221,48 +156,43 @@ fn churn_row(nodes: usize, cycles: usize, sor_n: usize, sor_iters: usize, base: 
     ])
 }
 
-fn build_report(nodes: usize, quick: bool) -> Json {
-    let divergences = [8usize, 32, 128, 512];
-    println!("State transfer: {nodes} nodes, victim absent 8 ms, delta cutoff {DELTA_CUTOFF} records");
-    println!("{:-<100}", "");
-    let transfers: Vec<Json> =
-        divergences.iter().map(|&d| transfer_row(nodes, d)).collect();
+/// Rejoin time against state size, and SOR under 1, 2 and 4 churn cycles.
+pub fn membership(args: &Args) -> Built {
+    let nodes = args.nodes;
+    assert!(nodes >= 2, "membership needs a victim and at least one survivor");
+    let transfers: Vec<Json> = [8usize, 32, 128, 512].iter().map(|&d| transfer_row(nodes, d)).collect();
 
-    let (sor_n, sor_iters) = if quick { (96, 8) } else { (256, 30) };
-    println!("{:-<100}", "");
-    println!("Churn: SOR {sor_n}x{sor_iters}, seeded leave/recover cycles over [6 ms, 30 ms)");
-    println!("{:-<100}", "");
+    let sor = if args.quick { (96, 8) } else { (256, 30) };
     eprintln!("churn: stable baseline...");
-    let (base, base_ns, _, _) = churn_run(nodes, 0, sor_n, sor_iters);
-    let churns: Vec<Json> = [1usize, 2, 4]
-        .iter()
-        .map(|&c| churn_row(nodes, c, sor_n, sor_iters, &base, base_ns))
-        .collect();
+    let (base, base_ns, _, _) = churn_run(nodes, 0, sor.0, sor.1);
+    let churns: Vec<Json> =
+        [1usize, 2, 4].iter().map(|&c| churn_row(nodes, c, sor, &base, base_ns)).collect();
 
-    Json::obj([
+    let tables = vec![
+        Table::new(
+            format!(
+                "State transfer: seed {SEED}, {nodes} nodes, victim absent 8 ms, delta cutoff {DELTA_CUTOFF} records"
+            ),
+            &["diverged_pages", "rejoin_ns", "transfer_ns", "path", "snapshot_bytes", "delta_records"],
+            &transfers,
+        ),
+        Table::new(
+            format!("Churn: SOR {}x{}, seeded leave/recover cycles over [6 ms, 30 ms)", sor.0, sor.1),
+            &["cycles", "makespan_ns", "slowdown_pct", "nodedown", "view_fenced"],
+            &churns,
+        ),
+    ];
+    let doc = Json::obj([
         ("figure", Json::str("membership")),
         ("title", Json::str("Elastic membership: rejoin time vs state size and churn rate")),
         ("seed", Json::int(SEED)),
         ("nodes", Json::int(nodes)),
-        ("quick", Json::Bool(quick)),
+        ("quick", Json::Bool(args.quick)),
         ("delta_cutoff_records", Json::int(DELTA_CUTOFF)),
         ("absence_window_ns", Json::Arr(vec![Json::int(LEAVE_NS), Json::int(RECOVER_NS)])),
         ("state_transfer", Json::Arr(transfers)),
         ("stable_sor_ns", Json::int(base_ns)),
         ("churn", Json::Arr(churns)),
-    ])
-}
-
-fn main() {
-    let args = Args::parse(4);
-    assert!(args.nodes >= 2, "membership needs a victim and at least one survivor");
-    println!("Membership run: seed {SEED}, {} nodes", args.nodes);
-    println!("{:-<100}", "");
-    let doc = build_report(args.nodes, args.quick);
-    eprintln!("re-running everything (byte-identity check)...");
-    let again = build_report(args.nodes, args.quick);
-    assert_eq!(doc.pretty(), again.pretty(), "membership report not byte-identical across runs");
-    println!("{:-<100}", "");
-    println!("report byte-identical across two in-process runs");
-    write_report("membership", &doc);
+    ]);
+    Ok(Report::new(doc, tables))
 }

@@ -1,10 +1,13 @@
-//! Machine-readable JSON reports for the benchmark binaries.
+//! What an artifact hands the driver: a JSON document, the tables it
+//! shows, and any extra files.
 //!
-//! Every figure/table binary emits a `BENCH_<name>.json` file next to
-//! its pretty-printed table, so downstream tooling (CI artifact upload,
+//! Every artifact becomes a `BENCH_<name>.json` file next to its
+//! pretty-printed table, so downstream tooling (CI artifact upload,
 //! plotting, regression tracking) never has to scrape stdout. The
 //! writer is hand-rolled — the harness runs fully offline, with no
 //! serde available — and produces deterministic, pretty-printed JSON.
+//! A [`Table`] holds each row once: the JSON rows, the `--csv` output
+//! and the pretty table are three renderings of the same cells.
 //!
 //! ```
 //! use bench::report::Json;
@@ -39,6 +42,9 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; key order is preserved as built.
     Obj(Vec<(String, Json)>),
+    /// An already-rendered JSON document (the analyzer's reports),
+    /// embedded as it is and re-indented to its depth.
+    Raw(String),
 }
 
 impl Json {
@@ -60,6 +66,14 @@ impl Json {
     /// Build an object from `(key, value)` pairs, preserving order.
     pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// The member at a dotted path of object keys, if there is one.
+    pub fn get(&self, path: &str) -> Option<&Json> {
+        path.split('.').try_fold(self, |v, key| match v {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        })
     }
 
     /// Pretty-print with two-space indentation and a trailing newline.
@@ -84,6 +98,15 @@ impl Json {
                 }
             }
             Json::Str(s) => escape_into(out, s),
+            Json::Raw(text) => {
+                for (i, line) in text.trim_end().lines().enumerate() {
+                    if i > 0 {
+                        out.push('\n');
+                        pad(out, indent);
+                    }
+                    out.push_str(line);
+                }
+            }
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -144,15 +167,97 @@ fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Write `doc` to `BENCH_<name>.json` in the current directory and
-/// note the path on stderr. Panics (with the I/O error) on failure —
-/// a benchmark run whose artifact cannot be saved should not look
-/// successful.
-pub fn write_report(name: &str, doc: &Json) {
-    let path = format!("BENCH_{name}.json");
-    std::fs::write(&path, doc.pretty())
-        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("wrote {path}");
+/// A titled view of some of an artifact's JSON rows: the pretty table
+/// and the `--csv` output render the very cells the document holds,
+/// under the very keys.
+#[derive(Debug, Clone)]
+pub struct Table {
+    pub title: String,
+    /// The row members shown, each a key or a dotted path.
+    pub keys: Vec<String>,
+    /// One object per row.
+    pub rows: Vec<Json>,
+}
+
+impl Table {
+    /// The members `keys` of `rows` — every scalar member of the first
+    /// row when `keys` is empty.
+    pub fn new(title: impl Into<String>, keys: &[&str], rows: &[Json]) -> Table {
+        let mut keys: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+        if let (true, Some(Json::Obj(pairs))) = (keys.is_empty(), rows.first()) {
+            let scalar = |v: &Json| !matches!(v, Json::Arr(_) | Json::Obj(_) | Json::Raw(_));
+            keys = pairs.iter().filter(|(_, v)| scalar(v)).map(|(k, _)| k.clone()).collect();
+        }
+        Table { title: title.into(), keys, rows: rows.to_vec() }
+    }
+
+    /// Every row's cells as text: exactly the JSON scalar (strings
+    /// unquoted) for the CSV, floats rounded to four decimals for the
+    /// pretty table; empty where a row has no such member.
+    fn cells(&self, rounded: bool) -> Vec<Vec<String>> {
+        let text = |row: &Json, key: &String| match row.get(key) {
+            None => String::new(),
+            Some(Json::Str(s)) => s.clone(),
+            Some(Json::Num(v)) if rounded => format!("{v:.4}"),
+            Some(other) => other.pretty().trim_end().to_string(),
+        };
+        self.rows.iter().map(|row| self.keys.iter().map(|k| text(row, k)).collect()).collect()
+    }
+
+    /// Header line of keys, then one comma-separated line per row (a
+    /// cell holding a comma or a quote is quoted).
+    pub fn csv(&self) -> String {
+        let quoted = |c: &String| match c.contains([',', '"']) {
+            true => format!("\"{}\"", c.replace('"', "\"\"")),
+            false => c.clone(),
+        };
+        let rows = self.cells(false).into_iter().map(|r| r.iter().map(quoted).collect::<Vec<_>>().join(","));
+        std::iter::once(self.keys.join(",")).chain(rows).map(|l| l + "\n").collect()
+    }
+
+    /// Title, ruled header and aligned rows (strings left, numbers right).
+    pub fn pretty(&self) -> String {
+        let cells = self.cells(true);
+        let width = |(i, key): (usize, &String)| cells.iter().map(|r| r[i].chars().count()).fold(key.chars().count(), usize::max);
+        let widths: Vec<usize> = self.keys.iter().enumerate().map(width).collect();
+        let left = |i: usize| self.rows.first().is_none_or(|r| matches!(r.get(&self.keys[i]), Some(Json::Str(_))));
+        let line = |texts: &[String]| {
+            let pad = |(i, t): (usize, &String)| {
+                if left(i) { format!("{t:<w$}", w = widths[i]) } else { format!("{t:>w$}", w = widths[i]) }
+            };
+            texts.iter().enumerate().map(pad).collect::<Vec<_>>().join("  ").trim_end().to_string() + "\n"
+        };
+        let head = line(&self.keys);
+        let rule = "-".repeat(head.chars().count() - 1) + "\n";
+        let body: String = cells.iter().map(|r| line(r)).collect();
+        format!("{}\n{rule}{head}{rule}{body}{rule}", self.title)
+    }
+}
+
+/// What an artifact's build function returns to the driver.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// Written to `BENCH_<name>.json`.
+    pub doc: Json,
+    /// Printed as pretty tables, or as CSV under `--csv`.
+    pub tables: Vec<Table>,
+    /// Commentary printed after the pretty tables.
+    pub notes: String,
+    /// Further `(path, contents)` files to write beside the document.
+    pub files: Vec<(String, String)>,
+}
+
+impl Report {
+    /// A report with no notes and no extra files.
+    pub fn new(doc: Json, tables: Vec<Table>) -> Report {
+        Report { doc, tables, notes: String::new(), files: Vec::new() }
+    }
+
+    /// The same report with `text` as its commentary.
+    pub fn note(mut self, text: impl Into<String>) -> Report {
+        self.notes = text.into();
+        self
+    }
 }
 
 #[cfg(test)]
@@ -183,6 +288,26 @@ mod tests {
         let text = doc.pretty();
         assert_eq!(text, "{\n  \"b\": 1,\n  \"a\": [\n    \"x\"\n  ]\n}\n");
         assert!(text.find("\"b\"").unwrap() < text.find("\"a\"").unwrap());
+    }
+
+    #[test]
+    fn a_table_selects_members_by_dotted_path_and_quotes_csv_commas() {
+        let rows = [Json::obj([
+            ("network", Json::str("Fast Ethernet, tuned")),
+            ("net", Json::obj([("retries", Json::int(7))])),
+            ("secs", Json::num(0.12345678)),
+        ])];
+        let all = Table::new("t", &[], &rows);
+        assert_eq!(all.keys, ["network", "secs"], "nested members are not columns unless asked for");
+        let picked = Table::new("t", &["network", "net.retries", "secs", "absent"], &rows);
+        assert_eq!(picked.csv(), "network,net.retries,secs,absent\n\"Fast Ethernet, tuned\",7,0.12345678,\n");
+        assert_eq!(picked.pretty().lines().nth(4), Some("Fast Ethernet, tuned            7  0.1235"));
+    }
+
+    #[test]
+    fn raw_documents_embed_at_their_depth() {
+        let doc = Json::obj([("report", Json::Raw("{\n  \"a\": 1\n}\n".into()))]);
+        assert_eq!(doc.pretty(), "{\n  \"report\": {\n    \"a\": 1\n  }\n}\n");
     }
 
     #[test]

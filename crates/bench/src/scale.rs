@@ -4,12 +4,12 @@
 //! For each sweep point and each topology (`centralized`: central
 //! barrier manager, lock managers, explicit per-writer notices;
 //! `scalable`: fanout-8 aggregation tree, lock-token queue, interval
-//! digests) the binary runs three kernels — SOR, LU, and a rank-ordered
+//! digests) the artifact runs three kernels — SOR, LU, and a rank-ordered
 //! lock ring — and records virtual time, checksums, and the six
 //! synchronization counters (`sync_msgs`, `sync_records`,
 //! `digest_hits`, `digest_misses`, `token_forwards`, `tree_waves`).
 //!
-//! The binary is its own acceptance check:
+//! The artifact is its own acceptance check:
 //!
 //! * checksums must be bit-identical between the two topologies at
 //!   every sweep point (the protocols may only change *when* data
@@ -26,22 +26,22 @@
 //!   path: its barrier-wait share must be below 25% of the path and
 //!   below the centralized share.
 //!
-//! Artifact: `BENCH_scale.json` — counters and checksums only, byte
+//! The document holds counters and checksums only (the checksums as
+//! hex strings: a bare JSON number keeps 53 of their 64 bits), byte
 //! identical across runs of the same build. Virtual times are printed
 //! in the table but kept out of the artifact: once hundreds of arrivals
 //! saturate a bus window the slowdown factor depends on the real-time
 //! order demand was registered in, so `sim_time_ns` can wobble by a
 //! fraction of a percent while every counter stays exact (the Ethernet
-//! bus is pinned at 250 MB/s for the same reason as `analyze`, see
+//! bus is pinned at 250 MB/s for the same reason as `analysis`, see
 //! OBSERVABILITY.md). `--quick` caps the sweep at 256 nodes for CI.
 
-use apps::world::{NativeWorld, World};
+use crate::report::{Json, Report, Table};
+use crate::suite::{lock_ring, pinned_swdsm};
+use crate::{Args, Built};
+use apps::world::NativeWorld;
 use apps::BenchResult;
-use bench::Args;
-use cluster::{Cluster, FabricConfig, LinkKind, SyncTopology};
-use memwire::Distribution;
-use std::sync::Arc;
-use swdsm::{DsmConfig, SwDsm};
+use cluster::SyncTopology;
 
 /// Lock-ring turns are capped so the ring stays tractable at 1024
 /// nodes: the first `RING_TURNS` ranks take one turn each (everyone
@@ -60,56 +60,9 @@ fn sor_size(nodes: usize) -> usize {
     4 * nodes.max(16)
 }
 
-fn run_sync(
-    nodes: usize,
-    sync: SyncTopology,
-    f: impl Fn(&NativeWorld) -> BenchResult + Send + Sync,
-) -> (cluster::RunReport, Vec<BenchResult>, Arc<SwDsm>) {
-    // Below-saturation bus windows keep the schedule (and artifact)
-    // byte-reproducible; see `bench::suite::PINNED_ETHERNET_BPS`.
-    let cost = bench::suite::pinned_cost();
-    let fabric = FabricConfig::builder()
-        .nodes(nodes)
-        .link(LinkKind::Ethernet)
-        .cost(cost)
-        .sync(sync)
-        .build();
-    let c = Cluster::new(fabric);
-    let dsm = SwDsm::install(&c, DsmConfig::default());
-    let (report, results) = {
-        let dsm = dsm.clone();
-        c.run(move |ctx| f(&NativeWorld::new(dsm.node(ctx))))
-    };
-    (report, results, dsm)
-}
-
-/// Rank-ordered lock ring (same schedule as `analyze`'s, with the turn
-/// cap): deterministic handoffs, one barrier per turn.
-fn lock_ring<W: World>(w: &W) -> BenchResult {
-    let cell = w.alloc_dist(64, Distribution::OnNode(0));
-    w.barrier(1);
-    let t0 = w.now_ns();
-    let turns = w.nprocs().min(RING_TURNS);
-    let mut bar = 10u32;
-    for turn in 0..turns {
-        if w.rank() == turn {
-            w.lock(1);
-            let cur = w.read_f64(cell);
-            w.write_f64(cell, cur + 1.0);
-            w.unlock(1);
-        }
-        w.barrier(bar);
-        bar += 1;
-    }
-    let total_ns = w.now_ns() - t0;
-    let value = w.read_f64(cell);
-    w.barrier(bar);
-    BenchResult {
-        total_ns,
-        phases: Default::default(),
-        checksum: apps::report::checksum_f64(0, value),
-    }
-}
+/// The six synchronization counters a cell records, summed over nodes.
+const COUNTERS: [&str; 6] =
+    ["sync_msgs", "sync_records", "digest_hits", "digest_misses", "token_forwards", "tree_waves"];
 
 /// Aggregated counters for one (workload, topology, nodes) cell.
 struct Cell {
@@ -120,18 +73,16 @@ struct Cell {
     checksum: u64,
     /// Barrier episodes (every node participates in each).
     barriers: u64,
-    sync_msgs: u64,
-    sync_records: u64,
-    digest_hits: u64,
-    digest_misses: u64,
-    token_forwards: u64,
-    tree_waves: u64,
+    /// In [`COUNTERS`] order.
+    counters: [u64; 6],
 }
 
 impl Cell {
-    /// Cross-node synchronization messages per barrier episode.
-    fn msgs_per_barrier(&self) -> f64 {
-        self.sync_msgs as f64 / self.barriers.max(1) as f64
+    /// `name` of [`COUNTERS`] per barrier episode: cross-node messages
+    /// for `sync_msgs`, notice records for `sync_records`.
+    fn per_barrier(&self, name: &str) -> f64 {
+        let i = COUNTERS.iter().position(|c| *c == name).expect("a recorded counter");
+        self.counters[i] as f64 / self.barriers.max(1) as f64
     }
 }
 
@@ -142,7 +93,8 @@ fn measure(
     sync: SyncTopology,
     f: impl Fn(&NativeWorld) -> BenchResult + Send + Sync,
 ) -> Cell {
-    let (report, results, dsm) = run_sync(nodes, sync, f);
+    let (report, results, dsm) =
+        pinned_swdsm(nodes, sync, None, None, Default::default(), |node| f(&NativeWorld::new(node)));
     // Rank-order-sensitive fold: a plain XOR of identical per-rank
     // checksums would cancel to zero on every even-sized cluster.
     let checksum = results.iter().fold(0u64, |acc, r| acc.rotate_left(1) ^ r.checksum);
@@ -154,12 +106,7 @@ fn measure(
         sim_time_ns: report.sim_time_ns,
         checksum,
         barriers: sum("barriers") / nodes as u64,
-        sync_msgs: sum("sync_msgs"),
-        sync_records: sum("sync_records"),
-        digest_hits: sum("digest_hits"),
-        digest_misses: sum("digest_misses"),
-        token_forwards: sum("token_forwards"),
-        tree_waves: sum("tree_waves"),
+        counters: COUNTERS.map(sum),
     }
 }
 
@@ -167,7 +114,8 @@ fn measure(
 fn barrier_path_share(nodes: usize, sync: SyncTopology) -> f64 {
     let session = sim::TraceSession::begin();
     let n = sor_size(nodes);
-    let _ = run_sync(nodes, sync, move |w| apps::sor::sor(w, n, 2, false));
+    let sor = |node| apps::sor::sor(&NativeWorld::new(node), n, 2, false);
+    let _ = pinned_swdsm(nodes, sync, None, None, Default::default(), sor);
     let report = analyzer::analyze(&session.finish());
     let barrier_ns: u64 = report
         .critical_path
@@ -179,8 +127,8 @@ fn barrier_path_share(nodes: usize, sync: SyncTopology) -> f64 {
     barrier_ns as f64 / report.critical_path.total_ns.max(1) as f64
 }
 
-fn main() {
-    let args = Args::parse(0);
+/// The sweep, its four gates, and the counters-only document.
+pub fn scale(args: &Args) -> Built {
     let sweep: &[usize] = if args.quick { &[16, 64, 256] } else { &[16, 64, 256, 1024] };
     let topologies =
         [("centralized", SyncTopology::centralized()), ("scalable", SyncTopology::scalable())];
@@ -195,26 +143,8 @@ fn main() {
                 apps::sor::sor(w, sor_n, 2, false)
             }));
             cells.push(measure(nodes, "lu", name, sync, |w| apps::lu::lu(w, 96)));
-            cells.push(measure(nodes, "lock_ring", name, sync, lock_ring));
+            cells.push(measure(nodes, "lock_ring", name, sync, |w| lock_ring(w, 1, RING_TURNS)));
         }
-    }
-
-    println!(
-        "{:>6} {:<10} {:<12} {:>9} {:>12} {:>12} {:>9} {:>14}",
-        "nodes", "workload", "topology", "barriers", "sync_msgs", "sync_records", "msgs/bar", "sim_ms"
-    );
-    for c in &cells {
-        println!(
-            "{:>6} {:<10} {:<12} {:>9} {:>12} {:>12} {:>9.1} {:>14.2}",
-            c.nodes,
-            c.workload,
-            c.topology,
-            c.barriers,
-            c.sync_msgs,
-            c.sync_records,
-            c.msgs_per_barrier(),
-            c.sim_time_ns as f64 / 1e6,
-        );
     }
 
     let find = |nodes: usize, workload: &str, topology: &str| {
@@ -243,16 +173,16 @@ fn main() {
     let &last = sweep.last().unwrap();
     for &nodes in sweep {
         let tree = find(nodes, "sor", "scalable");
-        if tree.msgs_per_barrier() > 12.0 * nodes as f64 {
+        if tree.per_barrier("sync_msgs") > 12.0 * nodes as f64 {
             failures.push(format!(
                 "sor@{nodes}: scalable barrier costs {:.1} msgs/episode (> 12n = {})",
-                tree.msgs_per_barrier(),
+                tree.per_barrier("sync_msgs"),
                 12 * nodes
             ));
         }
     }
     let central = find(last, "sor", "centralized");
-    let central_records = central.sync_records as f64 / central.barriers.max(1) as f64;
+    let central_records = central.per_barrier("sync_records");
     if central_records < (last * last) as f64 / 4.0 {
         failures.push(format!(
             "sor@{last}: centralized notice volume {central_records:.0} records/barrier, \
@@ -264,7 +194,7 @@ fn main() {
     // 3. Superlinear-growth gate on the scalable barrier.
     for pair in sweep.windows(2) {
         let (a, b) = (find(pair[0], "sor", "scalable"), find(pair[1], "sor", "scalable"));
-        let growth = b.msgs_per_barrier() / a.msgs_per_barrier().max(1.0);
+        let growth = b.per_barrier("sync_msgs") / a.per_barrier("sync_msgs").max(1.0);
         let limit = 1.25 * pair[1] as f64 / pair[0] as f64;
         if growth > limit {
             failures.push(format!(
@@ -279,9 +209,8 @@ fn main() {
     let traced_nodes = 256;
     let central_share = barrier_path_share(traced_nodes, SyncTopology::centralized());
     let scalable_share = barrier_path_share(traced_nodes, SyncTopology::scalable());
-    println!(
-        "\ncritical-path barrier-wait share @ {traced_nodes} nodes: \
-         centralized {:.1}%, scalable {:.1}%",
+    let shares = format!(
+        "critical-path barrier-wait share @ {traced_nodes} nodes: centralized {:.1}%, scalable {:.1}%",
         central_share * 100.0,
         scalable_share * 100.0
     );
@@ -301,44 +230,41 @@ fn main() {
         ));
     }
 
-    // Artifact. Counters and checksums only — no virtual times, which
-    // are registration-order dependent at saturated sweep points (see
-    // the module doc): two runs of one build are byte-identical.
-    let mut doc = String::from("{\n  \"schema\": \"hamster-scale-v1\",\n");
-    doc.push_str(&format!(
-        "  \"sweep\": [{}],\n  \"cells\": [\n",
-        sweep.iter().map(|n| n.to_string()).collect::<Vec<_>>().join(", ")
-    ));
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        doc.push_str(&format!(
-            "    {{\"nodes\": {}, \"workload\": \"{}\", \"topology\": \"{}\", \
-             \"checksum\": {}, \"barriers\": {}, \"sync_msgs\": {}, \
-             \"sync_records\": {}, \"digest_hits\": {}, \"digest_misses\": {}, \
-             \"token_forwards\": {}, \"tree_waves\": {}}}{comma}\n",
-            c.nodes,
-            c.workload,
-            c.topology,
-            c.checksum,
-            c.barriers,
-            c.sync_msgs,
-            c.sync_records,
-            c.digest_hits,
-            c.digest_misses,
-            c.token_forwards,
-            c.tree_waves,
-        ));
-    }
-    doc.push_str("  ]\n}\n");
-    std::fs::write("BENCH_scale.json", &doc)
-        .unwrap_or_else(|e| panic!("writing BENCH_scale.json: {e}"));
-    eprintln!("wrote BENCH_scale.json ({} cells)", cells.len());
-
     if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
+        return Err(failures);
     }
-    println!("all scale gates passed");
+
+    // Counters and checksums only — no virtual times, which are
+    // registration-order dependent at saturated sweep points (see the
+    // module doc): two runs of one build are byte-identical.
+    let cell_doc = |c: &Cell| {
+        [
+            ("nodes", Json::int(c.nodes)),
+            ("workload", Json::str(c.workload)),
+            ("topology", Json::str(c.topology)),
+            ("checksum", Json::str(format!("{:#018x}", c.checksum))),
+            ("barriers", Json::int(c.barriers)),
+        ]
+        .into_iter()
+        .chain(COUNTERS.into_iter().zip(c.counters.map(Json::int)))
+    };
+    // Shown, not recorded: the derived rate and the virtual time.
+    let shown = |c: &Cell| {
+        let extra = [
+            ("msgs_per_barrier", Json::num(c.per_barrier("sync_msgs"))),
+            ("sim_ms", Json::num(c.sim_time_ns as f64 / 1e6)),
+        ];
+        Json::obj(cell_doc(c).chain(extra))
+    };
+    let table = Table::new(
+        "Synchronization scalability: centralized vs scalable protocols",
+        &["nodes", "workload", "topology", "barriers", "sync_msgs", "sync_records", "msgs_per_barrier", "sim_ms"],
+        &cells.iter().map(shown).collect::<Vec<_>>(),
+    );
+    let doc = Json::obj([
+        ("schema", Json::str("hamster-scale-v1")),
+        ("sweep", Json::Arr(sweep.iter().map(|&n| Json::int(n)).collect())),
+        ("cells", Json::Arr(cells.iter().map(|c| Json::obj(cell_doc(c))).collect())),
+    ]);
+    Ok(Report::new(doc, vec![table]).note(shares + "\nall scale gates passed"))
 }

@@ -1,20 +1,22 @@
 //! `serve`: the multi-tenant KV service workload under the SLO lens.
 //!
 //! Runs `apps::kv` across all three platforms (SMP / hybrid DSM /
-//! SW-DSM), fault-free and under the PR-3 chaos plan, and emits
-//! `BENCH_serve.json` (schema `hamster-serve-v1`): per-(platform,
+//! SW-DSM), fault-free and under [`chaos_plan`], into a document of
+//! schema `hamster-serve-v1`: per-(platform,
 //! tenant, op) latency quantiles from the [`sim::stats::Sketch`]
 //! telemetry, per-window metrics timeseries (throughput, inflight,
 //! retries, view fences), and the SLO-under-faults table. Every number
 //! in the artifact is virtual time, so the perf-trend gate holds it
 //! exactly.
 //!
-//! Asserted in-binary:
+//! Asserted here:
 //!
 //! * the three platforms agree on the workload checksum (portability);
-//! * two in-process passes produce a byte-identical artifact
-//!   (determinism — CI additionally re-runs the whole binary and
-//!   `cmp`s);
+//! * two in-process builds produce a byte-identical document (the
+//!   driver's check: the telemetry path — sketches, timeseries, fault
+//!   binning — is commutative and the simulation below saturation is
+//!   schedule-deterministic; CI additionally re-runs the whole binary
+//!   and `cmp`s);
 //! * for every platform × tenant, the chaos p99 strictly exceeds the
 //!   fault-free p99 (faults are visible as user latency, never as
 //!   wrong answers — the checksums still match the fault-free run).
@@ -22,38 +24,21 @@
 //! Flags: `--quick` (CI size), `--nodes N`, `--trace` (also write a
 //! Chrome `trace_event` JSON of the chaotic SW-DSM run).
 
-use apps::kv::{serve, KvConfig, LoadGen};
+use crate::report::{Json, Report, Table};
+use crate::suite::{chaos_plan, platform_name, PLATFORMS, SEED};
+use crate::{Args, Built};
+use apps::kv::{KvConfig, LoadGen};
 use apps::world::run_hamster;
 use apps::BenchResult;
-use bench::report::{write_report, Json};
 use hamster_core::{
     chrome_trace_json, validate_chrome_trace, ClusterConfig, PlatformKind, ServiceOp, Telemetry,
 };
-use interconnect::fault::{CrashWindow, FaultPlan, LinkFaults};
+use interconnect::fault::FaultPlan;
 use sim::stats::Quantiles;
 use sim::TraceSession;
 
-/// The fixed workload/chaos seed.
-const SEED: u64 = 42;
-
 /// Virtual-time metrics window (1 ms).
 const WINDOW_NS: u64 = 1_000_000;
-
-/// The PR-3 chaos mix: drop + dup + delay + reorder on every link,
-/// plus a crash/heal window on the last node mid-run.
-fn chaos_plan(nodes: usize) -> FaultPlan {
-    let mut plan = FaultPlan::seeded(SEED);
-    plan.default_link = LinkFaults {
-        drop_ppm: 30_000,
-        dup_ppm: 20_000,
-        delay_ppm: 50_000,
-        delay_ns: 200_000,
-        reorder_ppm: 20_000,
-        reorder_window_ns: 100_000,
-    };
-    plan.crashes.push(CrashWindow { node: nodes - 1, from_ns: 6_000_000, until_ns: 12_000_000 });
-    plan
-}
 
 struct ServeRun {
     result: BenchResult,
@@ -61,19 +46,16 @@ struct ServeRun {
     events: Vec<sim::TraceEvent>,
 }
 
-/// One printable SLO row: (platform, tenant, base p99, chaos p99).
-type SloRow = (&'static str, usize, u64, u64);
-
 fn run_one(nodes: usize, platform: PlatformKind, kv: &KvConfig, faults: Option<FaultPlan>) -> ServeRun {
     let session = TraceSession::begin();
     let mut cfg = ClusterConfig::new(nodes, platform);
     // Below-saturation link windows keep the schedule byte-reproducible
-    // (see `bench::suite::PINNED_ETHERNET_BPS`).
-    cfg.cost = bench::suite::pinned_cost();
+    // (see `crate::suite::PINNED_ETHERNET_BPS`).
+    cfg.cost = sim::CostModel::pinned_ethernet();
     cfg.faults = faults;
     let tel = Telemetry::new(kv.tenants, WINDOW_NS);
     let (t2, k2) = (tel.clone(), kv.clone());
-    let (_, results) = run_hamster(&cfg, move |w| serve(w, &k2, &t2));
+    let (_, results) = run_hamster(&cfg, move |w| apps::kv::serve(w, &k2, &t2));
     let events = session.finish();
     // Bin the robustness layer's fault instants into the timeseries.
     for e in &events {
@@ -86,15 +68,6 @@ fn run_one(nodes: usize, platform: PlatformKind, kv: &KvConfig, faults: Option<F
         }
     }
     ServeRun { result: BenchResult::merge(&results), tel, events }
-}
-
-fn platform_name(p: PlatformKind) -> &'static str {
-    match p {
-        PlatformKind::Smp => "smp",
-        PlatformKind::HybridDsm => "hybrid",
-        PlatformKind::SwDsm => "swdsm",
-        PlatformKind::Mixed => "mixed",
-    }
 }
 
 fn quantiles_json(tenant: usize, op: &str, q: &Quantiles) -> Json {
@@ -137,16 +110,14 @@ fn telemetry_json(tel: &Telemetry) -> (Json, Json) {
 }
 
 /// One full sweep: every platform fault-free and under chaos, plus a
-/// closed-loop SW-DSM leg. Returns the artifact and (for `--trace`)
-/// the chaotic SW-DSM run's events.
-fn sweep(nodes: usize, kv: &KvConfig) -> (Json, Vec<sim::TraceEvent>, Vec<SloRow>) {
-    let platforms = [PlatformKind::Smp, PlatformKind::HybridDsm, PlatformKind::SwDsm];
+/// closed-loop SW-DSM leg. Returns the document, the SLO table and
+/// (for `--trace`) the chaotic SW-DSM run's events.
+fn sweep(nodes: usize, kv: &KvConfig) -> (Json, Table, Vec<sim::TraceEvent>) {
     let mut platform_docs = Vec::new();
     let mut slo_rows = Vec::new();
-    let mut slo_table = Vec::new();
     let mut checksums = Vec::new();
     let mut trace_events = Vec::new();
-    for p in platforms {
+    for p in PLATFORMS {
         let name = platform_name(p);
         eprintln!("serve: {name} base + chaos ({} nodes)...", nodes);
         let base = run_one(nodes, p, kv, None);
@@ -167,7 +138,6 @@ fn sweep(nodes: usize, kv: &KvConfig) -> (Json, Vec<sim::TraceEvent>, Vec<SloRow
                 cq.p99,
                 bq.p99
             );
-            slo_table.push((name, t, bq.p99, cq.p99));
             slo_rows.push(Json::obj([
                 ("platform", Json::str(name)),
                 ("tenant", Json::int(t as i64)),
@@ -214,6 +184,11 @@ fn sweep(nodes: usize, kv: &KvConfig) -> (Json, Vec<sim::TraceEvent>, Vec<SloRow
         ("timeseries", closed_series),
     ]);
 
+    let slo_table = Table::new(
+        format!("serve: SLO under faults ({nodes} nodes, {} tenants)", kv.tenants),
+        &["platform", "tenant", "base_p99_ns", "chaos_p99_ns", "added_p99_pct"],
+        &slo_rows,
+    );
     let doc = Json::obj([
         ("schema", Json::str("hamster-serve-v1")),
         ("nodes", Json::int(nodes as i64)),
@@ -228,57 +203,21 @@ fn sweep(nodes: usize, kv: &KvConfig) -> (Json, Vec<sim::TraceEvent>, Vec<SloRow
         ("slo_under_faults", Json::Arr(slo_rows)),
         ("closed_loop", closed_doc),
     ]);
-    (doc, trace_events, slo_table)
+    (doc, slo_table, trace_events)
 }
 
-fn main() {
-    let mut quick = false;
-    let mut nodes = 4usize;
-    let mut trace = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--trace" => trace = true,
-            "--nodes" => {
-                nodes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--nodes needs a number");
-                        std::process::exit(2);
-                    });
-            }
-            other => {
-                eprintln!("unknown flag {other:?} (supported: --quick, --nodes N, --trace)");
-                std::process::exit(2);
-            }
-        }
-    }
-    assert!(nodes.is_power_of_two(), "--nodes must be a power of two");
-    let kv = if quick { KvConfig::quick() } else { KvConfig::paper() };
-
-    // Two in-process passes must serialize identically: the telemetry
-    // path (sketches, timeseries, fault binning) is commutative and the
-    // simulation below saturation is schedule-deterministic.
-    let (doc1, events, slo) = sweep(nodes, &kv);
-    let (doc2, _, _) = sweep(nodes, &kv);
-    assert_eq!(doc1.pretty(), doc2.pretty(), "two in-process runs diverged");
-    write_report("serve", &doc1);
-
-    if trace {
+/// The SLO sweep; under `--trace` also `serve_trace.json`, a Chrome
+/// `trace_event` export of the chaotic SW-DSM run.
+pub fn serve(args: &Args) -> Built {
+    assert!(args.nodes.is_power_of_two(), "--nodes must be a power of two");
+    let kv = if args.quick { KvConfig::quick() } else { KvConfig::paper() };
+    let (doc, slo, events) = sweep(args.nodes, &kv);
+    let mut report = Report::new(doc, vec![slo]);
+    if args.trace {
         let json = chrome_trace_json(&events);
         let n = validate_chrome_trace(&json).expect("trace validates");
-        std::fs::write("serve_trace.json", &json).expect("writing serve_trace.json");
-        eprintln!("wrote serve_trace.json ({n} events, chaotic sw-dsm run)");
+        eprintln!("serve_trace.json: {n} events, chaotic sw-dsm run");
+        report.files.push(("serve_trace.json".into(), json));
     }
-
-    println!("serve: SLO under faults ({nodes} nodes, {} tenants)", kv.tenants);
-    println!("{:>8} {:>7} {:>15} {:>15} {:>9}", "platform", "tenant", "base p99 (ns)", "chaos p99 (ns)", "added %");
-    for (name, t, base, chaos) in slo {
-        println!(
-            "{name:>8} {t:>7} {base:>15} {chaos:>15} {:>8.1}%",
-            (chaos as f64 / base as f64 - 1.0) * 100.0
-        );
-    }
+    Ok(report)
 }

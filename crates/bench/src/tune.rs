@@ -1,6 +1,6 @@
 //! The closed tuning loop: run → analyze → re-configure → verify.
 //!
-//! For each workload the binary runs a traced baseline on the software
+//! For each workload the artifact runs a traced baseline on the software
 //! DSM, feeds the `hamster-analysis-v1` report to the tuner's advisor,
 //! applies the resulting [`tuner::TuningPlan`] **as configuration** —
 //! placement through `ClusterConfig::placement`, layout through
@@ -9,31 +9,32 @@
 //! claim exercised as an optimization loop: the program never changes,
 //! only the configuration does.
 //!
-//! The binary is its own acceptance check:
+//! The artifact is its own acceptance check:
 //!
 //! * every workload's tuned run must reproduce the baseline checksum
 //!   bit for bit (tuning moves pages and locks, never results);
 //! * at least one workload must improve its virtual-time makespan by
 //!   ≥ 15%;
-//! * the whole pipeline runs twice and the rendered `BENCH_tune.json`
-//!   must come out byte-identical.
+//! * the whole pipeline — baseline, advice, tuned re-runs — is built
+//!   twice by the driver and the rendered `BENCH_tune.json` must come
+//!   out byte-identical.
 //!
 //! Per-action-category attribution comes from solo re-runs: each
 //! category present in the plan (layout / placement / topology) is
 //! applied alone and its makespan recorded, so the artifact shows where
-//! the win came from. Before/after analyzer reports are written to
+//! the win came from. Before/after analyzer reports go to
 //! `TUNE_<workload>_{before,after}.json` for CI artifact upload.
 
 use apps::world::{run_hamster, HamsterWorld, World};
-use bench::report::{write_report, Json};
-use bench::Args;
+use crate::report::{Json, Report, Table};
+use crate::{Args, Built};
 use cluster::{BarrierTopology, LockTopology, SyncTopology};
 use hamster_core::{ClusterConfig, Placement, PlatformKind};
 use memwire::{AlignHint, Distribution};
 use tuner::{advise, parse_report, Action};
 
 /// Page-misaligned SOR (960-byte rows): the false-sharing victim the
-/// layout action repairs. Same size as the `analyze` bin uses.
+/// layout action repairs. Same size as `analysis` uses.
 const SOR_UNOPT_N: usize = 120;
 const SOR_ITERS: usize = 10;
 const LU_N: usize = 128;
@@ -87,7 +88,7 @@ fn counters<W: World>(w: &W, hint: AlignHint) -> apps::BenchResult {
 }
 
 /// Deterministic hot-lock microworkload: acquisitions are serialized
-/// behind barriers (same trick as the `analyze` bin's lock ring), so
+/// behind barriers (same trick as [`crate::suite::lock_ring`]), so
 /// grant order — and the whole trace — is identical on every run.
 fn lock_hot<W: World>(w: &W) -> apps::BenchResult {
     let cell = w.alloc_dist(64, Distribution::OnNode(0));
@@ -159,11 +160,11 @@ struct RunOut {
 /// One traced run under the given configuration knobs. The ethernet
 /// pin keeps every diff burst below bus-window saturation so the
 /// virtual schedule — and with it this artifact — is byte-reproducible
-/// (same rationale as the `analyze` bin; see OBSERVABILITY.md).
+/// (same rationale as `analysis`; see OBSERVABILITY.md).
 fn traced(nodes: usize, kernel: Kernel, hint: AlignHint, placement: &Placement, sync: SyncTopology) -> RunOut {
     let session = sim::TraceSession::begin();
     let mut cfg = ClusterConfig::new(nodes, PlatformKind::SwDsm);
-    cfg.cost = bench::suite::pinned_cost();
+    cfg.cost = sim::CostModel::pinned_ethernet();
     cfg.placement = placement.clone();
     cfg.sync = sync;
     let (_, results) = run_hamster(&cfg, move |w| kernel.run(w, hint));
@@ -288,14 +289,6 @@ fn tune_workload(nodes: usize, kernel: Kernel, failures: &mut Vec<String>) -> Ou
         / base.report.makespan_ns.max(1) as i64;
     let improved = tuned_makespan < base.report.makespan_ns;
 
-    println!(
-        "{name}: baseline {:.3} ms, tuned {:.3} ms ({} actions, {:+.1}%)",
-        base.report.makespan_ns as f64 / 1e6,
-        tuned_makespan as f64 / 1e6,
-        plan.actions.len(),
-        improvement_permille as f64 / 10.0
-    );
-
     let row = Json::obj([
         ("name", Json::str(name)),
         ("baseline_makespan_ns", Json::int(base.report.makespan_ns)),
@@ -318,16 +311,19 @@ fn tune_workload(nodes: usize, kernel: Kernel, failures: &mut Vec<String>) -> Ou
     Outcome { row, before, after, improvement_permille }
 }
 
-fn pipeline(nodes: usize, failures: &mut Vec<String>) -> (Json, Vec<(&'static str, String, String)>) {
+/// The tuning loop over the four workloads, and its gates.
+pub fn tune(args: &Args) -> Built {
     let kernels = [Kernel::SorUnopt, Kernel::Lu, Kernel::Counters, Kernel::LockHot];
+    let mut failures = Vec::new();
     let mut rows = Vec::new();
-    let mut reports = Vec::new();
+    let mut files = Vec::new();
     let mut best = i64::MIN;
     for k in kernels {
-        let out = tune_workload(nodes, k, failures);
+        let out = tune_workload(args.nodes, k, &mut failures);
         best = best.max(out.improvement_permille);
         rows.push(out.row);
-        reports.push((k.name(), out.before, out.after));
+        files.push((format!("TUNE_{}_before.json", k.name()), out.before));
+        files.push((format!("TUNE_{}_after.json", k.name()), out.after));
     }
     if best < 150 {
         failures.push(format!(
@@ -335,45 +331,21 @@ fn pipeline(nodes: usize, failures: &mut Vec<String>) -> (Json, Vec<(&'static st
             best as f64 / 10.0
         ));
     }
+    if !failures.is_empty() {
+        return Err(failures);
+    }
+    let table = Table::new(
+        format!("Closed tuning loop on the software DSM ({} nodes)", args.nodes),
+        &["name", "baseline_makespan_ns", "tuned_makespan_ns", "applied", "deferred", "improvement_permille"],
+        &rows,
+    );
     let doc = Json::obj([
         ("schema", Json::str("hamster-tune-v1")),
-        ("nodes", Json::int(nodes)),
+        ("nodes", Json::int(args.nodes)),
         ("workloads", Json::Arr(rows)),
         ("best_improvement_permille", Json::Int(best)),
     ]);
-    (doc, reports)
-}
-
-fn main() {
-    let args = Args::parse(2);
-    let nodes = args.nodes;
-    let mut failures = Vec::new();
-
-    let (doc, reports) = pipeline(nodes, &mut failures);
-
-    // Determinism check: the whole loop — baseline, advice, tuned
-    // re-runs — must reproduce the artifact byte for byte.
-    println!("--- second pass (byte-determinism check) ---");
-    let mut failures2 = Vec::new();
-    let (doc2, _) = pipeline(nodes, &mut failures2);
-    if doc.pretty() != doc2.pretty() {
-        failures.push("BENCH_tune.json differs between two in-process runs".into());
-    }
-
-    for (name, before, after) in &reports {
-        for (suffix, text) in [("before", before), ("after", after)] {
-            let path = format!("TUNE_{name}_{suffix}.json");
-            std::fs::write(&path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        }
-        eprintln!("wrote TUNE_{name}_{{before,after}}.json");
-    }
-    write_report("tune", &doc);
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("tuning loop verified on {} workloads", reports.len());
+    let mut report = Report::new(doc, vec![table]);
+    report.files = files;
+    Ok(report.note(format!("tuning loop verified on {} workloads", kernels.len())))
 }

@@ -175,3 +175,108 @@ fn virtual_time_ordering_across_platforms() {
     assert!(smp < sci, "SMP ({smp}) should beat SCI ({sci})");
     assert!(sci < eth, "SCI ({sci}) should beat Ethernet ({eth})");
 }
+
+/// The randomized soak's generator, sequential reference and runner:
+/// seeded programs of single-writer byte stores in barrier-separated
+/// epochs plus a lock-protected counter contended by everyone.
+mod random_programs {
+    use hamster::apps::world::{run_hamster, World};
+    use hamster::core::{ClusterConfig, Distribution, PlatformKind};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    pub const NODES: usize = 4;
+    const SLICE: usize = 2 * 4096 + 512; // deliberately page-misaligned
+
+    #[derive(Clone)]
+    pub struct Program {
+        writes: Vec<(u8, u8, u32, u8)>, // (epoch, writer, offset, value)
+        epochs: u8,
+        dist: Distribution,
+        counter_rounds: u64,
+    }
+
+    pub fn generate(seed: u64) -> Program {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let epochs = rng.gen_range(2..6);
+        let n_writes = rng.gen_range(50..400);
+        let writes = (0..n_writes)
+            .map(|_| {
+                (
+                    rng.gen_range(0..epochs),
+                    rng.gen_range(0..NODES as u8),
+                    rng.gen_range(0..SLICE as u32),
+                    rng.gen(),
+                )
+            })
+            .collect();
+        let dist = match rng.gen_range(0..4) {
+            0 => Distribution::Block,
+            1 => Distribution::Cyclic,
+            2 => Distribution::BlockCyclic(1 + rng.gen_range(0..3)),
+            _ => Distribution::OnNode(rng.gen_range(0..NODES)),
+        };
+        Program { writes, epochs, dist, counter_rounds: rng.gen_range(1..8) }
+    }
+
+    pub fn reference(p: &Program) -> (Vec<u8>, u64) {
+        let mut mem = vec![0u8; NODES * SLICE];
+        let mut ws = p.writes.clone();
+        ws.sort_by_key(|w| w.0);
+        for (_, writer, off, val) in ws {
+            mem[writer as usize * SLICE + off as usize] = val;
+        }
+        (mem, p.counter_rounds * NODES as u64)
+    }
+
+    pub fn run_on(platform: PlatformKind, p: &Program) -> (Vec<u8>, u64) {
+        let cfg = ClusterConfig::new(NODES, platform);
+        let p = p.clone();
+        let (_, results) = run_hamster(&cfg, move |w| {
+            let me = w.rank() as u8;
+            let data = w.alloc_dist(NODES * SLICE, p.dist);
+            let counter = w.alloc_dist(64, Distribution::Block);
+            w.barrier(1);
+            for epoch in 0..p.epochs {
+                for &(e, writer, off, val) in &p.writes {
+                    if e == epoch && writer == me {
+                        w.write_bytes(data.add(writer as u32 * SLICE as u32 + off), &[val]);
+                    }
+                }
+                w.barrier(2);
+            }
+            for _ in 0..p.counter_rounds {
+                w.lock(3);
+                let v = w.read_u64(counter);
+                w.write_u64(counter, v + 1);
+                w.unlock(3);
+            }
+            w.barrier(4);
+            let mut image = vec![0u8; NODES * SLICE];
+            w.read_bytes(data, &mut image);
+            let count = w.read_u64(counter);
+            w.barrier(5);
+            (image, count)
+        });
+        for r in &results[1..] {
+            assert_eq!(r, &results[0], "nodes disagree on {platform:?}");
+        }
+        results.into_iter().next().unwrap()
+    }
+}
+
+/// Correctness only — image and counter equal the sequential reference
+/// on every platform, nodes agree — no timing.
+#[test]
+fn random_programs_match_the_sequential_reference_on_every_platform() {
+    use random_programs::{generate, reference, run_on};
+    for seed in 0..5 {
+        let program = generate(seed);
+        let (expect_mem, expect_count) = reference(&program);
+        for platform in PLATFORMS {
+            let (mem, count) = run_on(platform, &program);
+            assert_eq!(count, expect_count, "seed {seed} on {platform:?}: counter");
+            assert!(mem == expect_mem, "seed {seed} on {platform:?}: image differs from the reference");
+        }
+    }
+}

@@ -6,7 +6,7 @@
 //! schedule always produces a byte-identical document (the property the
 //! analysis benchmark's CI job checks with a plain file compare).
 
-use crate::{Lane, PhaseBreakdown, Report, LANES};
+use crate::{Lane, Report, LANES};
 use sim::Quantiles;
 use std::fmt::Write as _;
 
@@ -203,12 +203,6 @@ impl Report {
         }
         s
     }
-}
-
-/// Summed lane totals of one phase (helper for consumers asserting the
-/// tiling invariant on phase rows).
-pub fn phase_lane_total(p: &PhaseBreakdown) -> u64 {
-    p.lanes.iter().sum()
 }
 
 fn expect_num(v: &sim::json::Value, key: &str) -> Result<(), String> {

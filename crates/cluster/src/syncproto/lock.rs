@@ -20,8 +20,8 @@
 //! known returns the token to the manager, which parks it for the next
 //! acquirer. Per-tenure sequence numbers pair each successor
 //! notification with the tenure it targets, so notifications that cross
-//! releases (or arrive after the holder re-acquired) resolve via
-//! [`TokHolderStep`]`::Claim` instead of corrupting a newer tenure.
+//! releases (or arrive after the holder re-acquired) resolve via a
+//! claim ([`LockMgr::tok_set_succ`]) instead of corrupting a newer tenure.
 //! The token is in exactly one message at a time and nothing can
 //! re-issue it, so the queue is for fabrics that lose nothing: on a
 //! resilient fabric the drivers serve every lock from the centralized
@@ -138,7 +138,7 @@ pub enum TokMgrStep<P> {
     },
 }
 
-/// What a holder sends after a token-queue event.
+/// What a holder does with the token at a release.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TokHolderStep<P> {
     /// Pass the token directly to the known successor.
@@ -154,13 +154,6 @@ pub enum TokHolderStep<P> {
         seq: u64,
         /// The token's accumulated notices.
         notices: Vec<(usize, P)>,
-    },
-    /// A successor notification arrived for a tenure that already
-    /// ended: tell the manager to route the (parked or in-flight
-    /// returned) token to `succ`.
-    Claim {
-        /// The successor the token must reach.
-        succ: usize,
     },
 }
 
@@ -379,17 +372,18 @@ impl<W: Piggyback> LockMgr<W> {
     }
 
     /// Manager: holder `from` (tenure `seq`) returned the token with no
-    /// successor known. Forwards it to a pending claimant, or parks it.
+    /// successor known. Passes it to a pending claimant — the returned
+    /// `(next holder, token notices)` — or parks it.
     pub fn tok_return(
         &mut self,
         lock: u32,
         from: usize,
         seq: u64,
         notices: Notices<W>,
-    ) -> Option<TokMgrStep<W::Pub>> {
+    ) -> Option<(usize, Notices<W>)> {
         let tok = self.tokens.get_mut(&lock).expect("return for unknown token");
         if let Some(succ) = tok.pending.take() {
-            return Some(TokMgrStep::Pass { to: succ, notices });
+            return Some((succ, notices));
         }
         assert!(tok.parked.is_none(), "token returned while already parked");
         if tok.tail == Some((from, seq)) {
@@ -403,11 +397,13 @@ impl<W: Piggyback> LockMgr<W> {
     }
 
     /// Manager: a holder whose tenure already ended routes the token to
-    /// the successor it was just told about.
-    pub fn tok_claim(&mut self, lock: u32, succ: usize) -> Option<TokMgrStep<W::Pub>> {
+    /// the successor it was just told about: the pass `(succ, token
+    /// notices)` if the token rests here, nothing while its return is
+    /// still in flight.
+    pub fn tok_claim(&mut self, lock: u32, succ: usize) -> Option<(usize, Notices<W>)> {
         let tok = self.tokens.get_mut(&lock).expect("claim for unknown token");
         if let Some(notices) = tok.parked.take() {
-            return Some(TokMgrStep::Pass { to: succ, notices });
+            return Some((succ, notices));
         }
         // The return is still in flight; forward on arrival.
         assert!(tok.pending.is_none(), "two claims pending for one token");
@@ -464,21 +460,17 @@ impl<W: Piggyback> LockMgr<W> {
 
     /// Holder: the manager named `succ` the successor of this node's
     /// tenure `for_seq`. Stores it for the live tenure, or — when that
-    /// tenure already ended — answers with the claim that routes the
-    /// returned token onward.
-    pub fn tok_set_succ(
-        &mut self,
-        lock: u32,
-        succ: usize,
-        for_seq: u64,
-    ) -> Option<TokHolderStep<W::Pub>> {
+    /// tenure already ended — returns the successor to claim the token
+    /// for: the manager must route the (parked or in-flight returned)
+    /// token onward to it.
+    pub fn tok_set_succ(&mut self, lock: u32, succ: usize, for_seq: u64) -> Option<usize> {
         let slot = self.slots.get_mut(&lock).expect("successor for unknown slot");
         if for_seq < slot.seq {
             // A notification for an earlier tenure, arriving after this
             // node moved on (possibly mid-reacquire): the old token went
             // back to the manager, so route it from there. The current
             // tenure is untouched.
-            return Some(TokHolderStep::Claim { succ });
+            return Some(succ);
         }
         assert_eq!(for_seq, slot.seq, "successor notification for a future tenure");
         match slot.state {
@@ -489,7 +481,7 @@ impl<W: Piggyback> LockMgr<W> {
             }
             TokenHold::AwaitSucc => {
                 slot.state = TokenHold::Idle;
-                Some(TokHolderStep::Claim { succ })
+                Some(succ)
             }
             TokenHold::Idle => panic!("successor notification for a forwarded tenure"),
         }
@@ -760,11 +752,8 @@ mod token_tests {
         // Return arrives: the tail moved on, so the token parks reserved.
         assert_eq!(mgr.tok_return(5, 0, seq, notices), None);
         // A's late notification turns into a claim that routes it to B.
-        assert_eq!(a.tok_set_succ(5, 1, sa), Some(TokHolderStep::Claim { succ: 1 }));
-        assert_eq!(
-            mgr.tok_claim(5, 1),
-            Some(TokMgrStep::Pass { to: 1, notices: vec![(0, iv(&[1]))] })
-        );
+        assert_eq!(a.tok_set_succ(5, 1, sa), Some(1));
+        assert_eq!(mgr.tok_claim(5, 1), Some((1, vec![(0, iv(&[1]))])));
     }
 
     #[test]
@@ -779,12 +768,9 @@ mod token_tests {
         };
         mgr.tok_acquire(5, 1, 1);
         // The claim beats the (slower) token return to the manager.
-        assert_eq!(a.tok_set_succ(5, 1, sa), Some(TokHolderStep::Claim { succ: 1 }));
+        assert_eq!(a.tok_set_succ(5, 1, sa), Some(1));
         assert_eq!(mgr.tok_claim(5, 1), None);
-        assert_eq!(
-            mgr.tok_return(5, 0, seq, notices),
-            Some(TokMgrStep::Pass { to: 1, notices: vec![(0, iv(&[1]))] })
-        );
+        assert_eq!(mgr.tok_return(5, 0, seq, notices), Some((1, vec![(0, iv(&[1]))])));
     }
 
     #[test]
@@ -802,7 +788,7 @@ mod token_tests {
         // tenure arrive. It must claim, not become the new successor.
         let sa2 = a.tok_begin_acquire(5);
         assert!(sa2 > sa);
-        assert_eq!(a.tok_set_succ(5, 1, sa), Some(TokHolderStep::Claim { succ: 1 }));
+        assert_eq!(a.tok_set_succ(5, 1, sa), Some(1));
         // The new tenure proceeds untouched.
         a.tok_pass_received(5, vec![]);
         assert!(matches!(a.tok_release(5, 0, iv(&[])), TokHolderStep::Return { .. }));

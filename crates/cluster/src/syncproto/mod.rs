@@ -15,7 +15,11 @@
 //! `hybriddsm::sync`) own message kinds, wire sizes, counters and trace
 //! events, and stay separate on purpose; the machines unit-test, and
 //! are enumerated exhaustively in `tests/syncproto.rs`, without a
-//! `Network`.
+//! `Network`. What the two drivers do share, besides these machines, is
+//! the fabric's rendezvous vocabulary (`interconnect::message`): how a
+//! lock release or a central-barrier arrival survives a lossy fabric is
+//! decided there, so neither driver asks which fabric it is on outside
+//! its tree barrier.
 
 pub mod barrier;
 pub mod lock;

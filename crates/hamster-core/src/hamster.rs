@@ -8,7 +8,6 @@ use crate::platform::Platform;
 use crate::runtime::RuntimeInner;
 use crate::sync_mgmt::SyncMgmt;
 use crate::task_mgmt::TaskMgmt;
-use crate::trace::{TraceEvent, Tracer};
 use sim::MachineCost;
 use std::sync::{Arc, Weak};
 
@@ -17,7 +16,6 @@ pub(crate) struct NodeCore {
     pub platform: Platform,
     pub machine: MachineCost,
     pub stats: ModuleStats,
-    pub tracer: Tracer,
     pub runtime: Weak<RuntimeInner>,
 }
 
@@ -36,10 +34,9 @@ impl NodeCore {
         self.runtime.upgrade().expect("HAMSTER runtime torn down")
     }
 
-    /// Record a trace event. Feeds both the node-local [`Tracer`] (when
-    /// the application started it) and the process-global
-    /// [`sim::trace`] session (when an external tool opened one); a
-    /// no-op costing two atomic loads otherwise.
+    /// Record a trace event into the process-global [`sim::trace`]
+    /// session, when an external tool opened one; a no-op costing one
+    /// atomic load otherwise.
     #[inline]
     pub fn trace(&self, module: &'static str, op: &'static str, arg: u64) {
         self.trace_corr(module, op, arg, 0);
@@ -52,25 +49,9 @@ impl NodeCore {
     /// so every event of one synchronization object shares an id.
     #[inline]
     pub fn trace_corr(&self, module: &'static str, op: &'static str, arg: u64, corr: u64) {
-        let local = self.tracer.is_enabled();
-        let global = sim::trace::enabled();
-        if !local && !global {
-            return;
-        }
-        let ev = TraceEvent {
-            t_ns: self.platform.ctx().clock().now(),
-            dur_ns: 0,
-            node: self.platform.rank(),
-            module,
-            op,
-            arg,
-            corr,
-        };
-        if local {
-            self.tracer.record(ev);
-        }
-        if global {
-            sim::trace::emit(ev);
+        if sim::trace::enabled() {
+            let now = self.platform.ctx().clock().now();
+            sim::trace::instant_corr(now, self.platform.rank(), module, op, arg, corr);
         }
     }
 }
@@ -115,12 +96,6 @@ impl Hamster {
     /// The monitoring interface: per-module query/reset (paper §4.3).
     pub fn monitor(&self) -> &ModuleStats {
         &self.core.stats
-    }
-
-    /// The event tracer (see [`crate::trace`]): start/stop recording
-    /// and take the per-node timeline.
-    pub fn tracer(&self) -> &Tracer {
-        &self.core.tracer
     }
 
     /// Platform capability probe.

@@ -61,8 +61,7 @@ pub use task_mgmt::{TaskHandle, TaskMgmt};
 pub use telemetry::{ServiceOp, Telemetry};
 pub use timing::{PhaseAccumulator, PhaseTimer, Timer};
 pub use trace::{
-    chrome_trace_json, gantt_summary, merge_timelines, validate_chrome_trace, TraceEvent,
-    TraceSession, Tracer,
+    chrome_trace_json, gantt_summary, validate_chrome_trace, TraceEvent, TraceSession,
 };
 
 // Re-exported so programming models and applications need only this

@@ -160,14 +160,4 @@ impl MixedNode {
     pub fn flush(&self) {
         self.hy.flush();
     }
-
-    /// The page-based engine (statistics access).
-    pub fn page_engine(&self) -> &DsmNode {
-        &self.sw
-    }
-
-    /// The word-based engine (statistics access).
-    pub fn word_engine(&self) -> &HybridNode {
-        &self.hy
-    }
 }

@@ -78,7 +78,6 @@ impl RuntimeInner {
                 machine: self.config.cost.machine,
                 stats: ModuleStats::new()
                     .with_net(net.stats().clone(), net.rtt_histogram()),
-                tracer: crate::trace::Tracer::new(65_536),
                 runtime: self.weak_self.clone(),
             }),
         }

@@ -46,7 +46,7 @@ impl SmpShared {
             machine,
             dir: RegionDir::new(),
             store: RegionStore::new(),
-            sync: SyncCore::install(cluster, 0),
+            sync: SyncCore::install(cluster),
             bus: Bus::with_bandwidth(machine.mem_bus_bytes_per_sec),
             stats: (0..cpus).map(|_| StatSet::new(STAT_NAMES)).collect(),
         })

@@ -1,18 +1,29 @@
 //! Event tracing: a virtual-time-stamped record of HAMSTER service and
 //! protocol activity, plus exporters for external tools.
 //!
-//! Counters (paper §4.3) aggregate; traces *order*. Two collection
-//! mechanisms share one event type ([`TraceEvent`], re-exported from
-//! [`sim::trace`]):
+//! Counters (paper §4.3) aggregate; traces *order*. There is one
+//! collection mechanism: the process-global [`TraceSession`] an
+//! external tool opens around a run (see `examples/trace_tool.rs`). It
+//! captures the HAMSTER services' own instants and the layers *below*
+//! the HAMSTER interface — page faults, diffs and write notices in the
+//! software DSM, SCI transactions in the hybrid DSM, interconnect
+//! requests, and bus-window stalls — each stamped with the emitting
+//! node and virtual time, merged in virtual-time order at `finish`.
 //!
-//! * the per-node [`Tracer`] ring buffer, started and drained through
-//!   [`crate::Hamster::tracer`] — the application-visible hook an
-//!   external monitoring tool attaches to (see `examples/trace_tool.rs`);
-//! * the process-global [`TraceSession`], which additionally captures
-//!   events from the layers *below* the HAMSTER interface — page faults,
-//!   diffs and write notices in the software DSM, SCI transactions in
-//!   the hybrid DSM, interconnect requests, and bus-window stalls —
-//!   stamped with the emitting node and virtual time.
+//! ```
+//! use hamster_core::{ClusterConfig, PlatformKind, Runtime, TraceSession};
+//!
+//! let session = TraceSession::begin();
+//! let rt = Runtime::new(ClusterConfig::new(2, PlatformKind::Smp));
+//! rt.run(|ham| {
+//!     ham.sync().lock(3);
+//!     ham.sync().unlock(3);
+//!     ham.sync().barrier(0);
+//! });
+//! drop(rt);
+//! let timeline = session.finish();
+//! assert!(timeline.iter().any(|e| e.module == "sync" && e.op == "lock"));
+//! ```
 //!
 //! A finished timeline renders to Chrome's `trace_event` JSON format
 //! ([`chrome_trace_json`], loadable in `chrome://tracing` or Perfetto)
@@ -29,97 +40,10 @@
 //! assert_eq!(validate_chrome_trace(&json).unwrap(), 1);
 //! ```
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 pub use sim::trace::{TraceEvent, TraceSession};
-
-/// Per-node trace buffer (bounded; oldest events are dropped first).
-///
-/// ```
-/// use hamster_core::{ClusterConfig, PlatformKind, Runtime};
-///
-/// let rt = Runtime::new(ClusterConfig::new(2, PlatformKind::Smp));
-/// let (_report, timelines) = rt.run(|ham| {
-///     ham.tracer().start();
-///     ham.sync().lock(3);
-///     ham.sync().unlock(3);
-///     ham.sync().barrier(0);
-///     ham.tracer().stop();
-///     ham.tracer().take()
-/// });
-/// let merged = hamster_core::merge_timelines(timelines);
-/// assert!(merged.iter().any(|e| e.module == "sync" && e.op == "lock"));
-/// ```
-pub struct Tracer {
-    enabled: AtomicBool,
-    events: Mutex<Vec<TraceEvent>>,
-    capacity: usize,
-}
-
-impl Tracer {
-    /// A disabled tracer holding up to `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            enabled: AtomicBool::new(false),
-            events: Mutex::new(Vec::new()),
-            capacity,
-        }
-    }
-
-    /// Start recording.
-    pub fn start(&self) {
-        self.enabled.store(true, Ordering::Release);
-    }
-
-    /// Stop recording (events are kept until taken).
-    pub fn stop(&self) {
-        self.enabled.store(false, Ordering::Release);
-    }
-
-    /// Whether recording is active.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
-
-    /// Record an event (no-op while disabled).
-    #[inline]
-    pub fn record(&self, ev: TraceEvent) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut g = self.events.lock();
-        if g.len() == self.capacity {
-            g.remove(0);
-        }
-        g.push(ev);
-    }
-
-    /// Take all recorded events (clears the buffer).
-    pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock())
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Merge per-node traces into one virtual-time-ordered timeline.
-pub fn merge_timelines(per_node: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
-    let mut all: Vec<TraceEvent> = per_node.into_iter().flatten().collect();
-    all.sort_by_key(|e| (e.t_ns, e.node));
-    all
-}
 
 fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
@@ -328,51 +252,6 @@ use sim::json as mini_json;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(t: u64, node: usize, op: &'static str) -> TraceEvent {
-        TraceEvent { t_ns: t, dur_ns: 0, node, module: "sync", op, arg: 0, corr: 0 }
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = Tracer::new(8);
-        t.record(ev(1, 0, "lock"));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn enabled_tracer_records_and_takes() {
-        let t = Tracer::new(8);
-        t.start();
-        t.record(ev(1, 0, "lock"));
-        t.record(ev(2, 0, "unlock"));
-        assert_eq!(t.len(), 2);
-        let evs = t.take();
-        assert_eq!(evs[0].op, "lock");
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn capacity_drops_oldest() {
-        let t = Tracer::new(3);
-        t.start();
-        for i in 0..5 {
-            t.record(ev(i, 0, "barrier"));
-        }
-        let evs = t.take();
-        assert_eq!(evs.len(), 3);
-        assert_eq!(evs[0].t_ns, 2);
-    }
-
-    #[test]
-    fn merge_orders_by_time_then_node() {
-        let merged = merge_timelines(vec![
-            vec![ev(5, 0, "a"), ev(10, 0, "b")],
-            vec![ev(5, 1, "c"), ev(1, 1, "d")],
-        ]);
-        let key: Vec<(u64, usize)> = merged.iter().map(|e| (e.t_ns, e.node)).collect();
-        assert_eq!(key, vec![(1, 1), (5, 0), (5, 1), (10, 0)]);
-    }
 
     #[test]
     fn chrome_export_validates_and_counts() {

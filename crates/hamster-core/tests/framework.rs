@@ -192,17 +192,21 @@ fn user_messaging_delivers_in_order() {
     let rt = Runtime::new(ClusterConfig::new(2, PlatformKind::SwDsm));
     let (_, results) = rt.run(|ham| {
         if ham.task().rank() == 0 {
+            ham.cluster().send(1, 10, vec![6]);
             ham.cluster().send(1, 9, vec![1, 2, 3]);
             ham.cluster().send(1, 9, vec![4, 5]);
             Vec::new()
         } else {
+            assert!(ham.cluster().try_recv(8).is_none(), "nothing was sent on channel 8");
             let a = ham.cluster().recv(9);
             let b = ham.cluster().recv(9);
             assert_eq!(a.src, 0);
-            vec![a.bytes, b.bytes]
+            // Sent before `a` on the same link, so it is already here.
+            let c = ham.cluster().try_recv(10).expect("channel 10 message arrived before `a`");
+            vec![a.bytes, b.bytes, c.bytes]
         }
     });
-    assert_eq!(results[1], vec![vec![1, 2, 3], vec![4, 5]]);
+    assert_eq!(results[1], vec![vec![1, 2, 3], vec![4, 5], vec![6]]);
 }
 
 #[test]
@@ -229,11 +233,12 @@ fn fetch_add_is_atomic_across_nodes() {
             ham.sync().barrier(1);
             for _ in 0..10 {
                 ham.sync().fetch_add_u64(r.addr(), 1);
+                ham.sync().fetch_add_f64(r.addr().add(8), 0.5);
             }
             ham.sync().barrier(2);
-            ham.mem().read_u64(r.addr())
+            (ham.mem().read_u64(r.addr()), ham.mem().read_f64(r.addr().add(8)))
         });
-        assert_eq!(results, vec![40; 4], "platform {platform:?}");
+        assert_eq!(results, vec![(40, 20.0); 4], "platform {platform:?}");
     }
 }
 

@@ -79,7 +79,7 @@ impl HybridDsm {
             machine: cluster.config().cost.machine,
             dir: RegionDir::new(),
             store: RegionStore::new(),
-            sync: SyncCore::install(cluster, 0),
+            sync: SyncCore::install(cluster),
             stats: (0..nodes).map(|_| StatSet::new(STAT_NAMES)).collect(),
         })
     }

@@ -13,6 +13,16 @@
 //! the fabric's [`cluster::SyncTopology`]. What is this module's own is
 //! the wire: message kinds, sizes and trace events. All traffic rides
 //! the cluster's configured link.
+//!
+//! The driver asks which kind of fabric it is on (`resilient`) only
+//! inside the tree barrier: a lock release and the central barrier are
+//! one rendezvous either way and leave that to `interconnect`
+//! (`send_reliable`, `rendezvous`, `answer_later`, `answer_all`), while
+//! the tree barrier's two arms are different choreographies. Merging
+//! them is a model change, not a refactor — the module docs of
+//! `swdsm::node` quote the prototype (`scale --quick` `scalable` rows
+//! −7.8 % … +5.4 % `sim_ms`, `sync_records` 255 → 257 and 4 095 →
+//! 4 097); do not re-open it without new evidence.
 
 use cluster::syncproto::barrier::{BarrierMgr, BarrierStep, TreeBarrier, TreeStep};
 use cluster::syncproto::lock::{Acquire, LockMgr, Mode};
@@ -24,8 +34,7 @@ use sim::Sketch;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Message kinds (0x2xx block). `kind_base` offsets allow two cores on
-/// one fabric.
+/// Message kinds (0x2xx block).
 const LOCK_REQ: u32 = 0x200;
 const LOCK_REL: u32 = 0x201;
 const LOCK_GRANT: u32 = 0x202;
@@ -39,14 +48,10 @@ const TREE_AGG: u32 = 0x206;
 /// The release wave travelling from a parent to a child subtree.
 const TREE_WAVE: u32 = 0x207;
 
+/// A barrier and one of its epochs: what an arrival announces and what
+/// the release answers.
 #[derive(Clone, Copy)]
-struct BarArrive {
-    id: u32,
-    epoch: u64,
-}
-
-#[derive(Clone, Copy)]
-struct BarRelease {
+struct BarEpoch {
     id: u32,
     epoch: u64,
 }
@@ -72,7 +77,6 @@ struct TreeWaveMsg {
 /// Cluster-shared synchronization state.
 pub struct SyncCore {
     nodes: usize,
-    base: u32,
     /// Barrier topology from the fabric config (locks stay
     /// manager-owned here: the token queue is a consistency-protocol
     /// optimization and hardware-coherent platforms don't carry one).
@@ -86,9 +90,8 @@ pub struct SyncCore {
 }
 
 impl SyncCore {
-    /// Install the sync protocol on `cluster` using kinds offset by
-    /// `kind_base` (pass 0 unless two cores share a fabric).
-    pub fn install(cluster: &Cluster, kind_base: u32) -> Arc<SyncCore> {
+    /// Install the sync protocol on `cluster`.
+    pub fn install(cluster: &Cluster) -> Arc<SyncCore> {
         let nodes = cluster.config().nodes;
         let barrier_topo = cluster.config().sync.barrier;
         let fanout = match barrier_topo {
@@ -97,7 +100,6 @@ impl SyncCore {
         };
         let core = Arc::new(SyncCore {
             nodes,
-            base: kind_base,
             barrier_topo,
             locks: (0..nodes).map(|_| Mutex::new(LockMgr::new())).collect(),
             barriers: (0..nodes).map(|_| Mutex::new(BarrierMgr::new())).collect(),
@@ -109,7 +111,7 @@ impl SyncCore {
         let net = cluster.network();
 
         let c = core.clone();
-        net.register_all(kind_base + LOCK_REQ, move |node| {
+        net.register_all(LOCK_REQ, move |node| {
             let c = c.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, src, p| {
                 let (lock, mode, lost_grant) = downcast::<(u32, Mode, bool)>(p);
@@ -124,77 +126,60 @@ impl SyncCore {
         });
 
         let c = core.clone();
-        net.register_all(kind_base + LOCK_REL, move |node| {
+        net.register_all(LOCK_REL, move |node| {
             let c = c.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, src, p| {
                 let lock = downcast::<u32>(p);
                 for (next, _) in c.locks[node].lock().release(lock, src, (), ctx.now) {
                     c.trace_grant(ctx.now, node, lock, next);
-                    let tag = mailbox::tag(c.base + LOCK_GRANT, lock);
-                    ctx.post_tagged(next, c.base + LOCK_GRANT, lock, 8, tag);
+                    let tag = mailbox::tag(LOCK_GRANT, lock);
+                    ctx.post_tagged(next, LOCK_GRANT, lock, 8, tag);
                 }
                 Outcome::done()
             }
         });
 
-        net.register_all(kind_base + LOCK_GRANT, |node| {
+        net.register_all(LOCK_GRANT, |node| {
             let mb = cluster.network().mailbox(node);
-            let base = kind_base;
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 let lock = downcast::<u32>(p);
-                mb.deposit(mailbox::tag(base + LOCK_GRANT, lock), Box::new(()), ctx.now);
+                mb.deposit(mailbox::tag(LOCK_GRANT, lock), Box::new(()), ctx.now);
                 Outcome::done()
             }
         });
 
         let c = core.clone();
-        net.register_all(kind_base + BAR_ARRIVE, move |node| {
+        net.register_all(BAR_ARRIVE, move |node| {
             let c = c.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, src, p| {
-                let arr = downcast::<BarArrive>(p);
+                let arr = downcast::<BarEpoch>(p);
                 let step =
                     c.barriers[node].lock().arrive(arr.id, arr.epoch, src, (), ctx.now, c.nodes);
-                let tag = mailbox::tag(c.base + BAR_RELEASE, arr.id);
+                let tag = mailbox::tag(BAR_RELEASE, arr.id);
                 match step {
                     BarrierStep::Release { epoch, release_ns, intervals } => {
                         c.trace_release(release_ns, node, arr.id, epoch);
-                        if ctx.resilient() {
-                            // Request/reply rendezvous: discharge every
-                            // parked arrival with the release; the final
-                            // arriver takes it as its own reply (see the
-                            // swdsm barrier for the full rationale).
-                            for (who, ()) in intervals {
-                                if who != src {
-                                    ctx.complete_deferred(tag, who, epoch, 16, release_ns);
-                                }
-                            }
-                            return Outcome::reply_not_before(epoch, 16, release_ns);
-                        }
-                        let rel = BarRelease { id: arr.id, epoch };
-                        for dst in 0..c.nodes {
-                            ctx.post_tagged_at(dst, c.base + BAR_RELEASE, rel, 16, tag, release_ns);
-                        }
-                        Outcome::done()
+                        let waiters = intervals.into_iter().map(|(who, ())| who).collect();
+                        ctx.answer_all(BAR_RELEASE, tag, release_ns, src, waiters, |_| {
+                            (BarEpoch { id: arr.id, epoch }, 16)
+                        })
                     }
                     // Re-arrival for an already-released epoch: the
                     // arriver's release reply was lost.
                     BarrierStep::Replay { epoch, release_ns, .. } => {
-                        Outcome::reply_not_before(epoch, 16, release_ns)
+                        Outcome::reply_not_before(BarEpoch { id: arr.id, epoch }, 16, release_ns)
                     }
-                    // Pending (first copy or a retried duplicate): park
-                    // the reply until the last participant arrives.
-                    BarrierStep::Waiting if ctx.resilient() => Outcome::defer(tag),
-                    BarrierStep::Waiting => Outcome::done(),
+                    // Pending (first copy or a retried duplicate).
+                    BarrierStep::Waiting => ctx.answer_later(tag),
                 }
             }
         });
 
-        net.register_all(kind_base + BAR_RELEASE, |node| {
+        net.register_all(BAR_RELEASE, |node| {
             let mb = cluster.network().mailbox(node);
-            let base = kind_base;
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
-                let rel = downcast::<BarRelease>(p);
-                mb.deposit(mailbox::tag(base + BAR_RELEASE, rel.id), Box::new(rel.epoch), ctx.now);
+                let rel = downcast::<BarEpoch>(p);
+                mb.deposit(mailbox::tag(BAR_RELEASE, rel.id), Box::new(rel), ctx.now);
                 Outcome::done()
             }
         });
@@ -208,40 +193,20 @@ impl SyncCore {
         // edges cannot heal, because a parked reply has no client-side
         // deadline (see the swdsm tree barrier for the full rationale).
         let c = core.clone();
-        net.register_all(kind_base + TREE_UP, move |node| {
+        net.register_all(TREE_UP, move |node| {
             let c = c.clone();
             let mb = cluster.network().mailbox(node);
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 debug_assert!(!ctx.resilient(), "resilient tree arrivals stay on the app thread");
-                let arr = downcast::<BarArrive>(p);
+                let arr = downcast::<BarEpoch>(p);
                 let step = c.trees[node].lock().self_arrive(arr.id, arr.epoch, (), ctx.now);
-                let tag = mailbox::tag(c.base + BAR_RELEASE, arr.id);
-                match step {
-                    TreeStep::Waiting => {}
-                    TreeStep::Up { parent, latest_ns, agg } => {
-                        let up = TreeAggMsg { id: arr.id, epoch: arr.epoch, child: node, latest_ns, agg };
-                        ctx.post(parent, c.base + TREE_AGG, up, 32);
-                    }
-                    TreeStep::Deliver { release_ns, child_waves, .. } => {
-                        // Only the root completes from its own arrival
-                        // without an incoming wave; the deposit is
-                        // stamped with the release instant, not
-                        // ctx.now, which is a real-time race.
-                        c.trace_release(release_ns, node, arr.id, arr.epoch);
-                        c.post_waves(ctx, arr.id, arr.epoch, release_ns, &child_waves);
-                        mb.deposit(tag, Box::new(arr.epoch), release_ns);
-                    }
-                    TreeStep::Redeliver { .. } => mb.deposit(tag, Box::new(arr.epoch), ctx.now),
-                    TreeStep::ResendWave { .. } => {
-                        unreachable!("self-arrival never resends a child wave")
-                    }
-                }
+                c.tree_step(ctx, &mb, node, arr.id, arr.epoch, step);
                 Outcome::done()
             }
         });
 
         let c = core.clone();
-        net.register_all(kind_base + TREE_AGG, move |node| {
+        net.register_all(TREE_AGG, move |node| {
             let c = c.clone();
             let mb = cluster.network().mailbox(node);
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
@@ -254,7 +219,7 @@ impl SyncCore {
                     // child's release wave, parked until this node's
                     // release point (driven by the application thread
                     // in tree_barrier).
-                    let wkey = mailbox::tag(c.base + TREE_WAVE, id);
+                    let wkey = mailbox::tag(TREE_WAVE, id);
                     return match step {
                         TreeStep::Waiting => Outcome::defer(wkey),
                         step @ (TreeStep::Up { .. } | TreeStep::Deliver { .. }) => {
@@ -268,7 +233,7 @@ impl SyncCore {
                             // real-time race, and its service end must
                             // not leak into virtual time.
                             let when = step.join_ns();
-                            let skey = mailbox::tag(c.base + TREE_AGG, id);
+                            let skey = mailbox::tag(TREE_AGG, id);
                             mb.deposit(skey, Box::new(step), when);
                             Outcome::defer(wkey)
                         }
@@ -284,49 +249,21 @@ impl SyncCore {
                         }
                     };
                 }
-                match step {
-                    TreeStep::Waiting => {}
-                    TreeStep::Up { parent, latest_ns, agg } => {
-                        let up = TreeAggMsg { id, epoch, child: node, latest_ns, agg };
-                        ctx.post(parent, c.base + TREE_AGG, up, 32);
-                    }
-                    TreeStep::Deliver { release_ns, child_waves, .. } => {
-                        // Root completion off the final child aggregate:
-                        // wave down, then wake the root's own thread at
-                        // the release instant — not ctx.now, which is a
-                        // real-time race.
-                        c.trace_release(release_ns, node, id, epoch);
-                        c.post_waves(ctx, id, epoch, release_ns, &child_waves);
-                        let tag = mailbox::tag(c.base + BAR_RELEASE, id);
-                        mb.deposit(tag, Box::new(epoch), release_ns);
-                    }
-                    TreeStep::ResendWave { child, release_ns, .. } => {
-                        c.post_waves(ctx, id, epoch, release_ns, &[(child, ())]);
-                    }
-                    TreeStep::Redeliver { .. } => {
-                        unreachable!("child aggregates never redeliver locally")
-                    }
-                }
+                c.tree_step(ctx, &mb, node, id, epoch, step);
                 Outcome::done()
             }
         });
 
         let c = core.clone();
-        net.register_all(kind_base + TREE_WAVE, move |node| {
+        net.register_all(TREE_WAVE, move |node| {
             let c = c.clone();
             let mb = cluster.network().mailbox(node);
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 debug_assert!(!ctx.resilient(), "resilient waves ride TREE_AGG replies");
                 let msg = downcast::<TreeWaveMsg>(p);
-                match c.trees[node].lock().wave(msg.id, msg.epoch, msg.release_ns, ()) {
-                    TreeStep::Waiting => {} // duplicate wave, already released
-                    TreeStep::Deliver { release_ns, child_waves, .. } => {
-                        c.post_waves(ctx, msg.id, msg.epoch, release_ns, &child_waves);
-                        let tag = mailbox::tag(c.base + BAR_RELEASE, msg.id);
-                        mb.deposit(tag, Box::new(msg.epoch), ctx.now);
-                    }
-                    _ => unreachable!("a wave either delivers or is a duplicate"),
-                }
+                let step = c.trees[node].lock().wave(msg.id, msg.epoch, msg.release_ns, ());
+                // `Waiting` here is a duplicate wave, already released.
+                c.tree_step(ctx, &mb, node, msg.id, msg.epoch, step);
                 Outcome::done()
             }
         });
@@ -347,6 +284,48 @@ impl SyncCore {
         sim::trace::instant_corr(release_ns, node, "hybriddsm", "barrier_release", id as u64, epoch);
     }
 
+    /// Carry out `step` of `node`'s tree machine from a handler of the
+    /// one-way choreography (`TREE_UP`, `TREE_AGG`, `TREE_WAVE` all end
+    /// here). The local application is woken through `mb`.
+    fn tree_step(
+        &self,
+        ctx: &interconnect::HandlerCtx<'_>,
+        mb: &interconnect::Mailbox,
+        node: usize,
+        id: u32,
+        epoch: u64,
+        step: TreeStep<()>,
+    ) {
+        let tag = mailbox::tag(BAR_RELEASE, id);
+        match step {
+            TreeStep::Waiting => {}
+            TreeStep::Up { parent, latest_ns, agg } => {
+                let up = TreeAggMsg { id, epoch, child: node, latest_ns, agg };
+                ctx.post(parent, TREE_AGG, up, 32);
+            }
+            TreeStep::Deliver { release_ns, child_waves, .. } => {
+                // The root completes off its own arrival or its last
+                // child's aggregate — which one is a real-time race, so
+                // its wake-up is stamped with the release instant, not
+                // ctx.now; every other node completes off its parent's
+                // wave.
+                let root = node == id as usize % self.nodes;
+                if root {
+                    self.trace_release(release_ns, node, id, epoch);
+                }
+                self.post_waves(ctx, id, epoch, release_ns, &child_waves);
+                let at_ns = if root { release_ns } else { ctx.now };
+                mb.deposit(tag, Box::new(BarEpoch { id, epoch }), at_ns);
+            }
+            // The local wake-up of a released epoch was lost.
+            TreeStep::Redeliver { .. } => mb.deposit(tag, Box::new(BarEpoch { id, epoch }), ctx.now),
+            // The child's wave of a released epoch was lost.
+            TreeStep::ResendWave { child, release_ns, .. } => {
+                self.post_waves(ctx, id, epoch, release_ns, &[(child, ())]);
+            }
+        }
+    }
+
     /// The release reached a node's position in the barrier tree:
     /// forward the wave to every child subtree (departing at the joined
     /// release time).
@@ -360,7 +339,7 @@ impl SyncCore {
     ) {
         for &(child, ()) in child_waves {
             let wave = TreeWaveMsg { id, epoch, release_ns };
-            ctx.post_at(child, self.base + TREE_WAVE, wave, 24, release_ns);
+            ctx.post_at(child, TREE_WAVE, wave, 24, release_ns);
         }
     }
 
@@ -395,34 +374,27 @@ impl SyncNode {
     }
 
     /// Whether the fabric was built with a timeout/retry policy (fault
-    /// injection active): a lock release and a barrier arrival or wave,
-    /// one-way posts on a plain fabric, then travel as acknowledged
-    /// requests. Requests themselves take one path either way.
+    /// injection active). Only the tree barrier asks: its two
+    /// choreographies differ (see [`SyncNode::tree_barrier`]); every
+    /// other exchange takes one path and leaves the choice to the fabric.
     fn resilient(&self) -> bool {
         self.ctx.port().resilience().is_some()
     }
 
-    fn acquire_mode(&self, lock: u32, mode: Mode) {
-        let t0 = self.ctx.clock().now();
-        self.acquire_inner(lock, mode);
-        let now = self.ctx.clock().now();
-        self.core.lock_hist.record(now.saturating_sub(t0));
-        sim::trace::span_corr(
-            t0,
-            now.saturating_sub(t0),
-            self.ctx.rank(),
-            "hybriddsm",
-            "lock_acquire",
-            lock as u64,
-            lock as u64 + 1,
-        );
+    /// Emit the span `[t0, now]` of a blocking operation; returns its
+    /// length. Lock spans carry `corr = lock + 1`, barrier spans the
+    /// epoch.
+    fn trace_span(&self, t0: u64, op: &'static str, arg: u64, corr: u64) -> u64 {
+        let dur = self.ctx.clock().now().saturating_sub(t0);
+        sim::trace::span_corr(t0, dur, self.ctx.rank(), "hybriddsm", op, arg, corr);
+        dur
     }
 
-    fn acquire_inner(&self, lock: u32, mode: Mode) {
+    fn acquire_mode(&self, lock: u32, mode: Mode) {
+        let t0 = self.ctx.clock().now();
         let me = self.ctx.rank();
         let mgr = lock as usize % self.core.nodes;
-        let kind = self.core.base + LOCK_REQ;
-        let tag = mailbox::tag(self.core.base + LOCK_GRANT, lock);
+        let tag = mailbox::tag(LOCK_GRANT, lock);
         // One path on every fabric: where the fabric retries, the
         // retried requests hit an idempotent manager (a lost grant reply
         // re-grants; a lost Queued reply keeps the original queue
@@ -433,7 +405,7 @@ impl SyncNode {
         acquire_resilient(
             format_args!("sync node {me}: lock {lock}"),
             |_round, lost_grant| {
-                let rep = self.ctx.port().request_retrying(mgr, kind, (lock, mode, lost_grant), 16)?;
+                let rep = self.ctx.port().request_retrying(mgr, LOCK_REQ, (lock, mode, lost_grant), 16)?;
                 Ok(downcast::<Answer<()>>(rep))
             },
             || match self.ctx.port().wait_mailbox_checked(tag) {
@@ -442,24 +414,16 @@ impl SyncNode {
                 Err(e) => Err(e),
             },
         )
-        .unwrap_or_else(|e| panic!("sync node {me}: unrecoverable fault acquiring lock {lock}: {e}"))
+        .unwrap_or_else(|e| panic!("sync node {me}: unrecoverable fault acquiring lock {lock}: {e}"));
+        self.core.lock_hist.record(self.trace_span(t0, "lock_acquire", lock as u64, lock as u64 + 1));
     }
 
-    /// Release global lock `lock`. On a resilient fabric the release is
-    /// acknowledged and retried so a lost release cannot strand waiters.
+    /// Release global lock `lock`. A lost release would strand the
+    /// waiters, so it goes by [`interconnect::NodePort::send_reliable`].
     pub fn release(&self, lock: u32) {
         let mgr = lock as usize % self.core.nodes;
-        if self.resilient() {
-            if let Err(e) =
-                self.ctx.port().request_retrying(mgr, self.core.base + LOCK_REL, lock, 16)
-            {
-                panic!(
-                    "sync node {}: unrecoverable fault releasing lock {lock}: {e}",
-                    self.ctx.rank()
-                );
-            }
-        } else {
-            self.ctx.port().post(mgr, self.core.base + LOCK_REL, lock, 16);
+        if let Err(e) = self.ctx.port().send_reliable(mgr, LOCK_REL, lock, 16) {
+            panic!("sync node {}: unrecoverable fault releasing lock {lock}: {e}", self.ctx.rank());
         }
         // Same (releaser, lock) encoding as the manager's grant instants,
         // so release → next grant chains join up in the analyzer.
@@ -488,48 +452,20 @@ impl SyncNode {
             BarrierTopology::Central => self.central_barrier(id, epoch),
         }
         self.epochs.lock().insert(id, epoch);
-        let now = self.ctx.clock().now();
-        sim::trace::span_corr(
-            t0,
-            now.saturating_sub(t0),
-            self.ctx.rank(),
-            "hybriddsm",
-            "barrier",
-            id as u64,
-            epoch,
-        );
+        self.trace_span(t0, "barrier", id as u64, epoch);
     }
 
+    /// One rendezvous at the manager (see [`interconnect::message`]).
+    /// Retried arrivals are deduplicated while the epoch is pending and
+    /// answered from the release cache after.
     fn central_barrier(&self, id: u32, epoch: u64) {
         let mgr = id as usize % self.core.nodes;
-        let tag = mailbox::tag(self.core.base + BAR_RELEASE, id);
-        if !self.resilient() {
-            self.ctx
-                .port()
-                .post(mgr, self.core.base + BAR_ARRIVE, BarArrive { id, epoch }, 24);
-            let got = downcast::<u64>(self.ctx.port().wait_mailbox(tag));
-            assert_eq!(got, epoch, "barrier {id}: epoch mismatch");
-        } else {
-            // Single request/reply rendezvous: the reply — parked at
-            // the manager until everyone arrives — is the release
-            // epoch itself. Retries are deduplicated while the epoch
-            // is pending and answered from the release cache after.
-            match self.ctx.port().request_retrying(
-                mgr,
-                self.core.base + BAR_ARRIVE,
-                BarArrive { id, epoch },
-                24,
-            ) {
-                Ok(ack) => {
-                    let got = downcast::<u64>(ack);
-                    assert_eq!(got, epoch, "barrier {id}: epoch mismatch");
-                }
-                Err(e) => panic!(
-                    "sync node {}: unrecoverable fault at barrier {id}: {e}",
-                    self.ctx.rank()
-                ),
-            }
-        }
+        let tag = mailbox::tag(BAR_RELEASE, id);
+        let arr = BarEpoch { id, epoch };
+        let rel = self.ctx.port().rendezvous(mgr, BAR_ARRIVE, arr, 24, tag).unwrap_or_else(|e| {
+            panic!("sync node {}: unrecoverable fault at barrier {id}: {e}", self.ctx.rank())
+        });
+        assert_eq!(downcast::<BarEpoch>(rel).epoch, epoch, "barrier {id}: epoch mismatch");
     }
 
     /// Tree-barrier arrival. On a plain fabric this is a `TREE_UP`
@@ -545,10 +481,10 @@ impl SyncNode {
     fn tree_barrier(&self, id: u32, epoch: u64) {
         let me = self.ctx.rank();
         if !self.resilient() {
-            let arr = BarArrive { id, epoch };
-            let tag = mailbox::tag(self.core.base + BAR_RELEASE, id);
-            self.ctx.port().post(me, self.core.base + TREE_UP, arr, 24);
-            let got = downcast::<u64>(self.ctx.port().wait_mailbox(tag));
+            let arr = BarEpoch { id, epoch };
+            let tag = mailbox::tag(BAR_RELEASE, id);
+            self.ctx.port().post(me, TREE_UP, arr, 24);
+            let got = downcast::<BarEpoch>(self.ctx.port().wait_mailbox(tag)).epoch;
             assert_eq!(got, epoch, "tree barrier {id}: epoch mismatch");
             return;
         }
@@ -560,13 +496,16 @@ impl SyncNode {
         // real-time race) took different paths here, only one of them
         // would pay the mailbox wake-up and virtual time would stop
         // being reproducible.
-        let skey = mailbox::tag(self.core.base + TREE_AGG, id);
+        let skey = mailbox::tag(TREE_AGG, id);
         match step {
             TreeStep::Waiting => {}
             step @ (TreeStep::Up { .. } | TreeStep::Deliver { .. }) => {
                 let when = step.join_ns();
                 self.ctx.port().mailbox().deposit(skey, Box::new(step), when);
             }
+            // The epoch commits only with the release in hand, so this
+            // thread never re-arrives at a released epoch (`Redeliver`),
+            // and only a child's aggregate yields `ResendWave`.
             _ => unreachable!("tree barrier {id}: own arrival produced an impossible step"),
         }
         let step = downcast::<TreeStep<()>>(self.ctx.port().wait_mailbox(skey));
@@ -576,7 +515,7 @@ impl SyncNode {
                 let rep = self
                     .ctx
                     .port()
-                    .request_retrying(parent, self.core.base + TREE_AGG, msg, 32)
+                    .request_retrying(parent, TREE_AGG, msg, 32)
                     .unwrap_or_else(|e| {
                         panic!("sync node {me}: unrecoverable fault at tree barrier {id}: {e}")
                     });
@@ -585,8 +524,10 @@ impl SyncNode {
                 self.core.trees[me].lock().wave(id, epoch, wave.release_ns, ())
             }
             step @ TreeStep::Deliver { .. } => step,
+            // Only completing steps are deposited under `skey`.
             _ => unreachable!("tree barrier {id}: own arrival neither delivered nor went up"),
         };
+        // The first wave of an unreleased epoch always delivers.
         let TreeStep::Deliver { release_ns, child_waves, .. } = deliver else {
             unreachable!("tree barrier {id}: wave did not deliver")
         };
@@ -598,7 +539,7 @@ impl SyncNode {
         if me == id as usize % self.core.nodes {
             self.core.trace_release(release_ns, me, id, epoch);
         }
-        let wkey = mailbox::tag(self.core.base + TREE_WAVE, id);
+        let wkey = mailbox::tag(TREE_WAVE, id);
         for (child, ()) in child_waves {
             let wave = TreeWaveMsg { id, epoch, release_ns };
             self.ctx.port().complete_deferred(wkey, child, wave, 24, release_ns);
@@ -614,7 +555,7 @@ mod tests {
     #[test]
     fn barrier_joins_clocks() {
         let cluster = Cluster::new(FabricConfig::builder().nodes(3).link(LinkKind::Sci).build());
-        let core = SyncCore::install(&cluster, 0);
+        let core = SyncCore::install(&cluster);
         let (report, _) = cluster.run(|ctx| {
             let sync = core.node(&ctx);
             ctx.compute(ctx.rank() as u64 * 1_000_000);
@@ -629,7 +570,7 @@ mod tests {
     #[test]
     fn locks_are_mutually_exclusive() {
         let cluster = Cluster::new(FabricConfig::builder().nodes(4).link(LinkKind::Sci).build());
-        let core = SyncCore::install(&cluster, 0);
+        let core = SyncCore::install(&cluster);
         let counter = std::sync::atomic::AtomicU64::new(0);
         let max_seen = std::sync::atomic::AtomicU64::new(0);
         let (_, _) = cluster.run(|ctx| {
@@ -649,27 +590,12 @@ mod tests {
     #[test]
     fn repeated_barriers_advance_epochs() {
         let cluster = Cluster::new(FabricConfig::builder().nodes(2).link(LinkKind::Sci).build());
-        let core = SyncCore::install(&cluster, 0);
+        let core = SyncCore::install(&cluster);
         let (_, _) = cluster.run(|ctx| {
             let sync = core.node(&ctx);
             for _ in 0..10 {
                 sync.barrier(3);
             }
-        });
-    }
-
-    #[test]
-    fn distinct_kind_bases_coexist() {
-        let cluster = Cluster::new(FabricConfig::builder().nodes(2).link(LinkKind::Sci).build());
-        let a = SyncCore::install(&cluster, 0);
-        let b = SyncCore::install(&cluster, 0x80);
-        let (_, _) = cluster.run(|ctx| {
-            let sa = a.node(&ctx);
-            let sb = b.node(&ctx);
-            sa.barrier(1);
-            sb.barrier(1);
-            sa.acquire(2);
-            sa.release(2);
         });
     }
 
@@ -680,7 +606,7 @@ mod tests {
             let cluster = Cluster::new(
                 FabricConfig::builder().nodes(nodes).link(LinkKind::Sci).sync(sync).build(),
             );
-            let core = SyncCore::install(&cluster, 0);
+            let core = SyncCore::install(&cluster);
             let slowest = (nodes as u64 - 1) * 1_000_000;
             let (report, _) = cluster.run(|ctx| {
                 let sync = core.node(&ctx);
@@ -699,7 +625,7 @@ mod tests {
         let sync: cluster::SyncTopology = "tree:2".parse().unwrap();
         let cluster =
             Cluster::new(FabricConfig::builder().nodes(4).link(LinkKind::Sci).sync(sync).build());
-        let core = SyncCore::install(&cluster, 0);
+        let core = SyncCore::install(&cluster);
         let (_, entries) = cluster.run(|ctx| {
             let sync = core.node(&ctx);
             sync.barrier(1);
@@ -720,7 +646,7 @@ mod tests {
     #[test]
     fn sci_barrier_is_fast() {
         let cluster = Cluster::new(FabricConfig::builder().nodes(4).link(LinkKind::Sci).build());
-        let core = SyncCore::install(&cluster, 0);
+        let core = SyncCore::install(&cluster);
         let (report, _) = cluster.run(|ctx| {
             let sync = core.node(&ctx);
             sync.barrier(1);

@@ -1,4 +1,20 @@
 //! Message and handler types shared across the fabric.
+//!
+//! # Rendezvous
+//!
+//! Two exchanges look the same to a protocol on every fabric and are
+//! carried differently by a fabric that loses nothing and one with a
+//! timeout/retry policy; the choice is made here, not by the protocol:
+//!
+//! | the protocol says | nothing is lost | the fabric has a policy |
+//! |---|---|---|
+//! | [`crate::NodePort::send_reliable`] | one-way post | acknowledged, retried request |
+//! | [`crate::NodePort::rendezvous`] | post, then wait for the answer under a mailbox tag | one retried request; its reply is the answer |
+//! | [`HandlerCtx::answer_later`] | [`Outcome::done`] | [`Outcome::defer`]: park the reply |
+//! | [`HandlerCtx::answer_all`] | tagged post of the answer to every waiter | discharge every parked reply, reply to the arrival being served |
+//!
+//! A retried arrival after the answer went out (its reply was lost) is
+//! the protocol's to recognise and answer again with an ordinary reply.
 
 use crate::error::DispatchError;
 use std::any::Any;
@@ -276,10 +292,58 @@ impl HandlerCtx<'_> {
     }
 
     /// Whether the fabric runs with a timeout/retry policy installed.
-    /// Protocols use this to pick between the legacy one-way message
-    /// shapes and the confirmable request/reply shapes.
+    /// For protocols whose lossless and resilient forms are different
+    /// choreographies (the tree barriers); an exchange that is one
+    /// rendezvous either way uses [`HandlerCtx::answer_later`] and
+    /// [`HandlerCtx::answer_all`] and does not ask.
     pub fn resilient(&self) -> bool {
         self.net.resilience().is_some()
+    }
+
+    /// Handler half of [`crate::NodePort::rendezvous`] for an arrival
+    /// whose answer comes later: nothing to say yet where the answer
+    /// will be posted, the reply parked under `tag` where it will be
+    /// the answer.
+    pub fn answer_later(&self, tag: u64) -> Outcome {
+        if self.resilient() {
+            Outcome::defer(tag)
+        } else {
+            Outcome::done()
+        }
+    }
+
+    /// Handler half of [`crate::NodePort::rendezvous`] for the arrival
+    /// that completes it: answer every one of `waiters` — `served`, the
+    /// arrival being handled, among them — no earlier than `at_ns`.
+    /// `answer` builds each recipient's `(payload, wire_bytes)` and runs
+    /// once per waiter, in the order the answers leave: where the fabric
+    /// loses nothing, a post of `kind` tagged `tag` to each waiter in
+    /// rank order; where it has a policy, the parked reply of each
+    /// waiter but `served` in the order given, then `served`'s own
+    /// reply, which is the returned outcome.
+    pub fn answer_all<T: Any + Send>(
+        &self,
+        kind: u32,
+        tag: u64,
+        at_ns: u64,
+        served: NodeId,
+        mut waiters: Vec<NodeId>,
+        mut answer: impl FnMut(NodeId) -> (T, u64),
+    ) -> Outcome {
+        if self.resilient() {
+            for who in waiters.into_iter().filter(|w| *w != served) {
+                let (value, wire_bytes) = answer(who);
+                self.complete_deferred(tag, who, value, wire_bytes, at_ns);
+            }
+            let (value, wire_bytes) = answer(served);
+            return Outcome::reply_not_before(value, wire_bytes, at_ns);
+        }
+        waiters.sort_unstable();
+        for dst in waiters {
+            let (value, wire_bytes) = answer(dst);
+            self.post_tagged_at(dst, kind, value, wire_bytes, tag, at_ns);
+        }
+        Outcome::done()
     }
 
     /// Answer a request whose reply was parked with [`Outcome::defer`]

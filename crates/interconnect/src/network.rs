@@ -1125,8 +1125,9 @@ impl NodePort {
     }
 
     /// The fabric's timeout/retry policy, if one is installed. Protocol
-    /// layers use this to decide between the legacy (infallible) and
-    /// resilient message shapes.
+    /// layers whose lossless and resilient forms are different
+    /// choreographies ask; [`NodePort::send_reliable`] and
+    /// [`NodePort::rendezvous`] cover the ones that are not.
     pub fn resilience(&self) -> Option<Resilience> {
         self.shared.resilience
     }
@@ -1463,14 +1464,51 @@ impl NodePort {
         }
     }
 
+    /// A one-way message the protocol cannot afford to lose (a lock
+    /// release): a [`NodePort::post`] where the fabric loses nothing, an
+    /// acknowledged [`NodePort::request_retrying`] where it has a policy
+    /// — the transport acks it without handler help, so the handler
+    /// returns [`Outcome::done`] on both.
+    pub fn send_reliable<T: std::any::Any + Send + Clone>(
+        &self,
+        dst: NodeId,
+        kind: u32,
+        value: T,
+        wire_bytes: u64,
+    ) -> Result<(), RequestError> {
+        if self.shared.resilience.is_none() {
+            self.post(dst, kind, value, wire_bytes);
+            return Ok(());
+        }
+        self.request_retrying(dst, kind, value, wire_bytes).map(drop)
+    }
+
+    /// Join the rendezvous `dst` runs under `kind` and return its
+    /// answer. Where the fabric loses nothing this is a
+    /// [`NodePort::post`] and a wait for the answer posted back under
+    /// `tag`; where it has a policy, one retried request whose reply —
+    /// parked by [`HandlerCtx::answer_later`] until
+    /// [`HandlerCtx::answer_all`] — is the answer, so every loss heals
+    /// at this requester's deadline. See the rendezvous section of
+    /// [`crate::message`].
+    pub fn rendezvous<T: std::any::Any + Send + Clone>(
+        &self,
+        dst: NodeId,
+        kind: u32,
+        value: T,
+        wire_bytes: u64,
+        tag: u64,
+    ) -> Result<Payload, RequestError> {
+        if self.shared.resilience.is_none() {
+            self.post(dst, kind, value, wire_bytes);
+            return self.wait_mailbox_checked(tag);
+        }
+        self.request_retrying(dst, kind, value, wire_bytes)
+    }
+
     /// The link cost model of this fabric.
     pub fn link_cost(&self) -> LinkCost {
         self.shared.cost
-    }
-
-    /// Effective (possibly unified-layer-reduced) software send overhead.
-    pub fn effective_send_overhead_ns(&self) -> u64 {
-        self.shared.send_eff_ns
     }
 }
 
@@ -2223,5 +2261,177 @@ mod caller_runs_tests {
         for workers in [1, 2, 0] {
             assert_eq!(run(workers), reference, "sharded:{workers}");
         }
+    }
+}
+
+#[cfg(test)]
+mod rendezvous_tests {
+    //! `send_reliable`, `rendezvous`, `answer_later` and `answer_all` on
+    //! both kinds of fabric, against a barrier-shaped exchange. The
+    //! pinned nanoseconds were recorded from the hand-written arms
+    //! (`post` + `wait_mailbox` / `request_retrying` + `defer` +
+    //! `complete_deferred`) the two DSM drivers carried before these
+    //! functions existed.
+    use super::tests::tiny_link;
+    use super::*;
+    use crate::fault::PartitionWindow;
+    use crate::message::downcast;
+    use crossbeam::channel::Receiver;
+
+    const ARRIVE: u32 = 0x60;
+    const ANSWER: u32 = 0x61;
+    const TAG: u64 = 0x61_0000_0009;
+
+    #[derive(Default)]
+    struct Barrier {
+        arrived: Vec<(NodeId, u64)>,
+        latest_ns: u64,
+        released: Option<(u64, u64)>,
+    }
+
+    /// A barrier of `parties` managed by node 0. Arrivals carry a
+    /// number; `who`'s answer is their sum plus `who`, `16 + 8 * who`
+    /// bytes on the wire, not before the latest arrival's service end.
+    /// Returns the order `answer_all` built the answers in, and a
+    /// channel signalled once per handled arrival.
+    fn install_barrier(net: &Network, parties: usize) -> (Arc<Mutex<Vec<NodeId>>>, Receiver<()>) {
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (seen_tx, seen_rx) = unbounded();
+        let (state, built, seen_tx) = (Mutex::new(Barrier::default()), order.clone(), Mutex::new(seen_tx));
+        net.router(0).register(ARRIVE, move |ctx, src, p| {
+            let x = downcast::<u64>(p);
+            let mut st = state.lock();
+            let out = if let Some((sum, at_ns)) = st.released {
+                // A retried arrival: its answer was lost.
+                Outcome::reply_not_before(sum + src as u64, 16 + 8 * src as u64, at_ns)
+            } else {
+                st.arrived.push((src, x));
+                st.latest_ns = st.latest_ns.max(ctx.now);
+                if st.arrived.len() < parties {
+                    ctx.answer_later(TAG)
+                } else {
+                    let sum: u64 = st.arrived.iter().map(|&(_, v)| v).sum();
+                    let at_ns = st.latest_ns;
+                    st.released = Some((sum, at_ns));
+                    let waiters = st.arrived.iter().map(|&(who, _)| who).collect();
+                    ctx.answer_all(ANSWER, TAG, at_ns, src, waiters, |who| {
+                        built.lock().push(who);
+                        (sum + who as u64, 16 + 8 * who as u64)
+                    })
+                }
+            };
+            let _ = seen_tx.lock().send(());
+            out
+        });
+        net.register_all(ANSWER, |node| {
+            let mb = net.mailbox(node);
+            move |ctx: &HandlerCtx<'_>, _src, p| {
+                mb.deposit(TAG, p, ctx.now);
+                Outcome::done()
+            }
+        });
+        (order, seen_rx)
+    }
+
+    /// `node` joins the barrier at virtual time `start_ns`; returns its
+    /// answer and the clock it left with.
+    fn arrive(net: &Network, node: NodeId, start_ns: u64) -> JoinHandle<(u64, u64)> {
+        let clock = VirtualClock::starting_at(start_ns);
+        let port = net.port(node, clock.clone());
+        std::thread::spawn(move || {
+            let answer = port.rendezvous(0, ARRIVE, 10 * (node as u64 + 1), 24, TAG).unwrap();
+            (downcast::<u64>(answer), clock.now())
+        })
+    }
+
+    /// Three parties reach the manager in the host order 2, 1, 0.
+    fn three_party_barrier(net: Network) -> (Vec<(u64, u64)>, Vec<NodeId>) {
+        let (order, seen) = install_barrier(&net, 3);
+        let handles: Vec<_> = [2, 1, 0]
+            .into_iter()
+            .map(|node| {
+                let h = arrive(&net, node, node as u64 * 10_000);
+                seen.recv().unwrap();
+                h
+            })
+            .collect();
+        let left: Vec<_> = handles.into_iter().rev().map(|h| h.join().unwrap()).collect();
+        let order = order.lock().clone();
+        (left, order)
+    }
+
+    #[test]
+    fn lossless_rendezvous_is_post_and_mailbox_wait_to_the_nanosecond() {
+        let net = Network::builder(3, tiny_link()).build();
+        let (left, order) = three_party_barrier(net);
+        assert_eq!(left, vec![(60, 22_024), (61, 22_548), (62, 22_556)]);
+        assert_eq!(order, vec![0, 1, 2], "answers leave in rank order");
+    }
+
+    #[test]
+    fn resilient_rendezvous_is_one_request_and_a_parked_reply_to_the_nanosecond() {
+        let net = Network::builder(3, tiny_link()).resilience(Some(Resilience::default())).build();
+        let (left, order) = three_party_barrier(net);
+        assert_eq!(left, vec![(60, 21_874), (61, 22_398), (62, 22_406)]);
+        assert_eq!(order, vec![2, 1, 0], "parked waiters in arrival order, then the one served");
+    }
+
+    #[test]
+    fn lost_answer_heals_through_the_retry() {
+        // Node 1 is cut off while the barrier releases: its parked
+        // reply is destroyed, its request times out and the retry finds
+        // the barrier released.
+        let plan = FaultPlan {
+            partitions: vec![PartitionWindow { group: vec![1], from_ns: 30_000, until_ns: 60_000 }],
+            ..FaultPlan::seeded(4)
+        };
+        let net = Network::builder(3, tiny_link()).faults(Some(plan)).build();
+        let (_, seen) = install_barrier(&net, 2);
+        let first = arrive(&net, 1, 0);
+        seen.recv().unwrap();
+        let last = arrive(&net, 2, 40_000);
+        assert_eq!(last.join().unwrap().0, 50 + 2);
+        let (answer, clock) = first.join().unwrap();
+        assert_eq!(answer, 50 + 1);
+        assert!(clock > 100 + Resilience::default().timeout_ns, "healed at the deadline: {clock}");
+        assert_eq!(net.stats().get("timeouts"), 1);
+        assert_eq!(net.stats().get("retries"), 1);
+    }
+
+    #[test]
+    fn send_reliable_is_a_post_or_an_acknowledged_request() {
+        for resilience in [None, Some(Resilience::default())] {
+            let net = Network::builder(2, tiny_link()).resilience(resilience).build();
+            let got = Arc::new(sim::Counter::new());
+            let g = got.clone();
+            net.router(1).register(0x62, move |_c, _s, p| {
+                g.add(downcast::<u64>(p));
+                Outcome::done()
+            });
+            let clock = VirtualClock::new();
+            net.port(0, clock.clone()).send_reliable(1, 0x62, 7u64, 8).unwrap();
+            let (posts, requests) = (net.stats().get("posts"), net.stats().get("requests"));
+            drop(net);
+            assert_eq!(got.get(), 7);
+            match resilience {
+                // The send overhead only.
+                None => assert_eq!((clock.now(), posts, requests), (100, 1, 0)),
+                // The round trip of `request_reply_roundtrip_and_timing`.
+                Some(_) => assert_eq!((clock.now(), posts, requests), (100 + 1008 + 150 + 1008 + 100, 0, 1)),
+            }
+        }
+    }
+
+    #[test]
+    fn answer_parked_by_answer_later_fails_at_teardown() {
+        let net = Network::builder(2, tiny_link()).resilience(Some(Resilience::default())).build();
+        net.router(1).register(ARRIVE, |ctx, _s, _p| ctx.answer_later(TAG));
+        let port = net.port(0, VirtualClock::new());
+        let h = std::thread::spawn(move || port.rendezvous(1, ARRIVE, (), 8, TAG));
+        while net.shared.deferred.lock().is_empty() {
+            std::thread::yield_now();
+        }
+        drop(net);
+        assert_eq!(h.join().unwrap().unwrap_err(), RequestError::FabricStopped);
     }
 }

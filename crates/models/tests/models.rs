@@ -22,6 +22,7 @@ fn jiajia_counter_and_barrier() {
             }
             jia.jia_barrier();
             let v = jia.load_u64(a);
+            assert!(jia.jia_clock() > 0.0);
             jia.jia_exit();
             v
         });
@@ -34,6 +35,7 @@ fn treadmarks_single_node_alloc_and_distribute() {
     let rt = Runtime::new(ClusterConfig::new(3, PlatformKind::SwDsm));
     let (_, results) = rt.run(|ham| {
         let tmk = models::treadmarks::tmk_startup(ham.clone());
+        assert_eq!(tmk.tmk_nprocs(), 3);
         let a = if tmk.tmk_proc_id() == 0 {
             let a = tmk.tmk_malloc(4096);
             tmk.store_f64(a, 2.5);
@@ -96,6 +98,9 @@ fn hlrc_full_surface() {
         h.memget(a.add(16), &mut buf);
         let stats = h.stat_query("mem");
         assert!(stats["reads"] + stats["writes"] > 0);
+        h.stat_reset("mem");
+        let stats = h.stat_query("mem");
+        assert_eq!(stats["reads"] + stats["writes"], 0);
         assert!(h.time() > 0.0);
         let out = (h.read_double(a), h.read_long(a.add(8)), buf);
         h.exit();
@@ -148,6 +153,11 @@ fn anl_macros_compile_and_run() {
         let v = env.ham().mem().read_u64(a);
         env.ham().mem().write_u64(a, v + 1);
         models::UNLOCK!(env, l);
+        // ALOCK/AULOCK: element 3 of the lock array based at `l`.
+        env.alock(l, 3);
+        let v = env.ham().mem().read_u64(a);
+        env.ham().mem().write_u64(a, v + 1);
+        env.aulock(l, 3);
         models::BARRIER!(env, b);
         let t = models::CLOCK!(env);
         assert!(t > 0);
@@ -155,7 +165,7 @@ fn anl_macros_compile_and_run() {
         models::MAIN_END!(env);
         v
     });
-    assert_eq!(results, vec![2, 2]);
+    assert_eq!(results, vec![4, 4]);
 }
 
 #[test]
@@ -199,33 +209,39 @@ fn pthreads_create_join_and_mutex() {
 
 #[test]
 fn pthreads_condvar_producer_consumer() {
-    let rt = Runtime::new(ClusterConfig::new(2, PlatformKind::Smp));
-    let (_, results) = rt.run(|ham| {
-        let pt = models::pthreads::Pthreads::init(ham.clone());
-        let flag = ham.mem().alloc_default(64).unwrap();
-        let m = pt.mutex_init(3);
-        let c = pt.cond_init();
-        pt.barrier_wait(1);
-        if pt.self_id() == 1 {
-            // Consumer: wait until the flag is set.
-            pt.mutex_lock(m);
-            while pt.ham().mem().read_u64(flag.addr()) == 0 {
-                pt.cond_wait(c, m);
+    for broadcast in [false, true] {
+        let rt = Runtime::new(ClusterConfig::new(2, PlatformKind::Smp));
+        let (_, results) = rt.run(|ham| {
+            let pt = models::pthreads::Pthreads::init(ham.clone());
+            let flag = ham.mem().alloc_default(64).unwrap();
+            let m = pt.mutex_init(3);
+            let c = pt.cond_init();
+            pt.barrier_wait(1);
+            if pt.self_id() == 1 {
+                // Consumer: wait until the flag is set.
+                pt.mutex_lock(m);
+                while pt.ham().mem().read_u64(flag.addr()) == 0 {
+                    pt.cond_wait(c, m);
+                }
+                let v = pt.ham().mem().read_u64(flag.addr());
+                pt.mutex_unlock(m);
+                v
+            } else {
+                // Producer: set after some virtual work.
+                ham.compute(2_000_000);
+                pt.mutex_lock(m);
+                pt.ham().mem().write_u64(flag.addr(), 5);
+                if broadcast {
+                    pt.cond_broadcast(c);
+                } else {
+                    pt.cond_signal(c);
+                }
+                pt.mutex_unlock(m);
+                0
             }
-            let v = pt.ham().mem().read_u64(flag.addr());
-            pt.mutex_unlock(m);
-            v
-        } else {
-            // Producer: set after some virtual work.
-            ham.compute(2_000_000);
-            pt.mutex_lock(m);
-            pt.ham().mem().write_u64(flag.addr(), 5);
-            pt.cond_signal(c);
-            pt.mutex_unlock(m);
-            0
-        }
-    });
-    assert_eq!(results[1], 5);
+        });
+        assert_eq!(results[1], 5, "broadcast: {broadcast}");
+    }
 }
 
 #[test]
@@ -235,6 +251,7 @@ fn win32_threads_events_and_semaphores() {
         let w = models::win32::Win32::init(ham.clone());
         let counter = ham.mem().alloc_default(64).unwrap();
         let ev = w.create_event(false, 1);
+        let latch = w.create_event(true, 2);
         let sem = w.create_semaphore(0, 1);
         ham.sync().barrier(1);
         if w.current_node() == 0 {
@@ -245,20 +262,35 @@ fn win32_threads_events_and_semaphores() {
                 w2.interlocked_increment(addr);
             });
             w.wait_for_single_object(t); // join
+            // Round-robin placement: the next node, which is node 1 again
+            // (so only once the first thread is done — one node's threads
+            // share its lock client).
+            let t2 = w.create_thread(move |remote| {
+                models::win32::Win32::init(remote).interlocked_increment(addr);
+            });
+            w.wait_for_single_object(t2);
             w.set_event(ev);
             w.release_semaphore(sem, 2);
             w.close_handle(t);
+            // A manual-reset event stays signalled until it is reset.
+            w.set_event(latch);
+            w.wait_for_single_object(latch);
+            w.reset_event(latch);
             ham.sync().barrier(2);
+            ham.compute(1_000_000);
+            w.set_event(latch);
             ham.mem().read_u64(counter.addr())
         } else {
-            w.wait_for_single_object(ev); // event
-            w.wait_for_single_object(sem); // semaphore P
-            w.wait_for_single_object(sem); // semaphore P
+            // bWaitAll: the event, then semaphore P twice.
+            w.wait_for_multiple_objects(&[ev, sem, sem]);
             ham.sync().barrier(2);
+            let t0 = ham.wtime_ns();
+            w.wait_for_single_object(latch); // reset above: blocks until the second SetEvent
+            assert!(ham.wtime_ns() - t0 >= 900_000, "ResetEvent left the latch signalled");
             ham.mem().read_u64(counter.addr())
         }
     });
-    assert_eq!(results, vec![2, 2]);
+    assert_eq!(results, vec![3, 3]);
 }
 
 #[test]
@@ -420,11 +452,15 @@ fn omp_single_and_atomic() {
             });
             // Everyone sees the single's effect, then adds atomically.
             omp.atomic_add(cell.addr(), 1);
+            // Thread 0 alone, with no implied barrier.
+            omp.master(|| {
+                omp.atomic_add(cell.addr(), 10);
+            });
             omp.barrier();
         });
         ham.mem().read_u64(cell.addr())
     });
-    assert_eq!(results, vec![104; 4]);
+    assert_eq!(results, vec![114; 4]);
 }
 
 #[test]

@@ -1,5 +1,22 @@
 //! The per-node DSM engine: access functions, interval flushing,
 //! synchronization, and the cluster-shared protocol state.
+//!
+//! # Which fabric am I on?
+//!
+//! The synchronization driver asks that (`HandlerCtx::resilient`,
+//! `DsmNode::resilient`) only inside the tree barrier, and
+//! [`SwDsm::install`] once more to pick the lock protocol. A lock
+//! release and the central barrier are one rendezvous on every fabric
+//! and leave the choice to `interconnect` (`send_reliable`,
+//! `rendezvous`, `answer_later`, `answer_all`). The tree barrier's two
+//! arms are different choreographies — one-way aggregates and waves
+//! bounced off each node's own handler, against a pull model driven
+//! from the application threads — so they stay two arms. Running the
+//! pull model on lossless fabrics too was prototyped (PR 23, `scale
+//! --quick`): the nine `scalable` rows moved −7.8 % to +5.4 % `sim_ms`
+//! against a run-to-run spread under 0.5 %, and `lock_ring`'s
+//! `sync_records` went 255 → 257 and 4 095 → 4 097. That is a model
+//! change, not a refactor; do not merge the arms without new evidence.
 
 use crate::home::HomeStore;
 use crate::kinds;
@@ -347,19 +364,29 @@ impl SwDsm {
         fresh
     }
 
-    /// The notice set a central-barrier release carries to `receiver`:
-    /// the full per-writer directory under explicit notices (receivers
-    /// skip their own entry), or the digest of everyone *else's*
-    /// intervals — digests drop writer identity, so the manager must
-    /// exclude the receiver's own writes before encoding.
-    fn release_for(&self, intervals: &[(usize, Interval)], receiver: usize) -> NoticeSet {
-        match self.digest_runs() {
+    /// The central-barrier release manager `node` sends `receiver`,
+    /// counted as one sync message. It carries the full per-writer
+    /// directory under explicit notices (receivers skip their own
+    /// entry), or the digest of everyone *else's* intervals — digests
+    /// drop writer identity, so the manager must exclude the receiver's
+    /// own writes before encoding.
+    fn release_for(
+        &self,
+        node: usize,
+        id: u32,
+        epoch: u64,
+        intervals: &[(usize, Interval)],
+        receiver: usize,
+    ) -> BarrierRelease {
+        let notices = match self.digest_runs() {
             None => NoticeSet::Explicit(intervals.to_vec()),
             Some(runs) => NoticeSet::encode(
                 intervals.iter().filter(|(w, _)| *w != receiver).cloned().collect(),
                 Some(runs),
             ),
-        }
+        };
+        self.count_sync(node, receiver, notices.records());
+        BarrierRelease { id, epoch, notices }
     }
 
     /// Emit the token-pass for `lock` from `from` to `to` (direct
@@ -703,69 +730,29 @@ impl SwDsm {
                         // barrier, so pending home migrations apply now. No
                         // page content moves: the new home is the page's
                         // last writer, whose copy is already current — only
-                        // the directory entries ride the release broadcast.
+                        // the directory entries ride the release.
                         let moved = dsm.apply_migrations();
-                        // The release is stamped with its `not_before`
-                        // floor: no participant resumes before release_ns.
                         // corr = epoch ties the release to the matching
                         // client-side barrier spans.
                         sim::trace::instant_corr(release_ns, node, "swdsm", "barrier_release", arr.id as u64, epoch);
-                        if ctx.resilient() {
-                            // Pure request/reply rendezvous: every earlier
-                            // arrival parked its reply channel; the release
-                            // discharges them all, and the final arriver
-                            // takes the release as its own reply. No
-                            // broadcast exists for a retried arrival to
-                            // race, so the schedule is reproducible.
-                            for &(who, _) in &intervals {
-                                if who != arr.who {
-                                    let notices = dsm.release_for(&intervals, who);
-                                    dsm.count_sync(node, who, notices.records());
-                                    let rel = BarrierRelease { id: arr.id, epoch, notices };
-                                    let bytes = rel.wire_bytes() + moved * 16;
-                                    ctx.complete_deferred(tag, who, rel, bytes, release_ns);
-                                }
-                            }
-                            let notices = dsm.release_for(&intervals, arr.who);
-                            dsm.count_sync(node, arr.who, notices.records());
-                            let rel = BarrierRelease { id: arr.id, epoch, notices };
+                        // No participant resumes before release_ns.
+                        let waiters = intervals.iter().map(|&(who, _)| who).collect();
+                        ctx.answer_all(kinds::BARRIER_RELEASE, tag, release_ns, arr.who, waiters, |who| {
+                            let rel = dsm.release_for(node, arr.id, epoch, &intervals, who);
                             let bytes = rel.wire_bytes() + moved * 16;
-                            return Outcome::reply_not_before(rel, bytes, release_ns);
-                        }
-                        for dst in 0..dsm.nodes {
-                            let notices = dsm.release_for(&intervals, dst);
-                            dsm.count_sync(node, dst, notices.records());
-                            let rel = BarrierRelease { id: arr.id, epoch, notices };
-                            let bytes = rel.wire_bytes() + moved * 16;
-                            ctx.post_tagged_at(
-                                dst,
-                                kinds::BARRIER_RELEASE,
-                                rel,
-                                bytes,
-                                tag,
-                                release_ns,
-                            );
-                        }
+                            (rel, bytes)
+                        })
                     }
                     BarrierStep::Replay { epoch, release_ns, intervals } => {
                         // A retried arrival for an epoch that already
                         // released: the arriver's release reply was lost.
                         // Answer with the cached release.
-                        let notices = dsm.release_for(&intervals, arr.who);
-                        dsm.count_sync(node, arr.who, notices.records());
-                        let rel = BarrierRelease { id: arr.id, epoch, notices };
+                        let rel = dsm.release_for(node, arr.id, epoch, &intervals, arr.who);
                         let bytes = rel.wire_bytes();
-                        return Outcome::reply_not_before(rel, bytes, release_ns);
+                        Outcome::reply_not_before(rel, bytes, release_ns)
                     }
-                    BarrierStep::Waiting => {
-                        if ctx.resilient() {
-                            // Park the reply; it is answered with the
-                            // release when the last participant arrives.
-                            return Outcome::defer(tag);
-                        }
-                    }
+                    BarrierStep::Waiting => ctx.answer_later(tag),
                 }
-                Outcome::done()
             }
         });
 
@@ -794,6 +781,8 @@ impl SwDsm {
         // (deferred) reply is that child's release wave — fire-and-
         // forget tree edges cannot heal, because a parked reply has no
         // client-side deadline (see [`DsmNode::tree_barrier`]).
+        // These are the two choreographies the module docs say stay
+        // apart.
 
         // A node's own arrival (plain fabrics only).
         let dsm = self.clone();
@@ -809,33 +798,7 @@ impl SwDsm {
                     arr.interval,
                     ctx.now,
                 );
-                let tag = interconnect::mailbox::tag(kinds::BARRIER_RELEASE, arr.id);
-                match step {
-                    TreeStep::Waiting => {}
-                    TreeStep::Up { parent, latest_ns, agg } => {
-                        dsm.send_tree_agg(ctx, node, arr.id, arr.epoch, parent, latest_ns, agg);
-                    }
-                    TreeStep::Deliver { release_ns, own, child_waves } => {
-                        // Only the root completes from its own arrival
-                        // without an incoming wave. The deposit is
-                        // stamped with the release instant, not
-                        // ctx.now: which input completes the slot is a
-                        // real-time race that must not leak into
-                        // virtual time.
-                        let rel = dsm.tree_release(
-                            ctx, node, arr.id, arr.epoch, release_ns, own, child_waves, true,
-                        );
-                        mailbox.deposit(tag, Box::new(rel), release_ns);
-                    }
-                    TreeStep::Redeliver { release_ns, own } => {
-                        let _ = release_ns;
-                        let rel = BarrierRelease { id: arr.id, epoch: arr.epoch, notices: own };
-                        mailbox.deposit(tag, Box::new(rel), ctx.now);
-                    }
-                    TreeStep::ResendWave { .. } => {
-                        unreachable!("self-arrival never resends a child wave")
-                    }
-                }
+                dsm.tree_step(ctx, &mailbox, node, arr.id, arr.epoch, step);
                 Outcome::done()
             }
         });
@@ -893,30 +856,7 @@ impl SwDsm {
                         }
                     };
                 }
-                match step {
-                    TreeStep::Waiting => {}
-                    TreeStep::Up { parent, latest_ns, agg } => {
-                        dsm.send_tree_agg(ctx, node, msg.id, msg.epoch, parent, latest_ns, agg);
-                    }
-                    TreeStep::Deliver { release_ns, own, child_waves } => {
-                        // Root completion off the final child aggregate:
-                        // release, then wake the root's own application
-                        // thread (awaiting the mailbox) at the release
-                        // instant — not ctx.now, which depends on the
-                        // real-time order the engine drained arrivals.
-                        let rel = dsm.tree_release(
-                            ctx, node, msg.id, msg.epoch, release_ns, own, child_waves, true,
-                        );
-                        let tag = interconnect::mailbox::tag(kinds::BARRIER_RELEASE, msg.id);
-                        mailbox.deposit(tag, Box::new(rel), release_ns);
-                    }
-                    TreeStep::Redeliver { .. } => {
-                        unreachable!("child aggregates never redeliver locally")
-                    }
-                    TreeStep::ResendWave { child, release_ns, wave } => {
-                        dsm.send_tree_wave(ctx, node, msg.id, msg.epoch, release_ns, child, wave, 0);
-                    }
-                }
+                dsm.tree_step(ctx, &mailbox, node, id, epoch, step);
                 Outcome::done()
             }
         });
@@ -936,17 +876,8 @@ impl SwDsm {
                     msg.release_ns,
                     msg.wave,
                 );
-                match step {
-                    TreeStep::Waiting => {} // duplicate wave, already released
-                    TreeStep::Deliver { release_ns, own, child_waves } => {
-                        let rel = dsm.tree_release(
-                            ctx, node, msg.id, msg.epoch, release_ns, own, child_waves, false,
-                        );
-                        let tag = interconnect::mailbox::tag(kinds::BARRIER_RELEASE, msg.id);
-                        mailbox.deposit(tag, Box::new(rel), ctx.now);
-                    }
-                    other => unreachable!("wave produced {other:?}"),
-                }
+                // `Waiting` here is a duplicate wave, already released.
+                dsm.tree_step(ctx, &mailbox, node, msg.id, msg.epoch, step);
                 Outcome::done()
             }
         });
@@ -1016,17 +947,12 @@ impl SwDsm {
             let dsm = dsm.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 let msg = downcast::<TokSetSucc>(p);
-                if let Some(step) =
+                if let Some(succ) =
                     dsm.lockmgrs[node].lock().tok_set_succ(msg.lock, msg.succ, msg.for_seq)
                 {
-                    match step {
-                        TokHolderStep::Claim { succ } => {
-                            let mgr = dsm.lock_mgr_of(msg.lock);
-                            dsm.count_sync(node, mgr, 0);
-                            ctx.post(mgr, kinds::TOK_CLAIM, TokClaim { lock: msg.lock, succ }, 16);
-                        }
-                        other => unreachable!("set_succ produced {other:?}"),
-                    }
+                    let mgr = dsm.lock_mgr_of(msg.lock);
+                    dsm.count_sync(node, mgr, 0);
+                    ctx.post(mgr, kinds::TOK_CLAIM, TokClaim { lock: msg.lock, succ }, 16);
                 }
                 Outcome::done()
             }
@@ -1053,7 +979,6 @@ impl SwDsm {
                         dsm.count_sync(node, mgr, records);
                         ctx.post(mgr, kinds::TOK_RETURN, ret, bytes);
                     }
-                    other => unreachable!("release produced {other:?}"),
                 }
                 // The token is on its way: let the releaser go on (see
                 // `try_release`).
@@ -1069,15 +994,10 @@ impl SwDsm {
             let dsm = dsm.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 let msg = downcast::<TokReturn>(p);
-                if let Some(step) =
+                if let Some((to, notices)) =
                     dsm.lockmgrs[node].lock().tok_return(msg.lock, msg.who, msg.seq, msg.notices)
                 {
-                    match step {
-                        TokMgrStep::Pass { to, notices } => {
-                            dsm.send_token_pass(ctx, node, msg.lock, to, notices);
-                        }
-                        other => unreachable!("return produced {other:?}"),
-                    }
+                    dsm.send_token_pass(ctx, node, msg.lock, to, notices);
                 }
                 Outcome::done()
             }
@@ -1089,13 +1009,8 @@ impl SwDsm {
             let dsm = dsm.clone();
             move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 let msg = downcast::<TokClaim>(p);
-                if let Some(step) = dsm.lockmgrs[node].lock().tok_claim(msg.lock, msg.succ) {
-                    match step {
-                        TokMgrStep::Pass { to, notices } => {
-                            dsm.send_token_pass(ctx, node, msg.lock, to, notices);
-                        }
-                        other => unreachable!("claim produced {other:?}"),
-                    }
+                if let Some((to, notices)) = dsm.lockmgrs[node].lock().tok_claim(msg.lock, msg.succ) {
+                    dsm.send_token_pass(ctx, node, msg.lock, to, notices);
                 }
                 Outcome::done()
             }
@@ -1115,25 +1030,6 @@ impl SwDsm {
             }
         });
 
-    }
-
-    /// Post one subtree aggregate up the barrier tree.
-    #[allow(clippy::too_many_arguments)]
-    fn send_tree_agg(
-        &self,
-        ctx: &interconnect::HandlerCtx<'_>,
-        node: usize,
-        id: u32,
-        epoch: u64,
-        parent: usize,
-        latest_ns: u64,
-        agg: Vec<(usize, Interval)>,
-    ) {
-        let records = agg.iter().map(|(_, iv)| iv.notices.len() as u64).sum();
-        let msg = TreeAgg { id, epoch, child: node, latest_ns, agg };
-        let bytes = msg.wire_bytes();
-        self.count_sync(node, parent, records);
-        ctx.post(parent, kinds::TREE_AGG, msg, bytes);
     }
 
     /// Post one release wave down to `child`, departing at `release_ns`
@@ -1157,37 +1053,61 @@ impl SwDsm {
         ctx.post_at(child, kinds::TREE_WAVE, msg, bytes, release_ns);
     }
 
-    /// A release reached `node`'s position in the barrier tree: run the
-    /// root's quiescent-point work (`root` is true only there), clear
-    /// redundant lock notices, send every child its wave, and build the
-    /// release the local application applies.
-    #[allow(clippy::too_many_arguments)]
-    fn tree_release(
+    /// Carry out `step` of `node`'s tree machine from a handler of the
+    /// one-way choreography (`TREE_UP`, `TREE_AGG`, `TREE_WAVE` all end
+    /// here). The local application is woken through `mailbox`.
+    fn tree_step(
         &self,
         ctx: &interconnect::HandlerCtx<'_>,
+        mailbox: &interconnect::Mailbox,
         node: usize,
         id: u32,
         epoch: u64,
-        release_ns: u64,
-        own: NoticeSet,
-        child_waves: Vec<(usize, NoticeSet)>,
-        root: bool,
-    ) -> BarrierRelease {
-        let mut extra_bytes = 0;
-        if root {
-            // Quiescent point: every node is blocked in this barrier
-            // (the root completes only after all subtrees aggregated),
-            // so pending home migrations apply now; the directory
-            // entries ride the waves.
-            let moved = self.apply_migrations();
-            extra_bytes = moved * 16;
-            sim::trace::instant_corr(release_ns, node, "swdsm", "barrier_release", id as u64, epoch);
+        step: TreeStep<NoticeSet>,
+    ) {
+        let tag = interconnect::mailbox::tag(kinds::BARRIER_RELEASE, id);
+        match step {
+            TreeStep::Waiting => {}
+            TreeStep::Up { parent, latest_ns, agg } => {
+                let records = agg.iter().map(|(_, iv)| iv.notices.len() as u64).sum();
+                let msg = TreeAgg { id, epoch, child: node, latest_ns, agg };
+                let bytes = msg.wire_bytes();
+                self.count_sync(node, parent, records);
+                ctx.post(parent, kinds::TREE_AGG, msg, bytes);
+            }
+            TreeStep::Deliver { release_ns, own, child_waves } => {
+                // The root completes off its own arrival or its last
+                // child's aggregate; every other node off its parent's
+                // wave.
+                let root = node == id as usize % self.nodes;
+                let mut extra_bytes = 0;
+                if root {
+                    // Quiescent point: every node is blocked in this
+                    // barrier (the root completes only after all
+                    // subtrees aggregated), so pending home migrations
+                    // apply now; the directory entries ride the waves.
+                    extra_bytes = self.apply_migrations() * 16;
+                    sim::trace::instant_corr(release_ns, node, "swdsm", "barrier_release", id as u64, epoch);
+                }
+                self.note_release(node, id, epoch);
+                for (child, wave) in child_waves {
+                    self.send_tree_wave(ctx, node, id, epoch, release_ns, child, wave, extra_bytes);
+                }
+                // Which input completes the root's slot is a real-time
+                // race that must not leak into virtual time: its deposit
+                // is stamped with the release instant, not ctx.now.
+                let at_ns = if root { release_ns } else { ctx.now };
+                mailbox.deposit(tag, Box::new(BarrierRelease { id, epoch, notices: own }), at_ns);
+            }
+            // The local wake-up of a released epoch was lost.
+            TreeStep::Redeliver { own, .. } => {
+                mailbox.deposit(tag, Box::new(BarrierRelease { id, epoch, notices: own }), ctx.now);
+            }
+            // The child's wave of a released epoch was lost.
+            TreeStep::ResendWave { child, release_ns, wave } => {
+                self.send_tree_wave(ctx, node, id, epoch, release_ns, child, wave, 0);
+            }
         }
-        self.note_release(node, id, epoch);
-        for (child, wave) in child_waves {
-            self.send_tree_wave(ctx, node, id, epoch, release_ns, child, wave, extra_bytes);
-        }
-        BarrierRelease { id, epoch, notices: own }
     }
 
     /// Bind a per-node engine. One per node thread.
@@ -1486,49 +1406,37 @@ impl DsmNode {
             }
             return;
         }
-        let mut table = self.table.lock();
-        match table.get_mut(page) {
-            Some(p) if p.state == memwire::PageState::Writable => {}
-            Some(p) => {
-                // Write fault on a read-only copy: trap + twin.
+        // A write fault on a read-only copy traps; on a missing page
+        // the fetch already did.
+        let state = self.table.lock().get(page).map(|p| p.state);
+        let trap_ns = match state {
+            Some(memwire::PageState::Writable) => return,
+            Some(_) => {
                 self.stat("traps", 1);
-                self.stat("twins", 1);
-                sim::trace::instant_corr(
-                    self.ctx.clock().now(),
-                    self.rank,
-                    "swdsm",
-                    "write_fault",
-                    page.pack(),
-                    off as u64 + 1,
-                );
-                self.ctx.compute(self.dsm.cfg.fault_trap_ns + self.dsm.cfg.twin_ns);
-                p.make_writable();
+                self.dsm.cfg.fault_trap_ns
             }
             None => {
-                drop(table);
                 self.fetch_page(page);
-                let mut table = self.table.lock();
-                let p = table.get_mut(page).expect("fetched page vanished");
-                self.stat("twins", 1);
-                sim::trace::instant_corr(
-                    self.ctx.clock().now(),
-                    self.rank,
-                    "swdsm",
-                    "write_fault",
-                    page.pack(),
-                    off as u64 + 1,
-                );
-                self.ctx.compute(self.dsm.cfg.twin_ns);
-                p.make_writable();
+                0
             }
-        }
+        };
+        self.stat("twins", 1);
+        sim::trace::instant_corr(
+            self.ctx.clock().now(),
+            self.rank,
+            "swdsm",
+            "write_fault",
+            page.pack(),
+            off as u64 + 1,
+        );
+        self.ctx.compute(trap_ns + self.dsm.cfg.twin_ns);
+        self.table.lock().get_mut(page).expect("faulting page vanished").make_writable();
     }
 
     /// Whether the fabric was built with a timeout/retry policy (fault
-    /// injection active): what is a one-way post on a plain fabric —
-    /// a lock release, a barrier arrival or wave — then travels as an
-    /// acknowledged request, because only requests can be retried.
-    /// Requests themselves take one path either way.
+    /// injection active). Only the tree barrier asks: its two
+    /// choreographies differ (see [`DsmNode::tree_barrier`]); every other
+    /// exchange takes one path and leaves the choice to the fabric.
     fn resilient(&self) -> bool {
         self.ctx.port().resilience().is_some()
     }
@@ -1663,29 +1571,7 @@ impl DsmNode {
                 .collect();
             self.send_batch(msgs);
         } else {
-            let mut by_home: BTreeMap<usize, Vec<(PageId, Diff)>> = BTreeMap::new();
-            {
-                let mut table = self.table.lock();
-                for page in &dirty {
-                    let (twin, cur) = table.downgrade(*page);
-                    self.ctx.compute(self.dsm.cfg.diff_scan_ns);
-                    let diff = Diff::between(&twin, cur);
-                    if !diff.is_empty() {
-                        by_home.entry(self.dsm.home_of(*page)).or_default().push((*page, diff));
-                    }
-                }
-            }
-            let msgs: Vec<_> = by_home
-                .into_iter()
-                .map(|(home, diffs)| {
-                    self.stat("diffs", diffs.len() as u64);
-                    let msg = ApplyDiffs { diffs };
-                    let bytes = msg.wire_bytes();
-                    self.stat("diff_bytes", bytes);
-                    (home, kinds::APPLY_DIFFS, msg, bytes)
-                })
-                .collect();
-            self.send_batch(msgs);
+            self.flush_dirty_subset(&dirty);
         }
         self.trace_span(t0, "diff_flush", dirty.len() as u64);
         interval
@@ -1711,6 +1597,12 @@ impl DsmNode {
                 }
             }
         }
+        self.invalidate_stale(stale);
+    }
+
+    /// Drop the cached copies of `stale`, in page order; a copy that is
+    /// locally dirty has its diff flushed home first.
+    fn invalidate_stale(&self, mut stale: Vec<PageId>) {
         if stale.is_empty() {
             return;
         }
@@ -1869,26 +1761,12 @@ impl DsmNode {
 
         let mut doomed = exact;
         doomed.extend(stale);
-        if doomed.is_empty() {
-            return;
-        }
-        doomed.sort();
-        self.flush_dirty_subset(&doomed);
-        let mut table = self.table.lock();
-        let mut dropped = 0u64;
-        for page in doomed {
-            if table.invalidate(page) {
-                self.stat("invalidations", 1);
-                dropped += 1;
-            }
-        }
-        if dropped > 0 {
-            sim::trace::instant(self.ctx.clock().now(), self.rank, "swdsm", "write_notice", dropped);
-        }
+        self.invalidate_stale(doomed);
     }
 
-    /// Diff-and-ship any dirty pages among `pages` (pre-invalidation
-    /// rescue path; rare under proper synchronization discipline).
+    /// Diff-and-ship any dirty pages among `pages`: the whole dirty set
+    /// at a release point, a victim under cache pressure, or — rare under
+    /// proper synchronization discipline — pages about to be invalidated.
     fn flush_dirty_subset(&self, pages: &[PageId]) {
         let mut by_home: BTreeMap<usize, Vec<(PageId, Diff)>> = BTreeMap::new();
         {
@@ -2031,9 +1909,10 @@ impl DsmNode {
     }
 
     /// [`DsmNode::release`] with unrecoverable fabric faults surfaced as
-    /// a [`DsmError`] instead of a panic. On a resilient fabric the
-    /// release is acknowledged (and retried) so a lost release cannot
-    /// strand the lock's waiters.
+    /// a [`DsmError`] instead of a panic. A lost release would strand
+    /// the lock's waiters, so it goes by [`NodePort::send_reliable`].
+    ///
+    /// [`NodePort::send_reliable`]: interconnect::NodePort::send_reliable
     pub fn try_release(&self, lock: u32) -> Result<(), DsmError> {
         let interval = self.flush_interval();
         self.epoch_mods.lock().merge(&interval);
@@ -2057,14 +1936,10 @@ impl DsmNode {
             let mgr = self.dsm.lock_mgr_of(lock);
             let rel = LockRel { lock, releaser: self.rank, interval };
             let bytes = 16 + rel.interval.wire_bytes();
-            if self.resilient() {
-                self.ctx
-                    .port()
-                    .request_retrying(mgr, kinds::LOCK_REL, rel, bytes)
-                    .map_err(|err| DsmError { op: "lock_release", id: lock, err })?;
-            } else {
-                self.ctx.port().post(mgr, kinds::LOCK_REL, rel, bytes);
-            }
+            self.ctx
+                .port()
+                .send_reliable(mgr, kinds::LOCK_REL, rel, bytes)
+                .map_err(|err| DsmError { op: "lock_release", id: lock, err })?;
         }
         // The release instant carries [`grant_corr`] of `(releaser,
         // lock)` — the encoding the managers' grant instants use, so
@@ -2102,13 +1977,11 @@ impl DsmNode {
         Ok(())
     }
 
-    /// Run the centralized barrier protocol and return the released
-    /// notice set. On a resilient fabric the barrier is a single
-    /// request/reply exchange: the manager parks every arrival's reply
-    /// channel and answers all of them with the release, so a retried
-    /// arrival (its reply was lost) is always causally behind the event
-    /// that answers it — dedup'd while the epoch is pending, replayed
-    /// from the release cache afterwards.
+    /// Run the centralized barrier protocol — one rendezvous at the
+    /// manager (see [`interconnect::message`]) — and return the released
+    /// notice set. A retried arrival (its answer was lost) is dedup'd
+    /// while the epoch is pending and replayed from the manager's
+    /// release cache afterwards.
     fn central_barrier(
         &self,
         id: u32,
@@ -2119,17 +1992,11 @@ impl DsmNode {
         let arr = BarrierArrive { id, epoch, who: self.rank, interval };
         let bytes = 24 + arr.interval.wire_bytes();
         self.dsm.count_sync(self.rank, mgr, arr.interval.notices.len() as u64);
-        if !self.resilient() {
-            let tag = interconnect::mailbox::tag(kinds::BARRIER_RELEASE, id);
-            self.ctx.port().post(mgr, kinds::BARRIER_ARRIVE, arr, bytes);
-            let rel = downcast::<BarrierRelease>(self.ctx.port().wait_mailbox(tag));
-            assert_eq!(rel.epoch, epoch, "barrier {id}: epoch mismatch");
-            return Ok(rel.notices);
-        }
+        let tag = interconnect::mailbox::tag(kinds::BARRIER_RELEASE, id);
         let rel = self
             .ctx
             .port()
-            .request_retrying(mgr, kinds::BARRIER_ARRIVE, arr, bytes)
+            .rendezvous(mgr, kinds::BARRIER_ARRIVE, arr, bytes, tag)
             .map_err(|err| DsmError { op: "barrier", id, err })?;
         let rel = downcast::<BarrierRelease>(rel);
         assert_eq!(rel.epoch, epoch, "barrier {id}: epoch mismatch");
@@ -2186,6 +2053,9 @@ impl DsmNode {
                 let when = step.join_ns();
                 self.ctx.port().mailbox().deposit(skey, Box::new(step), when);
             }
+            // The epoch commits only with the release in hand, so this
+            // thread never re-arrives at a released epoch (`Redeliver`),
+            // and only a child's aggregate yields `ResendWave`.
             other => unreachable!("own tree arrival produced {other:?}"),
         }
         let step = downcast::<TreeStep<NoticeSet>>(self.ctx.port().wait_mailbox(skey));
@@ -2205,8 +2075,10 @@ impl DsmNode {
                 self.dsm.treebarriers[me].lock().wave(id, epoch, wave.release_ns, wave.wave)
             }
             step @ TreeStep::Deliver { .. } => step,
+            // Only completing steps are deposited under `skey`.
             other => unreachable!("own tree arrival produced {other:?}"),
         };
+        // The first wave of an unreleased epoch always delivers.
         let TreeStep::Deliver { release_ns, own, child_waves } = deliver else {
             unreachable!("tree barrier {id}: epoch {epoch} wave did not deliver")
         };

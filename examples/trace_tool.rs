@@ -6,18 +6,18 @@
 //! cargo run --release --example trace_tool
 //! ```
 //!
-//! Runs a small lock/barrier workload with tracing enabled, then — from
-//! *outside* the application — merges the per-node event streams into
-//! one virtual-time timeline and prints a per-module summary alongside
-//! the monitoring counters.
+//! Opens a trace session around a small lock/barrier workload, then —
+//! from *outside* the application — takes the session's virtual-time
+//! timeline (HAMSTER services and every layer below them) and prints a
+//! per-module summary alongside the monitoring counters.
 
-use hamster::core::{merge_timelines, ClusterConfig, PlatformKind, Runtime};
+use hamster::core::{ClusterConfig, PlatformKind, Runtime, TraceSession};
 use std::collections::BTreeMap;
 
 fn main() {
+    let session = TraceSession::begin();
     let rt = Runtime::new(ClusterConfig::new(3, PlatformKind::SwDsm));
     let (report, handles) = rt.run(|ham| {
-        ham.tracer().start();
         let r = ham.mem().alloc_default(4096).unwrap();
         ham.sync().barrier(1);
         for _ in 0..3 {
@@ -28,15 +28,14 @@ fn main() {
         }
         ham.cons().barrier_sync(2);
         assert_eq!(ham.mem().read_u64(r.addr()), 9);
-        ham.tracer().stop();
         // Hand the whole node handle out: the "external tool" below
-        // reads traces and counters without the application's help.
+        // reads counters without the application's help.
         ham.clone()
     });
 
     // --- the external tool ---
-    let timeline = merge_timelines(handles.iter().map(|h| h.tracer().take()).collect());
-    println!("merged timeline ({} events):", timeline.len());
+    let timeline = session.finish();
+    println!("timeline ({} events):", timeline.len());
     for ev in timeline.iter().take(24) {
         println!(
             "  {:>12.3} µs  node{}  {:>4}.{:<12} arg={}",

@@ -483,7 +483,7 @@ impl SyncNode {
         if !self.resilient() {
             let arr = BarEpoch { id, epoch };
             let tag = mailbox::tag(BAR_RELEASE, id);
-            self.ctx.port().post(me, TREE_UP, arr, 24);
+            self.ctx.port().post_parking(me, TREE_UP, arr, 24);
             let got = downcast::<BarEpoch>(self.ctx.port().wait_mailbox(tag)).epoch;
             assert_eq!(got, epoch, "tree barrier {id}: epoch mismatch");
             return;

@@ -10,7 +10,7 @@
 //! wake-up message arrived, so the woken thread can advance its clock.
 
 use crate::message::Payload;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
 
 /// A deposited wake-up: payload plus virtual arrival time.
@@ -29,6 +29,9 @@ pub struct Deposit {
 #[derive(Default)]
 struct Inner {
     queues: HashMap<u64, VecDeque<Deposit>>,
+    /// Threads parked in [`Mailbox::wait`]; a deposit notifies only
+    /// when there is one.
+    waiters: usize,
 }
 
 /// One mailbox per simulated node.
@@ -57,7 +60,8 @@ impl Mailbox {
         let q = g.queues.entry(tag).or_default();
         q.retain(|d| !d.lost);
         q.push_back(Deposit { payload, arrive_ns, lost: false });
-        self.cond.notify_all();
+        let parked = g.waiters > 0;
+        notify_unlocked(g, &self.cond, parked);
     }
 
     /// Deposit a loss tombstone under `tag`: the wake-up that should
@@ -69,7 +73,8 @@ impl Mailbox {
             .entry(tag)
             .or_default()
             .push_back(Deposit { payload: Box::new(()), arrive_ns: deadline_ns, lost: true });
-        self.cond.notify_all();
+        let parked = g.waiters > 0;
+        notify_unlocked(g, &self.cond, parked);
     }
 
     /// Block until a deposit under `tag` is available, then take it.
@@ -81,7 +86,9 @@ impl Mailbox {
                     return d;
                 }
             }
+            g.waiters += 1;
             self.cond.wait(&mut g);
+            g.waiters -= 1;
         }
     }
 
@@ -94,6 +101,21 @@ impl Mailbox {
     /// Number of pending deposits under `tag`.
     pub fn pending(&self, tag: u64) -> usize {
         self.inner.lock().queues.get(&tag).map_or(0, |q| q.len())
+    }
+}
+
+/// The fabric's two wake-up rules, for every condvar it sleeps on.
+/// *After the unlock:* `guard` — the lock the sleeper re-takes — is
+/// dropped before the notify, so the woken thread does not sleep again
+/// on a mutex its waker still holds. *Only for a waiter:* sleepers count
+/// themselves in under that lock, which they then wait on, and the
+/// waker passes what it read there as `waiting`; at zero the notify (a
+/// futex syscall whether or not anyone listens) is skipped, and the
+/// next sleeper's own look under the lock finds what was left for it.
+pub(crate) fn notify_unlocked<T>(guard: MutexGuard<'_, T>, cond: &Condvar, waiting: bool) {
+    drop(guard);
+    if waiting {
+        cond.notify_all();
     }
 }
 
@@ -141,6 +163,9 @@ pub struct BoundedQueue<T> {
 struct BoundedInner<T> {
     q: VecDeque<T>,
     closed: bool,
+    /// Producers blocked in [`BoundedQueue::push_wait`]; a drain
+    /// notifies only when there is one.
+    blocked: usize,
 }
 
 impl<T> BoundedQueue<T> {
@@ -148,7 +173,7 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "bounded queue needs capacity");
         Self {
-            inner: Mutex::new(BoundedInner { q: VecDeque::new(), closed: false }),
+            inner: Mutex::new(BoundedInner { q: VecDeque::new(), closed: false, blocked: 0 }),
             space: Condvar::new(),
             capacity,
         }
@@ -173,7 +198,9 @@ impl<T> BoundedQueue<T> {
         let mut waited = false;
         while g.q.len() >= self.capacity && !g.closed {
             waited = true;
+            g.blocked += 1;
             self.space.wait(&mut g);
+            g.blocked -= 1;
         }
         if g.closed {
             return Err(v);
@@ -188,9 +215,8 @@ impl<T> BoundedQueue<T> {
         let mut g = self.inner.lock();
         let n = g.q.len().min(max);
         out.extend(g.q.drain(..n));
-        if n > 0 {
-            self.space.notify_all();
-        }
+        let blocked = n > 0 && g.blocked > 0;
+        notify_unlocked(g, &self.space, blocked);
     }
 
     /// Items currently queued.
@@ -209,7 +235,8 @@ impl<T> BoundedQueue<T> {
         let mut g = self.inner.lock();
         g.closed = true;
         let left = g.q.drain(..).collect();
-        self.space.notify_all();
+        let blocked = g.blocked > 0;
+        notify_unlocked(g, &self.space, blocked);
         left
     }
 }
@@ -314,6 +341,68 @@ mod tests {
         }
         assert!(!m.try_take(q_tag).unwrap().lost, "real deposit wins over tombstone");
         assert!(m.try_take(q_tag).unwrap().lost, "tombstone only when nothing real is left");
+    }
+
+    /// Rounds of each no-lost-wake-up loop below: a lost notify hangs
+    /// the test, it does not fail an assertion.
+    const STRESS_ROUNDS: u64 = 20_000;
+
+    #[test]
+    fn no_waiter_misses_a_deposit_or_a_tombstone() {
+        // Ping-pong, so each side is parked — or about to be — when the
+        // other deposits: even rounds wake with a deposit, odd ones
+        // with a tombstone.
+        let boxes = Arc::new((Mailbox::new(), Mailbox::new()));
+        let b2 = boxes.clone();
+        let echo = std::thread::spawn(move || {
+            for round in 0..STRESS_ROUNDS {
+                let d = b2.0.wait(tag(7, 0));
+                assert_eq!((d.arrive_ns, d.lost), (round, round % 2 == 1));
+                b2.1.deposit(tag(7, 1), Box::new(()), round);
+            }
+        });
+        for round in 0..STRESS_ROUNDS {
+            if round % 2 == 0 {
+                boxes.0.deposit(tag(7, 0), Box::new(()), round);
+            } else {
+                boxes.0.deposit_lost(tag(7, 0), round);
+            }
+            assert_eq!(boxes.1.wait(tag(7, 1)).arrive_ns, round);
+        }
+        echo.join().unwrap();
+    }
+
+    #[test]
+    fn no_blocked_producer_misses_a_drain() {
+        // Capacity 1 and a consumer that drains one item at a time: the
+        // producer blocks on nearly every push.
+        let q = Arc::new(BoundedQueue::new(1));
+        let q2 = q.clone();
+        let producer = std::thread::spawn(move || {
+            for i in 0..STRESS_ROUNDS {
+                q2.push_wait(i).unwrap();
+            }
+        });
+        let mut got = Vec::new();
+        while (got.len() as u64) < STRESS_ROUNDS {
+            q.drain_into(1, &mut got);
+        }
+        producer.join().unwrap();
+        assert!(got.iter().copied().eq(0..STRESS_ROUNDS));
+    }
+
+    #[test]
+    fn no_blocked_producer_misses_the_close() {
+        for round in 0..STRESS_ROUNDS / 10 {
+            let q = Arc::new(BoundedQueue::new(1));
+            q.push(round).unwrap();
+            let q2 = q.clone();
+            let producer = std::thread::spawn(move || q2.push_wait(round + 1));
+            // Close with the producer blocked, about to block, or not
+            // yet started: it gets its value back every time.
+            assert_eq!(q.close(), vec![round]);
+            assert_eq!(producer.join().unwrap(), Err(round + 1));
+        }
     }
 
     #[test]

@@ -8,13 +8,19 @@
 //!
 //! | the protocol says | nothing is lost | the fabric has a policy |
 //! |---|---|---|
-//! | [`crate::NodePort::send_reliable`] | one-way post | acknowledged, retried request |
-//! | [`crate::NodePort::rendezvous`] | post, then wait for the answer under a mailbox tag | one retried request; its reply is the answer |
+//! | [`crate::NodePort::send_reliable`] | one-way [`crate::NodePort::post_parking`] | acknowledged, retried request |
+//! | [`crate::NodePort::rendezvous`] | [`crate::NodePort::post_parking`], then wait for the answer under a mailbox tag | one retried request; its reply is the answer |
 //! | [`HandlerCtx::answer_later`] | [`Outcome::done`] | [`Outcome::defer`]: park the reply |
 //! | [`HandlerCtx::answer_all`] | tagged post of the answer to every waiter | discharge every parked reply, reply to the arrival being served |
 //!
 //! A retried arrival after the answer went out (its reply was lost) is
 //! the protocol's to recognise and answer again with an ordinary reply.
+//!
+//! On either fabric the sender runs an idle destination's handler on its
+//! own thread, and then the handlers of the nodes that one posted to:
+//! the arrival that completes a barrier deposits every release itself
+//! and wakes each parked waiter once. Hence the rule for every caller:
+//! no lock a handler takes is held across these sends.
 
 use crate::error::DispatchError;
 use std::any::Any;

@@ -17,7 +17,7 @@
 use crate::engine::{EngineMode, NodeQueue, ENGINE_BATCH};
 use crate::error::RequestError;
 use crate::fault::{FaultDecision, FaultPlan, Resilience, mix, REPLY_STREAM, RETRY_STREAM};
-use crate::mailbox::Mailbox;
+use crate::mailbox::{notify_unlocked, Mailbox};
 use crate::membership::MembershipPlan;
 use crate::message::{HandlerCtx, NodeId, Outcome, Payload};
 
@@ -142,16 +142,26 @@ enum SendCtx {
     /// A protocol handler, mid-`drive_node`. Never blocks — the worker
     /// draining the destination queue may be the caller itself, so the
     /// enqueue overflows the bound instead — and never drives another
-    /// node: the thread's drain buffer is in use.
+    /// node from inside the handler: the thread's drain buffer is in
+    /// use. An idle destination it claims goes to the rings, or, when
+    /// the driver is an application thread in a blocking send, onto that
+    /// thread's [`InlineFanout`].
     Handler,
     /// An application thread that does not wait for an answer (`post`).
     /// Absorbs backpressure, but the destination is always left to the
     /// workers: a post may be issued under locks of the sender that the
     /// destination's handlers take too.
     AppPost,
-    /// An application thread about to block on the reply (`request*`).
-    /// Absorbs backpressure, and drives an idle destination on its own
-    /// thread (see [`NetShared::deliver`]).
+    /// An application thread whose next act is to sleep on what the
+    /// destination's handlers produce (`request*`, `rendezvous`,
+    /// `send_reliable`, `post_parking`). Absorbs backpressure, and
+    /// drives an idle destination on its own thread (see
+    /// [`NetShared::drive_inline`]).
+    ///
+    /// **The lock rule.** Such a thread runs handlers of the destination
+    /// *and* of the nodes that batch's handlers claimed — its own node
+    /// included — so it must hold no lock any handler takes. Every
+    /// blocking send of the two DSM drivers drops its guards first.
     AppBlocking,
 }
 
@@ -219,6 +229,9 @@ pub struct NetShared {
     /// an application thread racing ahead of the engine's park
     /// registration waits here ([`NetShared::complete_deferred_wait`]).
     deferred_cv: Condvar,
+    /// Threads inside that wait. Written only under the `deferred`
+    /// lock, so a park registered with none counted needs no notify.
+    deferred_waiters: AtomicUsize,
 }
 
 /// A parked reply obligation: everything `send_reply` needs, captured
@@ -262,18 +275,41 @@ impl NetShared {
         };
         match res {
             Ok(()) if !nq.claim_schedule() => {}
-            // Caller-runs: the sender is about to sleep on the reply
-            // and `dst` was idle, so the claim just won makes this
-            // thread the node's one driver — run the batch here instead
-            // of waking a worker that would only wake us back. One
-            // batch, never a loop: what is left goes to the workers.
-            Ok(()) if ctx == SendCtx::AppBlocking && !driving() => {
-                if drive_node(self, dst) {
-                    self.shards.schedule(dst);
-                }
-            }
+            // Caller-runs: the sender is about to sleep on what `dst`
+            // produces and `dst` was idle, so the claim just won makes
+            // this thread the node's one driver — run the batch here
+            // instead of waking a worker that would only wake us back.
+            Ok(()) if ctx == SendCtx::AppBlocking && !driving() => self.drive_inline(dst),
+            Ok(()) if ctx == SendCtx::Handler && InlineFanout::take_claim(dst) => {}
             Ok(()) => self.shards.schedule(dst),
             Err(env) => answer_stranded(env),
+        }
+    }
+
+    /// Drive `dst`, just claimed by an application thread in a blocking
+    /// send, on that thread: one batch, then one batch of each node the
+    /// batch's handlers claimed (a barrier's release fan-out, a grant)
+    /// and of `dst` itself when a handler's send to it raced the retire
+    /// — so the thread that completes a rendezvous deposits every
+    /// release, its own included, before it looks at its mailbox. One
+    /// level deep and at most [`ENGINE_BATCH`] nodes wide: an
+    /// application thread is not a worker, and a chain it followed to
+    /// the end (a 10 000-hop relay) would keep it from its own work for
+    /// as long as the chain runs. Whatever the second drives claim or
+    /// leave queued goes to the rings.
+    fn drive_inline(&self, dst: NodeId) {
+        let fanout = InlineFanout::open();
+        let after = drive_node(self, dst);
+        let mut claimed = fanout.close();
+        match after {
+            After::Retired => {}
+            After::Reclaimed if claimed.len() < ENGINE_BATCH => claimed.push(dst),
+            After::Reclaimed | After::Full => self.shards.schedule(dst),
+        }
+        for node in claimed {
+            if drive_node(self, node) != After::Retired {
+                self.shards.schedule(node);
+            }
         }
     }
 
@@ -341,7 +377,9 @@ impl NetShared {
                 if self.stopped.load(Ordering::Acquire) {
                     return;
                 }
+                self.deferred_waiters.fetch_add(1, Ordering::Relaxed);
                 self.deferred_cv.wait(&mut map);
+                self.deferred_waiters.fetch_sub(1, Ordering::Relaxed);
             }
         };
         self.discharge(node, who, parked, payload, wire_bytes, not_before_ns);
@@ -696,11 +734,12 @@ impl NetworkBuilder {
             next_req_id: AtomicU64::new(0),
             deferred: Mutex::new(HashMap::new()),
             deferred_cv: Condvar::new(),
+            deferred_waiters: AtomicUsize::new(0),
         });
 
         let worker_shared = shared.clone();
         let workers = sim::sched::spawn_workers(&shared.shards, "net-worker", move |node| {
-            drive_node(&worker_shared, node)
+            drive_node(&worker_shared, node) != After::Retired
         });
         Network { shared, workers }
     }
@@ -860,11 +899,10 @@ fn process_envelope(shared: &NetShared, node: NodeId, env: Envelope) {
                 let tx = reply.unwrap_or_else(|| {
                     panic!("one-way message kind {kind:#x} deferred a reply")
                 });
-                shared.deferred.lock().insert(
-                    (node, key, src),
-                    DeferredReply { tx, kind, ready_ns: end, deadline_ns, req_id },
-                );
-                shared.deferred_cv.notify_all();
+                let mut map = shared.deferred.lock();
+                map.insert((node, key, src), DeferredReply { tx, kind, ready_ns: end, deadline_ns, req_id });
+                let waiting = shared.deferred_waiters.load(Ordering::Relaxed) > 0;
+                notify_unlocked(map, &shared.deferred_cv, waiting);
                 return;
             }
             match (reply, out.reply) {
@@ -907,13 +945,19 @@ fn delivery_order(env: &Envelope) -> (u64, usize, u32) {
 
 thread_local! {
     /// One drain buffer per driving thread — pool workers, and
-    /// application threads running a request's destination inline —
-    /// reused across node visits: a fresh ENGINE_BATCH-capacity Vec per
-    /// visit is an allocator round trip on every single event at queue
-    /// depth 1. Mutably borrowed for the whole of [`drive_node`], which
-    /// is what [`driving`] reads.
+    /// application threads running a blocking send's destination inline
+    /// — reused across node visits: a fresh ENGINE_BATCH-capacity Vec
+    /// per visit is an allocator round trip on every single event at
+    /// queue depth 1. Mutably borrowed for the whole of [`drive_node`],
+    /// which is what [`driving`] reads.
     static BATCH: std::cell::RefCell<Vec<Envelope>> =
         std::cell::RefCell::new(Vec::with_capacity(ENGINE_BATCH));
+
+    /// The nodes claimed by the handlers of an application thread's
+    /// first inline drive; `None` on every other thread and at every
+    /// other time (see [`InlineFanout`]).
+    static FANOUT: std::cell::RefCell<Option<Vec<NodeId>>> =
+        const { std::cell::RefCell::new(None) };
 }
 
 /// True while this thread is inside [`drive_node`], i.e. in handler
@@ -923,14 +967,65 @@ fn driving() -> bool {
     BATCH.with(|batch| batch.try_borrow_mut().is_err())
 }
 
+/// The scope in which handler-context claims collect on this thread
+/// instead of going to the rings: the first drive of
+/// [`NetShared::drive_inline`]. The list exists exactly as long as this
+/// value — a drive that unwinds takes it down too — so a later drive on
+/// the thread, second-level or a worker's, can never find a stale one.
+struct InlineFanout;
+
+impl InlineFanout {
+    fn open() -> Self {
+        FANOUT.set(Some(Vec::new()));
+        InlineFanout
+    }
+
+    /// Keep `node`, claimed by a handler on this thread, for the thread
+    /// to drive itself. False — the claim goes to the rings — outside
+    /// the scope and once the list holds [`ENGINE_BATCH`] nodes.
+    fn take_claim(node: NodeId) -> bool {
+        FANOUT.with_borrow_mut(|list| match list {
+            Some(list) if list.len() < ENGINE_BATCH => {
+                list.push(node);
+                true
+            }
+            _ => false,
+        })
+    }
+
+    /// End the scope and return what was claimed inside it.
+    fn close(self) -> Vec<NodeId> {
+        FANOUT.take().unwrap_or_default()
+    }
+}
+
+impl Drop for InlineFanout {
+    fn drop(&mut self) {
+        FANOUT.set(None);
+    }
+}
+
+/// How [`drive_node`] left its node.
+#[derive(PartialEq, Eq)]
+enum After {
+    /// Queue empty, claim given up.
+    Retired,
+    /// A push raced the retire and the driver won the claim back: the
+    /// node has (little) work and must be driven or scheduled again.
+    Reclaimed,
+    /// The batch was full, so the queue likely has more: still claimed.
+    Full,
+}
+
 /// Drain and process one batch from `node`'s run queue.
 /// The caller holds the node's `scheduled` claim, which is the whole of
 /// per-node serialization: whoever won `claim_schedule` — or was handed
 /// the node through a ready ring — is its only driver until `retire`.
-/// Returns true when the node is still claimed and must go (back) onto
-/// a ready ring (batch was full or a push raced the retire).
-fn drive_node(shared: &NetShared, node: NodeId) -> bool {
+/// Unless it returns [`After::Retired`] the node is still claimed and
+/// must go (back) onto a ready ring or be driven again.
+fn drive_node(shared: &NetShared, node: NodeId) -> After {
     let nq = &shared.queues[node];
+    let retire = || if nq.retire() { After::Reclaimed } else { After::Retired };
     BATCH.with(|batch| {
         let mut batch = batch
             .try_borrow_mut()
@@ -938,7 +1033,7 @@ fn drive_node(shared: &NetShared, node: NodeId) -> bool {
         batch.clear();
         nq.q.drain_into(ENGINE_BATCH, &mut batch);
         if batch.is_empty() {
-            return nq.retire();
+            return retire();
         }
         // Batched virtual-time delivery (see [`delivery_order`]). The
         // sort is stable, so a delivery and its fault-injected
@@ -955,7 +1050,11 @@ fn drive_node(shared: &NetShared, node: NodeId) -> bool {
         // A partial batch emptied the queue — retire *now* instead of
         // paying a guaranteed-empty ring revisit per batch (at queue
         // depth 1 that revisit would double the scheduler overhead).
-        full || nq.retire()
+        if full {
+            After::Full
+        } else {
+            retire()
+        }
     })
 }
 
@@ -1061,7 +1160,9 @@ impl Drop for Network {
         // New sends observe the flag and fail fast with FabricStopped.
         self.shared.stopped.store(true, Ordering::Release);
         // Wake any app thread blocked waiting for a park that will
-        // never be registered now.
+        // never be registered now — through the lock, so one that read
+        // the flag clear is waiting by the time it is notified.
+        drop(self.shared.deferred.lock());
         self.shared.deferred_cv.notify_all();
         // Workers drain their ready rings fully before exiting, so every
         // scheduled batch still gets processed.
@@ -1411,7 +1512,7 @@ impl NodePort {
     /// Fire-and-forget message to `dst`. Charges only the send overhead
     /// to this node's clock.
     pub fn post<T: std::any::Any + Send>(&self, dst: NodeId, kind: u32, value: T, wire_bytes: u64) {
-        self.post_inner(dst, kind, value, wire_bytes, None);
+        self.post_inner(dst, kind, value, wire_bytes, None, SendCtx::AppPost);
     }
 
     /// Like [`NodePort::post`], for messages whose receiving handler
@@ -1426,7 +1527,17 @@ impl NodePort {
         wire_bytes: u64,
         wake_tag: u64,
     ) {
-        self.post_inner(dst, kind, value, wire_bytes, Some(wake_tag));
+        self.post_inner(dst, kind, value, wire_bytes, Some(wake_tag), SendCtx::AppPost);
+    }
+
+    /// A [`NodePort::post`] whose sender's next act is to park on what
+    /// the handler — or the handlers it posts to — deposits: a barrier
+    /// arrival, a lock hand-off. The same message at the same cost in
+    /// virtual time, but an idle `dst` is driven on this thread, as a
+    /// request's is, so the deposit is usually there before the sender
+    /// looks. The caller holds no lock a handler takes.
+    pub fn post_parking<T: std::any::Any + Send>(&self, dst: NodeId, kind: u32, value: T, wire_bytes: u64) {
+        self.post_inner(dst, kind, value, wire_bytes, None, SendCtx::AppBlocking);
     }
 
     fn post_inner<T: std::any::Any + Send>(
@@ -1436,6 +1547,7 @@ impl NodePort {
         value: T,
         wire_bytes: u64,
         wake_tag: Option<u64>,
+        ctx: SendCtx,
     ) {
         self.shared.stats.at(STAT_POSTS).incr();
         self.shared.stats.at(STAT_BYTES).add(wire_bytes);
@@ -1449,7 +1561,7 @@ impl NodePort {
             depart,
             None,
             wake_tag,
-            SendCtx::AppPost,
+            ctx,
         );
         sim::trace::instant_corr(depart, self.node, "net", "post", kind as u64, req_id);
     }
@@ -1465,10 +1577,12 @@ impl NodePort {
     }
 
     /// A one-way message the protocol cannot afford to lose (a lock
-    /// release): a [`NodePort::post`] where the fabric loses nothing, an
-    /// acknowledged [`NodePort::request_retrying`] where it has a policy
-    /// — the transport acks it without handler help, so the handler
-    /// returns [`Outcome::done`] on both.
+    /// release): a [`NodePort::post_parking`] where the fabric loses
+    /// nothing — the releaser hands the lock on itself rather than wake
+    /// a worker to do it — an acknowledged
+    /// [`NodePort::request_retrying`] where it has a policy — the
+    /// transport acks it without handler help, so the handler returns
+    /// [`Outcome::done`] on both.
     pub fn send_reliable<T: std::any::Any + Send + Clone>(
         &self,
         dst: NodeId,
@@ -1477,7 +1591,7 @@ impl NodePort {
         wire_bytes: u64,
     ) -> Result<(), RequestError> {
         if self.shared.resilience.is_none() {
-            self.post(dst, kind, value, wire_bytes);
+            self.post_parking(dst, kind, value, wire_bytes);
             return Ok(());
         }
         self.request_retrying(dst, kind, value, wire_bytes).map(drop)
@@ -1485,8 +1599,8 @@ impl NodePort {
 
     /// Join the rendezvous `dst` runs under `kind` and return its
     /// answer. Where the fabric loses nothing this is a
-    /// [`NodePort::post`] and a wait for the answer posted back under
-    /// `tag`; where it has a policy, one retried request whose reply —
+    /// [`NodePort::post_parking`] and a wait for the answer posted back
+    /// under `tag`; where it has a policy, one retried request whose reply —
     /// parked by [`HandlerCtx::answer_later`] until
     /// [`HandlerCtx::answer_all`] — is the answer, so every loss heals
     /// at this requester's deadline. See the rendezvous section of
@@ -1500,7 +1614,7 @@ impl NodePort {
         tag: u64,
     ) -> Result<Payload, RequestError> {
         if self.shared.resilience.is_none() {
-            self.post(dst, kind, value, wire_bytes);
+            self.post_parking(dst, kind, value, wire_bytes);
             return self.wait_mailbox_checked(tag);
         }
         self.request_retrying(dst, kind, value, wire_bytes)
@@ -2218,6 +2332,64 @@ mod caller_runs_tests {
         assert_ne!(ran_on, std::thread::current().id());
     }
 
+    /// Register `kind` on `node`: report the thread it ran on, then
+    /// post `next` to every node of `to`.
+    fn report_and_post(
+        net: &Network,
+        node: NodeId,
+        kind: u32,
+        ran_on: &mpsc::Sender<(NodeId, ThreadId)>,
+        next: u32,
+        to: std::ops::Range<NodeId>,
+    ) {
+        let ran_on = Mutex::new(ran_on.clone());
+        net.router(node).register(kind, move |ctx, _s, _p| {
+            ran_on.lock().send((ctx.node, std::thread::current().id())).unwrap();
+            for dst in to.clone() {
+                ctx.post(dst, next, (), 0);
+            }
+            Outcome::done()
+        });
+    }
+
+    #[test]
+    fn post_from_a_second_level_inline_drive_is_left_to_a_worker() {
+        // 0 -> 1 (the blocking send's destination) -> 2 (claimed by that
+        // batch: driven by the sender too) -> 3 (claimed one level
+        // further down: a ring's).
+        let net = sharded(4, 2);
+        let (tx, rx) = mpsc::channel();
+        for node in 1..4 {
+            report_and_post(&net, node, 0x76, &tx, 0x76, node + 1..(node + 2).min(4));
+        }
+        net.port(0, VirtualClock::new()).post_parking(1, 0x76, (), 0);
+        let me = std::thread::current().id();
+        assert_eq!(rx.recv().unwrap(), (1, me));
+        assert_eq!(rx.recv().unwrap(), (2, me));
+        let (node, thread) = rx.recv().unwrap();
+        assert_eq!(node, 3);
+        assert_ne!(thread, me);
+    }
+
+    #[test]
+    fn fan_out_beyond_one_batch_of_nodes_is_left_to_a_worker() {
+        // Node 1 posts to ENGINE_BATCH + 1 idle nodes: the sender drives
+        // the first ENGINE_BATCH of them, the rings get the last.
+        let last = 2 + ENGINE_BATCH;
+        let net = sharded(last + 1, 2);
+        let (tx, rx) = mpsc::channel();
+        report_and_post(&net, 1, 0x77, &tx, 0x78, 2..last + 1);
+        for node in 2..last + 1 {
+            report_and_post(&net, node, 0x78, &tx, 0, 0..0);
+        }
+        net.port(0, VirtualClock::new()).post_parking(1, 0x77, (), 0);
+        let me = std::thread::current().id();
+        let ran: Vec<_> = (0..ENGINE_BATCH + 2).map(|_| rx.recv().unwrap()).collect();
+        let (mine, workers): (Vec<_>, Vec<_>) = ran.into_iter().partition(|r| r.1 == me);
+        assert_eq!(mine.iter().map(|r| r.0).collect::<Vec<_>>(), (1..last).collect::<Vec<_>>());
+        assert_eq!(workers.iter().map(|r| r.0).collect::<Vec<_>>(), vec![last]);
+    }
+
     #[test]
     fn inline_handler_panic_fails_the_request_not_the_requester() {
         let net = sharded(2, 1);
@@ -2277,6 +2449,7 @@ mod rendezvous_tests {
     use crate::fault::PartitionWindow;
     use crate::message::downcast;
     use crossbeam::channel::Receiver;
+    use std::thread::ThreadId;
 
     const ARRIVE: u32 = 0x60;
     const ANSWER: u32 = 0x61;
@@ -2289,16 +2462,28 @@ mod rendezvous_tests {
         released: Option<(u64, u64)>,
     }
 
+    /// What [`install_barrier`] hands back to a test.
+    struct Installed {
+        /// The order `answer_all` built the answers in.
+        order: Arc<Mutex<Vec<NodeId>>>,
+        /// Signalled once per handled arrival.
+        seen: Receiver<()>,
+        /// `(kind, node, thread)` of every `ARRIVE` and `ANSWER` handler
+        /// run, in host order.
+        ran_on: Arc<Mutex<Vec<(u32, NodeId, ThreadId)>>>,
+    }
+
     /// A barrier of `parties` managed by node 0. Arrivals carry a
     /// number; `who`'s answer is their sum plus `who`, `16 + 8 * who`
     /// bytes on the wire, not before the latest arrival's service end.
-    /// Returns the order `answer_all` built the answers in, and a
-    /// channel signalled once per handled arrival.
-    fn install_barrier(net: &Network, parties: usize) -> (Arc<Mutex<Vec<NodeId>>>, Receiver<()>) {
+    fn install_barrier(net: &Network, parties: usize) -> Installed {
         let order = Arc::new(Mutex::new(Vec::new()));
-        let (seen_tx, seen_rx) = unbounded();
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let (seen_tx, seen) = unbounded();
         let (state, built, seen_tx) = (Mutex::new(Barrier::default()), order.clone(), Mutex::new(seen_tx));
+        let ran = ran_on.clone();
         net.router(0).register(ARRIVE, move |ctx, src, p| {
+            ran.lock().push((ARRIVE, ctx.node, std::thread::current().id()));
             let x = downcast::<u64>(p);
             let mut st = state.lock();
             let out = if let Some((sum, at_ns)) = st.released {
@@ -2324,13 +2509,14 @@ mod rendezvous_tests {
             out
         });
         net.register_all(ANSWER, |node| {
-            let mb = net.mailbox(node);
+            let (mb, ran) = (net.mailbox(node), ran_on.clone());
             move |ctx: &HandlerCtx<'_>, _src, p| {
+                ran.lock().push((ANSWER, ctx.node, std::thread::current().id()));
                 mb.deposit(TAG, p, ctx.now);
                 Outcome::done()
             }
         });
-        (order, seen_rx)
+        Installed { order, seen, ran_on }
     }
 
     /// `node` joins the barrier at virtual time `start_ns`; returns its
@@ -2344,26 +2530,28 @@ mod rendezvous_tests {
         })
     }
 
-    /// Three parties reach the manager in the host order 2, 1, 0.
-    fn three_party_barrier(net: Network) -> (Vec<(u64, u64)>, Vec<NodeId>) {
-        let (order, seen) = install_barrier(&net, 3);
-        let handles: Vec<_> = [2, 1, 0]
-            .into_iter()
+    /// Every party reaches the manager in turn, highest rank first in
+    /// host order. Returns what each left with, by rank, and the order
+    /// the answers were built in.
+    fn barrier_exchange(net: &Network) -> (Vec<(u64, u64)>, Vec<NodeId>) {
+        let barrier = install_barrier(net, net.nodes());
+        let handles: Vec<_> = (0..net.nodes())
+            .rev()
             .map(|node| {
-                let h = arrive(&net, node, node as u64 * 10_000);
-                seen.recv().unwrap();
+                let h = arrive(net, node, node as u64 * 10_000);
+                barrier.seen.recv().unwrap();
                 h
             })
             .collect();
         let left: Vec<_> = handles.into_iter().rev().map(|h| h.join().unwrap()).collect();
-        let order = order.lock().clone();
+        let order = barrier.order.lock().clone();
         (left, order)
     }
 
     #[test]
     fn lossless_rendezvous_is_post_and_mailbox_wait_to_the_nanosecond() {
         let net = Network::builder(3, tiny_link()).build();
-        let (left, order) = three_party_barrier(net);
+        let (left, order) = barrier_exchange(&net);
         assert_eq!(left, vec![(60, 22_024), (61, 22_548), (62, 22_556)]);
         assert_eq!(order, vec![0, 1, 2], "answers leave in rank order");
     }
@@ -2371,9 +2559,59 @@ mod rendezvous_tests {
     #[test]
     fn resilient_rendezvous_is_one_request_and_a_parked_reply_to_the_nanosecond() {
         let net = Network::builder(3, tiny_link()).resilience(Some(Resilience::default())).build();
-        let (left, order) = three_party_barrier(net);
+        let (left, order) = barrier_exchange(&net);
         assert_eq!(left, vec![(60, 21_874), (61, 22_398), (62, 22_406)]);
         assert_eq!(order, vec![2, 1, 0], "parked waiters in arrival order, then the one served");
+    }
+
+    #[test]
+    fn lossless_arrival_at_an_idle_manager_runs_on_the_arrivers_thread() {
+        let net = Network::builder(2, tiny_link()).engine(EngineMode { workers: 2 }).build();
+        let barrier = install_barrier(&net, 1);
+        let arriver = arrive(&net, 1, 0);
+        let id = arriver.thread().id();
+        assert_eq!(arriver.join().unwrap().0, 20 + 1);
+        // The arrival, and — it completed the barrier — its own answer.
+        assert_eq!(*barrier.ran_on.lock(), vec![(ARRIVE, 0, id), (ANSWER, 1, id)]);
+    }
+
+    #[test]
+    fn completing_arriver_runs_every_release_and_finds_its_own_deposited() {
+        let net = Network::builder(4, tiny_link()).engine(EngineMode { workers: 2 }).build();
+        let barrier = install_barrier(&net, 4);
+        let parked: Vec<_> = [3, 2, 1]
+            .into_iter()
+            .map(|node| {
+                let h = arrive(&net, node, 0);
+                barrier.seen.recv().unwrap();
+                h
+            })
+            .collect();
+        // The last arrival, by hand: the send `rendezvous` makes, then a
+        // look at the mailbox instead of a wait on it.
+        let port = net.port(0, VirtualClock::new());
+        port.post_parking(0, ARRIVE, 10u64, 24);
+        let own = port.mailbox().try_take(TAG).expect("own release deposited before the send returned");
+        assert_eq!(downcast::<u64>(own.payload), 100);
+        let answered_on: Vec<_> = barrier.ran_on.lock().iter().filter(|r| r.0 == ANSWER).map(|r| r.2).collect();
+        assert_eq!(answered_on, vec![std::thread::current().id(); 4]);
+        for (h, node) in parked.into_iter().zip([3, 2, 1]) {
+            assert_eq!(h.join().unwrap().0, 100 + node);
+        }
+    }
+
+    #[test]
+    fn barrier_exchange_is_worker_count_invariant() {
+        let run = |workers: usize| {
+            let net = Network::builder(4, tiny_link()).engine(EngineMode { workers }).build();
+            let (left, order) = barrier_exchange(&net);
+            (left, order, net.stats().snapshot())
+        };
+        let reference = run(1);
+        assert_eq!(reference.0.iter().map(|l| l.0).collect::<Vec<_>>(), vec![100, 101, 102, 103]);
+        for workers in [1, 2, 0] {
+            assert_eq!(run(workers), reference, "sharded:{workers}");
+        }
     }
 
     #[test]
@@ -2386,9 +2624,9 @@ mod rendezvous_tests {
             ..FaultPlan::seeded(4)
         };
         let net = Network::builder(3, tiny_link()).faults(Some(plan)).build();
-        let (_, seen) = install_barrier(&net, 2);
+        let barrier = install_barrier(&net, 2);
         let first = arrive(&net, 1, 0);
-        seen.recv().unwrap();
+        barrier.seen.recv().unwrap();
         let last = arrive(&net, 2, 40_000);
         assert_eq!(last.join().unwrap().0, 50 + 2);
         let (answer, clock) = first.join().unwrap();

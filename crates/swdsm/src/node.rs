@@ -1850,7 +1850,7 @@ impl DsmNode {
             // exclusive): kick the local handler, which enqueues at
             // the manager; the token arrives as a LOCK_GRANT deposit.
             let tag = interconnect::mailbox::tag(kinds::LOCK_GRANT, lock);
-            self.ctx.port().post(self.rank, kinds::TOK_ACQ_LOCAL, TokAcquireLocal { lock }, 8);
+            self.ctx.port().post_parking(self.rank, kinds::TOK_ACQ_LOCAL, TokAcquireLocal { lock }, 8);
             let grant = downcast::<LockGrant>(self.ctx.port().wait_mailbox(tag));
             assert_eq!(grant.lock, lock);
             grant.notices
@@ -1922,7 +1922,7 @@ impl DsmNode {
             // like the central manager's one-way post.
             let msg = TokRelease { lock, interval };
             let bytes = 16 + msg.interval.wire_bytes();
-            self.ctx.port().post(self.rank, kinds::TOK_REL, msg, bytes);
+            self.ctx.port().post_parking(self.rank, kinds::TOK_REL, msg, bytes);
             // Wait — in host time only: the clock is not advanced, the
             // release stays a one-way post in the model — until the
             // handler has sent the token off. Otherwise whatever this
@@ -2029,7 +2029,7 @@ impl DsmNode {
             let arr = BarrierArrive { id, epoch, who: self.rank, interval };
             let bytes = 24 + arr.interval.wire_bytes();
             let tag = interconnect::mailbox::tag(kinds::BARRIER_RELEASE, id);
-            self.ctx.port().post(self.rank, kinds::TREE_UP, arr, bytes);
+            self.ctx.port().post_parking(self.rank, kinds::TREE_UP, arr, bytes);
             let rel = downcast::<BarrierRelease>(self.ctx.port().wait_mailbox(tag));
             assert_eq!(rel.epoch, epoch, "tree barrier {id}: epoch mismatch");
             return Ok(rel.notices);

@@ -9,8 +9,9 @@
 //! bus is what makes the memory-bound MatMult of Figure 4 slower here
 //! than on two cluster nodes.
 
+use cluster::syncproto::driver::Driver;
+use cluster::syncproto::lock::Mode;
 use cluster::{Cluster, NodeCtx};
-use hybriddsm::sync::{SyncCore, SyncNode};
 use memwire::{Distribution, GlobalAddr, RegionDir, RegionMeta, RegionStore, PAGE_SIZE};
 use parking_lot::Mutex;
 use sim::{Bus, MachineCost, StatSet};
@@ -29,7 +30,7 @@ pub struct SmpShared {
     machine: MachineCost,
     dir: RegionDir,
     store: Arc<RegionStore>,
-    sync: Arc<SyncCore>,
+    sync: Arc<Driver<()>>,
     /// The single memory bus all CPUs contend on.
     bus: Bus,
     stats: Vec<StatSet>,
@@ -41,12 +42,14 @@ impl SmpShared {
     pub fn install(cluster: &Cluster) -> Arc<SmpShared> {
         let cpus = cluster.config().nodes;
         let machine = cluster.config().cost.machine;
+        let sync = Driver::new(cluster);
+        sync.register(cluster, Arc::new(()));
         Arc::new(SmpShared {
             cpus,
             machine,
             dir: RegionDir::new(),
             store: RegionStore::new(),
-            sync: SyncCore::install(cluster),
+            sync,
             bus: Bus::with_bandwidth(machine.mem_bus_bytes_per_sec),
             stats: (0..cpus).map(|_| StatSet::new(STAT_NAMES)).collect(),
         })
@@ -62,7 +65,6 @@ impl SmpShared {
         SmpNode {
             shared: self.clone(),
             rank: ctx.rank(),
-            sync: self.sync.node(&ctx),
             ctx,
             next_region: Mutex::new(1),
         }
@@ -74,7 +76,6 @@ pub struct SmpNode {
     shared: Arc<SmpShared>,
     rank: usize,
     ctx: NodeCtx,
-    sync: SyncNode,
     next_region: Mutex<u32>,
 }
 
@@ -179,24 +180,24 @@ impl SmpNode {
     /// Acquire global lock `lock`.
     pub fn acquire(&self, lock: u32) {
         self.stat("lock_acquires", 1);
-        self.sync.acquire(lock);
+        self.shared.sync.acquire(self.ctx.port(), lock, Mode::Excl);
     }
 
     /// Acquire global lock `lock` in shared (reader) mode.
     pub fn acquire_shared(&self, lock: u32) {
         self.stat("lock_acquires", 1);
-        self.sync.acquire_shared(lock);
+        self.shared.sync.acquire(self.ctx.port(), lock, Mode::Shared);
     }
 
     /// Release global lock `lock`.
     pub fn release(&self, lock: u32) {
-        self.sync.release(lock);
+        self.shared.sync.release(self.ctx.port(), lock);
     }
 
     /// Barrier across all CPUs.
     pub fn barrier(&self, id: u32) {
         self.stat("barriers", 1);
-        self.sync.barrier(id);
+        self.shared.sync.barrier(self.ctx.port(), id);
     }
 
     /// Orderly exit.

@@ -130,3 +130,45 @@ fn caps_reflect_the_union_of_engines() {
     assert!(caps[0].word_remote_access, "word engine present");
     assert!(!caps[0].hardware_coherent);
 }
+
+#[test]
+fn both_dsms_drive_the_one_sync_driver_on_one_cluster_without_crossing() {
+    // The software and the hybrid DSM each install the synchronisation
+    // driver on the same cluster; their kind blocks keep the two apart
+    // (the router refuses a kind registered twice). Lock 7 and barrier 1
+    // on one engine are not lock 7 and barrier 1 on the other: a node
+    // holds both locks at once, and the barriers interleave id for id.
+    // Were the managers shared, the nested acquire would queue behind
+    // its own node and the same-id barriers would count each other's
+    // arrivals.
+    use cluster::{Cluster, FabricConfig, LinkKind};
+    use hybriddsm::{HybridConfig, HybridDsm};
+    use swdsm::{DsmConfig, SwDsm};
+
+    let c = Cluster::new(FabricConfig::builder().nodes(4).link(LinkKind::Sci).build());
+    let sw = SwDsm::install(&c, DsmConfig::default());
+    let hy = HybridDsm::install(&c, HybridConfig::default());
+    let (_, results) = c.run(|ctx| {
+        let (s, h) = (sw.node(ctx.clone()), hy.node(ctx));
+        let page = s.alloc(64, Distribution::OnNode(0));
+        let word = h.alloc(64, Distribution::OnNode(1));
+        for _ in 0..5 {
+            s.acquire(7);
+            h.acquire(7);
+            s.write_u64(page, s.read_u64(page) + 1);
+            h.write_u64(word, h.read_u64(word) + 1);
+            h.release(7);
+            s.release(7);
+            s.barrier(1);
+            h.barrier(1);
+        }
+        h.barrier(2);
+        s.barrier(2);
+        (s.read_u64(page), h.read_u64(word))
+    });
+    assert_eq!(results, vec![(20, 20); 4]);
+    for node in 0..4 {
+        assert_eq!(sw.stats(node).get("lock_acquires"), 5, "node {node}");
+        assert_eq!(hy.stats(node).get("lock_acquires"), 5, "node {node}");
+    }
+}

@@ -21,13 +21,11 @@
 //! * Write-only initialization — pathological for page-based software
 //!   DSM — is cheap (the paper's LU observation in Figure 3).
 //!
-//! Synchronization uses SCI messaging through [`sync`], a reusable
-//! manager-based lock/barrier core (also reused by the SMP platform in
-//! `hamster-core`).
+//! Locks and barriers are the cluster's one synchronisation driver,
+//! `cluster::syncproto::driver`, bound to the ordering-only `()`
+//! platform: they ride SCI messaging and carry nothing.
 
 pub mod node;
-pub mod sync;
 
 pub use interconnect::Page;
 pub use node::{HybridConfig, HybridDsm, HybridNode};
-pub use sync::{SyncCore, SyncNode};

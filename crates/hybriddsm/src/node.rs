@@ -1,7 +1,8 @@
 //! The hybrid-DSM engine: software memory management over hardware
 //! remote access.
 
-use crate::sync::{SyncCore, SyncNode};
+use cluster::syncproto::driver::Driver;
+use cluster::syncproto::lock::Mode;
 use cluster::{Cluster, NodeCtx};
 use memwire::{Distribution, GlobalAddr, RegionDir, RegionMeta, RegionStore, PAGE_SIZE};
 use parking_lot::Mutex;
@@ -64,7 +65,7 @@ pub struct HybridDsm {
     machine: MachineCost,
     dir: RegionDir,
     store: Arc<RegionStore>,
-    sync: Arc<SyncCore>,
+    sync: Arc<Driver<()>>,
     stats: Vec<StatSet>,
 }
 
@@ -73,13 +74,15 @@ impl HybridDsm {
     /// handlers). Call once, before [`Cluster::run`].
     pub fn install(cluster: &Cluster, cfg: HybridConfig) -> Arc<HybridDsm> {
         let nodes = cluster.config().nodes;
+        let sync = Driver::new(cluster);
+        sync.register(cluster, Arc::new(()));
         Arc::new(HybridDsm {
             cfg,
             nodes,
             machine: cluster.config().cost.machine,
             dir: RegionDir::new(),
             store: RegionStore::new(),
-            sync: SyncCore::install(cluster),
+            sync,
             stats: (0..nodes).map(|_| StatSet::new(STAT_NAMES)).collect(),
         })
     }
@@ -105,7 +108,6 @@ impl HybridDsm {
         HybridNode {
             dsm: self.clone(),
             rank: ctx.rank(),
-            sync: self.sync.node(&ctx),
             ctx,
             pending_writes: AtomicU64::new(0),
             next_region: Mutex::new(HYBRID_REGION_BASE + 1),
@@ -123,7 +125,6 @@ pub struct HybridNode {
     dsm: Arc<HybridDsm>,
     rank: usize,
     ctx: NodeCtx,
-    sync: SyncNode,
     /// Writes posted to the SAN write buffer since the last flush.
     pending_writes: AtomicU64,
     next_region: Mutex<u32>,
@@ -372,14 +373,14 @@ impl HybridNode {
     /// Acquire global lock `lock`.
     pub fn acquire(&self, lock: u32) {
         self.stat("lock_acquires", 1);
-        self.sync.acquire(lock);
+        self.dsm.sync.acquire(self.ctx.port(), lock, Mode::Excl);
         self.drop_cache();
     }
 
     /// Acquire global lock `lock` in shared (reader) mode.
     pub fn acquire_shared(&self, lock: u32) {
         self.stat("lock_acquires", 1);
-        self.sync.acquire_shared(lock);
+        self.dsm.sync.acquire(self.ctx.port(), lock, Mode::Shared);
         self.drop_cache();
     }
 
@@ -387,19 +388,19 @@ impl HybridNode {
     /// next holder observes them).
     pub fn release(&self, lock: u32) {
         self.flush();
-        self.sync.release(lock);
+        self.dsm.sync.release(self.ctx.port(), lock);
     }
 
     /// Global barrier (flushes posted writes first).
     pub fn barrier(&self, id: u32) {
         self.stat("barriers", 1);
         self.flush();
-        self.sync.barrier(id);
+        self.dsm.sync.barrier(self.ctx.port(), id);
         self.drop_cache();
     }
 
     /// Re-enter the computation after a membership view change (the
-    /// elastic-membership mirror of [`swdsm::DsmNode::rejoin`]). The
+    /// elastic-membership mirror of `swdsm::DsmNode::rejoin`). The
     /// hybrid DSM is write-through with no page cache, so catching up
     /// needs no state transfer: drop the stale remote-read cache, drain
     /// the write buffer, and re-synchronize at `id`. Returns the virtual

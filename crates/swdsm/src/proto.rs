@@ -1,6 +1,5 @@
 //! Wire messages of the software-DSM protocol.
 
-use cluster::syncproto::lock::Mode;
 use cluster::syncproto::Piggyback;
 use interconnect::Page;
 use memwire::{Diff, Interval, PageId};
@@ -74,73 +73,6 @@ impl PutPages {
     /// Wire size of the batch.
     pub fn wire_bytes(&self) -> u64 {
         self.pages.iter().map(|(_, p)| 8 + p.len() as u64).sum::<u64>() + 8
-    }
-}
-
-/// Acquire `lock`. The reply is a `cluster::syncproto::Answer` over the
-/// notices accumulated under the lock: granted now, or queued with a
-/// [`LockGrant`] to be posted later.
-#[derive(Debug, Clone, Copy)]
-pub struct LockReq {
-    /// The lock to acquire.
-    pub lock: u32,
-    /// Shared (reader) or exclusive acquisition.
-    pub mode: Mode,
-    /// Resilient retries only: the requester consumed the loss
-    /// tombstone of a grant posted to it, so if it is the holder the
-    /// manager must re-grant by reply.
-    pub lost_grant: bool,
-}
-
-/// Deferred grant posted to a queued requester.
-pub struct LockGrant {
-    /// The granted lock.
-    pub lock: u32,
-    /// Write notices accumulated under the lock, per writer.
-    pub notices: Vec<(usize, Interval)>,
-}
-
-/// Release `lock`, publishing the releasing interval's notices.
-#[derive(Clone)]
-pub struct LockRel {
-    /// The lock being released.
-    pub lock: u32,
-    /// The releasing node.
-    pub releaser: usize,
-    /// The releaser's interval (its writes in the critical section).
-    pub interval: Interval,
-}
-
-/// Node `who` reached barrier `id` with its interval.
-#[derive(Clone)]
-pub struct BarrierArrive {
-    /// Barrier identifier.
-    pub id: u32,
-    /// The arriving node's epoch for this barrier.
-    pub epoch: u64,
-    /// The arriving node.
-    pub who: usize,
-    /// Its write notices since the last synchronization.
-    pub interval: Interval,
-}
-
-/// Barrier `id` released, with the write notices the receiver must
-/// apply (explicit intervals, or compact digests under
-/// `NoticeWire::Digest`).
-#[derive(Clone)]
-pub struct BarrierRelease {
-    /// Barrier identifier.
-    pub id: u32,
-    /// The released epoch.
-    pub epoch: u64,
-    /// The write notices for the receiver.
-    pub notices: NoticeSet,
-}
-
-impl BarrierRelease {
-    /// Wire size of the release message.
-    pub fn wire_bytes(&self) -> u64 {
-        self.notices.wire_bytes() + 16
     }
 }
 
@@ -347,51 +279,6 @@ impl NoticeDigest {
     }
 }
 
-/// Tree barrier: a child's subtree aggregate, posted to the parent.
-#[derive(Clone)]
-pub struct TreeAgg {
-    /// Barrier identifier.
-    pub id: u32,
-    /// The subtree's epoch for this barrier.
-    pub epoch: u64,
-    /// The child node (the subtree's root).
-    pub child: usize,
-    /// Latest virtual arrival time within the subtree.
-    pub latest_ns: u64,
-    /// Every subtree member's interval, sorted by rank.
-    pub agg: Vec<(usize, Interval)>,
-}
-
-impl TreeAgg {
-    /// Wire size of the aggregate.
-    pub fn wire_bytes(&self) -> u64 {
-        notices_wire_bytes(&self.agg) + 28
-    }
-}
-
-/// Tree barrier: the release wave flowing down to one child — exactly
-/// the notices the receiving subtree has *not* seen (the complement of
-/// its own aggregate), so no notice is ever re-sent into the subtree
-/// that produced it.
-#[derive(Clone)]
-pub struct TreeWave {
-    /// Barrier identifier.
-    pub id: u32,
-    /// The released epoch.
-    pub epoch: u64,
-    /// Virtual release time established at the root.
-    pub release_ns: u64,
-    /// The complement notices for the receiving subtree.
-    pub wave: NoticeSet,
-}
-
-impl TreeWave {
-    /// Wire size of the wave.
-    pub fn wire_bytes(&self) -> u64 {
-        self.wave.wire_bytes() + 24
-    }
-}
-
 /// Token queue: the application asks its own handler to start an
 /// acquisition (kind `TOK_ACQ_LOCAL`).
 #[derive(Debug, Clone, Copy)]
@@ -529,17 +416,14 @@ mod tests {
     }
 
     #[test]
-    fn barrier_release_wire_size() {
-        let rel = BarrierRelease {
-            id: 0,
-            epoch: 1,
-            notices: NoticeSet::Explicit(vec![(
-                0,
-                Interval::from_pages(&[PageId { region: 0, index: 3 }]),
-            )]),
-        };
-        // 16 header + 8 list header + (8 writer id + 16 interval).
-        assert_eq!(rel.wire_bytes(), 16 + 8 + 8 + 16);
+    fn explicit_notice_set_wire_size() {
+        let notices = NoticeSet::Explicit(vec![(
+            0,
+            Interval::from_pages(&[PageId { region: 0, index: 3 }]),
+        )]);
+        // 8 list header + (8 writer id + 16 interval); a central release
+        // adds its 16-byte header, a tree wave its 24.
+        assert_eq!(notices.wire_bytes(), 8 + 8 + 16);
     }
 
     fn pid(i: u32) -> PageId {

@@ -297,12 +297,11 @@ impl HandlerCtx<'_> {
         self.net.nodes()
     }
 
-    /// Whether the fabric runs with a timeout/retry policy installed.
-    /// For protocols whose lossless and resilient forms are different
-    /// choreographies (the tree barriers); an exchange that is one
-    /// rendezvous either way uses [`HandlerCtx::answer_later`] and
-    /// [`HandlerCtx::answer_all`] and does not ask.
-    pub fn resilient(&self) -> bool {
+    /// Whether the fabric runs with a timeout/retry policy installed:
+    /// the one question [`HandlerCtx::answer_later`] and
+    /// [`HandlerCtx::answer_all`] answer for the protocols above, which
+    /// never ask it themselves.
+    pub(crate) fn resilient(&self) -> bool {
         self.net.resilience().is_some()
     }
 

@@ -343,6 +343,13 @@ impl NetShared {
         wire_bytes: u64,
         not_before_ns: u64,
     ) {
+        // The one protocol caller is `HandlerCtx::answer_all`, and it
+        // cannot get here without a park: a manager lists a waiter only
+        // once that waiter's arrival was served on this node, and on a
+        // fabric with a policy that arrival is a request whose handler
+        // returned `answer_later`'s `Outcome::defer`, parked by
+        // `process_envelope` before this node serves anything else. A
+        // retried arrival replaces the park; only a discharge removes it.
         let parked = self
             .deferred
             .lock()
@@ -895,7 +902,10 @@ fn process_envelope(shared: &NetShared, node: NodeId, env: Envelope) {
                 // channel; a later invocation discharges it via
                 // `complete_deferred`. A re-request from the same
                 // node (its first attempt's reply was lost) simply
-                // replaces the abandoned channel.
+                // replaces the abandoned channel. Only requests defer:
+                // `answer_later` defers only on a fabric with a policy,
+                // where `rendezvous` sends the arrival as a request, and
+                // a tree aggregate is a request on every fabric.
                 let tx = reply.unwrap_or_else(|| {
                     panic!("one-way message kind {kind:#x} deferred a reply")
                 });
@@ -920,6 +930,13 @@ fn process_envelope(shared: &NetShared, node: NodeId, env: Envelope) {
                     );
                     send_reply(shared, node, src, kind, tx, Box::new(()), 8, end, deadline_ns);
                 }
+                // Only requests are answered: `answer_later` and
+                // `answer_all` return `Outcome::done` for a post, and the
+                // replays (a barrier's cached release, a tree's resent
+                // wave) answer a retried input — only a fabric with a
+                // policy retries, and there the input is a request
+                // (injected duplicates die at the dedup window, before
+                // any handler).
                 (None, Some(_)) => {
                     panic!("one-way message kind {kind:#x} produced a reply")
                 }
@@ -1225,10 +1242,11 @@ impl NodePort {
         &self.shared.mailboxes[self.node]
     }
 
-    /// The fabric's timeout/retry policy, if one is installed. Protocol
-    /// layers whose lossless and resilient forms are different
-    /// choreographies ask; [`NodePort::send_reliable`] and
-    /// [`NodePort::rendezvous`] cover the ones that are not.
+    /// The fabric's timeout/retry policy, if one is installed. A
+    /// protocol exchange never needs to ask — [`NodePort::send_reliable`]
+    /// and [`NodePort::rendezvous`] carry it either way; what does ask is
+    /// configuration that depends on the fabric kind (the software
+    /// DSM's choice of lock protocol at install time).
     pub fn resilience(&self) -> Option<Resilience> {
         self.shared.resilience
     }

@@ -20,15 +20,12 @@ pub const BARRIER_ARRIVE: u32 = 0x105;
 pub const BARRIER_RELEASE: u32 = 0x106;
 /// Whole-page write-back (ablation mode; request → ack).
 pub const PUT_PAGE: u32 = 0x107;
-/// Tree barrier: a node's own arrival, sent to its *own* handler so all
-/// tree state transitions are handler-serialized (request on resilient
-/// fabrics, one-way post otherwise).
-pub const TREE_UP: u32 = 0x161;
-/// Tree barrier: a child posts its subtree's aggregated intervals to
-/// its parent (one-way).
+/// Tree barrier: a child sends its subtree's aggregated intervals to
+/// its parent (request → the child's release wave).
 pub const TREE_AGG: u32 = 0x162;
-/// Tree barrier: a parent posts the release wave (the complement of the
-/// receiving subtree's intervals) down to a child (one-way).
+/// Tree barrier: the key under which the parent parks an aggregate's
+/// reply — the release wave, the complement of the receiving subtree's
+/// intervals — until its own release point.
 pub const TREE_WAVE: u32 = 0x163;
 /// Lock-token queue: the application starts an acquire by messaging its
 /// *own* handler (serializes the holder slot against in-flight

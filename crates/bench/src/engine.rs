@@ -17,7 +17,7 @@
 //!   control traffic), so a chain of hops stays on the worker that
 //!   started it.
 //! * **Bulk page relay** — tokens carrying a fetch-reply-shaped page
-//!   set (`Vec<(id, Page)>`, [`PAGES_PER_TOKEN`] × 4 KiB — the shape
+//!   set (`Vec<(id, Page)>`, `PAGES_PER_TOKEN` × 4 KiB — the shape
 //!   of `swdsm`'s multi-page `FetchReply`/region writeback). Each hop
 //!   stamps one page (copy-on-write, in place for a uniquely held
 //!   page) and moves the `Arc`s on untouched.

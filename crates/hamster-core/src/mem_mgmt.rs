@@ -2,8 +2,15 @@
 
 use crate::hamster::NodeCore;
 use crate::mixed::EngineHint;
+use crate::monitor::MEM_STAT_NAMES;
 use crate::platform::PlatformCaps;
 use memwire::{Distribution, GlobalAddr};
+use sim::stats::stat_index;
+
+/// Indices of the counters every access bumps (checked at compile time).
+const READS: usize = stat_index(MEM_STAT_NAMES, "reads");
+const WRITES: usize = stat_index(MEM_STAT_NAMES, "writes");
+const BULK_BYTES: usize = stat_index(MEM_STAT_NAMES, "bulk_bytes");
 
 /// Coherence requirement attached to an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -157,9 +164,9 @@ impl MemMgmt<'_> {
     #[inline]
     pub fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
         self.core.charge_service();
-        self.core.stats.mem.add("reads", 1);
+        self.core.stats.mem.at(READS).incr();
         if out.len() > 64 {
-            self.core.stats.mem.add("bulk_bytes", out.len() as u64);
+            self.core.stats.mem.at(BULK_BYTES).add(out.len() as u64);
         }
         self.core.platform.read_bytes(addr, out);
     }
@@ -168,9 +175,9 @@ impl MemMgmt<'_> {
     #[inline]
     pub fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
         self.core.charge_service();
-        self.core.stats.mem.add("writes", 1);
+        self.core.stats.mem.at(WRITES).incr();
         if data.len() > 64 {
-            self.core.stats.mem.add("bulk_bytes", data.len() as u64);
+            self.core.stats.mem.at(BULK_BYTES).add(data.len() as u64);
         }
         self.core.platform.write_bytes(addr, data);
     }
@@ -179,7 +186,7 @@ impl MemMgmt<'_> {
     #[inline]
     pub fn read_u64(&self, addr: GlobalAddr) -> u64 {
         self.core.charge_service();
-        self.core.stats.mem.add("reads", 1);
+        self.core.stats.mem.at(READS).incr();
         self.core.platform.read_u64(addr)
     }
 
@@ -187,7 +194,7 @@ impl MemMgmt<'_> {
     #[inline]
     pub fn write_u64(&self, addr: GlobalAddr, v: u64) {
         self.core.charge_service();
-        self.core.stats.mem.add("writes", 1);
+        self.core.stats.mem.at(WRITES).incr();
         self.core.platform.write_u64(addr, v);
     }
 
@@ -195,7 +202,7 @@ impl MemMgmt<'_> {
     #[inline]
     pub fn read_f64(&self, addr: GlobalAddr) -> f64 {
         self.core.charge_service();
-        self.core.stats.mem.add("reads", 1);
+        self.core.stats.mem.at(READS).incr();
         self.core.platform.read_f64(addr)
     }
 
@@ -203,7 +210,7 @@ impl MemMgmt<'_> {
     #[inline]
     pub fn write_f64(&self, addr: GlobalAddr, v: f64) {
         self.core.charge_service();
-        self.core.stats.mem.add("writes", 1);
+        self.core.stats.mem.at(WRITES).incr();
         self.core.platform.write_f64(addr, v);
     }
 }

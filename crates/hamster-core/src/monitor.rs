@@ -37,6 +37,17 @@ pub struct NetView {
     pub rtt: Sketch,
 }
 
+/// Counter names of each module's set, as declared (hot-path counters
+/// resolve their index in these at compile time, with
+/// [`sim::stats::stat_index`]).
+pub(crate) const MEM_STAT_NAMES: &[&str] =
+    &["allocs", "alloc_bytes", "reads", "writes", "bulk_bytes", "probes"];
+const CONS_STAT_NAMES: &[&str] = &["acquires", "releases", "flushes", "sync_barriers"];
+const SYNC_STAT_NAMES: &[&str] =
+    &["locks", "unlocks", "barriers", "events_set", "events_waited", "atomics"];
+const TASK_STAT_NAMES: &[&str] = &["remote_spawns", "joins", "forwards"];
+const CLUSTER_STAT_NAMES: &[&str] = &["msgs_sent", "msgs_recv", "bytes_sent", "queries"];
+
 /// The five modules' counter sets for one node.
 #[derive(Clone)]
 pub struct ModuleStats {
@@ -59,11 +70,11 @@ impl ModuleStats {
     /// Fresh counters for one node.
     pub fn new() -> Self {
         Self {
-            mem: StatSet::new(&["allocs", "alloc_bytes", "reads", "writes", "bulk_bytes", "probes"]),
-            cons: StatSet::new(&["acquires", "releases", "flushes", "sync_barriers"]),
-            sync: StatSet::new(&["locks", "unlocks", "barriers", "events_set", "events_waited", "atomics"]),
-            task: StatSet::new(&["remote_spawns", "joins", "forwards"]),
-            cluster: StatSet::new(&["msgs_sent", "msgs_recv", "bytes_sent", "queries"]),
+            mem: StatSet::new(MEM_STAT_NAMES),
+            cons: StatSet::new(CONS_STAT_NAMES),
+            sync: StatSet::new(SYNC_STAT_NAMES),
+            task: StatSet::new(TASK_STAT_NAMES),
+            cluster: StatSet::new(CLUSTER_STAT_NAMES),
             net: None,
         }
     }

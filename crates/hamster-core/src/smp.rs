@@ -24,6 +24,12 @@ const ALLOC_BARRIER: u32 = 0x8000_0000;
 pub const STAT_NAMES: &[&str] =
     &["reads", "writes", "bulk_bytes", "lock_acquires", "barriers"];
 
+/// Indices of the counters the access path bumps (checked at compile
+/// time).
+const READS: usize = sim::stats::stat_index(STAT_NAMES, "reads");
+const WRITES: usize = sim::stats::stat_index(STAT_NAMES, "writes");
+const BULK_BYTES: usize = sim::stats::stat_index(STAT_NAMES, "bulk_bytes");
+
 /// Shared state of the SMP platform.
 pub struct SmpShared {
     cpus: usize,
@@ -99,6 +105,13 @@ impl SmpNode {
         self.shared.stats[self.rank].add(name, n);
     }
 
+    /// Bump the access-path counter at `idx` (one of the constants
+    /// above [`SmpNode`]).
+    #[inline]
+    fn count(&self, idx: usize, n: u64) {
+        self.shared.stats[self.rank].at(idx).add(n);
+    }
+
     /// Collective allocation (lockstep contract as on the DSMs). The
     /// distribution annotation is accepted but irrelevant: all memory is
     /// uniformly close (UMA).
@@ -121,14 +134,14 @@ impl SmpNode {
     /// Read `out.len()` bytes at `addr`. Small reads cost a cached
     /// access; bulk reads stream through the shared bus.
     pub fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
-        self.stat("reads", 1);
+        self.count(READS, 1);
         self.charge_traffic(out.len());
         self.shared.store.get(addr.region()).read_bytes(addr.offset() as usize, out);
     }
 
     /// Write `data` at `addr`.
     pub fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
-        self.stat("writes", 1);
+        self.count(WRITES, 1);
         self.charge_traffic(data.len());
         self.shared.store.get(addr.region()).write_bytes(addr.offset() as usize, data);
     }
@@ -137,7 +150,7 @@ impl SmpNode {
         if len <= 64 {
             self.ctx.compute(self.shared.machine.local_access_ns);
         } else {
-            self.stat("bulk_bytes", len as u64);
+            self.count(BULK_BYTES, len as u64);
             let done = self.shared.bus.transfer(self.ctx.clock().now(), len as u64);
             self.ctx.clock().advance_to(done);
         }
@@ -147,7 +160,7 @@ impl SmpNode {
     /// bus (used by applications for their local scratch data, so that
     /// memory-bound kernels contend realistically).
     pub fn private_traffic(&self, bytes: u64) {
-        self.stat("bulk_bytes", bytes);
+        self.count(BULK_BYTES, bytes);
         let done = self.shared.bus.transfer(self.ctx.clock().now(), bytes);
         self.ctx.clock().advance_to(done);
     }

@@ -15,9 +15,18 @@
 //! that perform the same requests produce byte-identical quantiles and
 //! timeseries regardless of thread interleaving — the property the
 //! serve artifact's run-twice `cmp` gate checks.
+//!
+//! A record writes nothing another node writes: each node folds into
+//! its own shard (its `(tenant, op)` sketches and its own series, one
+//! lock per record), created on its first record, and the readers merge
+//! the shards. The same commutativity makes the merge exact — bucket-
+//! and window-wise sums do not care which shard a sample landed in.
 
 use sim::stats::{MetricId, MetricKind, MetricsRow, MetricsSeries, Quantiles, Sketch};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Shard slots: node `n` records into slot `n % SHARDS`.
+const SHARDS: usize = 64;
 
 /// A service request's operation kind, the `op` half of the
 /// `(tenant, op)` latency key.
@@ -46,10 +55,8 @@ impl ServiceOp {
     }
 }
 
-struct Inner {
-    /// `sketches[tenant][op]` — one sketch per `(tenant, op)` pair.
-    sketches: Vec<[Sketch; 2]>,
-    series: MetricsSeries,
+/// The series' metrics, registered in this order by every shard.
+struct Metrics {
     /// Per-tenant completed-ops rate metric.
     ops: Vec<MetricId>,
     /// Requests in flight across all tenants (level gauge).
@@ -59,6 +66,35 @@ struct Inner {
     retries: MetricId,
     /// View fences binned per window (from `fault`/`view_fence`).
     view_fences: MetricId,
+}
+
+impl Metrics {
+    /// A fresh series with every metric registered, and their ids.
+    fn register(tenants: usize, window_ns: u64) -> (MetricsSeries, Metrics) {
+        let series = MetricsSeries::new(window_ns);
+        let ops = (0..tenants)
+            .map(|t| series.register(&format!("tenant{t}_ops"), MetricKind::Rate))
+            .collect();
+        let inflight = series.register("inflight", MetricKind::Level);
+        let retries = series.register("retries", MetricKind::Rate);
+        let view_fences = series.register("view_fences", MetricKind::Rate);
+        (series, Metrics { ops, inflight, retries, view_fences })
+    }
+}
+
+/// One node's fold of its requests.
+struct Shard {
+    /// `sketches[tenant][op]` — one sketch per `(tenant, op)` pair.
+    sketches: Vec<[Sketch; 2]>,
+    series: MetricsSeries,
+}
+
+struct Inner {
+    tenants: usize,
+    window_ns: u64,
+    metrics: Metrics,
+    /// Slot `n % SHARDS` is node `n`'s shard, created on its first record.
+    shards: Box<[OnceLock<Shard>]>,
 }
 
 /// Shared SLO-telemetry handle: per-`(tenant, op)` latency sketches, a
@@ -75,33 +111,51 @@ impl Telemetry {
     /// virtual-time windows.
     pub fn new(tenants: usize, window_ns: u64) -> Self {
         assert!(tenants > 0, "at least one tenant");
-        let series = MetricsSeries::new(window_ns);
-        let ops = (0..tenants)
-            .map(|t| series.register(&format!("tenant{t}_ops"), MetricKind::Rate))
-            .collect();
-        let inflight = series.register("inflight", MetricKind::Level);
-        let retries = series.register("retries", MetricKind::Rate);
-        let view_fences = series.register("view_fences", MetricKind::Rate);
+        let (_, metrics) = Metrics::register(tenants, window_ns);
         Self {
             inner: Arc::new(Inner {
-                sketches: (0..tenants).map(|_| [Sketch::new(), Sketch::new()]).collect(),
-                series,
-                ops,
-                inflight,
-                retries,
-                view_fences,
+                tenants,
+                window_ns,
+                metrics,
+                shards: (0..SHARDS).map(|_| OnceLock::new()).collect(),
             }),
         }
     }
 
     /// Number of tenants.
     pub fn tenants(&self) -> usize {
-        self.inner.sketches.len()
+        self.inner.tenants
     }
 
     /// The timeseries window width in virtual nanoseconds.
     pub fn window_ns(&self) -> u64 {
-        self.inner.series.window_ns()
+        self.inner.window_ns
+    }
+
+    /// `node`'s shard, created on first use.
+    fn shard(&self, node: usize) -> &Shard {
+        let Inner { tenants, window_ns, .. } = *self.inner;
+        self.inner.shards[node % SHARDS].get_or_init(|| Shard {
+            sketches: (0..tenants).map(|_| [Sketch::new(), Sketch::new()]).collect(),
+            series: Metrics::register(tenants, window_ns).0,
+        })
+    }
+
+    /// The shards created so far, in slot order.
+    fn shards(&self) -> impl Iterator<Item = &Shard> {
+        self.inner.shards.iter().filter_map(OnceLock::get)
+    }
+
+    /// Every shard's sketches of `tenant` for `ops`, merged.
+    fn merged(&self, tenant: usize, ops: &[ServiceOp]) -> Sketch {
+        assert!(tenant < self.inner.tenants, "tenant {tenant} out of range");
+        let all = Sketch::new();
+        for shard in self.shards() {
+            for op in ops {
+                all.merge(&shard.sketches[tenant][op.index()]);
+            }
+        }
+        all
     }
 
     /// Record one completed request: latency into the `(tenant, op)`
@@ -119,44 +173,50 @@ impl Telemetry {
         corr: u64,
     ) {
         let dur = end_ns.saturating_sub(start_ns);
-        self.inner.sketches[tenant][op.index()].record(dur);
-        self.inner.series.add(self.inner.ops[tenant], end_ns, 1);
-        self.inner.series.add(self.inner.inflight, start_ns, 1);
-        self.inner.series.add(self.inner.inflight, end_ns, -1);
+        let shard = self.shard(node);
+        shard.sketches[tenant][op.index()].record(dur);
+        let m = &self.inner.metrics;
+        shard.series.add_all(&[
+            (m.ops[tenant], end_ns, 1),
+            (m.inflight, start_ns, 1),
+            (m.inflight, end_ns, -1),
+        ]);
         sim::trace::span_corr(start_ns, dur, node, "kv", op.name(), tenant as u64, corr);
     }
 
     /// Bin one fabric retry (a `fault`/`retry` trace instant) into the
-    /// timeseries at `t_ns`.
+    /// timeseries at `t_ns`. Fabric instants name no requesting node,
+    /// so they bin into shard 0; the merge sums them all the same.
     pub fn add_retry(&self, t_ns: u64) {
-        self.inner.series.add(self.inner.retries, t_ns, 1);
+        self.shard(0).series.add(self.inner.metrics.retries, t_ns, 1);
     }
 
     /// Bin one view fence (a `fault`/`view_fence` trace instant) into
-    /// the timeseries at `t_ns`.
+    /// the timeseries at `t_ns` (shard 0, as [`Telemetry::add_retry`]).
     pub fn add_view_fence(&self, t_ns: u64) {
-        self.inner.series.add(self.inner.view_fences, t_ns, 1);
+        self.shard(0).series.add(self.inner.metrics.view_fences, t_ns, 1);
     }
 
     /// Latency quantiles for one `(tenant, op)` pair.
     pub fn quantiles(&self, tenant: usize, op: ServiceOp) -> Quantiles {
-        self.inner.sketches[tenant][op.index()].quantiles()
+        self.merged(tenant, &[op]).quantiles()
     }
 
     /// Latency quantiles for a tenant across both operations (the
     /// sketches merge bucket-wise, so this equals recording every
     /// sample into one sketch).
     pub fn tenant_quantiles(&self, tenant: usize) -> Quantiles {
-        let all = Sketch::new();
-        all.merge(&self.inner.sketches[tenant][0]);
-        all.merge(&self.inner.sketches[tenant][1]);
-        all.quantiles()
+        self.merged(tenant, &[ServiceOp::Get, ServiceOp::Put]).quantiles()
     }
 
     /// The resolved metrics timeseries: per-tenant ops, inflight,
     /// retries, and view fences per window, in registration order.
     pub fn series_rows(&self) -> Vec<MetricsRow> {
-        self.inner.series.rows()
+        let (all, _) = Metrics::register(self.inner.tenants, self.inner.window_ns);
+        for shard in self.shards() {
+            all.merge(&shard.series);
+        }
+        all.rows()
     }
 }
 
@@ -203,5 +263,68 @@ mod tests {
         let u = t.clone();
         u.record(0, 0, ServiceOp::Get, 0, 10, 0);
         assert_eq!(t.quantiles(0, ServiceOp::Get).count, 1);
+    }
+
+    #[test]
+    fn sharded_records_read_as_one_unsharded_fold() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const TENANTS: usize = 3;
+        const WINDOW: u64 = 1_000;
+        let mut rng = StdRng::seed_from_u64(28);
+        // Nodes past the slot count share a shard; short latencies keep
+        // some rows shorter than others, so the padding is exercised.
+        let mut records: Vec<_> = (0..4_000)
+            .map(|i| {
+                let start = rng.gen_range(0..50_000u64);
+                let op = if rng.gen_range(0..2) == 0 { ServiceOp::Get } else { ServiceOp::Put };
+                let tenant = if i % 7 == 0 { 2 } else { rng.gen_range(0..2) };
+                let node = rng.gen_range(0..2 * SHARDS);
+                (node, tenant, op, start, start + rng.gen_range(0..20_000u64))
+            })
+            .collect();
+        for i in (1..records.len()).rev() {
+            records.swap(i, rng.gen_range(0..i + 1));
+        }
+        let retries: Vec<u64> = (0..50).map(|_| rng.gen_range(0..80_000)).collect();
+
+        // The unsharded fold: one sketch per (tenant, op), one series,
+        // three adds per record.
+        let (series, m) = Metrics::register(TENANTS, WINDOW);
+        let sketches: Vec<[Sketch; 2]> =
+            (0..TENANTS).map(|_| [Sketch::new(), Sketch::new()]).collect();
+        for &(_, tenant, op, start, end) in &records {
+            sketches[tenant][op.index()].record(end - start);
+            series.add(m.ops[tenant], end, 1);
+            series.add(m.inflight, start, 1);
+            series.add(m.inflight, end, -1);
+        }
+        for &t in &retries {
+            series.add(m.retries, t, 1);
+        }
+
+        let tel = Telemetry::new(TENANTS, WINDOW);
+        std::thread::scope(|s| {
+            for part in records.chunks(records.len() / 4) {
+                let tel = &tel;
+                s.spawn(move || {
+                    for (i, &(node, tenant, op, start, end)) in part.iter().enumerate() {
+                        tel.record(node, tenant, op, start, end, i as u64);
+                    }
+                });
+            }
+        });
+        retries.iter().for_each(|&t| tel.add_retry(t));
+
+        for (tenant, pair) in sketches.iter().enumerate() {
+            for op in [ServiceOp::Get, ServiceOp::Put] {
+                assert_eq!(tel.quantiles(tenant, op), pair[op.index()].quantiles());
+            }
+            let all = Sketch::new();
+            pair.iter().for_each(|s| all.merge(s));
+            assert_eq!(tel.tenant_quantiles(tenant), all.quantiles());
+        }
+        let rows = tel.series_rows();
+        assert_eq!(rows, series.rows());
+        assert!(rows.iter().all(|r| r.values.len() == series.windows()));
     }
 }

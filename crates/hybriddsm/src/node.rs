@@ -58,6 +58,14 @@ pub const STAT_NAMES: &[&str] = &[
     "view_changes",
 ];
 
+/// Indices of the counters the access path bumps (checked at compile
+/// time).
+const LOCAL_READS: usize = sim::stats::stat_index(STAT_NAMES, "local_reads");
+const LOCAL_WRITES: usize = sim::stats::stat_index(STAT_NAMES, "local_writes");
+const REMOTE_READS: usize = sim::stats::stat_index(STAT_NAMES, "remote_reads");
+const REMOTE_WRITES: usize = sim::stats::stat_index(STAT_NAMES, "remote_writes");
+const BULK_BYTES: usize = sim::stats::stat_index(STAT_NAMES, "bulk_bytes");
+
 /// Cluster-shared state of the hybrid DSM.
 pub struct HybridDsm {
     cfg: HybridConfig,
@@ -198,6 +206,13 @@ impl HybridNode {
         self.dsm.stats[self.rank].add(name, n);
     }
 
+    /// Bump the access-path counter at `idx` (one of the constants
+    /// above [`HybridNode`]).
+    #[inline]
+    fn count(&self, idx: usize, n: u64) {
+        self.dsm.stats[self.rank].at(idx).add(n);
+    }
+
     /// Emit an SCI transaction span `[t0, now]` into the global trace.
     #[inline]
     fn trace_span(&self, t0: u64, op: &'static str, arg: u64) {
@@ -265,7 +280,7 @@ impl HybridNode {
         let a = &self.dsm.cfg.access;
         let lines = len.div_ceil(64).max(1) as u64;
         if self.is_local(addr) {
-            self.stat("local_reads", 1);
+            self.count(LOCAL_READS, 1);
             self.charge_local(len);
             return;
         }
@@ -276,17 +291,17 @@ impl HybridNode {
             lines
         };
         if missed_lines == 0 {
-            self.stat("local_reads", 1);
+            self.count(LOCAL_READS, 1);
             self.charge_local(len);
         } else if len <= 64 {
-            self.stat("remote_reads", 1);
+            self.count(REMOTE_READS, 1);
             let t0 = self.ctx.clock().now();
             self.ctx.compute(a.remote_read_ns);
             self.trace_span(t0, "sci_read", len as u64);
         } else {
-            self.stat("remote_reads", 1);
+            self.count(REMOTE_READS, 1);
             let missed_bytes = (missed_lines * 64).min(len as u64) as usize;
-            self.stat("bulk_bytes", missed_bytes as u64);
+            self.count(BULK_BYTES, missed_bytes as u64);
             let t0 = self.ctx.clock().now();
             self.ctx.compute(
                 a.bulk_setup_ns
@@ -300,17 +315,17 @@ impl HybridNode {
     fn charge_write(&self, addr: GlobalAddr, len: usize) {
         let a = &self.dsm.cfg.access;
         if self.is_local(addr) {
-            self.stat("local_writes", 1);
+            self.count(LOCAL_WRITES, 1);
             self.charge_local(len);
         } else if len <= 64 {
-            self.stat("remote_writes", 1);
+            self.count(REMOTE_WRITES, 1);
             self.pending_writes.fetch_add(1, Ordering::Relaxed);
             let t0 = self.ctx.clock().now();
             self.ctx.compute(a.remote_write_ns);
             self.trace_span(t0, "sci_write", len as u64);
         } else {
-            self.stat("remote_writes", 1);
-            self.stat("bulk_bytes", len as u64);
+            self.count(REMOTE_WRITES, 1);
+            self.count(BULK_BYTES, len as u64);
             let t0 = self.ctx.clock().now();
             self.ctx.compute(a.bulk_setup_ns + transfer_ns(len, a.bulk_bytes_per_sec));
             self.trace_span(t0, "sci_bulk_write", len as u64);

@@ -591,12 +591,12 @@ fn answer_stranded(env: Envelope) {
 }
 
 /// Indices of the counters bumped on the delivery fast path: those are
-/// an indexed atomic add, not a name scan (checked against
-/// [`NET_STAT_NAMES`] when the fabric is built).
-const STAT_REQUESTS: usize = 0;
-const STAT_POSTS: usize = 1;
-const STAT_BYTES: usize = 2;
-const STAT_DELIVERED: usize = 3;
+/// an indexed atomic add, not a name scan (resolved in
+/// [`NET_STAT_NAMES`] at compile time).
+const STAT_REQUESTS: usize = sim::stats::stat_index(NET_STAT_NAMES, "requests");
+const STAT_POSTS: usize = sim::stats::stat_index(NET_STAT_NAMES, "posts");
+const STAT_BYTES: usize = sim::stats::stat_index(NET_STAT_NAMES, "bytes");
+const STAT_DELIVERED: usize = sim::stats::stat_index(NET_STAT_NAMES, "delivered");
 
 /// Names of the fabric-wide counters (see [`Network::stats`]). The
 /// fault/retry counters stay at zero unless a fault plan is installed.
@@ -697,10 +697,6 @@ impl NetworkBuilder {
 
     /// Start the fabric: spawns the delivery worker pool.
     pub fn build(self) -> Network {
-        debug_assert_eq!(NET_STAT_NAMES[STAT_REQUESTS], "requests");
-        debug_assert_eq!(NET_STAT_NAMES[STAT_POSTS], "posts");
-        debug_assert_eq!(NET_STAT_NAMES[STAT_BYTES], "bytes");
-        debug_assert_eq!(NET_STAT_NAMES[STAT_DELIVERED], "delivered");
         let floor_send = self.cost.send_overhead_ns / 10;
         let floor_recv = self.cost.recv_overhead_ns / 10;
         let send_eff_ns = self.cost.send_overhead_ns.saturating_sub(self.unified_saving_ns).max(floor_send);
@@ -1044,6 +1040,9 @@ fn drive_node(shared: &NetShared, node: NodeId) -> After {
     let nq = &shared.queues[node];
     let retire = || if nq.retire() { After::Reclaimed } else { After::Retired };
     BATCH.with(|batch| {
+        // Cannot fire: the callers are a worker's loop and `drive_inline`,
+        // which only an application thread reaches, after `driving()`
+        // said no drive is open on it; a handler's sends never drive.
         let mut batch = batch
             .try_borrow_mut()
             .expect("drive_node re-entered: sends from handler context must go to the rings");
@@ -1103,6 +1102,8 @@ impl Network {
         );
         let capacity = self.shared.queues.len();
         // One atomic step, so concurrent joins hand out distinct slots.
+        // The panic is the caller's bug, not a fabric state: it chose how
+        // many slots to reserve, and a join past them has no node to run.
         self.shared
             .active
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| (n < capacity).then_some(n + 1))
@@ -1281,6 +1282,9 @@ impl NodePort {
     /// destroyed by fault injection — waiters on a faulty fabric must
     /// use [`NodePort::wait_mailbox_checked`].
     pub fn wait_mailbox(&self, tag: u64) -> Payload {
+        // Only `fail_delivery` deposits a loss tombstone, and only under
+        // a fault or membership plan: a waiter that can run under one
+        // uses the checked form.
         self.wait_mailbox_checked(tag).unwrap_or_else(|e| {
             panic!("node {}: wake-up under tag {tag:#x} lost ({e}) with no resilient waiter", self.node)
         })
@@ -1317,6 +1321,8 @@ impl NodePort {
         value: T,
         wire_bytes: u64,
     ) -> Payload {
+        // Without a fault or membership plan every error left is fatal
+        // (`FabricStopped`, `HandlerFailed`): there is nothing to act on.
         self.try_request(dst, kind, value, wire_bytes)
             .unwrap_or_else(|e| panic!("request kind {kind:#x} to node {dst} failed: {e}"))
     }
@@ -1497,34 +1503,42 @@ impl NodePort {
             );
             pending.push((dst, kind, wire_bytes, rx));
         }
-        let mut out: Vec<Option<Payload>> = pending.iter().map(|_| None).collect();
-        let mut failed: Vec<(usize, RequestError)> = Vec::new();
         let mut latest = self.clock.now();
-        for (i, (dst, _, _, rx)) in pending.iter().enumerate() {
-            match rx.recv() {
+        let first: Vec<Result<Payload, RequestError>> = pending
+            .iter()
+            .map(|(dst, _, _, rx)| match rx.recv() {
                 Ok(ReplyMsg::Ok { payload, wire_bytes, ready_ns }) => {
                     let back = self.shared.wire_arrival(*dst, self.node, ready_ns, wire_bytes);
                     latest = latest.max(back + self.shared.recv_eff_ns);
-                    out[i] = Some(payload);
+                    Ok(payload)
                 }
                 Ok(ReplyMsg::Err { err, ready_ns }) => {
                     latest = latest.max(ready_ns);
                     self.count_error(&err);
-                    failed.push((i, err));
+                    Err(err)
                 }
-                Err(_) => failed.push((i, RequestError::FabricStopped)),
-            }
-        }
+                Err(_) => Err(RequestError::FabricStopped),
+            })
+            .collect();
         self.clock.advance_to(latest);
-        for (i, err) in failed {
-            let Some(res) = resilience else { return Err(err) };
-            let (dst, kind, wire_bytes, _) = pending[i];
-            out[i] = Some(self.retry_loop(res, dst, kind, &kept[i], wire_bytes, err)?);
-        }
+        // Failed entries are retried in request order; the first that
+        // stays failed ends the batch.
+        let out = first
+            .into_iter()
+            .zip(&pending)
+            .enumerate()
+            .map(|(i, (reply, &(dst, kind, wire_bytes, _)))| match reply {
+                Ok(payload) => Ok(payload),
+                Err(err) => match resilience {
+                    Some(res) => self.retry_loop(res, dst, kind, &kept[i], wire_bytes, err),
+                    None => Err(err),
+                },
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         if sim::trace::enabled() && n_msgs > 0 {
             sim::trace::span(t0, self.clock.now() - t0, self.node, "net", "request_batch", n_msgs);
         }
-        Ok(out.into_iter().map(|p| p.expect("every batch entry resolved")).collect())
+        Ok(out)
     }
 
     /// Fire-and-forget message to `dst`. Charges only the send overhead

@@ -36,4 +36,4 @@ pub use diff::Diff;
 pub use marshal::{read_f64s, write_f64s};
 pub use notice::{Interval, WriteNotice};
 pub use page::{CachedPage, PageState, PageTable};
-pub use store::RegionStore;
+pub use store::{RegionRef, RegionStore};

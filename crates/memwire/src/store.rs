@@ -20,8 +20,7 @@
 //! undefined behaviour: every access is a safe atomic operation.
 
 use crate::addr::{GlobalAddr, RegionId};
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use crate::dir::IdTable;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -150,9 +149,36 @@ fn write_partial(word: &AtomicU64, at: usize, src: &[u8]) {
 }
 
 /// All physically shared regions of one experiment run.
+///
+/// Every access looks its region up, so the lookup writes nothing: a
+/// region never moves or resizes once created, and collective ids find
+/// theirs in the same lock-free slot table as [`crate::RegionDir`]
+/// (no lock, no hash, no reference-count bump); only sparse ids take
+/// the locked map and a counted handle.
 #[derive(Default)]
 pub struct RegionStore {
-    regions: RwLock<HashMap<RegionId, Arc<Region>>>,
+    regions: IdTable<Arc<Region>>,
+}
+
+/// A looked-up region: borrowed straight from its slot, or a counted
+/// handle on a sparse one. Dereferences to the [`Region`].
+pub enum RegionRef<'a> {
+    /// The region's slot entry.
+    Slot(&'a Region),
+    /// A region from the sparse map.
+    Sparse(Arc<Region>),
+}
+
+impl std::ops::Deref for RegionRef<'_> {
+    type Target = Region;
+
+    #[inline]
+    fn deref(&self) -> &Region {
+        match self {
+            RegionRef::Slot(r) => r,
+            RegionRef::Sparse(r) => r,
+        }
+    }
 }
 
 impl RegionStore {
@@ -165,23 +191,25 @@ impl RegionStore {
     /// (allocation is globally coordinated, so a duplicate is a bug).
     pub fn create(&self, id: RegionId, size: usize) -> Arc<Region> {
         let region = Arc::new(Region::new(size));
-        let prev = self.regions.write().insert(id, region.clone());
+        let prev = self.regions.insert(id, region.clone());
         assert!(prev.is_none(), "region {id} created twice");
         region
     }
 
     /// Look up a region.
-    pub fn get(&self, id: RegionId) -> Arc<Region> {
-        self.regions
-            .read()
-            .get(&id)
-            .unwrap_or_else(|| panic!("region {id} does not exist"))
-            .clone()
+    #[inline]
+    pub fn get(&self, id: RegionId) -> RegionRef<'_> {
+        match self.regions.slot(id) {
+            Some(region) => RegionRef::Slot(region),
+            None => RegionRef::Sparse(
+                self.regions.sparse(id).unwrap_or_else(|| panic!("region {id} does not exist")),
+            ),
+        }
     }
 
     /// Whether a region exists.
     pub fn exists(&self, id: RegionId) -> bool {
-        self.regions.read().contains_key(&id)
+        self.regions.contains(id)
     }
 
     /// Convenience typed access through a [`GlobalAddr`].
@@ -240,6 +268,20 @@ mod tests {
     #[should_panic(expected = "does not exist")]
     fn missing_region_panics() {
         RegionStore::new().get(99);
+    }
+
+    #[test]
+    fn sparse_regions_resolve_and_stay_unique() {
+        let sparse = crate::dir::SLOTS as RegionId + 4;
+        let s = RegionStore::new();
+        s.create(4, 8).write_u64(0, 4);
+        s.create(sparse, 16).write_u64(8, 5);
+        assert!(matches!(s.get(4), RegionRef::Slot(_)));
+        assert!(matches!(s.get(sparse), RegionRef::Sparse(_)));
+        assert_eq!((s.get(4).read_u64(0), s.get(sparse).read_u64(8)), (4, 5));
+        assert!(s.exists(sparse) && !s.exists(sparse + 1));
+        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.create(sparse, 16)));
+        assert!(again.is_err(), "a sparse id created twice must panic");
     }
 
     #[test]

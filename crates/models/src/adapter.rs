@@ -8,7 +8,13 @@
 //! the figure is comparable across platforms: the same program on SMP,
 //! hybrid DSM, and software DSM must report the same `api_calls`.
 
+use sim::stats::stat_index;
 use sim::StatSet;
+
+/// The adapter's counter names.
+const NAMES: &[&str] = &["api_calls"];
+/// Index of `api_calls`, bumped on every call (checked at compile time).
+const API_CALLS: usize = stat_index(NAMES, "api_calls");
 
 /// Per-binding call counters for one programming-model adapter.
 ///
@@ -32,18 +38,18 @@ impl Default for AdapterStats {
 impl AdapterStats {
     /// Fresh counters (all zero).
     pub fn new() -> Self {
-        Self { set: StatSet::new(&["api_calls"]) }
+        Self { set: StatSet::new(NAMES) }
     }
 
     /// Record one crossing of the adapter's API surface.
     #[inline]
     pub fn count(&self) {
-        self.set.add("api_calls", 1);
+        self.set.at(API_CALLS).incr();
     }
 
     /// Number of API calls recorded so far.
     pub fn api_calls(&self) -> u64 {
-        self.set.get("api_calls")
+        self.set.at(API_CALLS).get()
     }
 
     /// The underlying counter set (for uniform monitoring queries).

@@ -45,10 +45,40 @@ impl Counter {
     }
 }
 
+/// Position of `name` in `names`, for resolving a hot-path counter to
+/// its [`StatSet::at`] index once, at compile time:
+///
+/// ```
+/// const NAMES: &[&str] = &["reads", "writes"];
+/// const WRITES: usize = sim::stats::stat_index(NAMES, "writes");
+/// assert_eq!(WRITES, 1);
+/// ```
+///
+/// Evaluated in a `const`, a name missing from the list fails to
+/// compile instead of panicking in [`StatSet::add`] at run time.
+pub const fn stat_index(names: &[&str], name: &str) -> usize {
+    let mut i = 0;
+    while i < names.len() {
+        let (a, b) = (names[i].as_bytes(), name.as_bytes());
+        let mut same = a.len() == b.len();
+        let mut j = 0;
+        while same && j < a.len() {
+            same = a[j] == b[j];
+            j += 1;
+        }
+        if same {
+            return i;
+        }
+        i += 1;
+    }
+    panic!("counter name not in the declared list")
+}
+
 /// A named set of counters belonging to one module.
 ///
 /// The set is fixed at construction: modules declare their statistics up
-/// front so that lookups on the hot path are an index, not a hash.
+/// front so that lookups on the hot path are an index, not a hash
+/// (resolved at compile time with [`stat_index`]).
 #[derive(Debug, Clone)]
 pub struct StatSet {
     names: Arc<Vec<&'static str>>,
@@ -398,13 +428,45 @@ impl MetricsSeries {
 
     /// Record a delta for `id` at virtual time `t_ns`.
     pub fn add(&self, id: MetricId, t_ns: u64, delta: i64) {
-        let w = (t_ns / self.window_ns) as usize;
+        self.add_all(&[(id, t_ns, delta)]);
+    }
+
+    /// Record several `(metric, t_ns, delta)` events under one lock
+    /// acquisition — the same as one [`MetricsSeries::add`] each.
+    pub fn add_all(&self, events: &[(MetricId, u64, i64)]) {
         let mut m = self.metrics.lock().unwrap();
-        let d = &mut m[id.0].deltas;
-        if d.len() <= w {
-            d.resize(w + 1, 0);
+        for &(id, t_ns, delta) in events {
+            let w = (t_ns / self.window_ns) as usize;
+            let d = &mut m[id.0].deltas;
+            if d.len() <= w {
+                d.resize(w + 1, 0);
+            }
+            d[w] += delta;
         }
-        d[w] += delta;
+    }
+
+    /// Fold another series' deltas into this one, window by window.
+    /// Both must have registered the same metrics in the same order and
+    /// share a window width. Addition commutes, so merged rows equal
+    /// those of one series that saw every event.
+    pub fn merge(&self, other: &MetricsSeries) {
+        assert_eq!(self.window_ns, other.window_ns, "merging series of different windows");
+        assert!(!Arc::ptr_eq(&self.metrics, &other.metrics), "merging a series into itself");
+        let theirs = other.metrics.lock().unwrap();
+        let mut mine = self.metrics.lock().unwrap();
+        assert!(
+            mine.len() == theirs.len()
+                && mine.iter().zip(theirs.iter()).all(|(a, b)| a.name == b.name),
+            "merging series with different metrics"
+        );
+        for (d, o) in mine.iter_mut().zip(theirs.iter()) {
+            if d.deltas.len() < o.deltas.len() {
+                d.deltas.resize(o.deltas.len(), 0);
+            }
+            for (a, b) in d.deltas.iter_mut().zip(&o.deltas) {
+                *a += b;
+            }
+        }
     }
 
     /// Number of windows the series spans (the latest window any
@@ -613,6 +675,41 @@ mod tests {
         m.add(id, 10, 1);
         m.add(id, 950, 2);
         assert_eq!(m.rows()[0].values, vec![1, 0, 0, 0, 0, 0, 0, 0, 0, 5]);
+    }
+
+    #[test]
+    fn metrics_series_batched_adds_and_merge_equal_single_adds() {
+        let series = || {
+            let m = MetricsSeries::new(100);
+            (m.register("ops", MetricKind::Rate), m.register("inflight", MetricKind::Level), m)
+        };
+        let (ops, inflight, one) = series();
+        let (_, _, left) = series();
+        let (_, _, right) = series();
+        let events = [(ops, 950, 1), (inflight, 10, 1), (inflight, 950, -1), (ops, 20, 2)];
+        for &(id, t, d) in &events {
+            one.add(id, t, d);
+        }
+        left.add_all(&events[..1]);
+        right.add_all(&events[1..]);
+        let merged = series().2;
+        merged.merge(&left);
+        merged.merge(&right);
+        assert_eq!(merged.rows(), one.rows());
+        assert_eq!(merged.windows(), 10);
+    }
+
+    #[test]
+    fn stat_index_finds_declared_names() {
+        const NAMES: &[&str] = &["a", "ab", "b"];
+        const AB: usize = stat_index(NAMES, "ab");
+        assert_eq!((stat_index(NAMES, "a"), AB, stat_index(NAMES, "b")), (0, 1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the declared list")]
+    fn stat_index_of_an_undeclared_name_panics() {
+        stat_index(&["a"], "nope");
     }
 
     #[test]

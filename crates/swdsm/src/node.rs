@@ -252,6 +252,10 @@ pub const STAT_NAMES: &[&str] = &[
     "delta_records",
 ];
 
+/// Indices of the counters every access bumps (checked at compile time).
+const READS: usize = sim::stats::stat_index(STAT_NAMES, "reads");
+const WRITES: usize = sim::stats::stat_index(STAT_NAMES, "writes");
+
 impl SwDsm {
     /// Create the DSM over `cluster` and register its protocol handlers
     /// on every node. Call once, before [`Cluster::run`].
@@ -964,7 +968,7 @@ impl DsmNode {
 
     /// Read `out.len()` bytes from global memory at `addr`.
     pub fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
-        self.stat("reads", 1);
+        self.dsm.stats[self.rank].at(READS).incr();
         self.ctx.compute(self.machine().dsm_check_ns);
         self.charge_local_access(out.len());
         let mut done = 0;
@@ -973,15 +977,16 @@ impl DsmNode {
             let page = a.page();
             let off = a.page_offset();
             let chunk = (PAGE_SIZE - off).min(out.len() - done);
-            self.ensure_readable(page);
-            self.copy_from_page(page, off, &mut out[done..done + chunk]);
+            let home = self.is_home(page);
+            self.ensure_readable(page, home);
+            self.copy_from_page(page, home, off, &mut out[done..done + chunk]);
             done += chunk;
         }
     }
 
     /// Write `data` to global memory at `addr`.
     pub fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
-        self.stat("writes", 1);
+        self.dsm.stats[self.rank].at(WRITES).incr();
         self.ctx.compute(self.machine().dsm_check_ns);
         self.charge_local_access(data.len());
         let mut done = 0;
@@ -990,8 +995,9 @@ impl DsmNode {
             let page = a.page();
             let off = a.page_offset();
             let chunk = (PAGE_SIZE - off).min(data.len() - done);
-            self.ensure_writable(page, off);
-            self.copy_to_page(page, off, &data[done..done + chunk]);
+            let home = self.is_home(page);
+            self.ensure_writable(page, home, off);
+            self.copy_to_page(page, home, off, &data[done..done + chunk]);
             done += chunk;
         }
     }
@@ -1034,8 +1040,8 @@ impl DsmNode {
         self.dsm.home_of(page) == self.rank
     }
 
-    fn copy_from_page(&self, page: PageId, off: usize, out: &mut [u8]) {
-        if self.is_home(page) {
+    fn copy_from_page(&self, page: PageId, home: bool, off: usize, out: &mut [u8]) {
+        if home {
             self.dsm.homes[self.rank].lock().read(page, off, out);
         } else {
             let table = self.table.lock();
@@ -1044,8 +1050,8 @@ impl DsmNode {
         }
     }
 
-    fn copy_to_page(&self, page: PageId, off: usize, data: &[u8]) {
-        if self.is_home(page) {
+    fn copy_to_page(&self, page: PageId, home: bool, off: usize, data: &[u8]) {
+        if home {
             self.dsm.homes[self.rank].lock().write(page, off, data);
         } else {
             let mut table = self.table.lock();
@@ -1055,8 +1061,9 @@ impl DsmNode {
     }
 
     /// Make `page` locally readable, fetching from its home on a miss.
-    fn ensure_readable(&self, page: PageId) {
-        if self.is_home(page) {
+    /// `home` is [`DsmNode::is_home`] of `page`, decided once per access.
+    fn ensure_readable(&self, page: PageId, home: bool) {
+        if home {
             return;
         }
         if self.table.lock().get(page).is_some() {
@@ -1069,9 +1076,10 @@ impl DsmNode {
     /// `off` is the in-page byte offset of the triggering write; the
     /// first write per interval is traced with `corr = off + 1` so the
     /// sharing analyzer can tell true sharing (same offset from several
-    /// nodes) from false sharing (distinct offsets on one page).
-    fn ensure_writable(&self, page: PageId, off: usize) {
-        if self.is_home(page) {
+    /// nodes) from false sharing (distinct offsets on one page). `home`
+    /// as for [`DsmNode::ensure_readable`].
+    fn ensure_writable(&self, page: PageId, home: bool, off: usize) {
+        if home {
             if self.local_mods.lock().insert(page) {
                 sim::trace::instant_corr(
                     self.ctx.clock().now(),

@@ -274,6 +274,43 @@ fn stats_reflect_protocol_activity() {
 }
 
 #[test]
+fn access_straddling_a_home_and_a_cached_page_counts_once_per_access() {
+    // Cyclic homes: page 0 on node 0, page 1 on node 1. Node 0 caches
+    // page 1, then writes and reads 16 bytes across the boundary: each
+    // access is one read or write, and only the cached half traps and
+    // twins (once), whichever half the access starts in.
+    const COUNTED: [&str; 5] = ["reads", "writes", "traps", "twins", "getpages"];
+    let (c, dsm) = cluster(2);
+    let (_, results) = c.run(|ctx| {
+        let node = dsm.node(ctx);
+        let a = node.alloc(2 * 4096, Distribution::Cyclic);
+        node.barrier(1);
+        let mut counts = Vec::new();
+        let mut back = [0u8; 16];
+        if node.rank() == 0 {
+            let snap = || {
+                let s = dsm.stats(0).snapshot();
+                COUNTED.map(|name| s[name])
+            };
+            node.read_u64(a.add(4096));
+            counts.push(snap());
+            node.write_bytes(a.add(4088), &[7; 16]);
+            counts.push(snap());
+            node.read_bytes(a.add(4088), &mut back);
+            counts.push(snap());
+        }
+        node.barrier(2);
+        let mut seen = [0u8; 16];
+        node.read_bytes(a.add(4088), &mut seen);
+        (counts, back, seen)
+    });
+    // reads, writes, traps, twins, getpages after each access.
+    assert_eq!(results[0].0, vec![[1, 0, 1, 0, 1], [1, 1, 2, 1, 1], [2, 1, 2, 1, 1]]);
+    assert_eq!(results[0].1, [7; 16]);
+    assert!(results.iter().all(|r| r.2 == [7; 16]), "the write reaches both homes");
+}
+
+#[test]
 fn queued_locks_serialize_in_virtual_time() {
     let (c, dsm) = cluster(4);
     let (_, times) = c.run(|ctx| {

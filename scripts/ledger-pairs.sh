@@ -2,7 +2,7 @@
 # Alternated parent/change pairs of one ledger workload, judged by the
 # rule every perf PR since 14 applied by hand (choosing-metrics §8):
 #
-#   scripts/ledger-pairs.sh <parent-checkout> <workload> <pairs> [ledger options]
+#   scripts/ledger-pairs.sh <parent-checkout> <workload>|all <pairs> [ledger options]
 #
 # Builds `ledger/` of <parent-checkout> and of this checkout, each into
 # its own target directory, and puts each tree's `ledger/Cargo.lock`
@@ -16,12 +16,14 @@
 # that bound (unless every change run beats every parent run), otherwise
 # `holds`. Trailing options go to the ledger verbatim (`--seed 43`,
 # `--seconds 10`, `--traced`; per-layer metrics get medians, no verdict).
+# `all` runs every workload of BENCHMARK.json in turn, <pairs> pairs
+# each, and prints one table per workload.
 #
 # Works in the current directory: target directories and scratch under
 # `ledger-pairs-target/`, rows appended to `ledger-pairs.json` in the
 # shape of `bench-baselines/ledger-pr18.json`. Needs python3.
 set -eu
-usage="usage: scripts/ledger-pairs.sh <parent-checkout> <workload> <pairs> [ledger options]"
+usage="usage: scripts/ledger-pairs.sh <parent-checkout> <workload>|all <pairs> [ledger options]"
 parent=$(cd "${1:?$usage}" && pwd)
 workload=${2:?$usage}
 pairs=${3:?$usage}
@@ -41,19 +43,27 @@ build() { # <side> <tree>
 build parent "$parent"
 build change "$change"
 
-rm -f "$work/run/order"
-for i in $(seq 1 "$pairs"); do
-    if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
-    for side in $order; do
-        echo "pair $i/$pairs: $side" >&2
-        # stdout's last line is the result, stderr's first the host.
-        (cd "$work/run" && "$work/$side/release/ledger" --workload "$workload" "$@") \
-            >"$work/run/$side.$i.out" 2>"$work/run/$side.$i.err"
-        echo "$side $i" >>"$work/run/order"
-    done
-done
+if [ "$workload" = all ]; then
+    workloads=$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$change/BENCHMARK.json")
+else
+    workloads=$workload
+fi
 
-python3 - "$work/run" "$workload" "$change/BENCHMARK.json" "$PWD/ledger-pairs.json" "$@" <<'EOF'
+for workload in $workloads; do
+    rm -f "$work/run/order"
+    for i in $(seq 1 "$pairs"); do
+        if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            echo "$workload pair $i/$pairs: $side" >&2
+            # stdout's last line is the result, stderr's first the host.
+            (cd "$work/run" && "$work/$side/release/ledger" --workload "$workload" "$@") \
+                >"$work/run/$side.$i.out" 2>"$work/run/$side.$i.err"
+            echo "$side $i" >>"$work/run/order"
+        done
+    done
+
+    python3 - "$work/run" "$workload" "$change/BENCHMARK.json" "$PWD/ledger-pairs.json" "$@" <<'EOF'
 import json, os, statistics, sys
 
 run, workload, benchmark, rows_path, *opts = sys.argv[1:]
@@ -99,3 +109,4 @@ for name in runs["parent"][0]["metrics"]:
         line += f"  wins {wins}/{len(p)}  {verdict}"
     print(line)
 EOF
+done

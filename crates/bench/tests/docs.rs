@@ -79,18 +79,45 @@ fn the_ci_matrix_is_the_artifact_table() {
     assert_eq!(jobs, ["  push:", "  pull_request:", "  test:", "  artifacts:", "  ledger:"]);
 }
 
-/// The `| a | b | … |` rows under `heading` (header and rule skipped),
-/// up to the next heading.
+/// The `| a | b | … |` rows of the first table after `heading` (header
+/// and rule skipped).
 fn table_under(doc: &str, heading: &str) -> Vec<Vec<String>> {
     let section = &doc[doc.find(heading).unwrap_or_else(|| panic!("no {heading:?}"))..];
     section
         .lines()
         .skip(1)
-        .take_while(|l| !l.starts_with("## "))
-        .filter(|l| l.starts_with('|'))
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
         .skip(2)
         .map(|l| l.trim_matches('|').split('|').map(|c| c.trim().to_string()).collect())
         .collect()
+}
+
+#[test]
+fn design_kind_table_matches_the_platforms() {
+    use cluster::syncproto::driver::Platform;
+    let names = [
+        "lock_req",
+        "lock_rel",
+        "lock_grant",
+        "bar_arrive",
+        "bar_release",
+        "tree_agg",
+        "tree_wave",
+        "tok_acq_local",
+        "tok_acq",
+        "tok_pass",
+        "tok_set_succ",
+        "tok_rel",
+        "tok_return",
+        "tok_claim",
+    ];
+    let (sw, hw) = (<swdsm::SwDsm as Platform>::KINDS.all(), <() as Platform>::KINDS.all());
+    let hex = |kind: u32| format!("`0x{kind:X}`");
+    let code: Vec<Vec<String>> =
+        (0..names.len()).map(|i| vec![format!("`{}`", names[i]), hex(sw[i]), hex(hw[i])]).collect();
+    let documented = table_under(&repo_file("DESIGN.md"), "**Message kinds.**");
+    assert_eq!(documented, code, "DESIGN.md §2.6 kind table vs the platforms' `Platform::KINDS`");
 }
 
 #[test]

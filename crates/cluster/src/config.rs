@@ -35,8 +35,6 @@ impl FromStr for LinkKind {
 pub struct FabricConfig {
     /// Number of cluster nodes.
     pub nodes: usize,
-    /// CPUs per node (the testbed nodes are dual-processor).
-    pub cpus_per_node: usize,
     /// The interconnect carrying protocol traffic.
     pub link: LinkKind,
     /// Machine and network constants.
@@ -75,7 +73,6 @@ impl FabricConfig {
         assert!(nodes > 0, "cluster needs at least one node");
         Self {
             nodes,
-            cpus_per_node: 2,
             link,
             cost: CostModel::paper_testbed(),
             unified_messaging: false,
@@ -148,12 +145,6 @@ impl FabricConfigBuilder {
     /// The interconnect carrying protocol traffic (default Ethernet).
     pub fn link(mut self, link: LinkKind) -> Self {
         self.cfg.link = link;
-        self
-    }
-
-    /// CPUs per node (default 2, the dual-processor testbed nodes).
-    pub fn cpus_per_node(mut self, cpus: usize) -> Self {
-        self.cfg.cpus_per_node = cpus;
         self
     }
 
@@ -357,7 +348,6 @@ mod tests {
         let built = FabricConfig::builder().nodes(4).link(LinkKind::Sci).build();
         let direct = FabricConfig::new(4, LinkKind::Sci);
         assert_eq!(built.nodes, direct.nodes);
-        assert_eq!(built.cpus_per_node, direct.cpus_per_node);
         assert_eq!(built.link, direct.link);
         assert_eq!(built.unified_messaging, direct.unified_messaging);
         assert_eq!(built.engine, direct.engine);
@@ -375,14 +365,12 @@ mod tests {
         let cfg = FabricConfig::builder()
             .nodes(8)
             .link(LinkKind::Ethernet)
-            .cpus_per_node(1)
             .unified_messaging(true)
             .chaos(plan)
             .resilience(Resilience { timeout_ns: 2_000_000, ..Resilience::default() })
             .engine(EngineMode { workers: 3 })
             .build();
         assert_eq!(cfg.nodes, 8);
-        assert_eq!(cfg.cpus_per_node, 1);
         assert!(cfg.unified_messaging);
         assert_eq!(cfg.faults.as_ref().unwrap().seed, 7);
         assert_eq!(cfg.faults.as_ref().unwrap().default_link.drop_ppm, 1_000);

@@ -2,6 +2,9 @@
 
 use crate::config::FabricConfig;
 
+/// CPUs on every node: the testbed's nodes are dual-processor.
+const CPUS_PER_NODE: usize = 2;
+
 /// Static description of one node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeInfo {
@@ -9,7 +12,7 @@ pub struct NodeInfo {
     pub rank: usize,
     /// Host name, `nodeNN` by convention.
     pub name: String,
-    /// CPUs on the node.
+    /// CPUs on the node (two, as on the testbed).
     pub cpus: usize,
     /// Main memory in bytes (the testbed's 512 MB).
     pub memory_bytes: u64,
@@ -28,7 +31,7 @@ impl Registry {
             .map(|rank| NodeInfo {
                 rank,
                 name: format!("node{rank:02}"),
-                cpus: cfg.cpus_per_node,
+                cpus: CPUS_PER_NODE,
                 memory_bytes: 512 << 20,
             })
             .collect();

@@ -1,20 +1,25 @@
 //! The one fabric driver of the synchronisation machines.
 //!
 //! Every platform's locks and barriers run through [`Driver`]: it owns
-//! the central lock and barrier managers, the tree barrier, the per-node
-//! barrier epochs and the lock-acquire histogram, registers the six
-//! handlers that drive them, and carries out the requester's half on
-//! the application thread. What differs between platforms is the
-//! [`Platform`] parameter, resolved at compile time: the message kinds,
-//! the wire size of each message shape, the trace module name, and the
-//! side effects only the software DSM has (protocol counters, home
-//! migration at the quiescent point, clearing lock notices a barrier
-//! made redundant, placed lock managers). Each of those has a default
-//! that does nothing, so the ordering-only `()` platform of the hybrid
-//! DSM and SMP is a few lines. No line here asks which platform it
-//! serves.
+//! the lock managers (the central manager and the MCS token queue), the
+//! central barrier manager, the tree barrier, the per-node barrier
+//! epochs and the lock-acquire histogram, registers the thirteen
+//! handlers that drive them, carries out the requester's half on the
+//! application thread, and clears the lock notices a barrier made
+//! redundant. What differs between platforms is the [`Platform`]
+//! parameter, resolved at compile time: the message kinds, the wire
+//! size of each message shape, the trace module name, and the side
+//! effects only the software DSM has (protocol counters, home migration
+//! at the quiescent point, placed lock managers). Each of those has a
+//! default that does nothing, so the ordering-only `()` platform of the
+//! hybrid DSM and SMP is a few lines. No line here asks which platform
+//! it serves.
 //!
-//! Nothing here asks which fabric it is on either. A lock release and a
+//! One question is asked of the fabric, once, in [`Driver::new`]: the
+//! lock protocol. The token queue cannot re-issue a lost token, so it
+//! serves [`LockTopology::TokenQueue`] only on a fabric with no
+//! resilience policy; everywhere else the central manager serves every
+//! lock. Nothing else asks which fabric it is on. A lock release and a
 //! central-barrier arrival are one rendezvous on every fabric and leave
 //! the transport to `interconnect` (`send_reliable`, `rendezvous`,
 //! `answer_later`, `answer_all`). The tree barrier is one choreography,
@@ -23,9 +28,9 @@
 //! release wave, so every edge heals where the fabric retries.
 
 use super::barrier::{BarrierMgr, BarrierStep, TreeBarrier, TreeStep};
-use super::lock::{Acquire, LockMgr, Mode};
+use super::lock::{Acquire, LockMgr, Mode, TokHolderStep, TokMgrStep};
 use super::{acquire_resilient, grant_corr, Answer, Notices, Parked, Piggyback};
-use crate::{BarrierTopology, Cluster, NoticeWire};
+use crate::{BarrierTopology, Cluster, LockTopology, NoticeWire};
 use interconnect::{
     downcast, mailbox, HandlerCtx, Mailbox, NodeId, NodePort, Outcome, Payload, RequestError,
 };
@@ -61,6 +66,50 @@ pub struct Kinds {
     /// Tree barrier: the key under which a parent parks an aggregate's
     /// reply, which is the child's release wave.
     pub tree_wave: u32,
+    /// Token queue: the application starts an acquire at its own
+    /// handler, which owns the node's holder slot.
+    pub tok_acq_local: u32,
+    /// Token queue: enqueue at the lock's manager (one-way).
+    pub tok_acq: u32,
+    /// Token queue: the token and its notices pass to the next holder,
+    /// from the previous holder or from the manager; lands under the
+    /// `lock_grant` tag.
+    pub tok_pass: u32,
+    /// Token queue: the manager names the new tail the successor of
+    /// the previous one (one-way to the previous tail).
+    pub tok_set_succ: u32,
+    /// Token queue: the application releases at its own handler; also
+    /// the mailbox tag the releaser waits under until the token is
+    /// forwarded or parked.
+    pub tok_rel: u32,
+    /// Token queue: a holder with no successor known returns the token
+    /// to the manager (one-way).
+    pub tok_return: u32,
+    /// Token queue: a node told of a successor for a tenure it already
+    /// ended has the manager route the token on (one-way).
+    pub tok_claim: u32,
+}
+
+impl Kinds {
+    /// Every kind of the block, in field order.
+    pub fn all(&self) -> [u32; 14] {
+        [
+            self.lock_req,
+            self.lock_rel,
+            self.lock_grant,
+            self.bar_arrive,
+            self.bar_release,
+            self.tree_agg,
+            self.tree_wave,
+            self.tok_acq_local,
+            self.tok_acq,
+            self.tok_pass,
+            self.tok_set_succ,
+            self.tok_rel,
+            self.tok_return,
+            self.tok_claim,
+        ]
+    }
 }
 
 /// What differs between the platforms that drive the synchronisation
@@ -89,7 +138,8 @@ pub trait Platform: Send + Sync + 'static {
         0
     }
 
-    /// Wire size of a lock grant, by reply or by post.
+    /// Wire size of a lock grant, by reply or by post; a token pass adds
+    /// 8 bytes to it, a token return 24.
     fn grant_bytes(_notices: &Notices<Self::Wave>) -> u64 {
         8
     }
@@ -111,23 +161,22 @@ pub trait Platform: Send + Sync + 'static {
 
     // ---- side effects; the defaults do nothing ----
 
-    /// One barrier message carrying `records` notice records left
-    /// `node` for `dst`.
+    /// One barrier or token-queue message carrying `records` notice
+    /// records left `node` for `dst`.
     fn count_sync(&self, _node: NodeId, _dst: NodeId, _records: u64) {}
 
     /// `node` sent one tree release wave.
     fn tree_waves(&self, _node: NodeId) {}
 
-    /// `node`'s first acquire request was queued.
+    /// `node`'s acquire was queued: its first request answered
+    /// `Queued`, or its token chained behind a tail.
     fn lock_queued(&self, _node: NodeId) {}
+
+    /// `node` passed a lock token straight to its successor.
+    fn token_forwards(&self, _node: NodeId) {}
 
     /// `node` re-requested a lock whose posted grant was lost.
     fn retries(&self, _node: NodeId) {}
-
-    /// Barrier `id` released `epoch` at `node`: called at each
-    /// participant's central release, and for every node at once at the
-    /// tree root's quiescent point.
-    fn note_release(&self, _node: NodeId, _id: u32, _epoch: u64) {}
 
     /// Every node is blocked in a barrier that is about to release: the
     /// quiescent point. Returns how many directory entries (16 bytes
@@ -153,6 +202,13 @@ impl Platform for () {
         bar_release: 0x204,
         tree_agg: 0x206,
         tree_wave: 0x207,
+        tok_acq_local: 0x208,
+        tok_acq: 0x209,
+        tok_pass: 0x20A,
+        tok_set_succ: 0x20B,
+        tok_rel: 0x20C,
+        tok_return: 0x20D,
+        tok_claim: 0x20E,
     };
     const MODULE: &'static str = "hybriddsm";
 }
@@ -167,12 +223,12 @@ struct LockReq {
 }
 
 /// A lock grant posted to a queued requester, as it lands in the
-/// requester's mailbox under `tag(lock_grant, lock)`.
-pub struct LockGrant<W: Piggyback> {
-    /// The granted lock.
-    pub lock: u32,
+/// requester's mailbox under `tag(lock_grant, lock)`; also the token
+/// queue's pass.
+struct LockGrant<W: Piggyback> {
+    lock: u32,
     /// The notices accumulated under the lock, per writer.
-    pub notices: Notices<W>,
+    notices: Notices<W>,
 }
 
 /// `releaser` releases `lock`, publishing its critical section; `seq`
@@ -230,6 +286,43 @@ struct TreeWave<W> {
     wave: W,
 }
 
+/// Token queue: enqueue `who`, in its tenure `seq`, at `lock`'s manager.
+struct TokAcq {
+    lock: u32,
+    who: NodeId,
+    seq: u64,
+}
+
+/// Token queue: `succ` follows the receiver's tenure `for_seq` of
+/// `lock`.
+struct TokSucc {
+    lock: u32,
+    succ: NodeId,
+    for_seq: u64,
+}
+
+/// Token queue: the manager must route `lock`'s token to `succ`.
+struct TokClaim {
+    lock: u32,
+    succ: NodeId,
+}
+
+/// Token queue: the application releases `lock`, publishing its
+/// critical section into the token.
+struct TokRel<P> {
+    lock: u32,
+    publication: P,
+}
+
+/// Token queue: `who` returns `lock`'s token, ending its tenure `seq`
+/// with no successor known.
+struct TokReturn<W: Piggyback> {
+    lock: u32,
+    who: NodeId,
+    seq: u64,
+    notices: Notices<W>,
+}
+
 /// A handler body: the driver, the platform, and the message.
 type Handle<P> = fn(&Driver<P>, &P, &HandlerCtx<'_>, NodeId, Payload) -> Outcome;
 
@@ -239,6 +332,10 @@ type Handle<P> = fn(&Driver<P>, &P, &HandlerCtx<'_>, NodeId, Payload) -> Outcome
 pub struct Driver<P: Platform> {
     nodes: usize,
     barrier: BarrierTopology,
+    /// Locks ride the MCS token queue: `LockTopology::TokenQueue` on a
+    /// fabric that loses nothing. Everywhere else the central manager
+    /// serves them (see [`Driver::new`]).
+    token_locks: bool,
     /// `Some(max_runs)` when release waves travel as digests.
     digest_runs: Option<usize>,
     mailboxes: Vec<Arc<Mailbox>>,
@@ -247,6 +344,10 @@ pub struct Driver<P: Platform> {
     trees: Vec<Mutex<TreeBarrier<P::Wave>>>,
     /// Per node: barrier id → last committed epoch.
     epochs: Vec<Mutex<HashMap<u32, u64>>>,
+    /// Per node: barrier id → highest released epoch whose lock-notice
+    /// clear already ran, so a replayed release does not wipe notices
+    /// that accumulated after the original.
+    cleared: Vec<Mutex<HashMap<u32, u64>>>,
     /// Per node: its lock releases, sent and taken.
     releases: Vec<Releases>,
     /// Lock-acquire latency (virtual ns from request to grant applied),
@@ -256,10 +357,8 @@ pub struct Driver<P: Platform> {
 
 impl<P: Platform> Driver<P> {
     /// Synchronisation state for `cluster`, shaped by its
-    /// [`crate::SyncTopology`]: the barrier topology and whether waves
-    /// travel as digests. Locks are always served by the central
-    /// manager here; the software DSM's token queue reaches the same
-    /// [`LockMgr`]s through [`Driver::lock_mgr`].
+    /// [`crate::SyncTopology`]: the barrier topology, the lock protocol
+    /// and whether waves travel as digests.
     pub fn new(cluster: &Cluster) -> Arc<Self> {
         let nodes = cluster.config().nodes;
         let sync = cluster.config().sync;
@@ -271,9 +370,17 @@ impl<P: Platform> Driver<P> {
             NoticeWire::Explicit => None,
             NoticeWire::Digest { max_runs } => Some(max_runs),
         };
+        // One lock protocol per fabric kind, decided here once: the MCS
+        // queue cannot re-issue a lost token (see `syncproto::lock`), so
+        // it serves `TokenQueue` only where nothing is lost; on a
+        // resilient fabric the central manager serves every lock —
+        // requested mode, causal floors, idempotent answers to retries
+        // and all.
+        let resilient = cluster.node_ctx(0).port().resilience().is_some();
         Arc::new(Driver {
             nodes,
             barrier: sync.barrier,
+            token_locks: sync.locks == LockTopology::TokenQueue && !resilient,
             digest_runs,
             mailboxes: (0..nodes).map(|n| cluster.network().mailbox(n)).collect(),
             locks: (0..nodes).map(|_| Mutex::new(LockMgr::new())).collect(),
@@ -282,22 +389,31 @@ impl<P: Platform> Driver<P> {
                 .map(|me| Mutex::new(TreeBarrier::new(me, nodes, fanout, digest_runs)))
                 .collect(),
             epochs: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
+            cleared: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
             releases: (0..nodes).map(|_| Releases::default()).collect(),
             lock_hist: Sketch::new(),
         })
     }
 
-    /// Register the platform's lock, barrier and tree handlers on every
-    /// node of `cluster`. Call once, before [`Cluster::run`].
+    /// Register the platform's lock, token-queue, barrier and tree
+    /// handlers on every node of `cluster`. Call once, before
+    /// [`Cluster::run`].
     pub fn register(self: &Arc<Self>, cluster: &Cluster, platform: Arc<P>) {
         let k = P::KINDS;
-        let handlers: [(u32, Handle<P>); 6] = [
+        let handlers: [(u32, Handle<P>); 13] = [
             (k.lock_req, Self::on_lock_req),
             (k.lock_rel, Self::on_lock_rel),
             (k.lock_grant, Self::on_lock_grant),
             (k.bar_arrive, Self::on_bar_arrive),
             (k.bar_release, Self::on_bar_release),
             (k.tree_agg, Self::on_tree_agg),
+            (k.tok_acq_local, Self::on_tok_acq_local),
+            (k.tok_acq, Self::on_tok_acq),
+            (k.tok_pass, Self::on_tok_pass),
+            (k.tok_set_succ, Self::on_tok_set_succ),
+            (k.tok_rel, Self::on_tok_rel),
+            (k.tok_return, Self::on_tok_return),
+            (k.tok_claim, Self::on_tok_claim),
         ];
         for (kind, handle) in handlers {
             cluster.network().register_all(kind, |_node| {
@@ -305,12 +421,6 @@ impl<P: Platform> Driver<P> {
                 move |ctx: &HandlerCtx<'_>, src, msg| handle(&sync, &p, ctx, src, msg)
             });
         }
-    }
-
-    /// Node `node`'s lock managers, for protocols that drive them
-    /// beyond the central manager (the software DSM's token queue).
-    pub fn lock_mgr(&self, node: NodeId) -> &Mutex<LockMgr<P::Wave>> {
-        &self.locks[node]
     }
 
     /// Lock-acquire latency histogram (shared storage: the returned
@@ -321,13 +431,16 @@ impl<P: Platform> Driver<P> {
 
     // ---- the application's half ----------------------------------------
 
-    /// Acquire `lock` in `mode` from its manager and return the notices
-    /// the grant carries: one `lock_req` round (retried by the fabric
-    /// where it has a policy to) answered granted, or queued — then park
-    /// on the grant tag, where a grant destroyed in flight leaves a
-    /// loss tombstone and the next round says so (see
+    /// Acquire `lock` in `mode` and return the notices the grant
+    /// carries. From the central manager: one `lock_req` round (retried
+    /// by the fabric where it has a policy to) answered granted, or
+    /// queued — then park on the grant tag, where a grant destroyed in
+    /// flight leaves a loss tombstone and the next round says so (see
     /// [`acquire_resilient`]; a fabric that loses nothing never gets
-    /// past round 1). Close the acquisition with [`Driver::acquired`].
+    /// past round 1). From the token queue, where shared mode serialises
+    /// as exclusive: kick this node's own handler, which enqueues at the
+    /// manager, and park on the grant tag until the token arrives. Close
+    /// the acquisition with [`Driver::acquired`].
     pub fn try_acquire(
         &self,
         p: &P,
@@ -336,8 +449,14 @@ impl<P: Platform> Driver<P> {
         mode: Mode,
     ) -> Result<Notices<P::Wave>, RequestError> {
         let me = port.node();
-        let mgr = p.lock_mgr_of(lock, self.nodes);
         let tag = mailbox::tag(P::KINDS.lock_grant, lock);
+        if self.token_locks {
+            port.post_parking(me, P::KINDS.tok_acq_local, lock, 8);
+            let grant = downcast::<LockGrant<P::Wave>>(port.wait_mailbox(tag));
+            assert_eq!(grant.lock, lock);
+            return Ok(grant.notices);
+        }
+        let mgr = p.lock_mgr_of(lock, self.nodes);
         acquire_resilient(
             format_args!("{} node {me}: lock {lock}", P::MODULE),
             |round, lost_grant| {
@@ -374,8 +493,13 @@ impl<P: Platform> Driver<P> {
         sim::trace::span_corr(t0, dur, port.node(), P::MODULE, "lock_acquire", lock as u64, corr);
     }
 
-    /// Release `lock`, publishing `publication`. A lost release would
-    /// strand the waiters, so it goes by [`NodePort::send_reliable`].
+    /// Release `lock`, publishing `publication`, and trace the release
+    /// instant; it carries [`grant_corr`] of `(releaser, lock)` — the
+    /// encoding the grant instants use — so release → next grant chains
+    /// join up. To the central manager a lost release would strand the
+    /// waiters, so it goes by [`NodePort::send_reliable`]. On the token
+    /// queue this node's own handler merges the publication into the
+    /// token and forwards or returns it: a one-way post in the model.
     pub fn try_release(
         &self,
         p: &P,
@@ -383,22 +507,29 @@ impl<P: Platform> Driver<P> {
         lock: u32,
         publication: Pub<P>,
     ) -> Result<(), RequestError> {
-        let (me, mgr) = (port.node(), p.lock_mgr_of(lock, self.nodes));
+        let (me, k) = (port.node(), P::KINDS);
         let bytes = 16 + P::pub_bytes(&publication);
-        let seq = self.releases[me].next.fetch_add(1, Ordering::Relaxed) + 1;
-        let rel = LockRel { lock, releaser: me, seq, publication };
-        port.send_reliable(mgr, P::KINDS.lock_rel, rel, bytes)?;
-        self.releases[me].sent.fetch_max(seq, Ordering::Relaxed);
-        self.released(port, lock);
-        Ok(())
-    }
-
-    /// The release instant of `lock`. It carries [`grant_corr`] of
-    /// `(releaser, lock)` — the encoding the grant instants use — so
-    /// release → next grant chains join up.
-    pub fn released(&self, port: &NodePort, lock: u32) {
-        let (me, now) = (port.node(), port.clock().now());
+        if self.token_locks {
+            port.post_parking(me, k.tok_rel, TokRel { lock, publication }, bytes);
+            // Wait — in host time only: the clock is not advanced — until
+            // the token is forwarded, or parked at the manager. Otherwise
+            // whatever this node does next (a barrier, say) can bring the
+            // next acquirer to the manager before a returned token is
+            // parked there, and the manager then routes the token the long
+            // way round (successor notice, claim) — or a tree barrier's
+            // root clears the lock notices before the token's are parked —
+            // in some runs and not in others.
+            port.mailbox().wait(mailbox::tag(k.tok_rel, lock));
+        } else {
+            let mgr = p.lock_mgr_of(lock, self.nodes);
+            let seq = self.releases[me].next.fetch_add(1, Ordering::Relaxed) + 1;
+            let rel = LockRel { lock, releaser: me, seq, publication };
+            port.send_reliable(mgr, k.lock_rel, rel, bytes)?;
+            self.releases[me].sent.fetch_max(seq, Ordering::Relaxed);
+        }
+        let now = port.clock().now();
         sim::trace::instant_corr(now, me, P::MODULE, "lock_release", lock as u64, grant_corr(me, lock));
+        Ok(())
     }
 
     /// Wait at barrier `id`, publishing `publication`, and hand the
@@ -507,7 +638,7 @@ impl<P: Platform> Driver<P> {
         }
         let deliver = match downcast::<TreeStep<P::Wave>>(port.wait_mailbox(skey)) {
             TreeStep::Up { parent, latest_ns, agg } => {
-                p.count_sync(me, parent, Self::agg_records(&agg));
+                p.count_sync(me, parent, Self::records(&agg));
                 let bytes = P::agg_bytes(&agg);
                 let msg = TreeAgg { id, epoch, child: me, latest_ns, agg };
                 let wave = downcast::<TreeWave<P::Wave>>(port.request_retrying(parent, k.tree_agg, msg, bytes)?);
@@ -535,7 +666,7 @@ impl<P: Platform> Driver<P> {
             // has left yet: the one point where clearing every node's
             // lock notices is ordered against all lock traffic.
             for node in 0..self.nodes {
-                p.note_release(node, id, epoch);
+                self.clear_notices(node, id, epoch);
             }
         }
         let wkey = mailbox::tag(k.tree_wave, id);
@@ -621,9 +752,9 @@ impl<P: Platform> Driver<P> {
     }
 
     /// A central-barrier release reaches a participant.
-    fn on_bar_release(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+    fn on_bar_release(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
         let rel = downcast::<Release<P::Wave>>(msg);
-        p.note_release(ctx.node, rel.id, rel.epoch);
+        self.clear_notices(ctx.node, rel.id, rel.epoch);
         let tag = mailbox::tag(P::KINDS.bar_release, rel.id);
         self.mailboxes[ctx.node].deposit(tag, Box::new(rel), ctx.now);
         Outcome::done()
@@ -663,7 +794,136 @@ impl<P: Platform> Driver<P> {
         }
     }
 
+    // ---- the token queue's handlers (see `syncproto::lock`) --------------
+
+    /// The application's acquire, bounced off its own handler so the
+    /// holder slot is only ever touched handler-side.
+    fn on_tok_acq_local(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+        let lock = downcast::<u32>(msg);
+        let seq = self.locks[ctx.node].lock().tok_begin_acquire(lock);
+        let mgr = p.lock_mgr_of(lock, self.nodes);
+        p.count_sync(ctx.node, mgr, 0);
+        ctx.post(mgr, P::KINDS.tok_acq, TokAcq { lock, who: ctx.node, seq }, 24);
+        Outcome::done()
+    }
+
+    /// Enqueue at the manager: pass the parked token, or chain the new
+    /// tail behind the previous one.
+    fn on_tok_acq(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+        let TokAcq { lock, who, seq } = downcast(msg);
+        let step = self.locks[ctx.node].lock().tok_acquire(lock, who, seq);
+        match step {
+            TokMgrStep::Pass { to, notices } => self.pass_token(p, ctx, lock, to, notices),
+            TokMgrStep::SetSucc { prev, for_seq, succ } => {
+                p.lock_queued(succ);
+                p.count_sync(ctx.node, prev, 0);
+                ctx.post(prev, P::KINDS.tok_set_succ, TokSucc { lock, succ, for_seq }, 24);
+            }
+        }
+        Outcome::done()
+    }
+
+    /// The token arrives: its notices reach the waiting application
+    /// under the tag central grants use.
+    fn on_tok_pass(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+        let LockGrant { lock, notices } = downcast::<LockGrant<P::Wave>>(msg);
+        let notices = self.locks[ctx.node].lock().tok_pass_received(lock, notices);
+        let grant = LockGrant::<P::Wave> { lock, notices };
+        self.mailboxes[ctx.node].deposit(mailbox::tag(P::KINDS.lock_grant, lock), Box::new(grant), ctx.now);
+        Outcome::done()
+    }
+
+    /// The manager names a successor; a tenure that already ended
+    /// claims the (returned or in-flight) token back from the manager.
+    fn on_tok_set_succ(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+        let TokSucc { lock, succ, for_seq } = downcast(msg);
+        let claim = self.locks[ctx.node].lock().tok_set_succ(lock, succ, for_seq);
+        if let Some(succ) = claim {
+            let mgr = p.lock_mgr_of(lock, self.nodes);
+            p.count_sync(ctx.node, mgr, 0);
+            ctx.post(mgr, P::KINDS.tok_claim, TokClaim { lock, succ }, 16);
+        }
+        Outcome::done()
+    }
+
+    /// The application's release, bounced off its own handler: forward
+    /// the token straight to the successor — and let the releaser go
+    /// on — or return it to the manager, which lets the releaser go on
+    /// once the token is parked there (see [`Driver::try_release`]).
+    fn on_tok_rel(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+        let TokRel { lock, publication } = downcast::<TokRel<Pub<P>>>(msg);
+        let (me, k) = (ctx.node, P::KINDS);
+        let step = self.locks[me].lock().tok_release(lock, me, publication);
+        match step {
+            TokHolderStep::Forward { to, notices } => {
+                p.token_forwards(me);
+                self.pass_token(p, ctx, lock, to, notices);
+                self.mailboxes[me].deposit(mailbox::tag(k.tok_rel, lock), Box::new(()), ctx.now);
+            }
+            TokHolderStep::Return { seq, notices } => {
+                let mgr = p.lock_mgr_of(lock, self.nodes);
+                let bytes = P::grant_bytes(&notices) + 24;
+                p.count_sync(me, mgr, Self::records(&notices));
+                ctx.post(mgr, k.tok_return, TokReturn::<P::Wave> { lock, who: me, seq, notices }, bytes);
+            }
+        }
+        Outcome::done()
+    }
+
+    /// A token comes back to the manager with no successor known: pass
+    /// it to a pending claimant or park it, and let its releaser go on.
+    fn on_tok_return(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+        let TokReturn { lock, who, seq, notices } = downcast::<TokReturn<P::Wave>>(msg);
+        let pass = self.locks[ctx.node].lock().tok_return(lock, who, seq, notices);
+        if let Some((to, notices)) = pass {
+            self.pass_token(p, ctx, lock, to, notices);
+        }
+        self.mailboxes[who].deposit(mailbox::tag(P::KINDS.tok_rel, lock), Box::new(()), ctx.now);
+        Outcome::done()
+    }
+
+    /// A node told of a successor too late routes the token on from the
+    /// manager.
+    fn on_tok_claim(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+        let TokClaim { lock, succ } = downcast(msg);
+        let pass = self.locks[ctx.node].lock().tok_claim(lock, succ);
+        if let Some((to, notices)) = pass {
+            self.pass_token(p, ctx, lock, to, notices);
+        }
+        Outcome::done()
+    }
+
     // ---- shared by both halves ---------------------------------------------
+
+    /// Pass `lock`'s token from this handler's node to `to`: a holder's
+    /// direct forward or a manager's hand-over, traced as a grant like
+    /// the central manager's so the analyzer chains both alike.
+    fn pass_token(&self, p: &P, ctx: &HandlerCtx<'_>, lock: u32, to: NodeId, notices: Notices<P::Wave>) {
+        let k = P::KINDS;
+        self.trace_grant(ctx.now, ctx.node, lock, to);
+        let bytes = P::grant_bytes(&notices) + 8;
+        p.count_sync(ctx.node, to, Self::records(&notices));
+        let pass = LockGrant::<P::Wave> { lock, notices };
+        ctx.post_tagged(to, k.tok_pass, pass, bytes, mailbox::tag(k.lock_grant, lock));
+    }
+
+    /// Barrier `id` released `epoch` at `node`: the first time, drop
+    /// the node's lock-notice history, since a barrier makes every
+    /// prior write visible everywhere. Runs at each participant's
+    /// central release, and for every node at once at the tree root's
+    /// quiescent point.
+    fn clear_notices(&self, node: NodeId, id: u32, epoch: u64) {
+        let fresh = {
+            let mut cleared = self.cleared[node].lock();
+            let seen = cleared.entry(id).or_insert(0);
+            let fresh = epoch > *seen;
+            *seen = (*seen).max(epoch);
+            fresh
+        };
+        if fresh {
+            self.locks[node].lock().clear_notices();
+        }
+    }
 
     /// Barrier `id` releases `epoch` at `node`, its central manager or
     /// tree root, with every node blocked in it: the quiescent point,
@@ -711,8 +971,9 @@ impl<P: Platform> Driver<P> {
         (TreeWave { epoch, release_ns, wave }, bytes)
     }
 
-    fn agg_records(agg: &Notices<P::Wave>) -> u64 {
-        agg.iter().map(|(_, publication)| P::pub_records(publication)).sum()
+    /// Notice records in a tree aggregate or a token's notices.
+    fn records(notices: &Notices<P::Wave>) -> u64 {
+        notices.iter().map(|(_, publication)| P::pub_records(publication)).sum()
     }
 
     /// A lock-grant instant; `corr` packs `(grantee, lock)` like every
@@ -752,25 +1013,35 @@ impl Driver<()> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testpayload::Wave;
+    use super::super::testpayload::{iv, Wave};
     use super::*;
     use crate::{FabricConfig, LinkKind, NodeCtx, RunReport, SyncTopology};
     use interconnect::Resilience;
-    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+    use std::marker::PhantomData;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 
-    /// A notice-carrying platform: the machine tests' payload, on a
-    /// kind block of its own.
+    /// The test platforms' kind block (they never share a cluster).
+    const TEST_KINDS: Kinds = Kinds {
+        lock_req: 0xF00,
+        lock_rel: 0xF01,
+        lock_grant: 0xF02,
+        bar_arrive: 0xF03,
+        bar_release: 0xF04,
+        tree_agg: 0xF06,
+        tree_wave: 0xF07,
+        tok_acq_local: 0xF08,
+        tok_acq: 0xF09,
+        tok_pass: 0xF0A,
+        tok_set_succ: 0xF0B,
+        tok_rel: 0xF0C,
+        tok_return: 0xF0D,
+        tok_claim: 0xF0E,
+    };
+
+    /// A notice-carrying platform: the machine tests' payload.
     impl Platform for Wave {
         type Wave = Wave;
-        const KINDS: Kinds = Kinds {
-            lock_req: 0xF00,
-            lock_rel: 0xF01,
-            lock_grant: 0xF02,
-            bar_arrive: 0xF03,
-            bar_release: 0xF04,
-            tree_agg: 0xF06,
-            tree_wave: 0xF07,
-        };
+        const KINDS: Kinds = TEST_KINDS;
         const MODULE: &'static str = "syncproto";
     }
 
@@ -785,8 +1056,11 @@ mod tests {
         };
     }
 
-    fn cluster(nodes: usize, sync: &str, resilient: bool) -> Cluster {
-        let sync: SyncTopology = sync.parse().unwrap();
+    fn spec(sync: &str) -> SyncTopology {
+        sync.parse().unwrap()
+    }
+
+    fn cluster(nodes: usize, sync: SyncTopology, resilient: bool) -> Cluster {
         let mut cfg = FabricConfig::builder().nodes(nodes).link(LinkKind::Sci).sync(sync);
         if resilient {
             cfg = cfg.resilience(Resilience::default());
@@ -830,7 +1104,7 @@ mod tests {
     }
 
     fn barrier_joins_clocks_on<P: Platform + Default>(resilient: bool) {
-        let (report, _) = run(&cluster(3, "centralized", resilient), &Arc::<P>::default(), |node| {
+        let (report, _) = run(&cluster(3, spec("centralized"), resilient), &Arc::<P>::default(), |node| {
             node.ctx.compute(node.ctx.rank() as u64 * 1_000_000);
             node.barrier(1);
             // After a barrier, no node's clock may be behind the slowest
@@ -847,7 +1121,7 @@ mod tests {
 
     fn locks_are_mutually_exclusive_on<P: Platform + Default>(resilient: bool) {
         let (inside, max_seen) = (AtomicU64::new(0), AtomicU64::new(0));
-        run(&cluster(4, "centralized", resilient), &Arc::<P>::default(), |node| {
+        run(&cluster(4, spec("centralized"), resilient), &Arc::<P>::default(), |node| {
             for _ in 0..20 {
                 node.acquire(7);
                 max_seen.fetch_max(inside.fetch_add(1, SeqCst) + 1, SeqCst);
@@ -864,7 +1138,7 @@ mod tests {
     }
 
     fn repeated_barriers_advance_epochs_on<P: Platform + Default>(resilient: bool) {
-        run(&cluster(2, "centralized", resilient), &Arc::<P>::default(), |node| {
+        run(&cluster(2, spec("centralized"), resilient), &Arc::<P>::default(), |node| {
             for _ in 0..10 {
                 node.barrier(3);
             }
@@ -877,16 +1151,16 @@ mod tests {
     }
 
     fn tree_barrier_joins_clocks_across_shapes_on<P: Platform + Default>(resilient: bool) {
-        for (nodes, spec) in [(2usize, "tree:2"), (5, "tree:2"), (9, "tree:3"), (8, "scalable")] {
+        for (nodes, name) in [(2usize, "tree:2"), (5, "tree:2"), (9, "tree:3"), (8, "scalable")] {
             let slowest = (nodes as u64 - 1) * 1_000_000;
-            let (report, _) = run(&cluster(nodes, spec, resilient), &Arc::<P>::default(), |node| {
+            let (report, _) = run(&cluster(nodes, spec(name), resilient), &Arc::<P>::default(), |node| {
                 node.ctx.compute(node.ctx.rank() as u64 * 1_000_000);
                 for _ in 0..3 {
                     node.barrier(1);
                 }
-                assert!(node.ctx.clock().now() >= slowest, "{spec} x{nodes}");
+                assert!(node.ctx.clock().now() >= slowest, "{name} x{nodes}");
             });
-            assert!(report.sim_time_ns >= slowest, "{spec} x{nodes}");
+            assert!(report.sim_time_ns >= slowest, "{name} x{nodes}");
         }
     }
 
@@ -896,7 +1170,12 @@ mod tests {
     }
 
     fn tree_barriers_coexist_with_locks_on<P: Platform + Default>(resilient: bool) {
-        let (_, entries) = run(&cluster(4, "tree:2", resilient), &Arc::<P>::default(), |node| {
+        // The central manager's grants carry a causal floor, so critical
+        // sections never overlap in virtual time either. (A token passed
+        // on from the manager's parking spot carries none: see
+        // `syncproto::lock`.)
+        let sync = SyncTopology { locks: LockTopology::Manager, ..spec("tree:2") };
+        let (_, entries) = run(&cluster(4, sync, resilient), &Arc::<P>::default(), |node| {
             node.barrier(1);
             node.acquire(7);
             let t = node.ctx.clock().now();
@@ -918,7 +1197,7 @@ mod tests {
     }
 
     fn sci_barrier_is_fast_on<P: Platform + Default>(resilient: bool) {
-        let (report, _) = run(&cluster(4, "centralized", resilient), &Arc::<P>::default(), |node| node.barrier(1));
+        let (report, _) = run(&cluster(4, spec("centralized"), resilient), &Arc::<P>::default(), |node| node.barrier(1));
         // One SCI barrier should cost tens of µs, far below an Ethernet
         // round trip (startup dominates at 2 ms).
         assert!(report.sim_time_ns < 4_000_000, "got {}", report.sim_time_ns);
@@ -929,27 +1208,39 @@ mod tests {
         legs!(sci_barrier_is_fast_on);
     }
 
-    /// Counts the cross-node barrier messages the driver reports.
-    #[derive(Default)]
-    struct Counting(AtomicU64);
+    /// Counts what the driver reports on payload `W`: cross-node sync
+    /// messages, queued acquires and direct token forwards.
+    struct Counting<W> {
+        sync_msgs: AtomicU64,
+        queued: AtomicU64,
+        forwards: AtomicU64,
+        wave: PhantomData<W>,
+    }
 
-    impl Platform for Counting {
-        type Wave = ();
-        const KINDS: Kinds = Kinds {
-            lock_req: 0xF10,
-            lock_rel: 0xF11,
-            lock_grant: 0xF12,
-            bar_arrive: 0xF13,
-            bar_release: 0xF14,
-            tree_agg: 0xF16,
-            tree_wave: 0xF17,
-        };
+    impl<W> Default for Counting<W> {
+        fn default() -> Self {
+            let zero = AtomicU64::default;
+            Counting { sync_msgs: zero(), queued: zero(), forwards: zero(), wave: PhantomData }
+        }
+    }
+
+    impl<W: Piggyback<Pub: Send + Sync + 'static> + Send + Sync + 'static> Platform for Counting<W> {
+        type Wave = W;
+        const KINDS: Kinds = TEST_KINDS;
         const MODULE: &'static str = "syncproto";
 
         fn count_sync(&self, node: NodeId, dst: NodeId, _records: u64) {
             if node != dst {
-                self.0.fetch_add(1, SeqCst);
+                self.sync_msgs.fetch_add(1, SeqCst);
             }
+        }
+
+        fn lock_queued(&self, _node: NodeId) {
+            self.queued.fetch_add(1, SeqCst);
+        }
+
+        fn token_forwards(&self, _node: NodeId) {
+            self.forwards.fetch_add(1, SeqCst);
         }
     }
 
@@ -959,12 +1250,83 @@ mod tests {
         // each of the eight non-root nodes sends its aggregate up as a
         // request and gets its wave back as the reply — 2(n − 1)
         // cross-node messages, no post, no other delivery.
-        let p = Arc::new(Counting::default());
-        let (report, _) = run(&cluster(9, "tree:3", false), &p, |node| node.barrier(1));
-        assert_eq!(p.0.load(SeqCst), 2 * 8, "cross-node messages");
+        let p = Arc::new(Counting::<()>::default());
+        let (report, _) = run(&cluster(9, spec("tree:3"), false), &p, |node| node.barrier(1));
+        assert_eq!(p.sync_msgs.load(SeqCst), 2 * 8, "cross-node messages");
         let net = |counter: &str| report.net_stats[counter];
         assert_eq!(net("requests"), 8, "every aggregate is a request");
         assert_eq!(net("delivered"), 8, "and only aggregates reach a handler");
         assert_eq!(net("posts"), 0, "the tree makes no post");
+    }
+
+    fn token_queue_forwards_where_nothing_is_lost_on<W>(resilient: bool)
+    where
+        Counting<W>: Platform,
+    {
+        // A contended lock on a 4-node `scalable` fabric. The first
+        // holder keeps it until the other three are queued behind it
+        // (`compute` costs no host time, so it could otherwise release
+        // before anyone asked): its release then has a successor. Where
+        // nothing is lost, the token goes to it directly; where the
+        // fabric retries, the central manager serves the lock and no
+        // token exists.
+        let p = Arc::new(Counting::<W>::default());
+        let (inside, max_seen, waited) = (AtomicU64::new(0), AtomicU64::new(0), AtomicBool::new(false));
+        run(&cluster(4, spec("scalable"), resilient), &p, |node| {
+            node.barrier(1);
+            for _ in 0..5 {
+                node.acquire(7);
+                max_seen.fetch_max(inside.fetch_add(1, SeqCst) + 1, SeqCst);
+                if !waited.swap(true, SeqCst) {
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                    while p.queued.load(SeqCst) < 3 {
+                        assert!(std::time::Instant::now() < deadline, "the others never queued");
+                        std::thread::yield_now();
+                    }
+                }
+                node.ctx.compute(100_000);
+                inside.fetch_sub(1, SeqCst);
+                node.release(7);
+            }
+            node.barrier(2);
+        });
+        assert_eq!(max_seen.load(SeqCst), 1, "resilient: {resilient}");
+        let forwards = p.forwards.load(SeqCst);
+        if resilient {
+            assert_eq!(forwards, 0, "the manager, not a token, serves a resilient fabric's locks");
+        } else {
+            assert!(forwards > 0, "a contended release never forwarded the token");
+        }
+    }
+
+    #[test]
+    fn token_queue_forwards_where_nothing_is_lost() {
+        for resilient in [false, true] {
+            token_queue_forwards_where_nothing_is_lost_on::<()>(resilient);
+            token_queue_forwards_where_nothing_is_lost_on::<Wave>(resilient);
+        }
+    }
+
+    #[test]
+    fn grants_after_a_barrier_carry_no_earlier_notices() {
+        // Every node publishes a page under lock 7, then meets the others
+        // at a barrier, which makes those writes visible everywhere: a
+        // grant of lock 7 after it carries none of them. `centralized`
+        // clears at each central release, `tree:2` (token-queue locks)
+        // at the root's quiescent point.
+        for name in ["centralized", "tree:2"] {
+            let (_, after) = run(&cluster(3, spec(name), false), &Arc::new(Wave::default()), |node| {
+                let (port, me) = (node.ctx.port(), node.ctx.rank() as u32);
+                let before = node.sync.try_acquire(node.p, port, 7, Mode::Excl).unwrap();
+                node.sync.try_release(node.p, port, 7, iv(&[me])).unwrap();
+                node.barrier(1);
+                let after = node.sync.try_acquire(node.p, port, 7, Mode::Excl).unwrap();
+                node.release(7);
+                node.barrier(2);
+                (before, after)
+            });
+            assert!(after.iter().any(|(before, _)| !before.is_empty()), "{name}: nothing was published");
+            assert!(after.iter().all(|(_, after)| after.is_empty()), "{name}: {after:?}");
+        }
     }
 }

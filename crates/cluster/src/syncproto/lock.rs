@@ -24,8 +24,13 @@
 //! claim ([`LockMgr::tok_set_succ`]) instead of corrupting a newer tenure.
 //! The token is in exactly one message at a time and nothing can
 //! re-issue it, so the queue is for fabrics that lose nothing: on a
-//! resilient fabric the drivers serve every lock from the centralized
-//! manager, whose answers to a retried request are idempotent.
+//! resilient fabric the driver serves every lock from the centralized
+//! manager, whose answers to a retried request are idempotent. Nor does
+//! the queue know virtual time: a token the manager passes on from its
+//! parking spot leaves at the acquire request's time, which can precede
+//! the return that parked it, so two critical sections can overlap in
+//! virtual time (never in host time — there is one token). The central
+//! manager's grants carry a causal floor instead.
 //!
 //! Notice history (manager store, parked tokens, held tokens) is
 //! cleared when a barrier makes everything globally visible.

@@ -157,10 +157,11 @@ impl ClusterConfig {
     }
 
     /// Build from a parsed configuration file. Recognized keys:
-    /// `nodes` (usize, required), `platform` (smp|hybrid|swdsm,
+    /// `nodes` (usize, required), `platform` (smp|hybrid|swdsm|mixed,
     /// required), `unified_messaging` (bool), `engine`
     /// (`sharded` | `sharded:N`), `sync`
-    /// (`centralized` | `scalable` | `tree` | `tree:K`),
+    /// (`centralized` | `scalable` | `tree` | `tree:K`, the same on
+    /// every platform),
     /// `place_home` (`region:page:node` list),
     /// `place_lock` (`lock:node` list), `membership`
     /// (`seed:cycles:from_ns:until_ns` churn spec), and

@@ -270,3 +270,31 @@ where
     let (report, _) = rt.run(|ham| f(ham));
     report
 }
+
+#[cfg(test)]
+mod tests {
+    use cluster::syncproto::driver::Platform;
+    use swdsm::SwDsm;
+
+    #[test]
+    fn every_kind_block_of_the_workspace_is_disjoint() {
+        // The router refuses a kind registered twice, but only at run
+        // time and only between blocks installed on one cluster; this
+        // checks every block against every other.
+        let runtime = [super::kinds::REMOTE_SPAWN, super::kinds::TASK_DONE, super::kinds::USER_MSG, super::kinds::EVENT_SET];
+        let blocks: [(&str, &[u32]); 4] = [
+            ("SwDsm sync", &<SwDsm as Platform>::KINDS.all()),
+            ("hybrid/SMP sync", &<() as Platform>::KINDS.all()),
+            ("swdsm pages", &swdsm::kinds::ALL),
+            ("hamster-core runtime", &runtime),
+        ];
+        let mut owner = std::collections::HashMap::new();
+        for (block, kinds) in blocks {
+            for &kind in kinds {
+                if let Some(other) = owner.insert(kind, block) {
+                    panic!("kind {kind:#x} is in both {other} and {block}");
+                }
+            }
+        }
+    }
+}

@@ -6,9 +6,11 @@
 //! variables and thread joins) and global atomic read-modify-write.
 //!
 //! Which wire protocols sit under the lock and barrier calls — central
-//! managers, aggregation trees, the lock-token queue — is the platform
-//! engines' business, steered by the fabric's [`cluster::SyncTopology`]
-//! (the `sync` configuration key); this facade is topology-agnostic.
+//! managers, aggregation trees, the lock-token queue — is the business
+//! of the one synchronisation driver every platform engine runs
+//! (`cluster::syncproto::driver`), steered by the fabric's
+//! [`cluster::SyncTopology`] (the `sync` configuration key) alike on
+//! every platform; this facade and the engines are topology-agnostic.
 
 use crate::hamster::NodeCore;
 use crate::runtime::kinds;

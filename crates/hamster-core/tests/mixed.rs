@@ -140,35 +140,38 @@ fn both_dsms_drive_the_one_sync_driver_on_one_cluster_without_crossing() {
     // holds both locks at once, and the barriers interleave id for id.
     // Were the managers shared, the nested acquire would queue behind
     // its own node and the same-id barriers would count each other's
-    // arrivals.
-    use cluster::{Cluster, FabricConfig, LinkKind};
+    // arrivals. Under `scalable` both run their own token queue and
+    // tree barrier.
+    use cluster::{Cluster, FabricConfig, LinkKind, SyncTopology};
     use hybriddsm::{HybridConfig, HybridDsm};
     use swdsm::{DsmConfig, SwDsm};
 
-    let c = Cluster::new(FabricConfig::builder().nodes(4).link(LinkKind::Sci).build());
-    let sw = SwDsm::install(&c, DsmConfig::default());
-    let hy = HybridDsm::install(&c, HybridConfig::default());
-    let (_, results) = c.run(|ctx| {
-        let (s, h) = (sw.node(ctx.clone()), hy.node(ctx));
-        let page = s.alloc(64, Distribution::OnNode(0));
-        let word = h.alloc(64, Distribution::OnNode(1));
-        for _ in 0..5 {
-            s.acquire(7);
-            h.acquire(7);
-            s.write_u64(page, s.read_u64(page) + 1);
-            h.write_u64(word, h.read_u64(word) + 1);
-            h.release(7);
-            s.release(7);
-            s.barrier(1);
-            h.barrier(1);
+    for sync in [SyncTopology::centralized(), SyncTopology::scalable()] {
+        let c = Cluster::new(FabricConfig::builder().nodes(4).link(LinkKind::Sci).sync(sync).build());
+        let sw = SwDsm::install(&c, DsmConfig::default());
+        let hy = HybridDsm::install(&c, HybridConfig::default());
+        let (_, results) = c.run(|ctx| {
+            let (s, h) = (sw.node(ctx.clone()), hy.node(ctx));
+            let page = s.alloc(64, Distribution::OnNode(0));
+            let word = h.alloc(64, Distribution::OnNode(1));
+            for _ in 0..5 {
+                s.acquire(7);
+                h.acquire(7);
+                s.write_u64(page, s.read_u64(page) + 1);
+                h.write_u64(word, h.read_u64(word) + 1);
+                h.release(7);
+                s.release(7);
+                s.barrier(1);
+                h.barrier(1);
+            }
+            h.barrier(2);
+            s.barrier(2);
+            (s.read_u64(page), h.read_u64(word))
+        });
+        assert_eq!(results, vec![(20, 20); 4], "{sync:?}");
+        for node in 0..4 {
+            assert_eq!(sw.stats(node).get("lock_acquires"), 5, "{sync:?} node {node}");
+            assert_eq!(hy.stats(node).get("lock_acquires"), 5, "{sync:?} node {node}");
         }
-        h.barrier(2);
-        s.barrier(2);
-        (s.read_u64(page), h.read_u64(word))
-    });
-    assert_eq!(results, vec![(20, 20); 4]);
-    for node in 0..4 {
-        assert_eq!(sw.stats(node).get("lock_acquires"), 5, "node {node}");
-        assert_eq!(hy.stats(node).get("lock_acquires"), 5, "node {node}");
     }
 }

@@ -23,7 +23,8 @@
 //!
 //! Locks and barriers are the cluster's one synchronisation driver,
 //! `cluster::syncproto::driver`, bound to the ordering-only `()`
-//! platform: they ride SCI messaging and carry nothing.
+//! platform: they ride SCI messaging, carry nothing, and follow the
+//! fabric's `SyncTopology` as the software DSM's do.
 
 pub mod node;
 

@@ -76,6 +76,37 @@ fn lock_protected_counter_is_exact() {
 }
 
 #[test]
+fn lock_protocol_follows_the_sync_setting() {
+    // The same contended counter under the central manager and under
+    // the token queue. The manager answers one request per acquire; the
+    // token queue travels by posts only, so the fabric sees no request
+    // at all (the barriers are posts too on a fabric that loses nothing).
+    let token_queue = cluster::SyncTopology {
+        locks: cluster::LockTopology::TokenQueue,
+        ..cluster::SyncTopology::centralized()
+    };
+    for (sync, requests) in [(cluster::SyncTopology::centralized(), 4 * 25), (token_queue, 0)] {
+        let c = Cluster::new(FabricConfig::builder().nodes(4).link(LinkKind::Sci).sync(sync).build());
+        let dsm = HybridDsm::install(&c, HybridConfig::default());
+        let (report, results) = c.run(|ctx| {
+            let node = dsm.node(ctx);
+            let a = node.alloc(4096, Distribution::Block);
+            node.barrier(1);
+            for _ in 0..25 {
+                node.acquire(3);
+                let v = node.read_u64(a);
+                node.write_u64(a, v + 1);
+                node.release(3);
+            }
+            node.barrier(2);
+            node.read_u64(a)
+        });
+        assert_eq!(results, vec![100; 4], "{sync:?}");
+        assert_eq!(report.net_stats["requests"], requests, "{sync:?}");
+    }
+}
+
+#[test]
 fn remote_element_access_costs_san_latency() {
     let (c, dsm) = cluster_uncached(2);
     let (_, times) = c.run(|ctx| {

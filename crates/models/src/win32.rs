@@ -76,7 +76,7 @@ impl Win32 {
     pub fn create_thread(&self, f: impl FnOnce(Hamster) + Send + 'static) -> Handle {
         let n = self.ham.task().nodes();
         let node =
-            (self.current_node() + 1 + self.next_local.load(Ordering::Relaxed) as usize) % n;
+            (self.current_node() + 1 + self.next_local.fetch_add(1, Ordering::Relaxed) as usize) % n;
         self.create_thread_on(node, f)
     }
 

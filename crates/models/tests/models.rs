@@ -294,6 +294,28 @@ fn win32_threads_events_and_semaphores() {
 }
 
 #[test]
+fn win32_create_thread_places_round_robin() {
+    // Three `CreateThread`s without placement from node 0 of three land
+    // on the next node, the one after, and then wrap around to node 0.
+    // Each thread is joined before the next is created, as above.
+    let rt = Runtime::new(ClusterConfig::new(3, PlatformKind::Smp));
+    let ran_on = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    rt.run(|ham| {
+        let w = models::win32::Win32::init(ham.clone());
+        ham.sync().barrier(1);
+        if w.current_node() == 0 {
+            for _ in 0..3 {
+                let log = ran_on.clone();
+                let t = w.create_thread(move |remote| log.lock().unwrap().push(remote.task().rank()));
+                w.wait_for_single_object(t);
+            }
+        }
+        ham.sync().barrier(2);
+    });
+    assert_eq!(*ran_on.lock().unwrap(), vec![1, 2, 0]);
+}
+
+#[test]
 fn win32_mutex_protects() {
     let rt = Runtime::new(ClusterConfig::new(3, PlatformKind::HybridDsm));
     let (_, results) = rt.run(|ham| {

@@ -18,6 +18,13 @@
 //!   lock, a barrier broadcasts the union of everyone's interval — and
 //!   receivers invalidate the noticed pages.
 //!
+//! What this crate implements is the page protocol and the notices.
+//! Its locks and barriers — central manager or MCS token queue, central
+//! or tree barrier, as the fabric's `SyncTopology` says — are the
+//! cluster's one synchronisation driver (`cluster::syncproto::driver`),
+//! which [`SwDsm`] serves as a platform: it names its message kinds and
+//! wire sizes and keeps its protocol counters.
+//!
 //! The crate is usable *natively* (apps call [`DsmNode`] directly), which
 //! is exactly the "standard distribution of JiaJia without modifications"
 //! baseline of the paper's Figure 2. The HAMSTER platform layer wraps the

@@ -1,30 +1,22 @@
 //! The per-node DSM engine: access functions, interval flushing,
 //! synchronization, and the cluster-shared protocol state.
 //!
-//! Locks and barriers are the cluster's one synchronisation driver
+//! Locks and barriers — central manager or token queue, central or
+//! tree barrier — are the cluster's one synchronisation driver
 //! (`cluster::syncproto::driver`) with `SwDsm` as its [`Platform`]:
 //! write notices ride the messages, and the hooks count them, migrate
-//! homes at the quiescent point and clear lock notices a barrier made
-//! redundant. What stays here is the token queue, which reaches the
-//! driver's lock managers through `Driver::lock_mgr`, and the release
-//! and acquire work around each synchronisation (flush, apply).
-//!
-//! # Which fabric am I on?
-//!
-//! Only [`SwDsm::install`] asks, once, to pick the lock protocol: the
-//! MCS token queue cannot re-issue a lost token. No exchange asks. A
-//! lock release and the central barrier are one rendezvous on every
-//! fabric and leave the choice to `interconnect` (`send_reliable`,
-//! `rendezvous`, `answer_later`, `answer_all`), and the tree barrier is
-//! the driver's one pull choreography, all requests.
+//! homes at the quiescent point and honour placed lock managers. What
+//! stays here is the release and acquire work around each
+//! synchronisation (flush, apply). Nothing here asks which fabric it is
+//! on, or which lock protocol serves it.
 
 use crate::home::HomeStore;
 use crate::kinds;
 use crate::proto::*;
 use cluster::syncproto::driver::{Driver, Kinds, Platform};
-use cluster::syncproto::lock::{Mode, TokHolderStep, TokMgrStep};
-use cluster::syncproto::{grant_corr, MAX_SYNC_ROUNDS};
-use cluster::{Cluster, LockTopology, NodeCtx, SyncTopology};
+use cluster::syncproto::lock::Mode;
+use cluster::syncproto::MAX_SYNC_ROUNDS;
+use cluster::{Cluster, NodeCtx, SyncTopology};
 use interconnect::{downcast, try_downcast, NodeId, Outcome, Page, RequestError};
 use memwire::{
     CachedPage, Diff, Distribution, GlobalAddr, Interval, PageId, PageTable, RegionDir,
@@ -38,9 +30,6 @@ use std::sync::Arc;
 
 /// Per-writer write notices, as lock grants carry them.
 type Notices = cluster::syncproto::Notices<NoticeSet>;
-
-/// A lock grant as it lands in the requester's mailbox.
-type LockGrant = cluster::syncproto::driver::LockGrant<NoticeSet>;
 
 /// Barrier ids with the top bit set are reserved for internal use
 /// (collective allocation).
@@ -178,10 +167,6 @@ pub struct SwDsm {
     /// Synchronization topology, taken from the fabric config at
     /// install time (see `FabricConfig::builder().sync(..)`).
     sync: SyncTopology,
-    /// Locks ride the MCS token queue: `LockTopology::TokenQueue` on a
-    /// fabric that loses nothing. Everywhere else the central manager
-    /// serves them (see [`SwDsm::install`]).
-    token_locks: bool,
     nodes: usize,
     machine: MachineCost,
     dir: RegionDir,
@@ -209,10 +194,6 @@ pub struct SwDsm {
     /// Rides `PageReply::Moved` redirects so traces can correlate a
     /// stale-directory fetch with the re-homing that outdated it.
     migration_epoch: AtomicU64,
-    /// Per-node: barrier id → highest release epoch whose notice-clear
-    /// already ran, so a replayed release does not wipe notices that
-    /// accumulated after the original broadcast.
-    release_seen: Vec<Mutex<HashMap<u32, u64>>>,
 }
 
 #[derive(Default)]
@@ -261,23 +242,13 @@ impl SwDsm {
     /// on every node. Call once, before [`Cluster::run`].
     pub fn install(cluster: &Cluster, cfg: DsmConfig) -> Arc<SwDsm> {
         let nodes = cluster.config().nodes;
-        let sync = cluster.config().sync;
-        // One lock protocol per fabric kind, decided here once: the MCS
-        // queue cannot re-issue a lost token (see `syncproto::lock`), so
-        // it serves `TokenQueue` only where nothing is lost; on a
-        // resilient fabric the central manager serves every lock —
-        // requested mode, causal floors, idempotent answers to retries
-        // and all — as it does for the hybrid DSM.
-        let resilient = cluster.node_ctx(0).port().resilience().is_some();
-        let token_locks = sync.locks == LockTopology::TokenQueue && !resilient;
         // Home migration composes with digests: migrations carry the
         // page's modification counter to the new home (export/adopt
         // merges by maximum), so digest validation never sees a counter
         // move backwards across a re-homing.
         let dsm = Arc::new(SwDsm {
             cfg,
-            sync,
-            token_locks,
+            sync: cluster.config().sync,
             nodes,
             machine: cluster.config().cost.machine,
             dir: RegionDir::new(),
@@ -290,7 +261,6 @@ impl SwDsm {
             lock_overridden: AtomicBool::new(false),
             migration: (0..nodes).map(|_| Mutex::new(MigrationTrack::default())).collect(),
             migration_epoch: AtomicU64::new(0),
-            release_seen: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
         });
         dsm.driver.register(cluster, dsm.clone());
         dsm.register_handlers(cluster);
@@ -310,32 +280,6 @@ impl SwDsm {
     /// The synchronization topology the DSM was installed with.
     pub fn sync(&self) -> SyncTopology {
         self.sync
-    }
-
-    /// Emit the token-pass for `lock` from `from` to `to` (direct
-    /// holder→successor forward, or a manager grant). The grant instant
-    /// uses the same `(grantee, lock)` correlation id as the central
-    /// manager's, so the analyzer chains token handoffs identically.
-    fn send_token_pass(
-        &self,
-        ctx: &interconnect::HandlerCtx<'_>,
-        from: usize,
-        lock: u32,
-        to: usize,
-        notices: Vec<(usize, Interval)>,
-    ) {
-        sim::trace::instant_corr(ctx.now, from, "swdsm", "lock_grant", lock as u64, grant_corr(to, lock));
-        let records = notices.iter().map(|(_, iv)| iv.notices.len() as u64).sum();
-        let msg = TokPass { lock, notices };
-        let bytes = msg.wire_bytes();
-        self.count_sync(from, to, records);
-        ctx.post_tagged(
-            to,
-            kinds::TOK_PASS,
-            msg,
-            bytes,
-            interconnect::mailbox::tag(kinds::LOCK_GRANT, lock),
-        );
     }
 
     /// Lock-acquire latency histogram (shared storage: the returned
@@ -517,145 +461,6 @@ impl SwDsm {
             }
         });
 
-        // ---- lock-token queue --------------------------------------------
-
-        // The application's acquire, bounced off its own handler so the
-        // holder slot is only ever touched handler-side.
-        let dsm = self.clone();
-        net.register_all(kinds::TOK_ACQ_LOCAL, move |node| {
-            let dsm = dsm.clone();
-            move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
-                let req = downcast::<TokAcquireLocal>(p);
-                let seq = dsm.driver.lock_mgr(node).lock().tok_begin_acquire(req.lock);
-                let mgr = dsm.lock_mgr_of(req.lock);
-                dsm.count_sync(node, mgr, 0);
-                ctx.post(mgr, kinds::TOK_ACQ, TokAcquire { lock: req.lock, who: node, seq }, 24);
-                Outcome::done()
-            }
-        });
-
-        // Enqueue at the manager: pass the parked token, or chain the
-        // new tail behind the previous one.
-        let dsm = self.clone();
-        net.register_all(kinds::TOK_ACQ, move |node| {
-            let dsm = dsm.clone();
-            move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
-                let req = downcast::<TokAcquire>(p);
-                match dsm.driver.lock_mgr(node).lock().tok_acquire(req.lock, req.who, req.seq) {
-                    TokMgrStep::Pass { to, notices } => {
-                        dsm.send_token_pass(ctx, node, req.lock, to, notices);
-                    }
-                    TokMgrStep::SetSucc { prev, for_seq, succ } => {
-                        dsm.stats[succ].add("lock_queued", 1);
-                        dsm.count_sync(node, prev, 0);
-                        ctx.post(
-                            prev,
-                            kinds::TOK_SET_SUCC,
-                            TokSetSucc { lock: req.lock, succ, for_seq },
-                            24,
-                        );
-                    }
-                }
-                Outcome::done()
-            }
-        });
-
-        // The token arrives: hand its notices to the waiting
-        // application through the same mailbox tag central grants use.
-        let dsm = self.clone();
-        net.register_all(kinds::TOK_PASS, move |node| {
-            let dsm = dsm.clone();
-            let mailbox = net.mailbox(node);
-            move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
-                let msg = downcast::<TokPass>(p);
-                let notices = dsm.driver.lock_mgr(node).lock().tok_pass_received(msg.lock, msg.notices);
-                let tag = interconnect::mailbox::tag(kinds::LOCK_GRANT, msg.lock);
-                mailbox.deposit(tag, Box::new(LockGrant { lock: msg.lock, notices }), ctx.now);
-                Outcome::done()
-            }
-        });
-
-        // The manager names a successor; a tenure that already ended
-        // claims the (returned or in-flight) token back from the manager.
-        let dsm = self.clone();
-        net.register_all(kinds::TOK_SET_SUCC, move |node| {
-            let dsm = dsm.clone();
-            move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
-                let msg = downcast::<TokSetSucc>(p);
-                if let Some(succ) =
-                    dsm.driver.lock_mgr(node).lock().tok_set_succ(msg.lock, msg.succ, msg.for_seq)
-                {
-                    let mgr = dsm.lock_mgr_of(msg.lock);
-                    dsm.count_sync(node, mgr, 0);
-                    ctx.post(mgr, kinds::TOK_CLAIM, TokClaim { lock: msg.lock, succ }, 16);
-                }
-                Outcome::done()
-            }
-        });
-
-        // The application's release, bounced off its own handler:
-        // forward the token straight to the successor, or return it.
-        let dsm = self.clone();
-        net.register_all(kinds::TOK_REL, move |node| {
-            let dsm = dsm.clone();
-            let mailbox = net.mailbox(node);
-            move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
-                let msg = downcast::<TokRelease>(p);
-                match dsm.driver.lock_mgr(node).lock().tok_release(msg.lock, node, msg.interval.clone()) {
-                    TokHolderStep::Forward { to, notices } => {
-                        dsm.stats[node].add("token_forwards", 1);
-                        dsm.send_token_pass(ctx, node, msg.lock, to, notices);
-                        // The token is on its way: let the releaser go on
-                        // (see `try_release`).
-                        let tag = interconnect::mailbox::tag(kinds::TOK_REL, msg.lock);
-                        mailbox.deposit(tag, Box::new(()), ctx.now);
-                    }
-                    // The manager lets the releaser go on once the
-                    // token is parked there.
-                    TokHolderStep::Return { seq, notices } => {
-                        let mgr = dsm.lock_mgr_of(msg.lock);
-                        let records = notices.iter().map(|(_, iv)| iv.notices.len() as u64).sum();
-                        let ret = TokReturn { lock: msg.lock, who: node, seq, notices };
-                        let bytes = ret.wire_bytes();
-                        dsm.count_sync(node, mgr, records);
-                        ctx.post(mgr, kinds::TOK_RETURN, ret, bytes);
-                    }
-                }
-                Outcome::done()
-            }
-        });
-
-        // A token comes back to the manager with no successor known.
-        let dsm = self.clone();
-        let mailboxes: Arc<[_]> = (0..self.nodes).map(|n| net.mailbox(n)).collect();
-        net.register_all(kinds::TOK_RETURN, move |node| {
-            let (dsm, mailboxes) = (dsm.clone(), mailboxes.clone());
-            move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
-                let msg = downcast::<TokReturn>(p);
-                if let Some((to, notices)) =
-                    dsm.driver.lock_mgr(node).lock().tok_return(msg.lock, msg.who, msg.seq, msg.notices)
-                {
-                    dsm.send_token_pass(ctx, node, msg.lock, to, notices);
-                }
-                let tag = interconnect::mailbox::tag(kinds::TOK_REL, msg.lock);
-                mailboxes[msg.who].deposit(tag, Box::new(()), ctx.now);
-                Outcome::done()
-            }
-        });
-
-        // A stale-notified node routes the token onward via the manager.
-        let dsm = self.clone();
-        net.register_all(kinds::TOK_CLAIM, move |node| {
-            let dsm = dsm.clone();
-            move |ctx: &interconnect::HandlerCtx<'_>, _src, p| {
-                let msg = downcast::<TokClaim>(p);
-                if let Some((to, notices)) = dsm.driver.lock_mgr(node).lock().tok_claim(msg.lock, msg.succ) {
-                    dsm.send_token_pass(ctx, node, msg.lock, to, notices);
-                }
-                Outcome::done()
-            }
-        });
-
         // Digest fallback: report home page versions so Bloom positives
         // can be told apart from genuinely stale copies.
         let dsm = self.clone();
@@ -692,18 +497,26 @@ impl SwDsm {
 /// The software DSM's synchronisation: write notices ride every message
 /// (a release publishes an [`Interval`], a barrier wave carries a
 /// [`NoticeSet`]), and the hooks keep the protocol counters, migrate
-/// homes at the quiescent point, clear lock notices a barrier made
-/// redundant and honour placed lock managers.
+/// homes at the quiescent point and honour placed lock managers.
 impl Platform for SwDsm {
     type Wave = NoticeSet;
+    /// The synchronisation half of the `0x1xx` block (the page protocol
+    /// has the rest, [`kinds`]).
     const KINDS: Kinds = Kinds {
-        lock_req: kinds::LOCK_REQ,
-        lock_rel: kinds::LOCK_REL,
-        lock_grant: kinds::LOCK_GRANT,
-        bar_arrive: kinds::BARRIER_ARRIVE,
-        bar_release: kinds::BARRIER_RELEASE,
-        tree_agg: kinds::TREE_AGG,
-        tree_wave: kinds::TREE_WAVE,
+        lock_req: 0x102,
+        lock_rel: 0x103,
+        lock_grant: 0x104,
+        bar_arrive: 0x105,
+        bar_release: 0x106,
+        tree_agg: 0x162,
+        tree_wave: 0x163,
+        tok_acq_local: 0x164,
+        tok_acq: 0x165,
+        tok_pass: 0x166,
+        tok_set_succ: 0x167,
+        tok_rel: 0x168,
+        tok_return: 0x169,
+        tok_claim: 0x16A,
     };
     const MODULE: &'static str = "swdsm";
 
@@ -748,28 +561,12 @@ impl Platform for SwDsm {
         self.stats[node].add("lock_queued", 1);
     }
 
-    fn retries(&self, node: NodeId) {
-        self.stats[node].add("retries", 1);
+    fn token_forwards(&self, node: NodeId) {
+        self.stats[node].add("token_forwards", 1);
     }
 
-    /// The first time `epoch` of barrier `id` is seen at `node`, clear
-    /// the redundant lock-notice history (a barrier makes all prior
-    /// writes visible everywhere). Replayed releases (same epoch again)
-    /// must not clear notices that accumulated after the original.
-    fn note_release(&self, node: NodeId, id: u32, epoch: u64) {
-        let fresh = {
-            let mut seen = self.release_seen[node].lock();
-            let e = seen.entry(id).or_insert(0);
-            if epoch > *e {
-                *e = epoch;
-                true
-            } else {
-                false
-            }
-        };
-        if fresh {
-            self.driver.lock_mgr(node).lock().clear_notices();
-        }
+    fn retries(&self, node: NodeId) {
+        self.stats[node].add("retries", 1);
     }
 
     /// Apply pending home migrations. No page content moves: the new
@@ -1524,21 +1321,11 @@ impl DsmNode {
         let port = self.ctx.port();
         let t0 = port.clock().now();
         self.stat("lock_acquires", 1);
-        let notices = if self.dsm.token_locks {
-            // MCS-style token queue (shared mode serializes as
-            // exclusive): kick the local handler, which enqueues at
-            // the manager; the token arrives as a LOCK_GRANT deposit.
-            let tag = interconnect::mailbox::tag(kinds::LOCK_GRANT, lock);
-            port.post_parking(self.rank, kinds::TOK_ACQ_LOCAL, TokAcquireLocal { lock }, 8);
-            let grant = downcast::<LockGrant>(port.wait_mailbox(tag));
-            assert_eq!(grant.lock, lock);
-            grant.notices
-        } else {
-            self.dsm
-                .driver
-                .try_acquire(&self.dsm, port, lock, mode)
-                .map_err(|err| DsmError { op: "lock_acquire", id: lock, err })?
-        };
+        let notices = self
+            .dsm
+            .driver
+            .try_acquire(&self.dsm, port, lock, mode)
+            .map_err(|err| DsmError { op: "lock_acquire", id: lock, err })?;
         if self.dsm.cfg.notices_on_locks {
             self.apply_notices(&notices);
         } else {
@@ -1558,32 +1345,10 @@ impl DsmNode {
     pub fn try_release(&self, lock: u32) -> Result<(), DsmError> {
         let interval = self.flush_interval();
         self.epoch_mods.lock().merge(&interval);
-        let port = self.ctx.port();
-        if !self.dsm.token_locks {
-            return self
-                .dsm
-                .driver
-                .try_release(&self.dsm, port, lock, interval)
-                .map_err(|err| DsmError { op: "lock_release", id: lock, err });
-        }
-        // Merge this interval into the token and forward or return it —
-        // all handler-side, so the release is asynchronous like the
-        // central manager's one-way post.
-        let msg = TokRelease { lock, interval };
-        let bytes = 16 + msg.interval.wire_bytes();
-        port.post_parking(self.rank, kinds::TOK_REL, msg, bytes);
-        // Wait — in host time only: the clock is not advanced, the
-        // release stays a one-way post in the model — until the token is
-        // forwarded, or parked at the manager. Otherwise whatever this
-        // node does next (a barrier, say) can bring the next acquirer to
-        // the manager before a returned token is parked there, and the
-        // manager then routes the token the long way round (successor
-        // notification, claim) — or a tree barrier's root clears the
-        // lock notices before the token's are parked — in some runs and
-        // not in others.
-        port.mailbox().wait(interconnect::mailbox::tag(kinds::TOK_REL, lock));
-        self.dsm.driver.released(port, lock);
-        Ok(())
+        self.dsm
+            .driver
+            .try_release(&self.dsm, self.ctx.port(), lock, interval)
+            .map_err(|err| DsmError { op: "lock_release", id: lock, err })
     }
 
     /// Global barrier `id`: flushes the interval, exchanges write

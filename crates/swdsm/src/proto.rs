@@ -279,96 +279,6 @@ impl NoticeDigest {
     }
 }
 
-/// Token queue: the application asks its own handler to start an
-/// acquisition (kind `TOK_ACQ_LOCAL`).
-#[derive(Debug, Clone, Copy)]
-pub struct TokAcquireLocal {
-    /// The lock to acquire.
-    pub lock: u32,
-}
-
-/// Token queue: enqueue `who` at the lock's manager.
-#[derive(Debug, Clone, Copy)]
-pub struct TokAcquire {
-    /// The lock to acquire.
-    pub lock: u32,
-    /// The acquiring node.
-    pub who: usize,
-    /// The acquirer's tenure sequence number (matches successor
-    /// notifications to the tenure they target).
-    pub seq: u64,
-}
-
-/// Token queue: the token, with its accumulated notices, passes to the
-/// next holder.
-#[derive(Clone)]
-pub struct TokPass {
-    /// The lock whose token this is.
-    pub lock: u32,
-    /// Notices accumulated under the lock, per writer.
-    pub notices: Vec<(usize, Interval)>,
-}
-
-impl TokPass {
-    /// Wire size of the pass.
-    pub fn wire_bytes(&self) -> u64 {
-        notices_wire_bytes(&self.notices) + 8
-    }
-}
-
-/// Token queue: the manager names `succ` the next holder after the
-/// tenure `for_seq` of the receiving node.
-#[derive(Debug, Clone, Copy)]
-pub struct TokSetSucc {
-    /// The lock.
-    pub lock: u32,
-    /// The successor node.
-    pub succ: usize,
-    /// The receiver tenure this notification targets.
-    pub for_seq: u64,
-}
-
-/// Token queue: the application releases via its own handler.
-#[derive(Clone)]
-pub struct TokRelease {
-    /// The lock being released.
-    pub lock: u32,
-    /// The releasing interval's notices.
-    pub interval: Interval,
-}
-
-/// Token queue: a holder with no known successor returns the token to
-/// the manager.
-#[derive(Clone)]
-pub struct TokReturn {
-    /// The lock.
-    pub lock: u32,
-    /// The returning node.
-    pub who: usize,
-    /// The returning node's tenure sequence number.
-    pub seq: u64,
-    /// The token's accumulated notices.
-    pub notices: Vec<(usize, Interval)>,
-}
-
-impl TokReturn {
-    /// Wire size of the return.
-    pub fn wire_bytes(&self) -> u64 {
-        notices_wire_bytes(&self.notices) + 24
-    }
-}
-
-/// Token queue: forward the manager-held (or inbound) token to `succ`,
-/// claimed by a node whose tenure had already ended when the successor
-/// notification reached it.
-#[derive(Debug, Clone, Copy)]
-pub struct TokClaim {
-    /// The lock.
-    pub lock: u32,
-    /// The successor the token must go to.
-    pub succ: usize,
-}
-
 /// Digest fallback: ask a home for the current versions of `pages`
 /// (all homed at the destination).
 #[derive(Debug, Clone)]

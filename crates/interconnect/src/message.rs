@@ -72,9 +72,10 @@ pub fn try_downcast<T: 'static>(p: Payload) -> Result<T, DispatchError> {
 pub struct Page(Arc<[u8]>);
 
 impl Page {
-    /// A zero-filled page of `len` bytes.
+    /// A zero-filled page of `len` bytes, built in its one allocation
+    /// (a `Vec` turned into an `Arc<[u8]>` would be copied into a second).
     pub fn zeroed(len: usize) -> Self {
-        Self(vec![0u8; len].into())
+        Self(std::iter::repeat_n(0, len).collect())
     }
 
     /// Number of bytes.

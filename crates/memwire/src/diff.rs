@@ -3,30 +3,35 @@
 //! The software DSM detects modifications the TreadMarks/JiaJia way: the
 //! first write to a page in an interval snapshots a pristine *twin*; at a
 //! release point the current page is compared against the twin and the
-//! changed byte runs are encoded as a *diff*, which is shipped to the
-//! page's home and applied there. Diffs from different writers to
-//! disjoint parts of a page merge cleanly (the usual false-sharing
-//! remedy of multiple-writer protocols).
+//! changed bytes are encoded as a *diff*, which is shipped to the page's
+//! home and applied there. Diffs from different writers to disjoint
+//! parts of a page merge cleanly (the usual false-sharing remedy of
+//! multiple-writer protocols).
+//!
+//! A diff is held at the width of a 64-byte block: each changed block
+//! carries its current bytes and, unless all of them changed, a byte
+//! mask, so encoding and applying cost a few word operations per block
+//! however many byte runs the block breaks into. The modelled wire size
+//! is still that of the byte-granular run-length encoding JiaJia ships.
 
 use crate::addr::PAGE_SIZE;
 
-/// One run of modified bytes within a page: where it starts and how
-/// many of the diff's payload bytes belong to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DiffRun {
-    offset: u16,
-    len: u16,
-}
+/// Granularity of the encoding: blocks that are equal throughout or
+/// changed throughout are classified by one vectorisable pass and never
+/// looked at word by word.
+const BLOCK: usize = 64;
+
+// A page's blocks are the bits of one `u64`.
+const _: () = assert!(PAGE_SIZE / BLOCK == 64);
 
 /// The encoded difference between a twin and the current page contents.
 ///
-/// Run boundaries are byte-granular (a run ends at the first byte equal
-/// to the twin's), which fixes the modelled wire size. The encoding is
-/// flat: one list of `(offset, len)` runs in ascending offset order and
-/// one buffer holding every run's new bytes back to back, so a page
-/// that breaks into hundreds of runs — any page of `f64`s, where equal
-/// bytes inside changed values split them — costs two allocations, not
-/// one per run.
+/// Two block bitmaps — *whole* blocks, every byte changed, and *mixed*
+/// ones, some bytes changed — a byte mask per mixed block, and the
+/// current 64 bytes of every changed block. Runs of adjacent whole
+/// blocks are stored and copied as one span. The wire size is priced
+/// from the byte-granular run count (a run ends at the first byte equal
+/// to the twin's), counted from the masks' edges when the diff is built.
 ///
 /// ```
 /// use memwire::{Diff, PAGE_SIZE};
@@ -42,19 +47,23 @@ struct DiffRun {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Diff {
-    runs: Vec<DiffRun>,
-    /// The runs' new bytes, concatenated; `runs[i].len` of them belong
-    /// to run `i`.
-    bytes: Vec<u8>,
+    /// Bit `b` set iff every byte of block `b` changed.
+    whole: u64,
+    /// Bit `b` set iff some, not all, bytes of block `b` changed.
+    mixed: u64,
+    /// One per mixed block, in page order: bit `i` set iff byte `i` of
+    /// the block changed.
+    masks: Vec<u64>,
+    /// The current bytes of the whole blocks, then of the mixed ones,
+    /// each in page order.
+    bytes: Vec<[u8; BLOCK]>,
+    /// Byte runs of the run-length encoding.
+    runs: u32,
+    /// Bytes that differ from the twin.
+    changed: u32,
 }
 
-/// Granularity of the coarse scan: blocks that are equal throughout or
-/// changed throughout are classified by one vectorisable pass and never
-/// looked at word by word.
-const BLOCK: usize = 64;
-
 /// Bit `i` set iff byte `i` (little-endian) of `x` is non-zero.
-#[inline]
 fn nonzero_bytes(x: u64) -> u8 {
     const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
     // High bit of each non-zero byte, then gathered into one byte by a
@@ -63,107 +72,118 @@ fn nonzero_bytes(x: u64) -> u8 {
     ((high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
 }
 
-/// Run boundaries under construction: the closed runs and the start of
-/// the one still being extended.
-#[derive(Default)]
-struct Scan {
-    runs: Vec<DiffRun>,
-    open: Option<usize>,
-}
-
-impl Scan {
-    /// The bytes from `at` on are unchanged: close the open run, if any.
-    #[inline]
-    fn close(&mut self, at: usize) {
-        if let Some(start) = self.open.take() {
-            self.runs.push(DiffRun { offset: start as u16, len: (at - start) as u16 });
-        }
+/// The inverse, by table: byte `i` of `BYTE_MASK[bits]` is `0xff` iff
+/// bit `i` of `bits` is set.
+static BYTE_MASK: [u64; 256] = {
+    let (mut table, mut bit) = ([0; 256], 0);
+    while bit < 256 * 8 {
+        table[bit / 8] |= (((bit / 8) >> (bit % 8)) as u64 & 1) * (0xff << (8 * (bit % 8)));
+        bit += 1;
     }
+    table
+};
 
-    /// Scan `twin` against `current` (equal lengths, a multiple of
-    /// eight) a word at a time; `base` is their offset within the page.
-    #[inline]
-    fn words(&mut self, base: usize, twin: &[u8], current: &[u8]) {
-        let (twin, current) = (twin.as_chunks::<8>().0, current.as_chunks::<8>().0);
-        for (w, (t, c)) in twin.iter().zip(current).enumerate() {
-            let differs = nonzero_bytes(u64::from_le_bytes(*t) ^ u64::from_le_bytes(*c));
-            // A boundary sits before every byte whose state differs from
-            // its predecessor's; byte 0's predecessor is the open run.
-            let mut edges = differs ^ (differs << 1 | self.open.is_some() as u8);
-            while edges != 0 {
-                let at = base + w * 8 + edges.trailing_zeros() as usize;
-                edges &= edges - 1;
-                match self.open {
-                    Some(_) => self.close(at),
-                    None => self.open = Some(at),
-                }
-            }
-        }
-    }
+/// The maximal runs of set bits in `blocks`, as `(first, count)`.
+fn spans(mut blocks: u64) -> impl Iterator<Item = (usize, usize)> {
+    std::iter::from_fn(move || {
+        (blocks != 0).then(|| {
+            let b = blocks.trailing_zeros() as usize;
+            let n = (blocks >> b).trailing_ones() as usize;
+            // Adding the lowest set bit carries through the lowest run.
+            blocks &= blocks.wrapping_add(blocks & blocks.wrapping_neg());
+            (b, n)
+        })
+    })
 }
 
 impl Diff {
     /// Compare `current` against its pristine `twin` and encode the
-    /// changed runs. Both slices must be exactly one page.
+    /// changed blocks. Both slices must be exactly one page.
     pub fn between(twin: &[u8], current: &[u8]) -> Self {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
-        let mut scan = Scan::default();
-        for (b, (t, c)) in twin.chunks_exact(BLOCK).zip(current.chunks_exact(BLOCK)).enumerate() {
-            let (mut any_equal, mut any_changed) = (false, false);
-            for (x, y) in t.iter().zip(c) {
-                any_equal |= x == y;
-                any_changed |= x != y;
-            }
-            match (any_equal, any_changed) {
-                (_, false) => scan.close(b * BLOCK),
-                (false, true) => {
-                    scan.open.get_or_insert(b * BLOCK);
-                }
-                (true, true) => scan.words(b * BLOCK, t, c),
-            }
+        let (twin, current) = (twin.as_chunks::<BLOCK>().0, current.as_chunks::<BLOCK>().0);
+        let (mut whole, mut mixed) = (0u64, 0u64);
+        for (b, (t, c)) in twin.iter().zip(current).enumerate() {
+            let (any_equal, any_changed) =
+                t.iter().zip(c).fold((false, false), |(e, n), (x, y)| (e | (x == y), n | (x != y)));
+            whole |= ((any_changed && !any_equal) as u64) << b;
+            mixed |= ((any_changed && any_equal) as u64) << b;
         }
-        scan.close(PAGE_SIZE);
 
-        let runs = scan.runs;
-        let mut bytes = Vec::with_capacity(runs.iter().map(|r| r.len as usize).sum());
-        for r in &runs {
-            bytes.extend_from_slice(&current[r.offset as usize..][..r.len as usize]);
+        let masks = Vec::with_capacity(mixed.count_ones() as usize);
+        let bytes = Vec::with_capacity((whole | mixed).count_ones() as usize);
+        let mut d = Self { whole, mixed, masks, bytes, runs: whole.count_ones(), changed: 0 };
+        for (b, n) in spans(whole) {
+            d.bytes.extend_from_slice(&current[b..b + n]);
         }
-        Self { runs, bytes }
+        d.changed = (d.bytes.len() * BLOCK) as u32;
+        // Blocks whose first / last byte changed.
+        let (mut first, mut last) = (whole, whole);
+        for b in spans(mixed).flat_map(|(b, n)| b..b + n) {
+            let (t, c) = (twin[b].as_chunks::<8>().0, current[b].as_chunks::<8>().0);
+            let mask = t.iter().zip(c).enumerate().fold(0, |mask, (w, (t, c))| {
+                let differs = nonzero_bytes(u64::from_le_bytes(*t) ^ u64::from_le_bytes(*c));
+                mask | (differs as u64) << (8 * w)
+            });
+            d.runs += (mask & !(mask << 1)).count_ones();
+            d.changed += mask.count_ones();
+            first |= (mask & 1) << b;
+            last |= (mask >> 63) << b;
+            d.masks.push(mask);
+            d.bytes.push(current[b]);
+        }
+        // Every block counted a run starting at its first byte; it is
+        // none where the previous block's last byte changed too.
+        d.runs -= (first & last << 1).count_ones();
+        d
     }
 
-    /// Apply this diff to `page` (the home copy). Panics on a malformed
-    /// diff — run lengths that do not add up to the payload, or a run
-    /// past the end of the page — rather than apply it askew.
+    /// Apply this diff to `page` (the home copy): whole spans are
+    /// copied, mixed blocks blended a word at a time. Panics on a
+    /// malformed diff — not one payload block per changed block, not
+    /// one mask per mixed block, or a block both whole and mixed —
+    /// rather than apply it askew.
     pub fn apply(&self, page: &mut [u8]) {
         assert_eq!(page.len(), PAGE_SIZE, "target must be one page");
-        let mut rest = self.bytes.as_slice();
-        for r in &self.runs {
-            let (offset, len) = (r.offset as usize, r.len as usize);
-            assert!(len <= rest.len(), "malformed diff: run lengths exceed the payload");
-            assert!(offset + len <= PAGE_SIZE, "malformed diff: run overruns the page");
-            let (new, tail) = rest.split_at(len);
-            page[offset..offset + len].copy_from_slice(new);
-            rest = tail;
+        let page = page.as_chunks_mut::<BLOCK>().0;
+        let mut new = &self.bytes[..];
+        for (b, n) in spans(self.whole) {
+            let (src, rest) = new.split_at_checked(n).expect("malformed diff");
+            // A lone block is copied at its fixed width, not by `memcpy`.
+            if let [block] = src { page[b] = *block } else { page[b..b + n].copy_from_slice(src) }
+            new = rest;
         }
-        assert!(rest.is_empty(), "malformed diff: payload exceeds the run lengths");
+        assert!(
+            self.whole & self.mixed == 0 && new.len() == self.masks.len(),
+            "malformed diff"
+        );
+        let mut mixed = spans(self.mixed).flat_map(|(b, n)| b..b + n);
+        for (&mask, src) in self.masks.iter().zip(new) {
+            let b = mixed.next().expect("malformed diff");
+            let words = page[b].as_chunks_mut::<8>().0.iter_mut().zip(src.as_chunks::<8>().0);
+            for (w, (o, s)) in words.enumerate() {
+                let m = BYTE_MASK[(mask >> (8 * w)) as u8 as usize];
+                *o = (u64::from_le_bytes(*o) & !m | u64::from_le_bytes(*s) & m).to_le_bytes();
+            }
+        }
+        assert!(mixed.next().is_none(), "malformed diff");
     }
 
     /// True if nothing changed.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.whole | self.mixed == 0
     }
 
     /// Total count of changed bytes.
     pub fn changed_bytes(&self) -> usize {
-        self.bytes.len()
+        self.changed as usize
     }
 
-    /// Size of this diff on the wire: 4 bytes of header per run plus the
-    /// payload bytes (matches the JiaJia encoding granularity).
+    /// Size of this diff on the wire: 4 bytes of header per byte run plus
+    /// the changed bytes (matches the JiaJia encoding granularity).
     pub fn wire_bytes(&self) -> u64 {
-        4 * self.runs.len() as u64 + self.bytes.len() as u64 + 8
+        4 * self.runs as u64 + self.changed as u64 + 8
     }
 }
 
@@ -172,25 +192,47 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    /// The byte-at-a-time encoder the block/word scan replaced, kept as
-    /// the oracle: a run starts at a byte that differs from the twin's
-    /// and ends at the first that does not.
-    fn reference(twin: &[u8], current: &[u8]) -> Diff {
-        let mut d = Diff::default();
+    /// The set bits of `blocks`, lowest first.
+    fn bits(blocks: u64) -> impl Iterator<Item = usize> {
+        spans(blocks).flat_map(|(b, n)| b..b + n)
+    }
+
+    /// `(offset, len)` of each maximal run of bytes for which `changed`
+    /// holds, in ascending order.
+    fn runs_of(changed: impl Fn(usize) -> bool) -> Vec<(usize, usize)> {
+        let mut runs = Vec::new();
         let mut i = 0;
         while i < PAGE_SIZE {
-            if twin[i] != current[i] {
+            if changed(i) {
                 let start = i;
-                while i < PAGE_SIZE && twin[i] != current[i] {
+                while i < PAGE_SIZE && changed(i) {
                     i += 1;
                 }
-                d.runs.push(DiffRun { offset: start as u16, len: (i - start) as u16 });
-                d.bytes.extend_from_slice(&current[start..i]);
+                runs.push((start, i - start));
             } else {
                 i += 1;
             }
         }
-        d
+        runs
+    }
+
+    /// The byte-at-a-time run-length encoder the block masks replaced,
+    /// kept as the oracle: a run starts at a byte that differs from the
+    /// twin's and ends at the first that does not.
+    fn reference(twin: &[u8], current: &[u8]) -> Vec<(usize, usize)> {
+        runs_of(|i| twin[i] != current[i])
+    }
+
+    /// The run list `d`'s bitmaps and masks describe.
+    fn runs(d: &Diff) -> Vec<(usize, usize)> {
+        let mut changed = [false; PAGE_SIZE];
+        let mixed = bits(d.mixed).zip(d.masks.iter().copied());
+        for (b, mask) in bits(d.whole).map(|b| (b, !0)).chain(mixed) {
+            for (i, c) in changed[b * BLOCK..][..BLOCK].iter_mut().enumerate() {
+                *c = mask >> i & 1 == 1;
+            }
+        }
+        runs_of(|i| changed[i])
     }
 
     /// `between` must agree with the oracle run for run, price the same
@@ -198,9 +240,12 @@ mod tests {
     fn check_against_reference(twin: &[u8], current: &[u8]) -> Diff {
         let d = Diff::between(twin, current);
         let r = reference(twin, current);
-        assert_eq!(d, r, "run list or payload differs from the byte-wise encoder");
-        assert_eq!(d.wire_bytes(), r.runs.iter().map(|r| 4 + r.len as u64).sum::<u64>() + 8);
+        assert_eq!(runs(&d), r, "run list differs from the byte-wise encoder");
+        assert_eq!(d.wire_bytes(), r.iter().map(|&(_, len)| 4 + len as u64).sum::<u64>() + 8);
         assert_eq!(d.changed_bytes(), twin.iter().zip(current).filter(|(a, b)| a != b).count());
+        assert_eq!(d.whole & d.mixed, 0);
+        assert_eq!(d.masks.len(), d.mixed.count_ones() as usize);
+        assert_eq!(d.bytes.len(), (d.whole | d.mixed).count_ones() as usize);
         let mut home = twin.to_vec();
         d.apply(&mut home);
         assert_eq!(home, current);
@@ -234,6 +279,14 @@ mod tests {
     }
 
     #[test]
+    fn byte_mask_inverts_nonzero_bytes() {
+        for (bits, &m) in BYTE_MASK.iter().enumerate() {
+            assert_eq!(nonzero_bytes(m) as usize, bits);
+            assert!(m.to_le_bytes().iter().all(|&b| b == 0 || b == 0xff));
+        }
+    }
+
+    #[test]
     fn identical_pages_give_empty_diff() {
         let twin = page_of(0);
         let d = check_against_reference(&twin, &twin);
@@ -247,18 +300,23 @@ mod tests {
         let mut cur = twin.clone();
         cur[100..110].fill(7);
         let d = check_against_reference(&twin, &cur);
-        assert_eq!(d.runs, [DiffRun { offset: 100, len: 10 }]);
-        assert_eq!(d.bytes, [7; 10]);
+        assert_eq!(runs(&d), [(100, 10)]);
+        assert_eq!((d.whole, d.mixed, &d.masks[..]), (0, 1 << 1, &[0x3ff << 36][..]));
+        assert_eq!(d.bytes.as_flattened(), &cur[64..128]);
     }
 
     #[test]
     fn sparse_slot_and_full_rewrite_match_reference() {
         // The ledger's two probes: one 64-byte KV slot, and every byte.
+        // Each is whole blocks only: no masks, one span.
         let twin = page_of(0);
         let mut slot = twin.clone();
         slot[1024..1088].fill(0xff);
-        assert_eq!(check_against_reference(&twin, &slot).wire_bytes(), 76);
-        assert_eq!(check_against_reference(&twin, &page_of(0xff)).wire_bytes(), 4108);
+        let d = check_against_reference(&twin, &slot);
+        assert_eq!((d.wire_bytes(), d.whole, d.mixed), (76, 1 << 16, 0));
+        let d = check_against_reference(&twin, &page_of(0xff));
+        assert_eq!((d.wire_bytes(), d.whole, d.mixed), (4108, !0, 0));
+        assert_eq!(spans(d.whole).collect::<Vec<_>>(), [(0, 64)]);
     }
 
     #[test]
@@ -273,7 +331,7 @@ mod tests {
                 check_against_reference(&twin, &cur);
                 if start + len + 2 <= PAGE_SIZE {
                     cur[start + len + 1] = 5;
-                    assert_eq!(check_against_reference(&twin, &cur).runs.len(), 2);
+                    assert_eq!(runs(&check_against_reference(&twin, &cur)).len(), 2);
                 }
             }
         }
@@ -302,13 +360,14 @@ mod tests {
     fn sor_iterates_match_reference() {
         // Consecutive Jacobi iterates: changed `f64`s share sign,
         // exponent and often mantissa bytes, so a page breaks into
-        // hundreds of short runs — the shape the flat encoding is for.
+        // hundreds of short runs — several per block, the shape the
+        // block masks are for.
         let mut rows: Vec<Vec<f64>> = (0..6).map(sor_row).collect();
         for _ in 0..4 {
             let next = sor_sweep(&rows);
             for (before, after) in rows.iter().zip(&next).skip(1).take(4) {
                 let d = check_against_reference(&f64_page(before), &f64_page(after));
-                assert!(d.runs.len() > 300, "only {} runs", d.runs.len());
+                assert!(runs(&d).len() > 300, "only {} runs", runs(&d).len());
             }
             rows = next;
         }
@@ -326,22 +385,23 @@ mod tests {
 
     #[test]
     fn disjoint_diffs_merge() {
-        // Two writers modify disjoint halves of the same page; applying
-        // both diffs to the home must preserve both sets of writes
-        // (multiple-writer protocol invariant).
+        // Two writers modify disjoint parts of the same page, here of
+        // the same blocks; applying both diffs to the home must preserve
+        // both sets of writes (multiple-writer protocol invariant).
         let twin = page_of(0);
         let mut a = twin.clone();
         a[..100].fill(1);
         let mut b = twin.clone();
-        b[200..300].fill(2);
+        b[100..300].iter_mut().step_by(2).for_each(|x| *x = 2);
         let da = Diff::between(&twin, &a);
         let db = Diff::between(&twin, &b);
         let mut home = twin.clone();
         da.apply(&mut home);
         db.apply(&mut home);
         assert!(home[..100].iter().all(|&x| x == 1));
-        assert!(home[200..300].iter().all(|&x| x == 2));
-        assert!(home[100..200].iter().all(|&x| x == 0));
+        assert!(home[100..300].iter().step_by(2).all(|&x| x == 2));
+        assert!(home[101..300].iter().step_by(2).all(|&x| x == 0));
+        assert!(home[300..].iter().all(|&x| x == 0));
     }
 
     #[test]
@@ -359,27 +419,38 @@ mod tests {
         let _ = Diff::between(&[0u8; 10], &[0u8; 10]);
     }
 
+    fn malformed(whole: u64, mixed: u64, masks: usize, blocks: usize) -> Diff {
+        let bytes = vec![[1; BLOCK]; blocks];
+        Diff { whole, mixed, masks: vec![1; masks], bytes, runs: 1, changed: 1 }
+    }
+
     #[test]
-    #[should_panic(expected = "run lengths exceed the payload")]
+    #[should_panic(expected = "malformed diff")]
     fn short_payload_rejected() {
-        let d = Diff { runs: vec![DiffRun { offset: 0, len: 8 }], bytes: vec![1; 7] };
-        d.apply(&mut page_of(0));
+        malformed(0b11, 0, 0, 1).apply(&mut page_of(0));
     }
 
     #[test]
-    #[should_panic(expected = "payload exceeds the run lengths")]
+    #[should_panic(expected = "malformed diff")]
     fn surplus_payload_rejected() {
-        let d = Diff { runs: vec![DiffRun { offset: 0, len: 8 }], bytes: vec![1; 9] };
-        d.apply(&mut page_of(0));
+        malformed(0b1, 0, 0, 2).apply(&mut page_of(0));
     }
 
     #[test]
-    #[should_panic(expected = "overruns the page")]
-    fn run_past_the_page_rejected() {
-        let d = Diff {
-            runs: vec![DiffRun { offset: (PAGE_SIZE - 4) as u16, len: 8 }],
-            bytes: vec![1; 8],
-        };
-        d.apply(&mut page_of(0));
+    #[should_panic(expected = "malformed diff")]
+    fn surplus_mask_rejected() {
+        malformed(0, 0b1, 2, 2).apply(&mut page_of(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed diff")]
+    fn missing_mask_rejected() {
+        malformed(0, 0b11, 1, 1).apply(&mut page_of(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed diff")]
+    fn block_both_whole_and_mixed_rejected() {
+        malformed(0b1, 0b1, 1, 2).apply(&mut page_of(0));
     }
 }

@@ -9,8 +9,9 @@
 //! * [`addr`] — global addresses, regions, pages ([`GlobalAddr`],
 //!   [`PageId`], [`PAGE_SIZE`]).
 //! * [`page`] — page buffers and the per-node cached-page table.
-//! * [`diff`] — twin/diff machinery for write detection (run-length
-//!   encoded against a pristine twin, as in TreadMarks/JiaJia).
+//! * [`diff`] — twin/diff machinery for write detection: the changed
+//!   64-byte blocks against a pristine twin, with per-block byte masks,
+//!   priced on the wire as TreadMarks/JiaJia's run-length encoding.
 //! * [`notice`] — write notices exchanged at synchronization points.
 //! * [`arena`] — bump allocation inside a region, with distribution
 //!   annotations (paper §4.2, Memory Management module).

@@ -12,7 +12,49 @@ fn edits_strategy() -> impl Strategy<Value = Vec<(usize, u8)>> {
     proptest::collection::vec((0..PAGE_SIZE, any::<u8>()), 0..200)
 }
 
+/// A page of `f64` cells and the same page after a random subset of
+/// its cells moved by a small relative amount (`±2^-s`, `s` in 8..52):
+/// the shape of a SOR row between iterations, where a cell's low bytes
+/// change and its sign and exponent bytes do not, so runs are 1–7 bytes
+/// long and several share a block. One cell in four is 2.0: moved down
+/// it drops to exponent `0x3ff` and every byte changes, so runs also
+/// cross cell and block boundaries and reach the page's last byte. A
+/// quarter of the pages keep every cell.
+fn f64_page_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    let cell = (0u8..4, any::<u64>(), -3i32..3, 0u16..1000, any::<bool>(), 8i32..52);
+    (0usize..4, proptest::collection::vec(cell, PAGE_SIZE / 8)).prop_map(|(density, cells)| {
+        let moved_per_mille = [0, 5, 100, 900][density];
+        let (mut twin, mut current) = (Vec::new(), Vec::new());
+        for (kind, bits, exp, roll, down, shift) in cells {
+            let fraction = (bits >> 12) as f64 / 2f64.powi(52);
+            let before = if kind == 0 { 2.0 } else { (1.0 + fraction) * 2f64.powi(exp) };
+            let rel = if roll < moved_per_mille { 2f64.powi(-shift) } else { 0.0 };
+            let after = before * if down { 1.0 - rel } else { 1.0 + rel };
+            twin.extend(before.to_le_bytes());
+            current.extend(after.to_le_bytes());
+        }
+        (twin, current)
+    })
+}
+
 proptest! {
+    #[test]
+    fn diff_wire_size_is_exact_on_f64_pages(pages in f64_page_pair()) {
+        let (twin, current) = pages;
+        let diff = Diff::between(&twin, &current);
+        // Byte-wise: a run starts at a changed byte whose predecessor is
+        // unchanged; each costs 4 bytes of header on the wire.
+        let changed: Vec<bool> = twin.iter().zip(&current).map(|(a, b)| a != b).collect();
+        let bytes = changed.iter().filter(|&&c| c).count();
+        let runs = (0..PAGE_SIZE).filter(|&i| changed[i] && (i == 0 || !changed[i - 1])).count();
+        prop_assert_eq!(diff.changed_bytes(), bytes);
+        prop_assert_eq!(diff.wire_bytes(), 8 + 4 * runs as u64 + bytes as u64);
+        prop_assert_eq!(diff.is_empty(), bytes == 0);
+        let mut rebuilt = twin.clone();
+        diff.apply(&mut rebuilt);
+        prop_assert_eq!(rebuilt, current);
+    }
+
     #[test]
     fn diff_reconstructs_any_modification(twin in page_strategy(), edits in edits_strategy()) {
         let mut current = twin.clone();

@@ -16,8 +16,10 @@
 # every stack — thread entry, the workload's loop — are left out of the
 # printed top rows). Code outside the ledger binary (libc's futex and
 # allocator, the vDSO) shows as `[library]`. The full inclusive table is
-# kept in host-profile.<workload>.txt; compare two checkouts by running
-# the script once with each.
+# kept in host-profile.<workload>.<checkout>.txt, <checkout> the name of
+# the checkout's directory, and its path printed last; compare two
+# checkouts by running the script once with each and diffing the two
+# tables.
 #
 # Works in the current directory: copies, target directories and the
 # sampler under `host-profile-work/`. Needs gcc, addr2line, readelf and
@@ -44,7 +46,7 @@ rm -f "$work/run/prof.stacks" "$work/run/prof.maps"
 (cd "$work/run" && HOST_PROFILE_OUT=$work/run/prof LD_PRELOAD=$work/libsigprof.so \
     "$bin" --workload "$workload" --seconds "$seconds" >/dev/null)
 
-python3 - "$work/run/prof" "$workload" "$PWD/host-profile.$workload.txt" "$bin" <<'EOF'
+python3 - "$work/run/prof" "$workload" "$PWD/host-profile.$workload.$(basename "$tree").txt" "$bin" <<'EOF'
 import collections, os, re, subprocess, sys
 
 prof, workload, table_path, binary = sys.argv[1:]

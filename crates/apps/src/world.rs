@@ -2,7 +2,7 @@
 //! system", with native-DSM and HAMSTER bindings.
 
 use hamster_core::Hamster;
-use memwire::{Distribution, GlobalAddr};
+use memwire::{Access, Distribution, GlobalAddr};
 use models::jiajia::Jia;
 use swdsm::DsmNode;
 

@@ -11,7 +11,7 @@ use crate::{Args, Built};
 use apps::world::{run_hamster, run_native_sync, HamsterWorld, NativeWorld, World};
 use apps::BenchResult;
 use cluster::{BarrierTopology, SyncTopology};
-use hamster_core::{AllocSpec, ClusterConfig, Distribution, PlatformKind, Runtime};
+use hamster_core::{Access, AllocSpec, ClusterConfig, Distribution, PlatformKind, Runtime};
 use swdsm::DsmConfig;
 
 const BENCHES: [(&str, &str); 5] = [

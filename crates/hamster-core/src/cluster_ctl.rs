@@ -31,14 +31,14 @@ impl ClusterCtl<'_> {
     pub fn nodes(&self) -> usize {
         self.core.charge_service();
         self.core.stats.cluster.add("queries", 1);
-        self.core.platform.nodes()
+        self.core.ctx.nodes()
     }
 
     /// Static description of node `rank`.
     pub fn node_info(&self, rank: usize) -> NodeInfo {
         self.core.charge_service();
         self.core.stats.cluster.add("queries", 1);
-        self.core.platform.ctx().registry().node(rank).clone()
+        self.core.ctx.registry().node(rank).clone()
     }
 
     /// Send `bytes` to node `dst` on user channel `channel`.
@@ -47,11 +47,11 @@ impl ClusterCtl<'_> {
         self.core.stats.cluster.add("msgs_sent", 1);
         self.core.stats.cluster.add("bytes_sent", bytes.len() as u64);
         let wire = bytes.len() as u64 + 16;
-        let src = self.core.platform.rank();
+        let src = self.core.ctx.rank();
         // Tagged with the receiver's wait tag: if fault injection
         // destroys the message, a loss tombstone lands there so a
         // resilient receiver times out instead of blocking forever.
-        self.core.platform.ctx().port().post_tagged(
+        self.core.ctx.port().post_tagged(
             dst,
             kinds::USER_MSG,
             (channel, UserMsg { src, bytes }),
@@ -68,7 +68,7 @@ impl ClusterCtl<'_> {
         self.recv_checked(channel).unwrap_or_else(|e| {
             panic!(
                 "hamster node {}: user message on channel {channel} lost: {e}",
-                self.core.platform.rank()
+                self.core.ctx.rank()
             )
         })
     }
@@ -79,33 +79,24 @@ impl ClusterCtl<'_> {
     pub fn recv_checked(&self, channel: u32) -> Result<UserMsg, RequestError> {
         self.core.charge_service();
         self.core.stats.cluster.add("msgs_recv", 1);
-        let p = self
-            .core
-            .platform
-            .ctx()
-            .port()
-            .wait_mailbox_checked(mailbox::tag(kinds::USER_MSG, channel))?;
+        let p =
+            self.core.ctx.port().wait_mailbox_checked(mailbox::tag(kinds::USER_MSG, channel))?;
         Ok(downcast::<UserMsg>(p))
     }
 
     /// Non-blocking receive on `channel`.
     pub fn try_recv(&self, channel: u32) -> Option<UserMsg> {
         self.core.charge_service();
-        let d = self
-            .core
-            .platform
-            .ctx()
-            .mailbox()
-            .try_take(mailbox::tag(kinds::USER_MSG, channel))?;
+        let d = self.core.ctx.mailbox().try_take(mailbox::tag(kinds::USER_MSG, channel))?;
         self.core.stats.cluster.add("msgs_recv", 1);
-        self.core.platform.ctx().clock().advance_to(d.arrive_ns);
+        self.core.ctx.clock().advance_to(d.arrive_ns);
         Some(downcast::<UserMsg>(d.payload))
     }
 
     /// Broadcast `bytes` to every other node on `channel`.
     pub fn broadcast(&self, channel: u32, bytes: &[u8]) {
-        for dst in 0..self.core.platform.nodes() {
-            if dst != self.core.platform.rank() {
+        for dst in 0..self.core.ctx.nodes() {
+            if dst != self.core.ctx.rank() {
                 self.send(dst, channel, bytes.to_vec());
             }
         }

@@ -28,6 +28,42 @@ pub enum PlatformKind {
     Mixed,
 }
 
+/// What the underlying platform can and cannot do — the memory module's
+/// capability-probe service reports from here (paper §4.2: "a capability
+/// test routine lets the user probe the underlying shared memory
+/// system").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlatformCaps {
+    /// Hardware keeps caches coherent (no software consistency needed).
+    pub hardware_coherent: bool,
+    /// Sharing granularity is a page (software DSM) rather than a word.
+    pub page_granularity: bool,
+    /// Remote memory is directly addressable by the hardware.
+    pub word_remote_access: bool,
+    /// Distribution annotations influence access cost (NUMA).
+    pub placement_matters: bool,
+}
+
+impl PlatformKind {
+    /// Capability probe of this platform.
+    pub fn caps(self) -> PlatformCaps {
+        let (hardware_coherent, page_granularity, word_remote_access, placement_matters) =
+            match self {
+                PlatformKind::Smp => (true, false, true, false),
+                PlatformKind::HybridDsm => (false, false, true, true),
+                PlatformKind::SwDsm => (false, true, false, true),
+                PlatformKind::Mixed => (false, true, true, true),
+            };
+        PlatformCaps { hardware_coherent, page_granularity, word_remote_access, placement_matters }
+    }
+
+    /// Whether a software DSM runs here, the only engine placement
+    /// overrides apply to.
+    pub fn has_software_dsm(self) -> bool {
+        matches!(self, PlatformKind::SwDsm | PlatformKind::Mixed)
+    }
+}
+
 impl FromStr for PlatformKind {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
@@ -100,6 +136,27 @@ fn split_fields<const N: usize>(item: &str, n: usize, shape: &str) -> Result<[u3
             .map_err(|e| format!("placement entry {item:?}: {e}"))?;
     }
     Ok(out)
+}
+
+/// Refuse placement `key`'s target `nodes` unless the platform has a
+/// software DSM and every node exists (bring-up would panic otherwise).
+fn check_placement(
+    key: &str,
+    cfg: &ClusterConfig,
+    mut nodes: impl Iterator<Item = usize>,
+) -> Result<(), String> {
+    if !cfg.platform.has_software_dsm() {
+        return Err(format!(
+            "config key \"{key}\": placement overrides only apply to software-DSM platforms, not {:?}",
+            cfg.platform
+        ));
+    }
+    match nodes.find(|&node| node >= cfg.nodes) {
+        Some(node) => {
+            Err(format!("config key \"{key}\": node {node} out of range for {} nodes", cfg.nodes))
+        }
+        None => Ok(()),
+    }
 }
 
 /// Full configuration of a HAMSTER run.
@@ -189,9 +246,11 @@ impl ClusterConfig {
         }
         if let Some(v) = map.get("place_home") {
             cfg.placement.homes = Placement::parse_homes(v)?;
+            check_placement("place_home", &cfg, cfg.placement.homes.iter().map(|&(_, n)| n))?;
         }
         if let Some(v) = map.get("place_lock") {
             cfg.placement.locks = Placement::parse_locks(v)?;
+            check_placement("place_lock", &cfg, cfg.placement.locks.iter().map(|&(_, n)| n))?;
         }
         if let Some(spec) = map.get_as::<MembershipSpec>("membership")? {
             cfg.membership = Some(spec.plan(nodes));
@@ -318,6 +377,21 @@ mod tests {
         assert!(ClusterConfig::new(4, PlatformKind::SwDsm).placement.is_empty());
         assert!(ClusterConfig::parse("nodes=4\nplatform=swdsm\nplace_home=0:1").is_err());
         assert!(ClusterConfig::parse("nodes=4\nplatform=swdsm\nplace_lock=1:x").is_err());
+        // Parsable but impossible: a node past the cluster, or a
+        // platform without a software DSM, is refused here, not at
+        // bring-up.
+        for (text, key, what) in [
+            ("nodes=4\nplatform=swdsm\nplace_lock=1:9", "place_lock", "node 9 out of range"),
+            ("nodes=4\nplatform=swdsm\nplace_home=1:0:7", "place_home", "node 7 out of range"),
+            ("nodes=4\nplatform=smp\nplace_lock=1:3", "place_lock", "software-DSM"),
+            ("nodes=4\nplatform=hybrid\nplace_home=0:0:1", "place_home", "software-DSM"),
+        ] {
+            let err = ClusterConfig::parse(text).unwrap_err();
+            assert!(err.starts_with(&format!("config key \"{key}\": ")), "{err}");
+            assert!(err.contains(what), "{err}");
+        }
+        let mixed = ClusterConfig::parse("nodes=4\nplatform=mixed\nplace_lock=1:3").unwrap();
+        assert_eq!(mixed.placement.locks, vec![(1, 3)]);
     }
 
     #[test]

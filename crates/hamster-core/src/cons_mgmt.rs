@@ -20,7 +20,7 @@ impl ConsMgmt<'_> {
         self.core.charge_service();
         self.core.stats.cons.add("acquires", 1);
         self.core.trace_corr("cons", "acquire", scope as u64, scope as u64 + 1);
-        self.core.platform.acquire(scope);
+        self.core.engine.acquire(scope);
     }
 
     /// Leave a consistency scope: publishes this interval's
@@ -30,7 +30,7 @@ impl ConsMgmt<'_> {
         self.core.charge_service();
         self.core.stats.cons.add("releases", 1);
         self.core.trace_corr("cons", "release", scope as u64, scope as u64 + 1);
-        self.core.platform.release(scope);
+        self.core.engine.release(scope);
     }
 
     /// Enforce store visibility without synchronization, where the
@@ -38,7 +38,7 @@ impl ConsMgmt<'_> {
     pub fn flush(&self) {
         self.core.charge_service();
         self.core.stats.cons.add("flushes", 1);
-        self.core.platform.flush();
+        self.core.engine.flush();
     }
 
     /// Globally synchronizing barrier: all modifications ordered before
@@ -47,6 +47,6 @@ impl ConsMgmt<'_> {
         self.core.charge_service();
         self.core.stats.cons.add("sync_barriers", 1);
         self.core.trace_corr("cons", "barrier_sync", id as u64, id as u64 + 1);
-        self.core.platform.barrier(id);
+        self.core.engine.barrier(id);
     }
 }

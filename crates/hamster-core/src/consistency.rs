@@ -13,6 +13,7 @@
 //! (possibly at degraded performance, as the paper notes).
 
 use crate::hamster::Hamster;
+use memwire::Access;
 
 /// A relaxed consistency model's enforcement hooks.
 ///

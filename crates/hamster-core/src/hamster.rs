@@ -1,19 +1,27 @@
 //! The per-node HAMSTER handle.
 
 use crate::cluster_ctl::ClusterCtl;
+use crate::config::PlatformCaps;
 use crate::cons_mgmt::ConsMgmt;
 use crate::mem_mgmt::MemMgmt;
 use crate::monitor::ModuleStats;
-use crate::platform::Platform;
 use crate::runtime::RuntimeInner;
 use crate::sync_mgmt::SyncMgmt;
 use crate::task_mgmt::TaskMgmt;
+use cluster::NodeCtx;
+use memwire::Engine;
 use sim::MachineCost;
 use std::sync::{Arc, Weak};
 
 /// Internal node state shared by the five module facades.
 pub(crate) struct NodeCore {
-    pub platform: Platform,
+    /// The platform's node engine; every memory and synchronization
+    /// service ends in one call on it.
+    pub engine: Box<dyn Engine>,
+    /// The node's execution context (clock, port, mailbox).
+    pub ctx: NodeCtx,
+    /// What the platform can do (the capability probe's answer).
+    pub caps: PlatformCaps,
     pub machine: MachineCost,
     pub stats: ModuleStats,
     pub runtime: Weak<RuntimeInner>,
@@ -25,9 +33,7 @@ impl NodeCore {
     /// — the thing Figure 2 measures against native execution.
     #[inline]
     pub fn charge_service(&self) {
-        self.platform
-            .ctx()
-            .compute(self.machine.service_call_ns + self.machine.monitor_ns);
+        self.ctx.compute(self.machine.service_call_ns + self.machine.monitor_ns);
     }
 
     pub fn runtime(&self) -> Arc<RuntimeInner> {
@@ -50,8 +56,8 @@ impl NodeCore {
     #[inline]
     pub fn trace_corr(&self, module: &'static str, op: &'static str, arg: u64, corr: u64) {
         if sim::trace::enabled() {
-            let now = self.platform.ctx().clock().now();
-            sim::trace::instant_corr(now, self.platform.rank(), module, op, arg, corr);
+            let now = self.ctx.clock().now();
+            sim::trace::instant_corr(now, self.ctx.rank(), module, op, arg, corr);
         }
     }
 }
@@ -99,36 +105,30 @@ impl Hamster {
     }
 
     /// Platform capability probe.
-    pub fn caps(&self) -> crate::platform::PlatformCaps {
-        self.core.platform.caps()
+    pub fn caps(&self) -> PlatformCaps {
+        self.core.caps
     }
 
     /// Virtual wall-clock time in seconds (paper §4.4's
     /// platform-independent timing support).
     pub fn wtime(&self) -> f64 {
-        self.core.platform.ctx().clock().now() as f64 / 1e9
+        self.core.ctx.clock().now() as f64 / 1e9
     }
 
     /// Virtual time in nanoseconds.
     pub fn wtime_ns(&self) -> u64 {
-        self.core.platform.ctx().clock().now()
+        self.core.ctx.clock().now()
     }
 
     /// Charge `ns` of application computation to this CPU.
     #[inline]
     pub fn compute(&self, ns: u64) {
-        self.core.platform.ctx().compute(ns);
+        self.core.ctx.compute(ns);
     }
 
     /// Stream private (non-shared) memory traffic through this node's
     /// memory system.
     pub fn private_traffic(&self, bytes: u64) {
-        self.core.platform.private_traffic(bytes);
-    }
-
-    /// Direct access to the platform binding (used by the model layer
-    /// for operations that are deliberately platform-specific).
-    pub fn platform(&self) -> &Platform {
-        &self.core.platform
+        self.core.engine.private_traffic(bytes);
     }
 }

@@ -25,6 +25,18 @@
 //! * [`cluster_ctl`] — node identification/parameters and the low-level
 //!   user messaging layer.
 //!
+//! ## The platform beneath
+//!
+//! Each node holds its platform's node engine as one
+//! [`memwire::Engine`] (re-exported here with [`Access`]): the software
+//! DSM's `swdsm::DsmNode`, the hybrid DSM's `hybriddsm::HybridNode`,
+//! [`smp::SmpNode`] or [`mixed::MixedNode`], chosen by
+//! [`PlatformKind`] at bring-up. Every memory and synchronization service
+//! ends in one call on it, and the capability probe ([`PlatformCaps`])
+//! comes from the [`PlatformKind`] alone. [`mem_mgmt::MemMgmt`] speaks
+//! [`Access`] itself, so the typed accessors a program calls through
+//! `ham.mem()` are the trait's, charged as one service call each.
+//!
 //! ## Entry points
 //!
 //! Configure with [`ClusterConfig`] (or parse the paper's
@@ -41,7 +53,6 @@ pub mod hamster;
 pub mod mem_mgmt;
 pub mod mixed;
 pub mod monitor;
-pub mod platform;
 pub mod runtime;
 pub mod smp;
 pub mod sync_mgmt;
@@ -51,11 +62,9 @@ pub mod timing;
 pub mod trace;
 
 pub use cluster::RunReport;
-pub use config::{ClusterConfig, Placement, PlatformKind};
+pub use config::{ClusterConfig, Placement, PlatformCaps, PlatformKind};
 pub use hamster::Hamster;
 pub use mem_mgmt::{AllocSpec, CoherenceReq, MemError, Region};
-pub use mixed::EngineHint;
-pub use platform::{Platform, PlatformCaps};
 pub use runtime::{run_spmd, Runtime};
 pub use task_mgmt::{TaskHandle, TaskMgmt};
 pub use telemetry::{ServiceOp, Telemetry};
@@ -66,4 +75,4 @@ pub use trace::{
 
 // Re-exported so programming models and applications need only this
 // crate for common vocabulary.
-pub use memwire::{Distribution, GlobalAddr};
+pub use memwire::{Access, Distribution, Engine, EngineHint, GlobalAddr};

@@ -1,10 +1,9 @@
 //! The Memory Management module (paper §4.2).
 
+use crate::config::PlatformCaps;
 use crate::hamster::NodeCore;
-use crate::mixed::EngineHint;
 use crate::monitor::MEM_STAT_NAMES;
-use crate::platform::PlatformCaps;
-use memwire::{Distribution, GlobalAddr};
+use memwire::{Access, Distribution, EngineHint, GlobalAddr};
 use sim::stats::stat_index;
 
 /// Indices of the counters every access bumps (checked at compile time).
@@ -115,13 +114,11 @@ impl MemMgmt<'_> {
         if bytes == 0 {
             return Err(MemError::EmptyAllocation);
         }
-        if spec.coherence == CoherenceReq::HardwareCoherent
-            && !self.core.platform.caps().hardware_coherent
-        {
+        if spec.coherence == CoherenceReq::HardwareCoherent && !self.core.caps.hardware_coherent {
             return Err(MemError::UnsupportedCoherence);
         }
         self.core.stats.mem.add("alloc_bytes", bytes as u64);
-        let addr = self.core.platform.alloc_hinted(bytes, spec.dist, spec.engine);
+        let addr = self.core.engine.alloc_with(bytes, spec.dist, spec.engine);
         // Correlate the allocation instant with the region it produced
         // so per-page diagnoses can name their region's birth.
         self.core.trace_corr("mem", "alloc", bytes as u64, addr.0 + 1);
@@ -142,14 +139,14 @@ impl MemMgmt<'_> {
             return Err(MemError::EmptyAllocation);
         }
         self.core.stats.mem.add("alloc_bytes", bytes as u64);
-        Ok(Region::new(self.core.platform.alloc_local(bytes), bytes))
+        Ok(Region::new(self.core.engine.alloc_local(bytes), bytes))
     }
 
     /// Adopt a region allocated on node `home` (receiver side of an
     /// address distribution).
     pub fn adopt(&self, region: Region, home: usize) {
         self.core.charge_service();
-        self.core.platform.adopt(region.addr(), region.size(), home);
+        self.core.engine.adopt(region.addr(), region.size(), home);
     }
 
     /// Capability probe (paper §4.2: discover supported coherence
@@ -157,60 +154,35 @@ impl MemMgmt<'_> {
     pub fn probe(&self) -> PlatformCaps {
         self.core.charge_service();
         self.core.stats.mem.add("probes", 1);
-        self.core.platform.caps()
+        self.core.caps
     }
 
-    /// Read bytes from global memory.
+    #[doc(hidden)] // ledger-pinned, goes with ROADMAP 11(b)
     #[inline]
-    pub fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
+    pub fn read_u64(&self, addr: GlobalAddr) -> u64 { Access::read_u64(self, addr) }
+}
+
+/// The global access functions: each access charges the service call
+/// and bumps this module's counters, then goes to the platform engine.
+/// The typed accessors come with the trait, one byte access each.
+impl Access for MemMgmt<'_> {
+    #[inline]
+    fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
         self.core.charge_service();
         self.core.stats.mem.at(READS).incr();
         if out.len() > 64 {
             self.core.stats.mem.at(BULK_BYTES).add(out.len() as u64);
         }
-        self.core.platform.read_bytes(addr, out);
+        self.core.engine.read_bytes(addr, out);
     }
 
-    /// Write bytes to global memory.
     #[inline]
-    pub fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
+    fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
         self.core.charge_service();
         self.core.stats.mem.at(WRITES).incr();
         if data.len() > 64 {
             self.core.stats.mem.at(BULK_BYTES).add(data.len() as u64);
         }
-        self.core.platform.write_bytes(addr, data);
-    }
-
-    /// Read a u64.
-    #[inline]
-    pub fn read_u64(&self, addr: GlobalAddr) -> u64 {
-        self.core.charge_service();
-        self.core.stats.mem.at(READS).incr();
-        self.core.platform.read_u64(addr)
-    }
-
-    /// Write a u64.
-    #[inline]
-    pub fn write_u64(&self, addr: GlobalAddr, v: u64) {
-        self.core.charge_service();
-        self.core.stats.mem.at(WRITES).incr();
-        self.core.platform.write_u64(addr, v);
-    }
-
-    /// Read an f64.
-    #[inline]
-    pub fn read_f64(&self, addr: GlobalAddr) -> f64 {
-        self.core.charge_service();
-        self.core.stats.mem.at(READS).incr();
-        self.core.platform.read_f64(addr)
-    }
-
-    /// Write an f64.
-    #[inline]
-    pub fn write_f64(&self, addr: GlobalAddr, v: f64) {
-        self.core.charge_service();
-        self.core.stats.mem.at(WRITES).incr();
-        self.core.platform.write_f64(addr, v);
+        self.core.engine.write_bytes(addr, data);
     }
 }

@@ -19,18 +19,8 @@
 
 use hybriddsm::node::HYBRID_REGION_BASE;
 use hybriddsm::HybridNode;
-use memwire::{Distribution, GlobalAddr, RegionId};
+use memwire::{Access, Distribution, Engine, EngineHint, GlobalAddr, RegionId, LOCAL_REGION_BASE};
 use swdsm::DsmNode;
-
-/// Which engine serves an allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineHint {
-    /// Page-based software DSM (default: bulk data with locality).
-    #[default]
-    PageBased,
-    /// Word-granular hybrid DSM (fine-grained or irregular data).
-    WordBased,
-}
 
 /// A node's binding to the mixed platform.
 pub struct MixedNode {
@@ -46,118 +36,85 @@ impl MixedNode {
     }
 
     fn is_word_based(region: RegionId) -> bool {
-        (HYBRID_REGION_BASE..1 << 24).contains(&region)
+        (HYBRID_REGION_BASE..LOCAL_REGION_BASE).contains(&region)
     }
 
-    /// This node's rank.
-    pub fn rank(&self) -> usize {
-        self.sw.rank()
+    /// The engine serving `region`.
+    fn engine(&self, region: RegionId) -> &dyn Access {
+        if Self::is_word_based(region) {
+            &self.hy
+        } else {
+            &self.sw
+        }
+    }
+}
+
+/// Routed by the address's engine.
+impl Access for MixedNode {
+    fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
+        self.engine(addr.region()).read_bytes(addr, out)
     }
 
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.sw.nodes()
+    fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
+        self.engine(addr.region()).write_bytes(addr, data)
+    }
+}
+
+/// One synchronization authority (the software DSM); the hybrid engine
+/// drains its write buffer and drops its remote-read cache on every
+/// edge, so the scope edge covers both engines' data.
+impl Engine for MixedNode {
+    /// Page-based by default.
+    fn alloc(&self, bytes: usize, dist: Distribution) -> GlobalAddr {
+        self.sw.alloc(bytes, dist)
     }
 
-    /// The node execution context.
-    pub fn ctx(&self) -> &cluster::NodeCtx {
-        self.sw.ctx()
-    }
-
-    /// Collective allocation on the engine chosen by `hint`.
-    pub fn alloc_with(&self, bytes: usize, dist: Distribution, hint: EngineHint) -> GlobalAddr {
+    fn alloc_with(&self, bytes: usize, dist: Distribution, hint: EngineHint) -> GlobalAddr {
         match hint {
             EngineHint::PageBased => self.sw.alloc(bytes, dist),
             EngineHint::WordBased => self.hy.alloc(bytes, dist),
         }
     }
 
-    /// Collective allocation, page-based by default.
-    pub fn alloc(&self, bytes: usize, dist: Distribution) -> GlobalAddr {
-        self.alloc_with(bytes, dist, EngineHint::PageBased)
-    }
-
-    /// Single-node allocation (always page-based — TreadMarks semantics
-    /// belong to the software DSM).
-    pub fn alloc_local(&self, bytes: usize) -> GlobalAddr {
+    /// Always page-based: TreadMarks semantics belong to the software
+    /// DSM.
+    fn alloc_local(&self, bytes: usize) -> GlobalAddr {
         self.sw.alloc_local(bytes)
     }
 
-    /// Adopt a remotely allocated region.
-    pub fn adopt(&self, addr: GlobalAddr, bytes: usize, home: usize) {
+    fn adopt(&self, addr: GlobalAddr, bytes: usize, home: usize) {
         assert!(!Self::is_word_based(addr.region()), "adopt is a page-engine operation");
         self.sw.adopt(addr, bytes, home);
     }
 
-    /// Read bytes, routed by the address's engine.
-    pub fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
-        if Self::is_word_based(addr.region()) {
-            self.hy.read_bytes(addr, out)
-        } else {
-            self.sw.read_bytes(addr, out)
-        }
-    }
-
-    /// Write bytes, routed by the address's engine.
-    pub fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
-        if Self::is_word_based(addr.region()) {
-            self.hy.write_bytes(addr, data)
-        } else {
-            self.sw.write_bytes(addr, data)
-        }
-    }
-
-    /// Read a u64.
-    pub fn read_u64(&self, addr: GlobalAddr) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Write a u64.
-    pub fn write_u64(&self, addr: GlobalAddr, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Read an f64.
-    pub fn read_f64(&self, addr: GlobalAddr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Write an f64.
-    pub fn write_f64(&self, addr: GlobalAddr, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
-
-    /// Acquire a lock: one synchronization authority (the software
-    /// DSM); the hybrid engine drops its remote-read cache so the scope
-    /// edge covers both engines' data.
-    pub fn acquire(&self, lock: u32) {
+    fn acquire(&self, lock: u32) {
         self.sw.acquire(lock);
         self.hy.sync_point();
     }
 
-    /// Shared (reader) acquire through the synchronization authority.
-    pub fn acquire_shared(&self, lock: u32) {
+    fn acquire_shared(&self, lock: u32) {
         self.sw.acquire_shared(lock);
         self.hy.sync_point();
     }
 
-    /// Release a lock, publishing both engines' modifications.
-    pub fn release(&self, lock: u32) {
+    /// Publishes both engines' modifications.
+    fn release(&self, lock: u32) {
         self.hy.sync_point();
         self.sw.release(lock);
     }
 
-    /// Barrier across both engines.
-    pub fn barrier(&self, id: u32) {
+    fn barrier(&self, id: u32) {
         self.hy.sync_point();
         self.sw.barrier(id);
         self.hy.sync_point();
     }
 
     /// Hybrid-side store visibility.
-    pub fn flush(&self) {
+    fn flush(&self) {
         self.hy.flush();
+    }
+
+    fn private_traffic(&self, bytes: u64) {
+        self.sw.private_traffic(bytes);
     }
 }

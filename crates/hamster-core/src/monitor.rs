@@ -6,7 +6,7 @@
 //! them — architecture- and programming-model-independently.
 //!
 //! ```
-//! use hamster_core::{ClusterConfig, PlatformKind, Runtime};
+//! use hamster_core::{Access, ClusterConfig, PlatformKind, Runtime};
 //!
 //! let rt = Runtime::new(ClusterConfig::new(2, PlatformKind::Smp));
 //! let (_, counts) = rt.run(|ham| {

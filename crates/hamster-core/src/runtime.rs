@@ -3,12 +3,13 @@
 
 use crate::config::{ClusterConfig, PlatformKind};
 use crate::hamster::{Hamster, NodeCore};
+use crate::mixed::MixedNode;
 use crate::monitor::ModuleStats;
-use crate::platform::Platform;
 use crate::smp::SmpShared;
 use cluster::{Cluster, NodeCtx, RunReport};
 use hybriddsm::HybridDsm;
 use interconnect::{downcast, mailbox, Outcome};
+use memwire::Engine;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
@@ -62,19 +63,20 @@ impl RuntimeInner {
 
     /// Build a [`Hamster`] bound to `ctx`.
     pub(crate) fn hamster(&self, ctx: NodeCtx) -> Hamster {
-        let platform = match &self.backend {
-            Backend::Smp(s) => Platform::Smp(s.node(ctx)),
-            Backend::Hybrid(h) => Platform::Hybrid(h.node(ctx)),
-            Backend::Sw(s) => Platform::SwDsm(s.node(ctx)),
-            Backend::Mixed(s, h) => Platform::Mixed(crate::mixed::MixedNode::new(
-                s.node(ctx.clone()),
-                h.node(ctx),
-            )),
+        let engine: Box<dyn Engine> = match &self.backend {
+            Backend::Smp(s) => Box::new(s.node(ctx.clone())),
+            Backend::Hybrid(h) => Box::new(h.node(ctx.clone())),
+            Backend::Sw(s) => Box::new(s.node(ctx.clone())),
+            Backend::Mixed(s, h) => {
+                Box::new(MixedNode::new(s.node(ctx.clone()), h.node(ctx.clone())))
+            }
         };
         let net = self.cluster.network();
         Hamster {
             core: Arc::new(NodeCore {
-                platform,
+                engine,
+                ctx,
+                caps: self.config.platform.caps(),
                 machine: self.config.cost.machine,
                 stats: ModuleStats::new()
                     .with_net(net.stats().clone(), net.rtt_histogram()),
@@ -119,7 +121,9 @@ impl Runtime {
         };
         // Explicit placement (the tuner's output) is run configuration:
         // applied at bring-up, before any node starts. A bad placement
-        // is a configuration error, same as an unparsable config file.
+        // is a configuration error, same as an unparsable config file;
+        // `ClusterConfig::from_config_map` refuses the ones it can see,
+        // these checks catch configurations built in code.
         if let Backend::Sw(dsm) | Backend::Mixed(dsm, _) = &backend {
             for &(page, node) in &config.placement.homes {
                 dsm.place_home(page, node).expect("config placement");

@@ -12,9 +12,13 @@
 use cluster::syncproto::driver::Driver;
 use cluster::syncproto::lock::Mode;
 use cluster::{Cluster, NodeCtx};
-use memwire::{Distribution, GlobalAddr, RegionDir, RegionMeta, RegionStore, PAGE_SIZE};
+use memwire::{
+    local_region, Access, Distribution, Engine, GlobalAddr, RegionDir, RegionMeta, RegionStore,
+    PAGE_SIZE,
+};
 use parking_lot::Mutex;
 use sim::{Bus, MachineCost, StatSet};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Barrier id reserved for collective allocation.
@@ -32,7 +36,6 @@ const BULK_BYTES: usize = sim::stats::stat_index(STAT_NAMES, "bulk_bytes");
 
 /// Shared state of the SMP platform.
 pub struct SmpShared {
-    cpus: usize,
     machine: MachineCost,
     dir: RegionDir,
     store: Arc<RegionStore>,
@@ -46,18 +49,16 @@ impl SmpShared {
     /// Create the platform over `cluster` (whose "nodes" are the CPUs;
     /// use a loopback fabric).
     pub fn install(cluster: &Cluster) -> Arc<SmpShared> {
-        let cpus = cluster.config().nodes;
         let machine = cluster.config().cost.machine;
         let sync = Driver::new(cluster);
         sync.register(cluster, Arc::new(()));
         Arc::new(SmpShared {
-            cpus,
             machine,
             dir: RegionDir::new(),
             store: RegionStore::new(),
             sync,
             bus: Bus::with_bandwidth(machine.mem_bus_bytes_per_sec),
-            stats: (0..cpus).map(|_| StatSet::new(STAT_NAMES)).collect(),
+            stats: (0..cluster.config().nodes).map(|_| StatSet::new(STAT_NAMES)).collect(),
         })
     }
 
@@ -73,6 +74,7 @@ impl SmpShared {
             rank: ctx.rank(),
             ctx,
             next_region: Mutex::new(1),
+            next_local: AtomicU32::new(0),
         }
     }
 }
@@ -83,22 +85,14 @@ pub struct SmpNode {
     rank: usize,
     ctx: NodeCtx,
     next_region: Mutex<u32>,
+    /// Next single-node region number of this CPU.
+    next_local: AtomicU32,
 }
 
 impl SmpNode {
     /// This CPU's rank.
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// Number of CPUs.
-    pub fn nodes(&self) -> usize {
-        self.shared.cpus
-    }
-
-    /// The underlying node context.
-    pub fn ctx(&self) -> &NodeCtx {
-        &self.ctx
     }
 
     fn stat(&self, name: &str, n: u64) {
@@ -112,10 +106,38 @@ impl SmpNode {
         self.shared.stats[self.rank].at(idx).add(n);
     }
 
+    fn charge_traffic(&self, len: usize) {
+        if len <= 64 {
+            self.ctx.compute(self.shared.machine.local_access_ns);
+        } else {
+            self.private_traffic(len as u64);
+        }
+    }
+}
+
+/// Small accesses cost a cached access; bulk ones stream through the
+/// shared bus.
+impl Access for SmpNode {
+    fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
+        self.count(READS, 1);
+        self.charge_traffic(out.len());
+        self.shared.store.read_bytes(addr, out);
+    }
+
+    fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
+        self.count(WRITES, 1);
+        self.charge_traffic(data.len());
+        self.shared.store.write_bytes(addr, data);
+    }
+}
+
+/// Hardware coherence: no consistency action anywhere, so `flush` keeps
+/// the trait's nothing.
+impl Engine for SmpNode {
     /// Collective allocation (lockstep contract as on the DSMs). The
     /// distribution annotation is accepted but irrelevant: all memory is
     /// uniformly close (UMA).
-    pub fn alloc(&self, bytes: usize, dist: Distribution) -> GlobalAddr {
+    fn alloc(&self, bytes: usize, dist: Distribution) -> GlobalAddr {
         let region = {
             let mut g = self.next_region.lock();
             let id = *g;
@@ -124,98 +146,52 @@ impl SmpNode {
         };
         self.shared.dir.register(region, RegionMeta::new(bytes, dist));
         if self.rank == 0 {
-            let size = bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-            self.shared.store.create(region, size);
+            self.shared.store.create(region, bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE);
         }
         self.barrier(ALLOC_BARRIER);
         GlobalAddr::new(region, 0)
     }
 
-    /// Read `out.len()` bytes at `addr`. Small reads cost a cached
-    /// access; bulk reads stream through the shared bus.
-    pub fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
-        self.count(READS, 1);
-        self.charge_traffic(out.len());
-        self.shared.store.get(addr.region()).read_bytes(addr.offset() as usize, out);
+    /// Single-node allocation: the caller registers the region and
+    /// creates its backing, with no barrier; the message that
+    /// distributes the address orders both before any other CPU's
+    /// access.
+    fn alloc_local(&self, bytes: usize) -> GlobalAddr {
+        let region = local_region(self.rank, self.next_local.fetch_add(1, Ordering::Relaxed));
+        self.adopt(GlobalAddr::new(region, 0), bytes, self.rank);
+        self.shared.store.create(region, bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE);
+        GlobalAddr::new(region, 0)
     }
 
-    /// Write `data` at `addr`.
-    pub fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
-        self.count(WRITES, 1);
-        self.charge_traffic(data.len());
-        self.shared.store.get(addr.region()).write_bytes(addr.offset() as usize, data);
+    fn adopt(&self, addr: GlobalAddr, bytes: usize, home: usize) {
+        self.shared.dir.register(addr.region(), RegionMeta::new(bytes, Distribution::OnNode(home)));
     }
 
-    fn charge_traffic(&self, len: usize) {
-        if len <= 64 {
-            self.ctx.compute(self.shared.machine.local_access_ns);
-        } else {
-            self.count(BULK_BYTES, len as u64);
-            let done = self.shared.bus.transfer(self.ctx.clock().now(), len as u64);
-            self.ctx.clock().advance_to(done);
-        }
-    }
-
-    /// Stream `bytes` of *private* memory traffic through the shared
-    /// bus (used by applications for their local scratch data, so that
-    /// memory-bound kernels contend realistically).
-    pub fn private_traffic(&self, bytes: u64) {
-        self.count(BULK_BYTES, bytes);
-        let done = self.shared.bus.transfer(self.ctx.clock().now(), bytes);
-        self.ctx.clock().advance_to(done);
-    }
-
-    /// Read a u64.
-    pub fn read_u64(&self, addr: GlobalAddr) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Write a u64.
-    pub fn write_u64(&self, addr: GlobalAddr, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Read an f64.
-    pub fn read_f64(&self, addr: GlobalAddr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Write an f64.
-    pub fn write_f64(&self, addr: GlobalAddr, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
-
-    /// Hardware coherence: nothing to flush.
-    pub fn flush(&self) {}
-
-    /// Acquire global lock `lock`.
-    pub fn acquire(&self, lock: u32) {
+    fn acquire(&self, lock: u32) {
         self.stat("lock_acquires", 1);
         self.shared.sync.acquire(self.ctx.port(), lock, Mode::Excl);
     }
 
-    /// Acquire global lock `lock` in shared (reader) mode.
-    pub fn acquire_shared(&self, lock: u32) {
+    fn acquire_shared(&self, lock: u32) {
         self.stat("lock_acquires", 1);
         self.shared.sync.acquire(self.ctx.port(), lock, Mode::Shared);
     }
 
-    /// Release global lock `lock`.
-    pub fn release(&self, lock: u32) {
+    fn release(&self, lock: u32) {
         self.shared.sync.release(self.ctx.port(), lock);
     }
 
-    /// Barrier across all CPUs.
-    pub fn barrier(&self, id: u32) {
+    fn barrier(&self, id: u32) {
         self.stat("barriers", 1);
         self.shared.sync.barrier(self.ctx.port(), id);
     }
 
-    /// Orderly exit.
-    pub fn exit(&self) {
-        self.barrier(ALLOC_BARRIER);
+    /// Streams through the shared bus, so memory-bound kernels contend
+    /// realistically.
+    fn private_traffic(&self, bytes: u64) {
+        self.count(BULK_BYTES, bytes);
+        let done = self.shared.bus.transfer(self.ctx.clock().now(), bytes);
+        self.ctx.clock().advance_to(done);
     }
 }
 

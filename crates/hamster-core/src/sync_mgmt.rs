@@ -32,7 +32,7 @@ impl SyncMgmt<'_> {
         self.core.charge_service();
         self.core.stats.sync.add("locks", 1);
         self.core.trace_corr("sync", "lock", lock as u64, lock as u64 + 1);
-        self.core.platform.acquire(lock);
+        self.core.engine.acquire(lock);
     }
 
     /// Acquire global lock `lock` in shared (reader) mode. Readers of
@@ -43,7 +43,7 @@ impl SyncMgmt<'_> {
         self.core.charge_service();
         self.core.stats.sync.add("locks", 1);
         self.core.trace_corr("sync", "read_lock", lock as u64, lock as u64 + 1);
-        self.core.platform.acquire_shared(lock);
+        self.core.engine.acquire_shared(lock);
     }
 
     /// Release global lock `lock`.
@@ -51,7 +51,7 @@ impl SyncMgmt<'_> {
         self.core.charge_service();
         self.core.stats.sync.add("unlocks", 1);
         self.core.trace_corr("sync", "unlock", lock as u64, lock as u64 + 1);
-        self.core.platform.release(lock);
+        self.core.engine.release(lock);
     }
 
     /// Wait at global barrier `id` (all nodes participate).
@@ -59,7 +59,7 @@ impl SyncMgmt<'_> {
         self.core.charge_service();
         self.core.stats.sync.add("barriers", 1);
         self.core.trace_corr("sync", "barrier", id as u64, id as u64 + 1);
-        self.core.platform.barrier(id);
+        self.core.engine.barrier(id);
     }
 
     /// Signal event `event` on node `dst`. One waiter is woken per
@@ -70,7 +70,7 @@ impl SyncMgmt<'_> {
         self.core.stats.sync.add("events_set", 1);
         // Tagged: a signal destroyed by fault injection leaves a loss
         // tombstone under the event tag instead of stranding the waiter.
-        self.core.platform.ctx().port().post_tagged(
+        self.core.ctx.port().post_tagged(
             dst,
             kinds::EVENT_SET,
             event,
@@ -83,23 +83,13 @@ impl SyncMgmt<'_> {
     pub fn wait_event(&self, event: u32) {
         self.core.charge_service();
         self.core.stats.sync.add("events_waited", 1);
-        let _ = self
-            .core
-            .platform
-            .ctx()
-            .port()
-            .wait_mailbox(mailbox::tag(kinds::EVENT_SET, event));
+        let _ = self.core.ctx.port().wait_mailbox(mailbox::tag(kinds::EVENT_SET, event));
     }
 
     /// Non-blocking poll of event `event`.
     pub fn try_event(&self, event: u32) -> bool {
         self.core.charge_service();
-        let got = self
-            .core
-            .platform
-            .ctx()
-            .mailbox()
-            .try_take(mailbox::tag(kinds::EVENT_SET, event));
+        let got = self.core.ctx.mailbox().try_take(mailbox::tag(kinds::EVENT_SET, event));
         if got.is_some() {
             self.core.stats.sync.add("events_waited", 1);
             true
@@ -116,10 +106,10 @@ impl SyncMgmt<'_> {
         self.core.charge_service();
         self.core.stats.sync.add("atomics", 1);
         let lock = ATOMIC_LOCK_BASE + (addr.0 % 1024) as u32;
-        self.core.platform.acquire(lock);
-        let old = self.core.platform.read_u64(addr);
-        self.core.platform.write_u64(addr, old.wrapping_add(delta));
-        self.core.platform.release(lock);
+        self.core.engine.acquire(lock);
+        let old = self.core.engine.read_u64(addr);
+        self.core.engine.write_u64(addr, old.wrapping_add(delta));
+        self.core.engine.release(lock);
         old
     }
 
@@ -128,10 +118,10 @@ impl SyncMgmt<'_> {
         self.core.charge_service();
         self.core.stats.sync.add("atomics", 1);
         let lock = ATOMIC_LOCK_BASE + (addr.0 % 1024) as u32;
-        self.core.platform.acquire(lock);
-        let old = self.core.platform.read_f64(addr);
-        self.core.platform.write_f64(addr, old + delta);
-        self.core.platform.release(lock);
+        self.core.engine.acquire(lock);
+        let old = self.core.engine.read_f64(addr);
+        self.core.engine.write_f64(addr, old + delta);
+        self.core.engine.release(lock);
         old
     }
 }

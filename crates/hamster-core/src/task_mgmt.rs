@@ -33,12 +33,12 @@ pub struct TaskMgmt<'a> {
 impl TaskMgmt<'_> {
     /// This node's rank in the SPMD world.
     pub fn rank(&self) -> usize {
-        self.core.platform.rank()
+        self.core.ctx.rank()
     }
 
     /// Number of nodes in the SPMD world.
     pub fn nodes(&self) -> usize {
-        self.core.platform.nodes()
+        self.core.ctx.nodes()
     }
 
     /// Execute `f` on node `dst` in a fresh execution context (a new
@@ -60,7 +60,7 @@ impl TaskMgmt<'_> {
         let id = rt.next_task_id();
         let origin = self.rank();
         let msg = kinds::SpawnMsg { id, origin, f: parking_lot::Mutex::new(Some(Box::new(f))) };
-        self.core.platform.ctx().port().request(dst, kinds::REMOTE_SPAWN, msg, 64);
+        self.core.ctx.port().request(dst, kinds::REMOTE_SPAWN, msg, 64);
         TaskHandle { id, node: dst }
     }
 
@@ -69,12 +69,7 @@ impl TaskMgmt<'_> {
         self.core.charge_service();
         self.core.stats.task.add("joins", 1);
         self.core.trace("task", "join", task.id as u64);
-        let p = self
-            .core
-            .platform
-            .ctx()
-            .port()
-            .wait_mailbox(mailbox::tag(kinds::TASK_DONE, task.id));
+        let p = self.core.ctx.port().wait_mailbox(mailbox::tag(kinds::TASK_DONE, task.id));
         let done = downcast::<u32>(p);
         assert_eq!(done, task.id);
     }

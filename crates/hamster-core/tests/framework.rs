@@ -2,8 +2,8 @@
 //! three platforms, module services, monitoring, forwarding.
 
 use hamster_core::{
-    run_spmd, AllocSpec, ClusterConfig, CoherenceReq, Distribution, MemError, PlatformKind,
-    Runtime,
+    run_spmd, Access, AllocSpec, ClusterConfig, CoherenceReq, Distribution, MemError,
+    PlatformKind, Runtime,
 };
 
 const PLATFORMS: [PlatformKind; 3] =

@@ -4,20 +4,24 @@
 use cluster::syncproto::driver::Driver;
 use cluster::syncproto::lock::Mode;
 use cluster::{Cluster, NodeCtx};
-use memwire::{Distribution, GlobalAddr, RegionDir, RegionMeta, RegionStore, PAGE_SIZE};
+use memwire::{
+    local_region, Access, Distribution, Engine, GlobalAddr, RegionDir, RegionMeta, RegionStore,
+    PAGE_SIZE,
+};
 use parking_lot::Mutex;
 use sim::{MachineCost, SciAccessCost, StatSet};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Barrier id reserved for collective allocation.
 const ALLOC_BARRIER: u32 = 0x8000_0000;
 
-/// Base of the hybrid DSM's region-id space. Disjoint from the software
-/// DSM's collective ids (small integers) and single-node ids (≥ 1<<24),
-/// so both engines can coexist in one address space (the mixed platform
-/// of the paper's §6).
+/// Base of the hybrid DSM's collective region-id space. Disjoint from
+/// the software DSM's collective ids (small integers) and from every
+/// engine's single-node ids (≥ [`memwire::LOCAL_REGION_BASE`]), so both
+/// engines can coexist in one address space (the mixed platform of the
+/// paper's §6).
 pub const HYBRID_REGION_BASE: u32 = 0x0040_0000;
 
 /// Tunables of the hybrid DSM (the SAN's access characteristics).
@@ -119,6 +123,7 @@ impl HybridDsm {
             ctx,
             pending_writes: AtomicU64::new(0),
             next_region: Mutex::new(HYBRID_REGION_BASE + 1),
+            next_local: AtomicU32::new(0),
             cache: Mutex::new(LineCache::default()),
         }
     }
@@ -126,9 +131,9 @@ impl HybridDsm {
 
 /// The per-node hybrid-DSM engine.
 ///
-/// Same surface as [`swdsm::DsmNode`](../swdsm/struct.DsmNode.html): the
-/// HAMSTER platform layer treats the two uniformly, and the paper's §5.4
-/// experiments swap one for the other through configuration only.
+/// A [`memwire::Engine`] like `swdsm::DsmNode`: the HAMSTER core holds
+/// either behind the same trait, and the paper's §5.4 experiments swap
+/// one for the other through configuration only.
 pub struct HybridNode {
     dsm: Arc<HybridDsm>,
     rank: usize,
@@ -136,6 +141,8 @@ pub struct HybridNode {
     /// Writes posted to the SAN write buffer since the last flush.
     pending_writes: AtomicU64,
     next_region: Mutex<u32>,
+    /// Next single-node region number of this rank.
+    next_local: AtomicU32,
     /// Remote lines present in the (modelled) processor cache this
     /// synchronization interval.
     cache: Mutex<LineCache>,
@@ -222,48 +229,20 @@ impl HybridNode {
         }
     }
 
-    // ---- allocation ------------------------------------------------------
+    // ---- inherent forwards of the `Engine` methods the frozen ledger
+    // benchmark calls without importing the traits ----------------------
 
-    /// Collective allocation (same lockstep contract as the software
-    /// DSM): registers the region, materializes the physically shared
-    /// backing, and joins the implicit barrier.
-    pub fn alloc(&self, bytes: usize, dist: Distribution) -> GlobalAddr {
-        let region = {
-            let mut g = self.next_region.lock();
-            let id = *g;
-            *g += 1;
-            id
-        };
-        self.dsm.dir.register(region, RegionMeta::new(bytes, dist));
-        // Exactly one participant creates the backing store; the barrier
-        // below orders creation before any access.
-        if self.dsm.dir.meta(region).home_of(0, self.dsm.nodes) == self.rank {
-            let size = bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-            self.dsm.store.create(region, size);
-        }
-        self.barrier(ALLOC_BARRIER);
-        GlobalAddr::new(region, 0)
-    }
+    #[doc(hidden)] // ledger-pinned, goes with ROADMAP 11(b)
+    pub fn alloc(&self, bytes: usize, dist: Distribution) -> GlobalAddr { Engine::alloc(self, bytes, dist) }
+    #[doc(hidden)] // ledger-pinned, goes with ROADMAP 11(b)
+    pub fn read_u64(&self, addr: GlobalAddr) -> u64 { Access::read_u64(self, addr) }
+    #[doc(hidden)] // ledger-pinned, goes with ROADMAP 11(b)
+    pub fn barrier(&self, id: u32) { Engine::barrier(self, id) }
 
     // ---- access ------------------------------------------------------
 
     fn is_local(&self, addr: GlobalAddr) -> bool {
         self.dsm.home_of(addr) == self.rank
-    }
-
-    /// Read `out.len()` bytes at `addr`. Word-granularity reads from a
-    /// remote home block for one SAN transaction each; larger reads use
-    /// the SAN's DMA path.
-    pub fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
-        self.charge_read(addr, out.len());
-        self.dsm.store.get(addr.region()).read_bytes(addr.offset() as usize, out);
-    }
-
-    /// Write `data` at `addr`. Remote word writes are posted (cheap to
-    /// issue); bulk writes use the DMA path.
-    pub fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
-        self.charge_write(addr, data.len());
-        self.dsm.store.get(addr.region()).write_bytes(addr.offset() as usize, data);
     }
 
     /// Local access: cached word, or bulk streaming through the node's
@@ -332,42 +311,7 @@ impl HybridNode {
         }
     }
 
-    /// Read a u64.
-    pub fn read_u64(&self, addr: GlobalAddr) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Write a u64.
-    pub fn write_u64(&self, addr: GlobalAddr, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Read an f64.
-    pub fn read_f64(&self, addr: GlobalAddr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Write an f64.
-    pub fn write_f64(&self, addr: GlobalAddr, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
-
     // ---- consistency / synchronization -------------------------------
-
-    /// Drain the SAN write buffer (store barrier). Charged per pending
-    /// posted write, capped at the buffer's depth.
-    pub fn flush(&self) {
-        let pending = self.pending_writes.swap(0, Ordering::Relaxed);
-        if pending > 0 {
-            self.stat("flushes", 1);
-            let a = &self.dsm.cfg.access;
-            let t0 = self.ctx.clock().now();
-            self.ctx.compute((pending * a.flush_per_write_ns).min(a.flush_max_ns));
-            self.trace_span(t0, "flush", pending);
-        }
-    }
 
     /// Invalidate the modelled remote-read cache (entering a new
     /// synchronization interval may expose peers' writes).
@@ -382,35 +326,6 @@ impl HybridNode {
     /// this when another engine's synchronization provides the ordering.
     pub fn sync_point(&self) {
         self.flush();
-        self.drop_cache();
-    }
-
-    /// Acquire global lock `lock`.
-    pub fn acquire(&self, lock: u32) {
-        self.stat("lock_acquires", 1);
-        self.dsm.sync.acquire(self.ctx.port(), lock, Mode::Excl);
-        self.drop_cache();
-    }
-
-    /// Acquire global lock `lock` in shared (reader) mode.
-    pub fn acquire_shared(&self, lock: u32) {
-        self.stat("lock_acquires", 1);
-        self.dsm.sync.acquire(self.ctx.port(), lock, Mode::Shared);
-        self.drop_cache();
-    }
-
-    /// Release global lock `lock` (flushes posted writes first, so the
-    /// next holder observes them).
-    pub fn release(&self, lock: u32) {
-        self.flush();
-        self.dsm.sync.release(self.ctx.port(), lock);
-    }
-
-    /// Global barrier (flushes posted writes first).
-    pub fn barrier(&self, id: u32) {
-        self.stat("barriers", 1);
-        self.flush();
-        self.dsm.sync.barrier(self.ctx.port(), id);
         self.drop_cache();
     }
 
@@ -431,6 +346,100 @@ impl HybridNode {
     /// Orderly exit.
     pub fn exit(&self) {
         self.barrier(ALLOC_BARRIER);
+    }
+}
+
+/// Word-granularity reads from a remote home block for one SAN
+/// transaction each, remote word writes are posted (cheap to issue), and
+/// larger accesses use the SAN's DMA path.
+impl Access for HybridNode {
+    fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
+        self.charge_read(addr, out.len());
+        self.dsm.store.read_bytes(addr, out);
+    }
+
+    fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
+        self.charge_write(addr, data.len());
+        self.dsm.store.write_bytes(addr, data);
+    }
+}
+
+impl Engine for HybridNode {
+    /// Collective allocation (same lockstep contract as the software
+    /// DSM): registers the region, materializes the physically shared
+    /// backing, and joins the implicit barrier.
+    fn alloc(&self, bytes: usize, dist: Distribution) -> GlobalAddr {
+        let region = {
+            let mut g = self.next_region.lock();
+            let id = *g;
+            *g += 1;
+            id
+        };
+        self.dsm.dir.register(region, RegionMeta::new(bytes, dist));
+        // Exactly one participant creates the backing store; the barrier
+        // below orders creation before any access.
+        if self.dsm.dir.meta(region).home_of(0, self.dsm.nodes) == self.rank {
+            self.dsm.store.create(region, bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE);
+        }
+        self.barrier(ALLOC_BARRIER);
+        GlobalAddr::new(region, 0)
+    }
+
+    /// Single-node allocation: the caller registers the region, homed on
+    /// itself, and creates its backing; the message that distributes the
+    /// address orders both before any other node's access.
+    fn alloc_local(&self, bytes: usize) -> GlobalAddr {
+        let region = local_region(self.rank, self.next_local.fetch_add(1, Ordering::Relaxed));
+        self.adopt(GlobalAddr::new(region, 0), bytes, self.rank);
+        self.dsm.store.create(region, bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE);
+        GlobalAddr::new(region, 0)
+    }
+
+    fn adopt(&self, addr: GlobalAddr, bytes: usize, home: usize) {
+        self.dsm.dir.register(addr.region(), RegionMeta::new(bytes, Distribution::OnNode(home)));
+    }
+
+    fn acquire(&self, lock: u32) {
+        self.stat("lock_acquires", 1);
+        self.dsm.sync.acquire(self.ctx.port(), lock, Mode::Excl);
+        self.drop_cache();
+    }
+
+    fn acquire_shared(&self, lock: u32) {
+        self.stat("lock_acquires", 1);
+        self.dsm.sync.acquire(self.ctx.port(), lock, Mode::Shared);
+        self.drop_cache();
+    }
+
+    /// Flushes posted writes first, so the next holder observes them.
+    fn release(&self, lock: u32) {
+        self.flush();
+        self.dsm.sync.release(self.ctx.port(), lock);
+    }
+
+    /// Flushes posted writes first.
+    fn barrier(&self, id: u32) {
+        self.stat("barriers", 1);
+        self.flush();
+        self.dsm.sync.barrier(self.ctx.port(), id);
+        self.drop_cache();
+    }
+
+    /// Drain the SAN write buffer (store barrier). Charged per pending
+    /// posted write, capped at the buffer's depth.
+    fn flush(&self) {
+        let pending = self.pending_writes.swap(0, Ordering::Relaxed);
+        if pending > 0 {
+            self.stat("flushes", 1);
+            let a = &self.dsm.cfg.access;
+            let t0 = self.ctx.clock().now();
+            self.ctx.compute((pending * a.flush_per_write_ns).min(a.flush_max_ns));
+            self.trace_span(t0, "flush", pending);
+        }
+    }
+
+    fn private_traffic(&self, bytes: u64) {
+        self.ctx.bus_transfer(bytes);
     }
 }
 

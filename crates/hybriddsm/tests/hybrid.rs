@@ -2,7 +2,7 @@
 
 use cluster::{Cluster, FabricConfig, LinkKind};
 use hybriddsm::{HybridConfig, HybridDsm};
-use memwire::Distribution;
+use memwire::{Access, Distribution, Engine};
 
 fn cluster(nodes: usize) -> (Cluster, std::sync::Arc<HybridDsm>) {
     let c = Cluster::new(FabricConfig::builder().nodes(nodes).link(LinkKind::Sci).build());

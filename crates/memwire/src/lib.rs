@@ -6,6 +6,11 @@
 //! JiaJia-style software DSM and the SCI-VM-style hybrid DSM) share the
 //! same low-level vocabulary, which this crate provides:
 //!
+//! * [`access`] — the one access vocabulary every engine speaks:
+//!   [`Access`] (byte reads and writes; typed accessors and `f64` rows
+//!   provided once) and [`Engine`] (allocation and the synchronization
+//!   verbs), plus the single-node region-id rule
+//!   ([`LOCAL_REGION_BASE`]).
 //! * [`addr`] — global addresses, regions, pages ([`GlobalAddr`],
 //!   [`PageId`], [`PAGE_SIZE`]).
 //! * [`page`] — page buffers and the per-node cached-page table.
@@ -17,10 +22,11 @@
 //!   annotations (paper §4.2, Memory Management module).
 //! * [`store`] — a process-shared, atomically accessed region store used
 //!   by the platforms where memory is physically shared (SMP hardware
-//!   coherence; SCI remote memory).
+//!   coherence; SCI remote memory); it speaks [`Access`] itself.
 //! * [`marshal`] — `f64` rows to and from the little-endian bytes every
 //!   platform's bulk access moves.
 
+pub mod access;
 pub mod addr;
 pub mod arena;
 pub mod dir;
@@ -30,6 +36,9 @@ pub mod notice;
 pub mod page;
 pub mod store;
 
+pub use access::{
+    local_region, local_region_owner, Access, Engine, EngineHint, LOCAL_REGION_BASE,
+};
 pub use addr::{page_span, pages_for, GlobalAddr, PageId, RegionId, PAGE_SIZE};
 pub use arena::{AlignHint, Arena, Distribution};
 pub use dir::{RegionDir, RegionMeta};

@@ -19,6 +19,7 @@
 //! tear between words, exactly as on the machine, but never into
 //! undefined behaviour: every access is a safe atomic operation.
 
+use crate::access::Access;
 use crate::addr::{GlobalAddr, RegionId};
 use crate::dir::IdTable;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -101,30 +102,6 @@ impl Region {
         if !tail.is_empty() {
             write_partial(&self.words[w + body.len()], 0, tail);
         }
-    }
-
-    /// Read a little-endian u64.
-    #[inline]
-    pub fn read_u64(&self, offset: usize) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(offset, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Write a little-endian u64.
-    #[inline]
-    pub fn write_u64(&self, offset: usize, v: u64) {
-        self.write_bytes(offset, &v.to_le_bytes());
-    }
-
-    /// Read an f64.
-    pub fn read_f64(&self, offset: usize) -> f64 {
-        f64::from_bits(self.read_u64(offset))
-    }
-
-    /// Write an f64.
-    pub fn write_f64(&self, offset: usize, v: f64) {
-        self.write_u64(offset, v.to_bits());
     }
 }
 
@@ -211,15 +188,19 @@ impl RegionStore {
     pub fn exists(&self, id: RegionId) -> bool {
         self.regions.contains(id)
     }
+}
 
-    /// Convenience typed access through a [`GlobalAddr`].
-    pub fn read_f64(&self, a: GlobalAddr) -> f64 {
-        self.get(a.region()).read_f64(a.offset() as usize)
+/// Byte access through a [`GlobalAddr`]: the region it names, at its
+/// offset. The typed accessors come with the trait.
+impl Access for RegionStore {
+    #[inline]
+    fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
+        self.get(addr.region()).read_bytes(addr.offset() as usize, out);
     }
 
-    /// Convenience typed store through a [`GlobalAddr`].
-    pub fn write_f64(&self, a: GlobalAddr, v: f64) {
-        self.get(a.region()).write_f64(a.offset() as usize, v);
+    #[inline]
+    fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
+        self.get(addr.region()).write_bytes(addr.offset() as usize, data);
     }
 }
 
@@ -230,10 +211,10 @@ mod tests {
     #[test]
     fn create_read_write() {
         let s = RegionStore::new();
-        let r = s.create(1, 64);
-        r.write_u64(8, 0xDEAD_BEEF);
-        assert_eq!(r.read_u64(8), 0xDEAD_BEEF);
-        assert_eq!(r.read_u64(0), 0);
+        s.create(1, 64);
+        s.write_u64(GlobalAddr::new(1, 8), 0xDEAD_BEEF);
+        assert_eq!(s.read_u64(GlobalAddr::new(1, 8)), 0xDEAD_BEEF);
+        assert_eq!(s.read_u64(GlobalAddr::new(1, 0)), 0);
     }
 
     #[test]
@@ -274,11 +255,12 @@ mod tests {
     fn sparse_regions_resolve_and_stay_unique() {
         let sparse = crate::dir::SLOTS as RegionId + 4;
         let s = RegionStore::new();
-        s.create(4, 8).write_u64(0, 4);
-        s.create(sparse, 16).write_u64(8, 5);
+        s.create(4, 8).write_bytes(0, &4u64.to_le_bytes());
+        s.create(sparse, 16).write_bytes(8, &5u64.to_le_bytes());
         assert!(matches!(s.get(4), RegionRef::Slot(_)));
         assert!(matches!(s.get(sparse), RegionRef::Sparse(_)));
-        assert_eq!((s.get(4).read_u64(0), s.get(sparse).read_u64(8)), (4, 5));
+        let (a, b) = (GlobalAddr::new(4, 0), GlobalAddr::new(sparse, 8));
+        assert_eq!((s.read_u64(a), s.read_u64(b)), (4, 5));
         assert!(s.exists(sparse) && !s.exists(sparse + 1));
         let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.create(sparse, 16)));
         assert!(again.is_err(), "a sparse id created twice must panic");
@@ -306,7 +288,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(18);
         // Sizes that end mid-word included.
         for (id, size) in [64usize, 61, 13, 8, 7, 1].into_iter().enumerate() {
-            let r = RegionStore::new().create(id as RegionId, size);
+            let store = RegionStore::new();
+            let r = store.create(id as RegionId, size);
             assert_eq!((r.len(), r.is_empty()), (size, false));
             let mut model = vec![0u8; size];
             let check = |model: &[u8]| {
@@ -333,10 +316,11 @@ mod tests {
                 assert_eq!(out, data, "read back {at}+{len} of {size}");
             }
             if size >= 9 {
-                r.write_u64(1, 0x0102_0304_0506_0708);
+                let a = GlobalAddr::new(id as RegionId, 1);
+                store.write_u64(a, 0x0102_0304_0506_0708);
                 model[1..9].copy_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
                 check(&model);
-                assert_eq!(r.read_u64(1), 0x0102_0304_0506_0708);
+                assert_eq!(store.read_u64(a), 0x0102_0304_0506_0708);
             }
         }
     }

@@ -5,7 +5,7 @@
 //! maps directly onto a HAMSTER service (the paper reports 5.5 lines
 //! per call — the thinnest per-call adapter of Table 2).
 
-use hamster_core::{Distribution, GlobalAddr, Hamster};
+use hamster_core::{Access, Distribution, GlobalAddr, Hamster};
 
 /// A process's binding to the HLRC model.
 pub struct Hlrc {

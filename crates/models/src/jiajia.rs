@@ -8,7 +8,7 @@
 //! JiaJia programs simply dereferenced pointers.
 
 use crate::adapter::AdapterStats;
-use hamster_core::{Distribution, GlobalAddr, Hamster};
+use hamster_core::{Access, Distribution, GlobalAddr, Hamster};
 
 /// A node's binding to the JiaJia programming model.
 pub struct Jia {

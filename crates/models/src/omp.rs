@@ -11,7 +11,7 @@
 //! the natural state; the adapter supplies the worksharing and
 //! synchronization directives around it.
 
-use hamster_core::{Distribution, GlobalAddr, Hamster};
+use hamster_core::{Access, Distribution, GlobalAddr, Hamster};
 
 const OMP_BARRIER: u32 = 0x6000_0000;
 const OMP_CRITICAL_BASE: u32 = 0x0500_0000;

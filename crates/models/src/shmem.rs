@@ -8,7 +8,7 @@
 //! explicit target PE. Maps nearly 1:1 onto HAMSTER's memory services;
 //! `fence`/`quiet` map onto consistency flushes.
 
-use hamster_core::{AllocSpec, Distribution, GlobalAddr, Hamster};
+use hamster_core::{Access, AllocSpec, Distribution, GlobalAddr, Hamster};
 use memwire::PAGE_SIZE;
 
 /// A symmetric allocation: one page-aligned instance per PE.

@@ -6,7 +6,7 @@
 //! calls have *broader* functionality than the services beneath them,
 //! which is why the paper reports it among the larger adapters.
 
-use hamster_core::{AllocSpec, Distribution, GlobalAddr, Hamster, Region};
+use hamster_core::{Access, AllocSpec, Distribution, GlobalAddr, Hamster, Region};
 
 /// A shared one-dimensional f64 array.
 #[derive(Debug, Clone, Copy)]
@@ -92,13 +92,13 @@ impl Spmd {
     /// Read a contiguous range of elements into `out`.
     pub fn get_range(&self, a: &SharedArray, start: usize, out: &mut [f64]) {
         assert!(start + out.len() <= a.len());
-        memwire::read_f64s(out, |buf| self.ham.mem().read_bytes(a.at(start), buf));
+        self.ham.mem().read_f64s(a.at(start), out);
     }
 
     /// Write a contiguous range of elements from `src`.
     pub fn put_range(&self, a: &SharedArray, start: usize, src: &[f64]) {
         assert!(start + src.len() <= a.len());
-        memwire::write_f64s(src, |buf| self.ham.mem().write_bytes(a.at(start), buf));
+        self.ham.mem().write_f64s(a.at(start), src);
     }
 
     /// Acquire a global lock.

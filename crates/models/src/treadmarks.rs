@@ -6,7 +6,7 @@
 //! must be implemented by hand — here via the Cluster Control module's
 //! messaging layer.
 
-use hamster_core::{GlobalAddr, Hamster, Region};
+use hamster_core::{Access, GlobalAddr, Hamster, Region};
 
 /// User-message channel reserved for `Tmk_distribute`.
 const DISTRIBUTE_CHANNEL: u32 = 0x7D15;

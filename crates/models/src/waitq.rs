@@ -9,7 +9,7 @@
 //! APIs need a forwarding/wakeup facility *built from* HAMSTER
 //! messaging primitives rather than provided by them.
 
-use hamster_core::{GlobalAddr, Hamster};
+use hamster_core::{Access, GlobalAddr, Hamster};
 
 /// Maximum simultaneous waiters per queue.
 pub const CAPACITY: usize = 128;

@@ -9,7 +9,7 @@
 //! [`crate::waitq`].
 
 use crate::waitq::{WaitQueue, QUEUE_BYTES};
-use hamster_core::{GlobalAddr, Hamster, TaskHandle};
+use hamster_core::{Access, GlobalAddr, Hamster, TaskHandle};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};

@@ -1,7 +1,7 @@
 //! End-to-end tests: each programming model running a small program on
 //! HAMSTER, across platforms where meaningful.
 
-use hamster_core::{ClusterConfig, PlatformKind, Runtime};
+use hamster_core::{Access, ClusterConfig, PlatformKind, Runtime};
 
 const PLATFORMS: [PlatformKind; 3] =
     [PlatformKind::Smp, PlatformKind::HybridDsm, PlatformKind::SwDsm];

@@ -27,8 +27,8 @@
 //!
 //! The crate is usable *natively* (apps call [`DsmNode`] directly), which
 //! is exactly the "standard distribution of JiaJia without modifications"
-//! baseline of the paper's Figure 2. The HAMSTER platform layer wraps the
-//! same implementation, adding its service dispatch and the unified
+//! baseline of the paper's Figure 2. HAMSTER holds the same [`DsmNode`]
+//! as its `memwire::Engine`, adding its service dispatch and the unified
 //! messaging layer; the overhead comparison between the two paths is the
 //! Figure 2 experiment.
 //!
@@ -39,7 +39,7 @@
 //!
 //! ```
 //! use cluster::{Cluster, FabricConfig, LinkKind};
-//! use memwire::Distribution;
+//! use memwire::{Access, Distribution, Engine};
 //! use swdsm::{DsmConfig, SwDsm};
 //!
 //! let cluster = Cluster::new(FabricConfig::builder().nodes(2).link(LinkKind::Ethernet).build());
@@ -62,6 +62,6 @@ pub mod node;
 pub mod proto;
 
 pub use interconnect::Page;
-pub use memwire::{RegionDir, RegionMeta};
+pub use memwire::{RegionDir, RegionMeta, LOCAL_REGION_BASE};
 pub use home::HomeStore;
-pub use node::{DsmConfig, DsmError, DsmNode, PlaceError, SwDsm, LOCAL_REGION_BASE};
+pub use node::{DsmConfig, DsmError, DsmNode, PlaceError, SwDsm};

@@ -19,8 +19,8 @@ use cluster::syncproto::MAX_SYNC_ROUNDS;
 use cluster::{Cluster, NodeCtx, SyncTopology};
 use interconnect::{downcast, try_downcast, NodeId, Outcome, Page, RequestError};
 use memwire::{
-    CachedPage, Diff, Distribution, GlobalAddr, Interval, PageId, PageTable, RegionDir,
-    RegionMeta, PAGE_SIZE,
+    local_region, local_region_owner, Access, CachedPage, Diff, Distribution, Engine, GlobalAddr,
+    Interval, PageId, PageTable, RegionDir, RegionMeta, LOCAL_REGION_BASE, PAGE_SIZE,
 };
 use parking_lot::Mutex;
 use sim::{MachineCost, Sketch, StatSet};
@@ -87,13 +87,6 @@ impl std::fmt::Display for PlaceError {
 }
 
 impl std::error::Error for PlaceError {}
-
-/// Region ids at or above this belong to single-node (TreadMarks-style)
-/// allocations and encode the allocating rank.
-/// First region id of the single-node (non-collective) allocation
-/// space; collective region ids are below this. Pages in local regions
-/// are homed on the allocating rank and are never re-homing candidates.
-pub const LOCAL_REGION_BASE: u32 = 1 << 24;
 
 /// Protocol tunables of the software DSM.
 #[derive(Debug, Clone, Copy)]
@@ -297,12 +290,9 @@ impl SwDsm {
                 return home;
             }
         }
-        if page.region >= LOCAL_REGION_BASE {
-            // Single-node allocations are homed on the allocating rank.
-            ((page.region >> 24) - 1) as usize
-        } else {
-            self.dir.meta(page.region).home_of(page.index, self.nodes)
-        }
+        // Single-node allocations are homed on the allocating rank.
+        local_region_owner(page.region)
+            .unwrap_or_else(|| self.dir.meta(page.region).home_of(page.index, self.nodes))
     }
 
     /// Manager node of `lock` (override directory first — explicit
@@ -627,7 +617,7 @@ struct NextRegions {
 
 /// The per-node software-DSM engine.
 ///
-/// All shared accesses go through the access functions below (the
+/// All shared accesses go through its [`Access`] implementation (the
 /// Shasta-style software-check scheme standing in for mmap/SIGSEGV; see
 /// DESIGN.md). The engine is `Send` so thread programming models can
 /// hand it between threads, but it represents *one* node CPU's view.
@@ -718,108 +708,23 @@ impl DsmNode {
         &self.dsm.machine
     }
 
-    // ---- allocation ----------------------------------------------------
+    // ---- inherent forwards of the `Engine` methods the frozen ledger
+    // benchmark calls without importing the traits ----------------------
 
-    /// Collective allocation: every node must call `alloc` in the same
-    /// order with the same arguments (JiaJia/HLRC semantics, implicit
-    /// barrier included). Returns the region's base address.
-    pub fn alloc(&self, bytes: usize, dist: Distribution) -> GlobalAddr {
-        let region = {
-            let mut g = self.next_region.lock();
-            let id = g.collective;
-            assert!(id < LOCAL_REGION_BASE, "collective region ids exhausted");
-            g.collective += 1;
-            id
-        };
-        self.dsm.dir.register(region, RegionMeta::new(bytes, dist));
-        self.barrier(ALLOC_BARRIER);
-        GlobalAddr::new(region, 0)
-    }
-
-    /// Single-node allocation (TreadMarks `Tmk_malloc` semantics): only
-    /// the caller allocates; all pages are homed here; no barrier. The
-    /// address must be delivered to other nodes explicitly (the model
-    /// layer's distribute routine).
-    pub fn alloc_local(&self, bytes: usize) -> GlobalAddr {
-        let region = {
-            let mut g = self.next_region.lock();
-            let id = LOCAL_REGION_BASE * (self.rank as u32 + 1) + g.local;
-            g.local += 1;
-            id
-        };
-        self.dsm
-            .dir
-            .register(region, RegionMeta::new(bytes, Distribution::OnNode(self.rank)));
-        GlobalAddr::new(region, 0)
-    }
-
-    /// Adopt a region allocated elsewhere (receiver side of an address
-    /// distribution). Registers the same metadata locally; idempotent.
-    pub fn adopt(&self, addr: GlobalAddr, bytes: usize, home: usize) {
-        self.dsm
-            .dir
-            .register(addr.region(), RegionMeta::new(bytes, Distribution::OnNode(home)));
-    }
-
-    // ---- access functions ----------------------------------------------
-
-    /// Read `out.len()` bytes from global memory at `addr`.
-    pub fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
-        self.dsm.stats[self.rank].at(READS).incr();
-        self.ctx.compute(self.machine().dsm_check_ns);
-        self.charge_local_access(out.len());
-        let mut done = 0;
-        while done < out.len() {
-            let a = addr.add(done as u32);
-            let page = a.page();
-            let off = a.page_offset();
-            let chunk = (PAGE_SIZE - off).min(out.len() - done);
-            let home = self.is_home(page);
-            self.ensure_readable(page, home);
-            self.copy_from_page(page, home, off, &mut out[done..done + chunk]);
-            done += chunk;
-        }
-    }
-
-    /// Write `data` to global memory at `addr`.
-    pub fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
-        self.dsm.stats[self.rank].at(WRITES).incr();
-        self.ctx.compute(self.machine().dsm_check_ns);
-        self.charge_local_access(data.len());
-        let mut done = 0;
-        while done < data.len() {
-            let a = addr.add(done as u32);
-            let page = a.page();
-            let off = a.page_offset();
-            let chunk = (PAGE_SIZE - off).min(data.len() - done);
-            let home = self.is_home(page);
-            self.ensure_writable(page, home, off);
-            self.copy_to_page(page, home, off, &data[done..done + chunk]);
-            done += chunk;
-        }
-    }
-
-    /// Read a u64.
-    pub fn read_u64(&self, addr: GlobalAddr) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Write a u64.
-    pub fn write_u64(&self, addr: GlobalAddr, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Read an f64.
-    pub fn read_f64(&self, addr: GlobalAddr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Write an f64.
-    pub fn write_f64(&self, addr: GlobalAddr, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
+    #[doc(hidden)] // ledger-pinned, goes with ROADMAP 11(b)
+    pub fn alloc(&self, bytes: usize, dist: Distribution) -> GlobalAddr { Engine::alloc(self, bytes, dist) }
+    #[doc(hidden)] // ledger-pinned, goes with ROADMAP 11(b)
+    pub fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) { Access::read_bytes(self, addr, out) }
+    #[doc(hidden)] // ledger-pinned, goes with ROADMAP 11(b)
+    pub fn read_u64(&self, addr: GlobalAddr) -> u64 { Access::read_u64(self, addr) }
+    #[doc(hidden)] // ledger-pinned, goes with ROADMAP 11(b)
+    pub fn write_u64(&self, addr: GlobalAddr, v: u64) { Access::write_u64(self, addr, v) }
+    #[doc(hidden)] // ledger-pinned, goes with ROADMAP 11(b)
+    pub fn acquire(&self, lock: u32) { Engine::acquire(self, lock) }
+    #[doc(hidden)] // ledger-pinned, goes with ROADMAP 11(b)
+    pub fn release(&self, lock: u32) { Engine::release(self, lock) }
+    #[doc(hidden)] // ledger-pinned, goes with ROADMAP 11(b)
+    pub fn barrier(&self, id: u32) { Engine::barrier(self, id) }
 
     fn charge_local_access(&self, bytes: usize) {
         if bytes <= 64 {
@@ -1287,17 +1192,6 @@ impl DsmNode {
 
     // ---- synchronization -------------------------------------------------
 
-    /// Acquire global lock `lock` exclusively.
-    pub fn acquire(&self, lock: u32) {
-        self.try_acquire(lock).unwrap_or_else(|e| self.fatal(&e));
-    }
-
-    /// Acquire global lock `lock` in shared (reader) mode: concurrent
-    /// readers hold it together; writers exclude everyone.
-    pub fn acquire_shared(&self, lock: u32) {
-        self.try_acquire_shared(lock).unwrap_or_else(|e| self.fatal(&e));
-    }
-
     /// [`DsmNode::acquire`] with unrecoverable fabric faults surfaced as
     /// a [`DsmError`] instead of a panic.
     pub fn try_acquire(&self, lock: u32) -> Result<(), DsmError> {
@@ -1335,11 +1229,6 @@ impl DsmNode {
         Ok(())
     }
 
-    /// Release global lock `lock`, publishing this interval's writes.
-    pub fn release(&self, lock: u32) {
-        self.try_release(lock).unwrap_or_else(|e| self.fatal(&e));
-    }
-
     /// [`DsmNode::release`] with unrecoverable fabric faults surfaced as
     /// a [`DsmError`] instead of a panic.
     pub fn try_release(&self, lock: u32) -> Result<(), DsmError> {
@@ -1349,12 +1238,6 @@ impl DsmNode {
             .driver
             .try_release(&self.dsm, self.ctx.port(), lock, interval)
             .map_err(|err| DsmError { op: "lock_release", id: lock, err })
-    }
-
-    /// Global barrier `id`: flushes the interval, exchanges write
-    /// notices, and invalidates what others wrote.
-    pub fn barrier(&self, id: u32) {
-        self.try_barrier(id).unwrap_or_else(|e| self.fatal(&e));
     }
 
     /// [`DsmNode::barrier`] with unrecoverable fabric faults surfaced as
@@ -1374,6 +1257,105 @@ impl DsmNode {
     /// Orderly exit: one final barrier so all writes are home.
     pub fn exit(&self) {
         self.barrier(ALLOC_BARRIER);
+    }
+}
+
+/// Each page chunk of an access is made readable or writable, then
+/// copied.
+impl Access for DsmNode {
+    fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
+        self.dsm.stats[self.rank].at(READS).incr();
+        self.ctx.compute(self.machine().dsm_check_ns);
+        self.charge_local_access(out.len());
+        let mut done = 0;
+        while done < out.len() {
+            let a = addr.add(done as u32);
+            let page = a.page();
+            let off = a.page_offset();
+            let chunk = (PAGE_SIZE - off).min(out.len() - done);
+            let home = self.is_home(page);
+            self.ensure_readable(page, home);
+            self.copy_from_page(page, home, off, &mut out[done..done + chunk]);
+            done += chunk;
+        }
+    }
+
+    fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
+        self.dsm.stats[self.rank].at(WRITES).incr();
+        self.ctx.compute(self.machine().dsm_check_ns);
+        self.charge_local_access(data.len());
+        let mut done = 0;
+        while done < data.len() {
+            let a = addr.add(done as u32);
+            let page = a.page();
+            let off = a.page_offset();
+            let chunk = (PAGE_SIZE - off).min(data.len() - done);
+            let home = self.is_home(page);
+            self.ensure_writable(page, home, off);
+            self.copy_to_page(page, home, off, &data[done..done + chunk]);
+            done += chunk;
+        }
+    }
+}
+
+impl Engine for DsmNode {
+    /// Collective allocation (JiaJia/HLRC semantics, implicit barrier
+    /// included).
+    fn alloc(&self, bytes: usize, dist: Distribution) -> GlobalAddr {
+        let region = {
+            let mut g = self.next_region.lock();
+            let id = g.collective;
+            assert!(id < LOCAL_REGION_BASE, "collective region ids exhausted");
+            g.collective += 1;
+            id
+        };
+        self.dsm.dir.register(region, RegionMeta::new(bytes, dist));
+        self.barrier(ALLOC_BARRIER);
+        GlobalAddr::new(region, 0)
+    }
+
+    /// Single-node allocation: all pages are homed here.
+    fn alloc_local(&self, bytes: usize) -> GlobalAddr {
+        let region = {
+            let mut g = self.next_region.lock();
+            let id = local_region(self.rank, g.local);
+            g.local += 1;
+            id
+        };
+        self.dsm
+            .dir
+            .register(region, RegionMeta::new(bytes, Distribution::OnNode(self.rank)));
+        GlobalAddr::new(region, 0)
+    }
+
+    /// Registers the same metadata locally; idempotent.
+    fn adopt(&self, addr: GlobalAddr, bytes: usize, home: usize) {
+        self.dsm
+            .dir
+            .register(addr.region(), RegionMeta::new(bytes, Distribution::OnNode(home)));
+    }
+
+    fn acquire(&self, lock: u32) {
+        self.try_acquire(lock).unwrap_or_else(|e| self.fatal(&e));
+    }
+
+    fn acquire_shared(&self, lock: u32) {
+        self.try_acquire_shared(lock).unwrap_or_else(|e| self.fatal(&e));
+    }
+
+    /// Publishes this interval's writes.
+    fn release(&self, lock: u32) {
+        self.try_release(lock).unwrap_or_else(|e| self.fatal(&e));
+    }
+
+    /// Flushes the interval, exchanges write notices, and invalidates
+    /// what others wrote.
+    fn barrier(&self, id: u32) {
+        self.try_barrier(id).unwrap_or_else(|e| self.fatal(&e));
+    }
+
+    fn private_traffic(&self, bytes: u64) {
+        self.ctx.bus_transfer(bytes);
     }
 }
 

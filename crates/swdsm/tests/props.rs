@@ -2,7 +2,7 @@
 //! sequential reference memory.
 
 use cluster::{Cluster, FabricConfig, LinkKind};
-use memwire::Distribution;
+use memwire::{Access, Distribution};
 use proptest::prelude::*;
 use swdsm::{DsmConfig, SwDsm};
 

@@ -2,7 +2,7 @@
 //! real messages, virtual time.
 
 use cluster::{Cluster, FabricConfig, LinkKind};
-use memwire::Distribution;
+use memwire::{Access, Distribution, Engine};
 use swdsm::{DsmConfig, SwDsm};
 
 fn cluster(nodes: usize) -> (Cluster, std::sync::Arc<SwDsm>) {

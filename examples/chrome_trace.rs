@@ -8,7 +8,7 @@
 //! Writes `trace.json` and prints the ASCII Gantt summary.
 
 use hamster::core::{
-    chrome_trace_json, gantt_summary, validate_chrome_trace, ClusterConfig, PlatformKind,
+    chrome_trace_json, gantt_summary, validate_chrome_trace, Access, ClusterConfig, PlatformKind,
 };
 use hamster::sim::trace::TraceSession;
 

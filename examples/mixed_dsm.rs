@@ -14,7 +14,7 @@
 //! applications".
 
 use hamster::core::{
-    AllocSpec, ClusterConfig, Distribution, EngineHint, Hamster, PlatformKind, Runtime,
+    Access, AllocSpec, ClusterConfig, Distribution, EngineHint, Hamster, PlatformKind, Runtime,
 };
 
 const ROUNDS: u64 = 20;

@@ -10,7 +10,7 @@
 //! and the software DSM (Ethernet Beowulf) — only the configuration
 //! changes.
 
-use hamster::core::{ClusterConfig, Hamster, PlatformKind, Runtime};
+use hamster::core::{Access, ClusterConfig, Hamster, PlatformKind, Runtime};
 
 /// A small parallel histogram: every node bins its slice of synthetic
 /// data into a shared table under a lock, then everyone verifies the

@@ -8,7 +8,7 @@
 //! cargo run --example thread_farm
 //! ```
 
-use hamster::core::{ClusterConfig, GlobalAddr, Hamster, PlatformKind, Runtime};
+use hamster::core::{Access, ClusterConfig, GlobalAddr, Hamster, PlatformKind, Runtime};
 use hamster::models::pthreads::Pthreads;
 
 const TASKS: u64 = 64;

@@ -11,7 +11,7 @@
 //! timeline (HAMSTER services and every layer below them) and prints a
 //! per-module summary alongside the monitoring counters.
 
-use hamster::core::{ClusterConfig, PlatformKind, Runtime, TraceSession};
+use hamster::core::{Access, ClusterConfig, PlatformKind, Runtime, TraceSession};
 use std::collections::BTreeMap;
 
 fn main() {

@@ -24,7 +24,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use hamster::core::{ClusterConfig, PlatformKind};
+//! use hamster::core::{Access, ClusterConfig, PlatformKind};
 //!
 //! // Run a 2-node SPMD program on the software-DSM platform.
 //! let cfg = ClusterConfig::new(2, PlatformKind::SwDsm);

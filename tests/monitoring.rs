@@ -4,7 +4,7 @@
 //! resettable independently, (c) maintained regardless of platform, and
 //! (d) reflect the protocol work actually performed underneath.
 
-use hamster::core::{ClusterConfig, PlatformKind, Runtime};
+use hamster::core::{Access, ClusterConfig, PlatformKind, Runtime};
 
 #[test]
 fn module_counters_track_a_mixed_workload() {

@@ -4,7 +4,7 @@
 //! the full cross product behind the paper's §5.4 claim that models and
 //! platforms compose freely through the single HAMSTER core.
 
-use hamster::core::{ClusterConfig, PlatformKind, Runtime};
+use hamster::core::{Access, ClusterConfig, PlatformKind, Runtime};
 
 const PLATFORMS: [PlatformKind; 3] =
     [PlatformKind::Smp, PlatformKind::HybridDsm, PlatformKind::SwDsm];
@@ -114,26 +114,33 @@ fn anl_model_everywhere() {
 }
 
 #[test]
-fn treadmarks_model_on_software_dsm() {
-    // Single-node allocation semantics only make sense on the DSM
-    // platforms; exercise the full distribute flow on the software DSM.
-    let rt = Runtime::new(ClusterConfig::new(4, PlatformKind::SwDsm));
-    let (_, rs) = rt.run(|ham| {
-        let tmk = hamster::models::treadmarks::tmk_startup(ham.clone());
-        let a = if tmk.tmk_proc_id() == 2 {
-            let a = tmk.tmk_malloc(4096);
-            tmk.store_u64(a, 1234);
-            tmk.tmk_distribute(a, 4096);
-            a
-        } else {
-            tmk.tmk_receive_distribution()
-        };
-        tmk.tmk_barrier(1);
-        let v = tmk.load_u64(a);
-        tmk.tmk_exit();
-        v
-    });
-    assert_eq!(rs, vec![1234; 4]);
+fn treadmarks_model_everywhere() {
+    // Single-node allocation (`Tmk_malloc`) by rank 0 and by a non-zero
+    // rank: only the allocator allocates, with no barrier, and the
+    // others adopt the distributed address — on every platform,
+    // including the two whose collective allocation ends in a barrier.
+    let everywhere = [PLATFORMS.as_slice(), &[PlatformKind::Mixed]].concat();
+    for platform in everywhere {
+        for allocator in [0, 2] {
+            let rt = Runtime::new(ClusterConfig::new(4, platform));
+            let (_, rs) = rt.run(|ham| {
+                let tmk = hamster::models::treadmarks::tmk_startup(ham.clone());
+                let a = if tmk.tmk_proc_id() == allocator {
+                    let a = tmk.tmk_malloc(4096);
+                    tmk.store_u64(a, 1234);
+                    tmk.tmk_distribute(a, 4096);
+                    a
+                } else {
+                    tmk.tmk_receive_distribution()
+                };
+                tmk.tmk_barrier(1);
+                let v = tmk.load_u64(a);
+                tmk.tmk_exit();
+                v
+            });
+            assert_eq!(rs, vec![1234; 4], "{platform:?}, allocating rank {allocator}");
+        }
+    }
 }
 
 #[test]

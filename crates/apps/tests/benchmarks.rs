@@ -240,6 +240,8 @@ fn sor_virtual_history_is_pinned_across_host_side_rewrites() {
     // nanosecond or a counter. SOR unoptimized 256²×4 on 4 nodes, Ethernet
     // pinned below saturation; the values are the ones the byte-at-a-time
     // store, the per-run `Vec` diff and the per-line read cache produced.
+    // `sync_msgs` is the one synchronisation driver's count, the same
+    // central-barrier traffic on every platform.
     const CHECKSUM: u64 = 0xafe8_d62f_4ecd_4e4b;
     type Golden = (PlatformKind, Option<u64>, &'static [(&'static str, u64)]);
     let golden: [Golden; 3] = [
@@ -249,7 +251,7 @@ fn sor_virtual_history_is_pinned_across_host_side_rewrites() {
             // parent's runs spanned 7.366–7.430 ms.
             PlatformKind::Smp,
             None,
-            &[("barriers", 36), ("bulk_bytes", 5_300_224), ("reads", 1060), ("writes", 1528)],
+            &[("barriers", 36), ("bulk_bytes", 5_300_224), ("reads", 1060), ("sync_msgs", 54), ("writes", 1528)],
         ),
         (
             PlatformKind::HybridDsm,
@@ -262,6 +264,7 @@ fn sor_virtual_history_is_pinned_across_host_side_rewrites() {
                 ("local_writes", 376),
                 ("remote_reads", 793),
                 ("remote_writes", 1152),
+                ("sync_msgs", 54),
             ],
         ),
         (

@@ -1,7 +1,7 @@
 //! Fabric configuration and the textual configuration-file format.
 
 use interconnect::fault::{FaultPlan, Resilience};
-use interconnect::{EngineMode, MembershipPlan, SyncTopology};
+use interconnect::{EngineMode, MembershipPlan, NodeId, SyncTopology};
 use sim::{CostModel, LinkCost};
 use std::collections::BTreeMap;
 use std::str::FromStr;
@@ -65,6 +65,10 @@ pub struct FabricConfig {
     /// encoding). Defaults to [`SyncTopology::centralized`]; large
     /// node counts want [`SyncTopology::scalable`].
     pub sync: SyncTopology,
+    /// Locks whose manager is placed on a given node instead of
+    /// `lock % nodes`: `(lock, manager)`. Every platform's
+    /// synchronisation driver reads it once, at install.
+    pub lock_managers: Vec<(u32, NodeId)>,
 }
 
 impl FabricConfig {
@@ -81,12 +85,13 @@ impl FabricConfig {
             membership: None,
             engine: EngineMode::default(),
             sync: SyncTopology::default(),
+            lock_managers: Vec::new(),
         }
     }
 
     /// Start a typed builder covering every fabric knob — node count,
     /// link, cost model, fault plan, resilience policy, delivery
-    /// worker pool, and synchronization topology.
+    /// worker pool, synchronization topology and lock placement.
     ///
     /// ```
     /// use cluster::{FabricConfig, LinkKind};
@@ -192,6 +197,13 @@ impl FabricConfigBuilder {
     /// (default: [`SyncTopology::centralized`]).
     pub fn sync(mut self, sync: SyncTopology) -> Self {
         self.cfg.sync = sync;
+        self
+    }
+
+    /// Place the manager of each listed lock on its node (see
+    /// [`FabricConfig::lock_managers`]; default: none).
+    pub fn lock_managers(mut self, placed: Vec<(u32, NodeId)>) -> Self {
+        self.cfg.lock_managers = placed;
         self
     }
 

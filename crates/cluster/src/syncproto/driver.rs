@@ -1,19 +1,18 @@
 //! The one fabric driver of the synchronisation machines.
 //!
 //! Every platform's locks and barriers run through [`Driver`]: it owns
-//! the lock managers (the central manager and the MCS token queue), the
-//! central barrier manager, the tree barrier, the per-node barrier
-//! epochs and the lock-acquire histogram, registers the thirteen
-//! handlers that drive them, carries out the requester's half on the
-//! application thread, and clears the lock notices a barrier made
-//! redundant. What differs between platforms is the [`Platform`]
-//! parameter, resolved at compile time: the message kinds, the wire
-//! size of each message shape, the trace module name, and the side
-//! effects only the software DSM has (protocol counters, home migration
-//! at the quiescent point, placed lock managers). Each of those has a
-//! default that does nothing, so the ordering-only `()` platform of the
-//! hybrid DSM and SMP is a few lines. No line here asks which platform
-//! it serves.
+//! the lock managers (the central manager and the MCS token queue) and
+//! where they are placed, the central barrier manager, the tree barrier,
+//! the per-node barrier epochs, the lock-acquire histogram and the
+//! protocol counters ([`STAT_NAMES`]), registers the thirteen handlers
+//! that drive them, carries out the requester's half on the application
+//! thread, and clears the lock notices a barrier made redundant. What
+//! differs between platforms is the [`Platform`] parameter, resolved at
+//! compile time: the message kinds, the wire size of each message shape,
+//! the trace module name, and the one side effect only the software DSM
+//! has (home migration at the quiescent point). Each of those has a
+//! default, so the ordering-only `()` platform of the hybrid DSM and SMP
+//! is a few lines. No line here asks which platform it serves.
 //!
 //! One question is asked of the fabric, once, in [`Driver::new`]: the
 //! lock protocol. The token queue cannot re-issue a lost token, so it
@@ -35,13 +34,40 @@ use interconnect::{
     downcast, mailbox, HandlerCtx, Mailbox, NodeId, NodePort, Outcome, Payload, RequestError,
 };
 use parking_lot::Mutex;
-use sim::Sketch;
+use sim::stats::stat_index;
+use sim::{Sketch, StatSet};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What one writer publishes on platform `P`.
 pub type Pub<P> = <<P as Platform>::Wave as Piggyback>::Pub;
+
+/// The driver's per-node counters. Each platform builds its node
+/// `StatSet` over its own names followed by these, so the platform's
+/// compile-time indices stay valid, and hands [`Driver::new`] clones.
+pub const STAT_NAMES: &[&str] = &[
+    "lock_acquires",
+    "lock_queued",
+    "barriers",
+    "retries",
+    "sync_msgs",
+    "sync_records",
+    "token_forwards",
+    "tree_waves",
+    "tuner_actions",
+];
+
+/// Offsets into [`STAT_NAMES`] (checked at compile time).
+const LOCK_ACQUIRES: usize = stat_index(STAT_NAMES, "lock_acquires");
+const LOCK_QUEUED: usize = stat_index(STAT_NAMES, "lock_queued");
+const BARRIERS: usize = stat_index(STAT_NAMES, "barriers");
+const RETRIES: usize = stat_index(STAT_NAMES, "retries");
+const SYNC_MSGS: usize = stat_index(STAT_NAMES, "sync_msgs");
+const SYNC_RECORDS: usize = stat_index(STAT_NAMES, "sync_records");
+const TOKEN_FORWARDS: usize = stat_index(STAT_NAMES, "token_forwards");
+const TREE_WAVES: usize = stat_index(STAT_NAMES, "tree_waves");
+const TUNER_ACTIONS: usize = stat_index(STAT_NAMES, "tuner_actions");
 
 /// A platform's synchronisation message kinds, one per message shape.
 /// Two platforms on one cluster need disjoint blocks (the router refuses
@@ -113,9 +139,10 @@ impl Kinds {
 }
 
 /// What differs between the platforms that drive the synchronisation
-/// machines. Implemented by `()` (hybrid DSM and SMP: memory is
-/// physically shared, synchronisation only orders) and by the software
-/// DSM, whose hooks reach its own state through `&self`.
+/// machines: kinds, trace module, wire sizes, record counts and the
+/// quiescent-point hook. Implemented by `()` (hybrid DSM and SMP: memory
+/// is physically shared, synchronisation only orders) and by the
+/// software DSM, whose hook reaches its own state through `&self`.
 pub trait Platform: Send + Sync + 'static {
     /// What rides the synchronisation messages (see [`Piggyback`]).
     type Wave: Piggyback<Pub: Send + Sync + 'static> + Send + Sync + 'static;
@@ -149,34 +176,18 @@ pub trait Platform: Send + Sync + 'static {
         32
     }
 
-    /// Notice records a publication carries ([`Platform::count_sync`]).
+    /// Notice records a publication carries (counted under
+    /// `sync_records`).
     fn pub_records(_publication: &Pub<Self>) -> u64 {
         0
     }
 
-    /// Notice records a wave carries ([`Platform::count_sync`]).
+    /// Notice records a wave carries (counted under `sync_records`).
     fn wave_records(_wave: &Self::Wave) -> u64 {
         0
     }
 
-    // ---- side effects; the defaults do nothing ----
-
-    /// One barrier or token-queue message carrying `records` notice
-    /// records left `node` for `dst`.
-    fn count_sync(&self, _node: NodeId, _dst: NodeId, _records: u64) {}
-
-    /// `node` sent one tree release wave.
-    fn tree_waves(&self, _node: NodeId) {}
-
-    /// `node`'s acquire was queued: its first request answered
-    /// `Queued`, or its token chained behind a tail.
-    fn lock_queued(&self, _node: NodeId) {}
-
-    /// `node` passed a lock token straight to its successor.
-    fn token_forwards(&self, _node: NodeId) {}
-
-    /// `node` re-requested a lock whose posted grant was lost.
-    fn retries(&self, _node: NodeId) {}
+    // ---- side effect; the default does nothing ----
 
     /// Every node is blocked in a barrier that is about to release: the
     /// quiescent point. Returns how many directory entries (16 bytes
@@ -184,14 +195,9 @@ pub trait Platform: Send + Sync + 'static {
     fn apply_migrations(&self) -> u64 {
         0
     }
-
-    /// The manager of `lock` on a `nodes`-node cluster.
-    fn lock_mgr_of(&self, lock: u32, nodes: usize) -> NodeId {
-        lock as usize % nodes
-    }
 }
 
-/// The hybrid DSM's and SMP's platform: nothing rides, nothing to count.
+/// The hybrid DSM's and SMP's platform: nothing rides.
 impl Platform for () {
     type Wave = ();
     const KINDS: Kinds = Kinds {
@@ -353,15 +359,33 @@ pub struct Driver<P: Platform> {
     /// Lock-acquire latency (virtual ns from request to grant applied),
     /// pooled across nodes.
     lock_hist: Sketch,
+    /// Locks whose manager is placed away from `lock % nodes`.
+    placed: HashMap<u32, NodeId>,
+    /// Per node: the platform's counters; [`STAT_NAMES`] start at `base`.
+    stats: Vec<StatSet>,
+    base: usize,
 }
 
 impl<P: Platform> Driver<P> {
     /// Synchronisation state for `cluster`, shaped by its
-    /// [`crate::SyncTopology`]: the barrier topology, the lock protocol
-    /// and whether waves travel as digests.
-    pub fn new(cluster: &Cluster) -> Arc<Self> {
+    /// [`crate::SyncTopology`] — the barrier topology, the lock protocol
+    /// and whether waves travel as digests — and its placed lock
+    /// managers, each counted under `tuner_actions` at its node. `stats`
+    /// holds each node's counters, [`STAT_NAMES`] among them in order.
+    pub fn new(cluster: &Cluster, stats: Vec<StatSet>) -> Arc<Self> {
         let nodes = cluster.config().nodes;
         let sync = cluster.config().sync;
+        assert_eq!(stats.len(), nodes, "one counter set per node");
+        let base = stats[0].index_of(STAT_NAMES[0]).expect("the driver's counters are registered");
+        for (i, name) in STAT_NAMES.iter().enumerate() {
+            assert_eq!(stats[0].index_of(name), Some(base + i), "driver counter {name:?} out of order");
+        }
+        let mut placed = HashMap::new();
+        for &(lock, node) in &cluster.config().lock_managers {
+            assert!(node < nodes, "lock {lock}: manager node {node} out of range for {nodes} nodes");
+            placed.insert(lock, node);
+            stats[node].at(base + TUNER_ACTIONS).incr();
+        }
         let fanout = match sync.barrier {
             BarrierTopology::Tree { fanout } => fanout,
             BarrierTopology::Central => 2,
@@ -392,7 +416,29 @@ impl<P: Platform> Driver<P> {
             cleared: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
             releases: (0..nodes).map(|_| Releases::default()).collect(),
             lock_hist: Sketch::new(),
+            placed,
+            stats,
+            base,
         })
+    }
+
+    /// The manager of `lock`: where it is placed, else `lock % nodes`.
+    fn lock_mgr(&self, lock: u32) -> NodeId {
+        self.placed.get(&lock).copied().unwrap_or(lock as usize % self.nodes)
+    }
+
+    /// Add `n` to `node`'s counter at offset `idx` of [`STAT_NAMES`].
+    fn count(&self, node: NodeId, idx: usize, n: u64) {
+        self.stats[node].at(self.base + idx).add(n);
+    }
+
+    /// Count one synchronisation message carrying `records` notice
+    /// records from `node` to `dst`; a self-send is free and not counted.
+    pub fn count_sync(&self, node: NodeId, dst: NodeId, records: u64) {
+        if node != dst {
+            self.count(node, SYNC_MSGS, 1);
+            self.count(node, SYNC_RECORDS, records);
+        }
     }
 
     /// Register the platform's lock, token-queue, barrier and tree
@@ -441,14 +487,9 @@ impl<P: Platform> Driver<P> {
     /// as exclusive: kick this node's own handler, which enqueues at the
     /// manager, and park on the grant tag until the token arrives. Close
     /// the acquisition with [`Driver::acquired`].
-    pub fn try_acquire(
-        &self,
-        p: &P,
-        port: &NodePort,
-        lock: u32,
-        mode: Mode,
-    ) -> Result<Notices<P::Wave>, RequestError> {
+    pub fn try_acquire(&self, port: &NodePort, lock: u32, mode: Mode) -> Result<Notices<P::Wave>, RequestError> {
         let me = port.node();
+        self.count(me, LOCK_ACQUIRES, 1);
         let tag = mailbox::tag(P::KINDS.lock_grant, lock);
         if self.token_locks {
             port.post_parking(me, P::KINDS.tok_acq_local, lock, 8);
@@ -456,18 +497,18 @@ impl<P: Platform> Driver<P> {
             assert_eq!(grant.lock, lock);
             return Ok(grant.notices);
         }
-        let mgr = p.lock_mgr_of(lock, self.nodes);
+        let mgr = self.lock_mgr(lock);
         acquire_resilient(
             format_args!("{} node {me}: lock {lock}", P::MODULE),
             |round, lost_grant| {
                 if round > 1 {
-                    p.retries(me);
+                    self.count(me, RETRIES, 1);
                 }
                 let req = LockReq { lock, mode, lost_grant };
                 let reply = port.request_retrying(mgr, P::KINDS.lock_req, req, 16)?;
                 let answer = downcast::<Answer<Notices<P::Wave>>>(reply);
                 if round == 1 && matches!(answer, Answer::Queued) {
-                    p.lock_queued(me);
+                    self.count(me, LOCK_QUEUED, 1);
                 }
                 Ok(answer)
             },
@@ -500,13 +541,7 @@ impl<P: Platform> Driver<P> {
     /// waiters, so it goes by [`NodePort::send_reliable`]. On the token
     /// queue this node's own handler merges the publication into the
     /// token and forwards or returns it: a one-way post in the model.
-    pub fn try_release(
-        &self,
-        p: &P,
-        port: &NodePort,
-        lock: u32,
-        publication: Pub<P>,
-    ) -> Result<(), RequestError> {
+    pub fn try_release(&self, port: &NodePort, lock: u32, publication: Pub<P>) -> Result<(), RequestError> {
         let (me, k) = (port.node(), P::KINDS);
         let bytes = 16 + P::pub_bytes(&publication);
         if self.token_locks {
@@ -521,7 +556,7 @@ impl<P: Platform> Driver<P> {
             // in some runs and not in others.
             port.mailbox().wait(mailbox::tag(k.tok_rel, lock));
         } else {
-            let mgr = p.lock_mgr_of(lock, self.nodes);
+            let mgr = self.lock_mgr(lock);
             let seq = self.releases[me].next.fetch_add(1, Ordering::Relaxed) + 1;
             let rel = LockRel { lock, releaser: me, seq, publication };
             port.send_reliable(mgr, k.lock_rel, rel, bytes)?;
@@ -548,9 +583,10 @@ impl<P: Platform> Driver<P> {
         apply: impl FnOnce(P::Wave),
     ) -> Result<(), RequestError> {
         let me = port.node();
+        self.count(me, BARRIERS, 1);
         let epoch = self.epochs[me].lock().get(&id).copied().unwrap_or(0) + 1;
         let wave = match self.barrier {
-            BarrierTopology::Central => self.central_barrier(p, port, id, epoch, publication)?,
+            BarrierTopology::Central => self.central_barrier(port, id, epoch, publication)?,
             BarrierTopology::Tree { .. } => self.tree_barrier(p, port, id, epoch, publication)?,
         };
         apply(wave);
@@ -563,18 +599,11 @@ impl<P: Platform> Driver<P> {
     /// One rendezvous at the manager (see [`interconnect::message`]).
     /// Retried arrivals are deduplicated while the epoch is pending and
     /// answered from the release cache after.
-    fn central_barrier(
-        &self,
-        p: &P,
-        port: &NodePort,
-        id: u32,
-        epoch: u64,
-        publication: Pub<P>,
-    ) -> Result<P::Wave, RequestError> {
+    fn central_barrier(&self, port: &NodePort, id: u32, epoch: u64, publication: Pub<P>) -> Result<P::Wave, RequestError> {
         let me = port.node();
         let mgr = id as usize % self.nodes;
         let bytes = 24 + P::pub_bytes(&publication);
-        p.count_sync(me, mgr, P::pub_records(&publication));
+        self.count_sync(me, mgr, P::pub_records(&publication));
         let arr = Arrival { id, epoch, who: me, publication };
         let tag = mailbox::tag(P::KINDS.bar_release, id);
         let rel = port.rendezvous(mgr, P::KINDS.bar_arrive, arr, bytes, tag)?;
@@ -638,7 +667,7 @@ impl<P: Platform> Driver<P> {
         }
         let deliver = match downcast::<TreeStep<P::Wave>>(port.wait_mailbox(skey)) {
             TreeStep::Up { parent, latest_ns, agg } => {
-                p.count_sync(me, parent, Self::records(&agg));
+                self.count_sync(me, parent, Self::records(&agg));
                 let bytes = P::agg_bytes(&agg);
                 let msg = TreeAgg { id, epoch, child: me, latest_ns, agg };
                 let wave = downcast::<TreeWave<P::Wave>>(port.request_retrying(parent, k.tree_agg, msg, bytes)?);
@@ -671,7 +700,7 @@ impl<P: Platform> Driver<P> {
         }
         let wkey = mailbox::tag(k.tree_wave, id);
         for (child, wave) in child_waves {
-            let (msg, bytes) = Self::wave_to(p, me, child, epoch, release_ns, wave);
+            let (msg, bytes) = self.wave_to(me, child, epoch, release_ns, wave);
             port.complete_deferred(wkey, child, msg, bytes + extra, release_ns);
         }
         Ok(own)
@@ -735,7 +764,7 @@ impl<P: Platform> Driver<P> {
                 // No participant resumes before release_ns.
                 let waiters = intervals.iter().map(|&(who, _)| who).collect();
                 ctx.answer_all(k.bar_release, tag, release_ns, arr.who, waiters, |who| {
-                    let (rel, bytes) = self.release_to(p, ctx.node, who, id, epoch, &intervals);
+                    let (rel, bytes) = self.release_to(ctx.node, who, id, epoch, &intervals);
                     (rel, bytes + extra)
                 })
             }
@@ -743,7 +772,7 @@ impl<P: Platform> Driver<P> {
             // arriver's release reply was lost. Answer with the cached
             // release.
             BarrierStep::Replay { epoch, release_ns, intervals } => {
-                let (rel, bytes) = self.release_to(p, ctx.node, arr.who, id, epoch, &intervals);
+                let (rel, bytes) = self.release_to(ctx.node, arr.who, id, epoch, &intervals);
                 Outcome::reply_not_before(rel, bytes, release_ns)
             }
             // Pending (first copy or a retried duplicate).
@@ -761,7 +790,7 @@ impl<P: Platform> Driver<P> {
     }
 
     /// A child's subtree aggregate.
-    fn on_tree_agg(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+    fn on_tree_agg(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
         let msg = downcast::<TreeAgg<Pub<P>>>(msg);
         let (id, epoch, child, k) = (msg.id, msg.epoch, msg.child, P::KINDS);
         let step = self.trees[ctx.node].lock().child_arrive(id, epoch, child, msg.latest_ns, msg.agg);
@@ -787,7 +816,7 @@ impl<P: Platform> Driver<P> {
             // reply was lost.
             TreeStep::ResendWave { child: c, release_ns, wave } => {
                 debug_assert_eq!(c, child);
-                let (rep, bytes) = Self::wave_to(p, ctx.node, child, epoch, release_ns, wave);
+                let (rep, bytes) = self.wave_to(ctx.node, child, epoch, release_ns, wave);
                 Outcome::reply_not_before(rep, bytes, release_ns)
             }
             TreeStep::Redeliver { .. } => unreachable!("child aggregates never redeliver locally"),
@@ -798,25 +827,25 @@ impl<P: Platform> Driver<P> {
 
     /// The application's acquire, bounced off its own handler so the
     /// holder slot is only ever touched handler-side.
-    fn on_tok_acq_local(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+    fn on_tok_acq_local(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
         let lock = downcast::<u32>(msg);
         let seq = self.locks[ctx.node].lock().tok_begin_acquire(lock);
-        let mgr = p.lock_mgr_of(lock, self.nodes);
-        p.count_sync(ctx.node, mgr, 0);
+        let mgr = self.lock_mgr(lock);
+        self.count_sync(ctx.node, mgr, 0);
         ctx.post(mgr, P::KINDS.tok_acq, TokAcq { lock, who: ctx.node, seq }, 24);
         Outcome::done()
     }
 
     /// Enqueue at the manager: pass the parked token, or chain the new
     /// tail behind the previous one.
-    fn on_tok_acq(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+    fn on_tok_acq(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
         let TokAcq { lock, who, seq } = downcast(msg);
         let step = self.locks[ctx.node].lock().tok_acquire(lock, who, seq);
         match step {
-            TokMgrStep::Pass { to, notices } => self.pass_token(p, ctx, lock, to, notices),
+            TokMgrStep::Pass { to, notices } => self.pass_token(ctx, lock, to, notices),
             TokMgrStep::SetSucc { prev, for_seq, succ } => {
-                p.lock_queued(succ);
-                p.count_sync(ctx.node, prev, 0);
+                self.count(succ, LOCK_QUEUED, 1);
+                self.count_sync(ctx.node, prev, 0);
                 ctx.post(prev, P::KINDS.tok_set_succ, TokSucc { lock, succ, for_seq }, 24);
             }
         }
@@ -835,12 +864,12 @@ impl<P: Platform> Driver<P> {
 
     /// The manager names a successor; a tenure that already ended
     /// claims the (returned or in-flight) token back from the manager.
-    fn on_tok_set_succ(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+    fn on_tok_set_succ(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
         let TokSucc { lock, succ, for_seq } = downcast(msg);
         let claim = self.locks[ctx.node].lock().tok_set_succ(lock, succ, for_seq);
         if let Some(succ) = claim {
-            let mgr = p.lock_mgr_of(lock, self.nodes);
-            p.count_sync(ctx.node, mgr, 0);
+            let mgr = self.lock_mgr(lock);
+            self.count_sync(ctx.node, mgr, 0);
             ctx.post(mgr, P::KINDS.tok_claim, TokClaim { lock, succ }, 16);
         }
         Outcome::done()
@@ -850,20 +879,20 @@ impl<P: Platform> Driver<P> {
     /// the token straight to the successor — and let the releaser go
     /// on — or return it to the manager, which lets the releaser go on
     /// once the token is parked there (see [`Driver::try_release`]).
-    fn on_tok_rel(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+    fn on_tok_rel(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
         let TokRel { lock, publication } = downcast::<TokRel<Pub<P>>>(msg);
         let (me, k) = (ctx.node, P::KINDS);
         let step = self.locks[me].lock().tok_release(lock, me, publication);
         match step {
             TokHolderStep::Forward { to, notices } => {
-                p.token_forwards(me);
-                self.pass_token(p, ctx, lock, to, notices);
+                self.count(me, TOKEN_FORWARDS, 1);
+                self.pass_token(ctx, lock, to, notices);
                 self.mailboxes[me].deposit(mailbox::tag(k.tok_rel, lock), Box::new(()), ctx.now);
             }
             TokHolderStep::Return { seq, notices } => {
-                let mgr = p.lock_mgr_of(lock, self.nodes);
+                let mgr = self.lock_mgr(lock);
                 let bytes = P::grant_bytes(&notices) + 24;
-                p.count_sync(me, mgr, Self::records(&notices));
+                self.count_sync(me, mgr, Self::records(&notices));
                 ctx.post(mgr, k.tok_return, TokReturn::<P::Wave> { lock, who: me, seq, notices }, bytes);
             }
         }
@@ -872,11 +901,11 @@ impl<P: Platform> Driver<P> {
 
     /// A token comes back to the manager with no successor known: pass
     /// it to a pending claimant or park it, and let its releaser go on.
-    fn on_tok_return(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+    fn on_tok_return(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
         let TokReturn { lock, who, seq, notices } = downcast::<TokReturn<P::Wave>>(msg);
         let pass = self.locks[ctx.node].lock().tok_return(lock, who, seq, notices);
         if let Some((to, notices)) = pass {
-            self.pass_token(p, ctx, lock, to, notices);
+            self.pass_token(ctx, lock, to, notices);
         }
         self.mailboxes[who].deposit(mailbox::tag(P::KINDS.tok_rel, lock), Box::new(()), ctx.now);
         Outcome::done()
@@ -884,11 +913,11 @@ impl<P: Platform> Driver<P> {
 
     /// A node told of a successor too late routes the token on from the
     /// manager.
-    fn on_tok_claim(&self, p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
+    fn on_tok_claim(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
         let TokClaim { lock, succ } = downcast(msg);
         let pass = self.locks[ctx.node].lock().tok_claim(lock, succ);
         if let Some((to, notices)) = pass {
-            self.pass_token(p, ctx, lock, to, notices);
+            self.pass_token(ctx, lock, to, notices);
         }
         Outcome::done()
     }
@@ -898,11 +927,11 @@ impl<P: Platform> Driver<P> {
     /// Pass `lock`'s token from this handler's node to `to`: a holder's
     /// direct forward or a manager's hand-over, traced as a grant like
     /// the central manager's so the analyzer chains both alike.
-    fn pass_token(&self, p: &P, ctx: &HandlerCtx<'_>, lock: u32, to: NodeId, notices: Notices<P::Wave>) {
+    fn pass_token(&self, ctx: &HandlerCtx<'_>, lock: u32, to: NodeId, notices: Notices<P::Wave>) {
         let k = P::KINDS;
         self.trace_grant(ctx.now, ctx.node, lock, to);
         let bytes = P::grant_bytes(&notices) + 8;
-        p.count_sync(ctx.node, to, Self::records(&notices));
+        self.count_sync(ctx.node, to, Self::records(&notices));
         let pass = LockGrant::<P::Wave> { lock, notices };
         ctx.post_tagged(to, k.tok_pass, pass, bytes, mailbox::tag(k.lock_grant, lock));
     }
@@ -943,7 +972,6 @@ impl<P: Platform> Driver<P> {
     /// everyone *else's*.
     fn release_to(
         &self,
-        p: &P,
         node: NodeId,
         receiver: NodeId,
         id: u32,
@@ -957,16 +985,16 @@ impl<P: Platform> Driver<P> {
                 P::Wave::encode(others, Some(runs))
             }
         };
-        p.count_sync(node, receiver, P::wave_records(&notices));
+        self.count_sync(node, receiver, P::wave_records(&notices));
         let bytes = 16 + P::wave_bytes(&notices);
         (Release { id, epoch, notices }, bytes)
     }
 
     /// The release wave `node` sends `child`, counted, and its wire
     /// size.
-    fn wave_to(p: &P, node: NodeId, child: NodeId, epoch: u64, release_ns: u64, wave: P::Wave) -> (TreeWave<P::Wave>, u64) {
-        p.tree_waves(node);
-        p.count_sync(node, child, P::wave_records(&wave));
+    fn wave_to(&self, node: NodeId, child: NodeId, epoch: u64, release_ns: u64, wave: P::Wave) -> (TreeWave<P::Wave>, u64) {
+        self.count(node, TREE_WAVES, 1);
+        self.count_sync(node, child, P::wave_records(&wave));
         let bytes = 24 + P::wave_bytes(&wave);
         (TreeWave { epoch, release_ns, wave }, bytes)
     }
@@ -989,7 +1017,7 @@ impl Driver<()> {
     /// Acquire `lock` in `mode` (blocking).
     pub fn acquire(&self, port: &NodePort, lock: u32, mode: Mode) {
         let t0 = port.clock().now();
-        if let Err(e) = self.try_acquire(&(), port, lock, mode) {
+        if let Err(e) = self.try_acquire(port, lock, mode) {
             panic!("hybriddsm node {}: unrecoverable fault acquiring lock {lock}: {e}", port.node());
         }
         self.acquired(port, t0, lock);
@@ -997,7 +1025,7 @@ impl Driver<()> {
 
     /// Release `lock`.
     pub fn release(&self, port: &NodePort, lock: u32) {
-        if let Err(e) = self.try_release(&(), port, lock, ()) {
+        if let Err(e) = self.try_release(port, lock, ()) {
             panic!("hybriddsm node {}: unrecoverable fault releasing lock {lock}: {e}", port.node());
         }
     }
@@ -1017,7 +1045,6 @@ mod tests {
     use super::*;
     use crate::{FabricConfig, LinkKind, NodeCtx, RunReport, SyncTopology};
     use interconnect::Resilience;
-    use std::marker::PhantomData;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 
     /// The test platforms' kind block (they never share a cluster).
@@ -1068,6 +1095,17 @@ mod tests {
         Cluster::new(cfg.build())
     }
 
+    /// The driver of `p`'s platform on `cluster`, over counter sets of
+    /// its own names only.
+    fn driver<P: Platform>(cluster: &Cluster) -> Arc<Driver<P>> {
+        Driver::new(cluster, (0..cluster.config().nodes).map(|_| StatSet::new(STAT_NAMES)).collect())
+    }
+
+    /// `name` summed over every node.
+    fn total<P: Platform>(sync: &Driver<P>, name: &str) -> u64 {
+        sync.stats.iter().map(|s| s.get(name)).sum()
+    }
+
     /// One node's use of the driver, as the platforms wrap it.
     struct Node<'a, P: Platform> {
         sync: &'a Driver<P>,
@@ -1078,12 +1116,12 @@ mod tests {
     impl<P: Platform> Node<'_, P> {
         fn acquire(&self, lock: u32) {
             let (port, t0) = (self.ctx.port(), self.ctx.clock().now());
-            self.sync.try_acquire(self.p, port, lock, Mode::Excl).unwrap();
+            self.sync.try_acquire(port, lock, Mode::Excl).unwrap();
             self.sync.acquired(port, t0, lock);
         }
 
         fn release(&self, lock: u32) {
-            self.sync.try_release(self.p, self.ctx.port(), lock, Default::default()).unwrap();
+            self.sync.try_release(self.ctx.port(), lock, Default::default()).unwrap();
         }
 
         fn barrier(&self, id: u32) {
@@ -1092,19 +1130,21 @@ mod tests {
         }
     }
 
-    /// Install `p`'s driver on `cluster` and run `body` on every node.
+    /// Install `p`'s driver on `cluster`, run `body` on every node, and
+    /// return the driver with the run.
     fn run<P: Platform, T: Send>(
         cluster: &Cluster,
         p: &Arc<P>,
         body: impl Fn(&Node<'_, P>) -> T + Send + Sync,
-    ) -> (RunReport, Vec<T>) {
-        let sync = Driver::new(cluster);
+    ) -> (RunReport, Vec<T>, Arc<Driver<P>>) {
+        let sync = driver(cluster);
         sync.register(cluster, p.clone());
-        cluster.run(|ctx| body(&Node { sync: &sync, p, ctx }))
+        let (report, out) = cluster.run(|ctx| body(&Node { sync: &sync, p, ctx }));
+        (report, out, sync)
     }
 
     fn barrier_joins_clocks_on<P: Platform + Default>(resilient: bool) {
-        let (report, _) = run(&cluster(3, spec("centralized"), resilient), &Arc::<P>::default(), |node| {
+        let (report, ..) = run(&cluster(3, spec("centralized"), resilient), &Arc::<P>::default(), |node| {
             node.ctx.compute(node.ctx.rank() as u64 * 1_000_000);
             node.barrier(1);
             // After a barrier, no node's clock may be behind the slowest
@@ -1153,7 +1193,7 @@ mod tests {
     fn tree_barrier_joins_clocks_across_shapes_on<P: Platform + Default>(resilient: bool) {
         for (nodes, name) in [(2usize, "tree:2"), (5, "tree:2"), (9, "tree:3"), (8, "scalable")] {
             let slowest = (nodes as u64 - 1) * 1_000_000;
-            let (report, _) = run(&cluster(nodes, spec(name), resilient), &Arc::<P>::default(), |node| {
+            let (report, ..) = run(&cluster(nodes, spec(name), resilient), &Arc::<P>::default(), |node| {
                 node.ctx.compute(node.ctx.rank() as u64 * 1_000_000);
                 for _ in 0..3 {
                     node.barrier(1);
@@ -1175,7 +1215,7 @@ mod tests {
         // on from the manager's parking spot carries none: see
         // `syncproto::lock`.)
         let sync = SyncTopology { locks: LockTopology::Manager, ..spec("tree:2") };
-        let (_, entries) = run(&cluster(4, sync, resilient), &Arc::<P>::default(), |node| {
+        let (_, entries, _) = run(&cluster(4, sync, resilient), &Arc::<P>::default(), |node| {
             node.barrier(1);
             node.acquire(7);
             let t = node.ctx.clock().now();
@@ -1197,7 +1237,7 @@ mod tests {
     }
 
     fn sci_barrier_is_fast_on<P: Platform + Default>(resilient: bool) {
-        let (report, _) = run(&cluster(4, spec("centralized"), resilient), &Arc::<P>::default(), |node| node.barrier(1));
+        let (report, ..) = run(&cluster(4, spec("centralized"), resilient), &Arc::<P>::default(), |node| node.barrier(1));
         // One SCI barrier should cost tens of µs, far below an Ethernet
         // round trip (startup dominates at 2 ms).
         assert!(report.sim_time_ns < 4_000_000, "got {}", report.sim_time_ns);
@@ -1208,61 +1248,23 @@ mod tests {
         legs!(sci_barrier_is_fast_on);
     }
 
-    /// Counts what the driver reports on payload `W`: cross-node sync
-    /// messages, queued acquires and direct token forwards.
-    struct Counting<W> {
-        sync_msgs: AtomicU64,
-        queued: AtomicU64,
-        forwards: AtomicU64,
-        wave: PhantomData<W>,
-    }
-
-    impl<W> Default for Counting<W> {
-        fn default() -> Self {
-            let zero = AtomicU64::default;
-            Counting { sync_msgs: zero(), queued: zero(), forwards: zero(), wave: PhantomData }
-        }
-    }
-
-    impl<W: Piggyback<Pub: Send + Sync + 'static> + Send + Sync + 'static> Platform for Counting<W> {
-        type Wave = W;
-        const KINDS: Kinds = TEST_KINDS;
-        const MODULE: &'static str = "syncproto";
-
-        fn count_sync(&self, node: NodeId, dst: NodeId, _records: u64) {
-            if node != dst {
-                self.sync_msgs.fetch_add(1, SeqCst);
-            }
-        }
-
-        fn lock_queued(&self, _node: NodeId) {
-            self.queued.fetch_add(1, SeqCst);
-        }
-
-        fn token_forwards(&self, _node: NodeId) {
-            self.forwards.fetch_add(1, SeqCst);
-        }
-    }
-
     #[test]
     fn tree_barrier_pulls_on_a_lossless_fabric() {
         // One 9-node `tree:3` barrier on a fabric that loses nothing:
         // each of the eight non-root nodes sends its aggregate up as a
         // request and gets its wave back as the reply — 2(n − 1)
         // cross-node messages, no post, no other delivery.
-        let p = Arc::new(Counting::<()>::default());
-        let (report, _) = run(&cluster(9, spec("tree:3"), false), &p, |node| node.barrier(1));
-        assert_eq!(p.sync_msgs.load(SeqCst), 2 * 8, "cross-node messages");
+        let (report, _, sync) = run(&cluster(9, spec("tree:3"), false), &Arc::new(()), |node| node.barrier(1));
+        assert_eq!(total(&sync, "sync_msgs"), 2 * 8, "cross-node messages");
+        assert_eq!(total(&sync, "tree_waves"), 8, "one wave down every edge");
+        assert_eq!(total(&sync, "barriers"), 9);
         let net = |counter: &str| report.net_stats[counter];
         assert_eq!(net("requests"), 8, "every aggregate is a request");
         assert_eq!(net("delivered"), 8, "and only aggregates reach a handler");
         assert_eq!(net("posts"), 0, "the tree makes no post");
     }
 
-    fn token_queue_forwards_where_nothing_is_lost_on<W>(resilient: bool)
-    where
-        Counting<W>: Platform,
-    {
+    fn token_queue_forwards_where_nothing_is_lost_on<P: Platform + Default>(resilient: bool) {
         // A contended lock on a 4-node `scalable` fabric. The first
         // holder keeps it until the other three are queued behind it
         // (`compute` costs no host time, so it could otherwise release
@@ -1270,17 +1272,15 @@ mod tests {
         // nothing is lost, the token goes to it directly; where the
         // fabric retries, the central manager serves the lock and no
         // token exists.
-        let p = Arc::new(Counting::<W>::default());
         let (inside, max_seen, waited) = (AtomicU64::new(0), AtomicU64::new(0), AtomicBool::new(false));
-        run(&cluster(4, spec("scalable"), resilient), &p, |node| {
+        let (.., sync) = run(&cluster(4, spec("scalable"), resilient), &Arc::<P>::default(), |node| {
             node.barrier(1);
             for _ in 0..5 {
                 node.acquire(7);
                 max_seen.fetch_max(inside.fetch_add(1, SeqCst) + 1, SeqCst);
                 if !waited.swap(true, SeqCst) {
                     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-                    while p.queued.load(SeqCst) < 3 {
-                        assert!(std::time::Instant::now() < deadline, "the others never queued");
+                    while total(node.sync, "lock_queued") < 3 && std::time::Instant::now() < deadline {
                         std::thread::yield_now();
                     }
                 }
@@ -1291,7 +1291,9 @@ mod tests {
             node.barrier(2);
         });
         assert_eq!(max_seen.load(SeqCst), 1, "resilient: {resilient}");
-        let forwards = p.forwards.load(SeqCst);
+        assert!(total(&sync, "lock_queued") >= 3, "the others never queued");
+        assert_eq!(total(&sync, "lock_acquires"), 20);
+        let forwards = total(&sync, "token_forwards");
         if resilient {
             assert_eq!(forwards, 0, "the manager, not a token, serves a resilient fabric's locks");
         } else {
@@ -1301,10 +1303,26 @@ mod tests {
 
     #[test]
     fn token_queue_forwards_where_nothing_is_lost() {
-        for resilient in [false, true] {
-            token_queue_forwards_where_nothing_is_lost_on::<()>(resilient);
-            token_queue_forwards_where_nothing_is_lost_on::<Wave>(resilient);
-        }
+        legs!(token_queue_forwards_where_nothing_is_lost_on);
+    }
+
+    #[test]
+    fn placed_locks_are_managed_where_configured() {
+        // Lock 7 is placed on node 0 (`7 % 3` would be node 1); lock 8
+        // is not, and keeps `8 % 3`. The placement is counted once at
+        // its node.
+        let fabric = FabricConfig::builder().nodes(3).link(LinkKind::Sci).lock_managers(vec![(7, 0)]);
+        let sync = driver::<()>(&Cluster::new(fabric.build()));
+        assert_eq!((sync.lock_mgr(7), sync.lock_mgr(8)), (0, 2));
+        let actions: Vec<u64> = sync.stats.iter().map(|s| s.get("tuner_actions")).collect();
+        assert_eq!(actions, [1, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "lock 7: manager node 3 out of range for 3 nodes")]
+    fn a_lock_placed_off_the_cluster_is_refused() {
+        let fabric = FabricConfig::builder().nodes(3).link(LinkKind::Sci).lock_managers(vec![(7, 3)]);
+        driver::<()>(&Cluster::new(fabric.build()));
     }
 
     #[test]
@@ -1315,12 +1333,12 @@ mod tests {
         // clears at each central release, `tree:2` (token-queue locks)
         // at the root's quiescent point.
         for name in ["centralized", "tree:2"] {
-            let (_, after) = run(&cluster(3, spec(name), false), &Arc::new(Wave::default()), |node| {
+            let (_, after, _) = run(&cluster(3, spec(name), false), &Arc::new(Wave::default()), |node| {
                 let (port, me) = (node.ctx.port(), node.ctx.rank() as u32);
-                let before = node.sync.try_acquire(node.p, port, 7, Mode::Excl).unwrap();
-                node.sync.try_release(node.p, port, 7, iv(&[me])).unwrap();
+                let before = node.sync.try_acquire(port, 7, Mode::Excl).unwrap();
+                node.sync.try_release(port, 7, iv(&[me])).unwrap();
                 node.barrier(1);
-                let after = node.sync.try_acquire(node.p, port, 7, Mode::Excl).unwrap();
+                let after = node.sync.try_acquire(port, 7, Mode::Excl).unwrap();
                 node.release(7);
                 node.barrier(2);
                 (before, after)

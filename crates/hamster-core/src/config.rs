@@ -57,8 +57,8 @@ impl PlatformKind {
         PlatformCaps { hardware_coherent, page_granularity, word_remote_access, placement_matters }
     }
 
-    /// Whether a software DSM runs here, the only engine placement
-    /// overrides apply to.
+    /// Whether a software DSM runs here, the only engine page homes are
+    /// placed on.
     pub fn has_software_dsm(self) -> bool {
         matches!(self, PlatformKind::SwDsm | PlatformKind::Mixed)
     }
@@ -77,10 +77,11 @@ impl FromStr for PlatformKind {
     }
 }
 
-/// Explicit placement overrides applied to the software DSM at bring-up
-/// — the tuner's output, carried as configuration in the spirit of
-/// paper §5.4: between runs "only the configuration of HAMSTER ... is
-/// changed"; the application binary is not.
+/// Explicit placement overrides applied at bring-up — page homes on the
+/// software DSM, lock managers on every platform — the tuner's output,
+/// carried as configuration in the spirit of paper §5.4: between runs
+/// "only the configuration of HAMSTER ... is changed"; the application
+/// binary is not.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Placement {
     /// Page homes: `(page, home node)`. Regions are named by their
@@ -138,27 +139,6 @@ fn split_fields<const N: usize>(item: &str, n: usize, shape: &str) -> Result<[u3
     Ok(out)
 }
 
-/// Refuse placement `key`'s target `nodes` unless the platform has a
-/// software DSM and every node exists (bring-up would panic otherwise).
-fn check_placement(
-    key: &str,
-    cfg: &ClusterConfig,
-    mut nodes: impl Iterator<Item = usize>,
-) -> Result<(), String> {
-    if !cfg.platform.has_software_dsm() {
-        return Err(format!(
-            "config key \"{key}\": placement overrides only apply to software-DSM platforms, not {:?}",
-            cfg.platform
-        ));
-    }
-    match nodes.find(|&node| node >= cfg.nodes) {
-        Some(node) => {
-            Err(format!("config key \"{key}\": node {node} out of range for {} nodes", cfg.nodes))
-        }
-        None => Ok(()),
-    }
-}
-
 /// Full configuration of a HAMSTER run.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -182,7 +162,7 @@ pub struct ClusterConfig {
     /// protocols the platforms run (default: centralized managers).
     pub sync: SyncTopology,
     /// Explicit page-home and lock-manager placements (tuner output),
-    /// applied to software-DSM backends at bring-up.
+    /// applied at bring-up.
     pub placement: Placement,
     /// Elastic-membership schedule: nodes leave and recover while the
     /// workload runs. `None` (the default) keeps membership static.
@@ -246,12 +226,11 @@ impl ClusterConfig {
         }
         if let Some(v) = map.get("place_home") {
             cfg.placement.homes = Placement::parse_homes(v)?;
-            check_placement("place_home", &cfg, cfg.placement.homes.iter().map(|&(_, n)| n))?;
         }
         if let Some(v) = map.get("place_lock") {
             cfg.placement.locks = Placement::parse_locks(v)?;
-            check_placement("place_lock", &cfg, cfg.placement.locks.iter().map(|&(_, n)| n))?;
         }
+        cfg.check_placement()?;
         if let Some(spec) = map.get_as::<MembershipSpec>("membership")? {
             cfg.membership = Some(spec.plan(nodes));
         }
@@ -259,6 +238,24 @@ impl ClusterConfig {
             cfg.dsm.delta_max_records = v;
         }
         Ok(cfg)
+    }
+
+    /// Refuse a placement bring-up cannot apply, naming its key: a node
+    /// past the cluster, or a page home on a platform without a
+    /// software DSM. Lock managers are placed on every platform.
+    pub(crate) fn check_placement(&self) -> Result<(), String> {
+        let homes = self.placement.homes.iter().map(|&(_, node)| ("place_home", node));
+        let locks = self.placement.locks.iter().map(|&(_, node)| ("place_lock", node));
+        if let Some((key, node)) = homes.chain(locks).find(|&(_, node)| node >= self.nodes) {
+            return Err(format!("config key \"{key}\": node {node} out of range for {} nodes", self.nodes));
+        }
+        if !self.placement.homes.is_empty() && !self.platform.has_software_dsm() {
+            return Err(format!(
+                "config key \"place_home\": page homes are placed only on software-DSM platforms, not {:?}",
+                self.platform
+            ));
+        }
+        Ok(())
     }
 
     /// Parse a configuration file's text directly.
@@ -287,7 +284,8 @@ impl ClusterConfig {
             .cost(self.cost)
             .unified_messaging(self.unified_messaging)
             .engine(self.engine)
-            .sync(self.sync);
+            .sync(self.sync)
+            .lock_managers(self.placement.locks.clone());
         if let Some(plan) = &self.membership {
             b = b.membership(plan.clone());
         }
@@ -377,21 +375,31 @@ mod tests {
         assert!(ClusterConfig::new(4, PlatformKind::SwDsm).placement.is_empty());
         assert!(ClusterConfig::parse("nodes=4\nplatform=swdsm\nplace_home=0:1").is_err());
         assert!(ClusterConfig::parse("nodes=4\nplatform=swdsm\nplace_lock=1:x").is_err());
-        // Parsable but impossible: a node past the cluster, or a
-        // platform without a software DSM, is refused here, not at
-        // bring-up.
-        for (text, key, what) in [
-            ("nodes=4\nplatform=swdsm\nplace_lock=1:9", "place_lock", "node 9 out of range"),
-            ("nodes=4\nplatform=swdsm\nplace_home=1:0:7", "place_home", "node 7 out of range"),
-            ("nodes=4\nplatform=smp\nplace_lock=1:3", "place_lock", "software-DSM"),
-            ("nodes=4\nplatform=hybrid\nplace_home=0:0:1", "place_home", "software-DSM"),
+        // Parsable but impossible: a node past the cluster, or a page
+        // home on a platform without a software DSM, is refused by the
+        // parser and by bring-up of the same configuration built in
+        // code, with the same error.
+        for (platform, key, value, what) in [
+            ("swdsm", "place_lock", "1:9", "node 9 out of range"),
+            ("swdsm", "place_home", "1:0:7", "node 7 out of range"),
+            ("hybrid", "place_home", "0:0:1", "software-DSM"),
         ] {
-            let err = ClusterConfig::parse(text).unwrap_err();
+            let err = ClusterConfig::parse(&format!("nodes=4\nplatform={platform}\n{key}={value}")).unwrap_err();
             assert!(err.starts_with(&format!("config key \"{key}\": ")), "{err}");
             assert!(err.contains(what), "{err}");
+            let mut cfg = ClusterConfig::new(4, platform.parse().unwrap());
+            match key {
+                "place_lock" => cfg.placement.locks = Placement::parse_locks(value).unwrap(),
+                _ => cfg.placement.homes = Placement::parse_homes(value).unwrap(),
+            }
+            assert_eq!(crate::Runtime::try_new(cfg).err(), Some(err));
         }
-        let mixed = ClusterConfig::parse("nodes=4\nplatform=mixed\nplace_lock=1:3").unwrap();
-        assert_eq!(mixed.placement.locks, vec![(1, 3)]);
+        // A lock manager is placed on every platform.
+        for platform in ["smp", "hybrid", "mixed"] {
+            let cfg = ClusterConfig::parse(&format!("nodes=4\nplatform={platform}\nplace_lock=1:3")).unwrap();
+            assert_eq!(cfg.placement.locks, vec![(1, 3)]);
+            assert_eq!(cfg.fabric().lock_managers, vec![(1, 3)]);
+        }
     }
 
     #[test]

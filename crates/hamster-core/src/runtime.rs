@@ -105,8 +105,17 @@ pub struct Runtime {
 
 impl Runtime {
     /// Bring up HAMSTER per `config`: fabric, platform backend, and the
-    /// framework's own message handlers.
+    /// framework's own message handlers. Panics with the error text of
+    /// [`Runtime::try_new`].
     pub fn new(config: ClusterConfig) -> Self {
+        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Runtime::new`], refusing a placement bring-up cannot apply with
+    /// an `Err` naming its configuration key (the same check
+    /// [`ClusterConfig::from_config_map`] makes).
+    pub fn try_new(config: ClusterConfig) -> Result<Self, String> {
+        config.check_placement()?;
         let cluster = Cluster::new(config.fabric());
         let backend = match config.platform {
             PlatformKind::Smp => Backend::Smp(SmpShared::install(&cluster)),
@@ -119,23 +128,13 @@ impl Runtime {
                 HybridDsm::install(&cluster, config.hybrid),
             ),
         };
-        // Explicit placement (the tuner's output) is run configuration:
-        // applied at bring-up, before any node starts. A bad placement
-        // is a configuration error, same as an unparsable config file;
-        // `ClusterConfig::from_config_map` refuses the ones it can see,
-        // these checks catch configurations built in code.
+        // Page homes (the tuner's output) are run configuration, applied
+        // at bring-up before any node starts; lock managers reach every
+        // platform's driver through the fabric configuration.
         if let Backend::Sw(dsm) | Backend::Mixed(dsm, _) = &backend {
             for &(page, node) in &config.placement.homes {
-                dsm.place_home(page, node).expect("config placement");
+                dsm.place_home(page, node).map_err(|e| format!("config key \"place_home\": {e}"))?;
             }
-            for &(lock, node) in &config.placement.locks {
-                dsm.place_lock(lock, node).expect("config placement");
-            }
-        } else {
-            assert!(
-                config.placement.is_empty(),
-                "placement overrides only apply to software-DSM platforms"
-            );
         }
         let inner = Arc::new_cyclic(|weak| RuntimeInner {
             config,
@@ -146,7 +145,7 @@ impl Runtime {
             weak_self: weak.clone(),
         });
         register_framework_handlers(&inner);
-        Self { inner }
+        Ok(Self { inner })
     }
 
     /// The configuration this runtime was built from.

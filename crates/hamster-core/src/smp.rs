@@ -9,7 +9,7 @@
 //! bus is what makes the memory-bound MatMult of Figure 4 slower here
 //! than on two cluster nodes.
 
-use cluster::syncproto::driver::Driver;
+use cluster::syncproto::driver::{self, Driver};
 use cluster::syncproto::lock::Mode;
 use cluster::{Cluster, NodeCtx};
 use memwire::{
@@ -24,9 +24,9 @@ use std::sync::Arc;
 /// Barrier id reserved for collective allocation.
 const ALLOC_BARRIER: u32 = 0x8000_0000;
 
-/// Per-CPU statistics of the SMP platform.
-pub const STAT_NAMES: &[&str] =
-    &["reads", "writes", "bulk_bytes", "lock_acquires", "barriers"];
+/// The SMP platform's own per-CPU statistics; each CPU's set continues
+/// with the synchronisation driver's ([`driver::STAT_NAMES`]).
+pub const STAT_NAMES: &[&str] = &["reads", "writes", "bulk_bytes"];
 
 /// Indices of the counters the access path bumps (checked at compile
 /// time).
@@ -50,7 +50,9 @@ impl SmpShared {
     /// use a loopback fabric).
     pub fn install(cluster: &Cluster) -> Arc<SmpShared> {
         let machine = cluster.config().cost.machine;
-        let sync = Driver::new(cluster);
+        let names = [STAT_NAMES, driver::STAT_NAMES].concat();
+        let stats: Vec<StatSet> = (0..cluster.config().nodes).map(|_| StatSet::new(&names)).collect();
+        let sync = Driver::new(cluster, stats.clone());
         sync.register(cluster, Arc::new(()));
         Arc::new(SmpShared {
             machine,
@@ -58,11 +60,12 @@ impl SmpShared {
             store: RegionStore::new(),
             sync,
             bus: Bus::with_bandwidth(machine.mem_bus_bytes_per_sec),
-            stats: (0..cluster.config().nodes).map(|_| StatSet::new(STAT_NAMES)).collect(),
+            stats,
         })
     }
 
-    /// Per-CPU statistics.
+    /// Per-CPU statistics: [`STAT_NAMES`], then the synchronisation
+    /// driver's.
     pub fn stats(&self, cpu: usize) -> &StatSet {
         &self.stats[cpu]
     }
@@ -93,10 +96,6 @@ impl SmpNode {
     /// This CPU's rank.
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    fn stat(&self, name: &str, n: u64) {
-        self.shared.stats[self.rank].add(name, n);
     }
 
     /// Bump the access-path counter at `idx` (one of the constants
@@ -168,12 +167,10 @@ impl Engine for SmpNode {
     }
 
     fn acquire(&self, lock: u32) {
-        self.stat("lock_acquires", 1);
         self.shared.sync.acquire(self.ctx.port(), lock, Mode::Excl);
     }
 
     fn acquire_shared(&self, lock: u32) {
-        self.stat("lock_acquires", 1);
         self.shared.sync.acquire(self.ctx.port(), lock, Mode::Shared);
     }
 
@@ -182,7 +179,6 @@ impl Engine for SmpNode {
     }
 
     fn barrier(&self, id: u32) {
-        self.stat("barriers", 1);
         self.shared.sync.barrier(self.ctx.port(), id);
     }
 

@@ -1,7 +1,7 @@
 //! The hybrid-DSM engine: software memory management over hardware
 //! remote access.
 
-use cluster::syncproto::driver::Driver;
+use cluster::syncproto::driver::{self, Driver};
 use cluster::syncproto::lock::Mode;
 use cluster::{Cluster, NodeCtx};
 use memwire::{
@@ -49,7 +49,8 @@ impl Default for HybridConfig {
     }
 }
 
-/// Per-node statistics of the hybrid DSM.
+/// The hybrid DSM's own per-node statistics; each node's set continues
+/// with the synchronisation driver's ([`driver::STAT_NAMES`]).
 pub const STAT_NAMES: &[&str] = &[
     "local_reads",
     "local_writes",
@@ -57,8 +58,6 @@ pub const STAT_NAMES: &[&str] = &[
     "remote_writes",
     "bulk_bytes",
     "flushes",
-    "lock_acquires",
-    "barriers",
     "view_changes",
 ];
 
@@ -86,7 +85,9 @@ impl HybridDsm {
     /// handlers). Call once, before [`Cluster::run`].
     pub fn install(cluster: &Cluster, cfg: HybridConfig) -> Arc<HybridDsm> {
         let nodes = cluster.config().nodes;
-        let sync = Driver::new(cluster);
+        let names = [STAT_NAMES, driver::STAT_NAMES].concat();
+        let stats: Vec<StatSet> = (0..nodes).map(|_| StatSet::new(&names)).collect();
+        let sync = Driver::new(cluster, stats.clone());
         sync.register(cluster, Arc::new(()));
         Arc::new(HybridDsm {
             cfg,
@@ -95,11 +96,12 @@ impl HybridDsm {
             dir: RegionDir::new(),
             store: RegionStore::new(),
             sync,
-            stats: (0..nodes).map(|_| StatSet::new(STAT_NAMES)).collect(),
+            stats,
         })
     }
 
-    /// Per-node statistics.
+    /// Per-node statistics: [`STAT_NAMES`], then the synchronisation
+    /// driver's.
     pub fn stats(&self, node: usize) -> &StatSet {
         &self.stats[node]
     }
@@ -400,13 +402,11 @@ impl Engine for HybridNode {
     }
 
     fn acquire(&self, lock: u32) {
-        self.stat("lock_acquires", 1);
         self.dsm.sync.acquire(self.ctx.port(), lock, Mode::Excl);
         self.drop_cache();
     }
 
     fn acquire_shared(&self, lock: u32) {
-        self.stat("lock_acquires", 1);
         self.dsm.sync.acquire(self.ctx.port(), lock, Mode::Shared);
         self.drop_cache();
     }
@@ -419,7 +419,6 @@ impl Engine for HybridNode {
 
     /// Flushes posted writes first.
     fn barrier(&self, id: u32) {
-        self.stat("barriers", 1);
         self.flush();
         self.dsm.sync.barrier(self.ctx.port(), id);
         self.drop_cache();

@@ -4,20 +4,20 @@
 //! Locks and barriers — central manager or token queue, central or
 //! tree barrier — are the cluster's one synchronisation driver
 //! (`cluster::syncproto::driver`) with `SwDsm` as its [`Platform`]:
-//! write notices ride the messages, and the hooks count them, migrate
-//! homes at the quiescent point and honour placed lock managers. What
-//! stays here is the release and acquire work around each
-//! synchronisation (flush, apply). Nothing here asks which fabric it is
-//! on, or which lock protocol serves it.
+//! write notices ride the messages, the driver counts them on this
+//! DSM's per-node counters, and the one hook migrates homes at the
+//! quiescent point. What stays here is the release and acquire work
+//! around each synchronisation (flush, apply). Nothing here asks which
+//! fabric it is on, or which lock protocol serves it.
 
 use crate::home::HomeStore;
 use crate::kinds;
 use crate::proto::*;
-use cluster::syncproto::driver::{Driver, Kinds, Platform};
+use cluster::syncproto::driver::{self, Driver, Kinds, Platform};
 use cluster::syncproto::lock::Mode;
 use cluster::syncproto::MAX_SYNC_ROUNDS;
 use cluster::{Cluster, NodeCtx, SyncTopology};
-use interconnect::{downcast, try_downcast, NodeId, Outcome, Page, RequestError};
+use interconnect::{downcast, try_downcast, Outcome, Page, RequestError};
 use memwire::{
     local_region, local_region_owner, Access, CachedPage, Diff, Distribution, Engine, GlobalAddr,
     Interval, PageId, PageTable, RegionDir, RegionMeta, LOCAL_REGION_BASE, PAGE_SIZE,
@@ -62,9 +62,8 @@ impl std::error::Error for DsmError {
     }
 }
 
-/// An explicit placement request (tuner action) was rejected. Rejections
-/// are counted under `plan_rejected`; the caller keeps the default
-/// placement and loses only the optimization, never correctness.
+/// An explicit page placement ([`SwDsm::place_home`]) was refused; the
+/// home stays where it was, and nothing is counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlaceError {
     /// The requested target rank does not exist on this cluster.
@@ -169,17 +168,11 @@ pub struct SwDsm {
     /// Pages whose home moved away from their distribution-derived node
     /// (the migration directory; real JiaJia piggybacks it on barriers).
     /// Fed by adaptive migration and by explicit [`SwDsm::place_home`]
-    /// tuner actions.
+    /// placements.
     home_override: parking_lot::RwLock<HashMap<PageId, usize>>,
     /// Fast-path flag: true once `home_override` has any entry, so the
     /// hot `home_of` lookup skips the read lock on untuned runs.
     home_overridden: AtomicBool,
-    /// Locks whose manager moved away from `lock % nodes` (explicit
-    /// [`SwDsm::place_lock`] tuner actions; applied before the run so
-    /// no queue state ever lives at the displaced manager).
-    lock_override: parking_lot::RwLock<HashMap<u32, usize>>,
-    /// Fast-path flag mirroring `home_overridden` for `lock_override`.
-    lock_overridden: AtomicBool,
     /// Per-home tracking of consecutive same-writer diffs, and the
     /// migration candidates gathered for the next barrier.
     migration: Vec<Mutex<MigrationTrack>>,
@@ -195,14 +188,13 @@ struct MigrationTrack {
     candidates: Vec<(PageId, usize)>,
 }
 
-/// The per-node statistics exposed by the DSM (JiaJia-style counters).
+/// The DSM's own per-node statistics (JiaJia-style counters); each
+/// node's set continues with the synchronisation driver's
+/// ([`driver::STAT_NAMES`]).
 pub const STAT_NAMES: &[&str] = &[
     "getpages",
     "diffs",
     "diff_bytes",
-    "lock_acquires",
-    "lock_queued",
-    "barriers",
     "invalidations",
     "twins",
     "traps",
@@ -210,16 +202,9 @@ pub const STAT_NAMES: &[&str] = &[
     "migrations",
     "reads",
     "writes",
-    "retries",
-    "sync_msgs",
-    "sync_records",
     "digest_hits",
     "digest_misses",
-    "token_forwards",
-    "tree_waves",
-    "tuner_actions",
     "pages_rehomed",
-    "plan_rejected",
     "view_changes",
     "pages_migrated",
     "snapshot_bytes",
@@ -235,6 +220,8 @@ impl SwDsm {
     /// on every node. Call once, before [`Cluster::run`].
     pub fn install(cluster: &Cluster, cfg: DsmConfig) -> Arc<SwDsm> {
         let nodes = cluster.config().nodes;
+        let names = [STAT_NAMES, driver::STAT_NAMES].concat();
+        let stats: Vec<StatSet> = (0..nodes).map(|_| StatSet::new(&names)).collect();
         // Home migration composes with digests: migrations carry the
         // page's modification counter to the new home (export/adopt
         // merges by maximum), so digest validation never sees a counter
@@ -246,12 +233,10 @@ impl SwDsm {
             machine: cluster.config().cost.machine,
             dir: RegionDir::new(),
             homes: (0..nodes).map(|_| Mutex::new(HomeStore::new())).collect(),
-            driver: Driver::new(cluster),
-            stats: (0..nodes).map(|_| StatSet::new(STAT_NAMES)).collect(),
+            driver: Driver::new(cluster, stats.clone()),
+            stats,
             home_override: parking_lot::RwLock::new(HashMap::new()),
             home_overridden: AtomicBool::new(false),
-            lock_override: parking_lot::RwLock::new(HashMap::new()),
-            lock_overridden: AtomicBool::new(false),
             migration: (0..nodes).map(|_| Mutex::new(MigrationTrack::default())).collect(),
             migration_epoch: AtomicU64::new(0),
         });
@@ -260,7 +245,8 @@ impl SwDsm {
         dsm
     }
 
-    /// Per-node statistics.
+    /// Per-node statistics: [`STAT_NAMES`], then the synchronisation
+    /// driver's.
     pub fn stats(&self, node: usize) -> &StatSet {
         &self.stats[node]
     }
@@ -295,20 +281,8 @@ impl SwDsm {
             .unwrap_or_else(|| self.dir.meta(page.region).home_of(page.index, self.nodes))
     }
 
-    /// Manager node of `lock` (override directory first — explicit
-    /// [`SwDsm::place_lock`] tuner actions — then the default
-    /// round-robin `lock % nodes` mapping).
-    pub fn lock_mgr_of(&self, lock: u32) -> usize {
-        if self.lock_overridden.load(Ordering::Acquire) {
-            if let Some(&mgr) = self.lock_override.read().get(&lock) {
-                return mgr;
-            }
-        }
-        lock as usize % self.nodes
-    }
-
     /// Explicitly place the home of `page` on node `to` (the tuner's
-    /// re-homing action). Call *before* [`Cluster::run`]: placement is
+    /// re-homing action, applied from `place_home` configuration). Call *before* [`Cluster::run`]: placement is
     /// part of run configuration, like the sync topology — moving a
     /// home mid-run outside the barrier quiescent point would race the
     /// page's own diff traffic.
@@ -338,21 +312,6 @@ impl SwDsm {
         self.home_override.write().insert(page, to);
         self.home_overridden.store(true, Ordering::Release);
         self.stats[to].add("pages_rehomed", 1);
-        self.stats[to].add("tuner_actions", 1);
-        Ok(())
-    }
-
-    /// Explicitly place the manager of `lock` on node `to` (the tuner's
-    /// lock-placement action, e.g. toward the dominant acquirer). Call
-    /// *before* [`Cluster::run`]: every node must agree on the manager
-    /// before the first acquire, or queue state would strand at the
-    /// displaced manager. Counted under `tuner_actions` at `to`.
-    pub fn place_lock(&self, lock: u32, to: usize) -> Result<(), PlaceError> {
-        if to >= self.nodes {
-            return Err(PlaceError::NoSuchNode { to, nodes: self.nodes });
-        }
-        self.lock_override.write().insert(lock, to);
-        self.lock_overridden.store(true, Ordering::Release);
         self.stats[to].add("tuner_actions", 1);
         Ok(())
     }
@@ -486,8 +445,7 @@ impl SwDsm {
 
 /// The software DSM's synchronisation: write notices ride every message
 /// (a release publishes an [`Interval`], a barrier wave carries a
-/// [`NoticeSet`]), and the hooks keep the protocol counters, migrate
-/// homes at the quiescent point and honour placed lock managers.
+/// [`NoticeSet`]), and the hook migrates homes at the quiescent point.
 impl Platform for SwDsm {
     type Wave = NoticeSet;
     /// The synchronisation half of the `0x1xx` block (the page protocol
@@ -534,31 +492,6 @@ impl Platform for SwDsm {
         wave.records()
     }
 
-    /// Count one cross-node synchronization-protocol message carrying
-    /// `records` notice records (self-sends are free and not counted).
-    fn count_sync(&self, node: NodeId, dst: NodeId, records: u64) {
-        if node != dst {
-            self.stats[node].add("sync_msgs", 1);
-            self.stats[node].add("sync_records", records);
-        }
-    }
-
-    fn tree_waves(&self, node: NodeId) {
-        self.stats[node].add("tree_waves", 1);
-    }
-
-    fn lock_queued(&self, node: NodeId) {
-        self.stats[node].add("lock_queued", 1);
-    }
-
-    fn token_forwards(&self, node: NodeId) {
-        self.stats[node].add("token_forwards", 1);
-    }
-
-    fn retries(&self, node: NodeId) {
-        self.stats[node].add("retries", 1);
-    }
-
     /// Apply pending home migrations. No page content moves: the new
     /// home is the page's last writer, whose copy is already current —
     /// only the directory entries ride the release. Returns how many
@@ -599,11 +532,6 @@ impl Platform for SwDsm {
             self.migration_epoch.fetch_add(1, Ordering::AcqRel);
         }
         moved
-    }
-
-    /// The placed manager, else `lock % nodes` ([`SwDsm::lock_mgr_of`]).
-    fn lock_mgr_of(&self, lock: u32, _nodes: usize) -> NodeId {
-        SwDsm::lock_mgr_of(self, lock)
     }
 }
 
@@ -1115,7 +1043,7 @@ impl DsmNode {
             for (home, pages) in by_home {
                 let req = ValidateReq { pages: pages.clone() };
                 let bytes = 8 + 8 * pages.len() as u64;
-                self.dsm.count_sync(self.rank, home, pages.len() as u64);
+                self.dsm.driver.count_sync(self.rank, home, pages.len() as u64);
                 let reply = self
                     .ctx
                     .port()
@@ -1214,11 +1142,10 @@ impl DsmNode {
     fn try_acquire_mode(&self, lock: u32, mode: Mode) -> Result<(), DsmError> {
         let port = self.ctx.port();
         let t0 = port.clock().now();
-        self.stat("lock_acquires", 1);
         let notices = self
             .dsm
             .driver
-            .try_acquire(&self.dsm, port, lock, mode)
+            .try_acquire(port, lock, mode)
             .map_err(|err| DsmError { op: "lock_acquire", id: lock, err })?;
         if self.dsm.cfg.notices_on_locks {
             self.apply_notices(&notices);
@@ -1236,7 +1163,7 @@ impl DsmNode {
         self.epoch_mods.lock().merge(&interval);
         self.dsm
             .driver
-            .try_release(&self.dsm, self.ctx.port(), lock, interval)
+            .try_release(self.ctx.port(), lock, interval)
             .map_err(|err| DsmError { op: "lock_release", id: lock, err })
     }
 
@@ -1245,7 +1172,6 @@ impl DsmNode {
     /// picks the central manager or the tree (see `Driver::try_barrier`).
     pub fn try_barrier(&self, id: u32) -> Result<(), DsmError> {
         let t0 = self.ctx.clock().now();
-        self.stat("barriers", 1);
         let mut interval = std::mem::take(&mut *self.epoch_mods.lock());
         interval.merge(&self.flush_interval());
         self.dsm

@@ -1,4 +1,5 @@
-//! Explicit placement (`place_home` / `place_lock`): the tuner's levers.
+//! Explicit placement (`place_home`, and lock managers placed through
+//! `FabricConfig::lock_managers`): the tuner's levers.
 //!
 //! Placement is *run configuration* — it is applied before `Cluster::run`
 //! and must compose with the synchronization topology. Re-homing
@@ -8,10 +9,23 @@
 
 use cluster::{Cluster, FabricConfig, LinkKind, SyncTopology};
 use memwire::{Distribution, GlobalAddr, PageId};
+use sim::trace::{TraceEvent, TraceSession};
+use std::collections::BTreeSet;
 use swdsm::{DsmConfig, PlaceError, SwDsm};
 
 fn fabric(nodes: usize, sync: SyncTopology) -> Cluster {
-    Cluster::new(FabricConfig::builder().nodes(nodes).link(LinkKind::Ethernet).sync(sync).build())
+    placed(nodes, sync, Vec::new())
+}
+
+/// A fabric whose listed locks have their manager placed.
+fn placed(nodes: usize, sync: SyncTopology, locks: Vec<(u32, usize)>) -> Cluster {
+    let cfg = FabricConfig::builder().nodes(nodes).link(LinkKind::Ethernet).sync(sync);
+    Cluster::new(cfg.lock_managers(locks).build())
+}
+
+/// The grants of `lock` a run traced, in virtual-time order.
+fn grants(events: &[TraceEvent], lock: u64) -> Vec<&TraceEvent> {
+    events.iter().filter(|e| e.op == "lock_grant" && e.arg == lock).collect()
 }
 
 #[test]
@@ -21,7 +35,6 @@ fn place_home_applies_under_digest_topology() {
     let page = PageId { region: 0, index: 0 };
     dsm.place_home(page, 1).unwrap();
     assert_eq!(dsm.home_of(page), 1);
-    assert_eq!(dsm.stats(1).get("plan_rejected"), 0);
     assert_eq!(dsm.stats(1).get("pages_rehomed"), 1);
     assert_eq!(dsm.stats(1).get("tuner_actions"), 1);
 
@@ -49,8 +62,6 @@ fn place_home_rejects_unknown_node() {
     let err = dsm.place_home(PageId { region: 0, index: 0 }, 5).unwrap_err();
     assert!(matches!(err, PlaceError::NoSuchNode { to: 5, nodes: 2 }));
     assert!(err.to_string().contains("out of range"));
-    let err = dsm.place_lock(3, 9).unwrap_err();
-    assert!(matches!(err, PlaceError::NoSuchNode { to: 9, nodes: 2 }));
 }
 
 #[test]
@@ -92,14 +103,14 @@ fn place_home_to_current_home_is_a_noop_move() {
 
 #[test]
 fn place_lock_redirects_the_manager() {
-    let cluster = fabric(2, SyncTopology::centralized());
+    // Lock 7's manager would be `7 % 2` = node 1; placed on node 0, it
+    // grants every acquire there, while unplaced lock 9 keeps node 1.
+    let cluster = placed(2, SyncTopology::centralized(), vec![(7, 0)]);
     let dsm = SwDsm::install(&cluster, DsmConfig::default());
-    assert_eq!(dsm.lock_mgr_of(7), 1, "default mapping is lock % nodes");
-    dsm.place_lock(7, 0).unwrap();
-    assert_eq!(dsm.lock_mgr_of(7), 0);
-    assert_eq!(dsm.lock_mgr_of(8), 0, "unplaced locks keep the modulo mapping");
-    assert_eq!(dsm.stats(0).get("tuner_actions"), 1);
+    let actions: Vec<u64> = (0..2).map(|n| dsm.stats(n).get("tuner_actions")).collect();
+    assert_eq!(actions, [1, 0], "the placement is counted at its node");
 
+    let session = TraceSession::begin();
     let d = dsm.clone();
     let (_, results) = cluster.run(move |ctx| {
         let node = d.node(ctx);
@@ -110,22 +121,28 @@ fn place_lock_redirects_the_manager() {
             let v = node.read_u64(a);
             node.write_u64(a, v + 1);
             node.release(7);
+            node.acquire(9);
+            node.release(9);
         }
         node.barrier(2);
         node.read_u64(a)
     });
+    let events = session.finish();
     assert_eq!(results, vec![8, 8]);
+    let managers = |lock| grants(&events, lock).iter().map(|e| e.node).collect::<BTreeSet<_>>();
+    assert_eq!(managers(7), BTreeSet::from([0]));
+    assert_eq!(managers(9), BTreeSet::from([1]), "unplaced locks keep the modulo mapping");
 }
 
 #[test]
 fn placed_lock_works_under_token_queue() {
     let mut sync = SyncTopology::centralized();
     sync.locks = cluster::LockTopology::TokenQueue;
-    let cluster = fabric(4, sync);
+    let cluster = placed(4, sync, vec![(1, 3)]);
     let dsm = SwDsm::install(&cluster, DsmConfig::default());
-    dsm.place_lock(1, 3).unwrap();
-    assert_eq!(dsm.lock_mgr_of(1), 3);
+    assert_eq!(dsm.stats(3).get("tuner_actions"), 1);
 
+    let session = TraceSession::begin();
     let d = dsm.clone();
     let (_, results) = cluster.run(move |ctx| {
         let node = d.node(ctx);
@@ -140,7 +157,11 @@ fn placed_lock_works_under_token_queue() {
         node.barrier(2);
         node.read_u64(a)
     });
+    let events = session.finish();
     assert_eq!(results, vec![8, 8, 8, 8]);
+    // The token starts parked at the lock's manager, so the first grant
+    // is the placed manager's pass.
+    assert_eq!(grants(&events, 1).first().map(|e| e.node), Some(3));
 }
 
 #[test]

@@ -2,9 +2,8 @@
 
 use crate::parse::ReportSummary;
 use crate::{Action, TuningPlan};
-use memwire::{PageId, PAGE_SIZE};
+use memwire::{PageId, LOCAL_REGION_BASE, PAGE_SIZE};
 use std::collections::{BTreeMap, BTreeSet};
-use swdsm::LOCAL_REGION_BASE;
 
 /// Fault count below which a page is not worth re-homing on fault
 /// pressure alone.

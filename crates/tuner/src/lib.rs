@@ -8,8 +8,11 @@
 //! program. The analyzer (`hamster-analysis-v1` reports) observes a
 //! run; this crate turns that observation into a new configuration: a
 //! typed [`TuningPlan`] of placement, layout, and topology actions.
-//! The bench harness then re-runs the identical binary under the plan
-//! and verifies the virtual-time makespan actually dropped.
+//! The bench harness carries each action as configuration of the next
+//! run — placements as `ClusterConfig::placement`, topology switches as
+//! the `SyncTopology`, padding as an allocation hint — re-runs the
+//! identical binary under the plan and verifies the virtual-time
+//! makespan actually dropped.
 //!
 //! The action catalogue maps each analyzer signal to the cheapest lever
 //! that addresses it:
@@ -37,11 +40,8 @@ pub use parse::{parse_report, LockRow, PageRow, ReportSummary};
 
 use memwire::PageId;
 use std::fmt;
-use swdsm::SwDsm;
 
-/// One tuning action. Placement actions apply to a live [`SwDsm`]
-/// before a run; layout and topology actions are *configuration* for
-/// the next bring-up and come back from [`apply`] as deferred.
+/// One tuning action; each is configuration for the next bring-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Re-home `page` onto `to` (its dominant writer): diffs for the
@@ -81,8 +81,8 @@ pub enum Action {
 }
 
 impl Action {
-    /// Whether this action applies to a live DSM (placement) rather
-    /// than to the next run's configuration (layout / topology).
+    /// Whether this action is a placement (a page home or a lock
+    /// manager) rather than a layout or topology change.
     pub fn is_placement(&self) -> bool {
         matches!(self, Action::RehomePage { .. } | Action::PlaceLock { .. })
     }
@@ -148,48 +148,9 @@ impl TuningPlan {
     }
 }
 
-/// What happened when a plan was applied to a live DSM.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ApplyOutcome {
-    /// Placement actions the DSM accepted.
-    pub applied: usize,
-    /// Placement actions the DSM rejected (digest topology active, or
-    /// a target node outside the cluster).
-    pub rejected: usize,
-    /// Layout / topology actions that are configuration for the next
-    /// bring-up, not live-DSM calls; returned in plan order.
-    pub deferred: Vec<Action>,
-}
-
-/// Apply `plan` to a freshly installed DSM, before `Cluster::run`.
-/// Placement actions go straight to [`SwDsm::place_home`] /
-/// [`SwDsm::place_lock`]; layout and topology actions come back as
-/// [`ApplyOutcome::deferred`] for the caller to fold into the next
-/// run's `FabricConfig` / allocation hints.
-pub fn apply(plan: &TuningPlan, dsm: &SwDsm) -> ApplyOutcome {
-    let mut out = ApplyOutcome::default();
-    for a in &plan.actions {
-        let result = match *a {
-            Action::RehomePage { page, to } => dsm.place_home(page, to),
-            Action::PlaceLock { lock, to } => dsm.place_lock(lock, to),
-            _ => {
-                out.deferred.push(*a);
-                continue;
-            }
-        };
-        match result {
-            Ok(()) => out.applied += 1,
-            Err(_) => out.rejected += 1,
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::{Cluster, FabricConfig, LinkKind, SyncTopology};
-    use swdsm::DsmConfig;
 
     fn plan() -> TuningPlan {
         TuningPlan {
@@ -214,44 +175,5 @@ mod tests {
              {\"switch_barrier\": {\"fanout\": 4}}]"
         );
         sim::json::parse(&j).unwrap();
-    }
-
-    #[test]
-    fn apply_splits_placement_from_configuration() {
-        let cluster = Cluster::new(
-            FabricConfig::builder().nodes(2).link(LinkKind::Ethernet).build(),
-        );
-        let dsm = SwDsm::install(&cluster, DsmConfig::default());
-        let out = apply(&plan(), &dsm);
-        assert_eq!(out.applied, 2);
-        assert_eq!(out.rejected, 0);
-        assert_eq!(
-            out.deferred,
-            vec![
-                Action::PadRegion { region: 0, pad_to: 4096 },
-                Action::SwitchBarrier { fanout: 4 }
-            ]
-        );
-        assert_eq!(dsm.home_of(PageId { region: 1, index: 2 }), 1);
-        assert_eq!(dsm.lock_mgr_of(7), 0);
-    }
-
-    #[test]
-    fn apply_rehomes_under_digest_topology() {
-        let cluster = Cluster::new(
-            FabricConfig::builder()
-                .nodes(2)
-                .link(LinkKind::Ethernet)
-                .sync(SyncTopology::scalable())
-                .build(),
-        );
-        let dsm = SwDsm::install(&cluster, DsmConfig::default());
-        let out = apply(&plan(), &dsm);
-        // Re-homing composes with digests now that migrations carry the
-        // page's version counter to the new home: both placement
-        // actions land.
-        assert_eq!((out.applied, out.rejected), (2, 0));
-        assert_eq!(dsm.stats(1).get("plan_rejected"), 0);
-        assert_eq!(dsm.home_of(PageId { region: 1, index: 2 }), 1);
     }
 }

@@ -231,8 +231,10 @@ fn documented_counters(heading: &str) -> std::collections::BTreeSet<String> {
 #[test]
 fn counter_reference_matches_the_registered_stat_names() {
     for (heading, names) in [
+        ("### Synchronisation driver", hamster::cluster::syncproto::driver::STAT_NAMES),
         ("### Software DSM", hamster::swdsm::node::STAT_NAMES),
         ("### Hybrid DSM", hamster::hybriddsm::node::STAT_NAMES),
+        ("### SMP", hamster::core::smp::STAT_NAMES),
         ("### Interconnect", hamster::interconnect::network::NET_STAT_NAMES),
     ] {
         let code: std::collections::BTreeSet<String> =

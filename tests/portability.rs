@@ -272,6 +272,71 @@ mod random_programs {
     }
 }
 
+/// `place_lock` means the same on every platform: lock 7's manager is
+/// node 1 instead of `7 % 4` = 3, so every grant of it is traced there,
+/// and the placement is counted there.
+#[test]
+fn a_placed_lock_is_granted_by_its_manager_on_every_platform() {
+    for name in ["smp", "hybrid", "swdsm", "mixed"] {
+        let cfg = ClusterConfig::parse(&format!("nodes=4\nplatform={name}\nplace_lock=7:1")).unwrap();
+        let session = hamster::sim::trace::TraceSession::begin();
+        let rt = Runtime::new(cfg);
+        rt.run(|ham| {
+            ham.sync().barrier(1);
+            for _ in 0..3 {
+                ham.sync().lock(7);
+                ham.sync().unlock(7);
+            }
+            ham.sync().barrier(2);
+        });
+        let events = session.finish();
+        let grants: Vec<usize> =
+            events.iter().filter(|e| e.op == "lock_grant" && e.arg == 7).map(|e| e.node).collect();
+        assert_eq!(grants, [1; 12], "{name}: one grant per acquire, all at the placed manager");
+        assert_eq!(rt.platform_stats(1)["tuner_actions"], 1, "{name}");
+    }
+}
+
+/// The synchronisation driver counts what it does on every platform:
+/// under `scalable` (token-queue locks, tree barrier) on a fabric that
+/// loses nothing, SMP and the hybrid DSM report direct token forwards
+/// and tree waves as the software DSM does.
+#[test]
+fn the_driver_counts_token_forwards_and_tree_waves_everywhere() {
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    use std::time::{Duration, Instant};
+    for name in ["smp", "hybrid"] {
+        let cfg = ClusterConfig::parse(&format!("nodes=4\nplatform={name}\nsync=scalable")).unwrap();
+        let rt = Runtime::new(cfg);
+        for counter in ["lock_queued", "token_forwards", "tree_waves"] {
+            assert!(rt.platform_stats(0).contains_key(counter), "{name} has no {counter:?} counter");
+        }
+        let total = |counter: &str| (0..4).map(|node| rt.platform_stats(node)[counter]).sum::<u64>();
+        let waited = AtomicBool::new(false);
+        rt.run(|ham| {
+            ham.sync().barrier(1);
+            for _ in 0..5 {
+                ham.sync().lock(7);
+                // The first holder keeps the lock until the other three
+                // are queued behind it, so its release has a successor
+                // (bounded: a holder that panicked here would hang them).
+                if !waited.swap(true, SeqCst) {
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while total("lock_queued") < 3 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                }
+                ham.sync().unlock(7);
+            }
+            ham.sync().barrier(2);
+        });
+        assert!(total("lock_queued") >= 3, "{name}: the others never queued");
+        assert!(total("token_forwards") > 0, "{name}: a contended release never forwarded the token");
+        assert!(total("tree_waves") > 0, "{name}: no tree wave was counted");
+        assert_eq!(total("lock_acquires"), 20, "{name}");
+    }
+}
+
 /// Correctness only — image and counter equal the sequential reference
 /// on every platform, nodes agree — no timing.
 #[test]

@@ -35,6 +35,22 @@
 //! it in shared memory, and every node folds all digests plus a final
 //! store sample — [`BenchResult::merge`] asserts the nodes agree, and
 //! the serve bench asserts the platforms agree.
+//!
+//! ## Key generator
+//!
+//! Keys are drawn by inverting a zipfian CDF: one uniform `u` per draw,
+//! mapped to the first rank whose CDF is at least `u`. A guide table
+//! (Chen & Asau) makes the inversion O(1): `n` buckets, bucket `b`
+//! holding the first rank whose CDF is at least `b/n`, so a draw starts
+//! at bucket `⌊u·n⌋` and scans forward a rank or two. With `n` a power
+//! of two, `u·n` and `b/n` are exact, and the lookup returns exactly the
+//! rank a binary search over the CDF would.
+//!
+//! Tables are built once per process per `(n, θ)` and shared by every
+//! node's generator, run after run. The memo cannot carry state from
+//! one run into the next: an entry is a pure function of its key and
+//! never changes once built, so a draw is the same whether the table was
+//! built by this run, by an earlier one or by another node.
 
 use crate::report::BenchResult;
 use crate::world::World;
@@ -43,6 +59,7 @@ use memwire::{Distribution, GlobalAddr, PAGE_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::{Arc, Mutex};
 
 /// Bytes per KV slot (one cache line: an 8-byte value plus session
 /// payload padding).
@@ -126,17 +143,22 @@ impl KvConfig {
     }
 }
 
-/// Seeded zipfian sampler over `n` ranks via a precomputed inverse CDF,
-/// with a multiplicative permutation so hot ranks spread across
-/// partitions (`n` must be a power of two).
+/// Seeded zipfian sampler over `n` ranks (`n` a power of two): an
+/// inverse CDF read through a guide table, then a multiplicative
+/// permutation so hot ranks spread across partitions. Immutable once
+/// built; [`Zipf::shared`] hands out one table per `(n, θ)` per process.
 struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[b]`: the first rank whose CDF is at least `b/n` (capped
+    /// at `mask`), so a draw `u` never needs a rank below
+    /// `guide[⌊u·n⌋]`.
+    guide: Vec<u32>,
     mask: usize,
 }
 
 impl Zipf {
     fn new(n: usize, theta: f64) -> Self {
-        assert!(n.is_power_of_two());
+        assert!(n.is_power_of_two() && u32::try_from(n - 1).is_ok());
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for i in 0..n {
@@ -147,12 +169,43 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        Self { cdf, mask: n - 1 }
+        // One sweep: the bucket edges `b/n` rise, so the rank only
+        // moves forward.
+        let mask = n - 1;
+        let mut rank = 0;
+        let guide = (0..n)
+            .map(|b| {
+                let edge = b as f64 / n as f64;
+                while rank < mask && cdf[rank] < edge {
+                    rank += 1;
+                }
+                rank as u32
+            })
+            .collect();
+        Self { cdf, guide, mask }
+    }
+
+    /// The process-wide table for `(n, θ)`, built on first use.
+    fn shared(n: usize, theta: f64) -> Arc<Zipf> {
+        static TABLES: Mutex<BTreeMap<(usize, u64), Arc<Zipf>>> = Mutex::new(BTreeMap::new());
+        let mut tables = TABLES.lock().unwrap();
+        Arc::clone(
+            tables.entry((n, theta.to_bits())).or_insert_with(|| Arc::new(Zipf::new(n, theta))),
+        )
+    }
+
+    /// The first rank whose CDF is at least `u` (capped at `mask`) —
+    /// `cdf.partition_point(|c| *c < u).min(mask)` — for `u` in `[0, 1)`.
+    fn rank_of(&self, u: f64) -> usize {
+        let mut rank = self.guide[(u * self.guide.len() as f64) as usize] as usize;
+        while rank < self.mask && self.cdf[rank] < u {
+            rank += 1;
+        }
+        rank
     }
 
     fn sample(&self, rng: &mut StdRng) -> usize {
-        let u: f64 = rng.gen();
-        let rank = self.cdf.partition_point(|c| *c < u).min(self.mask);
+        let rank = self.rank_of(rng.gen());
         // Odd multiplier over a power-of-two domain is a bijection.
         rank.wrapping_mul(0x9E37_79B1) & self.mask
     }
@@ -186,9 +239,9 @@ struct Op {
 struct OpGen {
     rng: StdRng,
     /// Global-key zipf per tenant (gets roam the whole store).
-    get_keys: Vec<Zipf>,
+    get_keys: Vec<Arc<Zipf>>,
     /// Partition-local zipf per tenant (puts stay in the write shard).
-    put_keys: Vec<Zipf>,
+    put_keys: Vec<Arc<Zipf>>,
     /// Cumulative tenant share for weighted selection.
     shares: Vec<u64>,
     write_part: usize,
@@ -206,8 +259,8 @@ impl OpGen {
             let (share, _, theta) = KvConfig::tenant_profile(t);
             acc += share;
             shares.push(acc);
-            get_keys.push(Zipf::new(total, theta));
-            put_keys.push(Zipf::new(cfg.keys_per_part, theta));
+            get_keys.push(Zipf::shared(total, theta));
+            put_keys.push(Zipf::shared(cfg.keys_per_part, theta));
         }
         Self {
             rng: StdRng::seed_from_u64(
@@ -382,6 +435,56 @@ mod tests {
         }
         // The hottest key draws far more than the uniform share.
         assert!(*counts.iter().max().unwrap() > 500);
+    }
+
+    /// The guide-table lookup returns the binary search's rank for every
+    /// input that can reach it: seeded draws, each bucket edge `b/n`,
+    /// each CDF value, and both ends of `[0, 1)`.
+    #[test]
+    fn every_draw_is_the_binary_search_draw() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for &(_, _, theta) in &TENANT_MIX {
+            for n in [64, 1024, 4096, 16384, 65536] {
+                let z = Zipf::shared(n, theta);
+                let search = |u: f64| z.cdf.partition_point(|c| *c < u).min(z.mask);
+                let draws = (0..100_000).map(|_| rng.gen::<f64>());
+                let edges = (0..n).map(|b| b as f64 / n as f64);
+                let ends = [0.0, 1.0 - f64::EPSILON / 2.0];
+                for u in draws.chain(edges).chain(z.cdf.iter().copied()).chain(ends) {
+                    if u < 1.0 {
+                        assert_eq!(z.rank_of(u), search(u), "n = {n}, θ = {theta}, u = {u}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tables_are_built_once_and_shared() {
+        // A key no other test uses, so the first fetch builds it.
+        let cold = Zipf::shared(128, 0.5);
+        let warm = Zipf::shared(128, 0.5);
+        assert!(Arc::ptr_eq(&cold, &warm));
+        assert!(!Arc::ptr_eq(&cold, &Zipf::shared(128, 0.6)));
+
+        // Generators see the same stream whichever built the tables, and
+        // the same as one holding tables built privately.
+        let cfg = KvConfig { keys_per_part: 512, ..KvConfig::quick() };
+        let stream = |mut g: OpGen| {
+            (0..5_000).map(|_| g.next()).map(|o| (o.tenant, o.is_get, o.key)).collect::<Vec<_>>()
+        };
+        let (a, b) = (OpGen::new(&cfg, 2, 0), OpGen::new(&cfg, 2, 1));
+        let (b2, a2) = (OpGen::new(&cfg, 2, 1), OpGen::new(&cfg, 2, 0));
+        let mut private = OpGen::new(&cfg, 2, 0);
+        for t in 0..cfg.tenants {
+            let (_, _, theta) = KvConfig::tenant_profile(t);
+            private.get_keys[t] = Arc::new(Zipf::new(cfg.total_keys(2), theta));
+            private.put_keys[t] = Arc::new(Zipf::new(cfg.keys_per_part, theta));
+        }
+        let a = stream(a);
+        assert_eq!(a, stream(a2));
+        assert_eq!(a, stream(private));
+        assert_eq!(stream(b), stream(b2));
     }
 
     #[test]

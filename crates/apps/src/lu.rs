@@ -119,8 +119,8 @@ pub fn lu<W: World>(w: &W, n: usize) -> BenchResult {
         for &i in my_rows.iter().filter(|&&i| i > k) {
             let mine = private.get_mut(&i).expect("missing private row");
             let lik = mine[k];
-            for j in (k + 1)..n {
-                mine[j] -= lik * pivot[j];
+            for (m, &pv) in mine[k + 1..].iter_mut().zip(&pivot[k + 1..]) {
+                *m -= lik * pv;
             }
             updated += 1;
         }

@@ -15,7 +15,11 @@
 # *inclusive* (anywhere on the stack, once per sample; frames on nearly
 # every stack — thread entry, the workload's loop — are left out of the
 # printed top rows). Code outside the ledger binary (libc's futex and
-# allocator, the vDSO) shows as `[library]`. The full inclusive table is
+# allocator, the vDSO) shows as `[library]`: its functions are not
+# guessed from the nearest exported symbol. In the self table such a
+# sample is labelled with the innermost ledger frame that called into
+# the library, e.g. `[libc.so.6] ← interconnect::message::Page::to_vec`,
+# so allocator, copy and futex time stay apart. The full inclusive table is
 # kept in host-profile.<workload>.<checkout>.txt, <checkout> the name of
 # the checkout's directory, and its path printed last; compare two
 # checkouts by running the script once with each and diffing the two
@@ -86,9 +90,10 @@ for stack in stacks:
 
 names = {}  # (path, file offset) -> [innermost function, ..., outermost]
 hash_suffix = re.compile(r"::h[0-9a-f]{16}$")
+libraries = {p for p in wanted if os.path.realpath(p) != os.path.realpath(binary)}
 for path, offs in wanted.items():
     label = "[" + os.path.basename(path).strip("[]") + "]"
-    if os.path.realpath(path) != os.path.realpath(binary):
+    if path in libraries:
         # Only the ledger has the line tables; nearest-symbol guesses in
         # a stripped library name the wrong function.
         for off in offs:
@@ -123,13 +128,16 @@ for path, offs in wanted.items():
 
 self_n, incl_n = collections.Counter(), collections.Counter()
 for stack in stacks:
-    seen = set()
+    seen, caller = set(), None
     for i, addr in enumerate(stack):
         path, off = place(addr - (i > 0))
         funcs = names.get((path, off), ["[unknown]"]) if path else ["[unknown]"]
         if i == 0:
-            self_n[funcs[0]] += 1
+            head, in_library = funcs[0], path in libraries
+        elif caller is None and path and path not in libraries:
+            caller = funcs[0]
         seen.update(funcs)
+    self_n[f"{head} ← {caller}" if in_library and caller else head] += 1
     for f in seen:
         incl_n[f] += 1
 

@@ -162,3 +162,23 @@ fn chaos_degrades_p99_but_not_answers() {
         }
     }
 }
+
+/// The op stream itself is pinned: a key generator that changed a
+/// single draw would still agree with an SMP run of the same binary,
+/// so the checksum and makespan are compared with constants instead.
+/// `keys_per_part` 1024 on 4 nodes makes the get tables 4096 ranks wide.
+#[test]
+fn the_op_stream_is_pinned() {
+    let mut kv = KvConfig::quick();
+    kv.keys_per_part = 1024;
+    kv.rounds = 3;
+    let got = observe(
+        4,
+        PlatformKind::Smp,
+        EngineMode::default(),
+        CostModel::pinned_ethernet(),
+        &kv,
+        None,
+    );
+    assert_eq!((got.checksum, got.total_ns), (15_712_609_503_706_716_262, 3_021_413));
+}

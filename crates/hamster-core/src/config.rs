@@ -203,7 +203,8 @@ impl ClusterConfig {
     /// `place_lock` (`lock:node` list), `membership`
     /// (`seed:cycles:from_ns:until_ns` churn spec), and
     /// `delta_max_records` (adaptive state-transfer cutoff for the
-    /// software DSM; `0` disables snapshot sync).
+    /// software DSM; `0` disables snapshot sync; refused on a platform
+    /// without one).
     pub fn from_config_map(map: &ConfigMap) -> Result<Self, String> {
         let nodes = map
             .get_as::<usize>("nodes")?
@@ -230,20 +231,21 @@ impl ClusterConfig {
         if let Some(v) = map.get("place_lock") {
             cfg.placement.locks = Placement::parse_locks(v)?;
         }
-        cfg.check_placement()?;
         if let Some(spec) = map.get_as::<MembershipSpec>("membership")? {
             cfg.membership = Some(spec.plan(nodes));
         }
         if let Some(v) = map.get_as::<u64>("delta_max_records")? {
             cfg.dsm.delta_max_records = v;
         }
+        cfg.check()?;
         Ok(cfg)
     }
 
-    /// Refuse a placement bring-up cannot apply, naming its key: a node
-    /// past the cluster, or a page home on a platform without a
-    /// software DSM. Lock managers are placed on every platform.
-    pub(crate) fn check_placement(&self) -> Result<(), String> {
+    /// Refuse a configuration bring-up cannot apply, naming its key: a
+    /// placement on a node past the cluster, or a page home or a
+    /// state-transfer cutoff on a platform without a software DSM. Lock
+    /// managers are placed on every platform.
+    pub(crate) fn check(&self) -> Result<(), String> {
         let homes = self.placement.homes.iter().map(|&(_, node)| ("place_home", node));
         let locks = self.placement.locks.iter().map(|&(_, node)| ("place_lock", node));
         if let Some((key, node)) = homes.chain(locks).find(|&(_, node)| node >= self.nodes) {
@@ -252,6 +254,12 @@ impl ClusterConfig {
         if !self.placement.homes.is_empty() && !self.platform.has_software_dsm() {
             return Err(format!(
                 "config key \"place_home\": page homes are placed only on software-DSM platforms, not {:?}",
+                self.platform
+            ));
+        }
+        if self.dsm.delta_max_records > 0 && !self.platform.has_software_dsm() {
+            return Err(format!(
+                "config key \"delta_max_records\": the state-transfer cutoff applies only on software-DSM platforms, not {:?}",
                 self.platform
             ));
         }
@@ -376,13 +384,14 @@ mod tests {
         assert!(ClusterConfig::parse("nodes=4\nplatform=swdsm\nplace_home=0:1").is_err());
         assert!(ClusterConfig::parse("nodes=4\nplatform=swdsm\nplace_lock=1:x").is_err());
         // Parsable but impossible: a node past the cluster, or a page
-        // home on a platform without a software DSM, is refused by the
-        // parser and by bring-up of the same configuration built in
-        // code, with the same error.
+        // home or a state-transfer cutoff on a platform without a
+        // software DSM, is refused by the parser and by bring-up of the
+        // same configuration built in code, with the same error.
         for (platform, key, value, what) in [
             ("swdsm", "place_lock", "1:9", "node 9 out of range"),
             ("swdsm", "place_home", "1:0:7", "node 7 out of range"),
             ("hybrid", "place_home", "0:0:1", "software-DSM"),
+            ("smp", "delta_max_records", "64", "software-DSM"),
         ] {
             let err = ClusterConfig::parse(&format!("nodes=4\nplatform={platform}\n{key}={value}")).unwrap_err();
             assert!(err.starts_with(&format!("config key \"{key}\": ")), "{err}");
@@ -390,7 +399,8 @@ mod tests {
             let mut cfg = ClusterConfig::new(4, platform.parse().unwrap());
             match key {
                 "place_lock" => cfg.placement.locks = Placement::parse_locks(value).unwrap(),
-                _ => cfg.placement.homes = Placement::parse_homes(value).unwrap(),
+                "place_home" => cfg.placement.homes = Placement::parse_homes(value).unwrap(),
+                _ => cfg.dsm.delta_max_records = value.parse().unwrap(),
             }
             assert_eq!(crate::Runtime::try_new(cfg).err(), Some(err));
         }

@@ -30,7 +30,8 @@
 //! Each node holds its platform's node engine as one
 //! [`memwire::Engine`] (re-exported here with [`Access`]): the software
 //! DSM's `swdsm::DsmNode`, the hybrid DSM's `hybriddsm::HybridNode`,
-//! [`smp::SmpNode`] or [`mixed::MixedNode`], chosen by
+//! the SMP's `hybriddsm::SmpNode` (the hybrid DSM's engine over the
+//! `Uma` data path) or [`mixed::MixedNode`], chosen by
 //! [`PlatformKind`] at bring-up. Every memory and synchronization service
 //! ends in one call on it, and the capability probe ([`PlatformCaps`])
 //! comes from the [`PlatformKind`] alone. [`mem_mgmt::MemMgmt`] speaks
@@ -54,7 +55,6 @@ pub mod mem_mgmt;
 pub mod mixed;
 pub mod monitor;
 pub mod runtime;
-pub mod smp;
 pub mod sync_mgmt;
 pub mod task_mgmt;
 pub mod telemetry;

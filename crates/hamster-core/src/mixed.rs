@@ -17,8 +17,7 @@
 //! on every edge, so both engines' data obey the same happens-before
 //! order.
 
-use hybriddsm::node::HYBRID_REGION_BASE;
-use hybriddsm::HybridNode;
+use hybriddsm::{HybridNode, HYBRID_REGION_BASE};
 use memwire::{Access, Distribution, Engine, EngineHint, GlobalAddr, RegionId, LOCAL_REGION_BASE};
 use swdsm::DsmNode;
 

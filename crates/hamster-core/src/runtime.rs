@@ -5,9 +5,8 @@ use crate::config::{ClusterConfig, PlatformKind};
 use crate::hamster::{Hamster, NodeCore};
 use crate::mixed::MixedNode;
 use crate::monitor::ModuleStats;
-use crate::smp::SmpShared;
 use cluster::{Cluster, NodeCtx, RunReport};
-use hybriddsm::HybridDsm;
+use hybriddsm::{HybridDsm, SmpShared};
 use interconnect::{downcast, mailbox, Outcome};
 use memwire::Engine;
 use parking_lot::Mutex;
@@ -111,11 +110,11 @@ impl Runtime {
         Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Runtime::new`], refusing a placement bring-up cannot apply with
-    /// an `Err` naming its configuration key (the same check
+    /// [`Runtime::new`], refusing a configuration bring-up cannot apply
+    /// with an `Err` naming its key (the same check
     /// [`ClusterConfig::from_config_map`] makes).
     pub fn try_new(config: ClusterConfig) -> Result<Self, String> {
-        config.check_placement()?;
+        config.check()?;
         let cluster = Cluster::new(config.fabric());
         let backend = match config.platform {
             PlatformKind::Smp => Backend::Smp(SmpShared::install(&cluster)),

@@ -5,9 +5,8 @@
 
 use cluster::{Cluster, FabricConfig, LinkKind};
 use hamster_core::mixed::MixedNode;
-use hamster_core::smp::SmpShared;
 use hamster_core::{Distribution, Engine, EngineHint};
-use hybriddsm::{HybridConfig, HybridDsm};
+use hybriddsm::{HybridConfig, HybridDsm, SmpShared};
 use memwire::PAGE_SIZE;
 use sim::StatSet;
 use swdsm::{DsmConfig, SwDsm};

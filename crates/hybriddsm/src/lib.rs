@@ -1,32 +1,48 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-//! An SCI-VM-style hybrid DSM.
+//! The hardware data paths: the SCI-VM-style hybrid DSM and the SMP,
+//! one store-backed engine ([`node`]) generic over how the hardware
+//! moves the data ([`DataPath`]).
 //!
-//! The paper's hybrid configuration (§3.2) runs on *shared memory
-//! clusters*: SANs with remote memory read/write capability (Dolphin
+//! Paper §3.2 treats both as tightly coupled platforms: the hardware
+//! moves the data, HAMSTER only manages memory and synchronisation. The
+//! engine holds that management once — region directory, lockstep
+//! collective allocation, single-node allocation, the synchronisation
+//! verbs, per-node counters — over one physically shared
+//! [`memwire::RegionStore`]; the data path is a type parameter, so each
+//! platform's hit path stays monomorphic.
+//!
+//! [`Numa`] is the hybrid configuration (§3.2): *shared memory
+//! clusters*, SANs with remote memory read/write capability (Dolphin
 //! SCI). Communication maps directly onto hardware transactions — no
 //! software protocol on the data path — while memory *management* stays
 //! in software, distributed across nodes (this is the SCI-VM the paper's
 //! framework grew from, with its extra kernel component subsumed here by
-//! the shared [`memwire::RegionStore`]).
+//! the shared store). Consequences faithfully modelled:
 //!
-//! Consequences faithfully modelled:
-//!
-//! * Remote accesses are word-granularity hardware transactions: reads
-//!   block for a few µs, writes are posted through a write buffer and
-//!   cost little to issue.
+//! * Remote accesses are word-granularity hardware transactions priced
+//!   by the cluster cost model's `sci_access`: reads block for a few µs,
+//!   writes are posted through a write buffer and cost little to issue.
 //! * There is no page caching and hence no invalidation protocol: every
 //!   access sees current memory (NCC-NUMA). Consistency control reduces
 //!   to flushing the write buffer at release points.
 //! * Write-only initialization — pathological for page-based software
 //!   DSM — is cheap (the paper's LU observation in Figure 3).
 //!
+//! [`Uma`] is the SMP: every access is local and bulk traffic contends
+//! on the one shared memory bus; hardware coherence needs no
+//! consistency action at all.
+//!
 //! Locks and barriers are the cluster's one synchronisation driver,
 //! `cluster::syncproto::driver`, bound to the ordering-only `()`
-//! platform: they ride SCI messaging, carry nothing, and follow the
-//! fabric's `SyncTopology` as the software DSM's do.
+//! platform: they carry nothing and follow the fabric's `SyncTopology`
+//! as the software DSM's do.
 
 pub mod node;
+pub mod numa;
+pub mod uma;
 
 pub use interconnect::Page;
-pub use node::{HybridConfig, HybridDsm, HybridNode};
+pub use node::{DataPath, Node, Shared};
+pub use numa::{HybridConfig, HybridDsm, HybridNode, Numa, HYBRID_REGION_BASE};
+pub use uma::{SmpNode, SmpShared, Uma};

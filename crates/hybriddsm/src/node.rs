@@ -1,97 +1,87 @@
-//! The hybrid-DSM engine: software memory management over hardware
-//! remote access.
+//! The store-backed engine of the hardware data paths: software memory
+//! and synchronisation management over one physically shared
+//! [`RegionStore`], generic over how the hardware moves the data.
+//!
+//! Paper §3.2 treats SMPs and SCI-VM clusters alike as tightly coupled
+//! platforms: the hardware moves the data, HAMSTER only manages memory
+//! and synchronisation. That management — the region directory, the
+//! lockstep collective allocation, single-node allocation, the four
+//! synchronisation verbs over the cluster's one driver and the
+//! per-node counters — is written once here, in [`Shared`] and
+//! [`Node`]. What differs is a [`DataPath`], a type parameter rather
+//! than a `dyn`, so each platform's hit path stays monomorphic:
+//! [`Uma`](crate::Uma) (SMP) and [`Numa`](crate::Numa) (the hybrid DSM).
 
 use cluster::syncproto::driver::{self, Driver};
 use cluster::syncproto::lock::Mode;
 use cluster::{Cluster, NodeCtx};
 use memwire::{
-    local_region, Access, Distribution, Engine, GlobalAddr, RegionDir, RegionMeta, RegionStore,
-    PAGE_SIZE,
+    local_region, Access, Distribution, Engine, GlobalAddr, RegionDir, RegionId, RegionMeta,
+    RegionStore, PAGE_SIZE,
 };
-use parking_lot::Mutex;
-use sim::{MachineCost, SciAccessCost, StatSet};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use sim::{MachineCost, StatSet};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Barrier id reserved for collective allocation.
 const ALLOC_BARRIER: u32 = 0x8000_0000;
 
-/// Base of the hybrid DSM's collective region-id space. Disjoint from
-/// the software DSM's collective ids (small integers) and from every
-/// engine's single-node ids (≥ [`memwire::LOCAL_REGION_BASE`]), so both
-/// engines can coexist in one address space (the mixed platform of the
-/// paper's §6).
-pub const HYBRID_REGION_BASE: u32 = 0x0040_0000;
+/// Index of the local read counter in every [`DataPath::STAT_NAMES`].
+const LOCAL_READS: usize = 0;
+/// Index of the local write counter in every [`DataPath::STAT_NAMES`].
+const LOCAL_WRITES: usize = 1;
 
-/// Tunables of the hybrid DSM (the SAN's access characteristics).
-#[derive(Debug, Clone, Copy)]
-pub struct HybridConfig {
-    /// Remote-access cost model; defaults to Dolphin SCI.
-    pub access: SciAccessCost,
-    /// Model the processor cache over remote mappings. The SCI-VM maps
-    /// remote memory cacheably and flushes caches at consistency
-    /// points, so re-reads of unchanged remote data within one
-    /// synchronization interval hit the local cache. Disable for the
-    /// strictly uncached NCC-NUMA behaviour.
-    pub cache_remote_reads: bool,
-    /// Capacity of the modelled cache in 64-byte lines (512 KiB L2).
-    pub cache_lines: usize,
-}
+/// How the hardware moves a node's data: the access charges and
+/// consistency hooks that set one platform apart from the other.
+pub trait DataPath: Sized + Send + Sync + 'static {
+    /// The data path's own per-node counters. The first two count local
+    /// reads and writes; the synchronisation driver's
+    /// ([`driver::STAT_NAMES`]) follow them in each node's set.
+    const STAT_NAMES: &'static [&'static str];
+    /// Collective regions are numbered from `REGION_BASE + 1`.
+    const REGION_BASE: RegionId;
+    /// Per-node state of the data path.
+    type State: Default + Send + Sync;
 
-impl Default for HybridConfig {
-    fn default() -> Self {
-        Self {
-            access: SciAccessCost::dolphin(),
-            cache_remote_reads: true,
-            cache_lines: 8192,
-        }
+    /// Charge a read of `len` bytes at `addr` that the hardware serves
+    /// remotely and return true; return false for a local one, which the
+    /// engine charges. Every access is local by default.
+    fn remote_read(_node: &Node<Self>, _addr: GlobalAddr, _len: usize) -> bool {
+        false
     }
+    /// [`DataPath::remote_read`] for a write.
+    fn remote_write(_node: &Node<Self>, _addr: GlobalAddr, _len: usize) -> bool {
+        false
+    }
+    /// Charge `bytes` of streaming traffic to node-private memory.
+    fn private_traffic(node: &Node<Self>, bytes: u64);
+    /// Make the node's writes visible to the others (release points).
+    fn flush(_node: &Node<Self>) {}
+    /// Forget remote data cached this synchronisation interval
+    /// (acquire points).
+    fn drop_cache(_node: &Node<Self>) {}
 }
 
-/// The hybrid DSM's own per-node statistics; each node's set continues
-/// with the synchronisation driver's ([`driver::STAT_NAMES`]).
-pub const STAT_NAMES: &[&str] = &[
-    "local_reads",
-    "local_writes",
-    "remote_reads",
-    "remote_writes",
-    "bulk_bytes",
-    "flushes",
-    "view_changes",
-];
-
-/// Indices of the counters the access path bumps (checked at compile
-/// time).
-const LOCAL_READS: usize = sim::stats::stat_index(STAT_NAMES, "local_reads");
-const LOCAL_WRITES: usize = sim::stats::stat_index(STAT_NAMES, "local_writes");
-const REMOTE_READS: usize = sim::stats::stat_index(STAT_NAMES, "remote_reads");
-const REMOTE_WRITES: usize = sim::stats::stat_index(STAT_NAMES, "remote_writes");
-const BULK_BYTES: usize = sim::stats::stat_index(STAT_NAMES, "bulk_bytes");
-
-/// Cluster-shared state of the hybrid DSM.
-pub struct HybridDsm {
-    cfg: HybridConfig,
-    nodes: usize,
-    machine: MachineCost,
+/// Cluster-shared state of a store-backed platform.
+pub struct Shared<P: DataPath> {
+    pub(crate) path: P,
+    pub(crate) machine: MachineCost,
     dir: RegionDir,
     store: Arc<RegionStore>,
     sync: Arc<Driver<()>>,
     stats: Vec<StatSet>,
 }
 
-impl HybridDsm {
-    /// Create the hybrid DSM over `cluster` (registers its sync
-    /// handlers). Call once, before [`Cluster::run`].
-    pub fn install(cluster: &Cluster, cfg: HybridConfig) -> Arc<HybridDsm> {
-        let nodes = cluster.config().nodes;
-        let names = [STAT_NAMES, driver::STAT_NAMES].concat();
-        let stats: Vec<StatSet> = (0..nodes).map(|_| StatSet::new(&names)).collect();
+impl<P: DataPath> Shared<P> {
+    /// Create the platform over `cluster` with data path `path`
+    /// (registers its sync handlers). Call once, before [`Cluster::run`].
+    pub(crate) fn with_path(cluster: &Cluster, path: P) -> Arc<Self> {
+        let names = [P::STAT_NAMES, driver::STAT_NAMES].concat();
+        let stats: Vec<StatSet> = (0..cluster.config().nodes).map(|_| StatSet::new(&names)).collect();
         let sync = Driver::new(cluster, stats.clone());
         sync.register(cluster, Arc::new(()));
-        Arc::new(HybridDsm {
-            cfg,
-            nodes,
+        Arc::new(Shared {
+            path,
             machine: cluster.config().cost.machine,
             dir: RegionDir::new(),
             store: RegionStore::new(),
@@ -100,135 +90,48 @@ impl HybridDsm {
         })
     }
 
-    /// Per-node statistics: [`STAT_NAMES`], then the synchronisation
-    /// driver's.
+    /// Per-node statistics: [`DataPath::STAT_NAMES`], then the
+    /// synchronisation driver's.
     pub fn stats(&self, node: usize) -> &StatSet {
         &self.stats[node]
     }
 
-    /// Home node of the page containing `addr`.
-    pub fn home_of(&self, addr: GlobalAddr) -> usize {
-        let page = addr.page();
-        self.dir.meta(page.region).home_of(page.index, self.nodes)
-    }
-
-    /// The physically shared store (used by tests and the SMP platform).
-    pub fn store(&self) -> &Arc<RegionStore> {
-        &self.store
-    }
-
     /// Bind a per-node engine.
-    pub fn node(self: &Arc<Self>, ctx: NodeCtx) -> HybridNode {
-        HybridNode {
-            dsm: self.clone(),
-            rank: ctx.rank(),
+    pub fn node(self: &Arc<Self>, ctx: NodeCtx) -> Node<P> {
+        Node {
+            shared: self.clone(),
             ctx,
-            pending_writes: AtomicU64::new(0),
-            next_region: Mutex::new(HYBRID_REGION_BASE + 1),
+            state: P::State::default(),
+            next_region: AtomicU32::new(P::REGION_BASE + 1),
             next_local: AtomicU32::new(0),
-            cache: Mutex::new(LineCache::default()),
         }
     }
 }
 
-/// The per-node hybrid-DSM engine.
+/// One node's engine on a store-backed platform.
 ///
 /// A [`memwire::Engine`] like `swdsm::DsmNode`: the HAMSTER core holds
 /// either behind the same trait, and the paper's §5.4 experiments swap
 /// one for the other through configuration only.
-pub struct HybridNode {
-    dsm: Arc<HybridDsm>,
-    rank: usize,
+pub struct Node<P: DataPath> {
+    pub(crate) shared: Arc<Shared<P>>,
     ctx: NodeCtx,
-    /// Writes posted to the SAN write buffer since the last flush.
-    pending_writes: AtomicU64,
-    next_region: Mutex<u32>,
+    pub(crate) state: P::State,
+    /// Next collective region id; every node allocates in lockstep.
+    next_region: AtomicU32,
     /// Next single-node region number of this rank.
     next_local: AtomicU32,
-    /// Remote lines present in the (modelled) processor cache this
-    /// synchronization interval.
-    cache: Mutex<LineCache>,
 }
 
-/// Lines of the modelled cache per mask word: one 4 KiB block.
-const BLOCK_LINES: u64 = u64::BITS as u64;
-
-/// The set of 64-byte lines present in the modelled processor cache:
-/// one presence mask per 4 KiB block and a running count, so a bulk
-/// read costs a map operation per block it spans, not per line.
-#[derive(Default)]
-struct LineCache {
-    blocks: HashMap<u64, u64>,
-    len: usize,
-}
-
-impl LineCache {
-    /// Bring lines `[first, first + lines)` in and return how many were
-    /// missing. A cache that could not hold them all on top of what it
-    /// has starts over first (epoch eviction: crude LRU).
-    fn touch(&mut self, first: u64, lines: u64, capacity: usize) -> u64 {
-        if self.len + lines as usize > capacity {
-            self.clear();
-        }
-        let (mut line, end, mut missed) = (first, first + lines, 0);
-        while line < end {
-            let bit = line % BLOCK_LINES;
-            let n = (BLOCK_LINES - bit).min(end - line);
-            let wanted = (u64::MAX >> (BLOCK_LINES - n)) << bit;
-            let present = self.blocks.entry(line / BLOCK_LINES).or_insert(0);
-            missed += (wanted & !*present).count_ones() as u64;
-            *present |= wanted;
-            line += n;
-        }
-        self.len += missed as usize;
-        missed
-    }
-
-    fn clear(&mut self) {
-        self.blocks.clear();
-        self.len = 0;
-    }
-}
-
-impl HybridNode {
+impl<P: DataPath> Node<P> {
     /// This node's rank.
     pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.dsm.nodes
+        self.ctx.rank()
     }
 
     /// The underlying node context.
     pub fn ctx(&self) -> &NodeCtx {
         &self.ctx
-    }
-
-    /// The cluster-wide DSM instance.
-    pub fn dsm(&self) -> &Arc<HybridDsm> {
-        &self.dsm
-    }
-
-    fn stat(&self, name: &str, n: u64) {
-        self.dsm.stats[self.rank].add(name, n);
-    }
-
-    /// Bump the access-path counter at `idx` (one of the constants
-    /// above [`HybridNode`]).
-    #[inline]
-    fn count(&self, idx: usize, n: u64) {
-        self.dsm.stats[self.rank].at(idx).add(n);
-    }
-
-    /// Emit an SCI transaction span `[t0, now]` into the global trace.
-    #[inline]
-    fn trace_span(&self, t0: u64, op: &'static str, arg: u64) {
-        if sim::trace::enabled() {
-            let now = self.ctx.clock().now();
-            sim::trace::span(t0, now.saturating_sub(t0), self.rank, "hybriddsm", op, arg);
-        }
     }
 
     // ---- inherent forwards of the `Engine` methods the frozen ledger
@@ -241,261 +144,115 @@ impl HybridNode {
     #[doc(hidden)] // ledger-pinned, goes with ROADMAP 11(b)
     pub fn barrier(&self, id: u32) { Engine::barrier(self, id) }
 
-    // ---- access ------------------------------------------------------
-
-    fn is_local(&self, addr: GlobalAddr) -> bool {
-        self.dsm.home_of(addr) == self.rank
-    }
-
-    /// Local access: cached word, or bulk streaming through the node's
-    /// memory bus (consistent accounting across all platforms).
-    fn charge_local(&self, len: usize) {
-        if len <= 64 {
-            self.ctx.compute(self.dsm.machine.local_access_ns);
-        } else {
-            self.ctx.bus_transfer(len as u64);
-        }
-    }
-
-    fn charge_read(&self, addr: GlobalAddr, len: usize) {
-        let a = &self.dsm.cfg.access;
-        let lines = len.div_ceil(64).max(1) as u64;
-        if self.is_local(addr) {
-            self.count(LOCAL_READS, 1);
-            self.charge_local(len);
-            return;
-        }
-        // Count cache misses among the 64-byte lines spanned.
-        let missed_lines = if self.dsm.cfg.cache_remote_reads {
-            self.cache.lock().touch(addr.0 / 64, lines, self.dsm.cfg.cache_lines)
-        } else {
-            lines
-        };
-        if missed_lines == 0 {
-            self.count(LOCAL_READS, 1);
-            self.charge_local(len);
-        } else if len <= 64 {
-            self.count(REMOTE_READS, 1);
-            let t0 = self.ctx.clock().now();
-            self.ctx.compute(a.remote_read_ns);
-            self.trace_span(t0, "sci_read", len as u64);
-        } else {
-            self.count(REMOTE_READS, 1);
-            let missed_bytes = (missed_lines * 64).min(len as u64) as usize;
-            self.count(BULK_BYTES, missed_bytes as u64);
-            let t0 = self.ctx.clock().now();
-            self.ctx.compute(
-                a.bulk_setup_ns
-                    + transfer_ns(missed_bytes, a.bulk_bytes_per_sec)
-                    + self.dsm.machine.local_access_ns * (lines - missed_lines),
-            );
-            self.trace_span(t0, "sci_bulk_read", missed_bytes as u64);
-        }
-    }
-
-    fn charge_write(&self, addr: GlobalAddr, len: usize) {
-        let a = &self.dsm.cfg.access;
-        if self.is_local(addr) {
-            self.count(LOCAL_WRITES, 1);
-            self.charge_local(len);
-        } else if len <= 64 {
-            self.count(REMOTE_WRITES, 1);
-            self.pending_writes.fetch_add(1, Ordering::Relaxed);
-            let t0 = self.ctx.clock().now();
-            self.ctx.compute(a.remote_write_ns);
-            self.trace_span(t0, "sci_write", len as u64);
-        } else {
-            self.count(REMOTE_WRITES, 1);
-            self.count(BULK_BYTES, len as u64);
-            let t0 = self.ctx.clock().now();
-            self.ctx.compute(a.bulk_setup_ns + transfer_ns(len, a.bulk_bytes_per_sec));
-            self.trace_span(t0, "sci_bulk_write", len as u64);
-        }
-    }
-
-    // ---- consistency / synchronization -------------------------------
-
-    /// Invalidate the modelled remote-read cache (entering a new
-    /// synchronization interval may expose peers' writes).
-    fn drop_cache(&self) {
-        if self.dsm.cfg.cache_remote_reads {
-            self.cache.lock().clear();
-        }
-    }
-
-    /// Consistency action without synchronization: drain the write
-    /// buffer and drop the remote-read cache. The mixed platform calls
-    /// this when another engine's synchronization provides the ordering.
+    /// Consistency action without synchronisation: flush and drop the
+    /// remote cache. The mixed platform calls this when another
+    /// engine's synchronisation provides the ordering.
     pub fn sync_point(&self) {
-        self.flush();
-        self.drop_cache();
+        P::flush(self);
+        P::drop_cache(self);
     }
 
-    /// Re-enter the computation after a membership view change (the
-    /// elastic-membership mirror of `swdsm::DsmNode::rejoin`). The
-    /// hybrid DSM is write-through with no page cache, so catching up
-    /// needs no state transfer: drop the stale remote-read cache, drain
-    /// the write buffer, and re-synchronize at `id`. Returns the virtual
-    /// time the rejoin took.
-    pub fn rejoin(&self, id: u32) -> u64 {
-        let t0 = self.ctx.clock().now();
-        self.stat("view_changes", 1);
-        self.sync_point();
-        self.barrier(id);
-        self.ctx.clock().now().saturating_sub(t0)
+    /// Bump this node's counter at `idx` of [`DataPath::STAT_NAMES`].
+    #[inline]
+    pub(crate) fn count(&self, idx: usize, n: u64) {
+        self.shared.stats[self.ctx.rank()].at(idx).add(n);
     }
 
-    /// Orderly exit.
-    pub fn exit(&self) {
-        self.barrier(ALLOC_BARRIER);
+    /// Whether this node is the home of the page containing `addr`.
+    pub(crate) fn is_home(&self, addr: GlobalAddr) -> bool {
+        let page = addr.page();
+        self.shared.dir.meta(page.region).home_of(page.index, self.ctx.nodes()) == self.ctx.rank()
+    }
+
+    /// A local access, counted at `counter`: a word costs a cached
+    /// access, anything larger streams as private traffic (the same rule
+    /// on every platform).
+    fn local(&self, counter: usize, len: usize) {
+        self.count(counter, 1);
+        if len <= 64 {
+            self.ctx.compute(self.shared.machine.local_access_ns);
+        } else {
+            P::private_traffic(self, len as u64);
+        }
     }
 }
 
-/// Word-granularity reads from a remote home block for one SAN
-/// transaction each, remote word writes are posted (cheap to issue), and
-/// larger accesses use the SAN's DMA path.
-impl Access for HybridNode {
+/// The data path charges a remote access, the engine a local one; the
+/// bytes always move through the shared store.
+impl<P: DataPath> Access for Node<P> {
     fn read_bytes(&self, addr: GlobalAddr, out: &mut [u8]) {
-        self.charge_read(addr, out.len());
-        self.dsm.store.read_bytes(addr, out);
+        if !P::remote_read(self, addr, out.len()) {
+            self.local(LOCAL_READS, out.len());
+        }
+        self.shared.store.read_bytes(addr, out);
     }
 
     fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
-        self.charge_write(addr, data.len());
-        self.dsm.store.write_bytes(addr, data);
+        if !P::remote_write(self, addr, data.len()) {
+            self.local(LOCAL_WRITES, data.len());
+        }
+        self.shared.store.write_bytes(addr, data);
     }
 }
 
-impl Engine for HybridNode {
+impl<P: DataPath> Engine for Node<P> {
     /// Collective allocation (same lockstep contract as the software
-    /// DSM): registers the region, materializes the physically shared
-    /// backing, and joins the implicit barrier.
+    /// DSM): registers the region, materialises the backing on the home
+    /// of its first page, and joins the implicit barrier, which orders
+    /// that creation before any access.
     fn alloc(&self, bytes: usize, dist: Distribution) -> GlobalAddr {
-        let region = {
-            let mut g = self.next_region.lock();
-            let id = *g;
-            *g += 1;
-            id
-        };
-        self.dsm.dir.register(region, RegionMeta::new(bytes, dist));
-        // Exactly one participant creates the backing store; the barrier
-        // below orders creation before any access.
-        if self.dsm.dir.meta(region).home_of(0, self.dsm.nodes) == self.rank {
-            self.dsm.store.create(region, bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE);
+        let addr = GlobalAddr::new(self.next_region.fetch_add(1, Ordering::Relaxed), 0);
+        self.shared.dir.register(addr.region(), RegionMeta::new(bytes, dist));
+        if self.is_home(addr) {
+            self.shared.store.create(addr.region(), bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE);
         }
         self.barrier(ALLOC_BARRIER);
-        GlobalAddr::new(region, 0)
+        addr
     }
 
     /// Single-node allocation: the caller registers the region, homed on
-    /// itself, and creates its backing; the message that distributes the
-    /// address orders both before any other node's access.
+    /// itself, and creates its backing, with no barrier; the message
+    /// that distributes the address orders both before any other node's
+    /// access.
     fn alloc_local(&self, bytes: usize) -> GlobalAddr {
-        let region = local_region(self.rank, self.next_local.fetch_add(1, Ordering::Relaxed));
-        self.adopt(GlobalAddr::new(region, 0), bytes, self.rank);
-        self.dsm.store.create(region, bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE);
+        let region = local_region(self.rank(), self.next_local.fetch_add(1, Ordering::Relaxed));
+        self.adopt(GlobalAddr::new(region, 0), bytes, self.rank());
+        self.shared.store.create(region, bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE);
         GlobalAddr::new(region, 0)
     }
 
     fn adopt(&self, addr: GlobalAddr, bytes: usize, home: usize) {
-        self.dsm.dir.register(addr.region(), RegionMeta::new(bytes, Distribution::OnNode(home)));
+        self.shared.dir.register(addr.region(), RegionMeta::new(bytes, Distribution::OnNode(home)));
     }
 
     fn acquire(&self, lock: u32) {
-        self.dsm.sync.acquire(self.ctx.port(), lock, Mode::Excl);
-        self.drop_cache();
+        self.shared.sync.acquire(self.ctx.port(), lock, Mode::Excl);
+        P::drop_cache(self);
     }
 
     fn acquire_shared(&self, lock: u32) {
-        self.dsm.sync.acquire(self.ctx.port(), lock, Mode::Shared);
-        self.drop_cache();
+        self.shared.sync.acquire(self.ctx.port(), lock, Mode::Shared);
+        P::drop_cache(self);
     }
 
-    /// Flushes posted writes first, so the next holder observes them.
+    /// Flushes first, so the next holder observes this node's writes.
     fn release(&self, lock: u32) {
-        self.flush();
-        self.dsm.sync.release(self.ctx.port(), lock);
+        P::flush(self);
+        self.shared.sync.release(self.ctx.port(), lock);
     }
 
-    /// Flushes posted writes first.
+    /// Flushes first.
     fn barrier(&self, id: u32) {
-        self.flush();
-        self.dsm.sync.barrier(self.ctx.port(), id);
-        self.drop_cache();
+        P::flush(self);
+        self.shared.sync.barrier(self.ctx.port(), id);
+        P::drop_cache(self);
     }
 
-    /// Drain the SAN write buffer (store barrier). Charged per pending
-    /// posted write, capped at the buffer's depth.
     fn flush(&self) {
-        let pending = self.pending_writes.swap(0, Ordering::Relaxed);
-        if pending > 0 {
-            self.stat("flushes", 1);
-            let a = &self.dsm.cfg.access;
-            let t0 = self.ctx.clock().now();
-            self.ctx.compute((pending * a.flush_per_write_ns).min(a.flush_max_ns));
-            self.trace_span(t0, "flush", pending);
-        }
+        P::flush(self);
     }
 
     fn private_traffic(&self, bytes: u64) {
-        self.ctx.bus_transfer(bytes);
-    }
-}
-
-fn transfer_ns(bytes: usize, per_sec: u64) -> u64 {
-    (bytes as u128 * 1_000_000_000u128 / per_sec as u128) as u64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    use std::collections::HashSet;
-
-    /// The line-at-a-time set the masks replaced, kept as the oracle.
-    fn touch_model(cache: &mut HashSet<u64>, first: u64, lines: u64, capacity: usize) -> u64 {
-        if cache.len() + lines as usize > capacity {
-            cache.clear();
-        }
-        (0..lines).filter(|i| cache.insert(first + i)).count() as u64
-    }
-
-    #[test]
-    fn line_masks_match_the_line_set_model() {
-        let mut rng = StdRng::seed_from_u64(18);
-        for capacity in [8192usize, 300, 64, 1] {
-            let (mut cache, mut model) = (LineCache::default(), HashSet::new());
-            let mut evictions = 0;
-            for _ in 0..4_000 {
-                // Word reads, rows that cross block boundaries, and the
-                // odd read larger than the whole cache; a small window of
-                // addresses so re-reads hit.
-                let first = rng.gen_range(0..1_000u64);
-                let lines = match rng.gen_range(0..4u32) {
-                    0 => 1,
-                    1 => rng.gen_range(1..8u64),
-                    2 => rng.gen_range(60..200u64),
-                    _ => rng.gen_range(1..400u64),
-                };
-                let before = model.len();
-                let want = touch_model(&mut model, first, lines, capacity);
-                evictions += usize::from(model.len() < before + want as usize);
-                assert_eq!(cache.touch(first, lines, capacity), want, "{first}+{lines}");
-                assert_eq!(cache.len, model.len());
-            }
-            assert!(evictions > 0 || capacity == 8192, "capacity {capacity} never evicted");
-        }
-    }
-
-    #[test]
-    fn masks_cover_exactly_the_lines_touched() {
-        let mut cache = LineCache::default();
-        assert_eq!(cache.touch(63, 2, 100), 2, "last line of one block, first of the next");
-        assert_eq!(cache.blocks, HashMap::from([(0, 1 << 63), (1, 1)]));
-        assert_eq!(cache.touch(0, 128, 200), 126, "two whole blocks, two lines already present");
-        assert_eq!(cache.blocks, HashMap::from([(0, u64::MAX), (1, u64::MAX)]));
-        assert_eq!(cache.len, 128);
-        assert_eq!(cache.touch(127, 2, 129), 2, "130 lines do not fit 129: start over");
-        assert_eq!(cache.len, 2);
+        P::private_traffic(self, bytes);
     }
 }

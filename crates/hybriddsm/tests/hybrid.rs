@@ -12,7 +12,7 @@ fn cluster(nodes: usize) -> (Cluster, std::sync::Arc<HybridDsm>) {
 
 fn cluster_uncached(nodes: usize) -> (Cluster, std::sync::Arc<HybridDsm>) {
     let c = Cluster::new(FabricConfig::builder().nodes(nodes).link(LinkKind::Sci).build());
-    let cfg = HybridConfig { cache_remote_reads: false, ..HybridConfig::default() };
+    let cfg = HybridConfig { cache_remote_reads: false };
     let dsm = HybridDsm::install(&c, cfg);
     (c, dsm)
 }
@@ -124,6 +124,32 @@ fn remote_element_access_costs_san_latency() {
     // 100 remote reads at 3.5 µs each.
     assert!(times[1] >= 100 * 3_000, "remote reads too cheap: {}", times[1]);
     assert!(times[1] < 100 * 3_500 + 500_000, "remote reads too dear: {}", times[1]);
+}
+
+/// Virtual time of one uncached remote word read on a two-node cluster
+/// whose SAN read costs `remote_read_ns`.
+fn remote_word_read_ns(remote_read_ns: u64) -> u64 {
+    let mut cost = sim::CostModel::default();
+    cost.sci_access.remote_read_ns = remote_read_ns;
+    let c = Cluster::new(FabricConfig::builder().nodes(2).link(LinkKind::Sci).cost(cost).build());
+    let dsm = HybridDsm::install(&c, HybridConfig { cache_remote_reads: false });
+    let (_, times) = c.run(|ctx| {
+        let node = dsm.node(ctx);
+        let a = node.alloc(4096, Distribution::OnNode(0));
+        let t0 = node.ctx().clock().now();
+        if node.rank() == 1 {
+            node.read_u64(a);
+        }
+        node.ctx().clock().now() - t0
+    });
+    assert_eq!(dsm.stats(1).get("remote_reads"), 1);
+    times[1]
+}
+
+#[test]
+fn remote_reads_are_priced_by_the_cost_model() {
+    let dolphin = sim::SciAccessCost::dolphin().remote_read_ns;
+    assert_eq!(remote_word_read_ns(dolphin + 1_000) - remote_word_read_ns(dolphin), 1_000);
 }
 
 #[test]

@@ -85,7 +85,7 @@ impl std::fmt::Display for EngineMode {
 /// inline) is its only driver until [`NodeQueue::retire`].
 pub(crate) struct NodeQueue<T> {
     pub(crate) q: BoundedQueue<T>,
-    scheduled: AtomicBool,
+    pub(crate) scheduled: AtomicBool,
 }
 
 impl<T> NodeQueue<T> {

@@ -2619,6 +2619,12 @@ mod rendezvous_tests {
                 h
             })
             .collect();
+        // The third arriver's thread signals from inside the handler and
+        // may still hold node 0, in which case it, not this thread,
+        // would drive the last arrival: wait until the manager is idle.
+        while net.shared.queues[0].scheduled.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         // The last arrival, by hand: the send `rendezvous` makes, then a
         // look at the mailbox instead of a wait on it.
         let port = net.port(0, VirtualClock::new());

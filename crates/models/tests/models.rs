@@ -153,19 +153,21 @@ fn anl_macros_compile_and_run() {
         let v = env.ham().mem().read_u64(a);
         env.ham().mem().write_u64(a, v + 1);
         models::UNLOCK!(env, l);
-        // ALOCK/AULOCK: element 3 of the lock array based at `l`.
+        // ALOCK/AULOCK: element 3 of the lock array based at `l` — a
+        // different lock, so it guards a word of its own.
+        let w = a.add(8);
         env.alock(l, 3);
-        let v = env.ham().mem().read_u64(a);
-        env.ham().mem().write_u64(a, v + 1);
+        let v = env.ham().mem().read_u64(w);
+        env.ham().mem().write_u64(w, v + 1);
         env.aulock(l, 3);
         models::BARRIER!(env, b);
         let t = models::CLOCK!(env);
         assert!(t > 0);
-        let v = env.ham().mem().read_u64(a);
+        let counts = (env.ham().mem().read_u64(a), env.ham().mem().read_u64(w));
         models::MAIN_END!(env);
-        v
+        counts
     });
-    assert_eq!(results, vec![4, 4]);
+    assert_eq!(results, vec![(2, 2), (2, 2)], "each lock excludes the other node");
 }
 
 #[test]

@@ -5,6 +5,7 @@
 //! (d) reflect the protocol work actually performed underneath.
 
 use hamster::core::{Access, ClusterConfig, PlatformKind, Runtime};
+use hamster::hybriddsm::DataPath;
 
 #[test]
 fn module_counters_track_a_mixed_workload() {
@@ -233,8 +234,8 @@ fn counter_reference_matches_the_registered_stat_names() {
     for (heading, names) in [
         ("### Synchronisation driver", hamster::cluster::syncproto::driver::STAT_NAMES),
         ("### Software DSM", hamster::swdsm::node::STAT_NAMES),
-        ("### Hybrid DSM", hamster::hybriddsm::node::STAT_NAMES),
-        ("### SMP", hamster::core::smp::STAT_NAMES),
+        ("### Hybrid DSM", hamster::hybriddsm::Numa::STAT_NAMES),
+        ("### SMP", hamster::hybriddsm::Uma::STAT_NAMES),
         ("### Interconnect", hamster::interconnect::network::NET_STAT_NAMES),
     ] {
         let code: std::collections::BTreeSet<String> =

@@ -22,9 +22,9 @@
 //! * **Latency distributions** — request round-trip and lock-acquire
 //!   histograms ([`sim::Sketch`]) reduced to [`sim::Quantiles`].
 //!
-//! The report renders as text ([`Report::render_text`]) or JSON
-//! ([`Report::to_json`]); [`validate`] checks a rendered JSON document
-//! against the report schema using the offline [`sim::json`] reader.
+//! The report renders as text ([`Report::render_text`]) or as a
+//! [`sim::json`] value ([`Report::to_value`]); [`validate`] checks such a
+//! value against the report schema.
 //!
 //! ```
 //! use sim::trace::{self, TraceSession};
@@ -35,7 +35,7 @@
 //! let report = analyzer::analyze(&session.finish());
 //! assert_eq!(report.makespan_ns, 80);
 //! assert_eq!(report.nodes[0].lanes[analyzer::Lane::LockWait as usize], 80);
-//! analyzer::validate(&report.to_json()).unwrap();
+//! analyzer::validate(&report.to_value()).unwrap();
 //! ```
 
 pub mod contend;
@@ -113,7 +113,7 @@ pub struct Contributor {
 }
 
 /// The extracted critical path.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CriticalPath {
     /// Path length in virtual ns. Equals the global makespan: the walk
     /// starts at the last event and attributes every backward step.
@@ -126,7 +126,7 @@ pub struct CriticalPath {
 }
 
 /// Per-lock contention statistics.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LockStats {
     /// Emitting module ("swdsm", "hybriddsm").
     pub module: &'static str,
@@ -200,7 +200,7 @@ pub struct PhaseBreakdown {
 }
 
 /// The complete analysis of one trace session.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
     /// Global makespan: the end of the last traced event.
     pub makespan_ns: u64,
@@ -381,7 +381,7 @@ mod tests {
         assert_eq!(r.makespan_ns, 0);
         assert!(r.nodes.is_empty());
         assert_eq!(r.critical_path.total_ns, 0);
-        validate(&r.to_json()).unwrap();
+        validate(&r.to_value()).unwrap();
     }
 
     #[test]
@@ -459,9 +459,11 @@ mod tests {
             #[test]
             fn json_roundtrip(evs in proptest::collection::vec(arb_event(), 0..40)) {
                 let r = analyze(&evs);
-                let j = r.to_json();
-                prop_assert_eq!(&j, &analyze(&evs).to_json());
-                prop_assert!(validate(&j).is_ok(), "invalid: {}", j);
+                let v = r.to_value();
+                prop_assert_eq!(&v, &analyze(&evs).to_value());
+                prop_assert!(validate(&v).is_ok(), "invalid: {}", v.pretty());
+                let back = sim::json::parse(&v.pretty()).unwrap();
+                prop_assert_eq!(back.pretty(), v.pretty());
             }
         }
     }

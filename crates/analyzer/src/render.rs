@@ -1,148 +1,99 @@
-//! Report rendering: deterministic JSON, a human-readable text summary,
-//! and schema validation for the emitted JSON.
+//! Report rendering: the report as a JSON value, a human-readable text
+//! summary, and schema validation of that value.
 //!
-//! The JSON renderer writes only integers, in a fixed field order, from
-//! already-deterministically-ordered vectors — so the same virtual
-//! schedule always produces a byte-identical document (the property the
-//! analysis benchmark's CI job checks with a plain file compare).
+//! The JSON value holds only integers and names, in a fixed member
+//! order, from already-deterministically-ordered vectors — so the same
+//! virtual schedule always produces a byte-identical document (the
+//! property the analysis benchmark's CI job checks with a plain file
+//! compare).
 
 use crate::{Lane, Report, LANES};
+use sim::json::Value;
 use sim::Quantiles;
 use std::fmt::Write as _;
 
 /// Schema identifier stamped into every report document.
 pub const SCHEMA: &str = "hamster-analysis-v1";
 
-fn quantiles_json(q: &Quantiles) -> String {
-    format!(
-        "{{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}, \"mean\": {}}}",
-        q.count, q.p50, q.p90, q.p99, q.p999, q.max, q.mean
-    )
-}
-
-fn lanes_json(lanes: &[u64; LANES]) -> String {
-    let mut s = String::from("{");
-    for (i, lane) in Lane::all().into_iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "\"{}_ns\": {}", lane.name(), lanes[lane as usize]);
-    }
-    s.push('}');
-    s
+/// One JSON array item per element of `items`.
+fn rows<T>(items: &[T], row: impl Fn(&T) -> Value) -> Value {
+    Value::Arr(items.iter().map(row).collect())
 }
 
 impl Report {
-    /// Render the report as a deterministic JSON document (see
-    /// [`validate`] for the schema).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(s, "  \"makespan_ns\": {},", self.makespan_ns);
-        let _ = writeln!(s, "  \"events\": {},", self.events);
-
-        let _ = writeln!(s, "  \"nodes\": [");
-        for (i, n) in self.nodes.iter().enumerate() {
-            let comma = if i + 1 < self.nodes.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"node\": {}, \"makespan_ns\": {}, \"lanes\": {}}}{comma}",
-                n.node,
-                n.makespan_ns,
-                lanes_json(&n.lanes)
-            );
-        }
-        let _ = writeln!(s, "  ],");
-
+    /// The report as a `hamster-analysis-v1` JSON value (see
+    /// [`validate`] for the schema); `.pretty()` renders the document.
+    pub fn to_value(&self) -> Value {
+        let quantiles = |q: &Quantiles| {
+            Value::obj([
+                ("count", Value::int(q.count)),
+                ("p50", Value::int(q.p50)),
+                ("p90", Value::int(q.p90)),
+                ("p99", Value::int(q.p99)),
+                ("p999", Value::int(q.p999)),
+                ("max", Value::int(q.max)),
+                ("mean", Value::int(q.mean)),
+            ])
+        };
+        let lanes = |lanes: &[u64; LANES]| {
+            Value::obj(Lane::all().map(|l| (format!("{}_ns", l.name()), Value::int(lanes[l as usize]))))
+        };
         let cp = &self.critical_path;
-        let _ = writeln!(s, "  \"critical_path\": {{");
-        let _ = writeln!(s, "    \"total_ns\": {},", cp.total_ns);
-        let _ = writeln!(s, "    \"steps\": {},", cp.steps);
-        let _ = writeln!(s, "    \"contributors\": [");
-        for (i, c) in cp.contributors.iter().enumerate() {
-            let comma = if i + 1 < cp.contributors.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "      {{\"lane\": \"{}\", \"node\": {}, \"op\": \"{}\", \"ns\": {}}}{comma}",
-                c.lane.name(),
-                c.node,
-                c.op,
-                c.ns
-            );
-        }
-        let _ = writeln!(s, "    ]");
-        let _ = writeln!(s, "  }},");
-
-        let _ = writeln!(s, "  \"locks\": [");
-        for (i, l) in self.locks.iter().enumerate() {
-            let comma = if i + 1 < self.locks.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"module\": \"{}\", \"lock\": {}, \"acquires\": {}, \"wait_ns\": {}, \
-                 \"wait\": {}, \"holds\": {}, \"hold_ns\": {}, \"grants\": {}, \
-                 \"handoffs\": {}, \"top_acquirer\": {}, \"top_acquirer_acquires\": {}}}{comma}",
-                l.module,
-                l.lock,
-                l.acquires,
-                l.wait_ns,
-                quantiles_json(&l.wait),
-                l.holds,
-                l.hold_ns,
-                l.grants,
-                l.handoffs,
-                l.top_acquirer,
-                l.top_acquirer_acquires
-            );
-        }
-        let _ = writeln!(s, "  ],");
-
-        let _ = writeln!(s, "  \"pages\": [");
-        for (i, p) in self.pages.iter().enumerate() {
-            let comma = if i + 1 < self.pages.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"page\": {}, \"faults\": {}, \"fault_ns\": {}, \"writers\": {}, \
-                 \"writes\": {}, \"top_writer\": {}, \"top_writer_writes\": {}}}{comma}",
-                p.page, p.faults, p.fault_ns, p.writers, p.writes, p.top_writer,
-                p.top_writer_writes
-            );
-        }
-        let _ = writeln!(s, "  ],");
-
-        let _ = writeln!(s, "  \"false_sharing\": [");
-        for (i, f) in self.false_sharing.iter().enumerate() {
-            let comma = if i + 1 < self.false_sharing.len() { "," } else { "" };
-            let nodes: Vec<String> = f.nodes.iter().map(|n| n.to_string()).collect();
-            let offs: Vec<String> = f.offsets.iter().map(|o| o.to_string()).collect();
-            let _ = writeln!(
-                s,
-                "    {{\"page\": {}, \"nodes\": [{}], \"offsets\": [{}]}}{comma}",
-                f.page,
-                nodes.join(", "),
-                offs.join(", ")
-            );
-        }
-        let _ = writeln!(s, "  ],");
-
-        let _ = writeln!(s, "  \"invalidations\": {},", self.invalidations);
-        let _ = writeln!(s, "  \"net_rtt\": {},", quantiles_json(&self.net_rtt));
-        let _ = writeln!(s, "  \"lock_wait\": {},", quantiles_json(&self.lock_wait));
-
-        let _ = writeln!(s, "  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            let comma = if i + 1 < self.phases.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"name\": \"{}\", \"total_ns\": {}, \"lanes\": {}}}{comma}",
-                p.name,
-                p.total_ns,
-                lanes_json(&p.lanes)
-            );
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
+        Value::obj([
+            ("schema", Value::str(SCHEMA)),
+            ("makespan_ns", Value::int(self.makespan_ns)),
+            ("events", Value::int(self.events)),
+            ("nodes", rows(&self.nodes, |n| Value::obj([
+                ("node", Value::int(n.node)),
+                ("makespan_ns", Value::int(n.makespan_ns)),
+                ("lanes", lanes(&n.lanes)),
+            ]))),
+            ("critical_path", Value::obj([
+                ("total_ns", Value::int(cp.total_ns)),
+                ("steps", Value::int(cp.steps)),
+                ("contributors", rows(&cp.contributors, |c| Value::obj([
+                    ("lane", Value::str(c.lane.name())),
+                    ("node", Value::int(c.node)),
+                    ("op", Value::str(c.op)),
+                    ("ns", Value::int(c.ns)),
+                ]))),
+            ])),
+            ("locks", rows(&self.locks, |l| Value::obj([
+                ("module", Value::str(l.module)),
+                ("lock", Value::int(l.lock)),
+                ("acquires", Value::int(l.acquires)),
+                ("wait_ns", Value::int(l.wait_ns)),
+                ("wait", quantiles(&l.wait)),
+                ("holds", Value::int(l.holds)),
+                ("hold_ns", Value::int(l.hold_ns)),
+                ("grants", Value::int(l.grants)),
+                ("handoffs", Value::int(l.handoffs)),
+                ("top_acquirer", Value::int(l.top_acquirer)),
+                ("top_acquirer_acquires", Value::int(l.top_acquirer_acquires)),
+            ]))),
+            ("pages", rows(&self.pages, |p| Value::obj([
+                ("page", Value::int(p.page)),
+                ("faults", Value::int(p.faults)),
+                ("fault_ns", Value::int(p.fault_ns)),
+                ("writers", Value::int(p.writers)),
+                ("writes", Value::int(p.writes)),
+                ("top_writer", Value::int(p.top_writer)),
+                ("top_writer_writes", Value::int(p.top_writer_writes)),
+            ]))),
+            ("false_sharing", rows(&self.false_sharing, |f| Value::obj([
+                ("page", Value::int(f.page)),
+                ("nodes", rows(&f.nodes, |&n| Value::int(n))),
+                ("offsets", rows(&f.offsets, |&o| Value::int(o))),
+            ]))),
+            ("invalidations", Value::int(self.invalidations)),
+            ("net_rtt", quantiles(&self.net_rtt)),
+            ("lock_wait", quantiles(&self.lock_wait)),
+            ("phases", rows(&self.phases, |p| Value::obj([
+                ("name", Value::str(p.name)),
+                ("total_ns", Value::int(p.total_ns)),
+                ("lanes", lanes(&p.lanes)),
+            ]))),
+        ])
     }
 
     /// Render a human-readable summary: lane breakdown per node, the
@@ -205,7 +156,7 @@ impl Report {
     }
 }
 
-fn expect_num(v: &sim::json::Value, key: &str) -> Result<(), String> {
+fn expect_num(v: &Value, key: &str) -> Result<(), String> {
     match v.get(key) {
         Some(n) if n.is_number() => Ok(()),
         Some(_) => Err(format!("'{key}' is not a number")),
@@ -213,7 +164,7 @@ fn expect_num(v: &sim::json::Value, key: &str) -> Result<(), String> {
     }
 }
 
-fn expect_quantiles(v: &sim::json::Value, key: &str) -> Result<(), String> {
+fn expect_quantiles(v: &Value, key: &str) -> Result<(), String> {
     let q = v.get(key).ok_or_else(|| format!("missing '{key}'"))?;
     for f in ["count", "p50", "p90", "p99", "p999", "max", "mean"] {
         expect_num(q, f).map_err(|e| format!("{key}: {e}"))?;
@@ -221,35 +172,30 @@ fn expect_quantiles(v: &sim::json::Value, key: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn expect_array<'a>(
-    v: &'a sim::json::Value,
-    key: &str,
-) -> Result<&'a [sim::json::Value], String> {
+fn expect_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
     v.get(key)
         .and_then(|a| a.as_array())
         .ok_or_else(|| format!("missing array '{key}'"))
 }
 
-/// Validate a rendered report document against the
-/// `hamster-analysis-v1` schema. Returns the first problem found.
-pub fn validate(json: &str) -> Result<(), String> {
-    let v = sim::json::parse(json)?;
+/// Validate a report document against the `hamster-analysis-v1`
+/// schema. Returns the first problem found.
+pub fn validate(v: &Value) -> Result<(), String> {
     if v.get("schema").and_then(|s| s.as_str()) != Some(SCHEMA) {
         return Err(format!("schema marker is not \"{SCHEMA}\""));
     }
-    expect_num(&v, "makespan_ns")?;
-    expect_num(&v, "events")?;
-    expect_num(&v, "invalidations")?;
-    expect_quantiles(&v, "net_rtt")?;
-    expect_quantiles(&v, "lock_wait")?;
+    expect_num(v, "makespan_ns")?;
+    expect_num(v, "events")?;
+    expect_num(v, "invalidations")?;
+    expect_quantiles(v, "net_rtt")?;
+    expect_quantiles(v, "lock_wait")?;
 
-    let lane_keys =
-        ["compute_ns", "net_ns", "page_fault_ns", "lock_wait_ns", "barrier_wait_ns"];
-    for (i, n) in expect_array(&v, "nodes")?.iter().enumerate() {
+    let lane_keys = Lane::all().map(|l| format!("{}_ns", l.name()));
+    for (i, n) in expect_array(v, "nodes")?.iter().enumerate() {
         expect_num(n, "node").map_err(|e| format!("nodes[{i}]: {e}"))?;
         expect_num(n, "makespan_ns").map_err(|e| format!("nodes[{i}]: {e}"))?;
         let lanes = n.get("lanes").ok_or_else(|| format!("nodes[{i}]: missing 'lanes'"))?;
-        for k in lane_keys {
+        for k in &lane_keys {
             expect_num(lanes, k).map_err(|e| format!("nodes[{i}].lanes: {e}"))?;
         }
         // The tiling invariant: lanes sum to the node makespan.
@@ -276,7 +222,7 @@ pub fn validate(json: &str) -> Result<(), String> {
         }
     }
 
-    for (i, l) in expect_array(&v, "locks")?.iter().enumerate() {
+    for (i, l) in expect_array(v, "locks")?.iter().enumerate() {
         if l.get("module").and_then(|m| m.as_str()).is_none() {
             return Err(format!("locks[{i}]: missing 'module'"));
         }
@@ -295,14 +241,14 @@ pub fn validate(json: &str) -> Result<(), String> {
         }
         expect_quantiles(l, "wait").map_err(|e| format!("locks[{i}]: {e}"))?;
     }
-    for (i, p) in expect_array(&v, "pages")?.iter().enumerate() {
+    for (i, p) in expect_array(v, "pages")?.iter().enumerate() {
         for k in
             ["page", "faults", "fault_ns", "writers", "writes", "top_writer", "top_writer_writes"]
         {
             expect_num(p, k).map_err(|e| format!("pages[{i}]: {e}"))?;
         }
     }
-    for (i, f) in expect_array(&v, "false_sharing")?.iter().enumerate() {
+    for (i, f) in expect_array(v, "false_sharing")?.iter().enumerate() {
         expect_num(f, "page").map_err(|e| format!("false_sharing[{i}]: {e}"))?;
         for k in ["nodes", "offsets"] {
             if f.get(k).and_then(|a| a.as_array()).is_none() {
@@ -310,13 +256,13 @@ pub fn validate(json: &str) -> Result<(), String> {
             }
         }
     }
-    for (i, p) in expect_array(&v, "phases")?.iter().enumerate() {
+    for (i, p) in expect_array(v, "phases")?.iter().enumerate() {
         if p.get("name").and_then(|n| n.as_str()).is_none() {
             return Err(format!("phases[{i}]: missing 'name'"));
         }
         expect_num(p, "total_ns").map_err(|e| format!("phases[{i}]: {e}"))?;
         let lanes = p.get("lanes").ok_or_else(|| format!("phases[{i}]: missing 'lanes'"))?;
-        for k in lane_keys {
+        for k in &lane_keys {
             expect_num(lanes, k).map_err(|e| format!("phases[{i}].lanes: {e}"))?;
         }
     }
@@ -353,20 +299,22 @@ mod tests {
 
     #[test]
     fn json_validates_and_is_deterministic() {
-        let r = sample();
-        let j = r.to_json();
-        validate(&j).unwrap();
-        assert_eq!(j, sample().to_json());
+        let v = sample().to_value();
+        validate(&v).unwrap();
+        assert_eq!(v.pretty(), sample().to_value().pretty());
+        let back = sim::json::parse(&v.pretty()).unwrap();
+        validate(&back).unwrap();
+        assert_eq!(back.pretty(), v.pretty());
     }
 
     #[test]
     fn validate_rejects_wrong_schema_and_broken_sums() {
-        assert!(validate("{}").is_err());
-        assert!(validate("{\"schema\": \"other\"}").is_err());
-        let j = sample().to_json().replace("\"makespan_ns\": 50,", "\"makespan_ns\": 51,");
-        // Global makespan is untouched by lane sums; break a node row.
-        let j2 = j.replace("\"compute_ns\": 0", "\"compute_ns\": 7");
-        assert!(validate(&j2).is_err());
+        assert!(validate(&Value::Obj(Vec::new())).is_err());
+        assert!(validate(&Value::obj([("schema", Value::str("other"))])).is_err());
+        // Break a node row's tiling: its lanes no longer sum to its makespan.
+        let mut r = sample();
+        r.nodes[0].lanes[Lane::Compute as usize] += 7;
+        assert!(validate(&r.to_value()).is_err());
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! expectations live in `tests/analysis.rs`, which only asserts
 //! timing-independent fields.
 
-use crate::report::{Json, Report};
+use crate::report::Report;
 use crate::suite::lock_ring;
 use crate::{Args, Built};
 use apps::world::{run_hamster, HamsterWorld};
 use hamster_core::{ClusterConfig, PlatformKind};
+use sim::json::Value;
 
 /// Deliberately page-misaligned problem size: 120 rows of 120 f64s is
 /// 960 bytes/row, so block boundaries fall mid-page and two ranks write
@@ -95,7 +96,7 @@ pub fn analysis(args: &Args) -> Built {
     for run in &runs {
         notes.push(format!("=== {}/{} ({} nodes) ===", run.platform, run.name, nodes));
         notes.push(run.report.render_text().trim_end().to_string());
-        if let Err(e) = analyzer::validate(&run.report.to_json()) {
+        if let Err(e) = analyzer::validate(&run.report.to_value()) {
             failures.push(format!("{}/{}: schema: {e}", run.platform, run.name));
         }
     }
@@ -120,20 +121,20 @@ pub fn analysis(args: &Args) -> Built {
         return Err(failures);
     }
 
-    // One embedded hamster-analysis-v1 document per run. All-integer
+    // One embedded hamster-analysis-v1 report per run. All-integer
     // reports + canonical trace order make the file byte-identical
     // across runs of the same build.
     let run_doc = |run: &Run| {
-        Json::obj([
-            ("name", Json::str(run.name)),
-            ("platform", Json::str(&run.platform)),
-            ("report", Json::Raw(run.report.to_json())),
+        Value::obj([
+            ("name", Value::str(run.name)),
+            ("platform", Value::str(&run.platform)),
+            ("report", run.report.to_value()),
         ])
     };
-    let doc = Json::obj([
-        ("schema", Json::str("hamster-analysis-suite-v1")),
-        ("nodes", Json::int(nodes)),
-        ("runs", Json::Arr(runs.iter().map(run_doc).collect())),
+    let doc = Value::obj([
+        ("schema", Value::str("hamster-analysis-suite-v1")),
+        ("nodes", Value::int(nodes)),
+        ("runs", Value::Arr(runs.iter().map(run_doc).collect())),
     ]);
     notes.push(format!("all {} reports valid", runs.len()));
     Ok(Report::new(doc, Vec::new()).note(notes.join("\n")))

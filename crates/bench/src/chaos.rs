@@ -18,7 +18,7 @@
 //! The document records runs-to-completion, fault/retry counters, and
 //! the virtual latency the faults added.
 
-use crate::report::{Json, Report, Table};
+use crate::report::{Report, Table};
 use crate::suite::{chaos_plan, pinned_swdsm, Sizes, SEED};
 use crate::{Args, Built};
 use apps::world::NativeWorld;
@@ -26,6 +26,7 @@ use apps::BenchResult;
 use cluster::{RunReport, SyncTopology};
 use interconnect::fault::FaultPlan;
 use interconnect::MembershipPlan;
+use sim::json::Value;
 
 /// The scalable topology chaos also runs under: fanout-4 tree barrier,
 /// digest waves, and `TokenQueue` locks. A resilient fabric serves those
@@ -68,7 +69,7 @@ fn workload_row(
     churn: bool,
     base: &ChaosRun,
     bench: impl Fn(&NativeWorld) -> BenchResult + Send + Sync,
-) -> Json {
+) -> Value {
     // Two leave/recover cycles after the chaos crash window heals: the
     // victim (never node 0) departs and rejoins while link faults are
     // still firing, exercising view-epoch fencing on top of retries.
@@ -110,18 +111,18 @@ fn workload_row(
         .report
         .net_stats
         .iter()
-        .map(|(k, v)| (*k, Json::int(*v)))
+        .map(|(k, v)| (*k, Value::int(*v)))
         .collect::<Vec<_>>();
-    Json::obj([
-        ("workload", Json::str(name)),
-        ("completed", Json::Bool(true)),
-        ("checksum_matches_fault_free", Json::Bool(true)),
-        ("deterministic", Json::Bool(true)),
-        ("baseline_ns", Json::int(base_ns)),
-        ("chaos_ns", Json::int(chaos_ns)),
-        ("added_latency_pct", Json::num((chaos_ns as f64 - base_ns as f64) / base_ns as f64 * 100.0)),
-        ("protocol_retries", Json::int(chaos.protocol_retries)),
-        ("net", Json::obj(counters)),
+    Value::obj([
+        ("workload", Value::str(name)),
+        ("completed", Value::Bool(true)),
+        ("checksum_matches_fault_free", Value::Bool(true)),
+        ("deterministic", Value::Bool(true)),
+        ("baseline_ns", Value::int(base_ns)),
+        ("chaos_ns", Value::int(chaos_ns)),
+        ("added_latency_pct", Value::num((chaos_ns as f64 - base_ns as f64) / base_ns as f64 * 100.0)),
+        ("protocol_retries", Value::int(chaos.protocol_retries)),
+        ("net", Value::obj(counters)),
     ])
 }
 
@@ -160,19 +161,19 @@ pub fn chaos(args: &Args) -> Built {
         &["workload", "baseline_ns", "chaos_ns", "added_latency_pct", "net.retries", "net.faults_dropped", "net.faults_dup", "net.nodedown"],
         &rows,
     );
-    let doc = Json::obj([
-        ("figure", Json::str("chaos")),
-        ("title", Json::str("SOR/LU under deterministic fault injection")),
-        ("seed", Json::int(SEED)),
-        ("nodes", Json::int(nodes)),
-        ("quick", Json::Bool(args.quick)),
-        ("drop_ppm", Json::int(30_000)),
-        ("dup_ppm", Json::int(20_000)),
-        ("delay_ppm", Json::int(50_000)),
-        ("crash_window_ns", Json::Arr(vec![Json::int(6_000_000), Json::int(12_000_000)])),
-        ("churn_window_ns", Json::Arr(vec![Json::int(14_000_000), Json::int(26_000_000)])),
-        ("churn_cycles", Json::int(2)),
-        ("rows", Json::Arr(rows)),
+    let doc = Value::obj([
+        ("figure", Value::str("chaos")),
+        ("title", Value::str("SOR/LU under deterministic fault injection")),
+        ("seed", Value::int(SEED)),
+        ("nodes", Value::int(nodes)),
+        ("quick", Value::Bool(args.quick)),
+        ("drop_ppm", Value::int(30_000)),
+        ("dup_ppm", Value::int(20_000)),
+        ("delay_ppm", Value::int(50_000)),
+        ("crash_window_ns", Value::Arr(vec![Value::int(6_000_000), Value::int(12_000_000)])),
+        ("churn_window_ns", Value::Arr(vec![Value::int(14_000_000), Value::int(26_000_000)])),
+        ("churn_cycles", Value::int(2)),
+        ("rows", Value::Arr(rows)),
     ]);
     Ok(Report::new(doc, vec![table])
         .note("all workloads completed with bit-identical checksums; schedules reproduced exactly"))

@@ -252,7 +252,7 @@ pub fn run_cli() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::Json;
+    use sim::json::Value;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn argv(line: &str) -> Vec<String> {
@@ -356,7 +356,7 @@ mod tests {
 
     fn counting(_: &Args) -> Built {
         static BUILDS: AtomicU64 = AtomicU64::new(0);
-        let doc = Json::obj([("build", Json::int(BUILDS.fetch_add(1, Ordering::Relaxed)))]);
+        let doc = Value::obj([("build", Value::int(BUILDS.fetch_add(1, Ordering::Relaxed)))]);
         Ok(Report::new(doc, Vec::new()))
     }
 
@@ -366,7 +366,7 @@ mod tests {
         let failures = build(&toy(true, counting), &args).unwrap_err();
         assert_eq!(failures, ["BENCH_toy.json differs between two in-process builds"]);
         assert!(build(&toy(false, counting), &args).is_ok(), "built once, nothing to compare");
-        let steady: fn(&Args) -> Built = |_| Ok(Report::new(Json::obj([("build", Json::int(7))]), Vec::new()));
+        let steady: fn(&Args) -> Built = |_| Ok(Report::new(Value::obj([("build", Value::int(7))]), Vec::new()));
         assert_eq!(build(&toy(true, steady), &args).unwrap().doc.pretty(), "{\n  \"build\": 7\n}\n");
     }
 

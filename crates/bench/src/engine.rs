@@ -36,12 +36,13 @@
 //! artifact — the host-time evidence is the ledger's `fabric-relay`
 //! workload.
 
-use crate::report::{Json, Report, Table};
+use crate::report::{Report, Table};
 use crate::{Args, Built};
 use interconnect::mailbox::tag;
 use interconnect::{
     downcast, EngineMode, HandlerCtx, Network, NodeId, Outcome, Page, Payload,
 };
+use sim::json::Value;
 use sim::{LinkCost, VirtualClock};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -257,7 +258,7 @@ pub fn engine(args: &Args) -> Built {
         assert_eq!(auto.checksum, r.checksum, "checksum drift vs {name} run");
         assert_eq!(auto.sim_time_ns, r.sim_time_ns, "virtual time drift vs {name} run");
         assert_eq!(auto.stats, r.stats, "fabric counter drift vs {name} run");
-        rates.push(Json::obj([("leg", Json::str(name)), ("host_events_per_sec", Json::int(events_per_sec(r)))]));
+        rates.push(Value::obj([("leg", Value::str(name)), ("host_events_per_sec", Value::int(events_per_sec(r)))]));
     }
     let table = Table::new(
         format!("Fabric determinism soak: {delivered} events per leg, all legs agree"),
@@ -266,23 +267,23 @@ pub fn engine(args: &Args) -> Built {
     );
 
     // Virtual-time report: byte-identical across runs by construction.
-    let counters = auto.stats.iter().map(|(k, v)| (*k, Json::int(*v))).collect::<Vec<_>>();
-    let doc = Json::obj([
-        ("figure", Json::str("engine")),
-        ("title", Json::str("Fabric determinism soak: worker-count and run-to-run invariance")),
-        ("nodes", Json::int(nodes)),
-        ("tokens", Json::int(token_count(nodes))),
-        ("notif_hops_per_token", Json::int(notif_hops)),
-        ("bulk_hops_per_token", Json::int(bulk_hops)),
-        ("pages_per_token", Json::int(PAGES_PER_TOKEN)),
-        ("flood_per_node", Json::int(flood)),
-        ("quick", Json::Bool(args.quick)),
-        ("delivered", Json::int(delivered)),
-        ("sim_time_ns", Json::int(auto.sim_time_ns)),
-        ("checksum", Json::str(format!("{:016x}", auto.checksum))),
-        ("workers_agree", Json::Bool(true)),
-        ("deterministic", Json::Bool(true)),
-        ("net", Json::obj(counters)),
+    let counters = auto.stats.iter().map(|(k, v)| (*k, Value::int(*v))).collect::<Vec<_>>();
+    let doc = Value::obj([
+        ("figure", Value::str("engine")),
+        ("title", Value::str("Fabric determinism soak: worker-count and run-to-run invariance")),
+        ("nodes", Value::int(nodes)),
+        ("tokens", Value::int(token_count(nodes))),
+        ("notif_hops_per_token", Value::int(notif_hops)),
+        ("bulk_hops_per_token", Value::int(bulk_hops)),
+        ("pages_per_token", Value::int(PAGES_PER_TOKEN)),
+        ("flood_per_node", Value::int(flood)),
+        ("quick", Value::Bool(args.quick)),
+        ("delivered", Value::int(delivered)),
+        ("sim_time_ns", Value::int(auto.sim_time_ns)),
+        ("checksum", Value::str(format!("{:016x}", auto.checksum))),
+        ("workers_agree", Value::Bool(true)),
+        ("deterministic", Value::Bool(true)),
+        ("net", Value::obj(counters)),
     ]);
     Ok(Report::new(doc, vec![table]))
 }

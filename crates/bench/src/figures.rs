@@ -5,13 +5,14 @@
 //! views of those.
 
 use crate::loc::{count_model, crate_lines, ModelCount};
-use crate::report::{Json, Report, Table};
+use crate::report::{Report, Table};
 use crate::suite::{platform_name, suite, Sizes, System, PINNED_ETHERNET_BPS, PLATFORMS, ROWS};
 use crate::{Args, Built};
 use apps::world::{run_hamster, run_native_sync, HamsterWorld, NativeWorld, World};
 use apps::BenchResult;
 use cluster::{BarrierTopology, SyncTopology};
 use hamster_core::{Access, AllocSpec, ClusterConfig, Distribution, PlatformKind, Runtime};
+use sim::json::Value;
 use swdsm::DsmConfig;
 
 const BENCHES: [(&str, &str); 5] = [
@@ -24,13 +25,13 @@ const BENCHES: [(&str, &str); 5] = [
 
 /// Table 1: benchmarks and their working sets.
 pub fn table1(_: &Args) -> Built {
-    let row = |(name, ws): &(&str, &str)| Json::obj([("benchmark", Json::str(*name)), ("working_set", Json::str(*ws))]);
-    let rows: Vec<Json> = BENCHES.iter().map(row).collect();
+    let row = |(name, ws): &(&str, &str)| Value::obj([("benchmark", Value::str(*name)), ("working_set", Value::str(*ws))]);
+    let rows: Vec<Value> = BENCHES.iter().map(row).collect();
     let table = Table::new("Table 1. Benchmarks and Their Working Sets", &[], &rows);
-    let doc = Json::obj([
-        ("table", Json::str("table1")),
-        ("title", Json::str("Benchmarks and their working sets")),
-        ("rows", Json::Arr(rows)),
+    let doc = Value::obj([
+        ("table", Value::str("table1")),
+        ("title", Value::str("Benchmarks and their working sets")),
+        ("rows", Value::Arr(rows)),
     ]);
     Ok(Report::new(doc, vec![table]).note("(paper sizes; pass --quick to the figures for reduced sets)"))
 }
@@ -61,31 +62,31 @@ pub fn model_counts() -> Vec<ModelCount> {
 pub fn table2(_: &Args) -> Built {
     let counts = model_counts();
     let model_row = |m: &ModelCount| {
-        Json::obj([
-            ("model", Json::str(m.name)),
-            ("lines", Json::int(m.lines)),
-            ("api_calls", Json::int(m.api_calls)),
-            ("lines_per_call", Json::num(m.lines_per_call())),
+        Value::obj([
+            ("model", Value::str(m.name)),
+            ("lines", Value::int(m.lines)),
+            ("api_calls", Value::int(m.api_calls)),
+            ("lines_per_call", Value::num(m.lines_per_call())),
         ])
     };
-    let mut shown: Vec<Json> = counts.iter().map(model_row).collect();
+    let mut shown: Vec<Value> = counts.iter().map(model_row).collect();
     let rows = shown[..9].to_vec();
     let lines: usize = counts[..9].iter().map(|m| m.lines).sum();
     let calls: usize = counts[..9].iter().map(|m| m.api_calls).sum();
     let average = [
-        ("lines", Json::int(lines / 9)),
-        ("api_calls", Json::int(calls / 9)),
-        ("lines_per_call", Json::num(lines as f64 / calls as f64)),
+        ("lines", Value::int(lines / 9)),
+        ("api_calls", Value::int(calls / 9)),
+        ("lines_per_call", Value::num(lines as f64 / calls as f64)),
     ];
     // Shown under the nine models, kept apart from them in the document.
-    shown.insert(9, Json::obj([("model", Json::str("average"))].into_iter().chain(average.clone())));
+    shown.insert(9, Value::obj([("model", Value::str("average"))].into_iter().chain(average.clone())));
 
     // The checkout this binary was built from; no rows if it has moved.
     let crates = crate_lines(std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")));
     let crate_row = |name: &str, code: usize, tests: usize| {
-        Json::obj([("crate", Json::str(name)), ("code", Json::int(code)), ("tests", Json::int(tests))])
+        Value::obj([("crate", Value::str(name)), ("code", Value::int(code)), ("tests", Value::int(tests))])
     };
-    let mut ledger: Vec<Json> = crates.iter().map(|c| crate_row(&c.name, c.code, c.tests)).collect();
+    let mut ledger: Vec<Value> = crates.iter().map(|c| crate_row(&c.name, c.code, c.tests)).collect();
     let crate_rows = ledger.clone();
     let total = |f: fn(&crate::loc::CrateLines) -> usize| crates.iter().map(f).sum();
     ledger.push(crate_row("total", total(|c| c.code), total(|c| c.tests)));
@@ -94,14 +95,14 @@ pub fn table2(_: &Args) -> Built {
         Table::new("Table 2. Implementation Complexity of Programming Models Using HAMSTER", &[], &shown),
         Table::new("Line ledger (same counting; `#[cfg(test)]` modules apart)", &[], &ledger),
     ];
-    let doc = Json::obj([
-        ("table", Json::str("table2")),
-        ("title", Json::str("Implementation complexity of programming models using HAMSTER")),
-        ("rows", Json::Arr(rows)),
-        ("average", Json::obj(average)),
+    let doc = Value::obj([
+        ("table", Value::str("table2")),
+        ("title", Value::str("Implementation complexity of programming models using HAMSTER")),
+        ("rows", Value::Arr(rows)),
+        ("average", Value::obj(average)),
         ("support", shown[10].clone()),
         ("extension", shown[11].clone()),
-        ("crate_lines", Json::Arr(crate_rows)),
+        ("crate_lines", Value::Arr(crate_rows)),
     ]);
     Ok(Report::new(doc, tables).note(
         "Paper reports 7.3–25.1 lines/call (average < 25); the thread models are\n\
@@ -184,21 +185,21 @@ pub fn primitives(args: &Args) -> Built {
     assert!(args.nodes >= 2, "primitives measures on node 1: it needs at least 2 nodes");
     let all: Vec<Vec<(&str, f64)>> = PLATFORMS.iter().map(|&p| measure(p, args.nodes)).collect();
     let row = |(i, (name, smp_us)): (usize, &(&str, f64))| {
-        Json::obj([
-            ("operation", Json::str(*name)),
-            ("smp_us", Json::num(*smp_us)),
-            ("hybrid_us", Json::num(all[1][i].1)),
-            ("swdsm_us", Json::num(all[2][i].1)),
+        Value::obj([
+            ("operation", Value::str(*name)),
+            ("smp_us", Value::num(*smp_us)),
+            ("hybrid_us", Value::num(all[1][i].1)),
+            ("swdsm_us", Value::num(all[2][i].1)),
         ])
     };
-    let rows: Vec<Json> = all[0].iter().enumerate().map(row).collect();
+    let rows: Vec<Value> = all[0].iter().enumerate().map(row).collect();
     let title = format!("Primitive operation costs (virtual µs, measured on node 1 of {})", args.nodes);
     let table = Table::new(title, &[], &rows);
-    let doc = Json::obj([
-        ("table", Json::str("primitives")),
-        ("title", Json::str("Primitive operation costs per platform (virtual us)")),
-        ("nodes", Json::int(args.nodes)),
-        ("rows", Json::Arr(rows)),
+    let doc = Value::obj([
+        ("table", Value::str("primitives")),
+        ("title", Value::str("Primitive operation costs per platform (virtual us)")),
+        ("nodes", Value::int(args.nodes)),
+        ("rows", Value::Arr(rows)),
     ]);
     Ok(Report::new(doc, vec![table]).note(
         "(read miss: SMP = cached load; hybrid = SAN transaction; software\n \
@@ -276,12 +277,12 @@ const FIG4: Figure = Figure {
 };
 
 /// The figure's rows from each system's virtual seconds per benchmark.
-fn figure_rows(fig: &Figure, times: &[Vec<f64>]) -> Vec<Json> {
+fn figure_rows(fig: &Figure, times: &[Vec<f64>]) -> Vec<Value> {
     let row = |(i, name): (usize, &&str)| {
         let secs: Vec<f64> = times.iter().map(|t| t[i]).collect();
-        let measured = fig.systems.iter().zip(&secs).map(|((key, _), s)| (*key, Json::num(*s)));
-        let derived = fig.derived.iter().map(|(key, f)| (*key, Json::num(f(&secs))));
-        Json::obj([("benchmark", Json::str(*name))].into_iter().chain(measured).chain(derived))
+        let measured = fig.systems.iter().zip(&secs).map(|((key, _), s)| (*key, Value::num(*s)));
+        let derived = fig.derived.iter().map(|(key, f)| (*key, Value::num(f(&secs))));
+        Value::obj([("benchmark", Value::str(*name))].into_iter().chain(measured).chain(derived))
     };
     ROWS.iter().enumerate().map(row).collect()
 }
@@ -298,14 +299,14 @@ fn figure(fig: &Figure, args: &Args) -> Built {
     let table = Table::new(format!("{}: {} ({} nodes)", fig.name, fig.title, args.nodes), &[], &rows);
     let mut doc = study_doc(fig.name, fig.title, args);
     if fig.repeat.is_some() {
-        doc.push(("repeat", Json::int(repeat)));
+        doc.push(("repeat", Value::int(repeat)));
     }
     if fig.pinned {
-        doc.push(("ethernet_bytes_per_sec", Json::int(PINNED_ETHERNET_BPS)));
-        doc.push(("tolerance_pct", Json::num(10.0)));
+        doc.push(("ethernet_bytes_per_sec", Value::int(PINNED_ETHERNET_BPS)));
+        doc.push(("tolerance_pct", Value::num(10.0)));
     }
-    doc.push(("rows", Json::Arr(rows)));
-    Ok(Report::new(Json::obj(doc), vec![table]).note(fig.notes))
+    doc.push(("rows", Value::Arr(rows)));
+    Ok(Report::new(Value::obj(doc), vec![table]).note(fig.notes))
 }
 
 /// Figure 2: HAMSTER vs native execution on the software DSM.
@@ -334,12 +335,12 @@ fn native<K: Fn(&NativeWorld) -> BenchResult + Send + Sync>(nodes: usize, dsm: D
 }
 
 /// The document head the figures and the studies beyond them share.
-fn study_doc(name: &str, title: &str, args: &Args) -> Vec<(&'static str, Json)> {
+fn study_doc(name: &str, title: &str, args: &Args) -> Vec<(&'static str, Value)> {
     vec![
-        ("figure", Json::str(name)),
-        ("title", Json::str(title)),
-        ("nodes", Json::int(args.nodes)),
-        ("quick", Json::Bool(args.quick)),
+        ("figure", Value::str(name)),
+        ("title", Value::str(title)),
+        ("nodes", Value::int(args.nodes)),
+        ("quick", Value::Bool(args.quick)),
     ]
 }
 
@@ -350,17 +351,17 @@ pub fn extra(args: &Args) -> Built {
     let keys = if args.quick { 1 << 14 } else { 1 << 20 };
     let secs = PLATFORMS.map(|p| hamster_secs(&ClusterConfig::new(args.nodes, p), |w| apps::is::is(w, keys)));
     let row = |(p, t): (&PlatformKind, &f64)| {
-        Json::obj([
-            ("platform", Json::str(platform_name(*p))),
-            ("is_s", Json::num(*t)),
-            ("pct_of_smp", Json::num(t / secs[0] * 100.0)),
+        Value::obj([
+            ("platform", Value::str(platform_name(*p))),
+            ("is_s", Value::num(*t)),
+            ("pct_of_smp", Value::num(t / secs[0] * 100.0)),
         ])
     };
-    let rows: Vec<Json> = PLATFORMS.iter().zip(&secs).map(row).collect();
+    let rows: Vec<Value> = PLATFORMS.iter().zip(&secs).map(row).collect();
     let table = Table::new(format!("IS (integer sort), {keys} keys, {} nodes", args.nodes), &[], &rows);
     let mut doc = study_doc("extra", "NAS-style integer sort across platforms", args);
-    doc.extend([("keys", Json::int(keys)), ("rows", Json::Arr(rows))]);
-    Ok(Report::new(Json::obj(doc), vec![table]).note(
+    doc.extend([("keys", Value::int(keys)), ("rows", Value::Arr(rows))]);
+    Ok(Report::new(Value::obj(doc), vec![table]).note(
         "IS is all-to-all-heavy: the scatter phase ships every key across\n\
          the machine once — bandwidth-bound on every platform.",
     ))
@@ -383,10 +384,10 @@ pub fn sweep(args: &Args) -> Built {
     let scaling_row = |nodes: usize| {
         let cfgs = PLATFORMS.map(|p| ClusterConfig::new(nodes, p));
         let keys = ["sor_smp_s", "sor_hybrid_s", "sor_swdsm_s", "lu_smp_s", "lu_hybrid_s", "lu_swdsm_s"];
-        let secs = cfgs.iter().map(&sor).chain(cfgs.iter().map(&lu)).map(Json::num);
-        Json::obj([("nodes", Json::int(nodes))].into_iter().chain(keys.into_iter().zip(secs)))
+        let secs = cfgs.iter().map(&sor).chain(cfgs.iter().map(&lu)).map(Value::num);
+        Value::obj([("nodes", Value::int(nodes))].into_iter().chain(keys.into_iter().zip(secs)))
     };
-    let scaling: Vec<Json> = [1usize, 2, 4, 8].into_iter().map(scaling_row).collect();
+    let scaling: Vec<Value> = [1usize, 2, 4, 8].into_iter().map(scaling_row).collect();
 
     let hybrid_ref = lu(&ClusterConfig::new(args.nodes, PlatformKind::HybridDsm));
     let wire_row = |(name, latency_us, mbps): (&str, u64, u64)| {
@@ -394,15 +395,15 @@ pub fn sweep(args: &Args) -> Built {
         cfg.cost.ethernet.latency_ns = latency_us * 1_000;
         cfg.cost.ethernet.bytes_per_sec = mbps * 1_000_000;
         let t = lu(&cfg);
-        Json::obj([
-            ("network", Json::str(name)),
-            ("latency_us", Json::int(latency_us)),
-            ("mbytes_per_sec", Json::int(mbps)),
-            ("swdsm_lu_s", Json::num(t)),
-            ("vs_hybrid_pct", Json::num((t - hybrid_ref) / hybrid_ref * 100.0)),
+        Value::obj([
+            ("network", Value::str(name)),
+            ("latency_us", Value::int(latency_us)),
+            ("mbytes_per_sec", Value::int(mbps)),
+            ("swdsm_lu_s", Value::num(t)),
+            ("vs_hybrid_pct", Value::num((t - hybrid_ref) / hybrid_ref * 100.0)),
         ])
     };
-    let wire: Vec<Json> = [
+    let wire: Vec<Value> = [
         ("Fast Ethernet", 60u64, 12u64),
         ("Fast Ethernet, tuned", 30, 12),
         ("Gigabit-class", 30, 90),
@@ -424,11 +425,11 @@ pub fn sweep(args: &Args) -> Built {
     ];
     let mut doc = study_doc("sweep", "Node scaling and interconnect sensitivity", args);
     doc.extend([
-        ("node_scaling", Json::Arr(scaling)),
-        ("hybrid_lu_s", Json::num(hybrid_ref)),
-        ("interconnect", Json::Arr(wire)),
+        ("node_scaling", Value::Arr(scaling)),
+        ("hybrid_lu_s", Value::num(hybrid_ref)),
+        ("interconnect", Value::Arr(wire)),
     ]);
-    Ok(Report::new(Json::obj(doc), tables).note(
+    Ok(Report::new(Value::obj(doc), tables).note(
         "(the software DSM's barrier/diff costs cap its scaling first; page-protocol\n \
          overheads remain even on SAN-class wire — the residual gap is what the\n \
          hybrid's hardware data path removes)",
@@ -455,14 +456,14 @@ pub fn ablation(args: &Args) -> Built {
 
     let mut rows = Vec::new();
     let mut row = |study: &str, workload: &str, base: (&str, f64), variant: (&str, f64)| {
-        rows.push(Json::obj([
-            ("study", Json::str(study)),
-            ("workload", Json::str(workload)),
-            ("baseline", Json::str(base.0)),
-            ("baseline_s", Json::num(base.1)),
-            ("variant", Json::str(variant.0)),
-            ("variant_s", Json::num(variant.1)),
-            ("change_pct", Json::num((variant.1 - base.1) / base.1 * 100.0)),
+        rows.push(Value::obj([
+            ("study", Value::str(study)),
+            ("workload", Value::str(workload)),
+            ("baseline", Value::str(base.0)),
+            ("baseline_s", Value::num(base.1)),
+            ("variant", Value::str(variant.0)),
+            ("variant_s", Value::num(variant.1)),
+            ("change_pct", Value::num((variant.1 - base.1) / base.1 * 100.0)),
         ]));
     };
 
@@ -506,8 +507,8 @@ pub fn ablation(args: &Args) -> Built {
 
     let table = Table::new(format!("Ablation studies (software-DSM platform, {nodes} nodes)"), &[], &rows);
     let mut doc = study_doc("ablation", "Protocol design-choice ablations on the software DSM", args);
-    doc.push(("rows", Json::Arr(rows)));
-    Ok(Report::new(Json::obj(doc), vec![table]))
+    doc.push(("rows", Value::Arr(rows)));
+    Ok(Report::new(Value::obj(doc), vec![table]))
 }
 
 #[cfg(test)]

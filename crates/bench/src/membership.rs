@@ -19,7 +19,7 @@
 //! renderings must be byte-identical: membership schedules are as
 //! reproducible as fault schedules.
 
-use crate::report::{Json, Report, Table};
+use crate::report::{Report, Table};
 use crate::suite::{pinned_swdsm, SEED};
 use crate::{Args, Built};
 use apps::world::NativeWorld;
@@ -27,6 +27,7 @@ use apps::BenchResult;
 use cluster::{MembershipPlan, SyncTopology, ViewChange};
 use interconnect::MembershipEvent;
 use memwire::{Distribution, PAGE_SIZE};
+use sim::json::Value;
 use swdsm::DsmConfig;
 
 /// Adaptive state-transfer cutoff: replay deltas up to this many
@@ -57,7 +58,7 @@ fn leave_recover(victim: usize) -> MembershipPlan {
 /// One row of the state-transfer sweep: warm every cache, take the
 /// victim away, let the peers write `div_pages` pages, rejoin, and
 /// verify the victim caught up by the path the adaptive policy owes.
-fn transfer_row(nodes: usize, div_pages: usize) -> Json {
+fn transfer_row(nodes: usize, div_pages: usize) -> Value {
     eprintln!("state transfer: {div_pages} diverged pages...");
     let victim = nodes - 1;
     let dsm_cfg = DsmConfig { delta_max_records: DELTA_CUTOFF, ..DsmConfig::default() };
@@ -115,16 +116,16 @@ fn transfer_row(nodes: usize, div_pages: usize) -> Json {
     assert_eq!(snapshot, div_pages as u64 > DELTA_CUTOFF, "adaptive policy mispicked at {div_pages} pages");
     let moved = vstats.get(if snapshot { "snapshot_bytes" } else { "delta_records" });
     assert!(moved > 0, "the transfer path moved nothing at {div_pages} pages");
-    Json::obj([
-        ("diverged_pages", Json::int(div_pages)),
-        ("rejoin_ns", Json::int(rejoin_ns)),
-        ("transfer_ns", Json::int(transfer_ns)),
-        ("path", Json::str(if snapshot { "snapshot" } else { "delta" })),
-        ("snapshot_bytes", Json::int(vstats.get("snapshot_bytes"))),
-        ("delta_records", Json::int(vstats.get("delta_records"))),
-        ("nodedown", Json::int(net("nodedown"))),
-        ("view_fenced", Json::int(net("view_fenced"))),
-        ("caught_up", Json::Bool(true)),
+    Value::obj([
+        ("diverged_pages", Value::int(div_pages)),
+        ("rejoin_ns", Value::int(rejoin_ns)),
+        ("transfer_ns", Value::int(transfer_ns)),
+        ("path", Value::str(if snapshot { "snapshot" } else { "delta" })),
+        ("snapshot_bytes", Value::int(vstats.get("snapshot_bytes"))),
+        ("delta_records", Value::int(vstats.get("delta_records"))),
+        ("nodedown", Value::int(net("nodedown"))),
+        ("view_fenced", Value::int(net("view_fenced"))),
+        ("caught_up", Value::Bool(true)),
     ])
 }
 
@@ -139,20 +140,20 @@ fn churn_run(nodes: usize, cycles: usize, sor_n: usize, sor_iters: usize) -> (Be
     (BenchResult::merge(&rs), report.sim_time_ns, net("nodedown"), net("view_fenced"))
 }
 
-fn churn_row(nodes: usize, cycles: usize, sor: (usize, usize), base: &BenchResult, base_ns: u64) -> Json {
+fn churn_row(nodes: usize, cycles: usize, sor: (usize, usize), base: &BenchResult, base_ns: u64) -> Value {
     eprintln!("churn: {cycles} cycle(s)...");
     let (result, ns, nodedown, view_fenced) = churn_run(nodes, cycles, sor.0, sor.1);
     assert_eq!(
         result.checksum, base.checksum,
         "churn at {cycles} cycles changed the SOR checksum"
     );
-    Json::obj([
-        ("cycles", Json::int(cycles)),
-        ("makespan_ns", Json::int(ns)),
-        ("slowdown_pct", Json::num((ns as f64 - base_ns as f64) / base_ns as f64 * 100.0)),
-        ("nodedown", Json::int(nodedown)),
-        ("view_fenced", Json::int(view_fenced)),
-        ("checksum_matches_stable", Json::Bool(true)),
+    Value::obj([
+        ("cycles", Value::int(cycles)),
+        ("makespan_ns", Value::int(ns)),
+        ("slowdown_pct", Value::num((ns as f64 - base_ns as f64) / base_ns as f64 * 100.0)),
+        ("nodedown", Value::int(nodedown)),
+        ("view_fenced", Value::int(view_fenced)),
+        ("checksum_matches_stable", Value::Bool(true)),
     ])
 }
 
@@ -160,12 +161,12 @@ fn churn_row(nodes: usize, cycles: usize, sor: (usize, usize), base: &BenchResul
 pub fn membership(args: &Args) -> Built {
     let nodes = args.nodes;
     assert!(nodes >= 2, "membership needs a victim and at least one survivor");
-    let transfers: Vec<Json> = [8usize, 32, 128, 512].iter().map(|&d| transfer_row(nodes, d)).collect();
+    let transfers: Vec<Value> = [8usize, 32, 128, 512].iter().map(|&d| transfer_row(nodes, d)).collect();
 
     let sor = if args.quick { (96, 8) } else { (256, 30) };
     eprintln!("churn: stable baseline...");
     let (base, base_ns, _, _) = churn_run(nodes, 0, sor.0, sor.1);
-    let churns: Vec<Json> =
+    let churns: Vec<Value> =
         [1usize, 2, 4].iter().map(|&c| churn_row(nodes, c, sor, &base, base_ns)).collect();
 
     let tables = vec![
@@ -182,17 +183,17 @@ pub fn membership(args: &Args) -> Built {
             &churns,
         ),
     ];
-    let doc = Json::obj([
-        ("figure", Json::str("membership")),
-        ("title", Json::str("Elastic membership: rejoin time vs state size and churn rate")),
-        ("seed", Json::int(SEED)),
-        ("nodes", Json::int(nodes)),
-        ("quick", Json::Bool(args.quick)),
-        ("delta_cutoff_records", Json::int(DELTA_CUTOFF)),
-        ("absence_window_ns", Json::Arr(vec![Json::int(LEAVE_NS), Json::int(RECOVER_NS)])),
-        ("state_transfer", Json::Arr(transfers)),
-        ("stable_sor_ns", Json::int(base_ns)),
-        ("churn", Json::Arr(churns)),
+    let doc = Value::obj([
+        ("figure", Value::str("membership")),
+        ("title", Value::str("Elastic membership: rejoin time vs state size and churn rate")),
+        ("seed", Value::int(SEED)),
+        ("nodes", Value::int(nodes)),
+        ("quick", Value::Bool(args.quick)),
+        ("delta_cutoff_records", Value::int(DELTA_CUTOFF)),
+        ("absence_window_ns", Value::Arr(vec![Value::int(LEAVE_NS), Value::int(RECOVER_NS)])),
+        ("state_transfer", Value::Arr(transfers)),
+        ("stable_sor_ns", Value::int(base_ns)),
+        ("churn", Value::Arr(churns)),
     ]);
     Ok(Report::new(doc, tables))
 }

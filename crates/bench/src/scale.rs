@@ -36,12 +36,13 @@
 //! bus is pinned at 250 MB/s for the same reason as `analysis`, see
 //! OBSERVABILITY.md). `--quick` caps the sweep at 256 nodes for CI.
 
-use crate::report::{Json, Report, Table};
+use crate::report::{Report, Table};
 use crate::suite::{lock_ring, pinned_swdsm};
 use crate::{Args, Built};
 use apps::world::NativeWorld;
 use apps::BenchResult;
 use cluster::SyncTopology;
+use sim::json::Value;
 
 /// Lock-ring turns are capped so the ring stays tractable at 1024
 /// nodes: the first `RING_TURNS` ranks take one turn each (everyone
@@ -239,32 +240,32 @@ pub fn scale(args: &Args) -> Built {
     // module doc): two runs of one build are byte-identical.
     let cell_doc = |c: &Cell| {
         [
-            ("nodes", Json::int(c.nodes)),
-            ("workload", Json::str(c.workload)),
-            ("topology", Json::str(c.topology)),
-            ("checksum", Json::str(format!("{:#018x}", c.checksum))),
-            ("barriers", Json::int(c.barriers)),
+            ("nodes", Value::int(c.nodes)),
+            ("workload", Value::str(c.workload)),
+            ("topology", Value::str(c.topology)),
+            ("checksum", Value::str(format!("{:#018x}", c.checksum))),
+            ("barriers", Value::int(c.barriers)),
         ]
         .into_iter()
-        .chain(COUNTERS.into_iter().zip(c.counters.map(Json::int)))
+        .chain(COUNTERS.into_iter().zip(c.counters.map(Value::int)))
     };
     // Shown, not recorded: the derived rate and the virtual time.
     let shown = |c: &Cell| {
         let extra = [
-            ("msgs_per_barrier", Json::num(c.per_barrier("sync_msgs"))),
-            ("sim_ms", Json::num(c.sim_time_ns as f64 / 1e6)),
+            ("msgs_per_barrier", Value::num(c.per_barrier("sync_msgs"))),
+            ("sim_ms", Value::num(c.sim_time_ns as f64 / 1e6)),
         ];
-        Json::obj(cell_doc(c).chain(extra))
+        Value::obj(cell_doc(c).chain(extra))
     };
     let table = Table::new(
         "Synchronization scalability: centralized vs scalable protocols",
         &["nodes", "workload", "topology", "barriers", "sync_msgs", "sync_records", "msgs_per_barrier", "sim_ms"],
         &cells.iter().map(shown).collect::<Vec<_>>(),
     );
-    let doc = Json::obj([
-        ("schema", Json::str("hamster-scale-v1")),
-        ("sweep", Json::Arr(sweep.iter().map(|&n| Json::int(n)).collect())),
-        ("cells", Json::Arr(cells.iter().map(|c| Json::obj(cell_doc(c))).collect())),
+    let doc = Value::obj([
+        ("schema", Value::str("hamster-scale-v1")),
+        ("sweep", Value::Arr(sweep.iter().map(|&n| Value::int(n)).collect())),
+        ("cells", Value::Arr(cells.iter().map(|c| Value::obj(cell_doc(c))).collect())),
     ]);
     Ok(Report::new(doc, vec![table]).note(shares + "\nall scale gates passed"))
 }

@@ -24,7 +24,7 @@
 //! Flags: `--quick` (CI size), `--nodes N`, `--trace` (also write a
 //! Chrome `trace_event` JSON of the chaotic SW-DSM run).
 
-use crate::report::{Json, Report, Table};
+use crate::report::{Report, Table};
 use crate::suite::{chaos_plan, platform_name, PLATFORMS, SEED};
 use crate::{Args, Built};
 use apps::kv::{KvConfig, LoadGen};
@@ -34,6 +34,7 @@ use hamster_core::{
     chrome_trace_json, validate_chrome_trace, ClusterConfig, PlatformKind, ServiceOp, Telemetry,
 };
 use interconnect::fault::FaultPlan;
+use sim::json::Value;
 use sim::stats::Quantiles;
 use sim::TraceSession;
 
@@ -70,21 +71,21 @@ fn run_one(nodes: usize, platform: PlatformKind, kv: &KvConfig, faults: Option<F
     ServeRun { result: BenchResult::merge(&results), tel, events }
 }
 
-fn quantiles_json(tenant: usize, op: &str, q: &Quantiles) -> Json {
-    Json::obj([
-        ("tenant", Json::int(tenant as i64)),
-        ("op", Json::str(op)),
-        ("count", Json::int(q.count as i64)),
-        ("p50", Json::int(q.p50 as i64)),
-        ("p90", Json::int(q.p90 as i64)),
-        ("p99", Json::int(q.p99 as i64)),
-        ("p999", Json::int(q.p999 as i64)),
-        ("max", Json::int(q.max as i64)),
-        ("mean", Json::int(q.mean as i64)),
+fn quantiles_json(tenant: usize, op: &str, q: &Quantiles) -> Value {
+    Value::obj([
+        ("tenant", Value::int(tenant as i64)),
+        ("op", Value::str(op)),
+        ("count", Value::int(q.count as i64)),
+        ("p50", Value::int(q.p50 as i64)),
+        ("p90", Value::int(q.p90 as i64)),
+        ("p99", Value::int(q.p99 as i64)),
+        ("p999", Value::int(q.p999 as i64)),
+        ("max", Value::int(q.max as i64)),
+        ("mean", Value::int(q.mean as i64)),
     ])
 }
 
-fn telemetry_json(tel: &Telemetry) -> (Json, Json) {
+fn telemetry_json(tel: &Telemetry) -> (Value, Value) {
     let mut quants = Vec::new();
     for t in 0..tel.tenants() {
         for op in [ServiceOp::Get, ServiceOp::Put] {
@@ -96,23 +97,23 @@ fn telemetry_json(tel: &Telemetry) -> (Json, Json) {
         .series_rows()
         .into_iter()
         .map(|r| {
-            Json::obj([
-                ("name", Json::str(r.name)),
-                ("values", Json::Arr(r.values.into_iter().map(Json::int).collect())),
+            Value::obj([
+                ("name", Value::str(r.name)),
+                ("values", Value::Arr(r.values.into_iter().map(Value::int).collect())),
             ])
         })
         .collect();
-    let series = Json::obj([
-        ("window_ns", Json::int(WINDOW_NS as i64)),
-        ("rows", Json::Arr(rows)),
+    let series = Value::obj([
+        ("window_ns", Value::int(WINDOW_NS as i64)),
+        ("rows", Value::Arr(rows)),
     ]);
-    (Json::Arr(quants), series)
+    (Value::Arr(quants), series)
 }
 
 /// One full sweep: every platform fault-free and under chaos, plus a
 /// closed-loop SW-DSM leg. Returns the document, the SLO table and
 /// (for `--trace`) the chaotic SW-DSM run's events.
-fn sweep(nodes: usize, kv: &KvConfig) -> (Json, Table, Vec<sim::TraceEvent>) {
+fn sweep(nodes: usize, kv: &KvConfig) -> (Value, Table, Vec<sim::TraceEvent>) {
     let mut platform_docs = Vec::new();
     let mut slo_rows = Vec::new();
     let mut checksums = Vec::new();
@@ -138,24 +139,24 @@ fn sweep(nodes: usize, kv: &KvConfig) -> (Json, Table, Vec<sim::TraceEvent>) {
                 cq.p99,
                 bq.p99
             );
-            slo_rows.push(Json::obj([
-                ("platform", Json::str(name)),
-                ("tenant", Json::int(t as i64)),
-                ("base_p99_ns", Json::int(bq.p99 as i64)),
-                ("chaos_p99_ns", Json::int(cq.p99 as i64)),
-                ("base_p999_ns", Json::int(bq.p999 as i64)),
-                ("chaos_p999_ns", Json::int(cq.p999 as i64)),
+            slo_rows.push(Value::obj([
+                ("platform", Value::str(name)),
+                ("tenant", Value::int(t as i64)),
+                ("base_p99_ns", Value::int(bq.p99 as i64)),
+                ("chaos_p99_ns", Value::int(cq.p99 as i64)),
+                ("base_p999_ns", Value::int(bq.p999 as i64)),
+                ("chaos_p999_ns", Value::int(cq.p999 as i64)),
                 (
                     "added_p99_pct",
-                    Json::num(((cq.p99 as f64 / bq.p99 as f64) - 1.0) * 100.0),
+                    Value::num(((cq.p99 as f64 / bq.p99 as f64) - 1.0) * 100.0),
                 ),
             ]));
         }
-        platform_docs.push(Json::obj([
-            ("platform", Json::str(name)),
-            ("makespan_ns", Json::int(base.result.total_ns as i64)),
-            ("chaos_makespan_ns", Json::int(chaos.result.total_ns as i64)),
-            ("checksum", Json::str(format!("{:#018x}", base.result.checksum))),
+        platform_docs.push(Value::obj([
+            ("platform", Value::str(name)),
+            ("makespan_ns", Value::int(base.result.total_ns as i64)),
+            ("chaos_makespan_ns", Value::int(chaos.result.total_ns as i64)),
+            ("checksum", Value::str(format!("{:#018x}", base.result.checksum))),
             ("quantiles", quants),
             ("timeseries", series),
             ("chaos_quantiles", chaos_quants),
@@ -176,10 +177,10 @@ fn sweep(nodes: usize, kv: &KvConfig) -> (Json, Table, Vec<sim::TraceEvent>) {
     closed_cfg.load = LoadGen::ClosedLoop;
     let closed = run_one(nodes, PlatformKind::SwDsm, &closed_cfg, None);
     let (closed_quants, closed_series) = telemetry_json(&closed.tel);
-    let closed_doc = Json::obj([
-        ("platform", Json::str("swdsm")),
-        ("makespan_ns", Json::int(closed.result.total_ns as i64)),
-        ("checksum", Json::str(format!("{:#018x}", closed.result.checksum))),
+    let closed_doc = Value::obj([
+        ("platform", Value::str("swdsm")),
+        ("makespan_ns", Value::int(closed.result.total_ns as i64)),
+        ("checksum", Value::str(format!("{:#018x}", closed.result.checksum))),
         ("quantiles", closed_quants),
         ("timeseries", closed_series),
     ]);
@@ -189,18 +190,18 @@ fn sweep(nodes: usize, kv: &KvConfig) -> (Json, Table, Vec<sim::TraceEvent>) {
         &["platform", "tenant", "base_p99_ns", "chaos_p99_ns", "added_p99_pct"],
         &slo_rows,
     );
-    let doc = Json::obj([
-        ("schema", Json::str("hamster-serve-v1")),
-        ("nodes", Json::int(nodes as i64)),
-        ("seed", Json::int(SEED as i64)),
-        ("tenants", Json::int(kv.tenants as i64)),
-        ("keys_per_part", Json::int(kv.keys_per_part as i64)),
-        ("rounds", Json::int(kv.rounds as i64)),
-        ("batch", Json::int(kv.batch as i64)),
-        ("clients", Json::int(kv.clients as i64)),
-        ("window_ns", Json::int(WINDOW_NS as i64)),
-        ("platforms", Json::Arr(platform_docs)),
-        ("slo_under_faults", Json::Arr(slo_rows)),
+    let doc = Value::obj([
+        ("schema", Value::str("hamster-serve-v1")),
+        ("nodes", Value::int(nodes as i64)),
+        ("seed", Value::int(SEED as i64)),
+        ("tenants", Value::int(kv.tenants as i64)),
+        ("keys_per_part", Value::int(kv.keys_per_part as i64)),
+        ("rounds", Value::int(kv.rounds as i64)),
+        ("batch", Value::int(kv.batch as i64)),
+        ("clients", Value::int(kv.clients as i64)),
+        ("window_ns", Value::int(WINDOW_NS as i64)),
+        ("platforms", Value::Arr(platform_docs)),
+        ("slo_under_faults", Value::Arr(slo_rows)),
         ("closed_loop", closed_doc),
     ]);
     (doc, slo_table, trace_events)

@@ -49,29 +49,33 @@ fn compare_at(baseline: &Value, current: &Value, path: &str, diffs: &mut Vec<Str
     }
     match (baseline, current) {
         (Value::Obj(b), Value::Obj(c)) => {
-            for key in b.keys().chain(c.keys().filter(|k| !b.contains_key(*k))) {
+            let only_current = c.iter().filter(|(k, _)| baseline.get(k).is_none());
+            for (key, _) in b.iter().chain(only_current) {
                 let (at, tol) = if path.is_empty() {
                     // The band the root declares (0 = exact, the
                     // default) covers the rows, not the header.
-                    let declared = b.get("tolerance_pct").and_then(Value::as_num);
+                    let declared = baseline.get("tolerance_pct").and_then(Value::as_num);
                     (key.clone(), declared.filter(|_| key == "rows").unwrap_or(0.0))
                 } else {
                     (format!("{path}.{key}"), tol)
                 };
-                match (b.get(key), c.get(key)) {
-                    // A number inside a declared band is held to it:
-                    // relative for plain leaves, absolute percentage
-                    // *points* for `*_pct` leaves, whose baselines sit
-                    // near zero where a relative band means nothing.
-                    (Some(Value::Num(bv)), Some(Value::Num(cv))) if tol > 0.0 => {
-                        let limit = if key.ends_with("_pct") { tol } else { bv.abs() * tol / 100.0 };
-                        if (cv - bv).abs() > limit {
-                            diffs.push(format!(
-                                "{at}: {bv} -> {cv} (beyond the artifact's declared ±{tol}% tolerance)"
-                            ));
+                match (baseline.get(key), current.get(key)) {
+                    (Some(bv), Some(cv)) => match (bv.as_num(), cv.as_num()) {
+                        // A number inside a declared band is held to it,
+                        // integer or float alike: relative for plain
+                        // leaves, absolute percentage *points* for
+                        // `*_pct` leaves, whose baselines sit near zero
+                        // where a relative band means nothing.
+                        (Some(bn), Some(cn)) if tol > 0.0 => {
+                            let limit = if key.ends_with("_pct") { tol } else { bn.abs() * tol / 100.0 };
+                            if (cn - bn).abs() > limit {
+                                diffs.push(format!(
+                                    "{at}: {bn} -> {cn} (beyond the artifact's declared ±{tol}% tolerance)"
+                                ));
+                            }
                         }
-                    }
-                    (Some(bv), Some(cv)) => compare_at(bv, cv, &at, diffs, tol),
+                        _ => compare_at(bv, cv, &at, diffs, tol),
+                    },
                     (Some(_), None) => diffs.push(format!("{at}: missing from current run")),
                     (None, Some(_)) => diffs.push(format!("{at}: not in baseline")),
                     (None, None) => unreachable!(),
@@ -158,14 +162,14 @@ mod tests {
 
     #[test]
     fn checksums_one_apart_differ() {
-        // As bare JSON numbers these two 64-bit checksums parse to the
-        // same f64 and gate as equal; as hex strings they cannot.
+        // Two 64-bit checksums one apart (the same f64) differ, as hex
+        // strings and as bare JSON integers, which the reader keeps exact.
         let (a, b) = (12957588950740454459u64, 12957588950740454458u64);
         let doc = |c: u64| format!(r#"{{"cells": [{{"checksum": "{c:#018x}"}}]}}"#);
         let d = diffs(&doc(a), &doc(b));
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].starts_with("cells[0].checksum:"), "{d:?}");
-        assert!(diffs(&format!(r#"{{"c": {a}}}"#), &format!(r#"{{"c": {b}}}"#)).is_empty());
+        assert_eq!(diffs(&format!(r#"{{"c": {a}}}"#), &format!(r#"{{"c": {b}}}"#)).len(), 1);
     }
 
     #[test]

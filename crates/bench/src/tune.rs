@@ -1,7 +1,7 @@
 //! The closed tuning loop: run → analyze → re-configure → verify.
 //!
 //! For each workload the artifact runs a traced baseline on the software
-//! DSM, feeds the `hamster-analysis-v1` report to the tuner's advisor,
+//! DSM, feeds the analyzer's [`analyzer::Report`] to the tuner's advisor,
 //! applies the resulting [`tuner::TuningPlan`] **as configuration** —
 //! placement through `ClusterConfig::placement`, layout through
 //! `memwire::AlignHint`, topology through `ClusterConfig::sync` — and
@@ -26,12 +26,13 @@
 //! `TUNE_<workload>_{before,after}.json` for CI artifact upload.
 
 use apps::world::{run_hamster, HamsterWorld, World};
-use crate::report::{Json, Report, Table};
+use crate::report::{Report, Table};
 use crate::{Args, Built};
 use cluster::{BarrierTopology, LockTopology, SyncTopology};
 use hamster_core::{ClusterConfig, Placement, PlatformKind};
 use memwire::{AlignHint, Distribution};
-use tuner::{advise, parse_report, Action};
+use sim::json::Value;
+use tuner::{advise, Action};
 
 /// Page-misaligned SOR (960-byte rows): the false-sharing victim the
 /// layout action repairs. Same size as `analysis` uses.
@@ -178,34 +179,34 @@ fn traced(nodes: usize, kernel: Kernel, hint: AlignHint, placement: &Placement, 
     RunOut { report: analyzer::analyze(&events), checksum }
 }
 
-fn action_json(a: &Action) -> Json {
+fn action_json(a: &Action) -> Value {
     match *a {
-        Action::RehomePage { page, to } => Json::obj([
-            ("action", Json::str("rehome")),
-            ("region", Json::int(page.region)),
-            ("page", Json::int(page.index)),
-            ("to", Json::int(to)),
+        Action::RehomePage { page, to } => Value::obj([
+            ("action", Value::str("rehome")),
+            ("region", Value::int(page.region)),
+            ("page", Value::int(page.index)),
+            ("to", Value::int(to)),
         ]),
-        Action::PadRegion { region, pad_to } => Json::obj([
-            ("action", Json::str("pad")),
-            ("region", Json::int(region)),
-            ("pad_to", Json::int(pad_to)),
+        Action::PadRegion { region, pad_to } => Value::obj([
+            ("action", Value::str("pad")),
+            ("region", Value::int(region)),
+            ("pad_to", Value::int(pad_to)),
         ]),
-        Action::PlaceLock { lock, to } => Json::obj([
-            ("action", Json::str("place_lock")),
-            ("lock", Json::int(lock)),
-            ("to", Json::int(to)),
+        Action::PlaceLock { lock, to } => Value::obj([
+            ("action", Value::str("place_lock")),
+            ("lock", Value::int(lock)),
+            ("to", Value::int(to)),
         ]),
-        Action::SwitchLocks => Json::obj([("action", Json::str("switch_locks"))]),
-        Action::SwitchBarrier { fanout } => Json::obj([
-            ("action", Json::str("switch_barrier")),
-            ("fanout", Json::int(fanout)),
+        Action::SwitchLocks => Value::obj([("action", Value::str("switch_locks"))]),
+        Action::SwitchBarrier { fanout } => Value::obj([
+            ("action", Value::str("switch_barrier")),
+            ("fanout", Value::int(fanout)),
         ]),
     }
 }
 
 struct Outcome {
-    row: Json,
+    row: Value,
     before: String,
     after: String,
     improvement_permille: i64,
@@ -215,12 +216,11 @@ fn tune_workload(nodes: usize, kernel: Kernel, failures: &mut Vec<String>) -> Ou
     let name = kernel.name();
     let base_sync = SyncTopology::centralized();
     let base = traced(nodes, kernel, AlignHint::None, &Placement::default(), base_sync);
-    let before = base.report.to_json();
+    let before = base.report.to_value();
     if let Err(e) = analyzer::validate(&before) {
         failures.push(format!("{name}: baseline schema: {e}"));
     }
-    let summary = parse_report(&before).unwrap_or_else(|e| panic!("{name}: parse: {e}"));
-    let plan = advise(&summary);
+    let plan = advise(&base.report);
 
     // Split the plan into its configuration carriers.
     let mut hint = AlignHint::None;
@@ -252,10 +252,10 @@ fn tune_workload(nodes: usize, kernel: Kernel, failures: &mut Vec<String>) -> Ou
             checksum_ok = false;
         }
         let saved = base.report.makespan_ns as i64 - r.report.makespan_ns as i64;
-        attribution.push(Json::obj([
-            ("category", Json::str(label)),
-            ("makespan_ns", Json::int(r.report.makespan_ns)),
-            ("saved_ns", Json::Int(saved)),
+        attribution.push(Value::obj([
+            ("category", Value::str(label)),
+            ("makespan_ns", Value::int(r.report.makespan_ns)),
+            ("saved_ns", Value::int(saved)),
         ]));
     };
     if hint != AlignHint::None {
@@ -275,7 +275,7 @@ fn tune_workload(nodes: usize, kernel: Kernel, failures: &mut Vec<String>) -> Ou
         Some(traced(nodes, kernel, hint, &placement, sync))
     };
     let (after, tuned_makespan, tuned_checksum) = match &tuned {
-        Some(t) => (t.report.to_json(), t.report.makespan_ns, t.checksum),
+        Some(t) => (t.report.to_value(), t.report.makespan_ns, t.checksum),
         None => (before.clone(), base.report.makespan_ns, base.checksum),
     };
     if tuned_checksum != base.checksum {
@@ -289,26 +289,26 @@ fn tune_workload(nodes: usize, kernel: Kernel, failures: &mut Vec<String>) -> Ou
         / base.report.makespan_ns.max(1) as i64;
     let improved = tuned_makespan < base.report.makespan_ns;
 
-    let row = Json::obj([
-        ("name", Json::str(name)),
-        ("baseline_makespan_ns", Json::int(base.report.makespan_ns)),
-        ("checksum", Json::str(format!("{:016x}", base.checksum))),
-        ("plan", Json::Arr(plan.actions.iter().map(action_json).collect())),
+    let row = Value::obj([
+        ("name", Value::str(name)),
+        ("baseline_makespan_ns", Value::int(base.report.makespan_ns)),
+        ("checksum", Value::str(format!("{:016x}", base.checksum))),
+        ("plan", Value::Arr(plan.actions.iter().map(action_json).collect())),
         (
             "applied",
-            Json::int(plan.actions.iter().filter(|a| a.is_placement()).count()),
+            Value::int(plan.actions.iter().filter(|a| a.is_placement()).count()),
         ),
         (
             "deferred",
-            Json::int(plan.actions.iter().filter(|a| !a.is_placement()).count()),
+            Value::int(plan.actions.iter().filter(|a| !a.is_placement()).count()),
         ),
-        ("rejected", Json::int(0u64)),
-        ("attribution", Json::Arr(attribution)),
-        ("tuned_makespan_ns", Json::int(tuned_makespan)),
-        ("improvement_permille", Json::Int(improvement_permille)),
-        ("improved", Json::Bool(improved)),
+        ("rejected", Value::int(0u64)),
+        ("attribution", Value::Arr(attribution)),
+        ("tuned_makespan_ns", Value::int(tuned_makespan)),
+        ("improvement_permille", Value::int(improvement_permille)),
+        ("improved", Value::Bool(improved)),
     ]);
-    Outcome { row, before, after, improvement_permille }
+    Outcome { row, before: before.pretty(), after: after.pretty(), improvement_permille }
 }
 
 /// The tuning loop over the four workloads, and its gates.
@@ -339,11 +339,11 @@ pub fn tune(args: &Args) -> Built {
         &["name", "baseline_makespan_ns", "tuned_makespan_ns", "applied", "deferred", "improvement_permille"],
         &rows,
     );
-    let doc = Json::obj([
-        ("schema", Json::str("hamster-tune-v1")),
-        ("nodes", Json::int(args.nodes)),
-        ("workloads", Json::Arr(rows)),
-        ("best_improvement_permille", Json::Int(best)),
+    let doc = Value::obj([
+        ("schema", Value::str("hamster-tune-v1")),
+        ("nodes", Value::int(args.nodes)),
+        ("workloads", Value::Arr(rows)),
+        ("best_improvement_permille", Value::int(best)),
     ]);
     let mut report = Report::new(doc, vec![table]);
     report.files = files;

@@ -84,15 +84,6 @@ impl ClusterCtl<'_> {
         Ok(downcast::<UserMsg>(p))
     }
 
-    /// Non-blocking receive on `channel`.
-    pub fn try_recv(&self, channel: u32) -> Option<UserMsg> {
-        self.core.charge_service();
-        let d = self.core.ctx.mailbox().try_take(mailbox::tag(kinds::USER_MSG, channel))?;
-        self.core.stats.cluster.add("msgs_recv", 1);
-        self.core.ctx.clock().advance_to(d.arrive_ns);
-        Some(downcast::<UserMsg>(d.payload))
-    }
-
     /// Broadcast `bytes` to every other node on `channel`.
     pub fn broadcast(&self, channel: u32, bytes: &[u8]) {
         for dst in 0..self.core.ctx.nodes() {

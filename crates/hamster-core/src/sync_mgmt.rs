@@ -86,18 +86,6 @@ impl SyncMgmt<'_> {
         let _ = self.core.ctx.port().wait_mailbox(mailbox::tag(kinds::EVENT_SET, event));
     }
 
-    /// Non-blocking poll of event `event`.
-    pub fn try_event(&self, event: u32) -> bool {
-        self.core.charge_service();
-        let got = self.core.ctx.mailbox().try_take(mailbox::tag(kinds::EVENT_SET, event));
-        if got.is_some() {
-            self.core.stats.sync.add("events_waited", 1);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Atomically add `delta` to the u64 at `addr`, returning the old
     /// value. Implemented as a tiny internal critical section keyed by
     /// the address (the generic mechanism models build `fetch&add`,
@@ -109,18 +97,6 @@ impl SyncMgmt<'_> {
         self.core.engine.acquire(lock);
         let old = self.core.engine.read_u64(addr);
         self.core.engine.write_u64(addr, old.wrapping_add(delta));
-        self.core.engine.release(lock);
-        old
-    }
-
-    /// Atomic f64 accumulation at `addr` (the reduction primitive).
-    pub fn fetch_add_f64(&self, addr: GlobalAddr, delta: f64) -> f64 {
-        self.core.charge_service();
-        self.core.stats.sync.add("atomics", 1);
-        let lock = ATOMIC_LOCK_BASE + (addr.0 % 1024) as u32;
-        self.core.engine.acquire(lock);
-        let old = self.core.engine.read_f64(addr);
-        self.core.engine.write_f64(addr, old + delta);
         self.core.engine.release(lock);
         old
     }

@@ -23,11 +23,6 @@ impl Timer {
     pub fn elapsed_ns(&self, ham: &Hamster) -> u64 {
         ham.wtime_ns().saturating_sub(self.start_ns)
     }
-
-    /// Elapsed virtual seconds.
-    pub fn elapsed_secs(&self, ham: &Hamster) -> f64 {
-        self.elapsed_ns(ham) as f64 / 1e9
-    }
 }
 
 /// Accumulates the durations of repeated phases (e.g. "time spent in

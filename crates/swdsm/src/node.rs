@@ -35,6 +35,19 @@ type Notices = cluster::syncproto::Notices<NoticeSet>;
 /// (collective allocation).
 const ALLOC_BARRIER: u32 = 0x8000_0000;
 
+/// Cost of one page-fault trap (SIGSEGV + kernel + handler entry).
+const FAULT_TRAP_NS: u64 = 20_000;
+/// Cost of snapshotting a twin (one page copy).
+const TWIN_NS: u64 = 3_000;
+/// Cost of scanning a page against its twin to encode a diff.
+const DIFF_SCAN_NS: u64 = 4_000;
+/// Fixed cost of applying one diff at the home...
+const DIFF_APPLY_BASE_NS: u64 = 1_000;
+/// ...plus this much per changed byte.
+const DIFF_APPLY_PER_BYTE_NS: u64 = 1;
+/// Cost for the home to copy a page into a fetch reply.
+const PAGE_COPY_NS: u64 = 2_000;
+
 /// A synchronization operation failed unrecoverably on a faulty fabric:
 /// either a fatal [`RequestError`] or transient faults outlasting every
 /// retry. Returned by the `try_*` synchronization entry points; the
@@ -98,18 +111,6 @@ pub struct DsmConfig {
     /// conservatively invalidate their whole cache (the pre-scope
     /// "barrier-wide invalidation" baseline).
     pub notices_on_locks: bool,
-    /// Cost of one page-fault trap (SIGSEGV + kernel + handler entry).
-    pub fault_trap_ns: u64,
-    /// Cost of snapshotting a twin (one page copy).
-    pub twin_ns: u64,
-    /// Cost of scanning a page against its twin to encode a diff.
-    pub diff_scan_ns: u64,
-    /// Fixed cost of applying one diff at the home...
-    pub diff_apply_base_ns: u64,
-    /// ...plus this much per changed byte.
-    pub diff_apply_per_byte_ns: u64,
-    /// Cost for the home to copy a page into a fetch reply.
-    pub page_copy_ns: u64,
     /// Maximum cached (remotely homed) pages per node; 0 = unbounded.
     /// Real JiaJia bounds its page cache by available memory; evictions
     /// write dirty pages home and drop clean ones FIFO.
@@ -136,12 +137,6 @@ impl Default for DsmConfig {
         Self {
             whole_page_writeback: false,
             notices_on_locks: true,
-            fault_trap_ns: 20_000,
-            twin_ns: 3_000,
-            diff_scan_ns: 4_000,
-            diff_apply_base_ns: 1_000,
-            diff_apply_per_byte_ns: 1,
-            page_copy_ns: 2_000,
             cache_pages: 0,
             home_migration: false,
             migration_threshold: 2,
@@ -366,7 +361,7 @@ impl SwDsm {
                 Ok(Outcome::reply_costing(
                     PageReply::Data(PageData { bytes, version }),
                     PAGE_SIZE as u64 + 24,
-                    dsm.cfg.page_copy_ns,
+                    PAGE_COPY_NS,
                 ))
             }
         });
@@ -382,8 +377,8 @@ impl SwDsm {
                     let mut home = dsm.homes[node].lock();
                     for (page, diff) in &msg.diffs {
                         debug_assert_eq!(dsm.home_of(*page), node, "diff sent to non-home");
-                        extra += dsm.cfg.diff_apply_base_ns
-                            + dsm.cfg.diff_apply_per_byte_ns * diff.changed_bytes() as u64;
+                        extra += DIFF_APPLY_BASE_NS
+                            + DIFF_APPLY_PER_BYTE_NS * diff.changed_bytes() as u64;
                         home.apply_diff(*page, diff);
                     }
                 }
@@ -401,7 +396,7 @@ impl SwDsm {
             let dsm = dsm.clone();
             move |_ctx: &interconnect::HandlerCtx<'_>, _src, p| {
                 let msg = try_downcast::<PutPages>(p)?;
-                let extra = msg.pages.len() as u64 * dsm.cfg.page_copy_ns;
+                let extra = msg.pages.len() as u64 * PAGE_COPY_NS;
                 let mut home = dsm.homes[node].lock();
                 for (page, bytes) in msg.pages {
                     home.replace(page, bytes);
@@ -729,7 +724,7 @@ impl DsmNode {
             Some(memwire::PageState::Writable) => return,
             Some(_) => {
                 self.stat("traps", 1);
-                self.dsm.cfg.fault_trap_ns
+                FAULT_TRAP_NS
             }
             None => {
                 self.fetch_page(page);
@@ -745,7 +740,7 @@ impl DsmNode {
             page.pack(),
             off as u64 + 1,
         );
-        self.ctx.compute(trap_ns + self.dsm.cfg.twin_ns);
+        self.ctx.compute(trap_ns + TWIN_NS);
         self.table.lock().get_mut(page).expect("faulting page vanished").make_writable();
     }
 
@@ -753,7 +748,7 @@ impl DsmNode {
         let t0 = self.ctx.clock().now();
         self.stat("traps", 1);
         self.stat("getpages", 1);
-        self.ctx.compute(self.dsm.cfg.fault_trap_ns);
+        self.ctx.compute(FAULT_TRAP_NS);
         self.make_room();
         let mut home = self.dsm.home_of(page);
         let mut hops = 0u32;
@@ -860,7 +855,7 @@ impl DsmNode {
                 let mut table = self.table.lock();
                 for page in &dirty {
                     let (_twin, cur) = table.downgrade(*page);
-                    self.ctx.compute(self.dsm.cfg.page_copy_ns);
+                    self.ctx.compute(PAGE_COPY_NS);
                     by_home
                         .entry(self.dsm.home_of(*page))
                         .or_default()
@@ -1086,7 +1081,7 @@ impl DsmNode {
                 );
                 if dirty {
                     let (twin, cur) = table.downgrade(page);
-                    self.ctx.compute(self.dsm.cfg.diff_scan_ns);
+                    self.ctx.compute(DIFF_SCAN_NS);
                     let diff = Diff::between(&twin, cur);
                     if !diff.is_empty() {
                         by_home.entry(self.dsm.home_of(page)).or_default().push((page, diff));

@@ -1,7 +1,7 @@
 //! The advisor: analyzer signals in, a deterministic [`TuningPlan`] out.
 
-use crate::parse::ReportSummary;
 use crate::{Action, TuningPlan};
+use analyzer::{Lane, Report, LANES};
 use memwire::{PageId, LOCAL_REGION_BASE, PAGE_SIZE};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -41,15 +41,11 @@ fn majority(top: u64, total: u64) -> bool {
     total > 0 && top * 2 > total
 }
 
-/// Lane indices into [`ReportSummary::lanes`].
-const LOCK_WAIT: usize = 3;
-const BARRIER_WAIT: usize = 4;
-
-/// Derive a tuning plan from a report summary. Deterministic: actions
+/// Derive a tuning plan from an analyzer report. Deterministic: actions
 /// come out in a fixed order (pads by region, re-homes by fault time,
 /// lock placements by lock id, then topology switches), so the same
 /// report always yields the same plan.
-pub fn advise(s: &ReportSummary) -> TuningPlan {
+pub fn advise(s: &Report) -> TuningPlan {
     let mut actions = Vec::new();
 
     // False sharing: pad the region so each writer's run lands on its
@@ -65,8 +61,8 @@ pub fn advise(s: &ReportSummary) -> TuningPlan {
         *touched.entry(PageId::unpack(p.page).region).or_insert(0) += 1;
     }
     let mut flagged: BTreeMap<u32, u64> = BTreeMap::new();
-    for &p in &s.false_sharing {
-        let region = PageId::unpack(p).region;
+    for f in &s.false_sharing {
+        let region = PageId::unpack(f.page).region;
         if region < LOCAL_REGION_BASE {
             *flagged.entry(region).or_insert(0) += 1;
         }
@@ -109,7 +105,7 @@ pub fn advise(s: &ReportSummary) -> TuningPlan {
             .then(a.page.cmp(&b.page))
     });
     for p in hot.into_iter().take(MAX_REHOMES) {
-        actions.push(Action::RehomePage { page: PageId::unpack(p.page), to: p.top_writer });
+        actions.push(Action::RehomePage { page: PageId::unpack(p.page), to: p.top_writer as usize });
     }
 
     // Contended DSM locks: a dominant acquirer gets the manager moved
@@ -117,18 +113,23 @@ pub fn advise(s: &ReportSummary) -> TuningPlan {
     let mut scattered = false;
     for l in s.locks.iter().filter(|l| l.module == "swdsm" && l.wait_ns > 0) {
         if majority(l.top_acquirer_acquires, l.acquires) {
-            actions.push(Action::PlaceLock { lock: l.lock, to: l.top_acquirer });
+            actions.push(Action::PlaceLock { lock: l.lock as u32, to: l.top_acquirer as usize });
         } else {
             scattered = true;
         }
     }
 
-    let total: u64 = s.lanes.iter().sum();
-    let dominant = |lane: usize| total > 0 && s.lanes[lane] * 100 >= total * LANE_DOMINANCE_PCT;
-    if scattered && dominant(LOCK_WAIT) {
+    // Lane totals summed across nodes.
+    let mut lanes = [0u64; LANES];
+    for n in &s.nodes {
+        lanes.iter_mut().zip(n.lanes).for_each(|(sum, ns)| *sum += ns);
+    }
+    let total: u64 = lanes.iter().sum();
+    let dominant = |lane: Lane| total > 0 && lanes[lane as usize] * 100 >= total * LANE_DOMINANCE_PCT;
+    if scattered && dominant(Lane::LockWait) {
         actions.push(Action::SwitchLocks);
     }
-    if s.nodes >= TREE_MIN_NODES && dominant(BARRIER_WAIT) {
+    if s.nodes.len() >= TREE_MIN_NODES && dominant(Lane::BarrierWait) {
         actions.push(Action::SwitchBarrier { fanout: TREE_FANOUT });
     }
 
@@ -138,10 +139,10 @@ pub fn advise(s: &ReportSummary) -> TuningPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::{LockRow, PageRow};
+    use analyzer::{FalseSharing, LockStats, NodeBreakdown, PageStats};
 
-    fn page(region: u32, index: u32, faults: u64, fault_ns: u64, writes: u64, top: usize, top_w: u64) -> PageRow {
-        PageRow {
+    fn page(region: u32, index: u32, faults: u64, fault_ns: u64, writes: u64, top: u64, top_w: u64) -> PageStats {
+        PageStats {
             page: PageId { region, index }.pack(),
             faults,
             fault_ns,
@@ -152,14 +153,25 @@ mod tests {
         }
     }
 
+    /// A report over `nodes` nodes whose lane totals are `lanes` (all
+    /// of it on node 0).
+    fn report(nodes: usize, lanes: [u64; LANES]) -> Report {
+        let node = |node| NodeBreakdown { node, makespan_ns: 0, lanes: [0; LANES] };
+        let mut r = Report { nodes: (0..nodes).map(node).collect(), ..Default::default() };
+        r.nodes[0].lanes = lanes;
+        r
+    }
+
+    fn shared(page: PageId) -> FalseSharing {
+        FalseSharing { page: page.pack(), nodes: vec![0, 1], offsets: vec![0, 512] }
+    }
+
     #[test]
     fn false_sharing_pads_and_suppresses_rehoming() {
-        let s = ReportSummary {
-            makespan_ns: 1000,
-            nodes: 4,
-            false_sharing: vec![PageId { region: 2, index: 1 }.pack()],
+        let s = Report {
+            false_sharing: vec![shared(PageId { region: 2, index: 1 })],
             pages: vec![page(2, 1, 50, 900, 40, 1, 39)],
-            ..Default::default()
+            ..report(4, [0; LANES])
         };
         let plan = advise(&s);
         assert_eq!(
@@ -176,7 +188,7 @@ mod tests {
         // A cold page and a page with no dominant writer never move.
         pages.push(page(0, 900, 1, 1_000_000, 10, 1, 9));
         pages.push(page(0, 901, 50, 1_000_000, 10, 1, 5));
-        let s = ReportSummary { makespan_ns: 1, nodes: 4, pages, ..Default::default() };
+        let s = Report { pages, ..report(4, [0; LANES]) };
         let plan = advise(&s);
         assert_eq!(plan.actions.len(), MAX_REHOMES);
         // Highest stall time first: the last in-cap index.
@@ -190,11 +202,9 @@ mod tests {
     fn write_pressure_alone_qualifies_a_page() {
         // No faults at all: nobody reads the page, but its writer diffs
         // to a remote home at every release.
-        let s = ReportSummary {
-            makespan_ns: 1,
-            nodes: 2,
+        let s = Report {
             pages: vec![page(0, 3, 0, 0, HOT_PAGE_MIN_WRITES, 1, HOT_PAGE_MIN_WRITES)],
-            ..Default::default()
+            ..report(2, [0; LANES])
         };
         assert_eq!(
             advise(&s).actions,
@@ -208,12 +218,7 @@ mod tests {
         solo.writers = 1;
         // Same write count but two writers: stays put.
         let contested = page(0, 8, 0, 0, SOLE_WRITER_MIN_WRITES, 1, SOLE_WRITER_MIN_WRITES - 1);
-        let s = ReportSummary {
-            makespan_ns: 1,
-            nodes: 2,
-            pages: vec![solo, contested],
-            ..Default::default()
-        };
+        let s = Report { pages: vec![solo, contested], ..report(2, [0; LANES]) };
         assert_eq!(
             advise(&s).actions,
             vec![Action::RehomePage { page: PageId { region: 0, index: 7 }, to: 1 }]
@@ -226,12 +231,10 @@ mod tests {
         // re-layout the whole region for a single page's benefit, so
         // the advisor re-homes the hot pages instead.
         let pages: Vec<_> = (0..9).map(|i| page(0, i, 10, 100, 30, 1, 29)).collect();
-        let s = ReportSummary {
-            makespan_ns: 1000,
-            nodes: 2,
-            false_sharing: vec![PageId { region: 0, index: 4 }.pack()],
+        let s = Report {
+            false_sharing: vec![shared(PageId { region: 0, index: 4 })],
             pages,
-            ..Default::default()
+            ..report(2, [0; LANES])
         };
         let plan = advise(&s);
         assert!(
@@ -243,32 +246,25 @@ mod tests {
 
     #[test]
     fn local_regions_are_never_rehomed() {
-        let s = ReportSummary {
-            makespan_ns: 1,
-            nodes: 2,
+        let s = Report {
             pages: vec![page(LOCAL_REGION_BASE, 0, 50, 900, 40, 1, 39)],
-            ..Default::default()
+            ..report(2, [0; LANES])
         };
         assert!(advise(&s).is_empty());
     }
 
     #[test]
     fn dominant_acquirer_pins_the_lock() {
-        let lock = |l: u32, top: usize, top_a: u64| LockRow {
-            module: "swdsm".into(),
-            lock: l,
+        let lock = |lock: u64, top: u64, top_a: u64| LockStats {
+            module: "swdsm",
+            lock,
             acquires: 10,
             wait_ns: 500,
             top_acquirer: top,
             top_acquirer_acquires: top_a,
-        };
-        let s = ReportSummary {
-            makespan_ns: 1000,
-            nodes: 4,
-            lanes: [0, 0, 0, 900, 0],
-            locks: vec![lock(1, 3, 8), lock(2, 0, 4)],
             ..Default::default()
         };
+        let s = Report { locks: vec![lock(1, 3, 8), lock(2, 0, 4)], ..report(4, [0, 0, 0, 900, 0]) };
         let plan = advise(&s);
         // Lock 1 has a dominant acquirer -> placed. Lock 2 is scattered
         // and lock wait dominates -> topology switch.
@@ -280,22 +276,16 @@ mod tests {
 
     #[test]
     fn barrier_switch_needs_scale_and_dominance() {
-        let mut s = ReportSummary {
-            makespan_ns: 1000,
-            nodes: 64,
-            lanes: [100, 0, 0, 0, 900],
-            ..Default::default()
-        };
+        let s = report(64, [100, 0, 0, 0, 900]);
         assert_eq!(advise(&s).actions, vec![Action::SwitchBarrier { fanout: TREE_FANOUT }]);
-        s.nodes = 4;
+        let s = report(4, [100, 0, 0, 0, 900]);
         assert!(advise(&s).is_empty(), "small clusters keep the central barrier");
-        s.nodes = 64;
-        s.lanes = [900, 0, 0, 0, 100];
+        let s = report(64, [900, 0, 0, 0, 100]);
         assert!(advise(&s).is_empty(), "compute-bound runs are left alone");
     }
 
     #[test]
     fn empty_report_yields_empty_plan() {
-        assert!(advise(&ReportSummary::default()).is_empty());
+        assert!(advise(&Report::default()).is_empty());
     }
 }

@@ -5,9 +5,9 @@
 //! The paper's portability argument (§5.4) is that moving a shared
 //! memory program between platforms — or between configurations of one
 //! platform — changes *only the HAMSTER configuration*, never the
-//! program. The analyzer (`hamster-analysis-v1` reports) observes a
-//! run; this crate turns that observation into a new configuration: a
-//! typed [`TuningPlan`] of placement, layout, and topology actions.
+//! program. The analyzer observes a run; this crate turns its
+//! [`analyzer::Report`] into a new configuration: a typed
+//! [`TuningPlan`] of placement, layout, and topology actions.
 //! The bench harness carries each action as configuration of the next
 //! run — placements as `ClusterConfig::placement`, topology switches as
 //! the `SyncTopology`, padding as an allocation hint — re-runs the
@@ -31,12 +31,10 @@
 //! values sit, not what the program computes.
 
 pub mod advise;
-pub mod parse;
 
 pub use advise::{
     advise, HOT_PAGE_MIN_FAULTS, LANE_DOMINANCE_PCT, MAX_REHOMES, TREE_FANOUT, TREE_MIN_NODES,
 };
-pub use parse::{parse_report, LockRow, PageRow, ReportSummary};
 
 use memwire::PageId;
 use std::fmt;
@@ -116,64 +114,5 @@ impl TuningPlan {
     /// Whether the advisor found nothing to do.
     pub fn is_empty(&self) -> bool {
         self.actions.is_empty()
-    }
-
-    /// Deterministic JSON rendering for benchmark artifacts: an array
-    /// of single-key objects in plan order, integers only.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, a) in self.actions.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            match *a {
-                Action::RehomePage { page, to } => s.push_str(&format!(
-                    "{{\"rehome\": {{\"region\": {}, \"page\": {}, \"to\": {to}}}}}",
-                    page.region, page.index
-                )),
-                Action::PadRegion { region, pad_to } => s.push_str(&format!(
-                    "{{\"pad\": {{\"region\": {region}, \"pad_to\": {pad_to}}}}}"
-                )),
-                Action::PlaceLock { lock, to } => s.push_str(&format!(
-                    "{{\"place_lock\": {{\"lock\": {lock}, \"to\": {to}}}}}"
-                )),
-                Action::SwitchLocks => s.push_str("{\"switch_locks\": \"token_queue\"}"),
-                Action::SwitchBarrier { fanout } => {
-                    s.push_str(&format!("{{\"switch_barrier\": {{\"fanout\": {fanout}}}}}"))
-                }
-            }
-        }
-        s.push(']');
-        s
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn plan() -> TuningPlan {
-        TuningPlan {
-            actions: vec![
-                Action::PadRegion { region: 0, pad_to: 4096 },
-                Action::RehomePage { page: PageId { region: 1, index: 2 }, to: 1 },
-                Action::PlaceLock { lock: 7, to: 0 },
-                Action::SwitchBarrier { fanout: 4 },
-            ],
-        }
-    }
-
-    #[test]
-    fn plan_json_is_deterministic_and_integer_only() {
-        let j = plan().to_json();
-        assert_eq!(j, plan().to_json());
-        assert_eq!(
-            j,
-            "[{\"pad\": {\"region\": 0, \"pad_to\": 4096}}, \
-             {\"rehome\": {\"region\": 1, \"page\": 2, \"to\": 1}}, \
-             {\"place_lock\": {\"lock\": 7, \"to\": 0}}, \
-             {\"switch_barrier\": {\"fanout\": 4}}]"
-        );
-        sim::json::parse(&j).unwrap();
     }
 }

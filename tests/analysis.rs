@@ -91,7 +91,7 @@ fn lane_totals_tile_each_nodes_makespan() {
             node.node, sum, node.makespan_ns
         );
     }
-    analyzer::validate(&report.to_json()).expect("schema-valid report");
+    analyzer::validate(&report.to_value()).expect("schema-valid report");
 }
 
 #[test]

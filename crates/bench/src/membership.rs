@@ -4,7 +4,7 @@
 //! Two sweeps, both virtual-time deterministic:
 //!
 //! * **State size** — a victim node leaves mid-run, peers keep writing,
-//!   and the victim rejoins through [`swdsm::DsmNode::rejoin`]. The
+//!   and the victim rejoins through [`swdsm::rejoin`]. The
 //!   divergence it must absorb grows row by row; the adaptive policy
 //!   (`delta_max_records`) replays write-notice deltas while the
 //!   divergence is small and switches to a bulk snapshot sync once it
@@ -78,8 +78,8 @@ fn transfer_row(nodes: usize, div_pages: usize) -> Value {
             // instant, then rejoins and synchronizes.
             let now = node.ctx().clock().now();
             node.ctx().compute((RECOVER_NS + 500_000).saturating_sub(now));
-            let rejoin_ns = node.rejoin(3);
-            let (transfer_ns, snapshot) = node.last_transfer();
+            let rejoin_ns = swdsm::rejoin(&node, 3);
+            let (transfer_ns, snapshot) = swdsm::last_transfer(&node);
             (rejoin_ns, transfer_ns, snapshot)
         } else {
             // Peers wait until the victim is gone, then write its

@@ -112,7 +112,7 @@ fn design_kind_table_matches_the_platforms() {
         "tok_return",
         "tok_claim",
     ];
-    let (sw, hw) = (<swdsm::SwDsm as Platform>::KINDS.all(), <() as Platform>::KINDS.all());
+    let (sw, hw) = (<swdsm::Paged as Platform>::KINDS.all(), <() as Platform>::KINDS.all());
     let hex = |kind: u32| format!("`0x{kind:X}`");
     let code: Vec<Vec<String>> =
         (0..names.len()).map(|i| vec![format!("`{}`", names[i]), hex(sw[i]), hex(hw[i])]).collect();

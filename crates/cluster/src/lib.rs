@@ -21,15 +21,22 @@
 //!   application thread per node with a [`NodeCtx`], joins them, and
 //!   reports virtual execution times.
 //! * [`syncproto`] — the lock and barrier protocols every platform's
-//!   synchronisation runs, as fabric-free state machines.
+//!   synchronisation runs, as fabric-free state machines, and their one
+//!   fabric driver.
+//! * [`engine`] — the one node engine every platform binds to the
+//!   driver: allocation, the synchronisation verbs and per-node
+//!   counters over a compile-time [`DataPath`] (SMP, hybrid DSM or
+//!   software DSM).
 
 pub mod config;
+pub mod engine;
 pub mod node;
 pub mod registry;
 pub mod runner;
 pub mod syncproto;
 
 pub use config::{ConfigMap, FabricConfig, FabricConfigBuilder, LinkKind};
+pub use engine::{DataPath, Node, Shared};
 pub use interconnect::{
     BarrierTopology, EngineMode, LockTopology, MembershipPlan, MembershipSpec, NoticeWire,
     SyncTopology, ViewChange,

@@ -133,13 +133,6 @@ impl Cluster {
     }
 }
 
-impl RunReport {
-    /// Virtual execution time in seconds.
-    pub fn sim_time_secs(&self) -> f64 {
-        self.sim_time_ns as f64 / 1e9
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,16 +213,5 @@ mod tests {
         assert_eq!(sib.clock().now(), 500);
         assert_ne!(ctx.clock().now(), 500);
         assert_eq!(sib.rank(), 0);
-    }
-
-    #[test]
-    fn run_report_seconds_conversion() {
-        let r = RunReport {
-            nodes: 1,
-            sim_time_ns: 2_500_000_000,
-            per_node_ns: vec![2_500_000_000],
-            net_stats: BTreeMap::new(),
-        };
-        assert!((r.sim_time_secs() - 2.5).abs() < 1e-12);
     }
 }

@@ -1011,34 +1011,6 @@ impl<P: Platform> Driver<P> {
     }
 }
 
-/// The ordering-only platforms (hybrid DSM, SMP) publish and apply
-/// nothing, and an unrecoverable fabric fault ends the node.
-impl Driver<()> {
-    /// Acquire `lock` in `mode` (blocking).
-    pub fn acquire(&self, port: &NodePort, lock: u32, mode: Mode) {
-        let t0 = port.clock().now();
-        if let Err(e) = self.try_acquire(port, lock, mode) {
-            panic!("hybriddsm node {}: unrecoverable fault acquiring lock {lock}: {e}", port.node());
-        }
-        self.acquired(port, t0, lock);
-    }
-
-    /// Release `lock`.
-    pub fn release(&self, port: &NodePort, lock: u32) {
-        if let Err(e) = self.try_release(port, lock, ()) {
-            panic!("hybriddsm node {}: unrecoverable fault releasing lock {lock}: {e}", port.node());
-        }
-    }
-
-    /// Wait at barrier `id`.
-    pub fn barrier(&self, port: &NodePort, id: u32) {
-        let t0 = port.clock().now();
-        if let Err(e) = self.try_barrier(&(), port, t0, id, (), drop) {
-            panic!("hybriddsm node {}: unrecoverable fault at barrier {id}: {e}", port.node());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testpayload::{iv, Wave};

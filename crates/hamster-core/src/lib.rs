@@ -28,10 +28,10 @@
 //! ## The platform beneath
 //!
 //! Each node holds its platform's node engine as one
-//! [`memwire::Engine`] (re-exported here with [`Access`]): the software
-//! DSM's `swdsm::DsmNode`, the hybrid DSM's `hybriddsm::HybridNode`,
-//! the SMP's `hybriddsm::SmpNode` (the hybrid DSM's engine over the
-//! `Uma` data path) or [`mixed::MixedNode`], chosen by
+//! [`memwire::Engine`] (re-exported here with [`Access`]): the cluster's
+//! one node engine, `cluster::Node`, over the software DSM's data path
+//! (`swdsm::DsmNode`), the hybrid DSM's (`hybriddsm::HybridNode`) or the
+//! SMP's (`hybriddsm::SmpNode`), or [`mixed::MixedNode`], chosen by
 //! [`PlatformKind`] at bring-up. Every memory and synchronization service
 //! ends in one call on it, and the capability probe ([`PlatformCaps`])
 //! comes from the [`PlatformKind`] alone. [`mem_mgmt::MemMgmt`] speaks

@@ -117,7 +117,7 @@ impl Runtime {
         config.check()?;
         let cluster = Cluster::new(config.fabric());
         let backend = match config.platform {
-            PlatformKind::Smp => Backend::Smp(SmpShared::install(&cluster)),
+            PlatformKind::Smp => Backend::Smp(SmpShared::install(&cluster, ())),
             PlatformKind::HybridDsm => {
                 Backend::Hybrid(HybridDsm::install(&cluster, config.hybrid))
             }
@@ -132,7 +132,7 @@ impl Runtime {
         // platform's driver through the fabric configuration.
         if let Backend::Sw(dsm) | Backend::Mixed(dsm, _) = &backend {
             for &(page, node) in &config.placement.homes {
-                dsm.place_home(page, node).map_err(|e| format!("config key \"place_home\": {e}"))?;
+                swdsm::place_home(dsm, page, node).map_err(|e| format!("config key \"place_home\": {e}"))?;
             }
         }
         let inner = Arc::new_cyclic(|weak| RuntimeInner {
@@ -276,7 +276,7 @@ where
 #[cfg(test)]
 mod tests {
     use cluster::syncproto::driver::Platform;
-    use swdsm::SwDsm;
+    use swdsm::Paged;
 
     #[test]
     fn every_kind_block_of_the_workspace_is_disjoint() {
@@ -285,7 +285,7 @@ mod tests {
         // checks every block against every other.
         let runtime = [super::kinds::REMOTE_SPAWN, super::kinds::TASK_DONE, super::kinds::USER_MSG, super::kinds::EVENT_SET];
         let blocks: [(&str, &[u32]); 4] = [
-            ("SwDsm sync", &<SwDsm as Platform>::KINDS.all()),
+            ("SwDsm sync", &<Paged as Platform>::KINDS.all()),
             ("hybrid/SMP sync", &<() as Platform>::KINDS.all()),
             ("swdsm pages", &swdsm::kinds::ALL),
             ("hamster-core runtime", &runtime),

@@ -83,7 +83,7 @@ fn one_program_through_dyn_engine_on_every_engine() {
     runs.push(("hybrid", seen));
 
     let c = cluster(LinkKind::Loopback);
-    let smp = SmpShared::install(&c);
+    let smp = SmpShared::install(&c, ());
     let (_, seen) = c.run(|ctx| {
         let r = ctx.rank();
         program(&smp.node(ctx), r, EngineHint::PageBased, &|| smp.stats(r).get("reads"))

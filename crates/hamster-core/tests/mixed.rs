@@ -2,7 +2,7 @@
 //! mechanisms within one application).
 
 use hamster_core::{
-    Access, AllocSpec, ClusterConfig, Distribution, Engine, EngineHint, PlatformKind, Runtime,
+    Access, AllocSpec, ClusterConfig, Distribution, EngineHint, PlatformKind, Runtime,
 };
 
 fn mixed(nodes: usize) -> Runtime {

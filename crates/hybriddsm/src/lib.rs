@@ -1,16 +1,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 //! The hardware data paths: the SCI-VM-style hybrid DSM and the SMP,
-//! one store-backed engine ([`node`]) generic over how the hardware
-//! moves the data ([`DataPath`]).
+//! two store-backed [`cluster::DataPath`]s of the cluster's one node
+//! engine ([`cluster::Node`]).
 //!
 //! Paper §3.2 treats both as tightly coupled platforms: the hardware
 //! moves the data, HAMSTER only manages memory and synchronisation. The
-//! engine holds that management once — region directory, lockstep
-//! collective allocation, single-node allocation, the synchronisation
-//! verbs, per-node counters — over one physically shared
-//! [`memwire::RegionStore`]; the data path is a type parameter, so each
-//! platform's hit path stays monomorphic.
+//! engine holds that management once, for these two and the software
+//! DSM alike — region directory, lockstep collective allocation,
+//! single-node allocation, the synchronisation verbs, per-node counters
+//! — and here the bytes live in one physically shared
+//! [`memwire::RegionStore`]. What this crate adds is how the hardware
+//! moves them: the access charges and the consistency hooks.
 //!
 //! [`Numa`] is the hybrid configuration (§3.2): *shared memory
 //! clusters*, SANs with remote memory read/write capability (Dolphin
@@ -38,11 +39,9 @@
 //! platform: they carry nothing and follow the fabric's `SyncTopology`
 //! as the software DSM's do.
 
-pub mod node;
 pub mod numa;
 pub mod uma;
 
 pub use interconnect::Page;
-pub use node::{DataPath, Node, Shared};
 pub use numa::{HybridConfig, HybridDsm, HybridNode, Numa, HYBRID_REGION_BASE};
 pub use uma::{SmpNode, SmpShared, Uma};

@@ -1,11 +1,10 @@
 //! The hybrid DSM's data path: hardware remote access over an SCI-style
 //! SAN (NCC-NUMA).
 
-use crate::node::{DataPath, Node, Shared};
-use cluster::Cluster;
-use memwire::{GlobalAddr, RegionId};
+use cluster::{Cluster, DataPath, Node, Shared};
+use memwire::{GlobalAddr, RegionDir, RegionId};
 use parking_lot::Mutex;
-use sim::SciAccessCost;
+use sim::{SciAccessCost, StatSet};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,15 +53,6 @@ pub type HybridDsm = Shared<Numa>;
 /// The per-node hybrid-DSM engine.
 pub type HybridNode = Node<Numa>;
 
-impl HybridDsm {
-    /// Create the hybrid DSM over `cluster` (registers its sync
-    /// handlers). Call once, before [`Cluster::run`].
-    pub fn install(cluster: &Cluster, cfg: HybridConfig) -> Arc<HybridDsm> {
-        let cost = cluster.config().cost.sci_access;
-        Self::with_path(cluster, Numa { cost, cache_remote_reads: cfg.cache_remote_reads })
-    }
-}
-
 const REMOTE_READS: usize = sim::stats::stat_index(Numa::STAT_NAMES, "remote_reads");
 const REMOTE_WRITES: usize = sim::stats::stat_index(Numa::STAT_NAMES, "remote_writes");
 const BULK_BYTES: usize = sim::stats::stat_index(Numa::STAT_NAMES, "bulk_bytes");
@@ -82,18 +72,29 @@ impl DataPath for Numa {
     const STAT_NAMES: &'static [&'static str] =
         &["local_reads", "local_writes", "remote_reads", "remote_writes", "bulk_bytes", "flushes"];
     const REGION_BASE: RegionId = HYBRID_REGION_BASE;
+    type Platform = ();
+    type Config = HybridConfig;
     type State = NumaState;
+
+    fn new(cluster: &Cluster, cfg: HybridConfig, _dir: &Arc<RegionDir>, _stats: &[StatSet]) -> Arc<Self> {
+        let cost = cluster.config().cost.sci_access;
+        Arc::new(Numa { cost, cache_remote_reads: cfg.cache_remote_reads })
+    }
+
+    fn platform(_path: &Arc<Self>) -> Arc<()> {
+        Arc::new(())
+    }
 
     /// Remote lines all present in the modelled cache read as local.
     #[inline]
-    fn remote_read(node: &Node<Self>, addr: GlobalAddr, len: usize) -> bool {
+    fn charge_read(node: &Node<Self>, addr: GlobalAddr, len: usize) -> bool {
         if node.is_home(addr) {
             return false;
         }
-        let (a, lines) = (&node.shared.path.cost, len.div_ceil(64).max(1) as u64);
+        let (a, lines) = (&node.path().cost, len.div_ceil(64).max(1) as u64);
         // Count cache misses among the 64-byte lines spanned.
-        let missed_lines = if node.shared.path.cache_remote_reads {
-            node.state.cache.lock().touch(addr.0 / 64, lines, CACHE_LINES)
+        let missed_lines = if node.path().cache_remote_reads {
+            node.state().cache.lock().touch(addr.0 / 64, lines, CACHE_LINES)
         } else {
             lines
         };
@@ -104,35 +105,35 @@ impl DataPath for Numa {
         node.count(REMOTE_READS, 1);
         if len <= 64 {
             node.ctx().compute(a.remote_read_ns);
-            trace_span(node, t0, "sci_read", len as u64);
+            node.trace_span(t0, "sci_read", len as u64);
         } else {
             let missed_bytes = (missed_lines * 64).min(len as u64) as usize;
             node.count(BULK_BYTES, missed_bytes as u64);
             node.ctx().compute(
                 a.bulk_setup_ns
                     + transfer_ns(missed_bytes, a.bulk_bytes_per_sec)
-                    + node.shared.machine.local_access_ns * (lines - missed_lines),
+                    + node.machine().local_access_ns * (lines - missed_lines),
             );
-            trace_span(node, t0, "sci_bulk_read", missed_bytes as u64);
+            node.trace_span(t0, "sci_bulk_read", missed_bytes as u64);
         }
         true
     }
 
     #[inline]
-    fn remote_write(node: &Node<Self>, addr: GlobalAddr, len: usize) -> bool {
+    fn charge_write(node: &Node<Self>, addr: GlobalAddr, len: usize) -> bool {
         if node.is_home(addr) {
             return false;
         }
-        let (a, t0) = (&node.shared.path.cost, node.ctx().clock().now());
+        let (a, t0) = (&node.path().cost, node.ctx().clock().now());
         node.count(REMOTE_WRITES, 1);
         if len <= 64 {
-            node.state.pending_writes.fetch_add(1, Ordering::Relaxed);
+            node.state().pending_writes.fetch_add(1, Ordering::Relaxed);
             node.ctx().compute(a.remote_write_ns);
-            trace_span(node, t0, "sci_write", len as u64);
+            node.trace_span(t0, "sci_write", len as u64);
         } else {
             node.count(BULK_BYTES, len as u64);
             node.ctx().compute(a.bulk_setup_ns + transfer_ns(len, a.bulk_bytes_per_sec));
-            trace_span(node, t0, "sci_bulk_write", len as u64);
+            node.trace_span(t0, "sci_bulk_write", len as u64);
         }
         true
     }
@@ -144,28 +145,20 @@ impl DataPath for Numa {
     /// Drain the SAN write buffer (store barrier). Charged per pending
     /// posted write, capped at the buffer's depth.
     fn flush(node: &Node<Self>) {
-        let pending = node.state.pending_writes.swap(0, Ordering::Relaxed);
+        let pending = node.state().pending_writes.swap(0, Ordering::Relaxed);
         if pending > 0 {
             node.count(FLUSHES, 1);
-            let (a, t0) = (&node.shared.path.cost, node.ctx().clock().now());
+            let (a, t0) = (&node.path().cost, node.ctx().clock().now());
             node.ctx().compute((pending * a.flush_per_write_ns).min(a.flush_max_ns));
-            trace_span(node, t0, "flush", pending);
+            node.trace_span(t0, "flush", pending);
         }
     }
 
     /// Entering a new synchronization interval may expose peers' writes.
     fn drop_cache(node: &Node<Self>) {
-        if node.shared.path.cache_remote_reads {
-            node.state.cache.lock().clear();
+        if node.path().cache_remote_reads {
+            node.state().cache.lock().clear();
         }
-    }
-}
-
-/// Emit an SCI transaction span `[t0, now]` into the global trace.
-fn trace_span(node: &HybridNode, t0: u64, op: &'static str, arg: u64) {
-    if sim::trace::enabled() {
-        let now = node.ctx().clock().now();
-        sim::trace::span(t0, now.saturating_sub(t0), node.rank(), "hybriddsm", op, arg);
     }
 }
 

@@ -9,10 +9,9 @@
 //! what makes the memory-bound MatMult of Figure 4 slower here than on
 //! two cluster nodes.
 
-use crate::node::{DataPath, Node, Shared};
-use cluster::Cluster;
-use memwire::RegionId;
-use sim::Bus;
+use cluster::{Cluster, DataPath, Node, Shared};
+use memwire::{RegionDir, RegionId};
+use sim::{Bus, StatSet};
 use std::sync::Arc;
 
 /// Uniform memory access: every access is local, bulk traffic streams
@@ -27,26 +26,28 @@ pub type SmpShared = Shared<Uma>;
 /// One CPU's view of the SMP platform.
 pub type SmpNode = Node<Uma>;
 
-impl SmpShared {
-    /// Create the platform over `cluster` (whose "nodes" are the CPUs;
-    /// use a loopback fabric).
-    pub fn install(cluster: &Cluster) -> Arc<SmpShared> {
-        let bus = Bus::with_bandwidth(cluster.config().cost.machine.mem_bus_bytes_per_sec);
-        Self::with_path(cluster, Uma { bus })
-    }
-}
-
 const BULK_BYTES: usize = sim::stats::stat_index(Uma::STAT_NAMES, "bulk_bytes");
 
 impl DataPath for Uma {
     const STAT_NAMES: &'static [&'static str] = &["reads", "writes", "bulk_bytes"];
     const REGION_BASE: RegionId = 0;
+    type Platform = ();
+    type Config = ();
     type State = ();
+
+    /// The CPUs are the cluster's "nodes" (use a loopback fabric).
+    fn new(cluster: &Cluster, _cfg: (), _dir: &Arc<RegionDir>, _stats: &[StatSet]) -> Arc<Self> {
+        Arc::new(Uma { bus: Bus::with_bandwidth(cluster.config().cost.machine.mem_bus_bytes_per_sec) })
+    }
+
+    fn platform(_path: &Arc<Self>) -> Arc<()> {
+        Arc::new(())
+    }
 
     fn private_traffic(node: &Node<Self>, bytes: u64) {
         node.count(BULK_BYTES, bytes);
         let clock = node.ctx().clock();
-        clock.advance_to(node.shared.path.bus.transfer(clock.now(), bytes));
+        clock.advance_to(node.path().bus.transfer(clock.now(), bytes));
     }
 }
 
@@ -54,11 +55,11 @@ impl DataPath for Uma {
 mod tests {
     use super::*;
     use cluster::{FabricConfig, LinkKind};
-    use memwire::{Access, Distribution, Engine};
+    use memwire::{Distribution, Engine};
 
     fn smp(cpus: usize) -> (Cluster, Arc<SmpShared>) {
         let c = Cluster::new(FabricConfig::builder().nodes(cpus).link(LinkKind::Loopback).build());
-        let s = SmpShared::install(&c);
+        let s = SmpShared::install(&c, ());
         (c, s)
     }
 

@@ -3,10 +3,9 @@
 //! HAMSTER's memory-management module lets the user "specify coherence
 //! constraints and distribution annotations for any memory subsystem"
 //! (paper §4.2). The [`Distribution`] enum captures the placement
-//! annotations; [`Arena`] is the in-region bump allocator backing
-//! fine-grained allocation calls (`Tmk_malloc`, `jia_alloc`, …).
+//! annotations, [`AlignHint`] the padding of element runs.
 
-use crate::addr::{GlobalAddr, RegionId, PAGE_SIZE};
+use crate::addr::PAGE_SIZE;
 
 /// Layout hint for a shared allocation: how much to pad each logical
 /// element run (a matrix row, a counter slot) so that concurrent
@@ -89,52 +88,6 @@ impl Distribution {
     }
 }
 
-/// Bump allocator inside one region.
-#[derive(Debug)]
-pub struct Arena {
-    region: RegionId,
-    size: u32,
-    next: u32,
-}
-
-impl Arena {
-    /// An arena over a region of `size` bytes.
-    pub fn new(region: RegionId, size: usize) -> Self {
-        assert!(size > 0 && size <= u32::MAX as usize, "region size out of range");
-        Self { region, size: size as u32, next: 0 }
-    }
-
-    /// Allocate `bytes` aligned to `align` (a power of two). Returns
-    /// `None` when the region is exhausted.
-    pub fn alloc(&mut self, bytes: usize, align: usize) -> Option<GlobalAddr> {
-        assert!(align.is_power_of_two(), "alignment must be a power of two");
-        assert!(bytes > 0, "zero-sized allocation");
-        let mask = align as u32 - 1;
-        let start = (self.next + mask) & !mask;
-        let end = start.checked_add(bytes as u32)?;
-        if end > self.size {
-            return None;
-        }
-        self.next = end;
-        Some(GlobalAddr::new(self.region, start))
-    }
-
-    /// Allocate a whole number of pages, page-aligned.
-    pub fn alloc_pages(&mut self, pages: u32) -> Option<GlobalAddr> {
-        self.alloc(pages as usize * PAGE_SIZE, PAGE_SIZE)
-    }
-
-    /// Bytes remaining (ignoring alignment padding).
-    pub fn remaining(&self) -> usize {
-        (self.size - self.next) as usize
-    }
-
-    /// The region this arena allocates from.
-    pub fn region(&self) -> RegionId {
-        self.region
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,32 +148,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn on_node_out_of_range() {
         Distribution::OnNode(5).home_of(0, 1, 4);
-    }
-
-    #[test]
-    fn arena_bump_and_align() {
-        let mut a = Arena::new(7, 4096);
-        let x = a.alloc(10, 8).unwrap();
-        assert_eq!(x.offset(), 0);
-        let y = a.alloc(10, 64).unwrap();
-        assert_eq!(y.offset(), 64);
-        assert_eq!(y.region(), 7);
-    }
-
-    #[test]
-    fn arena_exhaustion() {
-        let mut a = Arena::new(0, 100);
-        assert!(a.alloc(64, 1).is_some());
-        assert!(a.alloc(64, 1).is_none());
-        assert_eq!(a.remaining(), 36);
-    }
-
-    #[test]
-    fn alloc_pages_is_page_aligned() {
-        let mut a = Arena::new(0, 3 * PAGE_SIZE);
-        let _ = a.alloc(100, 8).unwrap();
-        let p = a.alloc_pages(1).unwrap();
-        assert_eq!(p.page_offset(), 0);
-        assert_eq!(p.page().index, 1);
     }
 }

@@ -18,8 +18,8 @@
 //!   64-byte blocks against a pristine twin, with per-block byte masks,
 //!   priced on the wire as TreadMarks/JiaJia's run-length encoding.
 //! * [`notice`] — write notices exchanged at synchronization points.
-//! * [`arena`] — bump allocation inside a region, with distribution
-//!   annotations (paper §4.2, Memory Management module).
+//! * [`arena`] — distribution annotations and layout hints for an
+//!   allocation (paper §4.2, Memory Management module).
 //! * [`store`] — a process-shared, atomically accessed region store used
 //!   by the platforms where memory is physically shared (SMP hardware
 //!   coherence; SCI remote memory); it speaks [`Access`] itself.
@@ -40,7 +40,7 @@ pub use access::{
     local_region, local_region_owner, Access, Engine, EngineHint, LOCAL_REGION_BASE,
 };
 pub use addr::{page_span, pages_for, GlobalAddr, PageId, RegionId, PAGE_SIZE};
-pub use arena::{AlignHint, Arena, Distribution};
+pub use arena::{AlignHint, Distribution};
 pub use dir::{RegionDir, RegionMeta};
 pub use diff::Diff;
 pub use marshal::{read_f64s, write_f64s};

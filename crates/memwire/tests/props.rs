@@ -1,6 +1,6 @@
 //! Property-based tests for the memory substrate's invariants.
 
-use memwire::{Arena, Diff, Distribution, GlobalAddr, Interval, PageId, PAGE_SIZE};
+use memwire::{Diff, Distribution, GlobalAddr, Interval, PageId, PAGE_SIZE};
 use proptest::prelude::*;
 
 fn page_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -159,26 +159,6 @@ proptest! {
             let h = Distribution::Block.home_of(i, pages, nodes);
             prop_assert!(h >= last, "block homes must be nondecreasing");
             last = h;
-        }
-    }
-
-    #[test]
-    fn arena_allocations_never_overlap(
-        sizes in proptest::collection::vec((1usize..5000, 0u32..4), 1..50)
-    ) {
-        let mut arena = Arena::new(1, 1 << 20);
-        let mut taken: Vec<(u32, u32)> = Vec::new();
-        for (bytes, align_pow) in sizes {
-            let align = 1usize << align_pow;
-            if let Some(addr) = arena.alloc(bytes, align) {
-                let start = addr.offset();
-                let end = start + bytes as u32;
-                prop_assert_eq!(start as usize % align, 0, "misaligned");
-                for &(s, e) in &taken {
-                    prop_assert!(end <= s || start >= e, "overlap [{start},{end}) vs [{s},{e})");
-                }
-                taken.push((start, end));
-            }
         }
     }
 

@@ -3,7 +3,7 @@
 //! Kind spaces are statically partitioned across the workspace:
 //! `0x1xx` software DSM, `0x2xx` hybrid DSM, `0x3xx` HAMSTER modules,
 //! `0x4xx` programming models. The software DSM's synchronisation kinds
-//! are the rest of its block, `<SwDsm as Platform>::KINDS` (DESIGN.md
+//! are the rest of its block, `<Paged as Platform>::KINDS` (DESIGN.md
 //! §2.6 tabulates every platform's). A kind never moves: the fault plan
 //! hashes it into every decision it draws.
 

@@ -18,12 +18,17 @@
 //!   lock, a barrier broadcasts the union of everyone's interval — and
 //!   receivers invalidate the noticed pages.
 //!
-//! What this crate implements is the page protocol and the notices.
-//! Its locks and barriers — central manager or MCS token queue, central
-//! or tree barrier, as the fabric's `SyncTopology` says — are the
-//! cluster's one synchronisation driver (`cluster::syncproto::driver`),
-//! which [`SwDsm`] serves as a platform: it names its message kinds and
-//! wire sizes and keeps its protocol counters.
+//! What this crate implements is the page protocol and the notices:
+//! [`Paged`], one data path of the cluster's node engine
+//! (`cluster::engine`), which allocates, counts and synchronises for
+//! the SMP and the hybrid DSM alike. Its locks and barriers — central
+//! manager or MCS token queue, central or tree barrier, as the fabric's
+//! `SyncTopology` says — are the cluster's one synchronisation driver
+//! (`cluster::syncproto::driver`), which [`Paged`] serves as a platform:
+//! it names its message kinds and wire sizes and migrates homes at the
+//! quiescent point. [`SwDsm`] and [`DsmNode`] are the engine over this
+//! path; what only the page protocol has — [`place_home`], [`home_of`],
+//! [`rejoin`], [`last_transfer`] — are free functions over them.
 //!
 //! The crate is usable *natively* (apps call [`DsmNode`] directly), which
 //! is exactly the "standard distribution of JiaJia without modifications"
@@ -58,10 +63,12 @@
 
 pub mod home;
 pub mod kinds;
-pub mod node;
+pub mod paged;
 pub mod proto;
 
 pub use interconnect::Page;
 pub use memwire::{RegionDir, RegionMeta, LOCAL_REGION_BASE};
 pub use home::HomeStore;
-pub use node::{DsmConfig, DsmError, DsmNode, PlaceError, SwDsm};
+pub use paged::{
+    home_of, last_transfer, place_home, rejoin, DsmConfig, DsmNode, Paged, PlaceError, SwDsm,
+};

@@ -33,8 +33,8 @@ fn place_home_applies_under_digest_topology() {
     let cluster = fabric(2, SyncTopology::scalable());
     let dsm = SwDsm::install(&cluster, DsmConfig::default());
     let page = PageId { region: 0, index: 0 };
-    dsm.place_home(page, 1).unwrap();
-    assert_eq!(dsm.home_of(page), 1);
+    swdsm::place_home(&dsm, page, 1).unwrap();
+    assert_eq!(swdsm::home_of(&dsm, page), 1);
     assert_eq!(dsm.stats(1).get("pages_rehomed"), 1);
     assert_eq!(dsm.stats(1).get("tuner_actions"), 1);
 
@@ -59,7 +59,7 @@ fn place_home_applies_under_digest_topology() {
 fn place_home_rejects_unknown_node() {
     let cluster = fabric(2, SyncTopology::centralized());
     let dsm = SwDsm::install(&cluster, DsmConfig::default());
-    let err = dsm.place_home(PageId { region: 0, index: 0 }, 5).unwrap_err();
+    let err = swdsm::place_home(&dsm, PageId { region: 0, index: 0 }, 5).unwrap_err();
     assert!(matches!(err, PlaceError::NoSuchNode { to: 5, nodes: 2 }));
     assert!(err.to_string().contains("out of range"));
 }
@@ -71,8 +71,8 @@ fn place_home_moves_master_copy_before_a_run() {
     // The first collective alloc below is region 0; page 0 of a Block
     // region over two nodes would be homed on node 0 by distribution.
     let page = PageId { region: 0, index: 0 };
-    dsm.place_home(page, 1).unwrap();
-    assert_eq!(dsm.home_of(page), 1);
+    swdsm::place_home(&dsm, page, 1).unwrap();
+    assert_eq!(swdsm::home_of(&dsm, page), 1);
     assert_eq!(dsm.stats(1).get("pages_rehomed"), 1);
     assert_eq!(dsm.stats(1).get("tuner_actions"), 1);
 
@@ -95,8 +95,8 @@ fn place_home_to_current_home_is_a_noop_move() {
     let cluster = fabric(2, SyncTopology::centralized());
     let dsm = SwDsm::install(&cluster, DsmConfig::default());
     let page = PageId { region: 0, index: 0 };
-    dsm.place_home(page, 0).unwrap();
-    assert_eq!(dsm.home_of(page), 0);
+    swdsm::place_home(&dsm, page, 0).unwrap();
+    assert_eq!(swdsm::home_of(&dsm, page), 0);
     // Counted as an applied action even when the home already matches.
     assert_eq!(dsm.stats(0).get("pages_rehomed"), 1);
 }

@@ -244,11 +244,11 @@ fn block_vs_cyclic_homes_differ() {
         let a_cyc = node.alloc(16 * 4096, Distribution::Cyclic);
         node.barrier(1);
         if node.rank() == 0 {
-            let db = node.dsm();
-            assert_eq!(db.home_of(a_block.page()), 0);
-            assert_eq!(db.home_of(a_block.add(15 * 4096).page()), 3);
-            assert_eq!(db.home_of(a_cyc.add(4096).page()), 1);
-            assert_eq!(db.home_of(a_cyc.add(5 * 4096).page()), 1);
+            let db = node.shared();
+            assert_eq!(swdsm::home_of(db, a_block.page()), 0);
+            assert_eq!(swdsm::home_of(db, a_block.add(15 * 4096).page()), 3);
+            assert_eq!(swdsm::home_of(db, a_cyc.add(4096).page()), 1);
+            assert_eq!(swdsm::home_of(db, a_cyc.add(5 * 4096).page()), 1);
         }
     });
 }
@@ -407,7 +407,7 @@ fn dirty_eviction_preserves_writes() {
 
 #[test]
 fn home_migration_moves_pages_to_their_writer() {
-    let cfg = DsmConfig { home_migration: true, migration_threshold: 2, ..Default::default() };
+    let cfg = DsmConfig { home_migration: true, ..Default::default() };
     let (c, dsm) = cluster_with(2, cfg);
     let (_, results) = c.run(|ctx| {
         let node = dsm.node(ctx);
@@ -424,7 +424,7 @@ fn home_migration_moves_pages_to_their_writer() {
     });
     assert_eq!(results, vec![5, 5]);
     // After two same-writer diffs, the page's home moved to node 1.
-    assert_eq!(dsm.home_of(memwire::GlobalAddr::new(1, 0).page().base().page()), 1);
+    assert_eq!(swdsm::home_of(&dsm, memwire::GlobalAddr::new(1, 0).page().base().page()), 1);
     assert!(dsm.stats(1).get("migrations") >= 1);
 }
 
@@ -465,7 +465,7 @@ fn migration_reduces_diff_traffic_for_misplaced_pages() {
 fn migration_keeps_results_correct_under_alternating_writers() {
     // Writers alternate, so migration may bounce a page around; the data
     // must stay exact regardless.
-    let cfg = DsmConfig { home_migration: true, migration_threshold: 2, ..Default::default() };
+    let cfg = DsmConfig { home_migration: true, ..Default::default() };
     let (c, dsm) = cluster_with(3, cfg);
     let (_, results) = c.run(|ctx| {
         let node = dsm.node(ctx);
@@ -537,12 +537,7 @@ fn barriers_distribute_across_manager_nodes() {
 fn eviction_and_migration_compose() {
     // A tiny cache plus home migration: pages bounce and evict without
     // losing data.
-    let cfg = DsmConfig {
-        cache_pages: 2,
-        home_migration: true,
-        migration_threshold: 2,
-        ..Default::default()
-    };
+    let cfg = DsmConfig { cache_pages: 2, home_migration: true, ..Default::default() };
     let (c, dsm) = cluster_with(2, cfg);
     let (_, results) = c.run(|ctx| {
         let node = dsm.node(ctx);

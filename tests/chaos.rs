@@ -15,8 +15,12 @@
 //!   completes the barrier after the heal — with memory semantics
 //!   intact.
 //! * Integration: a node crashes mid-run, rejoins through
-//!   `DsmNode::rejoin`, and catches up over the incremental delta path
+//!   `swdsm::rejoin`, and catches up over the incremental delta path
 //!   (small divergence must not trigger a snapshot sync).
+//! * Integration: a lock whose manager is down for the whole run
+//!   outlasts the retry policy, and the acquire ends the node with the
+//!   node engine's one fatal report, on the software DSM and on the
+//!   hybrid DSM alike.
 //! * Integration: a contended lock survives drop/dup/delay chaos under
 //!   either `LockTopology` — on a resilient fabric the central manager
 //!   serves both, and its idempotent answers keep mutual exclusion and
@@ -176,6 +180,44 @@ proptest! {
     }
 }
 
+/// Rank 0's report when it acquires lock 5, whose manager is placed on
+/// node 1, and node 1 is down for the whole run: every request round
+/// times out, and the engine ends the node once the retries run out.
+fn unreachable_lock_report<P: cluster::DataPath>(cfg: P::Config) -> String {
+    let mut plan = FaultPlan::seeded(11);
+    plan.crashes.push(CrashWindow { node: 1, from_ns: 0, until_ns: u64::MAX });
+    let fabric = FabricConfig::builder()
+        .nodes(2)
+        .link(LinkKind::Ethernet)
+        .chaos(plan)
+        .resilience(Resilience::default())
+        .lock_managers(vec![(5, 1)])
+        .build();
+    let cluster = Cluster::new(fabric);
+    let platform = cluster::Shared::<P>::install(&cluster, cfg);
+    let (_, reports) = cluster.run(|ctx| {
+        if ctx.rank() == 1 {
+            return None;
+        }
+        let node = platform.node(ctx);
+        let fatal = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| node.acquire(5)))
+            .expect_err("an acquire from an unreachable manager returned");
+        Some(fatal.downcast_ref::<String>().cloned().expect("a formatted report"))
+    });
+    reports[0].clone().expect("rank 0 reports")
+}
+
+#[test]
+fn an_unreachable_lock_manager_ends_the_node_with_one_report() {
+    for (report, module) in [
+        (unreachable_lock_report::<swdsm::Paged>(swdsm::DsmConfig::default()), "swdsm"),
+        (unreachable_lock_report::<hybriddsm::Numa>(hybriddsm::HybridConfig::default()), "hybriddsm"),
+    ] {
+        let head = format!("{module} node 0: unrecoverable fault: lock_acquire of 5 failed: ");
+        assert!(report.starts_with(&head), "{report}");
+    }
+}
+
 /// The crash/heal scenario from the issue: a node that manages a
 /// barrier crashes before the others arrive; survivors' arrivals fail
 /// with `NodeDown`, back off, and succeed after the heal.
@@ -218,7 +260,7 @@ fn crashed_barrier_manager_heals_and_barrier_completes() {
 }
 
 /// A node crashes mid-run, its peers write a *small* amount of state
-/// while it is away, and it rejoins through `DsmNode::rejoin`: the
+/// while it is away, and it rejoins through `swdsm::rejoin`: the
 /// adaptive transfer must take the incremental delta path (replayed
 /// write notices), not a bulk snapshot, and the rejoined node must read
 /// back every missed write.
@@ -258,7 +300,7 @@ fn crashed_node_rejoins_via_delta_sync_and_completes() {
             // Absent during [8 ms, 14 ms); rejoin just after recovery.
             let now = node.ctx().clock().now();
             node.ctx().compute(14_500_000u64.saturating_sub(now));
-            node.rejoin(3);
+            swdsm::rejoin(&node, 3);
         } else {
             // Peers write the victim's missed state inside its absence
             // window, then arrive at the rejoin barrier.

@@ -5,7 +5,7 @@
 //! (d) reflect the protocol work actually performed underneath.
 
 use hamster::core::{Access, ClusterConfig, PlatformKind, Runtime};
-use hamster::hybriddsm::DataPath;
+use hamster::cluster::DataPath;
 
 #[test]
 fn module_counters_track_a_mixed_workload() {
@@ -233,7 +233,7 @@ fn documented_counters(heading: &str) -> std::collections::BTreeSet<String> {
 fn counter_reference_matches_the_registered_stat_names() {
     for (heading, names) in [
         ("### Synchronisation driver", hamster::cluster::syncproto::driver::STAT_NAMES),
-        ("### Software DSM", hamster::swdsm::node::STAT_NAMES),
+        ("### Software DSM", hamster::swdsm::Paged::STAT_NAMES),
         ("### Hybrid DSM", hamster::hybriddsm::Numa::STAT_NAMES),
         ("### SMP", hamster::hybriddsm::Uma::STAT_NAMES),
         ("### Interconnect", hamster::interconnect::network::NET_STAT_NAMES),

@@ -134,9 +134,13 @@ fn brace_delta(line: &str) -> i64 {
 
 /// Effective lines of `src` as `(code, test)`: `test` counts what sits
 /// inside `#[cfg(test)] mod … { … }` blocks (attribute line included),
-/// `code` everything else.
+/// or all of a file that opens with `#![cfg(test)]` (a test module of
+/// its own), `code` everything else.
 pub fn count_code_and_test_lines(src: &str) -> (usize, usize) {
     let stripped = strip_comments(src);
+    if stripped.trim_start().starts_with("#![cfg(test)]") {
+        return (0, stripped.lines().filter(|l| is_effective(l)).count());
+    }
     let (mut code, mut test) = (0usize, 0usize);
     // Nesting depth inside the current test module, once its `{` is seen.
     let mut depth: Option<i64> = None;
@@ -314,6 +318,13 @@ mod tests {
         // Tests: attribute, `mod`, `use`, `#[test]`, `fn t`, the assert.
         assert_eq!(count_code_and_test_lines(src), (5, 6));
         assert_eq!(count_lines(src), 11);
+    }
+
+    #[test]
+    fn a_test_module_file_is_all_tests() {
+        let src = "//! Doc.\n#![cfg(test)]\n\nuse super::*;\n\n#[test]\nfn t() {\n    f();\n}\n";
+        assert_eq!(count_code_and_test_lines(src), (0, 5));
+        assert_eq!(count_code_and_test_lines(&src.replace("#![cfg(test)]", "")), (4, 0));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use interconnect::{
 };
 use parking_lot::Mutex;
 use sim::stats::stat_index;
-use sim::{Sketch, StatSet};
+use sim::StatSet;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -356,9 +356,6 @@ pub struct Driver<P: Platform> {
     cleared: Vec<Mutex<HashMap<u32, u64>>>,
     /// Per node: its lock releases, sent and taken.
     releases: Vec<Releases>,
-    /// Lock-acquire latency (virtual ns from request to grant applied),
-    /// pooled across nodes.
-    lock_hist: Sketch,
     /// Locks whose manager is placed away from `lock % nodes`.
     placed: HashMap<u32, NodeId>,
     /// Per node: the platform's counters; [`STAT_NAMES`] start at `base`.
@@ -415,7 +412,6 @@ impl<P: Platform> Driver<P> {
             epochs: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
             cleared: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
             releases: (0..nodes).map(|_| Releases::default()).collect(),
-            lock_hist: Sketch::new(),
             placed,
             stats,
             base,
@@ -469,12 +465,6 @@ impl<P: Platform> Driver<P> {
         }
     }
 
-    /// Lock-acquire latency histogram (shared storage: the returned
-    /// clone observes later acquisitions too).
-    pub fn lock_histogram(&self) -> Sketch {
-        self.lock_hist.clone()
-    }
-
     // ---- the application's half ----------------------------------------
 
     /// Acquire `lock` in `mode` and return the notices the grant
@@ -525,11 +515,9 @@ impl<P: Platform> Driver<P> {
     }
 
     /// Close an acquisition of `lock` begun at `t0`, once the grant is
-    /// applied: its latency into the histogram, its span (`corr = lock +
-    /// 1`) into the trace.
+    /// applied: its span (`corr = lock + 1`) into the trace.
     pub fn acquired(&self, port: &NodePort, t0: u64, lock: u32) {
         let dur = port.clock().now().saturating_sub(t0);
-        self.lock_hist.record(dur);
         let corr = lock as u64 + 1;
         sim::trace::span_corr(t0, dur, port.node(), P::MODULE, "lock_acquire", lock as u64, corr);
     }

@@ -42,6 +42,5 @@
 pub mod numa;
 pub mod uma;
 
-pub use interconnect::Page;
 pub use numa::{HybridConfig, HybridDsm, HybridNode, Numa, HYBRID_REGION_BASE};
 pub use uma::{SmpNode, SmpShared, Uma};

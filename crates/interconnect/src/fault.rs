@@ -38,6 +38,11 @@ pub fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The hash key of the `(src, dst, kind)` stream, before the seed.
+pub(crate) fn stream_key(src: usize, dst: usize, kind: u64) -> u64 {
+    ((src as u64) << 42) ^ ((dst as u64) << 21) ^ kind
+}
+
 /// Per-link fault probabilities and magnitudes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinkFaults {
@@ -162,8 +167,7 @@ impl FaultPlan {
         if lf.is_quiet() {
             return FaultDecision::default();
         }
-        let stream = ((src as u64) << 42) ^ ((dst as u64) << 21) ^ kind as u64;
-        let key = mix(self.seed ^ mix(stream) ^ seq);
+        let key = mix(self.seed ^ mix(stream_key(src, dst, kind as u64)) ^ seq);
         let mut d = FaultDecision {
             drop: mix(key ^ 0xD0) % PPM < lf.drop_ppm as u64,
             dup: mix(key ^ 0xD1) % PPM < lf.dup_ppm as u64,
@@ -199,8 +203,9 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Backoff before retry number `attempt` (1-based: the pause after
     /// the first failure is `attempt == 1`). `salt` folds in the fault
-    /// seed and the failure's virtual time, so jitter is deterministic
-    /// per run yet decorrelates concurrent retriers.
+    /// seed and the stream's retry count (never a clock reading), so
+    /// jitter is deterministic per run yet decorrelates concurrent
+    /// retriers.
     pub fn backoff_ns(&self, attempt: u32, salt: u64) -> u64 {
         let doublings = attempt.saturating_sub(1).min(63);
         let exp = self

@@ -42,6 +42,7 @@ pub mod mailbox;
 pub mod membership;
 pub mod message;
 pub mod network;
+mod reliable;
 pub mod router;
 pub mod topology;
 

@@ -298,7 +298,7 @@ impl HandlerCtx<'_> {
     /// [`HandlerCtx::answer_all`] answer for the protocols above, which
     /// never ask it themselves.
     pub(crate) fn resilient(&self) -> bool {
-        self.net.resilience().is_some()
+        self.net.resilience.is_some()
     }
 
     /// Handler half of [`crate::NodePort::rendezvous`] for an arrival
@@ -361,7 +361,8 @@ impl HandlerCtx<'_> {
         wire_bytes: u64,
         not_before_ns: u64,
     ) {
-        self.net.complete_deferred(self.node, key, who, Box::new(value), wire_bytes, not_before_ns);
+        let reply = (Box::new(value) as Payload, wire_bytes);
+        self.net.complete_deferred((self.node, key, who), reply, not_before_ns, false);
     }
 }
 

@@ -66,7 +66,6 @@ pub mod kinds;
 pub mod paged;
 pub mod proto;
 
-pub use interconnect::Page;
 pub use memwire::{RegionDir, RegionMeta, LOCAL_REGION_BASE};
 pub use home::HomeStore;
 pub use paged::{

@@ -10,11 +10,13 @@
 # runs <pairs> pairs, swapping which side goes first, and prints per
 # metric each side's median and quartiles, the change's wins, and the
 # verdict: `gain` when the change wins nine tenths of the pairs and the
-# medians are further apart than the parent's quartile distance,
-# `REGRESSION` when the change's median is worse by more than the bound
-# in BENCHMARK.json, `unresolved` when the parent's own spread exceeds
-# that bound (unless every change run beats every parent run), otherwise
-# `holds`. Trailing options go to the ledger verbatim (`--seed 43`,
+# medians are further apart than the parent's quartile distance;
+# otherwise, when the parent's own quartile spread exceeds the bound in
+# BENCHMARK.json, `unresolved` — unless every change run is worse than
+# every parent run (`REGRESSION` if the median is worse by more than the
+# bound) or better than every parent run (`holds`); within the bound,
+# `REGRESSION` when the change's median is worse by more than the bound,
+# otherwise `holds`. Trailing options go to the ledger verbatim (`--seed 43`,
 # `--seconds 10`, `--traced`; per-layer metrics get medians, no verdict).
 # `all` runs every workload of BENCHMARK.json in turn, <pairs> pairs
 # each, and prints one table per workload.
@@ -97,12 +99,14 @@ for name in runs["parent"][0]["metrics"]:
         sign = 1 if bounds[name]["better"] == "lower" else -1
         wins = sum(sign * (a - b) > 0 for a, b in zip(p, c))
         worse = sign * (cm - pm) / pm
-        clear = max(c) < min(p) if sign == 1 else min(c) > max(p)
+        better_all = max(c) < min(p) if sign == 1 else min(c) > max(p)
+        worse_all = min(c) > max(p) if sign == 1 else max(c) < min(p)
+        wide = (p3 - p1) / pm > bounds[name]["bound"]
         if wins >= 0.9 * len(p) and sign * (pm - cm) > p3 - p1:
             verdict = "gain"
-        elif worse > bounds[name]["bound"]:
+        elif worse > bounds[name]["bound"] and (worse_all or not wide):
             verdict = "REGRESSION"
-        elif (p3 - p1) / pm > bounds[name]["bound"] and not clear:
+        elif wide and not better_all:
             verdict = "unresolved"
         else:
             verdict = "holds"

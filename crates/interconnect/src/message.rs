@@ -24,7 +24,11 @@
 
 use crate::error::DispatchError;
 use std::any::Any;
-use std::sync::Arc;
+
+/// The zero-copy payload unit for whole-page traffic (DSM page fetches,
+/// whole-page write-back); defined in `sim` so `memwire` caches and
+/// diffs the very value the fabric carries.
+pub use sim::Page;
 
 /// Identifier of a simulated node (0-based rank).
 pub type NodeId = usize;
@@ -53,93 +57,6 @@ pub fn try_downcast<T: 'static>(p: Payload) -> Result<T, DispatchError> {
     p.downcast::<T>()
         .map(|b| *b)
         .map_err(|_| DispatchError::PayloadType { expected: std::any::type_name::<T>() })
-}
-
-/// An immutable, cheaply clonable page of bytes: the zero-copy payload
-/// unit for whole-page traffic (DSM page fetches, whole-page
-/// write-back).
-///
-/// Cloning a `Page` bumps a reference count; the bytes are shared. A
-/// home store that hands out snapshots therefore pays nothing per
-/// fetch, and a retried `PutPages` clones Arcs, not kilobytes. Mutation
-/// goes through [`Page::make_mut`], which copies only when the bytes
-/// are shared (copy-on-write) — exactly the ownership shape of a real
-/// zero-copy transport, where a page in flight must not be scribbled on.
-///
-/// Downstream code should name this type (re-exported from `swdsm` and
-/// `hybriddsm`), never the `Arc<[u8]>` representation.
-#[derive(Clone, PartialEq, Eq)]
-pub struct Page(Arc<[u8]>);
-
-impl Page {
-    /// A zero-filled page of `len` bytes, built in its one allocation
-    /// (a `Vec` turned into an `Arc<[u8]>` would be copied into a second).
-    pub fn zeroed(len: usize) -> Self {
-        Self(std::iter::repeat_n(0, len).collect())
-    }
-
-    /// Number of bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True for a zero-length page.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The bytes, read-only.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// An owned copy of the bytes (for sinks that need a `Vec`, e.g.
-    /// installing into a locally mutable page cache).
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.0.to_vec()
-    }
-
-    /// Mutable access, copy-on-write: in-place when this is the only
-    /// reference, otherwise the bytes are copied first so shared
-    /// snapshots (pages in flight) are never mutated.
-    pub fn make_mut(&mut self) -> &mut [u8] {
-        if Arc::get_mut(&mut self.0).is_none() {
-            self.0 = Arc::from(&self.0[..]);
-        }
-        Arc::get_mut(&mut self.0).expect("freshly copied page is uniquely owned")
-    }
-}
-
-impl From<Vec<u8>> for Page {
-    fn from(v: Vec<u8>) -> Self {
-        Self(v.into())
-    }
-}
-
-impl From<&[u8]> for Page {
-    fn from(v: &[u8]) -> Self {
-        Self(Arc::from(v))
-    }
-}
-
-impl std::ops::Deref for Page {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl AsRef<[u8]> for Page {
-    fn as_ref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl std::fmt::Debug for Page {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Don't dump kilobytes of page contents into assertion output.
-        write!(f, "Page({} bytes)", self.0.len())
-    }
 }
 
 /// What a handler produced.
@@ -419,6 +336,20 @@ mod tests {
         a.make_mut()[1] = 9;
         assert_eq!(b.as_slice(), &[7, 0, 0, 0], "shared snapshot untouched");
         assert_eq!(a.as_slice(), &[7, 9, 0, 0]);
+    }
+
+    #[test]
+    fn page_write_replaces_a_shared_page_it_covers() {
+        let mut a = Page::from(vec![0u8; 4]);
+        let shared = a.clone();
+        a.write(1, &[5]);
+        assert_eq!((a.as_slice(), shared.as_slice()), (&[0, 5, 0, 0][..], &[0; 4][..]));
+        let unique = a.as_slice().as_ptr();
+        a.write(0, &[1, 2, 3, 4]);
+        assert!(std::ptr::eq(unique, a.as_slice().as_ptr()), "a unique page is written in place");
+        let b = a.clone();
+        a.write(0, &[9; 4]);
+        assert_eq!((a.as_slice(), b.as_slice()), (&[9; 4][..], &[1, 2, 3, 4][..]));
     }
 
     #[test]

@@ -8,13 +8,20 @@
 //! parts of a page merge cleanly (the usual false-sharing remedy of
 //! multiple-writer protocols).
 //!
-//! A diff is held at the width of a 64-byte block: each changed block
-//! carries its current bytes and, unless all of them changed, a byte
-//! mask, so encoding and applying cost a few word operations per block
-//! however many byte runs the block breaks into. The modelled wire size
-//! is still that of the byte-granular run-length encoding JiaJia ships.
+//! A diff is held at the width of a 64-byte block: which blocks changed
+//! and, for a block only some of whose bytes changed, a byte mask, so
+//! encoding and applying cost a few word operations per block however
+//! many byte runs the block breaks into. It copies none of the changed
+//! bytes: it keeps the [`Page`] it was taken from and its twin
+//! (reference-count bumps), and applying reads each block there at its
+//! own offset — or, at a home that still holds the twin itself, takes
+//! the page whole. That is safe because a page is copy-on-write: the
+//! writer's next write copies the page and leaves the diff's view
+//! intact. The modelled wire size is still that of the byte-granular
+//! run-length encoding JiaJia ships.
 
 use crate::addr::PAGE_SIZE;
+use sim::Page;
 
 /// Granularity of the encoding: blocks that are equal throughout or
 /// changed throughout are classified by one vectorisable pass and never
@@ -24,28 +31,35 @@ const BLOCK: usize = 64;
 // A page's blocks are the bits of one `u64`.
 const _: () = assert!(PAGE_SIZE / BLOCK == 64);
 
-/// The encoded difference between a twin and the current page contents.
+/// The encoded difference between a twin and the page taken from it.
 ///
 /// Two block bitmaps — *whole* blocks, every byte changed, and *mixed*
-/// ones, some bytes changed — a byte mask per mixed block, and the
-/// current 64 bytes of every changed block. Runs of adjacent whole
-/// blocks are stored and copied as one span. The wire size is priced
+/// ones, some bytes changed — a byte mask per mixed block, and the page
+/// and its twin, shared: applying copies each run of adjacent whole
+/// blocks as one span and blends each mixed block from the page, and a
+/// home still holding the twin becomes the page. The wire size is priced
 /// from the byte-granular run count (a run ends at the first byte equal
 /// to the twin's), counted from the masks' edges when the diff is built.
 ///
 /// ```
-/// use memwire::{Diff, PAGE_SIZE};
-/// let twin = vec![0u8; PAGE_SIZE];
+/// use memwire::{Diff, Page, PAGE_SIZE};
+/// let twin = Page::zeroed(PAGE_SIZE);
 /// let mut page = twin.clone();
-/// page[100..108].copy_from_slice(&0x0102030405060708u64.to_le_bytes());
-/// let diff = Diff::between(&twin, &page);
+/// // Copy-on-write: the first write copies, the twin keeps its bytes.
+/// page.make_mut()[100..108].copy_from_slice(&0x0102030405060708u64.to_le_bytes());
+/// let diff = Diff::of(&twin, &page);
 /// assert_eq!(diff.changed_bytes(), 8);
 ///
-/// let mut home = twin.clone();
+/// let mut home = twin.to_vec();
 /// diff.apply(&mut home);
-/// assert_eq!(home, page);
+/// assert_eq!(home[..], page[..]);
+///
+/// // A home that still holds the twin takes the page, copying nothing.
+/// let mut home = twin.clone();
+/// diff.apply_to(&mut home);
+/// assert!(home.ptr_eq(&page));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone)]
 pub struct Diff {
     /// Bit `b` set iff every byte of block `b` changed.
     whole: u64,
@@ -54,9 +68,11 @@ pub struct Diff {
     /// One per mixed block, in page order: bit `i` set iff byte `i` of
     /// the block changed.
     masks: Vec<u64>,
-    /// The current bytes of the whole blocks, then of the mixed ones,
-    /// each in page order.
-    bytes: Vec<[u8; BLOCK]>,
+    /// The page the diff was taken from; the changed blocks are read
+    /// from it at their own offsets.
+    page: Page,
+    /// The twin it was taken against.
+    twin: Page,
     /// Byte runs of the run-length encoding.
     runs: u32,
     /// Bytes that differ from the twin.
@@ -96,15 +112,21 @@ fn spans(mut blocks: u64) -> impl Iterator<Item = (usize, usize)> {
     })
 }
 
+/// The set bits of `blocks`, lowest first.
+fn bits(blocks: u64) -> impl Iterator<Item = usize> {
+    spans(blocks).flat_map(|(b, n)| b..b + n)
+}
+
 impl Diff {
-    /// Compare `current` against its pristine `twin` and encode the
-    /// changed blocks. Both slices must be exactly one page.
-    pub fn between(twin: &[u8], current: &[u8]) -> Self {
+    /// Compare `current` against its pristine `twin` and encode which
+    /// bytes changed, keeping both (reference-count bumps, no copy) to
+    /// apply them from. Both must be exactly one page.
+    pub fn of(twin: &Page, current: &Page) -> Self {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
-        let (twin, current) = (twin.as_chunks::<BLOCK>().0, current.as_chunks::<BLOCK>().0);
+        let (old, new) = (twin.as_chunks::<BLOCK>().0, current.as_chunks::<BLOCK>().0);
         let (mut whole, mut mixed) = (0u64, 0u64);
-        for (b, (t, c)) in twin.iter().zip(current).enumerate() {
+        for (b, (t, c)) in old.iter().zip(new).enumerate() {
             let (any_equal, any_changed) =
                 t.iter().zip(c).fold((false, false), |(e, n), (x, y)| (e | (x == y), n | (x != y)));
             whole |= ((any_changed && !any_equal) as u64) << b;
@@ -112,16 +134,13 @@ impl Diff {
         }
 
         let masks = Vec::with_capacity(mixed.count_ones() as usize);
-        let bytes = Vec::with_capacity((whole | mixed).count_ones() as usize);
-        let mut d = Self { whole, mixed, masks, bytes, runs: whole.count_ones(), changed: 0 };
-        for (b, n) in spans(whole) {
-            d.bytes.extend_from_slice(&current[b..b + n]);
-        }
-        d.changed = (d.bytes.len() * BLOCK) as u32;
+        let (runs, changed) = (whole.count_ones(), whole.count_ones() * BLOCK as u32);
+        let (page, twin) = (current.clone(), twin.clone());
+        let mut d = Self { whole, mixed, masks, page, twin, runs, changed };
         // Blocks whose first / last byte changed.
         let (mut first, mut last) = (whole, whole);
-        for b in spans(mixed).flat_map(|(b, n)| b..b + n) {
-            let (t, c) = (twin[b].as_chunks::<8>().0, current[b].as_chunks::<8>().0);
+        for b in bits(mixed) {
+            let (t, c) = (old[b].as_chunks::<8>().0, new[b].as_chunks::<8>().0);
             let mask = t.iter().zip(c).enumerate().fold(0, |mask, (w, (t, c))| {
                 let differs = nonzero_bytes(u64::from_le_bytes(*t) ^ u64::from_le_bytes(*c));
                 mask | (differs as u64) << (8 * w)
@@ -131,7 +150,6 @@ impl Diff {
             first |= (mask & 1) << b;
             last |= (mask >> 63) << b;
             d.masks.push(mask);
-            d.bytes.push(current[b]);
         }
         // Every block counted a run starting at its first byte; it is
         // none where the previous block's last byte changed too.
@@ -139,35 +157,48 @@ impl Diff {
         d
     }
 
+    /// [`Diff::of`] for pages held as slices: each is copied into a
+    /// [`Page`] once. The DSM diffs its cached pages with [`Diff::of`];
+    /// this serves callers holding plain buffers.
+    pub fn between(twin: &[u8], current: &[u8]) -> Self {
+        Self::of(&Page::from(twin), &Page::from(current))
+    }
+
+    /// Apply this diff to the master copy `home`. A home that still holds
+    /// the twin itself — nobody changed it since the writer fetched it —
+    /// becomes the diff's page, a reference-count bump; any other is
+    /// written copy-on-write, as by [`Diff::apply`].
+    pub fn apply_to(&self, home: &mut Page) {
+        if home.ptr_eq(&self.twin) {
+            *home = self.page.clone();
+        } else {
+            self.apply(home.make_mut());
+        }
+    }
+
     /// Apply this diff to `page` (the home copy): whole spans are
-    /// copied, mixed blocks blended a word at a time. Panics on a
-    /// malformed diff — not one payload block per changed block, not
-    /// one mask per mixed block, or a block both whole and mixed —
-    /// rather than apply it askew.
+    /// copied, mixed blocks blended a word at a time, each from the page
+    /// the diff was taken from at its own offset. Panics on a malformed
+    /// diff — not one mask per mixed block, or a block both whole and
+    /// mixed — rather than apply it askew.
     pub fn apply(&self, page: &mut [u8]) {
         assert_eq!(page.len(), PAGE_SIZE, "target must be one page");
-        let page = page.as_chunks_mut::<BLOCK>().0;
-        let mut new = &self.bytes[..];
-        for (b, n) in spans(self.whole) {
-            let (src, rest) = new.split_at_checked(n).expect("malformed diff");
-            // A lone block is copied at its fixed width, not by `memcpy`.
-            if let [block] = src { page[b] = *block } else { page[b..b + n].copy_from_slice(src) }
-            new = rest;
-        }
         assert!(
-            self.whole & self.mixed == 0 && new.len() == self.masks.len(),
+            self.whole & self.mixed == 0 && self.masks.len() == self.mixed.count_ones() as usize,
             "malformed diff"
         );
-        let mut mixed = spans(self.mixed).flat_map(|(b, n)| b..b + n);
-        for (&mask, src) in self.masks.iter().zip(new) {
-            let b = mixed.next().expect("malformed diff");
-            let words = page[b].as_chunks_mut::<8>().0.iter_mut().zip(src.as_chunks::<8>().0);
+        let (page, src) = (page.as_chunks_mut::<BLOCK>().0, self.page.as_chunks::<BLOCK>().0);
+        for (b, n) in spans(self.whole) {
+            // A lone block is copied at its fixed width, not by `memcpy`.
+            if n == 1 { page[b] = src[b] } else { page[b..b + n].copy_from_slice(&src[b..b + n]) }
+        }
+        for (b, &mask) in bits(self.mixed).zip(&self.masks) {
+            let words = page[b].as_chunks_mut::<8>().0.iter_mut().zip(src[b].as_chunks::<8>().0);
             for (w, (o, s)) in words.enumerate() {
                 let m = BYTE_MASK[(mask >> (8 * w)) as u8 as usize];
                 *o = (u64::from_le_bytes(*o) & !m | u64::from_le_bytes(*s) & m).to_le_bytes();
             }
         }
-        assert!(mixed.next().is_none(), "malformed diff");
     }
 
     /// True if nothing changed.
@@ -191,11 +222,6 @@ impl Diff {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-
-    /// The set bits of `blocks`, lowest first.
-    fn bits(blocks: u64) -> impl Iterator<Item = usize> {
-        spans(blocks).flat_map(|(b, n)| b..b + n)
-    }
 
     /// `(offset, len)` of each maximal run of bytes for which `changed`
     /// holds, in ascending order.
@@ -235,20 +261,31 @@ mod tests {
         runs_of(|i| changed[i])
     }
 
-    /// `between` must agree with the oracle run for run, price the same
-    /// on the wire, and rebuild `current` from `twin`.
+    /// `of` and `between` must agree with the oracle run for run, price
+    /// the same on the wire, and rebuild `current` from `twin`; `of`
+    /// keeps the very page it was given.
     fn check_against_reference(twin: &[u8], current: &[u8]) -> Diff {
-        let d = Diff::between(twin, current);
+        let (base, page) = (Page::from(twin), Page::from(current));
+        let d = Diff::of(&base, &page);
+        assert!(d.page.ptr_eq(&page) && d.twin.ptr_eq(&base), "a diff views its pages, not copies");
         let r = reference(twin, current);
-        assert_eq!(runs(&d), r, "run list differs from the byte-wise encoder");
-        assert_eq!(d.wire_bytes(), r.iter().map(|&(_, len)| 4 + len as u64).sum::<u64>() + 8);
-        assert_eq!(d.changed_bytes(), twin.iter().zip(current).filter(|(a, b)| a != b).count());
-        assert_eq!(d.whole & d.mixed, 0);
-        assert_eq!(d.masks.len(), d.mixed.count_ones() as usize);
-        assert_eq!(d.bytes.len(), (d.whole | d.mixed).count_ones() as usize);
-        let mut home = twin.to_vec();
-        d.apply(&mut home);
-        assert_eq!(home, current);
+        for d in [&d, &Diff::between(twin, current)] {
+            assert_eq!(runs(d), r, "run list differs from the byte-wise encoder");
+            assert_eq!(d.wire_bytes(), r.iter().map(|&(_, len)| 4 + len as u64).sum::<u64>() + 8);
+            assert_eq!(d.changed_bytes(), twin.iter().zip(current).filter(|(a, b)| a != b).count());
+            assert_eq!(d.whole & d.mixed, 0);
+            assert_eq!(d.masks.len(), d.mixed.count_ones() as usize);
+            let mut home = twin.to_vec();
+            d.apply(&mut home);
+            assert_eq!(home, current);
+        }
+        // At a home holding the twin the page is taken whole; at one
+        // holding an equal copy the diff is applied.
+        let (mut holding, mut equal) = (base.clone(), Page::from(twin));
+        d.apply_to(&mut holding);
+        d.apply_to(&mut equal);
+        assert!(holding.ptr_eq(&page) && !equal.ptr_eq(&page));
+        assert_eq!(equal.as_slice(), current);
         d
     }
 
@@ -302,7 +339,6 @@ mod tests {
         let d = check_against_reference(&twin, &cur);
         assert_eq!(runs(&d), [(100, 10)]);
         assert_eq!((d.whole, d.mixed, &d.masks[..]), (0, 1 << 1, &[0x3ff << 36][..]));
-        assert_eq!(d.bytes.as_flattened(), &cur[64..128]);
     }
 
     #[test]
@@ -419,38 +455,26 @@ mod tests {
         let _ = Diff::between(&[0u8; 10], &[0u8; 10]);
     }
 
-    fn malformed(whole: u64, mixed: u64, masks: usize, blocks: usize) -> Diff {
-        let bytes = vec![[1; BLOCK]; blocks];
-        Diff { whole, mixed, masks: vec![1; masks], bytes, runs: 1, changed: 1 }
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed diff")]
-    fn short_payload_rejected() {
-        malformed(0b11, 0, 0, 1).apply(&mut page_of(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed diff")]
-    fn surplus_payload_rejected() {
-        malformed(0b1, 0, 0, 2).apply(&mut page_of(0));
+    fn malformed(whole: u64, mixed: u64, masks: usize) -> Diff {
+        let (page, twin) = (Page::from(vec![1; PAGE_SIZE]), Page::zeroed(PAGE_SIZE));
+        Diff { whole, mixed, masks: vec![1; masks], page, twin, runs: 1, changed: 1 }
     }
 
     #[test]
     #[should_panic(expected = "malformed diff")]
     fn surplus_mask_rejected() {
-        malformed(0, 0b1, 2, 2).apply(&mut page_of(0));
+        malformed(0, 0b1, 2).apply(&mut page_of(0));
     }
 
     #[test]
     #[should_panic(expected = "malformed diff")]
     fn missing_mask_rejected() {
-        malformed(0, 0b11, 1, 1).apply(&mut page_of(0));
+        malformed(0, 0b11, 1).apply(&mut page_of(0));
     }
 
     #[test]
     #[should_panic(expected = "malformed diff")]
     fn block_both_whole_and_mixed_rejected() {
-        malformed(0b1, 0b1, 1, 2).apply(&mut page_of(0));
+        malformed(0b1, 0b1, 1).apply(&mut page_of(0));
     }
 }

@@ -13,10 +13,12 @@
 //!   ([`LOCAL_REGION_BASE`]).
 //! * [`addr`] — global addresses, regions, pages ([`GlobalAddr`],
 //!   [`PageId`], [`PAGE_SIZE`]).
-//! * [`page`] — page buffers and the per-node cached-page table.
+//! * [`page`] — the per-node cached-page table over [`Page`] values (the
+//!   shared copy-on-write page of `sim::page`, re-exported here).
 //! * [`diff`] — twin/diff machinery for write detection: the changed
 //!   64-byte blocks against a pristine twin, with per-block byte masks,
-//!   priced on the wire as TreadMarks/JiaJia's run-length encoding.
+//!   read from the page the diff was taken from, and priced on the wire
+//!   as TreadMarks/JiaJia's run-length encoding.
 //! * [`notice`] — write notices exchanged at synchronization points.
 //! * [`arena`] — distribution annotations and layout hints for an
 //!   allocation (paper §4.2, Memory Management module).
@@ -47,3 +49,4 @@ pub use marshal::{read_f64s, write_f64s};
 pub use notice::{Interval, WriteNotice};
 pub use page::{CachedPage, PageState, PageTable};
 pub use store::{RegionRef, RegionStore};
+pub use sim::Page;

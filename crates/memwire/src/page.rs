@@ -1,6 +1,17 @@
 //! Per-node cached-page table for the software DSM.
+//!
+//! A cached copy is the [`Page`] value its fetch brought: installing it
+//! is a reference-count bump on the home's allocation, not a copy.
+//! [`CachedPage::make_writable`] keeps that same value as the twin
+//! (another bump), and the first write of the interval, through
+//! [`Page::write`] (copy-on-write), is the one copy a write fault
+//! makes. At release [`PageTable::downgrade`] hands out the twin and a
+//! shared handle to the current page, from which a [`crate::Diff`] is
+//! taken without copying either; the writer's next write copies again
+//! and leaves that diff intact.
 
 use crate::addr::{PageId, PAGE_SIZE};
+use sim::Page;
 use std::collections::HashMap;
 
 /// Local access rights for a cached page.
@@ -17,20 +28,24 @@ pub enum PageState {
 pub struct CachedPage {
     /// Current access rights.
     pub state: PageState,
-    /// The cached copy's contents.
-    pub data: Vec<u8>,
-    /// Pristine snapshot taken on the first write of the interval.
-    pub twin: Option<Vec<u8>>,
+    /// The cached copy's contents; written through [`Page::write`].
+    pub data: Page,
+    /// Pristine snapshot taken on the first write of the interval: the
+    /// page as it was, shared with `data` until `data` is written.
+    pub twin: Option<Page>,
 }
 
 impl CachedPage {
-    /// A freshly fetched read-only copy.
-    pub fn read_only(data: Vec<u8>) -> Self {
+    /// A freshly fetched read-only copy. Installing a [`Page`] keeps its
+    /// allocation; a `Vec` is converted once.
+    pub fn read_only(data: impl Into<Page>) -> Self {
+        let data = data.into();
         assert_eq!(data.len(), PAGE_SIZE);
         Self { state: PageState::ReadOnly, data, twin: None }
     }
 
-    /// Upgrade to writable, snapshotting the twin.
+    /// Upgrade to writable, keeping the current page as the twin (a
+    /// reference-count bump; the first write copies).
     pub fn make_writable(&mut self) {
         if self.state == PageState::ReadOnly {
             self.twin = Some(self.data.clone());
@@ -113,9 +128,10 @@ impl PageTable {
     }
 
     /// Downgrade a page to read-only, returning `(twin, current)` for
-    /// diffing — `current` is the cached copy itself, not a clone.
-    /// Panics if the page is not writable (protocol bug).
-    pub fn downgrade(&mut self, id: PageId) -> (Vec<u8>, &[u8]) {
+    /// diffing — `current` is the cached copy itself; cloning it is a
+    /// reference-count bump. Panics if the page is not writable
+    /// (protocol bug).
+    pub fn downgrade(&mut self, id: PageId) -> (Page, &Page) {
         let p = self.pages.get_mut(&id).expect("downgrade of uncached page");
         assert_eq!(p.state, PageState::Writable, "downgrade of read-only page");
         let twin = p.twin.take().expect("writable page without twin");
@@ -143,6 +159,7 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Diff;
 
     fn pid(i: u32) -> PageId {
         PageId { region: 0, index: i }
@@ -165,9 +182,45 @@ mod tests {
         assert_eq!(p.state, PageState::Writable);
         assert_eq!(p.twin.as_deref(), Some(vec![5u8; PAGE_SIZE].as_slice()));
         // Idempotent: a second call must not re-snapshot modified data.
-        p.data[0] = 9;
+        p.data.make_mut()[0] = 9;
         p.make_writable();
         assert_eq!(p.twin.as_ref().unwrap()[0], 5);
+    }
+
+    #[test]
+    fn twin_shares_the_page_until_the_first_write() {
+        let fetched = Page::from(vec![5; PAGE_SIZE]);
+        let mut p = CachedPage::read_only(fetched.clone());
+        assert!(p.data.ptr_eq(&fetched), "install keeps the allocation");
+        p.make_writable();
+        assert!(p.twin.as_ref().unwrap().ptr_eq(&fetched), "twin is a bump");
+        p.data.write(0, &[9]);
+        let copied = p.data.as_ptr();
+        assert!(!p.data.ptr_eq(&fetched), "the first write copies");
+        p.data.write(1, &[9]);
+        assert!(std::ptr::eq(p.data.as_ptr(), copied), "the second does not");
+        assert_eq!((fetched[0], p.twin.as_ref().unwrap()[0]), (5, 5));
+    }
+
+    #[test]
+    fn a_diff_outlives_the_next_write_of_its_page() {
+        // Released at the end of one interval, the diff views the cached
+        // page; the next interval's write must copy and leave it intact.
+        let mut t = PageTable::new();
+        t.install(pid(5), CachedPage::read_only(vec![0; PAGE_SIZE]));
+        let p = t.get_mut(pid(5)).unwrap();
+        p.make_writable();
+        p.data.make_mut()[100..108].fill(1);
+        let (twin, cur) = t.downgrade(pid(5));
+        let diff = Diff::of(&twin, cur);
+        let p = t.get_mut(pid(5)).unwrap();
+        p.make_writable();
+        p.data.make_mut()[100..108].fill(2);
+        p.data.make_mut()[200] = 2;
+        let mut home = vec![0; PAGE_SIZE];
+        diff.apply(&mut home);
+        assert!(home[100..108].iter().all(|&b| b == 1));
+        assert_eq!(home.iter().filter(|&&b| b != 0).count(), 8);
     }
 
     #[test]
@@ -185,7 +238,7 @@ mod tests {
         t.install(pid(3), CachedPage::read_only(vec![1; PAGE_SIZE]));
         let p = t.get_mut(pid(3)).unwrap();
         p.make_writable();
-        p.data[10] = 2;
+        p.data.make_mut()[10] = 2;
         let (twin, cur) = t.downgrade(pid(3));
         assert_eq!(twin[10], 1);
         assert_eq!(cur[10], 2);

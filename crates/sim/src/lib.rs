@@ -21,10 +21,14 @@
 //!   above emits into while a trace session is open.
 //! * [`json`] — the shared offline JSON reader used by trace/report
 //!   validators up the stack.
+//! * [`page`] — [`Page`], the shared copy-on-write page value the page
+//!   protocol fetches, twins, diffs and writes back (re-exported by
+//!   `memwire` and `interconnect`).
 
 pub mod clock;
 pub mod cost;
 pub mod json;
+pub mod page;
 pub mod sched;
 pub mod server;
 pub mod stats;
@@ -32,6 +36,7 @@ pub mod trace;
 
 pub use clock::VirtualClock;
 pub use cost::{CostModel, LinkCost, MachineCost, SciAccessCost};
+pub use page::Page;
 pub use server::{Bus, Server};
 pub use stats::{Counter, MetricId, MetricKind, MetricsRow, MetricsSeries, Quantiles, Sketch, StatSet};
 pub use trace::{TraceEvent, TraceSession};

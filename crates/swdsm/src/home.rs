@@ -1,8 +1,8 @@
 //! The home store: master copies of the pages homed on one node.
 
-use interconnect::Page;
-use memwire::{Diff, PageId, PAGE_SIZE};
+use memwire::{Diff, Page, PageId, PAGE_SIZE};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Master copies of all pages homed on one node.
 ///
@@ -15,8 +15,9 @@ use std::collections::HashMap;
 ///
 /// Master copies are [`Page`]s — shared, immutable byte blocks.
 /// Serving a remote fetch ([`HomeStore::snapshot`]) is a reference-count
-/// bump, not a page copy; local mutation copies-on-write only while a
-/// snapshot is actually in flight.
+/// bump, not a page copy, and the requester caches that very
+/// allocation; a mutation here copies-on-write only while some other
+/// node still holds it, so a cached copy never sees a later write.
 /// Each page also carries a *modification counter* ([`HomeStore::version`]),
 /// bumped on every mutating operation. Fetch replies cache the counter
 /// alongside the copy; the digest-validation round compares cached
@@ -24,8 +25,8 @@ use std::collections::HashMap;
 /// from Bloom false positives.
 #[derive(Debug, Default)]
 pub struct HomeStore {
-    pages: HashMap<PageId, Page>,
-    versions: HashMap<PageId, u64>,
+    /// Each materialized page with its modification counter.
+    pages: HashMap<PageId, (Page, u64)>,
 }
 
 impl HomeStore {
@@ -34,44 +35,49 @@ impl HomeStore {
         Self::default()
     }
 
-    /// Writable view of the master copy of `page`, created zero-filled
-    /// on first touch. Copies on write only if a snapshot of the page is
-    /// still outstanding. Bumps the page's modification counter (every
-    /// caller mutates).
-    pub fn page_mut(&mut self, page: PageId) -> &mut [u8] {
-        *self.versions.entry(page).or_insert(0) += 1;
-        self.pages.entry(page).or_insert_with(|| Page::zeroed(PAGE_SIZE)).make_mut()
+    /// The master copy of `page` and its counter, created zero-filled
+    /// (counter 0) on first touch: a handle to the one shared zero page,
+    /// copied only when written.
+    fn entry(&mut self, page: PageId) -> &mut (Page, u64) {
+        static ZERO: OnceLock<Page> = OnceLock::new();
+        let zero = || (ZERO.get_or_init(|| Page::zeroed(PAGE_SIZE)).clone(), 0);
+        self.pages.entry(page).or_insert_with(zero)
     }
 
     /// Snapshot of the master page (for remote fetch replies). A shared
     /// handle to the current bytes — zero-copy.
     pub fn snapshot(&mut self, page: PageId) -> Page {
-        self.pages.entry(page).or_insert_with(|| Page::zeroed(PAGE_SIZE)).clone()
+        self.entry(page).0.clone()
     }
 
-    /// Apply a diff to the master copy.
+    /// Apply a diff to the master copy, bumping its modification
+    /// counter. A master copy the writer fetched and nobody changed
+    /// since becomes the writer's page; any other is written in place,
+    /// or first copied while a snapshot of it is still held elsewhere (a
+    /// fetch in flight, or a cached copy).
     pub fn apply_diff(&mut self, page: PageId, diff: &Diff) {
-        diff.apply(self.page_mut(page));
+        let (bytes, version) = self.entry(page);
+        *version += 1;
+        diff.apply_to(bytes);
     }
 
     /// Replace the master copy wholesale (whole-page write-back mode).
     pub fn replace(&mut self, page: PageId, bytes: Page) {
         assert_eq!(bytes.len(), PAGE_SIZE);
-        *self.versions.entry(page).or_insert(0) += 1;
-        self.pages.insert(page, bytes);
+        let entry = self.entry(page);
+        *entry = (bytes, entry.1 + 1);
     }
 
     /// The page's modification counter (0 if never written).
     pub fn version(&self, page: PageId) -> u64 {
-        self.versions.get(&page).copied().unwrap_or(0)
+        self.pages.get(&page).map_or(0, |&(_, v)| v)
     }
 
     /// Export the master copy together with its modification counter,
     /// for home migration. Unlike [`HomeStore::replace`], exporting does
     /// not bump the counter: the page is moving, not changing.
     pub fn export(&mut self, page: PageId) -> (Page, u64) {
-        let bytes = self.snapshot(page);
-        (bytes, self.version(page))
+        self.entry(page).clone()
     }
 
     /// Adopt a migrated master copy at its new home. The incoming
@@ -82,21 +88,20 @@ impl HomeStore {
     /// depends on.
     pub fn adopt(&mut self, page: PageId, bytes: Page, version: u64) {
         assert_eq!(bytes.len(), PAGE_SIZE);
-        let v = self.versions.entry(page).or_insert(0);
-        *v = (*v).max(version);
-        self.pages.insert(page, bytes);
+        let entry = self.entry(page);
+        *entry = (bytes, entry.1.max(version));
     }
 
     /// Read `out.len()` bytes at `offset` within `page`.
     pub fn read(&mut self, page: PageId, offset: usize, out: &mut [u8]) {
-        let p = self.pages.entry(page).or_insert_with(|| Page::zeroed(PAGE_SIZE));
-        out.copy_from_slice(&p[offset..offset + out.len()]);
+        out.copy_from_slice(&self.entry(page).0[offset..offset + out.len()]);
     }
 
     /// Write `data` at `offset` within `page`.
     pub fn write(&mut self, page: PageId, offset: usize, data: &[u8]) {
-        let p = self.page_mut(page);
-        p[offset..offset + data.len()].copy_from_slice(data);
+        let (bytes, version) = self.entry(page);
+        *version += 1;
+        bytes.write(offset, data);
     }
 
     /// Number of materialized pages.
@@ -168,6 +173,28 @@ mod tests {
     }
 
     #[test]
+    fn a_cached_copy_is_isolated_from_later_diffs() {
+        let mut h = HomeStore::new();
+        h.write(pid(8), 0, &[1]);
+        let reader = memwire::CachedPage::read_only(h.snapshot(pid(8)));
+        // One writer diffs against a copy of its own, then one against
+        // the page it fetched, which the home takes whole.
+        let mut cur = vec![0u8; PAGE_SIZE];
+        cur[1] = 2;
+        h.apply_diff(pid(8), &Diff::between(&[0; PAGE_SIZE], &cur));
+        let twin = h.snapshot(pid(8));
+        let mut written = twin.clone();
+        written.write(2, &[3]);
+        h.apply_diff(pid(8), &Diff::of(&twin, &written));
+        assert!(h.snapshot(pid(8)).ptr_eq(&written), "the unchanged master copy is replaced");
+        assert_eq!(reader.data[..3], [1, 0, 0], "the reader keeps the bytes it fetched");
+        let mut now = [0u8; 3];
+        h.read(pid(8), 0, &mut now);
+        assert_eq!(now, [1, 2, 3]);
+        assert_eq!(h.version(pid(8)), 3);
+    }
+
+    #[test]
     fn versions_bump_on_writes_not_reads() {
         let mut h = HomeStore::new();
         assert_eq!(h.version(pid(6)), 0);
@@ -197,7 +224,7 @@ mod tests {
         // The new home saw an older incarnation of the page (version 5
         // from a previous residence): adopt keeps the larger counter.
         let mut new_home = HomeStore::new();
-        new_home.versions.insert(pid(7), 5);
+        new_home.pages.insert(pid(7), (Page::zeroed(PAGE_SIZE), 5));
         new_home.adopt(pid(7), bytes, v);
         assert_eq!(new_home.version(pid(7)), 5);
         let mut out = [0u8; 2];
@@ -208,6 +235,17 @@ mod tests {
         let mut fresh = HomeStore::new();
         fresh.adopt(pid(7), bytes, v);
         assert_eq!(fresh.version(pid(7)), 5);
+    }
+
+    #[test]
+    fn untouched_pages_share_one_zero_page_until_written() {
+        let mut h = HomeStore::new();
+        let (a, b) = (h.snapshot(pid(9)), h.snapshot(pid(10)));
+        assert!(std::ptr::eq(a.as_ptr(), b.as_ptr()), "one zero page, not one per page");
+        h.write(pid(9), 0, &[1]);
+        let (a, b) = (h.snapshot(pid(9)), h.snapshot(pid(10)));
+        assert_eq!((a[0], b[0]), (1, 0));
+        assert!(b.iter().all(|&x| x == 0));
     }
 
     #[test]

@@ -14,9 +14,9 @@ use crate::proto::*;
 use cluster::syncproto::driver::{Kinds, Platform};
 use cluster::syncproto::MAX_SYNC_ROUNDS;
 use cluster::{Cluster, DataPath, Node, Shared};
-use interconnect::{downcast, try_downcast, Outcome, Page};
+use interconnect::{downcast, try_downcast, Outcome};
 use memwire::{
-    local_region_owner, CachedPage, Diff, GlobalAddr, Interval, PageId, PageTable, RegionDir,
+    local_region_owner, CachedPage, Diff, GlobalAddr, Interval, Page, PageId, PageTable, RegionDir,
     RegionId, LOCAL_REGION_BASE, PAGE_SIZE,
 };
 use parking_lot::{Mutex, RwLock};
@@ -25,12 +25,15 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+mod tests;
+
 /// Per-writer write notices, as lock grants carry them.
 type Notices = cluster::syncproto::Notices<NoticeSet>;
 
 /// Cost of one page-fault trap (SIGSEGV + kernel + handler entry).
 const FAULT_TRAP_NS: u64 = 20_000;
-/// Cost of snapshotting a twin (one page copy).
+/// Cost of snapshotting a twin (one page copy in JiaJia; here the twin
+/// shares the page and the first write copies it).
 const TWIN_NS: u64 = 3_000;
 /// Cost of scanning a page against its twin to encode a diff.
 const DIFF_SCAN_NS: u64 = 4_000;
@@ -619,7 +622,9 @@ fn copy_to_page(node: &DsmNode, page: PageId, home: bool, off: usize, data: &[u8
     } else {
         let mut table = node.state().table.lock();
         let p = table.get_mut(page).expect("writable page vanished");
-        p.data[off..off + data.len()].copy_from_slice(data);
+        // Copy-on-write: the interval's first write copies the page away
+        // from its twin, the home's snapshot and any in-flight diff.
+        p.data.write(off, data);
     }
 }
 
@@ -697,9 +702,9 @@ fn fetch_page(node: &DsmNode, page: PageId) {
             }
         }
     };
-    // The one copy of the fetch path: the cached copy must be privately
-    // mutable (twinning), so it leaves the shared Page.
-    node.state().table.lock().install(page, CachedPage::read_only(data.bytes.to_vec()));
+    // The cached copy is the home's own allocation: no copy until the
+    // first write (see `copy_to_page`).
+    node.state().table.lock().install(page, CachedPage::read_only(data.bytes));
     node.state().cache_versions.lock().insert(page, data.version);
     node.trace_span(t0, "page_fault", page.pack());
 }
@@ -768,7 +773,7 @@ fn flush_interval(node: &DsmNode) -> Interval {
             for page in &dirty {
                 let (_twin, cur) = table.downgrade(*page);
                 node.ctx().compute(PAGE_COPY_NS);
-                by_home.entry(node.path().home_of(*page)).or_default().push((*page, Page::from(cur)));
+                by_home.entry(node.path().home_of(*page)).or_default().push((*page, cur.clone()));
             }
         }
         stat(node, "diffs", dirty.len() as u64);
@@ -969,7 +974,7 @@ fn flush_dirty_subset(node: &DsmNode, pages: &[PageId]) {
             if dirty {
                 let (twin, cur) = table.downgrade(page);
                 node.ctx().compute(DIFF_SCAN_NS);
-                let diff = Diff::between(&twin, cur);
+                let diff = Diff::of(&twin, cur);
                 if !diff.is_empty() {
                     by_home.entry(node.path().home_of(page)).or_default().push((page, diff));
                 }

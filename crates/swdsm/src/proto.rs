@@ -1,8 +1,7 @@
 //! Wire messages of the software-DSM protocol.
 
 use cluster::syncproto::Piggyback;
-use interconnect::Page;
-use memwire::{Diff, Interval, PageId};
+use memwire::{Diff, Interval, Page, PageId};
 
 /// Request a copy of `page` from its home.
 #[derive(Debug, Clone, Copy)]

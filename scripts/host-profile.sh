@@ -18,7 +18,7 @@
 # allocator, the vDSO) shows as `[library]`: its functions are not
 # guessed from the nearest exported symbol. In the self table such a
 # sample is labelled with the innermost ledger frame that called into
-# the library, e.g. `[libc.so.6] ← interconnect::message::Page::to_vec`,
+# the library, e.g. `[libc.so.6] ← sim::page::Page::make_mut`,
 # so allocator, copy and futex time stay apart. The full inclusive table is
 # kept in host-profile.<workload>.<checkout>.txt, <checkout> the name of
 # the checkout's directory, and its path printed last; compare two

@@ -19,11 +19,17 @@
 # otherwise `holds`. Trailing options go to the ledger verbatim (`--seed 43`,
 # `--seconds 10`, `--traced`; per-layer metrics get medians, no verdict).
 # `all` runs every workload of BENCHMARK.json in turn, <pairs> pairs
-# each, and prints one table per workload.
+# each, and prints one table per workload. Beside the verdicts each
+# table prints every run's `cpu_s / wall_s` and each side's median of
+# it, so a campaign on a host that collapsed to one core shows; no
+# verdict depends on it.
 #
 # Works in the current directory: target directories and scratch under
 # `ledger-pairs-target/`, rows appended to `ledger-pairs.json` in the
-# shape of `bench-baselines/ledger-pr18.json`. Needs python3.
+# shape of `bench-baselines/ledger-pr18.json`. Every row of one
+# invocation carries the same `campaign` number, one more than the
+# file's largest, so a verdict quoted from an `all` run names one
+# campaign and can be re-derived from its rows. Needs python3.
 set -eu
 usage="usage: scripts/ledger-pairs.sh <parent-checkout> <workload>|all <pairs> [ledger options]"
 parent=$(cd "${1:?$usage}" && pwd)
@@ -34,12 +40,19 @@ change=$(cd "$(dirname "$0")/.." && pwd)
 work=$PWD/ledger-pairs-target
 mkdir -p "$work/run"
 
+# A build stopped by a signal still puts the lock file back: the trap
+# runs once cargo has exited.
+lock= saved=
+trap '[ -z "$saved" ] || cp "$saved" "$lock"' EXIT
+trap 'exit 130' INT TERM
 build() { # <side> <tree>
-    local lock=$2/ledger/Cargo.lock status=0
-    cp "$lock" "$work/$1.Cargo.lock"
+    local status=0
+    lock=$2/ledger/Cargo.lock saved=$work/$1.Cargo.lock
+    cp "$lock" "$saved"
     CARGO_TARGET_DIR=$work/$1 cargo build --release --offline --quiet \
         --manifest-path "$2/ledger/Cargo.toml" || status=$?
-    cp "$work/$1.Cargo.lock" "$lock"
+    cp "$saved" "$lock"
+    saved=
     return $status
 }
 build parent "$parent"
@@ -51,6 +64,11 @@ print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "
 else
     workloads=$workload
 fi
+
+rows=$PWD/ledger-pairs.json
+campaign=$(python3 -c 'import json, os, sys
+rows = json.load(open(sys.argv[1])) if os.path.exists(sys.argv[1]) else []
+print(max((r["campaign"] for r in rows), default=0) + 1)' "$rows")
 
 for workload in $workloads; do
     rm -f "$work/run/order"
@@ -65,14 +83,14 @@ for workload in $workloads; do
         done
     done
 
-    python3 - "$work/run" "$workload" "$change/BENCHMARK.json" "$PWD/ledger-pairs.json" "$@" <<'EOF'
+    python3 - "$work/run" "$workload" "$change/BENCHMARK.json" "$rows" "$campaign" "$@" <<'EOF'
 import json, os, statistics, sys
 
-run, workload, benchmark, rows_path, *opts = sys.argv[1:]
+run, workload, benchmark, rows_path, campaign, *opts = sys.argv[1:]
+campaign = int(campaign)
 seed = int(opts[opts.index("--seed") + 1]) if "--seed" in opts else 42
 traced = "--traced" in opts
 rows = json.load(open(rows_path)) if os.path.exists(rows_path) else []
-campaign = max((r["campaign"] for r in rows), default=0) + 1
 runs = {"parent": [], "change": []}
 for line in open(f"{run}/order"):
     side, i = line.split()
@@ -87,7 +105,13 @@ for line in open(f"{run}/order"):
 json.dump(rows, open(rows_path, "w"), indent=1)
 
 bad = [r for side in runs.values() for r in side if r["failed"] or not r["correct"]]
-print(f"{workload}: {len(runs['parent'])} pairs, seed {seed}, {len(bad)} runs failed or incorrect")
+print(f"{workload}: campaign {campaign}, {len(runs['parent'])} pairs, seed {seed}, {len(bad)} runs failed or incorrect")
+for side, results in runs.items():
+    # A traced run reports per-layer metrics only.
+    share = [m["cpu_s"]["value"] / m["wall_s"]["value"] for m in (r["metrics"] for r in results) if "cpu_s" in m]
+    if share:
+        each = " ".join(f"{x:.2f}" for x in share)
+        print(f"{side} cpu_s / wall_s: median {statistics.median(share):.2f}, runs {each}")
 bounds = {m["name"]: m for m in json.load(open(benchmark))["end_to_end"]}
 quartiles = lambda v: statistics.quantiles(v, n=4) if len(v) > 1 else [v[0]] * 3
 for name in runs["parent"][0]["metrics"]:

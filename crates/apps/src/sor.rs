@@ -75,10 +75,10 @@ pub fn sor_hinted<W: World>(
 
     // Every node initializes its partition in both buffers.
     let (lo, hi) = w.my_block(n);
-    for i in lo..hi {
-        let r = init_row(n, i);
-        w.write_f64s(row(cur, i), &r);
-        w.write_f64s(row(nxt, i), &r);
+    let rows: Vec<Vec<f64>> = (lo..hi).map(|i| init_row(n, i)).collect();
+    for (i, r) in (lo..).zip(&rows) {
+        w.write_f64s(row(cur, i), r);
+        w.write_f64s(row(nxt, i), r);
     }
     w.barrier(1);
     let t0 = w.now_ns();
@@ -89,10 +89,12 @@ pub fn sor_hinted<W: World>(
     let uhi = hi.min(n - 1);
 
     if optimized {
-        // Private double buffers for my rows plus ghost rows.
+        // Private double buffers for my rows plus ghost rows; `next`
+        // starts as a copy because the fixed rows 0 and n-1 are never
+        // relaxed into it.
         let width = hi - lo;
-        let mut mine: Vec<Vec<f64>> = (lo..hi).map(|i| init_row(n, i)).collect();
-        let mut next: Vec<Vec<f64>> = mine.clone();
+        let mut mine = rows;
+        let mut next = mine.clone();
         let mut ghost_top = vec![0.0f64; n];
         let mut ghost_bot = vec![0.0f64; n];
         for (src, dst) in [(cur, nxt), (nxt, cur)].iter().cycle().take(iters) {

@@ -73,6 +73,12 @@ impl Server {
 /// streaming simultaneously each see ~2× duration — the effect that
 /// makes the memory-bound MatMult of the paper's Figure 4 faster on two
 /// cluster nodes (two buses) than on one dual-CPU SMP (one bus).
+///
+/// Demand is a dense array indexed by window number from virtual time
+/// 0, grown to the last window a transfer spans: 8 B per millisecond of
+/// virtual time the bus spans (about 16 KB per bus for a 2 s run). One
+/// mutex guards it, so a transfer spanning several windows adds to and
+/// reads them as one snapshot.
 #[derive(Debug)]
 pub struct Bus {
     ns_per_byte_x1024: u64,
@@ -81,39 +87,15 @@ pub struct Bus {
     capacity: u64,
     /// Node this bus belongs to, for trace attribution.
     node: usize,
-    /// Per-window demand accounting (see [`Windows`]).
-    windows: parking_lot::Mutex<Windows>,
+    /// Bytes registered so far in each window, indexed by window number.
+    demand: parking_lot::Mutex<Vec<u64>>,
 }
 
-/// Demand-accounting window width. A compile-time constant so the
-/// per-transfer window-index divisions lower to multiplications.
+/// Demand-accounting window width: one `u64` of demand per window, so a
+/// bus costs 8 B per millisecond of virtual time it spans. A
+/// compile-time constant so the per-transfer window-index divisions
+/// lower to multiplications.
 const WINDOW_NS: u64 = 1_000_000;
-
-/// Per-window demand, with the most recently touched window cached
-/// outside the map. Consecutive transfers overwhelmingly land in the
-/// same 1 ms window, so the hot path is a compare and an add — no
-/// hashing, no map probe. Invariant: the hot window's demand is *not*
-/// in `map`; it is flushed in when the hot window moves and pulled back
-/// out when an out-of-order transfer returns to an older window.
-#[derive(Debug, Default)]
-struct Windows {
-    hot_w: u64,
-    hot_demand: u64,
-    map: std::collections::HashMap<u64, u64>,
-}
-
-impl Windows {
-    /// Make `w` the hot window, preserving any demand it accumulated.
-    fn rehot(&mut self, w: u64) {
-        if self.hot_demand > 0 {
-            let old = self.hot_w;
-            let d = self.hot_demand;
-            *self.map.entry(old).or_insert(0) += d;
-        }
-        self.hot_w = w;
-        self.hot_demand = self.map.remove(&w).unwrap_or(0);
-    }
-}
 
 impl Bus {
     /// A bus with the given bandwidth in bytes per second, attributed
@@ -123,12 +105,7 @@ impl Bus {
         // ns per byte = 1e9 / B, stored in 1/1024ths for precision.
         let ns_per_byte_x1024 = (1_000_000_000u128 * 1024 / bytes_per_sec as u128) as u64;
         let capacity = (WINDOW_NS as u128 * 1024 / ns_per_byte_x1024 as u128) as u64;
-        Self {
-            ns_per_byte_x1024,
-            capacity,
-            node: 0,
-            windows: parking_lot::Mutex::new(Windows::default()),
-        }
+        Self { ns_per_byte_x1024, capacity, node: 0, demand: Default::default() }
     }
 
     /// Attribute this bus's trace events (window stalls) to `node`.
@@ -144,32 +121,22 @@ impl Bus {
             return arrive;
         }
         let base = self.duration(bytes);
-        let first = arrive / WINDOW_NS;
-        let end_incl = arrive + base.max(1) - 1;
-        let mut g = self.windows.lock();
-        let (span, total_demand) = if end_incl < (first + 1) * WINDOW_NS {
-            // Single-window transfer (the overwhelmingly common case
-            // for protocol-sized messages): one compare, one add.
-            if first != g.hot_w {
-                g.rehot(first);
-            }
-            g.hot_demand += bytes;
-            (1u64, g.hot_demand as u128)
-        } else {
-            let last = end_incl / WINDOW_NS;
-            let span = last - first + 1;
-            let per_window = bytes.div_ceil(span);
-            g.rehot(last);
-            let mut td = 0u128;
-            for w in first..last {
-                let e = g.map.entry(w).or_insert(0);
-                *e += per_window;
-                td += *e as u128;
-            }
-            g.hot_demand += per_window;
-            (span, td + g.hot_demand as u128)
-        };
-        drop(g);
+        let first = (arrive / WINDOW_NS) as usize;
+        let last = ((arrive + base.max(1) - 1) / WINDOW_NS) as usize;
+        let span = (last - first + 1) as u64;
+        let per_window = bytes.div_ceil(span);
+        let mut demand = self.demand.lock();
+        if demand.len() <= last {
+            demand.resize(last + 1, 0);
+        }
+        let total_demand: u128 = demand[first..=last]
+            .iter_mut()
+            .map(|d| {
+                *d += per_window;
+                *d as u128
+            })
+            .sum();
+        drop(demand);
         // Slowdown factor = average demand over capacity across the
         // spanned windows (≥ 1), in 1/64ths. Averaging keeps the factor
         // insensitive to window-boundary alignment. A bus below
@@ -193,19 +160,12 @@ impl Bus {
     pub fn duration(&self, bytes: u64) -> u64 {
         (bytes as u128 * self.ns_per_byte_x1024 as u128 / 1024) as u64
     }
-
-    /// Reset between runs.
-    pub fn reset(&self) {
-        let mut g = self.windows.lock();
-        g.map.clear();
-        g.hot_w = 0;
-        g.hot_demand = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn idle_server_starts_at_arrival() {
@@ -286,6 +246,103 @@ mod tests {
         assert_eq!(far, 501_000_000);
         let near = b.transfer(0, 1_000_000);
         assert_eq!(near, 1_000_000, "early transfer penalized by future reservation");
+    }
+
+    /// The hot-window map the dense array replaced, kept as the oracle:
+    /// the most recently touched window's demand lives outside the map
+    /// (invariant: never also in it), flushed in when the hot window
+    /// moves and pulled back out when a transfer returns to an older one.
+    #[derive(Default)]
+    struct Windows {
+        hot_w: u64,
+        hot_demand: u64,
+        map: std::collections::HashMap<u64, u64>,
+    }
+
+    impl Windows {
+        /// Make `w` the hot window, preserving any demand it accumulated.
+        fn rehot(&mut self, w: u64) {
+            if self.hot_demand > 0 {
+                let old = self.hot_w;
+                let d = self.hot_demand;
+                *self.map.entry(old).or_insert(0) += d;
+            }
+            self.hot_w = w;
+            self.hot_demand = self.map.remove(&w).unwrap_or(0);
+        }
+
+        /// `Bus::transfer` as it priced over this map.
+        fn transfer(&mut self, bus: &Bus, arrive: u64, bytes: u64) -> u64 {
+            if bytes == 0 {
+                return arrive;
+            }
+            let base = bus.duration(bytes);
+            let first = arrive / WINDOW_NS;
+            let end_incl = arrive + base.max(1) - 1;
+            let g = self;
+            let (span, total_demand) = if end_incl < (first + 1) * WINDOW_NS {
+                if first != g.hot_w {
+                    g.rehot(first);
+                }
+                g.hot_demand += bytes;
+                (1u64, g.hot_demand as u128)
+            } else {
+                let last = end_incl / WINDOW_NS;
+                let span = last - first + 1;
+                let per_window = bytes.div_ceil(span);
+                g.rehot(last);
+                let mut td = 0u128;
+                for w in first..last {
+                    let e = g.map.entry(w).or_insert(0);
+                    *e += per_window;
+                    td += *e as u128;
+                }
+                g.hot_demand += per_window;
+                (span, td + g.hot_demand as u128)
+            };
+            let cap_span = span as u128 * bus.capacity as u128;
+            if total_demand <= cap_span {
+                return arrive + base;
+            }
+            let factor_x64 = ((total_demand * 64) / cap_span).max(64) as u64;
+            arrive + (base as u128 * factor_x64 as u128 / 64) as u64
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn dense_demand_prices_as_the_hot_window_map(
+            bw in prop_oneof![1_000_000u64..4_000_000, 100_000_000u64..2_000_000_000],
+            stream in proptest::collection::vec(
+                (prop_oneof![0u64..10_000_000_000, 0u64..4 * WINDOW_NS], 0u8..3, any::<u64>()),
+                1..120,
+            ),
+            burst in (0u64..10_000_000_000, 2usize..6, 0usize..120),
+        ) {
+            // One thread, arrivals out of virtual order over 10^4
+            // windows or crowded into four; transfers of a few bytes, up
+            // to two windows' capacity, or up to 50 windows (50 MB); and
+            // a burst of twice-capacity transfers at one instant, so
+            // every stream saturates some window.
+            let bus = Bus::with_bandwidth(bw);
+            let mut model = Windows::default();
+            let sized = |&(arrive, class, raw): &(u64, u8, u64)| {
+                let cap = [4_096, 2 * bus.capacity, (50 * bus.capacity).min(50_000_000)];
+                (arrive, raw % cap[class as usize])
+            };
+            let (at, copies, pos) = burst;
+            let pos = pos.min(stream.len());
+            let burst = std::iter::repeat_n((at, 2 * bus.capacity), copies);
+            let all = stream[..pos].iter().map(sized).chain(burst).chain(stream[pos..].iter().map(sized));
+            let mut saturated = 0;
+            for (arrive, bytes) in all {
+                let want = model.transfer(&bus, arrive, bytes);
+                saturated += usize::from(want > arrive + bus.duration(bytes));
+                prop_assert_eq!(bus.transfer(arrive, bytes), want, "{arrive} + {bytes} B at {bw} B/s");
+            }
+            prop_assert!(saturated > 0);
+        }
     }
 
     #[test]

@@ -127,3 +127,65 @@ proptest! {
         }
     }
 }
+
+/// Each transfer's completion on a fresh 1 GB/s bus (1 MB per 1 ms
+/// window), for every order of `set`; indexed like `set`.
+fn completions_in_every_order(set: &[(u64, u64)]) -> Vec<Vec<u64>> {
+    fn orders(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![vec![]];
+        }
+        let mut out = Vec::new();
+        for order in orders(n - 1) {
+            for at in 0..n {
+                let mut o = order.clone();
+                o.insert(at, n - 1);
+                out.push(o);
+            }
+        }
+        out
+    }
+    orders(set.len())
+        .into_iter()
+        .map(|order| {
+            let bus = Bus::with_bandwidth(1_000_000_000);
+            let mut done = vec![0; set.len()];
+            for i in order {
+                done[i] = bus.transfer(set[i].0, set[i].1);
+            }
+            done
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn bus_below_saturation_is_order_independent(
+        set in proptest::collection::vec((0u64..3_000_000, 1u64..=166_666), 1..=6)
+    ) {
+        // At most six transfers of at most a sixth of a window's capacity
+        // each: whatever windows they span, no window ends above capacity,
+        // so every order gives every transfer the same completion.
+        let all = completions_in_every_order(&set);
+        prop_assert!(all.iter().all(|done| *done == all[0]), "{set:?}");
+    }
+}
+
+#[test]
+fn bus_at_capacity_is_order_independent() {
+    // Three quarter-window transfers and the first half of one spanning
+    // windows 0 and 1 fill window 0 exactly.
+    let set = [(0, 250_000), (100_000, 250_000), (300_000, 250_000), (900_000, 500_000)];
+    let all = completions_in_every_order(&set);
+    assert!(all.iter().all(|done| *done == all[0]));
+    assert_eq!(all[0], [250_000, 350_000, 550_000, 1_400_000]);
+}
+
+#[test]
+fn bus_above_capacity_prices_by_registration_order() {
+    // 1.1 MB in one 1 MB window: whichever transfer registers second sees
+    // the saturated window and is stretched by 70/64.
+    let by_order = completions_in_every_order(&[(0, 600_000), (100_000, 500_000)]);
+    assert_eq!(by_order, [[656_250, 600_000], [600_000, 646_875]]);
+}

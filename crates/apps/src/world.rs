@@ -71,8 +71,7 @@ pub fn run_native<T: Send>(
 }
 
 /// [`run_native`] with an explicit synchronization topology (tree vs
-/// central barriers, token-queue locks, digest notices — see
-/// `cluster::SyncTopology`).
+/// central barriers, digest notices — see `cluster::SyncTopology`).
 pub fn run_native_sync<T: Send>(
     nodes: usize,
     dsm_cfg: swdsm::DsmConfig,

@@ -7,10 +7,8 @@
 //! * the same seed reproduces the identical fault schedule, retry
 //!   counts, and virtual times (asserted by running the chaos
 //!   configuration twice),
-//! * both under the centralized sync protocols and under the full
-//!   scalable preset — tree barrier, digest waves, and `TokenQueue`
-//!   locks (served by the central manager on the faulty legs; SOR and
-//!   LU take no locks, so the preset's locks are configured, not run),
+//! * both under the centralized sync protocols and under the scalable
+//!   preset — tree barrier and digest waves,
 //! * and additionally under elastic-membership churn: a node leaves and
 //!   recovers twice mid-run on top of the link faults, and the
 //!   checksums still match the fault-free run bit for bit.
@@ -28,17 +26,10 @@ use interconnect::fault::FaultPlan;
 use interconnect::MembershipPlan;
 use sim::json::Value;
 
-/// The scalable topology chaos also runs under: fanout-4 tree barrier,
-/// digest waves, and `TokenQueue` locks. A resilient fabric serves those
-/// from the central manager, whose answers to retries are idempotent;
-/// the workloads here take no locks, so what this preset exercises
-/// under faults is the tree barrier and the digest waves.
+/// The scalable topology chaos also runs under: fanout-4 tree barrier
+/// and digest waves.
 fn tree_sync() -> SyncTopology {
-    SyncTopology {
-        barrier: cluster::BarrierTopology::Tree { fanout: 4 },
-        locks: cluster::LockTopology::TokenQueue,
-        notices: cluster::NoticeWire::Digest { max_runs: 64 },
-    }
+    SyncTopology { barrier: cluster::BarrierTopology::Tree { fanout: 4 }, ..SyncTopology::scalable() }
 }
 
 struct ChaosRun {

@@ -2,12 +2,12 @@
 //! protocols from 16 to 1024 nodes.
 //!
 //! For each sweep point and each topology (`centralized`: central
-//! barrier manager, lock managers, explicit per-writer notices;
-//! `scalable`: fanout-8 aggregation tree, lock-token queue, interval
-//! digests) the artifact runs three kernels — SOR, LU, and a rank-ordered
-//! lock ring — and records virtual time, checksums, and the six
-//! synchronization counters (`sync_msgs`, `sync_records`,
-//! `digest_hits`, `digest_misses`, `token_forwards`, `tree_waves`).
+//! barrier manager, explicit per-writer notices; `scalable`: fanout-8
+//! aggregation tree, interval digests; lock managers under both) the
+//! artifact runs three kernels — SOR, LU, and a rank-ordered lock ring —
+//! and records virtual time, checksums, and the five synchronization
+//! counters (`sync_msgs`, `sync_records`, `digest_hits`,
+//! `digest_misses`, `tree_waves`).
 //!
 //! The artifact is its own acceptance check:
 //!
@@ -61,9 +61,8 @@ fn sor_size(nodes: usize) -> usize {
     4 * nodes.max(16)
 }
 
-/// The six synchronization counters a cell records, summed over nodes.
-const COUNTERS: [&str; 6] =
-    ["sync_msgs", "sync_records", "digest_hits", "digest_misses", "token_forwards", "tree_waves"];
+/// The five synchronization counters a cell records, summed over nodes.
+const COUNTERS: [&str; 5] = ["sync_msgs", "sync_records", "digest_hits", "digest_misses", "tree_waves"];
 
 /// Aggregated counters for one (workload, topology, nodes) cell.
 struct Cell {
@@ -75,7 +74,7 @@ struct Cell {
     /// Barrier episodes (every node participates in each).
     barriers: u64,
     /// In [`COUNTERS`] order.
-    counters: [u64; 6],
+    counters: [u64; 5],
 }
 
 impl Cell {
@@ -263,7 +262,7 @@ pub fn scale(args: &Args) -> Built {
         &cells.iter().map(shown).collect::<Vec<_>>(),
     );
     let doc = Value::obj([
-        ("schema", Value::str("hamster-scale-v1")),
+        ("schema", Value::str("hamster-scale-v2")),
         ("sweep", Value::Arr(sweep.iter().map(|&n| Value::int(n)).collect())),
         ("cells", Value::Arr(cells.iter().map(|c| Value::obj(cell_doc(c))).collect())),
     ]);

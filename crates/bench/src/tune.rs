@@ -28,7 +28,7 @@
 use apps::world::{run_hamster, HamsterWorld, World};
 use crate::report::{Report, Table};
 use crate::{Args, Built};
-use cluster::{BarrierTopology, LockTopology, SyncTopology};
+use cluster::{BarrierTopology, SyncTopology};
 use hamster_core::{ClusterConfig, Placement, PlatformKind};
 use memwire::{AlignHint, Distribution};
 use sim::json::Value;
@@ -197,7 +197,6 @@ fn action_json(a: &Action) -> Value {
             ("lock", Value::int(lock)),
             ("to", Value::int(to)),
         ]),
-        Action::SwitchLocks => Value::obj([("action", Value::str("switch_locks"))]),
         Action::SwitchBarrier { fanout } => Value::obj([
             ("action", Value::str("switch_barrier")),
             ("fanout", Value::int(fanout)),
@@ -232,10 +231,6 @@ fn tune_workload(nodes: usize, kernel: Kernel, failures: &mut Vec<String>) -> Ou
             Action::PadRegion { pad_to, .. } => hint = AlignHint::PadTo(pad_to),
             Action::RehomePage { page, to } => placement.homes.push((page, to)),
             Action::PlaceLock { lock, to } => placement.locks.push((lock, to)),
-            Action::SwitchLocks => {
-                sync.locks = LockTopology::TokenQueue;
-                topology_changed = true;
-            }
             Action::SwitchBarrier { fanout } => {
                 sync.barrier = BarrierTopology::Tree { fanout: fanout as usize };
                 topology_changed = true;

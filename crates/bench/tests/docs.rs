@@ -104,13 +104,6 @@ fn design_kind_table_matches_the_platforms() {
         "bar_release",
         "tree_agg",
         "tree_wave",
-        "tok_acq_local",
-        "tok_acq",
-        "tok_pass",
-        "tok_set_succ",
-        "tok_rel",
-        "tok_return",
-        "tok_claim",
     ];
     let (sw, hw) = (<swdsm::Paged as Platform>::KINDS.all(), <() as Platform>::KINDS.all());
     let hex = |kind: u32| format!("`0x{kind:X}`");

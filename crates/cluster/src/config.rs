@@ -399,11 +399,10 @@ mod tests {
 
     #[test]
     fn builder_sets_sync_topology() {
-        use interconnect::{BarrierTopology, LockTopology};
+        use interconnect::BarrierTopology;
         let cfg = FabricConfig::builder().nodes(4).build();
         assert_eq!(cfg.sync, SyncTopology::centralized(), "default is centralized");
         let cfg = FabricConfig::builder().nodes(256).sync(SyncTopology::scalable()).build();
         assert_eq!(cfg.sync.barrier, BarrierTopology::Tree { fanout: 8 });
-        assert_eq!(cfg.sync.locks, LockTopology::TokenQueue);
     }
 }

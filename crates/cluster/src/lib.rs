@@ -38,8 +38,8 @@ pub mod syncproto;
 pub use config::{ConfigMap, FabricConfig, FabricConfigBuilder, LinkKind};
 pub use engine::{DataPath, Node, Shared};
 pub use interconnect::{
-    BarrierTopology, EngineMode, LockTopology, MembershipPlan, MembershipSpec, NoticeWire,
-    SyncTopology, ViewChange,
+    BarrierTopology, EngineMode, MembershipPlan, MembershipSpec, NoticeWire, SyncTopology,
+    ViewChange,
 };
 pub use node::NodeCtx;
 pub use registry::{NodeInfo, Registry};

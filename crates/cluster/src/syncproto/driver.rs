@@ -1,24 +1,21 @@
 //! The one fabric driver of the synchronisation machines.
 //!
 //! Every platform's locks and barriers run through [`Driver`]: it owns
-//! the lock managers (the central manager and the MCS token queue) and
-//! where they are placed, the central barrier manager, the tree barrier,
-//! the per-node barrier epochs, the lock-acquire histogram and the
-//! protocol counters ([`STAT_NAMES`]), registers the thirteen handlers
-//! that drive them, carries out the requester's half on the application
-//! thread, and clears the lock notices a barrier made redundant. What
-//! differs between platforms is the [`Platform`] parameter, resolved at
-//! compile time: the message kinds, the wire size of each message shape,
-//! the trace module name, and the one side effect only the software DSM
-//! has (home migration at the quiescent point). Each of those has a
-//! default, so the ordering-only `()` platform of the hybrid DSM and SMP
-//! is a few lines. No line here asks which platform it serves.
+//! the lock managers and where they are placed, the central barrier
+//! manager, the tree barrier, the per-node barrier epochs, the
+//! lock-acquire histogram and the protocol counters ([`STAT_NAMES`]),
+//! registers the six handlers that drive them, carries out the
+//! requester's half on the application thread, and clears the lock
+//! notices a barrier made redundant. What differs between platforms is
+//! the [`Platform`] parameter, resolved at compile time: the message
+//! kinds, the wire size of each message shape, the trace module name,
+//! and the one side effect only the software DSM has (home migration at
+//! the quiescent point). Each of those has a default, so the
+//! ordering-only `()` platform of the hybrid DSM and SMP is a few lines.
+//! No line here asks which platform it serves.
 //!
-//! One question is asked of the fabric, once, in [`Driver::new`]: the
-//! lock protocol. The token queue cannot re-issue a lost token, so it
-//! serves [`LockTopology::TokenQueue`] only on a fabric with no
-//! resilience policy; everywhere else the central manager serves every
-//! lock. Nothing else asks which fabric it is on. A lock release and a
+//! The central manager serves every lock on every fabric and topology.
+//! Nothing asks which fabric it is on: a lock release and a
 //! central-barrier arrival are one rendezvous on every fabric and leave
 //! the transport to `interconnect` (`send_reliable`, `rendezvous`,
 //! `answer_later`, `answer_all`). The tree barrier is one choreography,
@@ -27,9 +24,9 @@
 //! release wave, so every edge heals where the fabric retries.
 
 use super::barrier::{BarrierMgr, BarrierStep, TreeBarrier, TreeStep};
-use super::lock::{Acquire, LockMgr, Mode, TokHolderStep, TokMgrStep};
+use super::lock::{Acquire, LockMgr, Mode};
 use super::{acquire_resilient, grant_corr, Answer, Notices, Parked, Piggyback};
-use crate::{BarrierTopology, Cluster, LockTopology, NoticeWire};
+use crate::{BarrierTopology, Cluster, NoticeWire};
 use interconnect::{
     downcast, mailbox, HandlerCtx, Mailbox, NodeId, NodePort, Outcome, Payload, RequestError,
 };
@@ -53,7 +50,6 @@ pub const STAT_NAMES: &[&str] = &[
     "retries",
     "sync_msgs",
     "sync_records",
-    "token_forwards",
     "tree_waves",
     "tuner_actions",
 ];
@@ -65,7 +61,6 @@ const BARRIERS: usize = stat_index(STAT_NAMES, "barriers");
 const RETRIES: usize = stat_index(STAT_NAMES, "retries");
 const SYNC_MSGS: usize = stat_index(STAT_NAMES, "sync_msgs");
 const SYNC_RECORDS: usize = stat_index(STAT_NAMES, "sync_records");
-const TOKEN_FORWARDS: usize = stat_index(STAT_NAMES, "token_forwards");
 const TREE_WAVES: usize = stat_index(STAT_NAMES, "tree_waves");
 const TUNER_ACTIONS: usize = stat_index(STAT_NAMES, "tuner_actions");
 
@@ -92,33 +87,11 @@ pub struct Kinds {
     /// Tree barrier: the key under which a parent parks an aggregate's
     /// reply, which is the child's release wave.
     pub tree_wave: u32,
-    /// Token queue: the application starts an acquire at its own
-    /// handler, which owns the node's holder slot.
-    pub tok_acq_local: u32,
-    /// Token queue: enqueue at the lock's manager (one-way).
-    pub tok_acq: u32,
-    /// Token queue: the token and its notices pass to the next holder,
-    /// from the previous holder or from the manager; lands under the
-    /// `lock_grant` tag.
-    pub tok_pass: u32,
-    /// Token queue: the manager names the new tail the successor of
-    /// the previous one (one-way to the previous tail).
-    pub tok_set_succ: u32,
-    /// Token queue: the application releases at its own handler; also
-    /// the mailbox tag the releaser waits under until the token is
-    /// forwarded or parked.
-    pub tok_rel: u32,
-    /// Token queue: a holder with no successor known returns the token
-    /// to the manager (one-way).
-    pub tok_return: u32,
-    /// Token queue: a node told of a successor for a tenure it already
-    /// ended has the manager route the token on (one-way).
-    pub tok_claim: u32,
 }
 
 impl Kinds {
     /// Every kind of the block, in field order.
-    pub fn all(&self) -> [u32; 14] {
+    pub fn all(&self) -> [u32; 7] {
         [
             self.lock_req,
             self.lock_rel,
@@ -127,13 +100,6 @@ impl Kinds {
             self.bar_release,
             self.tree_agg,
             self.tree_wave,
-            self.tok_acq_local,
-            self.tok_acq,
-            self.tok_pass,
-            self.tok_set_succ,
-            self.tok_rel,
-            self.tok_return,
-            self.tok_claim,
         ]
     }
 }
@@ -165,8 +131,7 @@ pub trait Platform: Send + Sync + 'static {
         0
     }
 
-    /// Wire size of a lock grant, by reply or by post; a token pass adds
-    /// 8 bytes to it, a token return 24.
+    /// Wire size of a lock grant, by reply or by post.
     fn grant_bytes(_notices: &Notices<Self::Wave>) -> u64 {
         8
     }
@@ -208,13 +173,6 @@ impl Platform for () {
         bar_release: 0x204,
         tree_agg: 0x206,
         tree_wave: 0x207,
-        tok_acq_local: 0x208,
-        tok_acq: 0x209,
-        tok_pass: 0x20A,
-        tok_set_succ: 0x20B,
-        tok_rel: 0x20C,
-        tok_return: 0x20D,
-        tok_claim: 0x20E,
     };
     const MODULE: &'static str = "hybriddsm";
 }
@@ -229,8 +187,7 @@ struct LockReq {
 }
 
 /// A lock grant posted to a queued requester, as it lands in the
-/// requester's mailbox under `tag(lock_grant, lock)`; also the token
-/// queue's pass.
+/// requester's mailbox under `tag(lock_grant, lock)`.
 struct LockGrant<W: Piggyback> {
     lock: u32,
     /// The notices accumulated under the lock, per writer.
@@ -292,43 +249,6 @@ struct TreeWave<W> {
     wave: W,
 }
 
-/// Token queue: enqueue `who`, in its tenure `seq`, at `lock`'s manager.
-struct TokAcq {
-    lock: u32,
-    who: NodeId,
-    seq: u64,
-}
-
-/// Token queue: `succ` follows the receiver's tenure `for_seq` of
-/// `lock`.
-struct TokSucc {
-    lock: u32,
-    succ: NodeId,
-    for_seq: u64,
-}
-
-/// Token queue: the manager must route `lock`'s token to `succ`.
-struct TokClaim {
-    lock: u32,
-    succ: NodeId,
-}
-
-/// Token queue: the application releases `lock`, publishing its
-/// critical section into the token.
-struct TokRel<P> {
-    lock: u32,
-    publication: P,
-}
-
-/// Token queue: `who` returns `lock`'s token, ending its tenure `seq`
-/// with no successor known.
-struct TokReturn<W: Piggyback> {
-    lock: u32,
-    who: NodeId,
-    seq: u64,
-    notices: Notices<W>,
-}
-
 /// A handler body: the driver, the platform, and the message.
 type Handle<P> = fn(&Driver<P>, &P, &HandlerCtx<'_>, NodeId, Payload) -> Outcome;
 
@@ -338,10 +258,6 @@ type Handle<P> = fn(&Driver<P>, &P, &HandlerCtx<'_>, NodeId, Payload) -> Outcome
 pub struct Driver<P: Platform> {
     nodes: usize,
     barrier: BarrierTopology,
-    /// Locks ride the MCS token queue: `LockTopology::TokenQueue` on a
-    /// fabric that loses nothing. Everywhere else the central manager
-    /// serves them (see [`Driver::new`]).
-    token_locks: bool,
     /// `Some(max_runs)` when release waves travel as digests.
     digest_runs: Option<usize>,
     mailboxes: Vec<Arc<Mailbox>>,
@@ -365,8 +281,8 @@ pub struct Driver<P: Platform> {
 
 impl<P: Platform> Driver<P> {
     /// Synchronisation state for `cluster`, shaped by its
-    /// [`crate::SyncTopology`] — the barrier topology, the lock protocol
-    /// and whether waves travel as digests — and its placed lock
+    /// [`crate::SyncTopology`] — the barrier topology and whether waves
+    /// travel as digests — and its placed lock
     /// managers, each counted under `tuner_actions` at its node. `stats`
     /// holds each node's counters, [`STAT_NAMES`] among them in order.
     pub fn new(cluster: &Cluster, stats: Vec<StatSet>) -> Arc<Self> {
@@ -391,17 +307,9 @@ impl<P: Platform> Driver<P> {
             NoticeWire::Explicit => None,
             NoticeWire::Digest { max_runs } => Some(max_runs),
         };
-        // One lock protocol per fabric kind, decided here once: the MCS
-        // queue cannot re-issue a lost token (see `syncproto::lock`), so
-        // it serves `TokenQueue` only where nothing is lost; on a
-        // resilient fabric the central manager serves every lock —
-        // requested mode, causal floors, idempotent answers to retries
-        // and all.
-        let resilient = cluster.node_ctx(0).port().resilience().is_some();
         Arc::new(Driver {
             nodes,
             barrier: sync.barrier,
-            token_locks: sync.locks == LockTopology::TokenQueue && !resilient,
             digest_runs,
             mailboxes: (0..nodes).map(|n| cluster.network().mailbox(n)).collect(),
             locks: (0..nodes).map(|_| Mutex::new(LockMgr::new())).collect(),
@@ -437,25 +345,17 @@ impl<P: Platform> Driver<P> {
         }
     }
 
-    /// Register the platform's lock, token-queue, barrier and tree
-    /// handlers on every node of `cluster`. Call once, before
-    /// [`Cluster::run`].
+    /// Register the platform's lock, barrier and tree handlers on every
+    /// node of `cluster`. Call once, before [`Cluster::run`].
     pub fn register(self: &Arc<Self>, cluster: &Cluster, platform: Arc<P>) {
         let k = P::KINDS;
-        let handlers: [(u32, Handle<P>); 13] = [
+        let handlers: [(u32, Handle<P>); 6] = [
             (k.lock_req, Self::on_lock_req),
             (k.lock_rel, Self::on_lock_rel),
             (k.lock_grant, Self::on_lock_grant),
             (k.bar_arrive, Self::on_bar_arrive),
             (k.bar_release, Self::on_bar_release),
             (k.tree_agg, Self::on_tree_agg),
-            (k.tok_acq_local, Self::on_tok_acq_local),
-            (k.tok_acq, Self::on_tok_acq),
-            (k.tok_pass, Self::on_tok_pass),
-            (k.tok_set_succ, Self::on_tok_set_succ),
-            (k.tok_rel, Self::on_tok_rel),
-            (k.tok_return, Self::on_tok_return),
-            (k.tok_claim, Self::on_tok_claim),
         ];
         for (kind, handle) in handlers {
             cluster.network().register_all(kind, |_node| {
@@ -468,25 +368,16 @@ impl<P: Platform> Driver<P> {
     // ---- the application's half ----------------------------------------
 
     /// Acquire `lock` in `mode` and return the notices the grant
-    /// carries. From the central manager: one `lock_req` round (retried
-    /// by the fabric where it has a policy to) answered granted, or
-    /// queued — then park on the grant tag, where a grant destroyed in
-    /// flight leaves a loss tombstone and the next round says so (see
+    /// carries: one `lock_req` round at the manager (retried by the
+    /// fabric where it has a policy to) answered granted, or queued —
+    /// then park on the grant tag, where a grant destroyed in flight
+    /// leaves a loss tombstone and the next round says so (see
     /// [`acquire_resilient`]; a fabric that loses nothing never gets
-    /// past round 1). From the token queue, where shared mode serialises
-    /// as exclusive: kick this node's own handler, which enqueues at the
-    /// manager, and park on the grant tag until the token arrives. Close
-    /// the acquisition with [`Driver::acquired`].
+    /// past round 1). Close the acquisition with [`Driver::acquired`].
     pub fn try_acquire(&self, port: &NodePort, lock: u32, mode: Mode) -> Result<Notices<P::Wave>, RequestError> {
         let me = port.node();
         self.count(me, LOCK_ACQUIRES, 1);
         let tag = mailbox::tag(P::KINDS.lock_grant, lock);
-        if self.token_locks {
-            port.post_parking(me, P::KINDS.tok_acq_local, lock, 8);
-            let grant = downcast::<LockGrant<P::Wave>>(port.wait_mailbox(tag));
-            assert_eq!(grant.lock, lock);
-            return Ok(grant.notices);
-        }
         let mgr = self.lock_mgr(lock);
         acquire_resilient(
             format_args!("{} node {me}: lock {lock}", P::MODULE),
@@ -525,31 +416,16 @@ impl<P: Platform> Driver<P> {
     /// Release `lock`, publishing `publication`, and trace the release
     /// instant; it carries [`grant_corr`] of `(releaser, lock)` — the
     /// encoding the grant instants use — so release → next grant chains
-    /// join up. To the central manager a lost release would strand the
-    /// waiters, so it goes by [`NodePort::send_reliable`]. On the token
-    /// queue this node's own handler merges the publication into the
-    /// token and forwards or returns it: a one-way post in the model.
+    /// join up. A lost release would strand the manager's waiters, so it
+    /// goes by [`NodePort::send_reliable`].
     pub fn try_release(&self, port: &NodePort, lock: u32, publication: Pub<P>) -> Result<(), RequestError> {
         let (me, k) = (port.node(), P::KINDS);
         let bytes = 16 + P::pub_bytes(&publication);
-        if self.token_locks {
-            port.post_parking(me, k.tok_rel, TokRel { lock, publication }, bytes);
-            // Wait — in host time only: the clock is not advanced — until
-            // the token is forwarded, or parked at the manager. Otherwise
-            // whatever this node does next (a barrier, say) can bring the
-            // next acquirer to the manager before a returned token is
-            // parked there, and the manager then routes the token the long
-            // way round (successor notice, claim) — or a tree barrier's
-            // root clears the lock notices before the token's are parked —
-            // in some runs and not in others.
-            port.mailbox().wait(mailbox::tag(k.tok_rel, lock));
-        } else {
-            let mgr = self.lock_mgr(lock);
-            let seq = self.releases[me].next.fetch_add(1, Ordering::Relaxed) + 1;
-            let rel = LockRel { lock, releaser: me, seq, publication };
-            port.send_reliable(mgr, k.lock_rel, rel, bytes)?;
-            self.releases[me].sent.fetch_max(seq, Ordering::Relaxed);
-        }
+        let mgr = self.lock_mgr(lock);
+        let seq = self.releases[me].next.fetch_add(1, Ordering::Relaxed) + 1;
+        let rel = LockRel { lock, releaser: me, seq, publication };
+        port.send_reliable(mgr, k.lock_rel, rel, bytes)?;
+        self.releases[me].sent.fetch_max(seq, Ordering::Relaxed);
         let now = port.clock().now();
         sim::trace::instant_corr(now, me, P::MODULE, "lock_release", lock as u64, grant_corr(me, lock));
         Ok(())
@@ -655,7 +531,8 @@ impl<P: Platform> Driver<P> {
         }
         let deliver = match downcast::<TreeStep<P::Wave>>(port.wait_mailbox(skey)) {
             TreeStep::Up { parent, latest_ns, agg } => {
-                self.count_sync(me, parent, Self::records(&agg));
+                let records = agg.iter().map(|(_, publication)| P::pub_records(publication)).sum();
+                self.count_sync(me, parent, records);
                 let bytes = P::agg_bytes(&agg);
                 let msg = TreeAgg { id, epoch, child: me, latest_ns, agg };
                 let wave = downcast::<TreeWave<P::Wave>>(port.request_retrying(parent, k.tree_agg, msg, bytes)?);
@@ -811,118 +688,7 @@ impl<P: Platform> Driver<P> {
         }
     }
 
-    // ---- the token queue's handlers (see `syncproto::lock`) --------------
-
-    /// The application's acquire, bounced off its own handler so the
-    /// holder slot is only ever touched handler-side.
-    fn on_tok_acq_local(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
-        let lock = downcast::<u32>(msg);
-        let seq = self.locks[ctx.node].lock().tok_begin_acquire(lock);
-        let mgr = self.lock_mgr(lock);
-        self.count_sync(ctx.node, mgr, 0);
-        ctx.post(mgr, P::KINDS.tok_acq, TokAcq { lock, who: ctx.node, seq }, 24);
-        Outcome::done()
-    }
-
-    /// Enqueue at the manager: pass the parked token, or chain the new
-    /// tail behind the previous one.
-    fn on_tok_acq(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
-        let TokAcq { lock, who, seq } = downcast(msg);
-        let step = self.locks[ctx.node].lock().tok_acquire(lock, who, seq);
-        match step {
-            TokMgrStep::Pass { to, notices } => self.pass_token(ctx, lock, to, notices),
-            TokMgrStep::SetSucc { prev, for_seq, succ } => {
-                self.count(succ, LOCK_QUEUED, 1);
-                self.count_sync(ctx.node, prev, 0);
-                ctx.post(prev, P::KINDS.tok_set_succ, TokSucc { lock, succ, for_seq }, 24);
-            }
-        }
-        Outcome::done()
-    }
-
-    /// The token arrives: its notices reach the waiting application
-    /// under the tag central grants use.
-    fn on_tok_pass(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
-        let LockGrant { lock, notices } = downcast::<LockGrant<P::Wave>>(msg);
-        let notices = self.locks[ctx.node].lock().tok_pass_received(lock, notices);
-        let grant = LockGrant::<P::Wave> { lock, notices };
-        self.mailboxes[ctx.node].deposit(mailbox::tag(P::KINDS.lock_grant, lock), Box::new(grant), ctx.now);
-        Outcome::done()
-    }
-
-    /// The manager names a successor; a tenure that already ended
-    /// claims the (returned or in-flight) token back from the manager.
-    fn on_tok_set_succ(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
-        let TokSucc { lock, succ, for_seq } = downcast(msg);
-        let claim = self.locks[ctx.node].lock().tok_set_succ(lock, succ, for_seq);
-        if let Some(succ) = claim {
-            let mgr = self.lock_mgr(lock);
-            self.count_sync(ctx.node, mgr, 0);
-            ctx.post(mgr, P::KINDS.tok_claim, TokClaim { lock, succ }, 16);
-        }
-        Outcome::done()
-    }
-
-    /// The application's release, bounced off its own handler: forward
-    /// the token straight to the successor — and let the releaser go
-    /// on — or return it to the manager, which lets the releaser go on
-    /// once the token is parked there (see [`Driver::try_release`]).
-    fn on_tok_rel(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
-        let TokRel { lock, publication } = downcast::<TokRel<Pub<P>>>(msg);
-        let (me, k) = (ctx.node, P::KINDS);
-        let step = self.locks[me].lock().tok_release(lock, me, publication);
-        match step {
-            TokHolderStep::Forward { to, notices } => {
-                self.count(me, TOKEN_FORWARDS, 1);
-                self.pass_token(ctx, lock, to, notices);
-                self.mailboxes[me].deposit(mailbox::tag(k.tok_rel, lock), Box::new(()), ctx.now);
-            }
-            TokHolderStep::Return { seq, notices } => {
-                let mgr = self.lock_mgr(lock);
-                let bytes = P::grant_bytes(&notices) + 24;
-                self.count_sync(me, mgr, Self::records(&notices));
-                ctx.post(mgr, k.tok_return, TokReturn::<P::Wave> { lock, who: me, seq, notices }, bytes);
-            }
-        }
-        Outcome::done()
-    }
-
-    /// A token comes back to the manager with no successor known: pass
-    /// it to a pending claimant or park it, and let its releaser go on.
-    fn on_tok_return(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
-        let TokReturn { lock, who, seq, notices } = downcast::<TokReturn<P::Wave>>(msg);
-        let pass = self.locks[ctx.node].lock().tok_return(lock, who, seq, notices);
-        if let Some((to, notices)) = pass {
-            self.pass_token(ctx, lock, to, notices);
-        }
-        self.mailboxes[who].deposit(mailbox::tag(P::KINDS.tok_rel, lock), Box::new(()), ctx.now);
-        Outcome::done()
-    }
-
-    /// A node told of a successor too late routes the token on from the
-    /// manager.
-    fn on_tok_claim(&self, _p: &P, ctx: &HandlerCtx<'_>, _src: NodeId, msg: Payload) -> Outcome {
-        let TokClaim { lock, succ } = downcast(msg);
-        let pass = self.locks[ctx.node].lock().tok_claim(lock, succ);
-        if let Some((to, notices)) = pass {
-            self.pass_token(ctx, lock, to, notices);
-        }
-        Outcome::done()
-    }
-
     // ---- shared by both halves ---------------------------------------------
-
-    /// Pass `lock`'s token from this handler's node to `to`: a holder's
-    /// direct forward or a manager's hand-over, traced as a grant like
-    /// the central manager's so the analyzer chains both alike.
-    fn pass_token(&self, ctx: &HandlerCtx<'_>, lock: u32, to: NodeId, notices: Notices<P::Wave>) {
-        let k = P::KINDS;
-        self.trace_grant(ctx.now, ctx.node, lock, to);
-        let bytes = P::grant_bytes(&notices) + 8;
-        self.count_sync(ctx.node, to, Self::records(&notices));
-        let pass = LockGrant::<P::Wave> { lock, notices };
-        ctx.post_tagged(to, k.tok_pass, pass, bytes, mailbox::tag(k.lock_grant, lock));
-    }
 
     /// Barrier `id` released `epoch` at `node`: the first time, drop
     /// the node's lock-notice history, since a barrier makes every
@@ -987,11 +753,6 @@ impl<P: Platform> Driver<P> {
         (TreeWave { epoch, release_ns, wave }, bytes)
     }
 
-    /// Notice records in a tree aggregate or a token's notices.
-    fn records(notices: &Notices<P::Wave>) -> u64 {
-        notices.iter().map(|(_, publication)| P::pub_records(publication)).sum()
-    }
-
     /// A lock-grant instant; `corr` packs `(grantee, lock)` like every
     /// other platform's (see [`grant_corr`]).
     fn trace_grant(&self, at_ns: u64, node: NodeId, lock: u32, grantee: NodeId) {
@@ -1016,13 +777,6 @@ mod tests {
         bar_release: 0xF04,
         tree_agg: 0xF06,
         tree_wave: 0xF07,
-        tok_acq_local: 0xF08,
-        tok_acq: 0xF09,
-        tok_pass: 0xF0A,
-        tok_set_succ: 0xF0B,
-        tok_rel: 0xF0C,
-        tok_return: 0xF0D,
-        tok_claim: 0xF0E,
     };
 
     /// A notice-carrying platform: the machine tests' payload.
@@ -1170,12 +924,7 @@ mod tests {
     }
 
     fn tree_barriers_coexist_with_locks_on<P: Platform + Default>(resilient: bool) {
-        // The central manager's grants carry a causal floor, so critical
-        // sections never overlap in virtual time either. (A token passed
-        // on from the manager's parking spot carries none: see
-        // `syncproto::lock`.)
-        let sync = SyncTopology { locks: LockTopology::Manager, ..spec("tree:2") };
-        let (_, entries, _) = run(&cluster(4, sync, resilient), &Arc::<P>::default(), |node| {
+        let (_, entries, _) = run(&cluster(4, spec("tree:2"), resilient), &Arc::<P>::default(), |node| {
             node.barrier(1);
             node.acquire(7);
             let t = node.ctx.clock().now();
@@ -1224,46 +973,44 @@ mod tests {
         assert_eq!(net("posts"), 0, "the tree makes no post");
     }
 
-    fn token_queue_forwards_where_nothing_is_lost_on<P: Platform + Default>(resilient: bool) {
-        // A contended lock on a 4-node `scalable` fabric. The first
-        // holder keeps it until the other three are queued behind it
-        // (`compute` costs no host time, so it could otherwise release
-        // before anyone asked): its release then has a successor. Where
-        // nothing is lost, the token goes to it directly; where the
-        // fabric retries, the central manager serves the lock and no
-        // token exists.
-        let (inside, max_seen, waited) = (AtomicU64::new(0), AtomicU64::new(0), AtomicBool::new(false));
-        let (.., sync) = run(&cluster(4, spec("scalable"), resilient), &Arc::<P>::default(), |node| {
-            node.barrier(1);
-            for _ in 0..5 {
-                node.acquire(7);
-                max_seen.fetch_max(inside.fetch_add(1, SeqCst) + 1, SeqCst);
-                if !waited.swap(true, SeqCst) {
-                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-                    while total(node.sync, "lock_queued") < 3 && std::time::Instant::now() < deadline {
+    fn locks_never_overlap_in_virtual_time_on<P: Platform + Default>(resilient: bool) {
+        // Node 0 holds lock 7 for 1 ms; node 1 asks for it only once node
+        // 0 has released it in host time, with its own clock still
+        // behind node 0's release. The grant's causal floor must still
+        // hold node 1 back to the release, on every topology.
+        for name in ["centralized", "scalable", "tree:2"] {
+            let released = AtomicBool::new(false);
+            let (_, spans, _) = run(&cluster(2, spec(name), resilient), &Arc::<P>::default(), |node| {
+                node.barrier(1);
+                let span = if node.ctx.rank() == 0 {
+                    node.acquire(7);
+                    let entry = node.ctx.clock().now();
+                    node.ctx.compute(1_000_000);
+                    let exit = node.ctx.clock().now();
+                    node.release(7);
+                    released.store(true, SeqCst);
+                    (entry, exit)
+                } else {
+                    while !released.load(SeqCst) {
                         std::thread::yield_now();
                     }
-                }
-                node.ctx.compute(100_000);
-                inside.fetch_sub(1, SeqCst);
-                node.release(7);
-            }
-            node.barrier(2);
-        });
-        assert_eq!(max_seen.load(SeqCst), 1, "resilient: {resilient}");
-        assert!(total(&sync, "lock_queued") >= 3, "the others never queued");
-        assert_eq!(total(&sync, "lock_acquires"), 20);
-        let forwards = total(&sync, "token_forwards");
-        if resilient {
-            assert_eq!(forwards, 0, "the manager, not a token, serves a resilient fabric's locks");
-        } else {
-            assert!(forwards > 0, "a contended release never forwarded the token");
+                    node.acquire(7);
+                    let entry = node.ctx.clock().now();
+                    node.release(7);
+                    (entry, entry)
+                };
+                node.barrier(2);
+                span
+            });
+            let ((_, exit0), (entry1, _)) = (spans[0], spans[1]);
+            let leg = format!("{name}, resilient: {resilient}");
+            assert!(entry1 >= exit0, "{leg}: node 1 entered at {entry1} ns, inside node 0's hold {spans:?}");
         }
     }
 
     #[test]
-    fn token_queue_forwards_where_nothing_is_lost() {
-        legs!(token_queue_forwards_where_nothing_is_lost_on);
+    fn locks_never_overlap_in_virtual_time() {
+        legs!(locks_never_overlap_in_virtual_time_on);
     }
 
     #[test]
@@ -1290,8 +1037,8 @@ mod tests {
         // Every node publishes a page under lock 7, then meets the others
         // at a barrier, which makes those writes visible everywhere: a
         // grant of lock 7 after it carries none of them. `centralized`
-        // clears at each central release, `tree:2` (token-queue locks)
-        // at the root's quiescent point.
+        // clears at each central release, `tree:2` at the root's
+        // quiescent point.
         for name in ["centralized", "tree:2"] {
             let (_, after, _) = run(&cluster(3, spec(name), false), &Arc::new(Wave::default()), |node| {
                 let (port, me) = (node.ctx.port(), node.ctx.rank() as u32);

@@ -1,43 +1,22 @@
-//! Distributed lock management: the centralized manager and the
-//! MCS-style token queue.
+//! Distributed lock management: the central lock manager.
 //!
-//! Locks are distributed across manager nodes (`lock % nodes`). In the
-//! centralized scheme ([`LockMgr::acquire_mode`]/[`LockMgr::release`])
-//! the manager serializes ownership and, where notices ride the locks,
+//! Locks are distributed across manager nodes (`lock % nodes`, unless
+//! placed elsewhere). The manager ([`LockMgr::acquire_mode`]/
+//! [`LockMgr::release`]) serializes ownership in the requested mode,
+//! floors every grant at the virtual time the lock became free, so
+//! critical sections never overlap in virtual time, and answers a
+//! retried request idempotently. Where notices ride the locks, it
 //! stores the write notices published by each release so it can hand
 //! them to the next acquirer (the "lock grant carries notices" edge of
 //! Scope Consistency). Every handover costs a round through the
-//! manager, and the manager's notice store grows with every release —
-//! both scale with contention, not with the queue.
+//! manager, and the manager's notice store grows with every release.
 //!
-//! The token queue (`LockTopology::TokenQueue`, the `tok_*` methods)
-//! keeps the manager only as a *queue tail registrar*, MCS-style: the
-//! first acquirer gets a freshly created token; each later acquirer is
-//! linked behind the current tail by a single successor notification to
-//! that tail ([`TokMgrStep::SetSucc`]); releases then pass the token —
-//! notices riding on it — *directly* to the known successor, one
-//! message, no manager round. A holder that releases with no successor
-//! known returns the token to the manager, which parks it for the next
-//! acquirer. Per-tenure sequence numbers pair each successor
-//! notification with the tenure it targets, so notifications that cross
-//! releases (or arrive after the holder re-acquired) resolve via a
-//! claim ([`LockMgr::tok_set_succ`]) instead of corrupting a newer tenure.
-//! The token is in exactly one message at a time and nothing can
-//! re-issue it, so the queue is for fabrics that lose nothing: on a
-//! resilient fabric the driver serves every lock from the centralized
-//! manager, whose answers to a retried request are idempotent. Nor does
-//! the queue know virtual time: a token the manager passes on from its
-//! parking spot leaves at the acquire request's time, which can precede
-//! the return that parked it, so two critical sections can overlap in
-//! virtual time (never in host time — there is one token). The central
-//! manager's grants carry a causal floor instead.
-//!
-//! Notice history (manager store, parked tokens, held tokens) is
-//! cleared when a barrier makes everything globally visible.
+//! The notice store is cleared when a barrier makes everything globally
+//! visible.
 //!
 //! Everything here is generic over the [`Piggyback`] a platform rides on
 //! its synchronisation messages: with `()` the notice lists stay empty
-//! and the machines are the ordering-only lock protocol of the
+//! and the machine is the ordering-only lock protocol of the
 //! hardware-coherent platforms.
 
 use super::{publish, Notices, Piggyback};
@@ -78,98 +57,10 @@ pub struct LockState<P> {
     pub posted: Vec<usize>,
 }
 
-/// Manager-side state of one lock's token queue.
-#[derive(Clone, Debug, Default)]
-struct TokenLock<P> {
-    /// The last acquirer the manager linked into the queue, with the
-    /// tenure sequence number it acquired under.
-    tail: Option<(usize, u64)>,
-    /// The token's notices while it rests at the manager (returned by a
-    /// holder with no successor, or crossing a successor notification
-    /// and reserved for the coming claim).
-    parked: Option<Vec<(usize, P)>>,
-    /// A claimed successor whose token return is still in flight to the
-    /// manager; the return is forwarded to it on arrival.
-    pending: Option<usize>,
-    /// The token exists (created on first acquire).
-    created: bool,
-}
-
-/// Holder-side phase of one lock's token tenure.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-enum TokenHold {
-    /// No tenure in progress.
-    #[default]
-    Idle,
-    /// Acquire sent; waiting for the token to arrive.
-    Expecting,
-    /// Holding the token (inside the critical section).
-    Holding,
-    /// Tenure ended with the token returned to the manager; a late
-    /// successor notification for it turns into a claim.
-    AwaitSucc,
-}
-
-/// Holder-side state of one lock's token queue at this node.
-#[derive(Clone, Debug, Default)]
-struct TokenSlot<P> {
-    /// This node's tenure counter for the lock (bumped per acquire).
-    seq: u64,
-    state: TokenHold,
-    /// The successor named for the current tenure, if any.
-    succ: Option<usize>,
-    /// The token's accumulated notices while held here.
-    token: Vec<(usize, P)>,
-}
-
-/// What the manager sends after a token-queue event.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TokMgrStep<P> {
-    /// Pass the token (with its notices) to `to`.
-    Pass {
-        /// The next holder.
-        to: usize,
-        /// The token's accumulated notices.
-        notices: Vec<(usize, P)>,
-    },
-    /// Tell `prev` — for its tenure `for_seq` — that `succ` follows it.
-    SetSucc {
-        /// The previous queue tail.
-        prev: usize,
-        /// The tenure of `prev` the notification targets.
-        for_seq: u64,
-        /// The newly enqueued successor.
-        succ: usize,
-    },
-}
-
-/// What a holder does with the token at a release.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TokHolderStep<P> {
-    /// Pass the token directly to the known successor.
-    Forward {
-        /// The successor.
-        to: usize,
-        /// The token's accumulated notices.
-        notices: Vec<(usize, P)>,
-    },
-    /// No successor known: return the token to the manager.
-    Return {
-        /// The ending tenure's sequence number.
-        seq: u64,
-        /// The token's accumulated notices.
-        notices: Vec<(usize, P)>,
-    },
-}
-
-/// All locks managed by one node: centralized state, plus the
-/// token-queue manager state (for locks managed here) and holder state
-/// (for locks this node acquires).
+/// All locks managed by one node.
 #[derive(Clone, Debug)]
 pub struct LockMgr<W: Piggyback> {
     locks: HashMap<u32, LockState<W::Pub>>,
-    tokens: HashMap<u32, TokenLock<W::Pub>>,
-    slots: HashMap<u32, TokenSlot<W::Pub>>,
 }
 
 /// Outcome of an acquire attempt at the manager.
@@ -185,11 +76,7 @@ pub enum Acquire<P> {
 
 impl<W: Piggyback> Default for LockMgr<W> {
     fn default() -> Self {
-        Self {
-            locks: HashMap::new(),
-            tokens: HashMap::new(),
-            slots: HashMap::new(),
-        }
+        Self { locks: HashMap::new() }
     }
 }
 
@@ -330,165 +217,11 @@ impl<W: Piggyback> LockMgr<W> {
         grants
     }
 
-    /// A barrier made all writes globally visible: drop notice history —
-    /// the centralized store, parked tokens, and tokens held here. (A
-    /// token returned to a manager concurrently with the barrier may
-    /// re-park pre-barrier notices after the clear; applying them again
-    /// merely re-invalidates up-to-date pages, which is conservative
-    /// and deterministic.)
+    /// A barrier made all writes globally visible: drop the notice
+    /// history of every lock managed here.
     pub fn clear_notices(&mut self) {
         for st in self.locks.values_mut() {
             st.notices.clear();
-        }
-        for tok in self.tokens.values_mut() {
-            if let Some(parked) = &mut tok.parked {
-                parked.clear();
-            }
-        }
-        for slot in self.slots.values_mut() {
-            slot.token.clear();
-        }
-    }
-
-    // ---- token queue (`LockTopology::TokenQueue`) ----
-    //
-    // Manager side (`tok_acquire` / `tok_return` / `tok_claim`) runs at
-    // `lock % nodes`; holder side (`tok_begin_acquire` /
-    // `tok_pass_received` / `tok_release` / `tok_set_succ`) runs at
-    // every node. See the module docs for the protocol.
-
-    /// Manager: node `who` (tenure `seq`) asks for `lock`'s token.
-    pub fn tok_acquire(&mut self, lock: u32, who: usize, seq: u64) -> TokMgrStep<W::Pub> {
-        let tok = self.tokens.entry(lock).or_default();
-        if !tok.created {
-            tok.created = true;
-            tok.tail = Some((who, seq));
-            return TokMgrStep::Pass { to: who, notices: Vec::new() };
-        }
-        if tok.tail.is_none() {
-            // The token rests here with nobody queued behind its last
-            // holder: hand it over directly.
-            let notices = tok.parked.take().expect("tokenless tail-less lock");
-            tok.tail = Some((who, seq));
-            return TokMgrStep::Pass { to: who, notices };
-        }
-        let (prev, for_seq) = tok.tail.replace((who, seq)).unwrap();
-        TokMgrStep::SetSucc { prev, for_seq, succ: who }
-    }
-
-    /// Manager: holder `from` (tenure `seq`) returned the token with no
-    /// successor known. Passes it to a pending claimant — the returned
-    /// `(next holder, token notices)` — or parks it.
-    pub fn tok_return(
-        &mut self,
-        lock: u32,
-        from: usize,
-        seq: u64,
-        notices: Notices<W>,
-    ) -> Option<(usize, Notices<W>)> {
-        let tok = self.tokens.get_mut(&lock).expect("return for unknown token");
-        if let Some(succ) = tok.pending.take() {
-            return Some((succ, notices));
-        }
-        assert!(tok.parked.is_none(), "token returned while already parked");
-        if tok.tail == Some((from, seq)) {
-            // The returner is still the queue tail: nobody is waiting.
-            tok.tail = None;
-        }
-        // Otherwise a successor notification crossed this return; keep
-        // the token parked until the returner's claim routes it.
-        tok.parked = Some(notices);
-        None
-    }
-
-    /// Manager: a holder whose tenure already ended routes the token to
-    /// the successor it was just told about: the pass `(succ, token
-    /// notices)` if the token rests here, nothing while its return is
-    /// still in flight.
-    pub fn tok_claim(&mut self, lock: u32, succ: usize) -> Option<(usize, Notices<W>)> {
-        let tok = self.tokens.get_mut(&lock).expect("claim for unknown token");
-        if let Some(notices) = tok.parked.take() {
-            return Some((succ, notices));
-        }
-        // The return is still in flight; forward on arrival.
-        assert!(tok.pending.is_none(), "two claims pending for one token");
-        tok.pending = Some(succ);
-        None
-    }
-
-    /// Holder: start acquiring `lock`'s token. Returns the new tenure
-    /// sequence number to send with the manager enqueue.
-    pub fn tok_begin_acquire(&mut self, lock: u32) -> u64 {
-        let slot = self.slots.entry(lock).or_default();
-        assert!(
-            matches!(slot.state, TokenHold::Idle | TokenHold::AwaitSucc),
-            "token acquire while {:?}",
-            slot.state
-        );
-        slot.seq += 1;
-        slot.state = TokenHold::Expecting;
-        slot.succ = None;
-        slot.seq
-    }
-
-    /// Holder: the token arrived. Returns the notices to hand to the
-    /// waiting application (the token keeps carrying them onward).
-    pub fn tok_pass_received(&mut self, lock: u32, notices: Notices<W>) -> Notices<W> {
-        let slot = self.slots.get_mut(&lock).expect("token pass without acquire");
-        assert_eq!(slot.state, TokenHold::Expecting, "unexpected token pass");
-        slot.state = TokenHold::Holding;
-        slot.token = notices.clone();
-        notices
-    }
-
-    /// Holder: node `who` releases `lock`, merging `interval` into the
-    /// token, and forwards it to the known successor or returns it to
-    /// the manager.
-    pub fn tok_release(
-        &mut self,
-        lock: u32,
-        who: usize,
-        interval: W::Pub,
-    ) -> TokHolderStep<W::Pub> {
-        let slot = self.slots.get_mut(&lock).expect("token release without hold");
-        assert_eq!(slot.state, TokenHold::Holding, "token release while not holding");
-        publish::<W>(&mut slot.token, who, interval);
-        let notices = std::mem::take(&mut slot.token);
-        if let Some(to) = slot.succ.take() {
-            slot.state = TokenHold::Idle;
-            TokHolderStep::Forward { to, notices }
-        } else {
-            slot.state = TokenHold::AwaitSucc;
-            TokHolderStep::Return { seq: slot.seq, notices }
-        }
-    }
-
-    /// Holder: the manager named `succ` the successor of this node's
-    /// tenure `for_seq`. Stores it for the live tenure, or — when that
-    /// tenure already ended — returns the successor to claim the token
-    /// for: the manager must route the (parked or in-flight returned)
-    /// token onward to it.
-    pub fn tok_set_succ(&mut self, lock: u32, succ: usize, for_seq: u64) -> Option<usize> {
-        let slot = self.slots.get_mut(&lock).expect("successor for unknown slot");
-        if for_seq < slot.seq {
-            // A notification for an earlier tenure, arriving after this
-            // node moved on (possibly mid-reacquire): the old token went
-            // back to the manager, so route it from there. The current
-            // tenure is untouched.
-            return Some(succ);
-        }
-        assert_eq!(for_seq, slot.seq, "successor notification for a future tenure");
-        match slot.state {
-            TokenHold::Holding | TokenHold::Expecting => {
-                assert!(slot.succ.is_none(), "second successor for one tenure");
-                slot.succ = Some(succ);
-                None
-            }
-            TokenHold::AwaitSucc => {
-                slot.state = TokenHold::Idle;
-                Some(succ)
-            }
-            TokenHold::Idle => panic!("successor notification for a forwarded tenure"),
         }
     }
 
@@ -678,140 +411,5 @@ mod tests {
         // node 2 still holds by post.
         assert!(matches!(mgr.acquire_mode(6, 1, Mode::Shared, 45, false), Acquire::Granted(..)));
         assert_eq!(mgr.acquire_mode(6, 2, Mode::Shared, 50, false), Acquire::Queued);
-    }
-}
-
-#[cfg(test)]
-mod token_tests {
-    use super::super::testpayload::{iv, Wave};
-    use super::*;
-
-    #[test]
-    fn first_acquire_creates_and_passes() {
-        let mut mgr = LockMgr::<Wave>::new();
-        let mut a = LockMgr::<Wave>::new();
-        let seq = a.tok_begin_acquire(5);
-        assert_eq!(seq, 1);
-        assert_eq!(mgr.tok_acquire(5, 0, seq), TokMgrStep::Pass { to: 0, notices: vec![] });
-        assert_eq!(a.tok_pass_received(5, vec![]), vec![]);
-    }
-
-    #[test]
-    fn chain_forwards_directly_with_merged_notices() {
-        let mut mgr = LockMgr::<Wave>::new();
-        let mut a = LockMgr::<Wave>::new();
-        let mut b = LockMgr::<Wave>::new();
-        let sa = a.tok_begin_acquire(5);
-        mgr.tok_acquire(5, 0, sa);
-        a.tok_pass_received(5, vec![]);
-        // B queues behind A: one successor notification, no token move.
-        let sb = b.tok_begin_acquire(5);
-        assert_eq!(
-            mgr.tok_acquire(5, 1, sb),
-            TokMgrStep::SetSucc { prev: 0, for_seq: sa, succ: 1 }
-        );
-        assert_eq!(a.tok_set_succ(5, 1, sa), None);
-        // A releases: the token (now carrying A's notices) goes straight
-        // to B — no manager round.
-        match a.tok_release(5, 0, iv(&[3])) {
-            TokHolderStep::Forward { to, notices } => {
-                assert_eq!(to, 1);
-                assert_eq!(notices, vec![(0, iv(&[3]))]);
-                assert_eq!(b.tok_pass_received(5, notices), vec![(0, iv(&[3]))]);
-            }
-            other => panic!("expected forward, got {other:?}"),
-        }
-        // B releases with no successor: back to the manager, notices
-        // merged per writer.
-        match b.tok_release(5, 1, iv(&[8])) {
-            TokHolderStep::Return { seq, notices } => {
-                assert_eq!(seq, sb);
-                assert_eq!(notices, vec![(0, iv(&[3])), (1, iv(&[8]))]);
-                assert_eq!(mgr.tok_return(5, 1, seq, notices), None);
-            }
-            other => panic!("expected return, got {other:?}"),
-        }
-        // The parked token serves the next acquirer immediately.
-        let sa2 = a.tok_begin_acquire(5);
-        match mgr.tok_acquire(5, 0, sa2) {
-            TokMgrStep::Pass { to: 0, notices } => {
-                assert_eq!(notices, vec![(0, iv(&[3])), (1, iv(&[8]))]);
-            }
-            other => panic!("expected pass, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn crossed_return_resolves_via_claim() {
-        let mut mgr = LockMgr::<Wave>::new();
-        let mut a = LockMgr::<Wave>::new();
-        let sa = a.tok_begin_acquire(5);
-        mgr.tok_acquire(5, 0, sa);
-        a.tok_pass_received(5, vec![]);
-        // A releases (return in flight) while B's enqueue reaches the
-        // manager first: the successor notification targets A's ended
-        // tenure.
-        let step = a.tok_release(5, 0, iv(&[1]));
-        let TokHolderStep::Return { seq, notices } = step else { panic!() };
-        assert_eq!(mgr.tok_acquire(5, 1, 1), TokMgrStep::SetSucc { prev: 0, for_seq: sa, succ: 1 });
-        // Return arrives: the tail moved on, so the token parks reserved.
-        assert_eq!(mgr.tok_return(5, 0, seq, notices), None);
-        // A's late notification turns into a claim that routes it to B.
-        assert_eq!(a.tok_set_succ(5, 1, sa), Some(1));
-        assert_eq!(mgr.tok_claim(5, 1), Some((1, vec![(0, iv(&[1]))])));
-    }
-
-    #[test]
-    fn claim_before_return_pends_until_arrival() {
-        let mut mgr = LockMgr::<Wave>::new();
-        let mut a = LockMgr::<Wave>::new();
-        let sa = a.tok_begin_acquire(5);
-        mgr.tok_acquire(5, 0, sa);
-        a.tok_pass_received(5, vec![]);
-        let TokHolderStep::Return { seq, notices } = a.tok_release(5, 0, iv(&[1])) else {
-            panic!()
-        };
-        mgr.tok_acquire(5, 1, 1);
-        // The claim beats the (slower) token return to the manager.
-        assert_eq!(a.tok_set_succ(5, 1, sa), Some(1));
-        assert_eq!(mgr.tok_claim(5, 1), None);
-        assert_eq!(mgr.tok_return(5, 0, seq, notices), Some((1, vec![(0, iv(&[1]))])));
-    }
-
-    #[test]
-    fn stale_notification_after_reacquire_claims_without_corruption() {
-        let mut mgr = LockMgr::<Wave>::new();
-        let mut a = LockMgr::<Wave>::new();
-        let sa = a.tok_begin_acquire(5);
-        mgr.tok_acquire(5, 0, sa);
-        a.tok_pass_received(5, vec![]);
-        let TokHolderStep::Return { seq, notices } = a.tok_release(5, 0, iv(&[1])) else {
-            panic!()
-        };
-        mgr.tok_return(5, 0, seq, notices);
-        // A re-acquires; only then does a notification for the *old*
-        // tenure arrive. It must claim, not become the new successor.
-        let sa2 = a.tok_begin_acquire(5);
-        assert!(sa2 > sa);
-        assert_eq!(a.tok_set_succ(5, 1, sa), Some(1));
-        // The new tenure proceeds untouched.
-        a.tok_pass_received(5, vec![]);
-        assert!(matches!(a.tok_release(5, 0, iv(&[])), TokHolderStep::Return { .. }));
-    }
-
-    #[test]
-    fn barrier_clears_token_notices() {
-        let mut mgr = LockMgr::<Wave>::new();
-        let mut a = LockMgr::<Wave>::new();
-        let sa = a.tok_begin_acquire(5);
-        mgr.tok_acquire(5, 0, sa);
-        a.tok_pass_received(5, vec![]);
-        let TokHolderStep::Return { seq, notices } = a.tok_release(5, 0, iv(&[1])) else {
-            panic!()
-        };
-        mgr.tok_return(5, 0, seq, notices);
-        mgr.clear_notices();
-        let sa2 = a.tok_begin_acquire(5);
-        assert_eq!(mgr.tok_acquire(5, 0, sa2), TokMgrStep::Pass { to: 0, notices: vec![] });
     }
 }

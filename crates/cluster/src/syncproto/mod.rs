@@ -1,9 +1,9 @@
 //! The synchronisation protocols, as pure state machines.
 //!
 //! HAMSTER's claim is one synchronisation module under every platform.
-//! This module is that one copy: the reader/writer lock manager and the
-//! token queue ([`lock`]), the central barrier manager, the tree shape
-//! and the tree barrier ([`barrier`]). The software DSM, the
+//! This module is that one copy: the reader/writer lock manager
+//! ([`lock`]), the central barrier manager, the tree shape and the tree
+//! barrier ([`barrier`]). The software DSM, the
 //! hybrid DSM and the SMP platform all drive these machines; what
 //! differs between them is only what rides the messages — write notices
 //! on the software DSM, nothing on hardware-coherent memory — and that
@@ -86,7 +86,7 @@ fn publish<W: Piggyback>(notices: &mut Notices<W>, who: usize, publication: W::P
 /// Trace correlation id of a lock grant or release: packs
 /// `(node + 1) << 32 | (lock + 1)`, the same on every platform, so the
 /// analyzer chains release → next grant into per-lock handoff sequences
-/// whichever protocol produced them.
+/// whichever platform produced them.
 pub fn grant_corr(node: usize, lock: u32) -> u64 {
     ((node as u64 + 1) << 32) | (lock as u64 + 1)
 }

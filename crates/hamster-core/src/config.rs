@@ -158,8 +158,9 @@ pub struct ClusterConfig {
     /// Size of the fabric's delivery worker pool: `sharded` (auto, the
     /// default) or `sharded:N`.
     pub engine: EngineMode,
-    /// Synchronization topology: which barrier, lock, and write-notice
+    /// Synchronization topology: which barrier and write-notice
     /// protocols the platforms run (default: centralized managers).
+    /// Locks come from their managers under every topology.
     pub sync: SyncTopology,
     /// Explicit page-home and lock-manager placements (tuner output),
     /// applied at bring-up.
@@ -197,8 +198,9 @@ impl ClusterConfig {
     /// `nodes` (usize, required), `platform` (smp|hybrid|swdsm|mixed,
     /// required), `unified_messaging` (bool), `engine`
     /// (`sharded` | `sharded:N`), `sync`
-    /// (`centralized` | `scalable` | `tree` | `tree:K`, the same on
-    /// every platform),
+    /// (`centralized` | `scalable` | `tree` | `tree:K`: the barrier
+    /// shape and notice encoding, the same on every platform; locks
+    /// are served by their managers under every value),
     /// `place_home` (`region:page:node` list),
     /// `place_lock` (`lock:node` list), `membership`
     /// (`seed:cycles:from_ns:until_ns` churn spec), and

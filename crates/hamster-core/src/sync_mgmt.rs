@@ -6,7 +6,7 @@
 //! variables and thread joins) and global atomic read-modify-write.
 //!
 //! Which wire protocols sit under the lock and barrier calls — central
-//! managers, aggregation trees, the lock-token queue — is the business
+//! lock and barrier managers, aggregation trees — is the business
 //! of the one synchronisation driver every platform engine runs
 //! (`cluster::syncproto::driver`), steered by the fabric's
 //! [`cluster::SyncTopology`] (the `sync` configuration key) alike on

@@ -140,8 +140,7 @@ fn both_dsms_drive_the_one_sync_driver_on_one_cluster_without_crossing() {
     // holds both locks at once, and the barriers interleave id for id.
     // Were the managers shared, the nested acquire would queue behind
     // its own node and the same-id barriers would count each other's
-    // arrivals. Under `scalable` both run their own token queue and
-    // tree barrier.
+    // arrivals. Under `scalable` both run their own tree barrier.
     use cluster::{Cluster, FabricConfig, LinkKind, SyncTopology};
     use hybriddsm::{HybridConfig, HybridDsm};
     use swdsm::{DsmConfig, SwDsm};

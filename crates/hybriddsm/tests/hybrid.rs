@@ -77,15 +77,11 @@ fn lock_protected_counter_is_exact() {
 
 #[test]
 fn lock_protocol_follows_the_sync_setting() {
-    // The same contended counter under the central manager and under
-    // the token queue. The manager answers one request per acquire; the
-    // token queue travels by posts only, so the fabric sees no request
-    // at all (the barriers are posts too on a fabric that loses nothing).
-    let token_queue = cluster::SyncTopology {
-        locks: cluster::LockTopology::TokenQueue,
-        ..cluster::SyncTopology::centralized()
-    };
-    for (sync, requests) in [(cluster::SyncTopology::centralized(), 4 * 25), (token_queue, 0)] {
+    // The same contended counter under both presets. Either way the lock
+    // manager answers one request per acquire. On a fabric that loses
+    // nothing a central barrier is posts only; a tree barrier adds one
+    // aggregate request per wave it gets back.
+    for sync in [cluster::SyncTopology::centralized(), cluster::SyncTopology::scalable()] {
         let c = Cluster::new(FabricConfig::builder().nodes(4).link(LinkKind::Sci).sync(sync).build());
         let dsm = HybridDsm::install(&c, HybridConfig::default());
         let (report, results) = c.run(|ctx| {
@@ -102,7 +98,9 @@ fn lock_protocol_follows_the_sync_setting() {
             node.read_u64(a)
         });
         assert_eq!(results, vec![100; 4], "{sync:?}");
-        assert_eq!(report.net_stats["requests"], requests, "{sync:?}");
+        let aggregates: u64 = (0..4).map(|n| dsm.stats(n).get("tree_waves")).sum();
+        assert_eq!(aggregates > 0, sync == cluster::SyncTopology::scalable(), "{sync:?}");
+        assert_eq!(report.net_stats["requests"], 4 * 25 + aggregates, "{sync:?}");
     }
 }
 
@@ -358,7 +356,6 @@ fn tree_barrier_heals_lost_release_waves() {
     plan.per_link = vec![((1, 2), lossy), ((1, 3), lossy), ((2, 1), lossy)];
     let sync = cluster::SyncTopology {
         barrier: cluster::BarrierTopology::Tree { fanout: 2 },
-        locks: cluster::LockTopology::Manager,
         notices: cluster::NoticeWire::Explicit,
     };
     let c = Cluster::new(

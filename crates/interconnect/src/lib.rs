@@ -54,4 +54,4 @@ pub use mailbox::Mailbox;
 pub use message::{downcast, try_downcast, HandlerCtx, NodeId, Outcome, Page, Payload};
 pub use network::{Network, NetworkBuilder, NodePort};
 pub use router::Router;
-pub use topology::{BarrierTopology, LockTopology, NoticeWire, SyncTopology};
+pub use topology::{BarrierTopology, NoticeWire, SyncTopology};

@@ -47,15 +47,6 @@ impl NodePort {
         &self.shared.mailboxes[self.node]
     }
 
-    /// The fabric's timeout/retry policy, if one is installed. A
-    /// protocol exchange never needs to ask — [`NodePort::send_reliable`]
-    /// and [`NodePort::rendezvous`] carry it either way; what does ask is
-    /// configuration that depends on the fabric kind (the software
-    /// DSM's choice of lock protocol at install time).
-    pub fn resilience(&self) -> Option<Resilience> {
-        self.shared.resilience
-    }
-
     /// Answer a request one of this node's handlers parked with
     /// [`crate::Outcome::defer`] under `key` by requester `who`, from
     /// application context. The reply departs no earlier than

@@ -11,22 +11,21 @@
 //! Two presets cover almost every use:
 //!
 //! * [`SyncTopology::centralized`] (the default) — one manager node per
-//!   barrier/lock id, full write-notice directories on release
-//!   broadcasts. Matches the paper's 4-node evaluation scale; message
-//!   volume per barrier is O(n) messages but O(n²) carried notice
-//!   records.
-//! * [`SyncTopology::scalable`] — k-ary tree barrier (fan-out 8),
-//!   MCS-style distributed lock-token queue, and compact write-notice
-//!   digests. Per-barrier traffic is 2(n−1) messages and the carried
-//!   volume is the per-subtree complement only: O(n log n) records in
-//!   the worst all-writers case, with digests compressing the common
-//!   sparse case further.
+//!   barrier id, full write-notice directories on release broadcasts.
+//!   Matches the paper's 4-node evaluation scale; message volume per
+//!   barrier is O(n) messages but O(n²) carried notice records.
+//! * [`SyncTopology::scalable`] — k-ary tree barrier (fan-out 8) and
+//!   compact write-notice digests. Per-barrier traffic is 2(n−1)
+//!   messages and the carried volume is the per-subtree complement
+//!   only: O(n log n) records in the worst all-writers case, with
+//!   digests compressing the common sparse case further.
 //!
-//! The individual axes can also be mixed freely, on plain and on
-//! resilient fabrics: both barrier structures have a retry protocol, a
-//! resilient fabric serves every lock from the manager (whose protocol
-//! is the one with idempotent retries), and every structure carries
-//! either notice encoding.
+//! Locks are not a topology choice: under every preset a manager node
+//! per lock (`lock % nodes`, unless placed) grants in the requested
+//! mode, with causal floors and idempotent answers to retries. The two
+//! axes can be mixed freely, on plain and on resilient fabrics: both
+//! barrier structures have a retry protocol, and each carries either
+//! notice encoding.
 
 use std::str::FromStr;
 
@@ -50,24 +49,6 @@ pub enum BarrierTopology {
     },
 }
 
-/// How lock ownership moves between nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockTopology {
-    /// A single manager node (`lock % nodes`) grants and queues every
-    /// acquisition; releases return to the manager. Two messages per
-    /// handoff, but the manager serializes all traffic for a hot lock.
-    Manager,
-    /// MCS-style distributed queue: the manager only tracks the queue
-    /// tail; the lock *token* (with its accumulated write notices)
-    /// passes directly from releaser to successor. Uncontended and
-    /// chained handoffs bypass the manager entirely; shared-mode
-    /// acquisitions serialize as exclusive. The token cannot be
-    /// re-issued once lost, so the queue runs on plain fabrics only: on
-    /// a resilient fabric the manager serves the lock, exactly as under
-    /// [`LockTopology::Manager`] (shared mode included).
-    TokenQueue,
-}
-
 /// How write notices are encoded on barrier release waves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoticeWire {
@@ -88,8 +69,8 @@ pub enum NoticeWire {
 }
 
 /// Typed selection of synchronization structures for every protocol in
-/// the stack (DSM barriers, DSM locks, write-notice wire encoding, and
-/// the hybrid-DSM barrier mirror).
+/// the stack (DSM barriers, write-notice wire encoding, and the
+/// hybrid-DSM barrier mirror).
 ///
 /// Construct via [`SyncTopology::centralized`] /
 /// [`SyncTopology::scalable`], tweak fields directly for mixed setups,
@@ -98,29 +79,25 @@ pub enum NoticeWire {
 pub struct SyncTopology {
     /// Barrier structure.
     pub barrier: BarrierTopology,
-    /// Lock handoff structure.
-    pub locks: LockTopology,
     /// Write-notice wire encoding on barrier releases.
     pub notices: NoticeWire,
 }
 
 impl SyncTopology {
-    /// The paper-scale default: central barrier manager, central lock
-    /// manager, explicit write notices.
+    /// The paper-scale default: central barrier manager, explicit write
+    /// notices.
     pub fn centralized() -> Self {
         Self {
             barrier: BarrierTopology::Central,
-            locks: LockTopology::Manager,
             notices: NoticeWire::Explicit,
         }
     }
 
-    /// The 1024-node configuration: fan-out-8 tree barrier, distributed
-    /// lock-token queue, digest-encoded write notices.
+    /// The 1024-node configuration: fan-out-8 tree barrier,
+    /// digest-encoded write notices.
     pub fn scalable() -> Self {
         Self {
             barrier: BarrierTopology::Tree { fanout: 8 },
-            locks: LockTopology::TokenQueue,
             notices: NoticeWire::Digest { max_runs: 64 },
         }
     }
@@ -195,7 +172,6 @@ mod tests {
     fn default_is_centralized() {
         assert_eq!(SyncTopology::default(), SyncTopology::centralized());
         assert_eq!(SyncTopology::centralized().barrier, BarrierTopology::Central);
-        assert_eq!(SyncTopology::centralized().locks, LockTopology::Manager);
         assert_eq!(SyncTopology::centralized().notices, NoticeWire::Explicit);
     }
 
@@ -203,7 +179,6 @@ mod tests {
     fn scalable_preset() {
         let t = SyncTopology::scalable();
         assert_eq!(t.barrier, BarrierTopology::Tree { fanout: 8 });
-        assert_eq!(t.locks, LockTopology::TokenQueue);
         assert_eq!(t.notices, NoticeWire::Digest { max_runs: 64 });
     }
 

@@ -48,16 +48,6 @@ impl Server {
             }
         }
     }
-
-    /// The time at which the server next becomes idle.
-    pub fn horizon(&self) -> u64 {
-        self.next_free.load(Ordering::Acquire)
-    }
-
-    /// Reset the server to idle-at-zero (between experiment runs).
-    pub fn reset(&self) {
-        self.next_free.store(0, Ordering::Release);
-    }
 }
 
 /// A bandwidth-shared resource, e.g. an SMP memory bus shared by the CPUs
@@ -178,6 +168,9 @@ mod tests {
         let s = Server::new();
         s.serve(100, 50); // busy until 150
         assert_eq!(s.serve(120, 10), (150, 160));
+        let s = Server::new();
+        s.serve(0, 10);
+        assert_eq!(s.serve(0, 10), (10, 20));
     }
 
     #[test]
@@ -185,16 +178,6 @@ mod tests {
         let s = Server::new();
         s.serve(0, 10); // busy until 10
         assert_eq!(s.serve(100, 5), (100, 105));
-    }
-
-    #[test]
-    fn horizon_tracks_latest_end() {
-        let s = Server::new();
-        s.serve(0, 10);
-        s.serve(0, 10);
-        assert_eq!(s.horizon(), 20);
-        s.reset();
-        assert_eq!(s.horizon(), 0);
     }
 
     #[test]

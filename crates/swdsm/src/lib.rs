@@ -21,9 +21,9 @@
 //! What this crate implements is the page protocol and the notices:
 //! [`Paged`], one data path of the cluster's node engine
 //! (`cluster::engine`), which allocates, counts and synchronises for
-//! the SMP and the hybrid DSM alike. Its locks and barriers — central
-//! manager or MCS token queue, central or tree barrier, as the fabric's
-//! `SyncTopology` says — are the cluster's one synchronisation driver
+//! the SMP and the hybrid DSM alike. Its locks and barriers — lock
+//! managers, central or tree barrier as the fabric's `SyncTopology`
+//! says — are the cluster's one synchronisation driver
 //! (`cluster::syncproto::driver`), which [`Paged`] serves as a platform:
 //! it names its message kinds and wire sizes and migrates homes at the
 //! quiescent point. [`SwDsm`] and [`DsmNode`] are the engine over this

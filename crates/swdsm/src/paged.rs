@@ -392,13 +392,6 @@ impl Platform for Paged {
         bar_release: 0x106,
         tree_agg: 0x162,
         tree_wave: 0x163,
-        tok_acq_local: 0x164,
-        tok_acq: 0x165,
-        tok_pass: 0x166,
-        tok_set_succ: 0x167,
-        tok_rel: 0x168,
-        tok_return: 0x169,
-        tok_claim: 0x16A,
     };
     const MODULE: &'static str = "swdsm";
 

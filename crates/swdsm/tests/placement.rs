@@ -135,10 +135,8 @@ fn place_lock_redirects_the_manager() {
 }
 
 #[test]
-fn placed_lock_works_under_token_queue() {
-    let mut sync = SyncTopology::centralized();
-    sync.locks = cluster::LockTopology::TokenQueue;
-    let cluster = placed(4, sync, vec![(1, 3)]);
+fn placed_lock_works_under_scalable() {
+    let cluster = placed(4, SyncTopology::scalable(), vec![(1, 3)]);
     let dsm = SwDsm::install(&cluster, DsmConfig::default());
     assert_eq!(dsm.stats(3).get("tuner_actions"), 1);
 
@@ -159,9 +157,10 @@ fn placed_lock_works_under_token_queue() {
     });
     let events = session.finish();
     assert_eq!(results, vec![8, 8, 8, 8]);
-    // The token starts parked at the lock's manager, so the first grant
-    // is the placed manager's pass.
+    // The placed manager grants every acquire, the first one included.
+    let managers: BTreeSet<_> = grants(&events, 1).iter().map(|e| e.node).collect();
     assert_eq!(grants(&events, 1).first().map(|e| e.node), Some(3));
+    assert_eq!(managers, BTreeSet::from([3]));
 }
 
 #[test]

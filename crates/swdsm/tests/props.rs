@@ -145,8 +145,8 @@ proptest! {
 /// Run `plan` on a `nodes`-node cluster under `sync`, returning every
 /// rank's final image and the ending value of a lock-guarded counter.
 /// Ranks beyond the plan's writer set still participate in every
-/// barrier and the lock ring, so tree interior nodes and token-queue
-/// hops get exercised even when they own no data.
+/// barrier and the lock ring, so tree interior nodes and lock managers
+/// get exercised even when they own no data.
 fn run_plan_sync(
     nodes: usize,
     sync: cluster::SyncTopology,
@@ -194,9 +194,9 @@ proptest! {
 
     /// The sync topology must be invisible to the program: the same
     /// random schedule run under the centralized protocols and under
-    /// the full scalable preset (tree barrier + token-queue locks +
-    /// digest waves) must produce bit-identical images on every rank
-    /// and the same lock-counter total.
+    /// the scalable preset (tree barrier + digest waves) must produce
+    /// bit-identical images on every rank and the same lock-counter
+    /// total.
     #[test]
     fn topologies_agree_on_random_schedules(plan in plan_strategy()) {
         let plan = std::sync::Arc::new(plan);

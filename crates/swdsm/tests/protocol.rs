@@ -643,12 +643,9 @@ fn tree_barrier_message_volume_is_linear() {
 }
 
 #[test]
-fn token_queue_lock_counter_is_exact() {
+fn scalable_lock_counter_is_exact() {
     const PER_NODE: u64 = 8;
-    let sync = cluster::SyncTopology {
-        locks: cluster::LockTopology::TokenQueue,
-        ..cluster::SyncTopology::centralized()
-    };
+    let sync = cluster::SyncTopology::scalable();
     for nodes in [2usize, 3, 5] {
         let (c, dsm) = cluster_sync(nodes, sync);
         let (_, results) = c.run(|ctx| {
@@ -666,43 +663,6 @@ fn token_queue_lock_counter_is_exact() {
         });
         assert_eq!(results, vec![nodes as u64 * PER_NODE; nodes], "{nodes} nodes");
     }
-}
-
-#[test]
-fn token_queue_passes_directly_between_contenders() {
-    // Under contention the token must travel releaser -> successor
-    // without a manager round trip: token_forwards > 0.
-    let sync = cluster::SyncTopology {
-        locks: cluster::LockTopology::TokenQueue,
-        ..cluster::SyncTopology::centralized()
-    };
-    let (c, dsm) = cluster_sync(4, sync);
-    let (_, entries) = c.run(|ctx| {
-        let node = dsm.node(ctx);
-        node.barrier(1);
-        node.acquire(5);
-        let t = node.ctx().clock().now();
-        node.ctx().compute(1_000_000);
-        // `compute` costs no host time, so without this wait the first
-        // holder may well release before anyone else has asked. Hold
-        // the token until the manager has chained the other three
-        // behind it: from then on the chain is complete, and its
-        // successor notices were posted by manager handlers that run
-        // before any handler a release can trigger there.
-        while (0..4).map(|n| dsm.stats(n).get("lock_queued")).sum::<u64>() < 3 {
-            std::thread::yield_now();
-        }
-        node.release(5);
-        node.barrier(2);
-        t
-    });
-    let mut sorted = entries.clone();
-    sorted.sort();
-    for w in sorted.windows(2) {
-        assert!(w[1] >= w[0] + 1_000_000, "critical sections overlap: {entries:?}");
-    }
-    let forwards: u64 = (0..4).map(|n| dsm.stats(n).get("token_forwards")).sum();
-    assert!(forwards >= 1, "contended release must forward the token, got {forwards}");
 }
 
 /// Spin until `done` holds; false if it still does not after a few
@@ -753,38 +713,32 @@ fn queued_acquire_on_a_plain_fabric_is_one_round_of_the_one_path() {
 }
 
 #[test]
-fn resilient_fabric_serves_token_queue_locks_from_the_manager() {
-    // A retry policy and `TokenQueue`: the central manager serves the
-    // lock, in the mode the caller asked for — two readers are inside
-    // together, and no token is ever created.
-    let sync = cluster::SyncTopology {
-        locks: cluster::LockTopology::TokenQueue,
-        ..cluster::SyncTopology::centralized()
-    };
-    let c = Cluster::new(
-        FabricConfig::builder()
-            .nodes(2)
-            .link(LinkKind::Ethernet)
-            .sync(sync)
-            .resilience(interconnect::Resilience::default())
-            .build(),
-    );
-    let dsm = SwDsm::install(&c, DsmConfig::default());
-    let inside = std::sync::atomic::AtomicUsize::new(0);
-    let (_, overlapped) = c.run(|ctx| {
-        use std::sync::atomic::Ordering::SeqCst;
-        let node = dsm.node(ctx);
-        node.barrier(1);
-        node.acquire_shared(5);
-        inside.fetch_add(1, SeqCst);
-        let overlapped = eventually(|| inside.load(SeqCst) == 2);
-        node.release(5);
-        node.barrier(2);
-        overlapped
-    });
-    assert_eq!(overlapped, vec![true, true], "shared holders serialised");
-    let forwards: u64 = (0..2).map(|n| dsm.stats(n).get("token_forwards")).sum();
-    assert_eq!(forwards, 0, "the manager, not a token, serves a resilient fabric's locks");
+fn shared_mode_means_the_same_everywhere() {
+    // Two readers are inside lock 5 together, whatever the sync preset
+    // and whether or not the fabric retries.
+    for sync in ["centralized", "scalable"] {
+        for resilient in [false, true] {
+            let mut b = FabricConfig::builder().nodes(2).link(LinkKind::Ethernet).sync(sync.parse().unwrap());
+            if resilient {
+                b = b.resilience(interconnect::Resilience::default());
+            }
+            let c = Cluster::new(b.build());
+            let dsm = SwDsm::install(&c, DsmConfig::default());
+            let inside = std::sync::atomic::AtomicUsize::new(0);
+            let (_, overlapped) = c.run(|ctx| {
+                use std::sync::atomic::Ordering::SeqCst;
+                let node = dsm.node(ctx);
+                node.barrier(1);
+                node.acquire_shared(5);
+                inside.fetch_add(1, SeqCst);
+                let overlapped = eventually(|| inside.load(SeqCst) == 2);
+                node.release(5);
+                node.barrier(2);
+                overlapped
+            });
+            assert_eq!(overlapped, vec![true, true], "{sync}, resilient: {resilient}: shared holders serialised");
+        }
+    }
 }
 
 #[test]
@@ -817,8 +771,8 @@ fn digest_notices_invalidate_stale_copies() {
 
 #[test]
 fn scalable_preset_matches_centralized_results() {
-    // The full scalable stack (tree barrier + token locks + digests)
-    // must compute bit-identical results to the centralized protocols.
+    // The scalable stack (tree barrier + digests) must compute
+    // bit-identical results to the centralized protocols.
     let run = |sync: cluster::SyncTopology| {
         let (c, dsm) = cluster_sync(5, sync);
         let (_, results) = c.run(|ctx| {
@@ -863,7 +817,6 @@ fn tree_barrier_heals_lost_release_waves() {
     plan.per_link = vec![((0, 1), lossy), ((0, 2), lossy), ((1, 0), lossy)];
     let sync = cluster::SyncTopology {
         barrier: cluster::BarrierTopology::Tree { fanout: 2 },
-        locks: cluster::LockTopology::Manager,
         notices: cluster::NoticeWire::Digest { max_runs: 64 },
     };
     let c = Cluster::new(

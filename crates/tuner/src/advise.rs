@@ -109,14 +109,10 @@ pub fn advise(s: &Report) -> TuningPlan {
     }
 
     // Contended DSM locks: a dominant acquirer gets the manager moved
-    // to it; contention from everywhere is a topology problem instead.
-    let mut scattered = false;
-    for l in s.locks.iter().filter(|l| l.module == "swdsm" && l.wait_ns > 0) {
-        if majority(l.top_acquirer_acquires, l.acquires) {
-            actions.push(Action::PlaceLock { lock: l.lock as u32, to: l.top_acquirer as usize });
-        } else {
-            scattered = true;
-        }
+    // to it.
+    let contended = s.locks.iter().filter(|l| l.module == "swdsm" && l.wait_ns > 0);
+    for l in contended.filter(|l| majority(l.top_acquirer_acquires, l.acquires)) {
+        actions.push(Action::PlaceLock { lock: l.lock as u32, to: l.top_acquirer as usize });
     }
 
     // Lane totals summed across nodes.
@@ -125,11 +121,8 @@ pub fn advise(s: &Report) -> TuningPlan {
         lanes.iter_mut().zip(n.lanes).for_each(|(sum, ns)| *sum += ns);
     }
     let total: u64 = lanes.iter().sum();
-    let dominant = |lane: Lane| total > 0 && lanes[lane as usize] * 100 >= total * LANE_DOMINANCE_PCT;
-    if scattered && dominant(Lane::LockWait) {
-        actions.push(Action::SwitchLocks);
-    }
-    if s.nodes.len() >= TREE_MIN_NODES && dominant(Lane::BarrierWait) {
+    let barrier_wait = lanes[Lane::BarrierWait as usize];
+    if s.nodes.len() >= TREE_MIN_NODES && total > 0 && barrier_wait * 100 >= total * LANE_DOMINANCE_PCT {
         actions.push(Action::SwitchBarrier { fanout: TREE_FANOUT });
     }
 
@@ -266,12 +259,9 @@ mod tests {
         };
         let s = Report { locks: vec![lock(1, 3, 8), lock(2, 0, 4)], ..report(4, [0, 0, 0, 900, 0]) };
         let plan = advise(&s);
-        // Lock 1 has a dominant acquirer -> placed. Lock 2 is scattered
-        // and lock wait dominates -> topology switch.
-        assert_eq!(
-            plan.actions,
-            vec![Action::PlaceLock { lock: 1, to: 3 }, Action::SwitchLocks]
-        );
+        // Lock 1 has a dominant acquirer -> placed. Lock 2 is scattered:
+        // no lever moves it, however much lock wait dominates.
+        assert_eq!(plan.actions, vec![Action::PlaceLock { lock: 1, to: 3 }]);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! | false sharing flagged on a page       | [`Action::PadRegion`]      |
 //! | hot page with a dominant writer       | [`Action::RehomePage`]     |
 //! | contended lock, dominant acquirer     | [`Action::PlaceLock`]      |
-//! | contended lock, no dominant acquirer  | [`Action::SwitchLocks`]    |
 //! | barrier wait dominant at scale        | [`Action::SwitchBarrier`]  |
 //!
 //! Everything is deterministic: the same report yields the same plan,
@@ -67,9 +66,6 @@ pub enum Action {
         /// The new manager node.
         to: usize,
     },
-    /// Switch lock handoff to the distributed token queue — the move
-    /// when a lock is contended from everywhere at once.
-    SwitchLocks,
     /// Switch the barrier to a fan-out tree — the move when barrier
     /// wait dominates the lane breakdown at scale.
     SwitchBarrier {
@@ -96,7 +92,6 @@ impl fmt::Display for Action {
                 write!(f, "pad region {region} to {pad_to}-byte strides")
             }
             Action::PlaceLock { lock, to } => write!(f, "place lock {lock} -> node {to}"),
-            Action::SwitchLocks => write!(f, "switch locks to token queue"),
             Action::SwitchBarrier { fanout } => write!(f, "switch barrier to tree:{fanout}"),
         }
     }

@@ -21,9 +21,8 @@
 //!   outlasts the retry policy, and the acquire ends the node with the
 //!   node engine's one fatal report, on the software DSM and on the
 //!   hybrid DSM alike.
-//! * Integration: a contended lock survives drop/dup/delay chaos under
-//!   either `LockTopology` — on a resilient fabric the central manager
-//!   serves both, and its idempotent answers keep mutual exclusion and
+//! * Integration: a contended lock survives drop/dup/delay chaos — the
+//!   lock manager's idempotent answers keep mutual exclusion and
 //!   exactly-once semantics. (Content only: contended lock grant order
 //!   is real-arrival order, so virtual times are not compared across
 //!   runs — see OBSERVABILITY.md, "Contended locks".)
@@ -327,33 +326,18 @@ fn crashed_node_rejoins_via_delta_sync_and_completes() {
     assert!(nodedown > 0, "peer flushes never hit the absence window: {:?}", report.net_stats);
 }
 
-/// `TokenQueue` under the chaos bench's fault mix: the MCS token cannot
-/// be re-issued, so on the faulty legs the central manager serves the
-/// lock (no token is ever forwarded) and must keep a lock-protected
-/// counter exact through drops, duplicates, and delays.
-#[test]
-fn token_queue_locks_survive_chaos() {
-    contended_lock_survives_chaos(cluster::LockTopology::TokenQueue);
-}
-
-/// The same contention on the centralized lock manager. Both managers
-/// hand a released lock over by *posting* the grant; a waiter whose
+/// A contended lock under the chaos bench's fault mix. The manager
+/// hands a released lock over by *posting* the grant; a waiter whose
 /// `Queued` reply was lost is meanwhile retrying its request, and a
 /// manager that re-granted that retry by reply would leave the posted
 /// grant in the mailbox to pass for a grant on the node's next turn —
 /// one increment lost, or the last holder never releasing.
 #[test]
 fn manager_locks_survive_chaos() {
-    contended_lock_survives_chaos(cluster::LockTopology::Manager);
-}
-
-fn contended_lock_survives_chaos(locks: cluster::LockTopology) {
     const NODES: usize = 4;
     const ROUNDS: u64 = 8;
     let run = |faults: Option<FaultPlan>| {
-        let mut sync = cluster::SyncTopology::centralized();
-        sync.locks = locks;
-        let mut b = FabricConfig::builder().nodes(NODES).link(LinkKind::Ethernet).sync(sync);
+        let mut b = FabricConfig::builder().nodes(NODES).link(LinkKind::Ethernet);
         if let Some(plan) = faults {
             b = b.chaos(plan).resilience(Resilience::default());
         }
@@ -372,11 +356,10 @@ fn contended_lock_survives_chaos(locks: cluster::LockTopology) {
             node.barrier(2);
             node.read_u64(a)
         });
-        let forwards: u64 = (0..NODES).map(|n| dsm.stats(n).get("token_forwards")).sum();
-        (report, counts, forwards)
+        (report, counts)
     };
 
-    let (_, clean, _) = run(None);
+    let (_, clean) = run(None);
     assert_eq!(clean, vec![ROUNDS * NODES as u64; NODES]);
     let plan = || {
         let mut p = FaultPlan::seeded(11);
@@ -390,11 +373,10 @@ fn contended_lock_survives_chaos(locks: cluster::LockTopology) {
         };
         p
     };
-    let (r1, c1, f1) = run(Some(plan()));
-    let (r2, c2, f2) = run(Some(plan()));
-    assert_eq!(c1, clean, "chaos broke {locks:?} mutual exclusion");
-    assert_eq!(c2, clean, "chaos broke {locks:?} mutual exclusion on the rerun");
-    assert_eq!((f1, f2), (0, 0), "a resilient fabric's locks are the manager's to serve");
+    let (r1, c1) = run(Some(plan()));
+    let (r2, c2) = run(Some(plan()));
+    assert_eq!(c1, clean, "chaos broke mutual exclusion");
+    assert_eq!(c2, clean, "chaos broke mutual exclusion on the rerun");
     // No cross-run timing assertions here: this workload *contends* on
     // the lock, and contended grant order follows real message-arrival
     // order (see OBSERVABILITY.md, "Contended locks") — so virtual

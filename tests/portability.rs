@@ -298,40 +298,23 @@ fn a_placed_lock_is_granted_by_its_manager_on_every_platform() {
 }
 
 /// The synchronisation driver counts what it does on every platform:
-/// under `scalable` (token-queue locks, tree barrier) on a fabric that
-/// loses nothing, SMP and the hybrid DSM report direct token forwards
-/// and tree waves as the software DSM does.
+/// under `scalable` (tree barrier), SMP and the hybrid DSM report lock
+/// acquires and tree waves as the software DSM does.
 #[test]
-fn the_driver_counts_token_forwards_and_tree_waves_everywhere() {
-    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-    use std::time::{Duration, Instant};
+fn the_driver_counts_tree_waves_everywhere() {
     for name in ["smp", "hybrid"] {
         let cfg = ClusterConfig::parse(&format!("nodes=4\nplatform={name}\nsync=scalable")).unwrap();
         let rt = Runtime::new(cfg);
-        for counter in ["lock_queued", "token_forwards", "tree_waves"] {
-            assert!(rt.platform_stats(0).contains_key(counter), "{name} has no {counter:?} counter");
-        }
+        assert!(rt.platform_stats(0).contains_key("tree_waves"), "{name} has no \"tree_waves\" counter");
         let total = |counter: &str| (0..4).map(|node| rt.platform_stats(node)[counter]).sum::<u64>();
-        let waited = AtomicBool::new(false);
         rt.run(|ham| {
             ham.sync().barrier(1);
             for _ in 0..5 {
                 ham.sync().lock(7);
-                // The first holder keeps the lock until the other three
-                // are queued behind it, so its release has a successor
-                // (bounded: a holder that panicked here would hang them).
-                if !waited.swap(true, SeqCst) {
-                    let deadline = Instant::now() + Duration::from_secs(5);
-                    while total("lock_queued") < 3 && Instant::now() < deadline {
-                        std::thread::yield_now();
-                    }
-                }
                 ham.sync().unlock(7);
             }
             ham.sync().barrier(2);
         });
-        assert!(total("lock_queued") >= 3, "{name}: the others never queued");
-        assert!(total("token_forwards") > 0, "{name}: a contended release never forwarded the token");
         assert!(total("tree_waves") > 0, "{name}: no tree wave was counted");
         assert_eq!(total("lock_acquires"), 20, "{name}");
     }

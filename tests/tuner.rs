@@ -15,7 +15,7 @@
 //! * both worker counts agree on the checksum under the same plan.
 
 use apps::world::{run_hamster, HamsterWorld, World};
-use cluster::{BarrierTopology, EngineMode, LockTopology, SyncTopology};
+use cluster::{BarrierTopology, EngineMode, SyncTopology};
 use hamster_core::{ClusterConfig, Placement, PlatformKind};
 use memwire::{AlignHint, Distribution, PageId};
 use proptest::prelude::*;
@@ -82,7 +82,6 @@ fn actions() -> impl Strategy<Value = Action> {
         ((0u32..8), (0usize..4)).prop_map(|(lock, to)| Action::PlaceLock { lock, to }),
         prop_oneof![Just(128u32), Just(512), Just(4096)]
             .prop_map(|pad_to| Action::PadRegion { region: 0, pad_to }),
-        Just(Action::SwitchLocks),
         (2u32..=8).prop_map(|fanout| Action::SwitchBarrier { fanout }),
     ]
 }
@@ -102,7 +101,6 @@ fn carriers(plan: &TuningPlan) -> (AlignHint, Placement, SyncTopology) {
             Action::PadRegion { pad_to, .. } => hint = AlignHint::PadTo(pad_to),
             Action::RehomePage { page, to } => placement.homes.push((page, to)),
             Action::PlaceLock { lock, to } => placement.locks.push((lock, to)),
-            Action::SwitchLocks => sync.locks = LockTopology::TokenQueue,
             Action::SwitchBarrier { fanout } => {
                 sync.barrier = BarrierTopology::Tree { fanout: fanout as usize }
             }
@@ -198,7 +196,6 @@ fn full_catalogue_plan_preserves_results() {
             Action::RehomePage { page: PageId { region: 0, index: 0 }, to: 1 },
             Action::RehomePage { page: PageId { region: 9, index: 3 }, to: 2 },
             Action::PlaceLock { lock: KERNEL_LOCK, to: 3 },
-            Action::SwitchLocks,
             Action::SwitchBarrier { fanout: 4 },
         ],
     };
